@@ -80,11 +80,15 @@ PPDC_BENCH_JSON="$PWD/target/ci-bench-samples.jsonl" \
 PPDC_BENCH_ONLY=stream_ingest,stream_resolve \
     PPDC_BENCH_JSON="$PWD/target/ci-bench-samples.jsonl" \
     cargo bench -p ppdc-bench --bench stream
+# The trajectory entry's label and note come from the environment; the
+# label defaults to the HEAD commit subject, the note to empty.
+bench_label="${PPDC_BENCH_LABEL:-$(git log -1 --format=%s 2>/dev/null || echo unlabelled)}"
+bench_note="${PPDC_BENCH_NOTE:-}"
 cargo run --release -p ppdc-experiments -- \
     --append-bench BENCH_placement.json \
     --bench-samples target/ci-bench-samples.jsonl \
-    --label "warm-started incremental re-solver: seeded bounds + chain memo" \
+    --label "$bench_label" \
     --date "$(date +%F)" \
-    --note "Timings from the offline stopwatch criterion stand-in (vendor/criterion), min/median/mean ns per iteration. stream_resolve pits a cold k=32 dp_placement_with_agg against dp_placement_warm re-solving after hot-rack/two-pod/full-fabric churn; warm-vs-cold highlights are intra-run medians. dp_placement/k4_l20 is back at its pre-orbit-sweep level (ORBIT_MIN_SWITCHES cutoff skips orbit compression below 64 switches), recovering the small-fabric regression introduced with the orbit-compressed sweep."
+    --note "$bench_note"
 
 echo "CI OK"

@@ -5,14 +5,18 @@
 //! rename), `restore` is one load back (read + parse + slot fallback).
 //! The checkpoints are real ones — a fault-injected day halted mid-run —
 //! so the serialized hours/degraded/rates payload has production shape.
+//!
+//! `stream_write_1m` is the streaming engine's per-epoch persist at scale:
+//! [`StreamCheckpoint::to_json`] + [`CheckpointStore::write_raw`] of a
+//! snapshot carrying 1M flow rates and 16 epoch records.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ppdc_model::Sfc;
 use ppdc_sim::{
-    run_day, Checkpoint, CheckpointStore, EngineConfig, FaultConfig, FaultSchedule,
-    MigrationPolicy, SimConfig,
+    run_day, Checkpoint, CheckpointStore, EngineConfig, EpochAction, EpochRecord, FaultConfig,
+    FaultSchedule, MigrationPolicy, SimConfig, StreamCheckpoint,
 };
-use ppdc_topology::FatTree;
+use ppdc_topology::{FatTree, NodeId};
 use ppdc_traffic::standard_workload;
 use std::time::Duration;
 
@@ -72,7 +76,48 @@ fn bench_checkpoint(c: &mut Criterion) {
         });
         std::fs::remove_dir_all(&dir).unwrap();
     }
+    let ck = stream_checkpoint_1m();
+    let dir = std::env::temp_dir().join(format!("ppdc-bench-ckpt-{}-stream", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let store = CheckpointStore::new(dir.join("stream.ckpt"));
+    group.bench_function("stream_write_1m", |b| {
+        b.iter(|| store.write_raw(&ck.to_json()).unwrap())
+    });
+    std::fs::remove_dir_all(&dir).unwrap();
     group.finish();
+}
+
+/// A stream snapshot at the 1M-flow scale: the rates of the `stream_ingest`
+/// workload after 16 epochs, with every epoch action represented.
+fn stream_checkpoint_1m() -> StreamCheckpoint {
+    const FLOWS: u64 = 1_000_000;
+    let epochs: Vec<EpochRecord> = (1..=16u32)
+        .map(|epoch| EpochRecord {
+            epoch,
+            deltas: u64::from(epoch) * 61_000,
+            drift: u64::from(epoch) * 9_000_000,
+            action: match epoch % 3 {
+                0 => EpochAction::SkippedLowDrift,
+                1 => EpochAction::SkippedCertified { gap: 12_345 },
+                _ => EpochAction::Resolved { improved: true },
+            },
+            comm_cost: 6_800_000_000 + u64::from(epoch),
+        })
+        .collect();
+    StreamCheckpoint {
+        fingerprint: 0x9E37_79B9_7F4A_7C15,
+        epoch: 16,
+        initial_cost: 6_826_000_000,
+        placement: vec![NodeId(1_100), NodeId(1_101), NodeId(1_102), NodeId(1_103)],
+        rates: (0..FLOWS).map(|i| (i % 97) * 13 + 1).collect(),
+        drift_accum: 0,
+        total_cost: epochs.iter().map(|e| e.comm_cost).sum::<u64>() + 6_826_000_000,
+        resolves: 5,
+        resolves_skipped: 11,
+        drift_total: epochs.iter().map(|e| e.drift).sum(),
+        deltas_total: epochs.iter().map(|e| e.deltas).sum(),
+        epochs,
+    }
 }
 
 criterion_group!(benches, bench_checkpoint);

@@ -18,6 +18,16 @@
 //! store and aggregates return to the initial state every two samples and
 //! no pristine clone of the million-flow store is paid inside the timer.
 //!
+//! The same group times the per-flow plumbing around an epoch on that
+//! 1M-flow store, one layer call per case:
+//!
+//! * `fingerprint_1m` — [`stream_fingerprint`] of the day's inputs (what
+//!   every checkpointed or resumed stream day pays once),
+//! * `store_build_1m` — [`ShardedFlowStore::build`] (day set-up and every
+//!   resume),
+//! * `rate_deltas_1m` — [`DynamicTrace::try_rate_deltas`], cycling through
+//!   the day's 12 epochs of a diurnal trace with 25 % hourly churn.
+//!
 //! The `stream_resolve` group measures the *solver* half of an epoch: the
 //! warm-started re-solve ([`dp_placement_warm`] with a persistent
 //! [`BoundCache`] and the previous optimum as incumbent) against the cold
@@ -34,8 +44,9 @@ use ppdc_model::{Sfc, Workload};
 use ppdc_placement::{
     dp_placement_warm, dp_placement_with_agg, AttachAggregates, BoundCache, HostMassDelta,
 };
-use ppdc_sim::{RateDelta, ShardedFlowStore};
+use ppdc_sim::{stream_fingerprint, RateDelta, ShardedFlowStore, StreamConfig};
 use ppdc_topology::{FatTree, FatTreeOracle, NodeId};
+use ppdc_traffic::{rng_for_run, DiurnalModel, DynamicTrace, DEFAULT_MIX, STANDARD_CHURN};
 use std::time::Duration;
 
 const FLOWS: usize = 1_000_000;
@@ -152,6 +163,29 @@ fn bench_stream_ingest(c: &mut Criterion) {
             })
         });
     }
+    let trace = DynamicTrace::with_churn(
+        &w,
+        DiurnalModel::default(),
+        &DEFAULT_MIX,
+        STANDARD_CHURN,
+        &mut rng_for_run(0x5EED, 0),
+    );
+    let sfc = Sfc::of_len(4).unwrap();
+    let cfg = StreamConfig::default();
+    group.bench_function("fingerprint_1m", |b| {
+        b.iter(|| stream_fingerprint(g, &w, &trace, &sfc, &cfg))
+    });
+    group.bench_function("store_build_1m", |b| {
+        b.iter(|| ShardedFlowStore::build(g, &w).unwrap())
+    });
+    let n_hours = trace.model().n_hours;
+    let mut hour = 0;
+    group.bench_function("rate_deltas_1m", |b| {
+        b.iter(|| {
+            hour = hour % n_hours + 1;
+            trace.try_rate_deltas(hour).unwrap()
+        })
+    });
     group.finish();
 }
 

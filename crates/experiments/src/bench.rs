@@ -226,7 +226,9 @@ fn write_value(v: &Value) -> String {
         Value::Null => "null".to_string(),
         Value::Bool(b) => b.to_string(),
         Value::Int(i) => i.to_string(),
-        Value::Float(f) => fmt_f64(*f),
+        // Shortest round-trip form: history keeps every recorded digit.
+        Value::Float(f) if f.is_finite() => format!("{f:?}"),
+        Value::Float(_) => "null".to_string(),
         Value::Str(s) => format!("\"{}\"", escape(s)),
         Value::Arr(items) => {
             let inner: Vec<String> = items.iter().map(write_value).collect();
@@ -314,6 +316,24 @@ mod tests {
         // the k4 id too — both ids now carry speedups.
         let hl = traj[2].get("highlights").and_then(Value::as_obj).unwrap();
         assert_eq!(hl.len(), 2);
+    }
+
+    #[test]
+    fn history_keeps_every_recorded_digit() {
+        let doc = r#"{"trajectory": [{"label": "old", "highlights": {"x_median_speedup_vs_prev": 0.81},
+            "results": [{"id": "x", "median_ns": 31784.45}]}]}"#;
+        let out = append_bench_trajectory(doc, LINES, "new", "2026-08-08", &env()).unwrap();
+        let v = json::parse(&out).unwrap();
+        let old = &v.get("trajectory").and_then(Value::as_arr).unwrap()[0];
+        assert_eq!(
+            old,
+            &json::parse(doc)
+                .unwrap()
+                .get("trajectory")
+                .unwrap()
+                .as_arr()
+                .unwrap()[0]
+        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Crash-safe epoch checkpoints (`ppdc-ckpt/v1`).
+//! Crash-safe epoch checkpoints (`ppdc-ckpt/v2`).
 //!
 //! A [`Checkpoint`] freezes everything [`crate::run_day`] needs to restart
 //! a fault-aware day from the last completed hour and finish it
@@ -38,7 +38,7 @@ use crate::fault::{DegradedHourRecord, FaultSchedule, HourProvenance};
 use crate::simulator::{HourRecord, MigrationPolicy, SimConfig};
 
 /// Version tag every snapshot carries; restore rejects anything else.
-pub const CKPT_SCHEMA: &str = "ppdc-ckpt/v1";
+pub const CKPT_SCHEMA: &str = "ppdc-ckpt/v2";
 
 /// Errors from writing, reading, or validating a checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,7 +54,7 @@ pub enum CkptError {
     },
     /// The file held no parseable JSON document — the classic torn write.
     Parse(String),
-    /// The document parsed but is not a `ppdc-ckpt/v1` snapshot.
+    /// The document parsed but is not a `ppdc-ckpt/v2` snapshot.
     Schema(String),
     /// A field is missing, has the wrong type, or holds an impossible
     /// value (id out of range, mismatched array length, …).
@@ -136,17 +136,6 @@ pub struct Checkpoint {
     pub recovery_migrations: usize,
 }
 
-fn push_ids(out: &mut String, key: &str, ids: &[u32]) {
-    out.push_str(&format!("  \"{key}\": ["));
-    for (i, v) in ids.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&v.to_string());
-    }
-    out.push_str("],\n");
-}
-
 fn prov_code(p: HourProvenance) -> u64 {
     match p {
         HourProvenance::Exact => 0,
@@ -167,7 +156,7 @@ fn prov_from_code(c: u64) -> Result<HourProvenance, CkptError> {
 }
 
 impl Checkpoint {
-    /// Serializes to the deterministic `ppdc-ckpt/v1` JSON document. Two
+    /// Serializes to the deterministic `ppdc-ckpt/v2` JSON document. Two
     /// equal checkpoints always produce byte-identical output.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
@@ -176,24 +165,17 @@ impl Checkpoint {
         out.push_str(&format!("  \"fingerprint\": {},\n", self.fingerprint));
         out.push_str(&format!("  \"hour\": {},\n", self.hour));
         out.push_str(&format!("  \"initial_cost\": {},\n", self.initial_cost));
-        let ids = |v: &[NodeId]| v.iter().map(|n| n.0).collect::<Vec<u32>>();
-        push_ids(&mut out, "placement", &ids(&self.placement));
-        push_ids(&mut out, "hosts", &ids(&self.hosts));
-        out.push_str("  \"rates\": [");
-        for (i, r) in self.rates.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&r.to_string());
-        }
-        out.push_str("],\n");
-        push_ids(&mut out, "failed_nodes", &ids(&self.failed_nodes));
-        push_ids(
+        let ids = |v: &[NodeId]| v.iter().map(|n| u64::from(n.0)).collect::<Vec<u64>>();
+        push_list(&mut out, "placement", ids(&self.placement));
+        push_list(&mut out, "hosts", ids(&self.hosts));
+        push_list(&mut out, "rates", self.rates.iter().copied());
+        push_list(&mut out, "failed_nodes", ids(&self.failed_nodes));
+        push_list(
             &mut out,
             "failed_edges",
-            &self.failed_edges.iter().map(|e| e.0).collect::<Vec<u32>>(),
+            self.failed_edges.iter().map(|e| u64::from(e.0)),
         );
-        push_ids(&mut out, "candidates", &ids(&self.candidates));
+        push_list(&mut out, "candidates", ids(&self.candidates));
         out.push_str("  \"stranded\": [");
         for (i, s) in self.stranded.iter().enumerate() {
             if i > 0 {
@@ -253,7 +235,7 @@ impl Checkpoint {
         out
     }
 
-    /// Parses a `ppdc-ckpt/v1` document.
+    /// Parses a `ppdc-ckpt/v2` document.
     ///
     /// # Errors
     ///
@@ -483,24 +465,7 @@ pub fn fingerprint(
     schedule: &FaultSchedule,
 ) -> u64 {
     let mut h = Fnv::new();
-    h.u64(g.num_nodes() as u64);
-    h.u64(g.num_edges() as u64);
-    for (u, v, c) in g.edges() {
-        h.u64(u64::from(u.0));
-        h.u64(u64::from(v.0));
-        h.u64(c);
-    }
-    h.u64(w.num_vms() as u64);
-    h.u64(w.num_flows() as u64);
-    for v in w.vm_ids() {
-        h.u64(u64::from(w.host_of(v).0));
-    }
-    for f in w.flow_ids() {
-        let fl = w.flow(f);
-        h.u64(u64::from(fl.src.0));
-        h.u64(u64::from(fl.dst.0));
-    }
-    h.u64(sfc.len() as u64);
+    hash_instance(&mut h, g, w, sfc);
     h.u64(cfg.mu);
     h.u64(cfg.vm_mu);
     let (tag, a, b) = match cfg.policy {
@@ -526,16 +491,62 @@ pub fn fingerprint(
         h.u64(k);
         h.u64(id);
     }
-    h.u64(u64::from(trace.model().n_hours));
-    for hour in 0..=trace.model().n_hours {
-        for r in trace.rates_at(hour) {
-            h.u64(r);
-        }
-    }
+    hash_trace(&mut h, trace);
     h.finish()
 }
 
-pub(crate) struct Fnv(pub(crate) u64);
+/// Hashes the inputs both engines share: the graph, the workload's VM
+/// hosts and flow endpoints, and the SFC length.
+pub(crate) fn hash_instance(h: &mut Fnv, g: &Graph, w: &Workload, sfc: &Sfc) {
+    h.u64(g.num_nodes() as u64);
+    h.u64(g.num_edges() as u64);
+    for (u, v, c) in g.edges() {
+        h.u64(u64::from(u.0));
+        h.u64(u64::from(v.0));
+        h.u64(c);
+    }
+    h.u64(w.num_vms() as u64);
+    h.u64(w.num_flows() as u64);
+    for v in w.vm_ids() {
+        h.u64(u64::from(w.host_of(v).0));
+    }
+    for f in w.flow_ids() {
+        let fl = w.flow(f);
+        h.u64(u64::from(fl.src.0));
+        h.u64(u64::from(fl.dst.0));
+    }
+    h.u64(sfc.len() as u64);
+}
+
+/// Hashes a trace by its defining inputs ([`DynamicTrace::inputs`]): the
+/// model (`n_hours`, `tau_min` bits), the cohort offset, the cohort flags
+/// (64 to a word) and every base-rate row. Every hour's rate vector is a
+/// pure function of these, so no rate is derived here.
+pub(crate) fn hash_trace(h: &mut Fnv, trace: &DynamicTrace) {
+    let t = trace.inputs();
+    h.u64(u64::from(t.model.n_hours));
+    h.u64(t.model.tau_min.to_bits());
+    h.u64(u64::from_le_bytes(t.offset.to_le_bytes()));
+    h.u64(t.east.len() as u64);
+    for flags in t.east.chunks(64) {
+        h.u64(
+            flags
+                .iter()
+                .enumerate()
+                .fold(0u64, |word, (i, &e)| word | (u64::from(e) << i)),
+        );
+    }
+    h.u64(t.base.len() as u64);
+    for row in t.base {
+        h.u64(row.len() as u64);
+        for &r in row {
+            h.u64(r);
+        }
+    }
+}
+
+/// FNV-1a over 64-bit words: one xor-multiply per word.
+pub(crate) struct Fnv(u64);
 
 impl Fnv {
     pub(crate) fn new() -> Self {
@@ -543,15 +554,48 @@ impl Fnv {
     }
 
     pub(crate) fn u64(&mut self, x: u64) {
-        for b in x.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.0 = (self.0 ^ x).wrapping_mul(0x0000_0100_0000_01b3);
     }
 
     pub(crate) fn finish(&self) -> u64 {
         self.0
     }
+}
+
+/// Appends `x` in decimal without allocating.
+fn push_u64(out: &mut String, mut x: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (x % 10) as u8;
+        x /= 10;
+        if x == 0 {
+            break;
+        }
+    }
+    for &d in &digits[i..] {
+        out.push(char::from(d));
+    }
+}
+
+/// Appends `"  \"key\": [a,b,...],\n"` for a list of integers.
+pub(crate) fn push_list(out: &mut String, key: &str, xs: impl IntoIterator<Item = u64>) {
+    out.push_str("  \"");
+    out.push_str(key);
+    out.push_str("\": [");
+    for (i, x) in xs.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_u64(out, x);
+    }
+    out.push_str("],\n");
+}
+
+/// Decimal digits of `x` (the JSON width of one integer).
+pub(crate) fn dec_len(x: u64) -> usize {
+    x.checked_ilog10().map_or(1, |d| d as usize + 1)
 }
 
 /// Which on-disk slot a checkpoint was recovered from.
@@ -606,7 +650,7 @@ impl CheckpointStore {
 
     /// The slot machinery behind [`CheckpointStore::write`], usable with
     /// any serialized snapshot document (the streaming engine persists its
-    /// own `ppdc-stream-ckpt/v1` schema through the same store).
+    /// own `ppdc-stream-ckpt/v2` schema through the same store).
     ///
     /// # Errors
     ///
@@ -736,6 +780,15 @@ mod tests {
     }
 
     #[test]
+    fn pre_v2_documents_are_refused_by_schema() {
+        let doc = sample(1).to_json().replace(CKPT_SCHEMA, "ppdc-ckpt/v1");
+        assert_eq!(
+            Checkpoint::from_json(&doc),
+            Err(CkptError::Schema("ppdc-ckpt/v1".to_string()))
+        );
+    }
+
+    #[test]
     fn json_round_trip_is_lossless_and_deterministic() {
         let c = sample(1);
         let j = c.to_json();
@@ -758,7 +811,7 @@ mod tests {
             );
         }
         assert!(matches!(
-            Checkpoint::from_json("{\"schema\": \"other/v2\"}"),
+            Checkpoint::from_json("{\"schema\": \"other/v1\"}"),
             Err(CkptError::Schema(_))
         ));
     }

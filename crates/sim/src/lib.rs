@@ -19,7 +19,7 @@
 //!
 //! [`checkpoint`], [`supervisor`], and [`chaos`] harden it against
 //! *operator-side* failures: [`run_day`] persists crash-safe
-//! `ppdc-ckpt/v1` snapshots every hour and [`resume_day`] finishes an
+//! `ppdc-ckpt/v2` snapshots every hour and [`resume_day`] finishes an
 //! interrupted day bit-identically; a supervised degradation ladder
 //! (exact → deadline-degraded → last-known-good) keeps every hour served
 //! through solver starvation; and the seeded chaos harness
@@ -33,7 +33,7 @@
 //! solver only when accumulated drift crosses a threshold — using the
 //! admissible placement bound to certify when the stale incumbent is
 //! provably close enough to serve. [`resume_stream_day`] restores a
-//! `ppdc-stream-ckpt/v1` snapshot and finishes the day bit-identically.
+//! `ppdc-stream-ckpt/v2` snapshot and finishes the day bit-identically.
 
 #![deny(clippy::unwrap_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]

@@ -31,7 +31,7 @@
 //!   `stream.drift` / `stream.resolves_skipped` counter pair exports how
 //!   much churn the engine absorbed without solving.
 //! - [`run_stream_day`] / [`resume_stream_day`] — the crash-safe epoch
-//!   loop, mirroring the PR 7 engine: `ppdc-stream-ckpt/v1` snapshots
+//!   loop, mirroring the hourly engine: `ppdc-stream-ckpt/v2` snapshots
 //!   through the same atomic two-slot [`CheckpointStore`], an input
 //!   fingerprint refusing foreign snapshots, and **bit-identical resume**
 //!   (derived state — shards, aggregates — is rebuilt from the
@@ -59,13 +59,13 @@ use ppdc_traffic::{DynamicTrace, TraceError};
 use rayon::prelude::*;
 
 use crate::checkpoint::{
-    arr_field, as_obj, field, node_ids, row_u64, str_field, to_u32, u64_arr, u64_field,
-    CheckpointStore, CkptError, Fnv,
+    arr_field, as_obj, dec_len, field, hash_instance, hash_trace, node_ids, push_list, row_u64,
+    str_field, to_u32, u64_arr, u64_field, CheckpointStore, CkptError, Fnv,
 };
 
 /// Version tag of streaming-engine snapshots; restore rejects anything
-/// else (including plain `ppdc-ckpt/v1` day snapshots).
-pub const STREAM_CKPT_SCHEMA: &str = "ppdc-stream-ckpt/v1";
+/// else (including plain `ppdc-ckpt/v2` day snapshots).
+pub const STREAM_CKPT_SCHEMA: &str = "ppdc-stream-ckpt/v2";
 
 /// One streamed rate change: `new λ − old λ` for one flow. Zero deltas
 /// are dropped at ingestion; a batch may carry several deltas for the
@@ -199,27 +199,6 @@ struct Shard {
 }
 
 impl Shard {
-    fn new() -> Self {
-        Shard {
-            flows: Vec::new(),
-            src_hosts: Vec::new(),
-            dst_hosts: Vec::new(),
-            rates: Vec::new(),
-            pending: Vec::new(),
-            touched: Vec::new(),
-            seen: Vec::new(),
-        }
-    }
-
-    fn push(&mut self, f: FlowId, src: NodeId, dst: NodeId, rate: u64) {
-        self.flows.push(f);
-        self.src_hosts.push(src);
-        self.dst_hosts.push(dst);
-        self.rates.push(rate);
-        self.pending.push(0);
-        self.seen.push(false);
-    }
-
     /// Clears every staged batch entry without applying it (error path).
     fn clear_staged(&mut self) {
         for &slot in &self.touched {
@@ -351,32 +330,103 @@ impl ShardedFlowStore {
     /// [`StreamError::NoTopOfRack`] when a flow endpoint host has no
     /// switch neighbor (cannot happen on fat-tree builders).
     pub fn build(g: &Graph, w: &Workload) -> Result<Self, StreamError> {
-        // ((src ToR, dst ToR), flow, src host, dst host, rate).
-        type KeyedFlow = ((NodeId, NodeId), FlowId, NodeId, NodeId, u64);
-        let mut keyed: Vec<KeyedFlow> = Vec::with_capacity(w.num_flows());
-        for (f, src, dst, rate) in w.iter() {
-            let ks = g
-                .top_of_rack(src)
-                .ok_or(StreamError::NoTopOfRack { host: src })?;
-            let kd = g
-                .top_of_rack(dst)
-                .ok_or(StreamError::NoTopOfRack { host: dst })?;
-            keyed.push(((ks, kd), f, src, dst, rate));
-        }
-        // Shard order = ToR-pair order; slot order within a shard = flow
-        // id order. Both deterministic.
-        keyed.sort_unstable_by_key(|&(k, f, ..)| (k, f));
-        let mut shards: Vec<Shard> = Vec::new();
-        let mut route = vec![(0u32, 0u32); w.num_flows()];
-        let mut cur_key = None;
-        for (k, f, src, dst, rate) in keyed {
-            if cur_key != Some(k) {
-                shards.push(Shard::new());
-                cur_key = Some(k);
+        const UNSET: u32 = u32::MAX;
+        let n_flows = w.num_flows();
+        // Each endpoint host's ToR, looked up once per host (flow order, so
+        // the first switchless endpoint is the one reported).
+        let mut tor_of = vec![UNSET; g.num_nodes()];
+        let mut ends: Vec<(NodeId, NodeId)> = Vec::with_capacity(n_flows);
+        for (_, src, dst, _) in w.iter() {
+            for host in [src, dst] {
+                if tor_of[host.index()] == UNSET {
+                    let tor = g
+                        .top_of_rack(host)
+                        .ok_or(StreamError::NoTopOfRack { host })?;
+                    tor_of[host.index()] = tor.0;
+                }
             }
-            let si = shards.len() - 1;
-            route[f.index()] = (si as u32, shards[si].flows.len() as u32);
-            shards[si].push(f, src, dst, rate);
+            ends.push((src, dst));
+        }
+        // Dense rank of every ToR in use, in node-id order, then each host's
+        // ToR rank: ranks order exactly like the ToR ids they replace.
+        let mut is_tor = vec![false; g.num_nodes()];
+        for &t in tor_of.iter().filter(|&&t| t != UNSET) {
+            is_tor[t as usize] = true;
+        }
+        let mut rank = vec![UNSET; g.num_nodes()];
+        let mut n_tors = 0u32;
+        for (r, _) in rank.iter_mut().zip(&is_tor).filter(|(_, &t)| t) {
+            *r = n_tors;
+            n_tors += 1;
+        }
+        let host_rank: Vec<u32> = tor_of
+            .iter()
+            .map(|&t| if t == UNSET { UNSET } else { rank[t as usize] })
+            .collect();
+        // Stable two-digit LSD counting sort on (src rank, dst rank), the
+        // dense form of the (src ToR, dst ToR) key: bucket starts for both
+        // digits from one pass, then a scatter by dst rank (flows in id
+        // order) and one by src rank (dst buckets in rank order). Each
+        // scatter carries the other digit along, so neither pass looks a
+        // flow up out of order.
+        let n_tors = n_tors as usize;
+        let mut src_start = vec![0usize; n_tors + 1];
+        let mut dst_start = vec![0usize; n_tors + 1];
+        for &(s, d) in &ends {
+            src_start[host_rank[s.index()] as usize + 1] += 1;
+            dst_start[host_rank[d.index()] as usize + 1] += 1;
+        }
+        for r in 0..n_tors {
+            src_start[r + 1] += src_start[r];
+            dst_start[r + 1] += dst_start[r];
+        }
+        // (flow, src rank), grouped by dst rank.
+        let mut by_dst = vec![(0u32, 0u32); n_flows];
+        let mut cursor = dst_start.clone();
+        for (i, &(s, d)) in ends.iter().enumerate() {
+            let c = &mut cursor[host_rank[d.index()] as usize];
+            by_dst[*c] = (i as u32, host_rank[s.index()]);
+            *c += 1;
+        }
+        // (flow, dst rank), grouped by src rank and then by dst rank.
+        let mut sorted = vec![(0u32, 0u32); n_flows];
+        let mut cursor = src_start.clone();
+        for rd in 0..n_tors {
+            for &(i, rs) in &by_dst[dst_start[rd]..dst_start[rd + 1]] {
+                let c = &mut cursor[rs as usize];
+                sorted[*c] = (i, rd as u32);
+                *c += 1;
+            }
+        }
+        drop(by_dst);
+        // One shard per (src rank, dst rank) run, every array at its exact
+        // size: shard order is ToR-pair order, slot order flow-id order.
+        let rates = w.rates();
+        let mut shards: Vec<Shard> = Vec::new();
+        let mut route = vec![(0u32, 0u32); n_flows];
+        for rs in 0..n_tors {
+            let src_run = &sorted[src_start[rs]..src_start[rs + 1]];
+            for run in src_run.chunk_by(|a, b| a.1 == b.1) {
+                let len = run.len();
+                let mut shard = Shard {
+                    flows: Vec::with_capacity(len),
+                    src_hosts: Vec::with_capacity(len),
+                    dst_hosts: Vec::with_capacity(len),
+                    rates: Vec::with_capacity(len),
+                    pending: vec![0; len],
+                    touched: Vec::new(),
+                    seen: vec![false; len],
+                };
+                for (slot, &(i, _)) in run.iter().enumerate() {
+                    let (src, dst) = ends[i as usize];
+                    route[i as usize] = (shards.len() as u32, slot as u32);
+                    shard.flows.push(FlowId(i));
+                    shard.src_hosts.push(src);
+                    shard.dst_hosts.push(dst);
+                    shard.rates.push(rates[i as usize]);
+                }
+                shards.push(shard);
+            }
         }
         Ok(ShardedFlowStore {
             shards,
@@ -428,8 +478,8 @@ impl ShardedFlowStore {
             });
         }
         for shard in &mut self.shards {
-            for (i, &f) in shard.flows.clone().iter().enumerate() {
-                shard.rates[i] = rates[f.index()];
+            for (r, &f) in shard.rates.iter_mut().zip(&shard.flows) {
+                *r = rates[f.index()];
             }
         }
         Ok(())
@@ -789,7 +839,7 @@ pub struct StreamRun {
     pub checkpoint: Option<StreamCheckpoint>,
 }
 
-/// A frozen mid-day streaming-engine state (`ppdc-stream-ckpt/v1`).
+/// A frozen mid-day streaming-engine state (`ppdc-stream-ckpt/v2`).
 ///
 /// Only primary state is stored: the rate vector, incumbent placement,
 /// drift accumulator, and accumulated telemetry. Shards and aggregates
@@ -842,32 +892,29 @@ fn action_from_row(code: u64, gap: u64) -> Result<EpochAction, CkptError> {
 }
 
 impl StreamCheckpoint {
-    /// Serializes to the deterministic `ppdc-stream-ckpt/v1` JSON
+    /// Serializes to the deterministic `ppdc-stream-ckpt/v2` JSON
     /// document. Equal checkpoints produce byte-identical output.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
+        // Every integer is formatted straight into one buffer sized up
+        // front: rates at the widest rate's width, the rest generously.
+        let widest = dec_len(self.rates.iter().copied().max().unwrap_or(0));
+        let mut out = String::with_capacity(
+            512 + self.rates.len() * (widest + 1)
+                + self.placement.len() * 11
+                + self.epochs.len() * 6 * 21,
+        );
         out.push_str("{\n");
         out.push_str(&format!("  \"schema\": \"{STREAM_CKPT_SCHEMA}\",\n"));
         out.push_str(&format!("  \"fingerprint\": {},\n", self.fingerprint));
         out.push_str(&format!("  \"epoch\": {},\n", self.epoch));
         out.push_str(&format!("  \"initial_cost\": {},\n", self.initial_cost));
         out.push_str(&format!("  \"drift_accum\": {},\n", self.drift_accum));
-        out.push_str("  \"placement\": [");
-        for (i, n) in self.placement.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&n.0.to_string());
-        }
-        out.push_str("],\n");
-        out.push_str("  \"rates\": [");
-        for (i, r) in self.rates.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&r.to_string());
-        }
-        out.push_str("],\n");
+        push_list(
+            &mut out,
+            "placement",
+            self.placement.iter().map(|n| u64::from(n.0)),
+        );
+        push_list(&mut out, "rates", self.rates.iter().copied());
         out.push_str(&format!(
             "  \"totals\": {{\"total_cost\": {}, \"resolves\": {}, \
              \"resolves_skipped\": {}, \"drift_total\": {}, \"deltas_total\": {}}},\n",
@@ -894,7 +941,7 @@ impl StreamCheckpoint {
         out
     }
 
-    /// Parses a `ppdc-stream-ckpt/v1` document.
+    /// Parses a `ppdc-stream-ckpt/v2` document.
     ///
     /// # Errors
     ///
@@ -986,8 +1033,9 @@ impl StreamCheckpoint {
 }
 
 /// FNV-1a over every input that shapes a streaming day: graph, workload
-/// endpoints, SFC length, drift/gap knobs, and all trace rates. Matching
-/// fingerprints imply bit-identical trajectories.
+/// endpoints, SFC length, drift/gap knobs, and the trace's defining inputs
+/// (base rows, cohorts, model, offset — which pin every hour's rates).
+/// Matching fingerprints imply bit-identical trajectories.
 pub fn stream_fingerprint(
     g: &Graph,
     w: &Workload,
@@ -996,32 +1044,10 @@ pub fn stream_fingerprint(
     cfg: &StreamConfig,
 ) -> u64 {
     let mut h = Fnv::new();
-    h.u64(g.num_nodes() as u64);
-    h.u64(g.num_edges() as u64);
-    for (u, v, c) in g.edges() {
-        h.u64(u64::from(u.0));
-        h.u64(u64::from(v.0));
-        h.u64(c);
-    }
-    h.u64(w.num_vms() as u64);
-    h.u64(w.num_flows() as u64);
-    for v in w.vm_ids() {
-        h.u64(u64::from(w.host_of(v).0));
-    }
-    for f in w.flow_ids() {
-        let fl = w.flow(f);
-        h.u64(u64::from(fl.src.0));
-        h.u64(u64::from(fl.dst.0));
-    }
-    h.u64(sfc.len() as u64);
+    hash_instance(&mut h, g, w, sfc);
     h.u64(cfg.drift_threshold);
     h.u64(cfg.max_certified_gap);
-    h.u64(u64::from(trace.model().n_hours));
-    for hour in 0..=trace.model().n_hours {
-        for r in trace.rates_at(hour) {
-            h.u64(r);
-        }
-    }
+    hash_trace(&mut h, trace);
     h.finish()
 }
 
@@ -1097,7 +1123,7 @@ fn run_stream_day_impl<D: DistanceOracle + ?Sized>(
     let mut tracker = DriftTracker::new(cfg.drift_threshold);
     // The warm-solver bound cache lives for the day and is *never*
     // persisted: a resumed day starts from an empty cache and rebuilds it
-    // on its first re-solve, so `ppdc-stream-ckpt/v1` stays primary-state-
+    // on its first re-solve, so `ppdc-stream-ckpt/v2` stays primary-state-
     // only and kill/resume stays bit-identical (warm ≡ cold makes the
     // rebuilt cache indistinguishable from the lost one).
     let mut cache = BoundCache::new();
@@ -1141,12 +1167,15 @@ fn run_stream_day_impl<D: DistanceOracle + ?Sized>(
         }
     };
     let every = cfg.checkpoint_every.max(1);
+    // The store's rates in flow-id order, exported at most once per epoch
+    // and lent to the checkpoint rather than cloned.
     let mut rates_buf: Vec<u64> = Vec::new();
     for epoch in start_epoch..=n_hours {
-        let raw = trace.try_rate_deltas(epoch)?;
-        let batch: Vec<RateDelta> = raw
-            .iter()
-            .map(|&(flow, delta)| RateDelta { flow, delta })
+        let mut exported = false;
+        let batch: Vec<RateDelta> = trace
+            .try_rate_deltas(epoch)?
+            .into_iter()
+            .map(|(flow, delta)| RateDelta { flow, delta })
             .collect();
         let report = {
             let _span = obs.span(obs_names::STREAM_INGEST);
@@ -1175,6 +1204,7 @@ fn run_stream_day_impl<D: DistanceOracle + ?Sized>(
                 (EpochAction::SkippedCertified { gap }, inc_cost)
             } else {
                 store.export_rates(&mut rates_buf);
+                exported = true;
                 w_cur.set_rates(&rates_buf)?;
                 let (p, c) =
                     dp_placement_warm(g, dm, &w_cur, sfc, &agg, &mut cache, Some(&placement))?;
@@ -1198,13 +1228,15 @@ fn run_stream_day_impl<D: DistanceOracle + ?Sized>(
         let stop_here = cfg.stop_after == Some(epoch);
         let last = epoch == n_hours;
         if wants_snapshots && (stop_here || last || epoch % every == 0) {
-            store.export_rates(&mut rates_buf);
+            if !exported {
+                store.export_rates(&mut rates_buf);
+            }
             let ck = StreamCheckpoint {
                 fingerprint: fp,
                 epoch,
                 initial_cost: st.initial_cost,
                 placement: st.placement.clone(),
-                rates: rates_buf.clone(),
+                rates: std::mem::take(&mut rates_buf),
                 drift_accum: tracker.accum(),
                 epochs: st.epochs.clone(),
                 total_cost: st.total_cost,
@@ -1223,6 +1255,7 @@ fn run_stream_day_impl<D: DistanceOracle + ?Sized>(
                     checkpoint: Some(ck),
                 });
             }
+            rates_buf = ck.rates;
         }
     }
     Ok(StreamRun {
@@ -1269,6 +1302,136 @@ mod tests {
             store.export_rates(&mut exported);
             assert_eq!(exported, trace.rates_at(h), "hour {h} rates diverged");
         }
+    }
+
+    /// The sort-based store build the counting sort replaced: a
+    /// comparison sort of `((src ToR, dst ToR), flow)` keys, shards grown
+    /// by push.
+    fn build_reference(g: &Graph, w: &Workload) -> Result<ShardedFlowStore, StreamError> {
+        type KeyedFlow = ((NodeId, NodeId), FlowId, NodeId, NodeId, u64);
+        let mut keyed: Vec<KeyedFlow> = Vec::with_capacity(w.num_flows());
+        for (f, src, dst, rate) in w.iter() {
+            let ks = g
+                .top_of_rack(src)
+                .ok_or(StreamError::NoTopOfRack { host: src })?;
+            let kd = g
+                .top_of_rack(dst)
+                .ok_or(StreamError::NoTopOfRack { host: dst })?;
+            keyed.push(((ks, kd), f, src, dst, rate));
+        }
+        keyed.sort_unstable_by_key(|&(k, f, ..)| (k, f));
+        let mut shards: Vec<Shard> = Vec::new();
+        let mut route = vec![(0u32, 0u32); w.num_flows()];
+        let mut cur_key = None;
+        for (k, f, src, dst, rate) in keyed {
+            if cur_key != Some(k) {
+                shards.push(Shard {
+                    flows: Vec::new(),
+                    src_hosts: Vec::new(),
+                    dst_hosts: Vec::new(),
+                    rates: Vec::new(),
+                    pending: Vec::new(),
+                    touched: Vec::new(),
+                    seen: Vec::new(),
+                });
+                cur_key = Some(k);
+            }
+            let si = shards.len() - 1;
+            let shard = &mut shards[si];
+            route[f.index()] = (si as u32, shard.flows.len() as u32);
+            shard.flows.push(f);
+            shard.src_hosts.push(src);
+            shard.dst_hosts.push(dst);
+            shard.rates.push(rate);
+            shard.pending.push(0);
+            shard.seen.push(false);
+        }
+        Ok(ShardedFlowStore {
+            shards,
+            route,
+            num_nodes: g.num_nodes(),
+        })
+    }
+
+    fn assert_same_layout(a: &ShardedFlowStore, b: &ShardedFlowStore) {
+        assert_eq!(a.route, b.route);
+        assert_eq!(a.num_nodes, b.num_nodes);
+        assert_eq!(a.shards.len(), b.shards.len());
+        for (sa, sb) in a.shards.iter().zip(&b.shards) {
+            assert_eq!(sa.flows, sb.flows);
+            assert_eq!(sa.src_hosts, sb.src_hosts);
+            assert_eq!(sa.dst_hosts, sb.dst_hosts);
+            assert_eq!(sa.rates, sb.rates);
+            assert_eq!(sa.pending, sb.pending);
+            assert_eq!(sa.seen, sb.seen);
+        }
+    }
+
+    /// A hand-built fabric whose ToR ids do not follow host order, with a
+    /// host wired to two switches (the larger id first, so `top_of_rack`'s
+    /// minimum matters) and flows listed out of ToR-pair order.
+    fn two_homed_fixture() -> (Graph, Workload) {
+        let mut g = Graph::new();
+        let h: Vec<NodeId> = (0..6).map(|i| g.add_host(format!("h{i}"))).collect();
+        let s: Vec<NodeId> = (0..4).map(|i| g.add_switch(format!("s{i}"))).collect();
+        for (i, j) in [(0, 3), (0, 1), (1, 2), (2, 0), (3, 3), (4, 1), (5, 0)] {
+            g.add_edge(h[i], s[j], 1).unwrap();
+        }
+        for j in 1..4 {
+            g.add_edge(s[j - 1], s[j], 2).unwrap();
+        }
+        let mut w = Workload::new();
+        for (k, (a, b)) in [
+            (4, 2),
+            (0, 5),
+            (3, 1),
+            (2, 0),
+            (0, 4),
+            (5, 3),
+            (1, 1),
+            (4, 0),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            w.add_pair(h[a], h[b], 100 + 17 * k as u64);
+        }
+        (g, w)
+    }
+
+    #[test]
+    fn counting_sort_build_matches_the_sort_based_build() {
+        let (g, _, mut w, trace) = fixture(60, 7);
+        w.set_rates(&trace.rates_at(0)).unwrap();
+        let (g2, w2) = two_homed_fixture();
+        for (g, w) in [(&g, &w), (&g2, &w2)] {
+            let mut store = ShardedFlowStore::build(g, w).unwrap();
+            let mut reference = build_reference(g, w).unwrap();
+            assert!(store.num_shards() > 1);
+            assert_same_layout(&store, &reference);
+            // Identical layouts must stay identical under ingest.
+            for step in 0..6u64 {
+                let batch: Vec<RateDelta> = (0..w.num_flows())
+                    .filter(|i| !(*i as u64 + step).is_multiple_of(3))
+                    .map(|i| RateDelta {
+                        flow: FlowId(i as u32),
+                        delta: (i as i64 % 5 + 1) * if step % 2 == 0 { 1 } else { -1 },
+                    })
+                    .collect();
+                assert_eq!(store.ingest(&batch), reference.ingest(&batch));
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                store.export_rates(&mut a);
+                reference.export_rates(&mut b);
+                assert_eq!(a, b);
+            }
+        }
+        // A switchless endpoint is reported the same way by both builds.
+        let (mut g3, mut w3) = two_homed_fixture();
+        let lonely = g3.add_host("lonely");
+        w3.add_pair(NodeId(0), lonely, 1);
+        let want = StreamError::NoTopOfRack { host: lonely };
+        assert_eq!(ShardedFlowStore::build(&g3, &w3).unwrap_err(), want);
+        assert_eq!(build_reference(&g3, &w3).unwrap_err(), want);
     }
 
     #[test]
@@ -1422,6 +1585,119 @@ mod tests {
             err,
             StreamError::Checkpoint(CkptError::InputMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn pre_v2_documents_are_refused_by_schema() {
+        let (g, dm, w, trace) = fixture(20, 29);
+        let sfc = Sfc::of_len(3).unwrap();
+        let cfg = StreamConfig {
+            stop_after: Some(2),
+            ..StreamConfig::default()
+        };
+        let ck = run_stream_day(&g, &dm, &w, &trace, &sfc, &cfg)
+            .unwrap()
+            .checkpoint
+            .unwrap();
+        let doc = ck
+            .to_json()
+            .replace(STREAM_CKPT_SCHEMA, "ppdc-stream-ckpt/v1");
+        assert_eq!(
+            StreamCheckpoint::from_json(&doc),
+            Err(CkptError::Schema("ppdc-stream-ckpt/v1".to_string()))
+        );
+    }
+
+    /// Both engines' fingerprints hash the trace by its defining inputs:
+    /// equal inputs agree, and changing any one of them — a single base
+    /// rate at one hour, one cohort flag, `tau_min`, the offset,
+    /// `n_hours`, or one flow endpoint — changes both fingerprints.
+    #[test]
+    fn fingerprints_pin_every_trace_input() {
+        use crate::checkpoint::fingerprint;
+        use crate::{FaultSchedule, MigrationPolicy, SimConfig};
+        use ppdc_traffic::DiurnalModel;
+
+        #[derive(Clone)]
+        struct Inputs {
+            moved_endpoint: bool,
+            rows: Vec<Vec<i64>>,
+            east: Vec<bool>,
+            model: DiurnalModel,
+            offset: i64,
+        }
+        const FLOWS: usize = 12;
+        let ft = FatTree::build(4).unwrap();
+        let g = ft.graph();
+        let hosts: Vec<NodeId> = g.hosts().collect();
+        let sfc = Sfc::of_len(3).unwrap();
+        // The fault schedule's length is hashed separately; it stays fixed
+        // so only the trace's own `n_hours` varies.
+        let schedule = FaultSchedule::new(Vec::new(), 6).unwrap();
+        let sim = SimConfig {
+            mu: 100,
+            vm_mu: 100,
+            policy: MigrationPolicy::MPareto,
+        };
+        let fingerprints = |x: &Inputs| {
+            let mut w = Workload::new();
+            for i in 0..FLOWS {
+                let dst = (5 * i + 3 + usize::from(x.moved_endpoint && i == 4)) % hosts.len();
+                w.add_pair(hosts[i % hosts.len()], hosts[dst], 1);
+            }
+            let trace = DynamicTrace::from_rows(&w, x.model, x.east.clone(), &x.rows)
+                .unwrap()
+                .with_offset(x.offset);
+            (
+                fingerprint(g, &w, &trace, &sfc, &sim, &schedule),
+                stream_fingerprint(g, &w, &trace, &sfc, &StreamConfig::default()),
+            )
+        };
+        let base = Inputs {
+            moved_endpoint: false,
+            rows: (0..=6)
+                .map(|h| {
+                    (0..FLOWS)
+                        .map(|i| ((37 * i + 11 * h) % 500) as i64)
+                        .collect()
+                })
+                .collect(),
+            east: (0..FLOWS).map(|i| i % 2 == 0).collect(),
+            model: DiurnalModel {
+                n_hours: 6,
+                tau_min: 0.3,
+            },
+            offset: 3,
+        };
+        let (hourly, stream) = fingerprints(&base);
+        assert_eq!(fingerprints(&base.clone()), (hourly, stream));
+        assert_ne!(hourly, stream);
+
+        let mut variants: Vec<(&str, Inputs)> = Vec::new();
+        let mut x = base.clone();
+        x.rows[4][7] += 1;
+        variants.push(("one base rate at one hour", x));
+        let mut x = base.clone();
+        x.east[5] = !x.east[5];
+        variants.push(("one cohort flag", x));
+        let mut x = base.clone();
+        x.model.tau_min = 0.31;
+        variants.push(("tau_min", x));
+        let mut x = base.clone();
+        x.offset = 4;
+        variants.push(("offset", x));
+        let mut x = base.clone();
+        x.model.n_hours = 7;
+        x.rows.push(x.rows[6].clone());
+        variants.push(("n_hours", x));
+        let mut x = base.clone();
+        x.moved_endpoint = true;
+        variants.push(("one flow endpoint", x));
+        for (what, x) in &variants {
+            let (h, st) = fingerprints(x);
+            assert_ne!(h, hourly, "hourly fingerprint ignores {what}");
+            assert_ne!(st, stream, "stream fingerprint ignores {what}");
+        }
     }
 
     #[test]

@@ -292,18 +292,38 @@ impl DynamicTrace {
     /// east-cohort flows are evaluated 3 hours later on the curve (their
     /// day started earlier), west-cohort flows at `h` directly.
     pub fn rates_at(&self, h: u32) -> Vec<u64> {
-        let row = &self.base[(h as usize).min(self.base.len() - 1)];
-        row.iter()
+        let scales = self.cohort_scales(h);
+        self.row(h)
+            .iter()
             .zip(&self.east)
-            .map(|(&b, &east)| {
-                let scale = if east {
-                    self.model.scale_at(h as i64 + self.offset)
-                } else {
-                    self.model.scale_at(h as i64)
-                };
-                (b as f64 * scale).round() as u64
-            })
+            .map(|(&b, &east)| scaled(b, scales[usize::from(east)]))
             .collect()
+    }
+
+    /// The inputs that define this trace. Together they pin
+    /// [`DynamicTrace::rates_at`] for every hour, so hashing them
+    /// fingerprints the whole trace without deriving a single rate.
+    pub fn inputs(&self) -> TraceInputs<'_> {
+        TraceInputs {
+            base: &self.base,
+            east: &self.east,
+            model: self.model,
+            offset: self.offset,
+        }
+    }
+
+    /// The base-rate row in force at hour `h` (hours past the last row
+    /// keep it).
+    fn row(&self, h: u32) -> &[u64] {
+        &self.base[(h as usize).min(self.base.len() - 1)]
+    }
+
+    /// The envelope scales at hour `h`, indexed by cohort: `[west, east]`.
+    fn cohort_scales(&self, h: u32) -> [f64; 2] {
+        [
+            self.model.scale_at(h as i64),
+            self.model.scale_at(h as i64 + self.offset),
+        ]
     }
 
     /// The per-flow rate changes from hour `h − 1` to hour `h`, as
@@ -335,16 +355,49 @@ impl DynamicTrace {
         if h < 1 {
             return Err(TraceError::NoPrecedingHour);
         }
-        let prev = self.rates_at(h - 1);
-        let next = self.rates_at(h);
-        Ok(prev
-            .iter()
-            .zip(&next)
-            .enumerate()
-            .filter(|(_, (&a, &b))| a != b)
-            .map(|(i, (&a, &b))| (FlowId(i as u32), b as i64 - a as i64))
-            .collect())
+        // A flow's rate is `round(base · scale)` of its row entry and its
+        // cohort's scale, so a flow whose base entry and cohort scale both
+        // stayed put cannot have moved: only the others are evaluated.
+        let (prev_row, next_row) = (self.row(h - 1), self.row(h));
+        let (prev, next) = (self.cohort_scales(h - 1), self.cohort_scales(h));
+        let moved = [0, 1].map(|c| prev[c].to_bits() != next[c].to_bits());
+        let mut out = Vec::with_capacity(if moved.contains(&true) {
+            self.east.len()
+        } else {
+            0
+        });
+        for (i, ((&a, &b), &east)) in prev_row.iter().zip(next_row).zip(&self.east).enumerate() {
+            let c = usize::from(east);
+            if a == b && !moved[c] {
+                continue;
+            }
+            let (old, new) = (scaled(a, prev[c]), scaled(b, next[c]));
+            if old != new {
+                out.push((FlowId(i as u32), new as i64 - old as i64));
+            }
+        }
+        Ok(out)
     }
+}
+
+/// A flow's rate: its base rate scaled by its cohort's envelope factor.
+fn scaled(base: u64, scale: f64) -> u64 {
+    (base as f64 * scale).round() as u64
+}
+
+/// Read-only view of the inputs that define a [`DynamicTrace`]: the hourly
+/// base-rate rows, the cohort flags, the diurnal model, and the east
+/// cohort's offset. Every hour's rate vector is a pure function of these.
+#[derive(Debug, Clone, Copy)]
+pub struct TraceInputs<'a> {
+    /// `base[h][i]`: flow `i`'s base rate at hour `h` (`n_hours + 1` rows).
+    pub base: &'a [Vec<u64>],
+    /// `east[i]`: flow `i` is in the east cohort.
+    pub east: &'a [bool],
+    /// The envelope model (`n_hours`, `tau_min`).
+    pub model: DiurnalModel,
+    /// Hours the east cohort runs ahead.
+    pub offset: i64,
 }
 
 /// Hourly churn fraction used by the standard dynamic workload: a quarter
@@ -609,6 +662,125 @@ mod tests {
         for (i, &r) in at3.iter().enumerate().take(w.num_flows()) {
             if trace.is_east(i) {
                 assert_eq!(r, trace.base_rate_at(3, i));
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use ppdc_topology::NodeId;
+    use proptest::prelude::*;
+
+    /// The reference the rewritten passes must equal: every flow's rate
+    /// from the public per-flow accessors, one full vector per hour.
+    fn naive_rates(t: &DynamicTrace, h: u32) -> Vec<u64> {
+        (0..t.num_flows())
+            .map(|i| {
+                let at = if t.is_east(i) {
+                    h as i64 + t.offset()
+                } else {
+                    h as i64
+                };
+                (t.base_rate_at(h, i) as f64 * t.model().scale_at(at)).round() as u64
+            })
+            .collect()
+    }
+
+    /// Two full vectors compared flow by flow.
+    fn naive_deltas(t: &DynamicTrace, h: u32) -> Vec<(FlowId, i64)> {
+        let (prev, next) = (naive_rates(t, h - 1), naive_rates(t, h));
+        prev.iter()
+            .zip(&next)
+            .enumerate()
+            .filter(|(_, (a, b))| a != b)
+            .map(|(i, (&a, &b))| (FlowId(i as u32), b as i64 - a as i64))
+            .collect()
+    }
+
+    /// One of the five trace shapes the engines consume, drawn from `seed`.
+    fn arb_trace(shape: usize, num_flows: usize, n_hours: u32, seed: u64) -> DynamicTrace {
+        let mut rng = rng_for_run(seed, shape as u64);
+        let mut w = Workload::new();
+        for i in 0..num_flows {
+            w.add_pair(
+                NodeId(i as u32),
+                NodeId(i as u32 + 1),
+                sample_rate(&DEFAULT_MIX, &mut rng),
+            );
+        }
+        let model = DiurnalModel {
+            n_hours,
+            tau_min: [0.2, 0.35, 0.5][seed as usize % 3],
+        };
+        let east: Vec<bool> = (0..num_flows).map(|_| rng.gen_bool(0.5)).collect();
+        match shape {
+            // The paper's default envelope, with or without churn.
+            0 => {
+                let churn = [0.0, STANDARD_CHURN][seed as usize % 2];
+                DynamicTrace::with_churn(&w, DiurnalModel::default(), &DEFAULT_MIX, churn, &mut rng)
+            }
+            // A flat envelope: only churn moves rates.
+            1 => {
+                let flat = DiurnalModel {
+                    n_hours,
+                    tau_min: 1.0,
+                };
+                DynamicTrace::with_churn(&w, flat, &DEFAULT_MIX, STANDARD_CHURN, &mut rng)
+            }
+            // External rows: each hour repeats the previous row or changes
+            // a few entries.
+            2 => {
+                let mut rows: Vec<Vec<i64>> = vec![w.rates().iter().map(|&r| r as i64).collect()];
+                for _ in 0..n_hours {
+                    let mut row = rows[rows.len() - 1].clone();
+                    if rng.gen_bool(0.5) {
+                        for r in row.iter_mut() {
+                            if rng.gen_bool(0.2) {
+                                *r = rng.gen_range(0..10_000);
+                            }
+                        }
+                    }
+                    rows.push(row);
+                }
+                DynamicTrace::from_rows(&w, model, east, &rows).unwrap()
+            }
+            // A churned trace with a shifted cohort offset.
+            3 => {
+                let offset = rng.gen_range(-15i64..16);
+                DynamicTrace::with_churn(&w, model, &DEFAULT_MIX, STANDARD_CHURN, &mut rng)
+                    .with_offset(offset)
+            }
+            // Caller-chosen cohorts on a heavily churned trace.
+            _ => DynamicTrace::with_cohorts(&w, model, &DEFAULT_MIX, 0.5, east, &mut rng),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `rates_at` and the one-pass `try_rate_deltas` equal the naive
+        /// two-vector reference at every hour, including hours past the
+        /// last row.
+        #[test]
+        fn rates_and_deltas_equal_the_naive_reference(
+            shape in 0usize..5,
+            num_flows in 0usize..40,
+            n_hours in 1u32..16,
+            seed in any::<u64>(),
+        ) {
+            let t = arb_trace(shape, num_flows, n_hours, seed);
+            let last = t.model().n_hours + 2;
+            for h in 0..=last {
+                prop_assert_eq!(t.rates_at(h), naive_rates(&t, h), "shape {} hour {}", shape, h);
+            }
+            for h in 1..=last {
+                prop_assert_eq!(
+                    t.try_rate_deltas(h).unwrap(),
+                    naive_deltas(&t, h),
+                    "shape {} hour {}", shape, h
+                );
             }
         }
     }
