@@ -50,6 +50,9 @@ echo "==> failure-sweep smoke (quick scale) with metrics export"
 mkdir -p target
 cargo run --release -p ppdc-experiments -- --quick failsweep --metrics target/ci-metrics.json > /dev/null
 
+echo "==> fault-free day smoke (quick fig11 + ext_replication through run_day)"
+cargo run --release -p ppdc-experiments -- --quick fig11 ext_replication > /dev/null
+
 echo "==> metrics schema check (ppdc-obs/v1 phase keys)"
 cargo run --release -p ppdc-experiments -- --check-metrics target/ci-metrics.json
 

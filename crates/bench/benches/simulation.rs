@@ -2,15 +2,16 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ppdc_model::Sfc;
-use ppdc_sim::{simulate, MigrationPolicy, SimConfig};
-use ppdc_topology::{DistanceMatrix, FatTree};
+use ppdc_sim::{run_day, EngineConfig, FaultSchedule, MigrationPolicy, SimConfig};
+use ppdc_topology::FatTree;
 use ppdc_traffic::standard_workload;
 use std::time::Duration;
 
 fn bench_day(c: &mut Criterion) {
     let ft = FatTree::build(8).unwrap();
-    let dm = DistanceMatrix::build(ft.graph());
     let (w, trace) = standard_workload(&ft, 50, 0xDA7, 0);
+    let schedule = FaultSchedule::new(vec![], trace.model().n_hours).unwrap();
+    let ecfg = EngineConfig::default();
     let sfc = Sfc::of_len(5).unwrap();
     let mut group = c.benchmark_group("simulated_day_k8_l50");
     group.sample_size(10);
@@ -40,7 +41,7 @@ fn bench_day(c: &mut Criterion) {
             policy,
         };
         group.bench_function(name, |b| {
-            b.iter(|| simulate(ft.graph(), &dm, &w, &trace, &sfc, &cfg).unwrap())
+            b.iter(|| run_day(ft.graph(), &w, &trace, &sfc, &cfg, &schedule, &ecfg).unwrap())
         });
     }
     group.finish();

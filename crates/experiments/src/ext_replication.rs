@@ -21,7 +21,7 @@
 use crate::{fat_tree_with_distances, fmt_summary, summarize_runs, Scale};
 use ppdc_model::Sfc;
 use ppdc_placement::{comm_cost_replicated, dp_placement, greedy_replication};
-use ppdc_sim::{simulate, MigrationPolicy, SimConfig, Table};
+use ppdc_sim::{run_day, EngineConfig, FaultSchedule, MigrationPolicy, SimConfig, Table};
 use ppdc_traffic::standard_workload;
 
 /// Day-total traffic for the static replicated strategy.
@@ -137,6 +137,8 @@ pub fn ext_replication(scale: &Scale) -> Table {
     let mut chain_replicated: Vec<Vec<f64>> = vec![Vec::new(); chain_counts.len()];
     for run in 0..runs {
         let (w, trace) = standard_workload(&ft, pairs, 0xE87, run);
+        let schedule =
+            FaultSchedule::new(vec![], trace.model().n_hours).expect("no events to reject");
         for (policy, out) in [
             (MigrationPolicy::MPareto, &mut mpareto),
             (MigrationPolicy::NoMigration, &mut nomig),
@@ -146,7 +148,17 @@ pub fn ext_replication(scale: &Scale) -> Table {
                 vm_mu: mu,
                 policy,
             };
-            let r = simulate(g, &dm, &w, &trace, &sfc, &cfg).expect("day simulates");
+            let r = run_day(
+                g,
+                &w,
+                &trace,
+                &sfc,
+                &cfg,
+                &schedule,
+                &EngineConfig::default(),
+            )
+            .expect("day simulates")
+            .result;
             out.push(r.total_cost as f64);
         }
         for (slot, &r) in replica_counts.iter().enumerate() {

@@ -4,18 +4,19 @@
 //! Each run simulates one diurnal day on a k = [`Scale::k_top`] fat-tree
 //! under a seeded [`FaultSchedule`]: links fail with the swept per-hour
 //! probability, switches at a fifth of it, and everything repairs after two
-//! hours. The survivable epoch loop (`ppdc_sim::simulate_with_faults`)
+//! hours. The survivable epoch loop (`ppdc_sim::run_day`)
 //! masks stranded flows, repairs displaced placements, and finishes every
 //! day — the sweep shows how served cost, detour (reroute) penalty,
 //! stranded traffic, and recovery migrations grow with the failure rate,
 //! and that mPareto's advantage over NoMigration survives degradation.
 
-use crate::{fat_tree_with_distances, fmt_maybe, mean_maybe, Scale};
+use crate::{fmt_maybe, mean_maybe, Scale};
 use ppdc_model::Sfc;
 use ppdc_sim::{
-    simulate_with_faults_observed, FaultConfig, FaultSchedule, FaultSimResult, MigrationPolicy,
-    SimConfig, SimError, Table,
+    run_day, EngineConfig, FaultConfig, FaultSchedule, FaultSimResult, MigrationPolicy, SimConfig,
+    SimError, Table,
 };
+use ppdc_topology::FatTree;
 use ppdc_traffic::standard_workload;
 
 /// The swept per-hour link failure probabilities.
@@ -30,7 +31,7 @@ fn day(
     seed: u64,
     run: u64,
 ) -> Result<FaultSimResult, SimError> {
-    let (ft, _) = fat_tree_with_distances(scale.k_top());
+    let ft = FatTree::build(scale.k_top()).expect("valid arity");
     let pairs = if scale.quick { 16 } else { 128 };
     let (w, trace) = standard_workload(&ft, pairs, seed, run);
     let sfc = Sfc::of_len(3).expect("n >= 1");
@@ -52,8 +53,11 @@ fn day(
     };
     // Observe per-hour phases whenever the CLI enabled metrics
     // (`--metrics`); observation never changes costs or placements.
-    let observe = ppdc_obs::global().is_enabled();
-    simulate_with_faults_observed(ft.graph(), &w, &trace, &sfc, &cfg, &schedule, observe)
+    let ecfg = EngineConfig {
+        observe: ppdc_obs::global().is_enabled(),
+        ..EngineConfig::default()
+    };
+    Ok(run_day(ft.graph(), &w, &trace, &sfc, &cfg, &schedule, &ecfg)?.result)
 }
 
 /// Day-total served cost plus degradation telemetry vs the link failure

@@ -20,10 +20,12 @@
 //! NoMigration, while mPareto's VNF moves amortize over *all* flows and do
 //! pay. The light-VM ablation (`vm_μ = μ/10`) un-freezes them.
 
-use crate::{fat_tree_with_distances, fmt_maybe, Scale};
-use ppdc_migration::MigrationError;
+use crate::{fmt_maybe, Scale};
 use ppdc_model::Sfc;
-use ppdc_sim::{simulate, MigrationPolicy, SimConfig, SimResult, Table};
+use ppdc_sim::{
+    run_day, EngineConfig, FaultSchedule, FaultSimResult, MigrationPolicy, SimConfig, Table,
+};
+use ppdc_topology::FatTree;
 use ppdc_traffic::standard_workload;
 
 /// Per-hour branch-and-bound budget for the Optimal VNF series.
@@ -35,6 +37,9 @@ const MCF_CANDIDATES: usize = 16;
 /// PLAN improvement passes per hour.
 const PLAN_PASSES: usize = 4;
 
+/// One simulated day, or `None` when it is not computed: the engine
+/// rejected the inputs, or an Optimal hour ran out of branch-and-bound
+/// budget and served its best-so-far incumbent instead of the optimum.
 #[allow(clippy::too_many_arguments)]
 fn day(
     scale: &Scale,
@@ -46,13 +51,25 @@ fn day(
     policy: MigrationPolicy,
     seed: u64,
     run: u64,
-) -> Result<SimResult, MigrationError> {
-    let (ft, dm) = fat_tree_with_distances(scale.k_tom());
+) -> Option<FaultSimResult> {
+    let ft = FatTree::build(scale.k_tom()).expect("valid arity");
     let (w, trace) = standard_workload(&ft, pairs, seed, run);
     let trace = trace.with_offset(offset);
     let sfc = Sfc::of_len(n).expect("n >= 1");
     let cfg = SimConfig { mu, vm_mu, policy };
-    simulate(ft.graph(), &dm, &w, &trace, &sfc, &cfg)
+    let schedule = FaultSchedule::new(vec![], trace.model().n_hours).expect("no events to reject");
+    let r = run_day(
+        ft.graph(),
+        &w,
+        &trace,
+        &sfc,
+        &cfg,
+        &schedule,
+        &EngineConfig::default(),
+    )
+    .ok()?
+    .result;
+    (!r.degraded.iter().any(|d| d.degraded_solver)).then_some(r)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -70,11 +87,11 @@ fn series(
     let mut migs = Vec::new();
     for run in 0..scale.sim_runs() {
         match day(scale, pairs, n, mu, vm_mu, offset, policy, seed, run) {
-            Ok(r) => {
+            Some(r) => {
                 costs.push(Some(r.total_cost as f64));
                 migs.push(Some(r.total_migrations as f64));
             }
-            Err(_) => {
+            None => {
                 costs.push(None);
                 migs.push(None);
             }

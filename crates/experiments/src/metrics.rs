@@ -3,60 +3,17 @@
 //! `--metrics <path>` enables the [`ppdc_obs::global`] registry before any
 //! figure runs and writes its [`Snapshot`](ppdc_obs::Snapshot) as JSON when
 //! the suite finishes; `--check-metrics <path>` re-parses an emitted file
-//! and verifies it carries the epoch hot path's phase keys — the CI gate
-//! that keeps the instrumentation wired end to end.
+//! and verifies it carries every key of the epoch vocabulary declared in
+//! [`ppdc_obs::names`] — the CI gate that keeps the instrumentation wired
+//! end to end.
 
 use ppdc_obs::json::Value;
 use ppdc_obs::{names, Snapshot, SCHEMA_VERSION};
 
-/// Span keys a fault-sim run must have exercised: one per instrumented
-/// phase of the epoch hot path (APSP rebuild, aggregate rebuild, the
-/// mPareto solve, placement repair).
-pub const REQUIRED_SPANS: &[&str] = &[
-    names::APSP_BUILD,
-    names::APSP_REBUILD,
-    names::AGG_BUILD_RESTRICTED,
-    names::AGG_APPLY_DELTAS,
-    names::SOLVER_DP,
-    names::SOLVER_MPARETO,
-    names::SIM_DEGRADED_REBUILD,
-    names::SIM_REPAIR,
-    names::STREAM_INGEST,
-    names::SOLVER_WARM,
-];
-
-/// Counter keys every observed run must carry.
-pub const REQUIRED_COUNTERS: &[&str] = &[
-    names::SIM_HOURS,
-    names::SIM_EVENT_HOURS,
-    names::SIM_BLACKOUT_HOURS,
-    names::SIM_RECOVERY_MIGRATIONS,
-    names::SIM_STRANDED_FLOW_HOURS,
-    names::SOLVER_DP_EGRESS_PRUNED,
-    names::SOLVER_DP_ORBIT_PRUNED,
-    names::APSP_ROWS_DIRTY,
-    names::ORACLE_QUERIES,
-    names::SUPERVISOR_RETRIES,
-    names::SUPERVISOR_DEGRADED_HOURS,
-    names::CKPT_WRITES,
-    names::CKPT_WRITE_NANOS,
-    names::CKPT_RESTORES,
-    names::CKPT_TORN_RECOVERIES,
-    names::SIM_REROUTE_SKIPPED,
-    names::STREAM_DRIFT,
-    names::STREAM_DELTAS,
-    names::STREAM_RESOLVES,
-    names::STREAM_RESOLVES_SKIPPED,
-    names::SOLVER_WARM_SEEDED,
-    names::SOLVER_WARM_ROWS_DIRTY,
-    names::SOLVER_WARM_ROWS_REUSED,
-    names::SOLVER_WARM_EGRESS_SKIPPED,
-];
-
 /// Validates a `--metrics` JSON document: it must parse, carry the
-/// [`SCHEMA_VERSION`] tag, hold every [`REQUIRED_SPANS`] /
-/// [`REQUIRED_COUNTERS`] key (plus the per-hour solver histogram), and
-/// record at least one simulated hour.
+/// [`SCHEMA_VERSION`] tag, hold every span, counter, and histogram key the
+/// epoch loop declares ([`names::SPANS`], [`names::COUNTERS`],
+/// [`names::HISTS`]), and record at least one simulated hour.
 ///
 /// # Errors
 ///
@@ -72,7 +29,7 @@ pub fn validate_metrics_json(src: &str) -> Result<(), String> {
         .get("spans")
         .and_then(Value::as_obj)
         .ok_or("missing \"spans\" object")?;
-    for &k in REQUIRED_SPANS {
+    for &k in names::SPANS {
         let s = spans.get(k).ok_or_else(|| format!("missing span {k:?}"))?;
         for field in ["count", "total_ns", "min_ns", "max_ns"] {
             if s.get(field).and_then(Value::as_u64).is_none() {
@@ -84,7 +41,7 @@ pub fn validate_metrics_json(src: &str) -> Result<(), String> {
         .get("counters")
         .and_then(Value::as_obj)
         .ok_or("missing \"counters\" object")?;
-    for &k in REQUIRED_COUNTERS {
+    for &k in names::COUNTERS {
         if counters.get(k).and_then(Value::as_u64).is_none() {
             return Err(format!("missing counter {k:?}"));
         }
@@ -96,27 +53,28 @@ pub fn validate_metrics_json(src: &str) -> Result<(), String> {
         .get("histograms")
         .and_then(Value::as_obj)
         .ok_or("missing \"histograms\" object")?;
-    let h = hists
-        .get(names::SIM_HOUR_SOLVER_NS)
-        .ok_or_else(|| format!("missing histogram {:?}", names::SIM_HOUR_SOLVER_NS))?;
-    let bounds = h
-        .get("bounds_ns")
-        .and_then(Value::as_arr)
-        .map(<[Value]>::len);
-    let counts = h.get("counts").and_then(Value::as_arr).map(<[Value]>::len);
-    match (bounds, counts) {
-        (Some(b), Some(c)) if c == b + 1 => Ok(()),
-        _ => Err("solver histogram bounds/counts shape mismatch".into()),
+    for &k in names::HISTS {
+        let h = hists
+            .get(k)
+            .ok_or_else(|| format!("missing histogram {k:?}"))?;
+        let bounds = h
+            .get("bounds_ns")
+            .and_then(Value::as_arr)
+            .map(<[Value]>::len);
+        let counts = h.get("counts").and_then(Value::as_arr).map(<[Value]>::len);
+        match (bounds, counts) {
+            (Some(b), Some(c)) if c == b + 1 => {}
+            _ => return Err(format!("histogram {k:?} bounds/counts shape mismatch")),
+        }
     }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ppdc_model::Sfc;
-    use ppdc_sim::{
-        simulate_with_faults_observed, FaultConfig, FaultSchedule, MigrationPolicy, SimConfig,
-    };
+    use ppdc_sim::{run_day, EngineConfig, FaultConfig, FaultSchedule, MigrationPolicy, SimConfig};
     use ppdc_topology::FatTree;
     use ppdc_traffic::standard_workload;
 
@@ -140,12 +98,47 @@ mod tests {
             vm_mu: 100,
             policy: MigrationPolicy::MPareto,
         };
-        let r = simulate_with_faults_observed(ft.graph(), &w, &trace, &sfc, &cfg, &schedule, true)
-            .unwrap();
+        let ecfg = EngineConfig {
+            observe: true,
+            ..EngineConfig::default()
+        };
+        let r = run_day(ft.graph(), &w, &trace, &sfc, &cfg, &schedule, &ecfg)
+            .unwrap()
+            .result;
         assert!(r.degraded.iter().all(|d| d.phase.is_some()));
         let json = obs.snapshot().to_json();
         obs.disable();
         validate_metrics_json(&json).expect("schema check");
+    }
+
+    #[test]
+    fn validation_requires_every_declared_key() {
+        use ppdc_obs::names::{COUNTERS, HISTS, SPANS};
+        let document =
+            |spans: &[&'static str], counters: &[&'static str], hists: &[&'static str]| {
+                let r = ppdc_obs::Registry::new();
+                r.declare(spans, counters, hists);
+                r.add(names::SIM_HOURS, 1);
+                r.snapshot().to_json()
+            };
+        let without = |list: &[&'static str], k: &str| -> Vec<&'static str> {
+            list.iter().copied().filter(|&x| x != k).collect()
+        };
+        validate_metrics_json(&document(SPANS, COUNTERS, HISTS)).expect("full vocabulary");
+        for &k in SPANS {
+            let err = validate_metrics_json(&document(&without(SPANS, k), COUNTERS, HISTS));
+            assert!(err.unwrap_err().contains(k), "span {k}");
+        }
+        // `sim.hours` is written by the document itself; its absence is
+        // covered by the zero-hours check below.
+        for &k in COUNTERS.iter().filter(|&&k| k != names::SIM_HOURS) {
+            let err = validate_metrics_json(&document(SPANS, &without(COUNTERS, k), HISTS));
+            assert!(err.unwrap_err().contains(k), "counter {k}");
+        }
+        for &k in HISTS {
+            let err = validate_metrics_json(&document(SPANS, COUNTERS, &without(HISTS, k)));
+            assert!(err.unwrap_err().contains(k), "histogram {k}");
+        }
     }
 
     #[test]

@@ -59,16 +59,6 @@ pub fn no_migration<D: DistanceOracle + ?Sized>(dm: &D, w: &Workload, p: &Placem
     comm_cost(dm, w, p)
 }
 
-/// [`no_migration`] through precomputed attach-cost aggregates — `O(n)`
-/// instead of `O(|flows|·n)`. `agg` must describe the current workload.
-pub fn no_migration_with_agg<D: DistanceOracle + ?Sized>(
-    dm: &D,
-    agg: &ppdc_placement::AttachAggregates,
-    p: &Placement,
-) -> Cost {
-    agg.comm_cost(dm, p)
-}
-
 /// Per-VM rate sums: how much traffic a VM sources (toward the ingress)
 /// and sinks (from the egress). Makes attachment-cost queries O(1), which
 /// is what keeps PLAN/MCF tractable at k = 16 scale.

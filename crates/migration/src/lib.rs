@@ -32,17 +32,14 @@ pub mod frontier;
 pub mod mpareto;
 pub mod optimal;
 
-pub use baselines::{
-    mcf_vm_migration, no_migration, no_migration_with_agg, plan_vm_migration, VmMigrationOutcome,
-};
+pub use baselines::{mcf_vm_migration, no_migration, plan_vm_migration, VmMigrationOutcome};
 pub use frontier::{
     is_convex, migration_paths, parallel_frontiers, parallel_frontiers_with_agg, pareto_front,
     try_migration_paths, FrontierPoint,
 };
-pub use mpareto::{mpareto, mpareto_with_agg, mpareto_with_closure, MigrationOutcome};
+pub use mpareto::{mpareto, mpareto_with_closure, MigrationOutcome};
 pub use optimal::{
-    optimal_migration, optimal_migration_with_agg, optimal_migration_with_budget,
-    optimal_migration_with_deadline,
+    optimal_migration, optimal_migration_with_budget, optimal_migration_with_deadline,
 };
 
 use ppdc_model::ModelError;

@@ -62,34 +62,16 @@ pub fn mpareto<D: DistanceOracle + ?Sized>(
     mu: MigrationCoefficient,
 ) -> Result<MigrationOutcome, MigrationError> {
     let agg = AttachAggregates::build(g, dm, w);
-    mpareto_with_agg(g, dm, w, sfc, p, mu, &agg)
+    mpareto_inner(g, dm, w, sfc, p, mu, &agg, None)
 }
 
-/// [`mpareto`] against caller-supplied attach-cost aggregates: the hourly
-/// TOM loop maintains one [`AttachAggregates`] incrementally across epochs
-/// and runs both the inner Algorithm 3 and the frontier sweep through it,
-/// never rebuilding per-flow sums. `agg` must describe `w` on `g`/`dm`.
-///
-/// # Errors
-///
-/// Same conditions as [`mpareto`].
-pub fn mpareto_with_agg<D: DistanceOracle + ?Sized>(
-    g: &Graph,
-    dm: &D,
-    w: &Workload,
-    sfc: &Sfc,
-    p: &Placement,
-    mu: MigrationCoefficient,
-    agg: &AttachAggregates,
-) -> Result<MigrationOutcome, MigrationError> {
-    mpareto_inner(g, dm, w, sfc, p, mu, agg, None)
-}
-
-/// [`mpareto_with_agg`] against a caller-cached metric closure over `agg`'s
-/// candidate switches (see
-/// [`ppdc_placement::dp_placement_with_closure`]): the simulators hold one
-/// [`ppdc_topology::CachedClosure`] per day segment so the inner
-/// Algorithm 3 call skips even the closure refill.
+/// [`mpareto`] against caller-supplied attach-cost aggregates and a
+/// caller-cached metric closure over `agg`'s candidate switches (see
+/// [`ppdc_placement::dp_placement_with_closure`]): the hourly TOM loop
+/// maintains one [`AttachAggregates`] incrementally across epochs and holds
+/// one [`ppdc_topology::CachedClosure`] per day segment, so neither the
+/// per-flow sums nor the closure are rebuilt per solve. `agg` must
+/// describe `w` on `g`/`dm`.
 ///
 /// # Errors
 ///

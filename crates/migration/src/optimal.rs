@@ -138,30 +138,7 @@ pub fn optimal_migration_with_budget<D: DistanceOracle + ?Sized>(
     budget: u64,
 ) -> Result<MigrationOutcome, MigrationError> {
     let agg = AttachAggregates::build(g, dm, w);
-    optimal_migration_with_agg(g, dm, sfc, p, mu, seed, budget, &agg)
-}
-
-/// [`optimal_migration_with_budget`] against caller-supplied aggregates:
-/// every `C_a` the search evaluates — including the stay/seed incumbents
-/// and the final outcome — goes through `agg`, so the epoch loop never
-/// pays a per-flow sum. `agg` must describe the current workload on
-/// `g`/`dm`.
-///
-/// # Errors
-///
-/// Same conditions as [`optimal_migration_with_budget`].
-#[allow(clippy::too_many_arguments)]
-pub fn optimal_migration_with_agg<D: DistanceOracle + ?Sized>(
-    g: &Graph,
-    dm: &D,
-    sfc: &Sfc,
-    p: &Placement,
-    mu: MigrationCoefficient,
-    seed: Option<&Placement>,
-    budget: u64,
-    agg: &AttachAggregates,
-) -> Result<MigrationOutcome, MigrationError> {
-    match optimal_migration_with_deadline(g, dm, sfc, p, mu, seed, budget, agg)? {
+    match optimal_migration_with_deadline(g, dm, sfc, p, mu, seed, budget, &agg)? {
         (out, Exactness::Exact) => Ok(out),
         (_, Exactness::Degraded { .. }) => {
             Err(MigrationError::Stroll(StrollError::BudgetExhausted {

@@ -43,20 +43,8 @@ pub fn steering_placement(
     w: &Workload,
     sfc: &Sfc,
 ) -> Result<(Placement, Cost), PlacementError> {
-    let agg = AttachAggregates::build(g, dm, w);
-    steering_placement_with_agg(g, dm, w, sfc, &agg)
-}
-
-/// [`steering_placement`] against caller-supplied aggregates (see
-/// [`crate::dp_placement_with_agg`] for when this matters).
-pub fn steering_placement_with_agg(
-    g: &Graph,
-    dm: &DistanceMatrix,
-    w: &Workload,
-    sfc: &Sfc,
-    agg: &AttachAggregates,
-) -> Result<(Placement, Cost), PlacementError> {
     let switches = check(g, w, sfc)?;
+    let agg = AttachAggregates::build(g, dm, w);
     let n = sfc.len();
     let rate = agg.total_rate();
     let mut chosen: Vec<NodeId> = Vec::with_capacity(n);
@@ -106,19 +94,8 @@ pub fn greedy_placement(
     w: &Workload,
     sfc: &Sfc,
 ) -> Result<(Placement, Cost), PlacementError> {
-    let agg = AttachAggregates::build(g, dm, w);
-    greedy_placement_with_agg(g, dm, w, sfc, &agg)
-}
-
-/// [`greedy_placement`] against caller-supplied aggregates.
-pub fn greedy_placement_with_agg(
-    g: &Graph,
-    dm: &DistanceMatrix,
-    w: &Workload,
-    sfc: &Sfc,
-    agg: &AttachAggregates,
-) -> Result<(Placement, Cost), PlacementError> {
     let switches = check(g, w, sfc)?;
+    let agg = AttachAggregates::build(g, dm, w);
     let n = sfc.len();
     let rate = agg.total_rate();
     // Summed switch-to-switch distance from each switch; divided by the

@@ -268,28 +268,9 @@ pub fn optimal_placement_with_budget(
     budget: u64,
 ) -> Result<(Placement, Cost), PlacementError> {
     let agg = AttachAggregates::build(g, dm, w);
-    optimal_placement_with_agg(g, dm, w, sfc, budget, &agg)
-}
-
-/// [`optimal_placement_with_budget`] against caller-supplied aggregates
-/// (see [`crate::dp_placement_with_agg`] for when this matters). Candidate
-/// switches come from `agg` itself, so restricted aggregates confine the
-/// search to their candidate set.
-///
-/// # Errors
-///
-/// Same conditions as [`optimal_placement_with_budget`].
-pub fn optimal_placement_with_agg(
-    g: &Graph,
-    dm: &DistanceMatrix,
-    w: &Workload,
-    sfc: &Sfc,
-    budget: u64,
-    agg: &AttachAggregates,
-) -> Result<(Placement, Cost), PlacementError> {
     check_inputs_restricted(g, w, sfc, agg.switches())?;
     let closure = MetricClosure::over(dm, agg.switches());
-    Ok(Search::new(agg, &closure, sfc.len(), budget, true).run()?)
+    Ok(Search::new(&agg, &closure, sfc.len(), budget, true).run()?)
 }
 
 /// Optimal placement under a deadline: never fails on exhaustion.

@@ -6,14 +6,16 @@
 //! * [`FaultSchedule`] — a deterministic, seeded day-long schedule of
 //!   fail/repair events (memoryless per-hour failures, fixed repair lag),
 //!   interleaved with the trace's hourly rate deltas.
-//! * [`simulate_with_faults`] — the epoch loop of
-//!   [`crate::simulate`] hardened to run **every** hour of the day no
-//!   matter what fails. On event hours it rebuilds the degraded view
+//! * [`run_day`] / [`resume_day`] — the hourly TOP → TOM epoch loop,
+//!   hardened to run **every** hour of the day no matter what fails. With
+//!   an empty schedule it is the plain loop: TOP at hour 0, the policy
+//!   every hour after, aggregates folded by rate deltas. On event hours it
+//!   rebuilds the degraded view
 //!   ([`ppdc_topology::Graph::degraded_view`]) and its distance matrix in
 //!   place, elects the *serving component*, masks out stranded flows,
 //!   rebuilds candidate-restricted attach aggregates, and repairs the VNF
 //!   placement when a failure knocked one of its switches out. Quiet hours
-//!   keep the seed loop's incremental delta feed.
+//!   keep the incremental delta feed.
 //! * [`DegradedHourRecord`] — per-hour degradation telemetry (stranded
 //!   flows and rate, reroute cost over the healthy fabric, recovery
 //!   migrations, blackout and degraded-solver flags).
@@ -41,14 +43,12 @@
 use std::collections::BTreeSet;
 
 use ppdc_migration::{
-    mcf_vm_migration, mpareto_with_agg, mpareto_with_closure, no_migration_with_agg,
-    optimal_migration_with_deadline, plan_vm_migration, MigrationError,
+    mcf_vm_migration, mpareto_with_closure, optimal_migration_with_deadline, plan_vm_migration,
+    MigrationError,
 };
 use ppdc_model::{comm_cost, FlowId, ModelError, Placement, Sfc, VmId, Workload};
 use ppdc_obs::{names as obs_names, Stopwatch};
-use ppdc_placement::{
-    dp_placement_with_agg, dp_placement_with_closure, AttachAggregates, PlacementError,
-};
+use ppdc_placement::{dp_placement_with_closure, AttachAggregates, PlacementError};
 use ppdc_topology::{
     CachedClosure, Cost, DistanceMatrix, EdgeId, FaultSet, Graph, NodeId, NodeKind, Partition,
     TopologyError, INFINITY,
@@ -140,6 +140,14 @@ pub enum ScheduleError {
         /// The offending event.
         event: FaultEvent,
     },
+    /// The schedule was built for a different day length than the trace
+    /// it is run against.
+    HorizonMismatch {
+        /// The day length the schedule was built for.
+        schedule: u32,
+        /// The trace's day length.
+        trace: u32,
+    },
 }
 
 impl std::fmt::Display for ScheduleError {
@@ -155,6 +163,10 @@ impl std::fmt::Display for ScheduleError {
             ScheduleError::RepairWhileHealthy { event } => {
                 write!(f, "event {event:?} repairs an element that is already up")
             }
+            ScheduleError::HorizonMismatch { schedule, trace } => write!(
+                f,
+                "schedule covers {schedule} hours but the trace covers {trace}"
+            ),
         }
     }
 }
@@ -298,7 +310,7 @@ impl FaultSchedule {
     }
 }
 
-/// Errors produced by the fault-aware simulator.
+/// Errors produced by the hourly engine ([`run_day`] / [`resume_day`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
     /// A migration policy failed.
@@ -312,7 +324,8 @@ pub enum SimError {
     /// Checkpoint persistence or restore failed (I/O, torn file, or a
     /// snapshot that does not belong to these inputs).
     Checkpoint(CkptError),
-    /// A hand-crafted fault schedule was internally inconsistent.
+    /// A hand-crafted fault schedule was internally inconsistent, or its
+    /// day length differs from the trace's.
     Schedule(ScheduleError),
     /// The dynamic trace rejected an hour index or rate-row shape.
     Trace(TraceError),
@@ -378,10 +391,10 @@ impl std::error::Error for SimError {}
 
 /// Wall-clock nanoseconds each epoch phase spent during one hour.
 ///
-/// Only [`simulate_with_faults_observed`] fills these in (`observe =
-/// true`); the values are timing — inherently nondeterministic — which is
-/// why they live behind an `Option` on [`DegradedHourRecord`] instead of
-/// inline fields: unobserved runs stay bit-comparable with `==`.
+/// Only observed runs ([`EngineConfig::observe`]) fill these in; the
+/// values are timing — inherently nondeterministic — which is why they
+/// live behind an `Option` on [`DegradedHourRecord`] instead of inline
+/// fields: unobserved runs stay bit-comparable with `==`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PhaseNanos {
     /// In-place APSP rebuild of the degraded view (event hours only).
@@ -442,11 +455,11 @@ pub struct DegradedHourRecord {
     /// (nonzero only under injected starvation).
     pub solver_retries: u32,
     /// Per-phase wall time, present only on observed runs
-    /// ([`simulate_with_faults_observed`] with `observe = true`).
+    /// ([`EngineConfig::observe`]).
     pub phase: Option<PhaseNanos>,
 }
 
-/// A full day of fault-aware simulation.
+/// A full simulated day (fault-free when the schedule is empty).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultSimResult {
     /// The TOP placement cost at hour 0 (always on the healthy fabric).
@@ -605,13 +618,16 @@ impl HealthyBaseline {
 }
 
 /// Knobs of the crash-safe epoch engine ([`run_day`] / [`resume_day`]).
-/// `EngineConfig::default()` reproduces plain [`simulate_with_faults`]
-/// bit-identically: no persistence, no early stop, default supervisor,
-/// unlimited APSP budget.
+/// `EngineConfig::default()` runs the plain day: no observation, no
+/// persistence, no early stop, default supervisor, unlimited APSP budget.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
-    /// Fill [`DegradedHourRecord::phase`] and pre-declare the obs schema
-    /// (the `observed` path of PR 4).
+    /// Fill [`DegradedHourRecord::phase`] with per-phase wall time (APSP
+    /// rebuild / aggregates / solver / repair), and pre-declare and feed the
+    /// [`ppdc_obs::global`] registry's epoch metrics (spans, counters, the
+    /// per-hour solver histogram) so an enabled registry exports a
+    /// stable-schema summary afterwards. Observation never feeds back:
+    /// every non-`phase` field is bit-identical to the unobserved run.
     pub observe: bool,
     /// Retry/backoff policy and injected starvation for the hourly solve.
     pub supervisor: SupervisorConfig,
@@ -658,15 +674,25 @@ pub struct DayRun {
     pub checkpoint: Option<Checkpoint>,
 }
 
-/// Runs one fault-aware day under full engine control: checkpoint
-/// persistence, supervised solves, early stop, APSP budget pressure. See
-/// [`simulate_with_faults`] for the simulation semantics; with
-/// `EngineConfig::default()` the `result` is bit-identical to it.
+/// Runs one day: TOP at hour 0 on the healthy fabric, then every hour
+/// applies the schedule's fail/repair events, re-elects the serving
+/// component, masks stranded flows, repairs the placement if a failure
+/// displaced it, and only then runs the policy. With an empty schedule
+/// this is the plain TOP → TOM loop. Every policy finishes the day —
+/// partitions, blackouts, and solver budget exhaustion degrade the result
+/// (see [`DegradedHourRecord`]) instead of aborting it.
+///
+/// `ecfg` adds engine control on top: phase observation, checkpoint
+/// persistence, supervised solves, early stop, APSP budget pressure.
+/// Two calls with the same inputs produce bit-identical results.
 ///
 /// # Errors
 ///
-/// [`SimError`] on genuinely broken inputs or failed checkpoint I/O —
-/// never because of an injected fault, starvation, or budget pressure.
+/// [`SimError`] on genuinely broken inputs (trace/workload shape
+/// mismatches, a schedule whose day length differs from the trace's,
+/// events referencing foreign elements, infeasible MCF) or failed
+/// checkpoint I/O — never because of an injected fault, starvation, or
+/// budget pressure.
 #[allow(clippy::too_many_arguments)]
 pub fn run_day(
     g: &Graph,
@@ -706,61 +732,6 @@ pub fn resume_day(
     run_day_impl(g, w, trace, sfc, cfg, schedule, ecfg, Some(ckpt))
 }
 
-/// Runs one day under fault injection: TOP at hour 0 on the healthy
-/// fabric, then every hour applies the schedule's fail/repair events,
-/// re-elects the serving component, masks stranded flows, repairs the
-/// placement if a failure displaced it, and only then runs the policy.
-/// Every policy finishes the day — partitions, blackouts, and solver
-/// budget exhaustion degrade the result (see [`DegradedHourRecord`])
-/// instead of aborting it.
-///
-/// Two calls with the same inputs produce bit-identical results.
-///
-/// # Errors
-///
-/// Only on genuinely broken inputs (trace/workload shape mismatches,
-/// events referencing foreign elements, infeasible MCF) — never because of
-/// a failure the schedule injected.
-pub fn simulate_with_faults(
-    g: &Graph,
-    w: &Workload,
-    trace: &DynamicTrace,
-    sfc: &Sfc,
-    cfg: &SimConfig,
-    schedule: &FaultSchedule,
-) -> Result<FaultSimResult, SimError> {
-    simulate_with_faults_observed(g, w, trace, sfc, cfg, schedule, false)
-}
-
-/// [`simulate_with_faults`] with phase timing: when `observe` is true,
-/// every [`DegradedHourRecord`] carries a [`PhaseNanos`] breaking the hour
-/// into APSP rebuild / aggregate / solver / repair wall time, and the run
-/// pre-declares and feeds the [`ppdc_obs::global`] registry's epoch
-/// metrics (spans, counters, the per-hour solver histogram) so an enabled
-/// registry exports a stable-schema summary afterwards.
-///
-/// Observation never feeds back: costs, placements, and every
-/// non-`phase` field are bit-identical to the `observe = false` run.
-///
-/// # Errors
-///
-/// Same conditions as [`simulate_with_faults`].
-pub fn simulate_with_faults_observed(
-    g: &Graph,
-    w: &Workload,
-    trace: &DynamicTrace,
-    sfc: &Sfc,
-    cfg: &SimConfig,
-    schedule: &FaultSchedule,
-    observe: bool,
-) -> Result<FaultSimResult, SimError> {
-    let ecfg = EngineConfig {
-        observe,
-        ..EngineConfig::default()
-    };
-    Ok(run_day_impl(g, w, trace, sfc, cfg, schedule, &ecfg, None)?.result)
-}
-
 #[allow(clippy::too_many_arguments)]
 fn run_day_impl(
     g: &Graph,
@@ -772,6 +743,14 @@ fn run_day_impl(
     ecfg: &EngineConfig,
     resume: Option<&Checkpoint>,
 ) -> Result<DayRun, SimError> {
+    let n_hours = trace.model().n_hours;
+    if schedule.n_hours() != n_hours {
+        return Err(ScheduleError::HorizonMismatch {
+            schedule: schedule.n_hours(),
+            trace: n_hours,
+        }
+        .into());
+    }
     let obs = ppdc_obs::global();
     if ecfg.observe {
         obs.declare(obs_names::SPANS, obs_names::COUNTERS, obs_names::HISTS);
@@ -780,9 +759,8 @@ fn run_day_impl(
     // registry wants aggregate spans; either way the readings only ever
     // flow *out* of the simulation.
     let measuring = ecfg.observe || obs.is_enabled();
-    let n_hours = trace.model().n_hours;
     // The input fingerprint only matters when snapshots are taken or
-    // consumed; the plain simulate_with_faults path never pays for it.
+    // consumed; a plain run never pays for it.
     let wants_snapshots = ecfg.store.is_some() || ecfg.stop_after.is_some();
     let fp = if wants_snapshots || resume.is_some() {
         fingerprint(g, w, trace, sfc, cfg, schedule)
@@ -797,9 +775,8 @@ fn run_day_impl(
     let mut w_cur = w.clone();
     // One metric closure serves every Algorithm 3 / mPareto call between
     // fault events: only event hours change `dm_cur` or the candidate set,
-    // so only they invalidate it (the small-n paths never touch it).
+    // so only they invalidate it (the n < 3 solves never read it).
     let mut closure_cache = CachedClosure::new();
-    let use_closure = sfc.len() >= 3;
 
     let mut g_view;
     let mut dm_cur;
@@ -857,12 +834,8 @@ fn run_day_impl(
         w_cur.set_rates(&trace.rates_at(0))?;
         agg = AttachAggregates::build(&g_view, &dm_cur, &w_cur);
         aggregate_rebuilds = 1usize;
-        let (p0, c0) = if use_closure {
-            let c = closure_cache.get_or_rebuild(&dm_cur, agg.switches());
-            dp_placement_with_closure(&g_view, &dm_cur, &w_cur, sfc, &agg, c)?
-        } else {
-            dp_placement_with_agg(&g_view, &dm_cur, &w_cur, sfc, &agg)?
-        };
+        let c = closure_cache.get_or_rebuild(&dm_cur, agg.switches());
+        let (p0, c0) = dp_placement_with_closure(&g_view, &dm_cur, &w_cur, sfc, &agg, c)?;
         p = p0;
         initial_cost = c0;
         sv = ServingView::elect(&g_view, &faults, &w_cur);
@@ -1030,12 +1003,8 @@ fn run_day_impl(
             // Recovery: re-place inside the serving component before any
             // policy gets to run; the hour's migration budget is spent on
             // getting the chain back up.
-            let (p_new, comm) = if use_closure {
-                let c = closure_cache.get_or_rebuild(&dm_cur, agg.switches());
-                dp_placement_with_closure(&g_view, &dm_cur, &w_cur, sfc, &agg, c)?
-            } else {
-                dp_placement_with_agg(&g_view, &dm_cur, &w_cur, sfc, &agg)?
-            };
+            let c = closure_cache.get_or_rebuild(&dm_cur, agg.switches());
+            let (p_new, comm) = dp_placement_with_closure(&g_view, &dm_cur, &w_cur, sfc, &agg, c)?;
             let reinstantiate = dm_cur.diameter();
             let mut migration_cost: Cost = 0;
             let mut moved = 0usize;
@@ -1078,12 +1047,9 @@ fn run_day_impl(
             recovery_migrations = 0;
             match cfg.policy {
                 MigrationPolicy::MPareto => {
-                    let out = if use_closure {
-                        let c = closure_cache.get_or_rebuild(&dm_cur, agg.switches());
-                        mpareto_with_closure(&g_view, &dm_cur, &w_cur, sfc, &p, cfg.mu, &agg, c)?
-                    } else {
-                        mpareto_with_agg(&g_view, &dm_cur, &w_cur, sfc, &p, cfg.mu, &agg)?
-                    };
+                    let c = closure_cache.get_or_rebuild(&dm_cur, agg.switches());
+                    let out =
+                        mpareto_with_closure(&g_view, &dm_cur, &w_cur, sfc, &p, cfg.mu, &agg, c)?;
                     p = out.migration.clone();
                     HourRecord {
                         hour: h,
@@ -1094,12 +1060,9 @@ fn run_day_impl(
                     }
                 }
                 MigrationPolicy::OptimalVnf { budget } => {
-                    let seed = if use_closure {
-                        let c = closure_cache.get_or_rebuild(&dm_cur, agg.switches());
-                        mpareto_with_closure(&g_view, &dm_cur, &w_cur, sfc, &p, cfg.mu, &agg, c)?
-                    } else {
-                        mpareto_with_agg(&g_view, &dm_cur, &w_cur, sfc, &p, cfg.mu, &agg)?
-                    };
+                    let c = closure_cache.get_or_rebuild(&dm_cur, agg.switches());
+                    let seed =
+                        mpareto_with_closure(&g_view, &dm_cur, &w_cur, sfc, &p, cfg.mu, &agg, c)?;
                     let (out, exactness) = optimal_migration_with_deadline(
                         &g_view,
                         &dm_cur,
@@ -1149,7 +1112,7 @@ fn run_day_impl(
                     }
                 }
                 MigrationPolicy::NoMigration => {
-                    let c = no_migration_with_agg(&dm_cur, &agg, &p);
+                    let c = agg.comm_cost(&dm_cur, &p);
                     HourRecord {
                         hour: h,
                         migration_cost: 0,
@@ -1429,8 +1392,17 @@ mod tests {
             },
             MigrationPolicy::NoMigration,
         ] {
-            let r = simulate_with_faults(ft.graph(), &w, &trace, &sfc, &cfg(policy), &schedule)
-                .unwrap_or_else(|e| panic!("{policy:?} died: {e}"));
+            let r = run_day(
+                ft.graph(),
+                &w,
+                &trace,
+                &sfc,
+                &cfg(policy),
+                &schedule,
+                &EngineConfig::default(),
+            )
+            .unwrap_or_else(|e| panic!("{policy:?} died: {e}"))
+            .result;
             assert_eq!(r.hours.len(), 24, "{policy:?}");
             assert_eq!(r.degraded.len(), 24, "{policy:?}");
             assert!(
@@ -1463,10 +1435,28 @@ mod tests {
             },
             MigrationPolicy::NoMigration,
         ] {
-            let a = simulate_with_faults(ft.graph(), &w, &trace, &sfc, &cfg(policy), &schedule)
-                .unwrap();
-            let b = simulate_with_faults(ft.graph(), &w, &trace, &sfc, &cfg(policy), &schedule)
-                .unwrap();
+            let a = run_day(
+                ft.graph(),
+                &w,
+                &trace,
+                &sfc,
+                &cfg(policy),
+                &schedule,
+                &EngineConfig::default(),
+            )
+            .unwrap()
+            .result;
+            let b = run_day(
+                ft.graph(),
+                &w,
+                &trace,
+                &sfc,
+                &cfg(policy),
+                &schedule,
+                &EngineConfig::default(),
+            )
+            .unwrap()
+            .result;
             assert_eq!(a, b, "{policy:?} must be bit-identical across runs");
         }
     }
@@ -1485,10 +1475,31 @@ mod tests {
         let schedule = FaultSchedule::generate(ft.graph(), 24, &fc, 5);
         let sfc = Sfc::of_len(3).unwrap();
         let c = cfg(MigrationPolicy::MPareto);
-        let plain = simulate_with_faults(ft.graph(), &w, &trace, &sfc, &c, &schedule).unwrap();
-        let observed =
-            simulate_with_faults_observed(ft.graph(), &w, &trace, &sfc, &c, &schedule, true)
-                .unwrap();
+        let plain = run_day(
+            ft.graph(),
+            &w,
+            &trace,
+            &sfc,
+            &c,
+            &schedule,
+            &EngineConfig::default(),
+        )
+        .unwrap()
+        .result;
+        let observed = run_day(
+            ft.graph(),
+            &w,
+            &trace,
+            &sfc,
+            &c,
+            &schedule,
+            &EngineConfig {
+                observe: true,
+                ..Default::default()
+            },
+        )
+        .unwrap()
+        .result;
         assert_eq!(plain.initial_cost, observed.initial_cost);
         assert_eq!(plain.total_cost, observed.total_cost);
         assert_eq!(plain.hours, observed.hours);
@@ -1506,17 +1517,42 @@ mod tests {
 
     #[test]
     fn no_faults_reduces_to_the_seed_loop() {
+        // An empty schedule must cost exactly what the plain TOP → mPareto
+        // loop costs when it re-solves every hour from a fresh APSP.
         let ft = FatTree::build(4).unwrap();
+        let g = ft.graph();
         let (w, trace) = ppdc_traffic::standard_workload(&ft, 50, 3, 0);
         let sfc = Sfc::of_len(3).unwrap();
         let schedule = FaultSchedule::new(Vec::new(), trace.model().n_hours).unwrap();
         let c = cfg(MigrationPolicy::MPareto);
-        let r = simulate_with_faults(ft.graph(), &w, &trace, &sfc, &c, &schedule).unwrap();
-        let dm = DistanceMatrix::build(ft.graph());
-        let base = crate::simulate(ft.graph(), &dm, &w, &trace, &sfc, &c).unwrap();
-        assert_eq!(r.initial_cost, base.initial_cost);
-        assert_eq!(r.total_cost, base.total_cost);
-        assert_eq!(r.hours, base.hours);
+        let r = run_day(g, &w, &trace, &sfc, &c, &schedule, &EngineConfig::default())
+            .unwrap()
+            .result;
+
+        let dm = DistanceMatrix::build(g);
+        let mut wl = w.clone();
+        wl.set_rates(&trace.rates_at(0)).unwrap();
+        let (mut p, initial) = ppdc_placement::dp_placement(g, &dm, &wl, &sfc).unwrap();
+        let mut hours = Vec::new();
+        for hour in 1..=trace.model().n_hours {
+            wl.set_rates(&trace.rates_at(hour)).unwrap();
+            let out = ppdc_migration::mpareto(g, &dm, &wl, &sfc, &p, c.mu).unwrap();
+            p = out.migration;
+            hours.push(HourRecord {
+                hour,
+                migration_cost: out.migration_cost,
+                comm_cost: out.comm_cost,
+                total_cost: out.migration_cost + out.comm_cost,
+                num_migrations: out.num_migrations,
+            });
+        }
+
+        assert_eq!(r.initial_cost, initial);
+        assert_eq!(r.hours, hours);
+        assert_eq!(
+            r.total_cost,
+            hours.iter().map(|h| h.total_cost).sum::<Cost>()
+        );
         assert_eq!(r.aggregate_rebuilds, 1);
         assert_eq!(r.blackout_hours, 0);
         assert!(r.degraded.iter().all(|d| d.stranded_flows == 0
@@ -1549,15 +1585,17 @@ mod tests {
             trace.model().n_hours,
         )
         .unwrap();
-        let r = simulate_with_faults(
+        let r = run_day(
             g,
             &w,
             &trace,
             &sfc,
             &cfg(MigrationPolicy::MPareto),
             &schedule,
+            &EngineConfig::default(),
         )
-        .unwrap();
+        .unwrap()
+        .result;
         // Hours 3 and 4 run degraded; hour 5 is healthy again.
         let d3 = &r.degraded[2];
         assert_eq!(d3.failed_switches, 1);
@@ -1627,7 +1665,17 @@ mod tests {
                 passes: 3,
             },
         ] {
-            let r = simulate_with_faults(g, &w, &trace, &sfc, &cfg(policy), &schedule).unwrap();
+            let r = run_day(
+                g,
+                &w,
+                &trace,
+                &sfc,
+                &cfg(policy),
+                &schedule,
+                &EngineConfig::default(),
+            )
+            .unwrap()
+            .result;
             let d2 = &r.degraded[1];
             assert!(
                 d2.recovery_migrations > 0,
@@ -1649,26 +1697,30 @@ mod tests {
         // Budget 1 exhausts instantly every hour; the day must still
         // complete, flagged degraded, with costs no better than mPareto's
         // incumbent would allow and no worse than staying put.
-        let r = simulate_with_faults(
+        let r = run_day(
             ft.graph(),
             &w,
             &trace,
             &sfc,
             &cfg(MigrationPolicy::OptimalVnf { budget: 1 }),
             &schedule,
+            &EngineConfig::default(),
         )
-        .unwrap();
+        .unwrap()
+        .result;
         assert_eq!(r.hours.len(), 24);
         assert!(r.degraded.iter().any(|d| d.degraded_solver));
-        let stay = simulate_with_faults(
+        let stay = run_day(
             ft.graph(),
             &w,
             &trace,
             &sfc,
             &cfg(MigrationPolicy::NoMigration),
             &schedule,
+            &EngineConfig::default(),
         )
-        .unwrap();
+        .unwrap()
+        .result;
         assert!(r.total_cost <= stay.total_cost);
     }
 
@@ -1687,15 +1739,17 @@ mod tests {
             })
             .collect();
         let schedule = FaultSchedule::new(events, trace.model().n_hours).unwrap();
-        let r = simulate_with_faults(
+        let r = run_day(
             g,
             &w,
             &trace,
             &sfc,
             &cfg(MigrationPolicy::MPareto),
             &schedule,
+            &EngineConfig::default(),
         )
-        .unwrap();
+        .unwrap()
+        .result;
         assert!(r.blackout_hours > 0);
         let d4 = &r.degraded[3];
         assert!(d4.blackout);
@@ -1743,6 +1797,79 @@ mod tests {
             .unwrap_err()
             .to_string();
         assert!(msg.contains("already up"), "unhelpful message: {msg}");
+    }
+
+    #[test]
+    fn schedule_and_trace_must_cover_the_same_day() {
+        // A 24-hour schedule against a 12-hour trace would leave its late
+        // events unfired while still fingerprinting them; a 6-hour one
+        // would run half the day fault-free. Both are refused up front,
+        // by resume as well as by a fresh run.
+        let ft = FatTree::build(4).unwrap();
+        let (w, trace) = ppdc_traffic::standard_workload(&ft, 20, 4, 0);
+        assert_eq!(trace.model().n_hours, 12);
+        let sfc = Sfc::of_len(3).unwrap();
+        let c = cfg(MigrationPolicy::MPareto);
+        let s = ft.graph().switches().next().unwrap();
+        let late = FaultSchedule::new(
+            vec![FaultEvent {
+                hour: 20,
+                kind: FaultKind::FailSwitch(s),
+            }],
+            24,
+        )
+        .unwrap();
+        let short = FaultSchedule::new(vec![], 6).unwrap();
+        for (schedule, hours) in [(&late, 24), (&short, 6)] {
+            let err = run_day(
+                ft.graph(),
+                &w,
+                &trace,
+                &sfc,
+                &c,
+                schedule,
+                &EngineConfig::default(),
+            )
+            .unwrap_err();
+            assert_eq!(
+                err,
+                SimError::Schedule(ScheduleError::HorizonMismatch {
+                    schedule: hours,
+                    trace: 12,
+                })
+            );
+            assert!(err.to_string().contains("trace covers 12"), "{err}");
+        }
+        let matching = FaultSchedule::new(vec![], 12).unwrap();
+        let halted = run_day(
+            ft.graph(),
+            &w,
+            &trace,
+            &sfc,
+            &c,
+            &matching,
+            &EngineConfig {
+                stop_after: Some(3),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let ck = halted.checkpoint.unwrap();
+        let err = resume_day(
+            ft.graph(),
+            &w,
+            &trace,
+            &sfc,
+            &c,
+            &late,
+            &EngineConfig::default(),
+            &ck,
+        )
+        .unwrap_err();
+        assert!(matches!(
+            err,
+            SimError::Schedule(ScheduleError::HorizonMismatch { .. })
+        ));
     }
 
     #[test]

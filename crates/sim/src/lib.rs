@@ -2,20 +2,21 @@
 //!
 //! The framework's salient feature is lifetime optimization: **TOP** builds
 //! the initial traffic-optimal placement once, then **TOM** runs every hour
-//! as the diurnal rate vector shifts. [`simulate`] drives that loop for a
+//! as the diurnal rate vector shifts. [`run_day`] is that hourly loop for a
 //! chosen [`MigrationPolicy`] — mPareto, exact VNF migration, the PLAN/MCF
 //! VM-migration baselines, or NoMigration — and records per-hour costs and
-//! migration counts.
+//! migration counts ([`HourRecord`]). A fault-free day is a run with an
+//! empty [`FaultSchedule`] and `EngineConfig::default()`.
 //!
 //! [`stats`] provides the 20-run mean / 95 % confidence-interval summaries
 //! every plotted data point uses; [`report`] renders aligned tables and CSV
 //! for the experiment binaries.
 //!
-//! [`fault`] hardens the loop against infrastructure failures:
-//! [`simulate_with_faults`] survives scheduled link/switch failures
-//! ([`FaultSchedule`]) by re-electing a serving component, masking
-//! stranded flows, and repairing displaced placements — recording per-hour
-//! degradation telemetry instead of aborting the day.
+//! [`fault`] hardens the loop against infrastructure failures: given
+//! scheduled link/switch failures ([`FaultSchedule`]), [`run_day`]
+//! re-elects a serving component, masks stranded flows, and repairs
+//! displaced placements — recording per-hour degradation telemetry instead
+//! of aborting the day.
 //!
 //! [`checkpoint`], [`supervisor`], and [`chaos`] harden it against
 //! *operator-side* failures: [`run_day`] persists crash-safe
@@ -50,12 +51,11 @@ pub mod supervisor;
 pub use chaos::{run_chaos_trial, ChaosConfig, ChaosError, ChaosTrialConfig, ChaosTrialReport};
 pub use checkpoint::{Checkpoint, CheckpointStore, CkptError, CkptSlot, CKPT_SCHEMA};
 pub use fault::{
-    resume_day, run_day, simulate_with_faults, simulate_with_faults_observed, DayRun,
-    DegradedHourRecord, EngineConfig, FaultConfig, FaultEvent, FaultKind, FaultSchedule,
-    FaultSimResult, HourProvenance, PhaseNanos, ScheduleError, SimError,
+    resume_day, run_day, DayRun, DegradedHourRecord, EngineConfig, FaultConfig, FaultEvent,
+    FaultKind, FaultSchedule, FaultSimResult, HourProvenance, PhaseNanos, ScheduleError, SimError,
 };
 pub use report::Table;
-pub use simulator::{simulate, HourRecord, MigrationPolicy, SimConfig, SimResult};
+pub use simulator::{HourRecord, MigrationPolicy, SimConfig};
 pub use stats::{summarize, Summary};
 pub use stream::{
     resume_stream_day, run_stream_day, stream_fingerprint, DriftTracker, EpochAction, EpochRecord,

@@ -1,21 +1,16 @@
-//! The hourly TOP → TOM epoch loop.
+//! The policy, parameters and per-hour record of the hourly TOP → TOM
+//! loop ([`crate::run_day`]).
 //!
 //! The loop builds the attach-cost aggregates **once** at hour 0 and then
 //! folds each hour's rate deltas into them
 //! ([`ppdc_placement::AttachAggregates::apply_rate_deltas`]): the VNF
 //! policies (mPareto, Optimal, NoMigration) never rebuild the per-flow
-//! sums mid-day. The VM-migration baselines (PLAN, MCF) rewrite VM→host
-//! assignments instead of rates, which invalidates the aggregates — they
-//! run flow-level after hour 0, exactly as before.
+//! sums on a quiet hour. The VM-migration baselines (PLAN, MCF) rewrite
+//! VM→host assignments instead of rates, which invalidates the aggregates
+//! — they run flow-level after hour 0.
 
-use ppdc_migration::{
-    mcf_vm_migration, mpareto_with_agg, mpareto_with_closure, no_migration_with_agg,
-    optimal_migration_with_agg, plan_vm_migration, MigrationError,
-};
-use ppdc_model::{MigrationCoefficient, Sfc, Workload};
-use ppdc_placement::{dp_placement_with_agg, dp_placement_with_closure, AttachAggregates};
-use ppdc_topology::{Cost, DistanceOracle, Graph, MetricClosure};
-use ppdc_traffic::DynamicTrace;
+use ppdc_model::MigrationCoefficient;
+use ppdc_topology::Cost;
 
 /// Which adaptation mechanism runs each hour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,198 +68,141 @@ pub struct HourRecord {
     pub num_migrations: usize,
 }
 
-/// A full day of simulation.
-#[derive(Debug, Clone)]
-pub struct SimResult {
-    /// The TOP placement built at hour 0 and its cost.
-    pub initial_cost: Cost,
-    /// Hour-by-hour records (hours 1..=N).
-    pub hours: Vec<HourRecord>,
-    /// Sum of all hourly totals (the Fig. 11(a) y-axis).
-    pub total_cost: Cost,
-    /// Total migrations across the day (the Fig. 11(b) y-axis).
-    pub total_migrations: usize,
-    /// How many times the attach-cost aggregates were built from scratch.
-    /// Stays 1 for a whole day: hour 0 builds them, every later hour only
-    /// folds rate deltas in.
-    pub aggregate_rebuilds: usize,
-}
-
-/// Runs one day: TOP at hour 0 on the trace's hour-0 rates, then the
-/// policy at every subsequent hour.
-///
-/// # Errors
-///
-/// Propagates solver failures (budget exhaustion, infeasible MCF, …).
-pub fn simulate<D: DistanceOracle + ?Sized>(
-    g: &Graph,
-    dm: &D,
-    w: &Workload,
-    trace: &DynamicTrace,
-    sfc: &Sfc,
-    cfg: &SimConfig,
-) -> Result<SimResult, MigrationError> {
-    let mut w = w.clone();
-    w.set_rates(&trace.rates_at(0))?;
-    let mut agg = AttachAggregates::build(g, dm, &w);
-    let aggregate_rebuilds = 1;
-    // The fabric and candidate set are fixed all day, so Algorithm 3's
-    // metric closure is built once here and shared by every hourly solve
-    // (the small-n paths never touch it).
-    let closure = (sfc.len() >= 3).then(|| MetricClosure::over(dm, agg.switches()));
-    let (mut p, initial_cost) = match &closure {
-        Some(c) => dp_placement_with_closure(g, dm, &w, sfc, &agg, c)?,
-        None => dp_placement_with_agg(g, dm, &w, sfc, &agg)?,
-    };
-    // PLAN/MCF migrate VMs: their endpoint rewrites invalidate the
-    // aggregates, and the policies work on per-VM sums anyway.
-    let maintains_agg = matches!(
-        cfg.policy,
-        MigrationPolicy::MPareto
-            | MigrationPolicy::OptimalVnf { .. }
-            | MigrationPolicy::NoMigration
-    );
-    let n_hours = trace.model().n_hours;
-    let mut hours = Vec::with_capacity(n_hours as usize);
-    let mut total_cost = 0;
-    let mut total_migrations = 0;
-    for h in 1..=n_hours {
-        if maintains_agg {
-            let deltas = trace.rate_deltas(h);
-            w.set_rates(&trace.rates_at(h))?;
-            agg.apply_rate_deltas(dm, &w, &deltas);
-        } else {
-            w.set_rates(&trace.rates_at(h))?;
-        }
-        let rec = match cfg.policy {
-            MigrationPolicy::MPareto => {
-                let out = match &closure {
-                    Some(c) => mpareto_with_closure(g, dm, &w, sfc, &p, cfg.mu, &agg, c)?,
-                    None => mpareto_with_agg(g, dm, &w, sfc, &p, cfg.mu, &agg)?,
-                };
-                p = out.migration.clone();
-                HourRecord {
-                    hour: h,
-                    migration_cost: out.migration_cost,
-                    comm_cost: out.comm_cost,
-                    total_cost: out.total_cost,
-                    num_migrations: out.num_migrations,
-                }
-            }
-            MigrationPolicy::OptimalVnf { budget } => {
-                let seed = match &closure {
-                    Some(c) => mpareto_with_closure(g, dm, &w, sfc, &p, cfg.mu, &agg, c)?,
-                    None => mpareto_with_agg(g, dm, &w, sfc, &p, cfg.mu, &agg)?,
-                };
-                let out = optimal_migration_with_agg(
-                    g,
-                    dm,
-                    sfc,
-                    &p,
-                    cfg.mu,
-                    Some(&seed.migration),
-                    budget,
-                    &agg,
-                )?;
-                p = out.migration.clone();
-                HourRecord {
-                    hour: h,
-                    migration_cost: out.migration_cost,
-                    comm_cost: out.comm_cost,
-                    total_cost: out.total_cost,
-                    num_migrations: out.num_migrations,
-                }
-            }
-            MigrationPolicy::Plan { slots, passes } => {
-                let out = plan_vm_migration(g, dm, &w, &p, cfg.vm_mu, slots, passes);
-                w = out.workload.clone();
-                HourRecord {
-                    hour: h,
-                    migration_cost: out.migration_cost,
-                    comm_cost: out.comm_cost,
-                    total_cost: out.total_cost,
-                    num_migrations: out.num_migrations,
-                }
-            }
-            MigrationPolicy::Mcf { slots, candidates } => {
-                let out = mcf_vm_migration(g, dm, &w, &p, cfg.vm_mu, slots, candidates)?;
-                w = out.workload.clone();
-                HourRecord {
-                    hour: h,
-                    migration_cost: out.migration_cost,
-                    comm_cost: out.comm_cost,
-                    total_cost: out.total_cost,
-                    num_migrations: out.num_migrations,
-                }
-            }
-            MigrationPolicy::NoMigration => {
-                let c = no_migration_with_agg(dm, &agg, &p);
-                HourRecord {
-                    hour: h,
-                    migration_cost: 0,
-                    comm_cost: c,
-                    total_cost: c,
-                    num_migrations: 0,
-                }
-            }
-        };
-        total_cost += rec.total_cost;
-        total_migrations += rec.num_migrations;
-        hours.push(rec);
-    }
-    Ok(SimResult {
-        initial_cost,
-        hours,
-        total_cost,
-        total_migrations,
-        aggregate_rebuilds,
-    })
-}
-
 #[cfg(test)]
 mod tests {
+    //! The healthy-fabric behaviour of [`crate::run_day`], policy by
+    //! policy: an empty fault schedule must reduce the engine to the plain
+    //! TOP → TOM loop.
+
     use super::*;
-    use ppdc_topology::{DistanceMatrix, FatTree};
-    use ppdc_traffic::standard_workload;
+    use crate::fault::{run_day, EngineConfig, FaultSchedule, FaultSimResult, HourProvenance};
+    use ppdc_migration::{
+        mcf_vm_migration, mpareto, optimal_migration_with_budget, plan_vm_migration,
+    };
+    use ppdc_model::{comm_cost, Sfc, Workload};
+    use ppdc_topology::{DistanceMatrix, FatTree, Graph};
+    use ppdc_traffic::{standard_workload, DynamicTrace};
 
-    fn setup() -> (FatTree, DistanceMatrix, Workload, DynamicTrace, Sfc) {
-        let ft = FatTree::build(4).unwrap();
-        let dm = DistanceMatrix::build(ft.graph());
-        let (w, trace) = standard_workload(&ft, 12, 99, 0);
-        let sfc = Sfc::of_len(3).unwrap();
-        (ft, dm, w, trace, sfc)
-    }
+    const POLICIES: [MigrationPolicy; 5] = [
+        MigrationPolicy::MPareto,
+        MigrationPolicy::OptimalVnf { budget: 50_000_000 },
+        MigrationPolicy::Plan {
+            slots: 4,
+            passes: 5,
+        },
+        MigrationPolicy::Mcf {
+            slots: 4,
+            candidates: 8,
+        },
+        MigrationPolicy::NoMigration,
+    ];
 
-    fn run(policy: MigrationPolicy) -> SimResult {
-        let (ft, dm, w, trace, sfc) = setup();
-        let cfg = SimConfig {
+    fn cfg(policy: MigrationPolicy) -> SimConfig {
+        SimConfig {
             mu: 100,
             vm_mu: 100,
             policy,
-        };
-        simulate(ft.graph(), &dm, &w, &trace, &sfc, &cfg).unwrap()
+        }
+    }
+
+    /// One fault-free day through the engine, every hour solved exactly.
+    fn day(
+        g: &Graph,
+        w: &Workload,
+        trace: &DynamicTrace,
+        sfc: &Sfc,
+        cfg: &SimConfig,
+    ) -> FaultSimResult {
+        let schedule = FaultSchedule::new(vec![], trace.model().n_hours).unwrap();
+        let r = run_day(g, w, trace, sfc, cfg, &schedule, &EngineConfig::default())
+            .unwrap()
+            .result;
+        assert!(r.degraded.iter().all(|d| !d.degraded_solver), "{cfg:?}");
+        r
+    }
+
+    fn run(policy: MigrationPolicy) -> FaultSimResult {
+        let ft = FatTree::build(4).unwrap();
+        let (w, trace) = standard_workload(&ft, 12, 99, 0);
+        let sfc = Sfc::of_len(3).unwrap();
+        day(ft.graph(), &w, &trace, &sfc, &cfg(policy))
+    }
+
+    /// The naive reference loop: every hour re-solves from scratch with
+    /// flow-level costs and freshly built aggregates — no delta feed, no
+    /// cached closure. Returns the hour-0 cost and the hourly records.
+    fn naive_day(
+        g: &Graph,
+        w: &Workload,
+        trace: &DynamicTrace,
+        sfc: &Sfc,
+        cfg: &SimConfig,
+    ) -> (Cost, Vec<HourRecord>) {
+        let dm = DistanceMatrix::build(g);
+        let mut w = w.clone();
+        w.set_rates(&trace.rates_at(0)).unwrap();
+        let (mut p, initial) = ppdc_placement::dp_placement(g, &dm, &w, sfc).unwrap();
+        let mut hours = Vec::new();
+        for hour in 1..=trace.model().n_hours {
+            w.set_rates(&trace.rates_at(hour)).unwrap();
+            let (migration_cost, comm_cost, num_migrations) = match cfg.policy {
+                MigrationPolicy::MPareto => {
+                    let out = mpareto(g, &dm, &w, sfc, &p, cfg.mu).unwrap();
+                    p = out.migration;
+                    (out.migration_cost, out.comm_cost, out.num_migrations)
+                }
+                MigrationPolicy::OptimalVnf { budget } => {
+                    let seed = mpareto(g, &dm, &w, sfc, &p, cfg.mu).unwrap();
+                    let out = optimal_migration_with_budget(
+                        g,
+                        &dm,
+                        &w,
+                        sfc,
+                        &p,
+                        cfg.mu,
+                        Some(&seed.migration),
+                        budget,
+                    )
+                    .unwrap();
+                    p = out.migration;
+                    (out.migration_cost, out.comm_cost, out.num_migrations)
+                }
+                MigrationPolicy::Plan { slots, passes } => {
+                    let out = plan_vm_migration(g, &dm, &w, &p, cfg.vm_mu, slots, passes);
+                    w = out.workload;
+                    (out.migration_cost, out.comm_cost, out.num_migrations)
+                }
+                MigrationPolicy::Mcf { slots, candidates } => {
+                    let out =
+                        mcf_vm_migration(g, &dm, &w, &p, cfg.vm_mu, slots, candidates).unwrap();
+                    w = out.workload;
+                    (out.migration_cost, out.comm_cost, out.num_migrations)
+                }
+                MigrationPolicy::NoMigration => (0, comm_cost(&dm, &w, &p), 0),
+            };
+            hours.push(HourRecord {
+                hour,
+                migration_cost,
+                comm_cost,
+                total_cost: migration_cost + comm_cost,
+                num_migrations,
+            });
+        }
+        (initial, hours)
     }
 
     #[test]
     fn all_policies_complete_a_day() {
-        for policy in [
-            MigrationPolicy::MPareto,
-            MigrationPolicy::OptimalVnf { budget: 50_000_000 },
-            MigrationPolicy::Plan {
-                slots: 4,
-                passes: 5,
-            },
-            MigrationPolicy::Mcf {
-                slots: 4,
-                candidates: 8,
-            },
-            MigrationPolicy::NoMigration,
-        ] {
+        for policy in POLICIES {
             let r = run(policy);
             assert_eq!(r.hours.len(), 12, "{policy:?}");
             assert_eq!(
                 r.total_cost,
                 r.hours.iter().map(|h| h.total_cost).sum::<Cost>()
+            );
+            assert_eq!(
+                r.total_migrations,
+                r.hours.iter().map(|h| h.num_migrations).sum::<usize>()
             );
             for rec in &r.hours {
                 assert_eq!(rec.total_cost, rec.migration_cost + rec.comm_cost);
@@ -274,19 +212,7 @@ mod tests {
 
     #[test]
     fn aggregates_are_built_exactly_once_per_day() {
-        for policy in [
-            MigrationPolicy::MPareto,
-            MigrationPolicy::OptimalVnf { budget: 50_000_000 },
-            MigrationPolicy::Plan {
-                slots: 4,
-                passes: 5,
-            },
-            MigrationPolicy::Mcf {
-                slots: 4,
-                candidates: 8,
-            },
-            MigrationPolicy::NoMigration,
-        ] {
+        for policy in POLICIES {
             let r = run(policy);
             assert_eq!(r.aggregate_rebuilds, 1, "{policy:?}");
         }
@@ -294,30 +220,34 @@ mod tests {
 
     #[test]
     fn incremental_aggregates_match_per_hour_rebuilds() {
-        // The simulator's delta-fed loop must reproduce, cost for cost,
-        // the naive flow-level loop that re-solves each hour from scratch.
-        let (ft, dm, w, trace, sfc) = setup();
-        let cfg = SimConfig {
-            mu: 100,
-            vm_mu: 100,
-            policy: MigrationPolicy::MPareto,
-        };
-        let r = simulate(ft.graph(), &dm, &w, &trace, &sfc, &cfg).unwrap();
-        let mut w2 = w.clone();
-        w2.set_rates(&trace.rates_at(0)).unwrap();
-        let (mut p, initial) = ppdc_placement::dp_placement(ft.graph(), &dm, &w2, &sfc).unwrap();
-        assert_eq!(initial, r.initial_cost);
-        for h in 1..=trace.model().n_hours {
-            let w3 = {
-                let mut w3 = w2.clone();
-                w3.set_rates(&trace.rates_at(h)).unwrap();
-                w3
-            };
-            let out = ppdc_migration::mpareto(ft.graph(), &dm, &w3, &sfc, &p, cfg.mu).unwrap();
-            p = out.migration.clone();
-            let rec = &r.hours[(h - 1) as usize];
-            assert_eq!(rec.migration_cost, out.migration_cost, "hour {h}");
-            assert_eq!(rec.comm_cost, out.comm_cost, "hour {h}");
+        // The engine's delta-fed loop, run on an empty fault schedule, must
+        // reproduce cost for cost the naive loop that re-solves each hour
+        // from scratch — for every policy, and for chain lengths 1 and 2
+        // too, whose solves never read the shared metric closure.
+        let ft = FatTree::build(4).unwrap();
+        let (w, trace) = standard_workload(&ft, 12, 99, 0);
+        for n in 1..=5 {
+            let sfc = Sfc::of_len(n).unwrap();
+            for policy in POLICIES {
+                let c = cfg(policy);
+                let r = day(ft.graph(), &w, &trace, &sfc, &c);
+                let (initial, hours) = naive_day(ft.graph(), &w, &trace, &sfc, &c);
+                assert_eq!(r.initial_cost, initial, "n={n} {policy:?}");
+                assert_eq!(r.hours, hours, "n={n} {policy:?}");
+                assert_eq!(
+                    r.total_cost,
+                    hours.iter().map(|h| h.total_cost).sum::<Cost>()
+                );
+                assert_eq!(r.aggregate_rebuilds, 1);
+                assert_eq!(r.blackout_hours, 0);
+                assert_eq!(r.recovery_migrations, 0);
+                assert!(r.degraded.iter().all(|d| d.stranded_flows == 0
+                    && d.stranded_rate == 0
+                    && d.reroute_cost == 0
+                    && !d.blackout
+                    && d.provenance == HourProvenance::Exact
+                    && d.recovery_migrations == 0));
+            }
         }
     }
 
@@ -353,7 +283,6 @@ mod tests {
     fn deterministic() {
         let a = run(MigrationPolicy::MPareto);
         let b = run(MigrationPolicy::MPareto);
-        assert_eq!(a.total_cost, b.total_cost);
-        assert_eq!(a.total_migrations, b.total_migrations);
+        assert_eq!(a, b);
     }
 }

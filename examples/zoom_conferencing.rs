@@ -15,13 +15,12 @@
 //! ```
 
 use ppdc::model::Sfc;
-use ppdc::sim::{simulate, MigrationPolicy, SimConfig, Table};
-use ppdc::topology::{DistanceMatrix, FatTree};
+use ppdc::sim::{run_day, EngineConfig, FaultSchedule, MigrationPolicy, SimConfig, Table};
+use ppdc::topology::FatTree;
 use ppdc::traffic::standard_workload;
 
 fn main() {
     let ft = FatTree::build(8).expect("k = 8 fat-tree");
-    let dm = DistanceMatrix::build(ft.graph());
     println!(
         "fabric: k=8 fat-tree — {} hosts, {} switches",
         ft.graph().num_hosts(),
@@ -43,8 +42,23 @@ fn main() {
         vm_mu: mu,
         policy: MigrationPolicy::NoMigration,
     };
-    let a = simulate(ft.graph(), &dm, &w, &trace, &sfc, &adaptive).expect("day simulates");
-    let b = simulate(ft.graph(), &dm, &w, &trace, &sfc, &frozen).expect("day simulates");
+    // A healthy fabric: the day's fault schedule is empty.
+    let schedule = FaultSchedule::new(vec![], trace.model().n_hours).expect("no events to reject");
+    let day = |cfg: &SimConfig| {
+        run_day(
+            ft.graph(),
+            &w,
+            &trace,
+            &sfc,
+            cfg,
+            &schedule,
+            &EngineConfig::default(),
+        )
+        .expect("day simulates")
+        .result
+    };
+    let a = day(&adaptive);
+    let b = day(&frozen);
 
     let mut table = Table::new(
         "one simulated day (6AM–6PM)",

@@ -1,16 +1,34 @@
 //! Cross-crate integration: full PPDC lifetimes on generated workloads.
 
 use ppdc::migration::{mcf_vm_migration, mpareto, plan_vm_migration};
-use ppdc::model::{comm_cost, total_cost, Placement, Sfc};
+use ppdc::model::{comm_cost, total_cost, Placement, Sfc, Workload};
 use ppdc::placement::{dp_placement, greedy_placement, steering_placement};
-use ppdc::sim::{simulate, summarize, MigrationPolicy, SimConfig};
-use ppdc::topology::{DistanceMatrix, FatTree};
-use ppdc::traffic::standard_workload;
+use ppdc::sim::{
+    run_day, summarize, EngineConfig, FaultSchedule, FaultSimResult, MigrationPolicy, SimConfig,
+};
+use ppdc::topology::{DistanceMatrix, FatTree, Graph};
+use ppdc::traffic::{standard_workload, DynamicTrace};
+
+/// One day on a healthy fabric (empty fault schedule), every hour solved
+/// exactly: an Optimal hour that ran out of budget fails the test.
+fn healthy_day(
+    g: &Graph,
+    w: &Workload,
+    trace: &DynamicTrace,
+    sfc: &Sfc,
+    cfg: &SimConfig,
+) -> FaultSimResult {
+    let schedule = FaultSchedule::new(vec![], trace.model().n_hours).unwrap();
+    let r = run_day(g, w, trace, sfc, cfg, &schedule, &EngineConfig::default())
+        .unwrap()
+        .result;
+    assert!(r.degraded.iter().all(|d| !d.degraded_solver), "{cfg:?}");
+    r
+}
 
 #[test]
 fn full_day_invariants_all_policies() {
     let ft = FatTree::build(4).unwrap();
-    let dm = DistanceMatrix::build(ft.graph());
     let (w, trace) = standard_workload(&ft, 14, 31, 0);
     let sfc = Sfc::of_len(4).unwrap();
     for policy in [
@@ -31,7 +49,7 @@ fn full_day_invariants_all_policies() {
             vm_mu: 50,
             policy,
         };
-        let r = simulate(ft.graph(), &dm, &w, &trace, &sfc, &cfg).unwrap();
+        let r = healthy_day(ft.graph(), &w, &trace, &sfc, &cfg);
         assert_eq!(r.hours.len(), 12);
         assert_eq!(
             r.total_cost,
@@ -49,7 +67,6 @@ fn full_day_invariants_all_policies() {
 fn policy_ordering_over_a_day() {
     // Optimal ≤ mPareto ≤ NoMigration in day totals (the Fig. 11(a) order).
     let ft = FatTree::build(4).unwrap();
-    let dm = DistanceMatrix::build(ft.graph());
     let mut totals = vec![];
     for run in 0..3u64 {
         let (w, trace) = standard_workload(&ft, 10, 77, run);
@@ -60,9 +77,7 @@ fn policy_ordering_over_a_day() {
                 vm_mu: 20,
                 policy,
             };
-            simulate(ft.graph(), &dm, &w, &trace, &sfc, &cfg)
-                .unwrap()
-                .total_cost
+            healthy_day(ft.graph(), &w, &trace, &sfc, &cfg).total_cost
         };
         let opt = day(MigrationPolicy::OptimalVnf {
             budget: 100_000_000,
@@ -147,7 +162,6 @@ fn migration_outcome_matches_eq8_accounting() {
 #[test]
 fn deterministic_end_to_end() {
     let ft = FatTree::build(4).unwrap();
-    let dm = DistanceMatrix::build(ft.graph());
     let run = |seed| {
         let (w, trace) = standard_workload(&ft, 9, seed, 0);
         let sfc = Sfc::of_len(3).unwrap();
@@ -156,9 +170,7 @@ fn deterministic_end_to_end() {
             vm_mu: 100,
             policy: MigrationPolicy::MPareto,
         };
-        simulate(ft.graph(), &dm, &w, &trace, &sfc, &cfg)
-            .unwrap()
-            .total_cost
+        healthy_day(ft.graph(), &w, &trace, &sfc, &cfg).total_cost
     };
     assert_eq!(run(42), run(42));
     assert_ne!(run(42), run(43), "different seeds diverge");
