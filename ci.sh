@@ -1,14 +1,25 @@
 #!/usr/bin/env bash
 # Local CI gate. Mirrors what reviewers run before merging:
 #
-#   1. formatting      — cargo fmt --check over the whole workspace
-#   2. lints           — clippy with warnings denied, all targets
-#   3. project lints   — ppdc-analyzer over the whole workspace
-#   4. tier-1 verify   — release build + full test suite
-#   5. contracts       — solver tests with strict-invariants enabled
+#   1. formatting       — cargo fmt --check over the whole workspace
+#   2. lints            — clippy with warnings denied, all targets; the
+#                         crate-level denies in each lib.rs (no printing,
+#                         no discarded values, no bare casts in the cost
+#                         crates) are enforced here
+#   3. gated lints      — clippy again over the strict-invariants code
+#   4. project lints    — ppdc-analyzer over the whole workspace
+#                         (baseline-capped allows, 10 s budget)
+#   5. tier-1 verify    — release build + full test suite
+#   6. contracts        — solver tests with strict-invariants enabled
+#   7. proptests        — at PROPTEST_CASES=256
+#   8. smokes           — failure sweep with metrics export, fault-free
+#                         day, metrics schema check, k=32 oracle, chaos,
+#                         1M-flow stream day, churned stream day
+#   9. bench smoke      — one pass of the bench groups, appended to the
+#                         BENCH_placement.json trajectory
 #
 # The bench crate (ppdc-bench) is outside the workspace default-members,
-# so steps 3's plain `cargo build`/`cargo test` skip it; clippy still
+# so step 5's plain `cargo build`/`cargo test` skip it; clippy still
 # covers it via --workspace so bench code cannot rot. Everything here is
 # fully offline — all third-party dependencies are vendored stand-ins.
 set -euo pipefail
@@ -19,6 +30,11 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Clippy only sees compiled code: lint the feature-gated contracts too.
+echo "==> cargo clippy (strict-invariants feature) -- -D warnings"
+cargo clippy -p ppdc-topology -p ppdc-placement -p ppdc-migration --all-targets \
+    --features strict-invariants -- -D warnings
 
 echo "==> ppdc-analyzer --workspace (project-specific lints, baseline-capped, 10s budget)"
 mkdir -p target

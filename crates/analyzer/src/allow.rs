@@ -226,15 +226,20 @@ mod tests {
 
     #[test]
     fn unknown_rule_is_a_violation() {
-        let (allows, bad) = run("// analyzer:allow(no-such-rule) -- because\nlet x = 1;");
-        assert!(allows.is_empty());
-        assert_eq!(bad.len(), 1);
-        assert!(bad[0].message.contains("unknown rule"));
+        // Retired rules (now clippy denies) are unknown too: a leftover
+        // directive fails the run instead of counting toward the baseline.
+        for rule in ["no-such-rule", "lossy-cast", "no-print", "discarded-result"] {
+            let (allows, bad) = run(&format!("// analyzer:allow({rule}) -- because\nlet x = 1;"));
+            assert!(allows.is_empty(), "{rule}");
+            assert_eq!(bad.len(), 1, "{rule}");
+            assert_eq!(bad[0].rule, "bad-allow", "{rule}");
+            assert!(bad[0].message.contains("unknown rule"), "{rule}");
+        }
     }
 
     #[test]
     fn stacked_allows_cover_the_same_line() {
-        let src = "// analyzer:allow(no-panic) -- a\n// analyzer:allow(lossy-cast) -- b\nlet x = y.unwrap() as u64;";
+        let src = "// analyzer:allow(no-panic) -- a\n// analyzer:allow(raw-cost-arith) -- b\nlet x = y.unwrap() + INFINITY;";
         let (allows, bad) = run(src);
         assert!(bad.is_empty());
         assert_eq!(allows.len(), 2);
@@ -252,7 +257,11 @@ mod tests {
             target_line: 3,
         }];
         let (kept, n, used) = apply_allows(
-            vec![mk("no-panic", 3), mk("no-panic", 4), mk("lossy-cast", 3)],
+            vec![
+                mk("no-panic", 3),
+                mk("no-panic", 4),
+                mk("raw-cost-arith", 3),
+            ],
             &allows,
         );
         assert_eq!(n, 1);

@@ -10,6 +10,7 @@
 //! violations and fail the run outright.
 
 use crate::report::Report;
+use ppdc_obs::json::parse;
 
 /// The committed baseline document.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,17 +30,24 @@ impl Baseline {
         format!("{{\"allows\":{}}}\n", self.allows)
     }
 
-    /// Parses the committed form (whitespace-tolerant, key order fixed).
+    /// Parses the committed form: a JSON object whose only key is
+    /// `allows`, a non-negative integer.
     pub fn from_json(src: &str) -> Result<Baseline, String> {
-        let compact: String = src.chars().filter(|c| !c.is_whitespace()).collect();
-        let inner = compact
-            .strip_prefix("{\"allows\":")
-            .and_then(|r| r.strip_suffix('}'))
+        let doc = parse(src).map_err(|e| e.to_string())?;
+        let obj = doc
+            .as_obj()
             .ok_or_else(|| "expected `{\"allows\": <n>}`".to_string())?;
-        let allows: usize = inner
-            .parse()
-            .map_err(|e| format!("bad allow count `{inner}`: {e}"))?;
-        Ok(Baseline { allows })
+        if let Some(key) = obj.keys().find(|k| *k != "allows") {
+            return Err(format!("unknown key `{key}`"));
+        }
+        let allows = obj
+            .get("allows")
+            .ok_or_else(|| "missing `allows`".to_string())?;
+        allows
+            .as_u64()
+            .and_then(|n| usize::try_from(n).ok())
+            .map(|allows| Baseline { allows })
+            .ok_or_else(|| format!("bad allow count `{allows:?}`"))
     }
 
     /// Checks a report against the cap: `Err` explains the regression.
@@ -72,7 +80,15 @@ mod tests {
 
     #[test]
     fn rejects_malformed_documents() {
-        for doc in ["", "{}", "{\"allows\":}", "{\"allows\":-1}", "[3]"] {
+        for doc in [
+            "",
+            "{}",
+            "{\"allows\":}",
+            "{\"allows\":-1}",
+            "[3]",
+            "{\"allows\":+5}",
+            "{\"allows\":5,\"extra\":1}",
+        ] {
             assert!(Baseline::from_json(doc).is_err(), "{doc:?}");
         }
     }

@@ -1,14 +1,14 @@
-//! Minimal JSON codec for [`Report`].
+//! JSON writer for [`Report`].
 //!
 //! The workspace's vendored serde is a marker-trait stand-in (no registry
-//! access in the build environment), so the wire format is implemented
-//! here by hand against the exact `Report` schema: a writer with full
-//! string escaping and a recursive-descent reader strict enough that
-//! `from_json(to_json(r)) == r` for every report — the round-trip the
-//! fixture suite asserts. Unknown keys are rejected, which keeps the
-//! schema honest for external consumers (CI annotators, editors).
+//! access in the build environment), so the wire format is written here by
+//! hand against the exact `Report` schema, escaping strings with
+//! [`ppdc_obs::json::escape`]. Consumers (CI annotators, editors, the
+//! fixture suite's schema round-trip) read it back with
+//! [`ppdc_obs::json::parse`], the codec checkpoints and metrics share.
 
-use crate::report::{Report, Violation};
+use crate::report::Report;
+use ppdc_obs::json::escape;
 
 /// Serializes a report to a deterministic, pretty-stable JSON document.
 pub fn to_json(r: &Report) -> String {
@@ -20,16 +20,17 @@ pub fn to_json(r: &Report) -> String {
         let chain = v
             .chain
             .iter()
-            .map(|f| quote(f))
+            .map(|f| format!("\"{}\"", escape(f)))
             .collect::<Vec<_>>()
             .join(",");
         s.push_str(&format!(
-            "{{\"rule\":{},\"file\":{},\"line\":{},\"message\":{},\"snippet\":{},\"chain\":[{}]}}",
-            quote(&v.rule),
-            quote(&v.file),
+            "{{\"rule\":\"{}\",\"file\":\"{}\",\"line\":{},\"message\":\"{}\",\"snippet\":\"{}\",\
+             \"chain\":[{}]}}",
+            escape(&v.rule),
+            escape(&v.file),
             v.line,
-            quote(&v.message),
-            quote(&v.snippet),
+            escape(&v.message),
+            escape(&v.snippet),
             chain
         ));
     }
@@ -40,255 +41,12 @@ pub fn to_json(r: &Report) -> String {
     s
 }
 
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Parse error: what was expected and at which byte offset it failed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JsonError {
-    pub expected: &'static str,
-    pub offset: usize,
-}
-
-impl std::fmt::Display for JsonError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "expected {} at byte {}", self.expected, self.offset)
-    }
-}
-
-impl std::error::Error for JsonError {}
-
-/// Deserializes a report previously produced by [`to_json`].
-pub fn from_json(src: &str) -> Result<Report, JsonError> {
-    let mut p = Parser {
-        b: src.as_bytes(),
-        i: 0,
-    };
-    let r = p.report()?;
-    p.ws();
-    if p.i != p.b.len() {
-        return Err(p.err("end of input"));
-    }
-    Ok(r)
-}
-
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, expected: &'static str) -> JsonError {
-        JsonError {
-            expected,
-            offset: self.i,
-        }
-    }
-
-    fn ws(&mut self) {
-        while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, c: u8, what: &'static str) -> Result<(), JsonError> {
-        self.ws();
-        if self.i < self.b.len() && self.b[self.i] == c {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(self.err(what))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.ws();
-        self.b.get(self.i).copied()
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.eat(b'"', "string")?;
-        let mut out = String::new();
-        loop {
-            let c = *self.b.get(self.i).ok_or(self.err("closing quote"))?;
-            self.i += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let e = *self.b.get(self.i).ok_or(self.err("escape"))?;
-                    self.i += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .b
-                                .get(self.i..self.i + 4)
-                                .ok_or(self.err("4 hex digits"))?;
-                            let hex =
-                                std::str::from_utf8(hex).map_err(|_| self.err("hex digits"))?;
-                            let v =
-                                u32::from_str_radix(hex, 16).map_err(|_| self.err("hex digits"))?;
-                            out.push(char::from_u32(v).ok_or(self.err("scalar value"))?);
-                            self.i += 4;
-                        }
-                        _ => return Err(self.err("known escape")),
-                    }
-                }
-                c => {
-                    // Re-sync to char boundary for multi-byte UTF-8.
-                    let start = self.i - 1;
-                    let len = utf8_len(c);
-                    let end = start + len;
-                    let chunk = self.b.get(start..end).ok_or(self.err("utf8"))?;
-                    let s = std::str::from_utf8(chunk).map_err(|_| self.err("utf8"))?;
-                    out.push_str(s);
-                    self.i = end;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<u64, JsonError> {
-        self.ws();
-        let start = self.i;
-        while self.i < self.b.len() && self.b[self.i].is_ascii_digit() {
-            self.i += 1;
-        }
-        if start == self.i {
-            return Err(self.err("number"));
-        }
-        std::str::from_utf8(&self.b[start..self.i])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or(self.err("u64"))
-    }
-
-    fn violation(&mut self) -> Result<Violation, JsonError> {
-        self.eat(b'{', "violation object")?;
-        let mut v = Violation::new("", "", 0, String::new(), String::new());
-        loop {
-            let key = self.string()?;
-            self.eat(b':', "colon")?;
-            match key.as_str() {
-                "rule" => v.rule = self.string()?,
-                "file" => v.file = self.string()?,
-                "line" => {
-                    v.line = u32::try_from(self.number()?).map_err(|_| self.err("u32 line"))?
-                }
-                "message" => v.message = self.string()?,
-                "snippet" => v.snippet = self.string()?,
-                "chain" => {
-                    self.eat(b'[', "chain array")?;
-                    if self.peek() == Some(b']') {
-                        self.i += 1;
-                    } else {
-                        loop {
-                            v.chain.push(self.string()?);
-                            match self.peek() {
-                                Some(b',') => self.i += 1,
-                                Some(b']') => {
-                                    self.i += 1;
-                                    break;
-                                }
-                                _ => return Err(self.err("comma or array close")),
-                            }
-                        }
-                    }
-                }
-                _ => return Err(self.err("known violation key")),
-            }
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(v);
-                }
-                _ => return Err(self.err("comma or close")),
-            }
-        }
-    }
-
-    fn report(&mut self) -> Result<Report, JsonError> {
-        self.eat(b'{', "report object")?;
-        let mut r = Report::default();
-        loop {
-            let key = self.string()?;
-            self.eat(b':', "colon")?;
-            match key.as_str() {
-                "violations" => {
-                    self.eat(b'[', "violations array")?;
-                    if self.peek() == Some(b']') {
-                        self.i += 1;
-                    } else {
-                        loop {
-                            r.violations.push(self.violation()?);
-                            match self.peek() {
-                                Some(b',') => self.i += 1,
-                                Some(b']') => {
-                                    self.i += 1;
-                                    break;
-                                }
-                                _ => return Err(self.err("comma or array close")),
-                            }
-                        }
-                    }
-                }
-                "files_scanned" => {
-                    r.files_scanned =
-                        usize::try_from(self.number()?).map_err(|_| self.err("usize"))?
-                }
-                "suppressed" => {
-                    r.suppressed = usize::try_from(self.number()?).map_err(|_| self.err("usize"))?
-                }
-                "allows" => {
-                    r.allows = usize::try_from(self.number()?).map_err(|_| self.err("usize"))?
-                }
-                _ => return Err(self.err("known report key")),
-            }
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(r);
-                }
-                _ => return Err(self.err("comma or object close")),
-            }
-        }
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::Violation;
+    use ppdc_obs::json::{parse, Value};
+    use std::collections::BTreeMap;
 
     fn sample() -> Report {
         Report {
@@ -298,11 +56,11 @@ mod tests {
                     "emit (crates/sim/src/lib.rs:40)".into(),
                 ],
                 ..Violation::new(
-                    "no-print",
+                    "no-panic",
                     "crates/sim/src/lib.rs",
                     42,
-                    "`println!` in library code — \"telemetry structs only\"".into(),
-                    "println!(\"x = {}\\n\", x);".into(),
+                    "`.unwrap()` reachable from `run_day` — \"typed errors only\"".into(),
+                    "let v = x.unwrap(); // \"x\\n\"".into(),
                 )
             }],
             files_scanned: 17,
@@ -311,43 +69,115 @@ mod tests {
         }
     }
 
+    /// Reads a report back through the shared codec, holding the
+    /// document to the schema's closed key sets.
+    fn decode(doc: &str) -> Option<Report> {
+        fn closed<'a>(v: &'a Value, keys: &[&str]) -> Option<&'a BTreeMap<String, Value>> {
+            let m = v.as_obj()?;
+            (m.len() == keys.len() && keys.iter().all(|k| m.contains_key(*k))).then_some(m)
+        }
+        let str_of = |m: &BTreeMap<String, Value>, k: &str| Some(m.get(k)?.as_str()?.to_string());
+        let num_of = |m: &BTreeMap<String, Value>, k: &str| m.get(k)?.as_u64();
+        let top = parse(doc).ok()?;
+        let top = closed(
+            &top,
+            &["violations", "files_scanned", "suppressed", "allows"],
+        )?;
+        let mut violations = Vec::new();
+        for v in top.get("violations")?.as_arr()? {
+            let v = closed(v, &["rule", "file", "line", "message", "snippet", "chain"])?;
+            let chain = v.get("chain")?.as_arr()?;
+            violations.push(Violation {
+                rule: str_of(v, "rule")?,
+                file: str_of(v, "file")?,
+                line: u32::try_from(num_of(v, "line")?).ok()?,
+                message: str_of(v, "message")?,
+                snippet: str_of(v, "snippet")?,
+                chain: chain
+                    .iter()
+                    .map(|f| Some(f.as_str()?.to_string()))
+                    .collect::<Option<_>>()?,
+            });
+        }
+        Some(Report {
+            violations,
+            files_scanned: usize::try_from(num_of(top, "files_scanned")?).ok()?,
+            suppressed: usize::try_from(num_of(top, "suppressed")?).ok()?,
+            allows: usize::try_from(num_of(top, "allows")?).ok()?,
+        })
+    }
+
     #[test]
     fn round_trip_is_identity() {
         let r = sample();
-        assert_eq!(from_json(&to_json(&r)).unwrap(), r);
+        assert_eq!(decode(&to_json(&r)), Some(r));
     }
 
     #[test]
     fn empty_report_round_trips() {
         let r = Report::default();
-        assert_eq!(from_json(&to_json(&r)).unwrap(), r);
+        assert_eq!(decode(&to_json(&r)), Some(r));
     }
 
     #[test]
     fn escapes_survive() {
         let mut r = sample();
-        r.violations[0].snippet = "tab\there \"quoted\" back\\slash\nnewline \u{1}ctl €".into();
-        assert_eq!(from_json(&to_json(&r)).unwrap(), r);
+        r.violations[0].snippet =
+            "tab\there \"quoted\" back\\slash\nnewline \u{1}ctl € ≤\tΣ→\"🦀\"".into();
+        assert_eq!(decode(&to_json(&r)), Some(r));
+    }
+
+    #[test]
+    fn writes_the_pinned_wire_format() {
+        // Byte-for-byte the document the analyzer has always written.
+        let r = Report {
+            violations: vec![
+                Violation {
+                    chain: vec![
+                        "run_day (crates/sim/src/fault.rs:662)".into(),
+                        "tab\there → \"q\"".into(),
+                    ],
+                    ..Violation::new(
+                        "no-panic",
+                        "crates/sim/src/lib.rs",
+                        42,
+                        "`.unwrap()` — \"x\" ≤ Σ\\".into(),
+                        "let y = 1;\r\n\u{1}🦀".into(),
+                    )
+                },
+                Violation::new("stale-allow", "src/lib.rs", 7, String::new(), String::new()),
+            ],
+            files_scanned: 17,
+            suppressed: 3,
+            allows: 5,
+        };
+        assert_eq!(
+            to_json(&r),
+            r#"{"violations":[{"rule":"no-panic","file":"crates/sim/src/lib.rs","line":42,"message":"`.unwrap()` — \"x\" ≤ Σ\\","snippet":"let y = 1;\r\n\u0001🦀","chain":["run_day (crates/sim/src/fault.rs:662)","tab\there → \"q\""]},{"rule":"stale-allow","file":"src/lib.rs","line":7,"message":"","snippet":"","chain":[]}],"files_scanned":17,"suppressed":3,"allows":5}"#
+        );
     }
 
     #[test]
     fn unknown_keys_are_rejected() {
-        let doc = "{\"violations\":[],\"files_scanned\":1,\"suppressed\":0,\"extra\":1}";
-        assert!(from_json(doc).is_err());
+        let doc =
+            "{\"violations\":[],\"files_scanned\":1,\"suppressed\":0,\"allows\":0,\"extra\":1}";
+        assert!(parse(doc).is_ok());
+        assert_eq!(decode(doc), None, "the schema's key set is closed");
     }
 
     #[test]
     fn empty_chain_round_trips() {
         let mut r = sample();
         r.violations[0].chain.clear();
-        assert_eq!(from_json(&to_json(&r)).unwrap(), r);
+        assert_eq!(decode(&to_json(&r)), Some(r));
     }
 
     #[test]
     fn truncated_documents_are_rejected() {
         let full = to_json(&sample());
         for cut in [1, full.len() / 2, full.len() - 1] {
-            assert!(from_json(&full[..cut]).is_err(), "cut at {cut}");
+            let cut = (cut..).find(|&c| full.is_char_boundary(c)).unwrap_or(cut);
+            assert!(parse(&full[..cut]).is_err(), "cut at {cut}");
         }
     }
 }

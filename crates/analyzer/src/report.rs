@@ -1,20 +1,20 @@
 //! Violation and report types, with human (diff-style) rendering.
 //!
-//! The machine-readable JSON codec lives in [`crate::json`]; the structs
+//! The machine-readable JSON writer lives in [`crate::json`]; the structs
 //! here carry the workspace `Serialize`/`Deserialize` derives so the
 //! schema is declared where the data is (the vendored serde stand-in is
-//! marker-only, so the actual byte codec is the hand-rolled one — see
-//! `json.rs` for the round-trip guarantee tests).
+//! marker-only, so the bytes are written by hand — see `json.rs` for the
+//! round-trip tests through `ppdc_obs::json`).
 
 use serde::{Deserialize, Serialize};
 
 /// One rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Violation {
-    /// Rule id (`no-panic`, `lossy-cast`, `raw-cost-arith`,
-    /// `nondeterminism`, `no-print`, the determinism/concurrency pack
-    /// (`hash-iter`, `reduce-order`, `relaxed-atomic`, `float-sort`,
-    /// `discarded-result`), or the meta-rules `bad-allow`/`stale-allow`).
+    /// Rule id (`no-panic`, `raw-cost-arith`, `nondeterminism`, the
+    /// determinism/concurrency pack (`hash-iter`, `reduce-order`,
+    /// `relaxed-atomic`, `float-sort`), or the meta-rules
+    /// `bad-allow`/`stale-allow`).
     pub rule: String,
     /// Workspace-relative path of the offending file.
     pub file: String,
@@ -118,11 +118,11 @@ mod tests {
                     )
                 },
                 Violation::new(
-                    "lossy-cast",
+                    "raw-cost-arith",
                     "crates/a/src/lib.rs",
                     3,
-                    "bare `as` cast".into(),
-                    "let y = z as u32;".into(),
+                    "raw `+` on the INFINITY sentinel".into(),
+                    "let y = z + INFINITY;".into(),
                 ),
             ],
             files_scanned: 2,

@@ -3,17 +3,12 @@
 //! Each rule captures an invariant the paper's guarantees lean on and the
 //! compiler cannot see (see DESIGN.md §6b):
 //!
-//! * `lossy-cast` — crates doing `Cost`/`NodeId` arithmetic may not use
-//!   bare `as` numeric casts; `try_from`/checked/saturating helpers only
-//!   (the PR 1 review's `i128→Cost` truncation class).
 //! * `raw-cost-arith` — the `INFINITY` sentinel may never be an operand
 //!   of raw `+`/`-`/`*`; saturating helpers (`sat_add`/`sat_mul`) keep it
 //!   a fixed point so it cannot overflow (the PR 2 PLAN/MCF class).
 //! * `nondeterminism` — simulation/traffic/experiment library code uses
 //!   seeded RNG only: no `SystemTime`, `Instant::now`, `thread_rng`
 //!   (seeded runs must be bit-reproducible).
-//! * `no-print` — library crates return telemetry structs; stdout/stderr
-//!   belong to binaries.
 //!
 //! The determinism/concurrency pack (v2, syntax-aware via
 //! [`crate::syntax::match_open`] token trees):
@@ -31,12 +26,15 @@
 //! * `float-sort` — `partial_cmp` (or raw `<`/`>` with floats in play)
 //!   inside sort/min/max comparators: NaN makes the order partial, so
 //!   sorts are input-order-dependent; `total_cmp` is the fix.
-//! * `discarded-result` — `let _ =` and statement-final `.ok()` silence
-//!   `Result`s in library code; handle, propagate, or name the binding.
 //!
 //! `no-panic` lives in [`crate::callgraph`] as a whole-workspace
 //! reachability analysis (it needs cross-file call chains); the meta-rules
 //! `bad-allow` / `stale-allow` live in the suppression layer.
+//!
+//! Checks clippy already makes are crate-level denies instead of rules
+//! here (DESIGN.md §6): bare casts (`clippy::as_conversions` in the cost
+//! crates), printing (`print_stdout`/`print_stderr`/`dbg_macro`) and
+//! discarded values (`let_underscore_untyped`/`unused_result_ok`).
 //!
 //! `assert!`/`debug_assert!` are deliberately *not* flagged: they are the
 //! sanctioned contract mechanism (the `strict-invariants` feature).
@@ -62,20 +60,12 @@ pub const RULES: &[RuleInfo] = &[
                   entrypoint (call-graph analysis; diagnostics carry the call chain)",
     },
     RuleInfo {
-        id: "lossy-cast",
-        summary: "no bare `as` numeric casts in Cost/NodeId-arithmetic crates",
-    },
-    RuleInfo {
         id: "raw-cost-arith",
         summary: "no raw +/-/* on the INFINITY cost sentinel (use sat_add/sat_mul)",
     },
     RuleInfo {
         id: "nondeterminism",
         summary: "no SystemTime/Instant::now/thread_rng in sim/traffic/experiments library code",
-    },
-    RuleInfo {
-        id: "no-print",
-        summary: "no println!/eprintln!/dbg! in library crates (binaries exempt)",
     },
     RuleInfo {
         id: "hash-iter",
@@ -97,10 +87,6 @@ pub const RULES: &[RuleInfo] = &[
         summary: "no partial_cmp or raw </> on floats in sort/min/max comparators (use \
                   total_cmp for a total, deterministic order)",
     },
-    RuleInfo {
-        id: "discarded-result",
-        summary: "no `let _ =` / statement-final `.ok()` discarding Results in library code",
-    },
 ];
 
 /// True if `id` names a known rule (including the meta-rules).
@@ -112,20 +98,8 @@ pub fn is_known_rule(id: &str) -> bool {
 /// scope for the concurrency/determinism rules.
 const SOLVER_CRATES: &[&str] = &["stroll", "placement", "migration", "mcflow"];
 
-/// Crates whose arithmetic touches `Cost`/`NodeId` and therefore may not
-/// use bare `as` casts. `sim`/`traffic`/`experiments` convert freely to
-/// `f64` for statistics and are deliberately out of scope.
-const COST_CRATES: &[&str] = &[
-    "topology",
-    "model",
-    "stroll",
-    "placement",
-    "migration",
-    "mcflow",
-];
-
-/// Crates where the `INFINITY` sentinel circulates; `sim` handles
-/// degraded-fabric costs, so it is included on top of [`COST_CRATES`].
+/// Crates where the `INFINITY` sentinel circulates: the `Cost`/`NodeId`
+/// arithmetic crates plus `sim`, which handles degraded-fabric costs.
 const SENTINEL_CRATES: &[&str] = &[
     "topology",
     "model",
@@ -143,13 +117,6 @@ const SENTINEL_EXEMPT_FILES: &[&str] =
 
 /// Crates whose library code must be deterministic under a fixed seed.
 const DETERMINISTIC_CRATES: &[&str] = &["sim", "traffic", "experiments"];
-
-const NUMERIC_TYPES: &[&str] = &[
-    "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize", "f32",
-    "f64", "Cost",
-];
-
-const PRINT_MACROS: &[&str] = &["println", "eprintln", "print", "eprint", "dbg"];
 
 /// Crates where `Ordering::Relaxed` is suspect: atomics in solver/sim
 /// code gate pruning and engine decisions across threads. `ppdc-obs`'s
@@ -192,7 +159,7 @@ pub struct FileCtx {
     /// The crate's directory name under `crates/` (the root package is
     /// `"ppdc"`).
     pub crate_name: String,
-    /// `main.rs` / `src/bin/*` — exempt from `nondeterminism`/`no-print`.
+    /// `main.rs` / `src/bin/*` — exempt from `nondeterminism`/`hash-iter`.
     pub is_binary: bool,
 }
 
@@ -248,16 +215,13 @@ pub fn check_tokens(ctx: &FileCtx, toks: &[Tok], src: &str) -> Vec<Violation> {
         ));
     };
 
-    let cost = COST_CRATES.contains(&ctx.crate_name.as_str());
     let sentinel = SENTINEL_CRATES.contains(&ctx.crate_name.as_str())
         && !SENTINEL_EXEMPT_FILES.contains(&ctx.path.as_str());
     let deterministic = DETERMINISTIC_CRATES.contains(&ctx.crate_name.as_str()) && !ctx.is_binary;
-    let printable = !ctx.is_binary;
     let hashy = (SOLVER_CRATES.contains(&ctx.crate_name.as_str())
         || DETERMINISTIC_CRATES.contains(&ctx.crate_name.as_str()))
         && !ctx.is_binary;
     let atomic = ATOMIC_CRATES.contains(&ctx.crate_name.as_str());
-    let discard = !ctx.is_binary;
 
     for (k, &i) in code.iter().enumerate() {
         if in_test[i] {
@@ -277,22 +241,6 @@ pub fn check_tokens(ctx: &FileCtx, toks: &[Tok], src: &str) -> Vec<Violation> {
             let prev_is =
                 |s: &str| matches!(prev, Some(p) if p.kind == TokKind::Punct && p.text == s);
 
-            if cost && id == "as" {
-                if let Some(n) = next {
-                    if n.kind == TokKind::Ident && NUMERIC_TYPES.contains(&n.text.as_str()) {
-                        push(
-                            "lossy-cast",
-                            t.line,
-                            format!(
-                                "bare `as {}` cast in a Cost/NodeId-arithmetic crate — use \
-                                 `try_from`/checked/saturating helpers",
-                                n.text
-                            ),
-                        );
-                    }
-                }
-            }
-
             if deterministic
                 && (id == "SystemTime"
                     || id == "thread_rng"
@@ -304,14 +252,6 @@ pub fn check_tokens(ctx: &FileCtx, toks: &[Tok], src: &str) -> Vec<Violation> {
                     "nondeterminism",
                     t.line,
                     format!("`{id}` in library code — seeded RNG / simulated clocks only"),
-                );
-            }
-
-            if printable && PRINT_MACROS.contains(&id) && next_is("!") {
-                push(
-                    "no-print",
-                    t.line,
-                    format!("`{id}!` in library code — emit telemetry structs, print in binaries"),
                 );
             }
 
@@ -359,35 +299,6 @@ pub fn check_tokens(ctx: &FileCtx, toks: &[Tok], src: &str) -> Vec<Violation> {
                      decisions (incumbent bounds, engine state); use Acquire/Release or stronger"
                         .to_string(),
                 );
-            }
-
-            if discard {
-                if id == "let"
-                    && matches!(next, Some(n) if n.kind == TokKind::Ident && n.text == "_")
-                    && matches!(next2, Some(n) if n.kind == TokKind::Punct && n.text == "=")
-                {
-                    push(
-                        "discarded-result",
-                        t.line,
-                        "`let _ =` discards a value (often a Result) in library code — handle \
-                         it, propagate with `?`, or name the binding to explain the drop"
-                            .to_string(),
-                    );
-                }
-                if id == "ok"
-                    && prev_is(".")
-                    && next_is("(")
-                    && matches!(next2, Some(n) if n.kind == TokKind::Punct && n.text == ")")
-                    && matches!(next3, Some(n) if n.kind == TokKind::Punct && n.text == ";")
-                {
-                    push(
-                        "discarded-result",
-                        t.line,
-                        "statement-final `.ok()` silences a Result in library code — handle \
-                         it, propagate with `?`, or log the failure"
-                            .to_string(),
-                    );
-                }
             }
 
             if (id == "reduce" || id == "fold") && prev_is(".") && next_is("(") {
@@ -592,16 +503,6 @@ mod tests {
     }
 
     #[test]
-    fn cast_rule_scopes_to_cost_crates() {
-        let src = "fn f(x: i128) -> u64 { x as u64 }";
-        assert_eq!(
-            rules_hit("crates/placement/src/dp.rs", src),
-            vec!["lossy-cast"]
-        );
-        assert!(rules_hit("crates/sim/src/stats.rs", src).is_empty());
-    }
-
-    #[test]
     fn sentinel_arith_flags_adjacent_ops_only() {
         let hot = "fn f(a: u64) -> u64 { a + INFINITY }";
         let cold = "fn f(n: usize) -> Vec<u64> { vec![INFINITY; n * n] }";
@@ -623,20 +524,9 @@ mod tests {
     }
 
     #[test]
-    fn print_rule_exempts_binaries_and_tests() {
-        let src = "fn f() { println!(\"x\"); }";
-        assert_eq!(
-            rules_hit("crates/traffic/src/rates.rs", src),
-            vec!["no-print"]
-        );
-        assert!(rules_hit("crates/experiments/src/main.rs", src).is_empty());
-        let test_src = "#[cfg(test)]\nmod tests { fn f() { println!(\"x\"); } }";
-        assert!(rules_hit("crates/traffic/src/rates.rs", test_src).is_empty());
-    }
-
-    #[test]
     fn test_modules_are_exempt_everywhere() {
-        let src = "#[cfg(test)]\nmod tests {\n fn f() { println!(\"t\"); let _ = g(); }\n}";
+        let src = "#[cfg(test)]\nmod tests {\n fn f(a: u64) -> u64 { let t = a + INFINITY; \
+                   t.load(Ordering::Relaxed) }\n}";
         assert!(rules_hit("crates/stroll/src/dp.rs", src).is_empty());
     }
 
@@ -721,34 +611,12 @@ mod tests {
     }
 
     #[test]
-    fn discarded_result_fires_on_let_underscore_and_statement_ok() {
-        let let_ = "fn f() { let _ = fallible(); }";
-        assert_eq!(
-            rules_hit("crates/obs/src/sink.rs", let_),
-            vec!["discarded-result"]
-        );
-        let ok = "fn f() { fallible().ok(); }";
-        assert_eq!(
-            rules_hit("crates/obs/src/sink.rs", ok),
-            vec!["discarded-result"]
-        );
-        // Named bindings, `?`, and value-position `.ok()` are fine.
-        let named = "fn f() { let _ignored = fallible(); }";
-        assert!(rules_hit("crates/obs/src/sink.rs", named).is_empty());
-        let chained = "fn f() -> Option<u32> { fallible().ok().map(|x| x + 1) }";
-        assert!(rules_hit("crates/obs/src/sink.rs", chained).is_empty());
-        // Binaries may drop results (CLI best-effort output).
-        assert!(rules_hit("crates/experiments/src/main.rs", let_).is_empty());
-    }
-
-    #[test]
     fn new_rules_are_known_for_allows() {
         for id in [
             "hash-iter",
             "reduce-order",
             "relaxed-atomic",
             "float-sort",
-            "discarded-result",
             "stale-allow",
             "bad-allow",
             "no-panic",

@@ -5,7 +5,7 @@ pub fn optimal_covered(v: &[u64]) -> u64 {
     let a = v.first().unwrap();
     let b = v.last().unwrap(); // analyzer:allow(no-panic) -- trailing form
     // analyzer:allow(no-panic) -- stacked form, panic half
-    // analyzer:allow(lossy-cast) -- stacked form, cast half
-    let c = *v.get(0).unwrap() as u64;
+    // analyzer:allow(raw-cost-arith) -- stacked form, sentinel half
+    let c = *v.get(0).unwrap() + INFINITY;
     a + b + c
 }

@@ -9,6 +9,8 @@
 //! `stream_write_1m` is the streaming engine's per-epoch persist at scale:
 //! [`StreamCheckpoint::to_json`] + [`CheckpointStore::write_raw`] of a
 //! snapshot carrying 1M flow rates and 16 epoch records.
+//! `stream_restore_1m` loads that snapshot back through
+//! [`CheckpointStore::load_with`] + [`StreamCheckpoint::from_json`].
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ppdc_model::Sfc;
@@ -82,6 +84,13 @@ fn bench_checkpoint(c: &mut Criterion) {
     let store = CheckpointStore::new(dir.join("stream.ckpt"));
     group.bench_function("stream_write_1m", |b| {
         b.iter(|| store.write_raw(&ck.to_json()).unwrap())
+    });
+    group.bench_function("stream_restore_1m", |b| {
+        b.iter(|| {
+            let (loaded, _slot) = store.load_with(StreamCheckpoint::from_json).unwrap();
+            assert_eq!(loaded.epoch, ck.epoch);
+            loaded
+        })
     });
     std::fs::remove_dir_all(&dir).unwrap();
     group.finish();

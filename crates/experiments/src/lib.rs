@@ -15,6 +15,17 @@
 //! Each data point reports mean ± 95 % CI over the configured runs, as in
 //! the paper. Budget-capped exact searches that do not finish report "n/c".
 
+// Library code reports through return values and telemetry, never
+// stdout/stderr, and never drops a value without naming it. Binaries,
+// tests, benches and examples print by design and are out of scope.
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+#![deny(clippy::let_underscore_untyped, clippy::unused_result_ok)]
+#![cfg_attr(
+    test,
+    allow(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)
+)]
+#![cfg_attr(test, allow(clippy::let_underscore_untyped, clippy::unused_result_ok))]
+
 pub mod bench;
 pub mod chaos;
 pub mod cli;

@@ -67,8 +67,12 @@ impl<'a> Search<'a> {
             return Ok(());
         }
         // Admissible bound on the remaining slots.
+        #[expect(
+            clippy::as_conversions,
+            reason = "usize → u64 is lossless on every supported target"
+        )]
         let lb = g
-            + self.rate * self.min_edge * (self.n - depth).saturating_sub(1) as Cost // analyzer:allow(lossy-cast) -- usize → u64 is lossless on every supported target
+            + self.rate * self.min_edge * (self.n - depth).saturating_sub(1) as Cost
             + self.minmove_suffix[depth]
             + self.min_unused_a_out();
         if lb >= self.best_cost {

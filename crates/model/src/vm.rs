@@ -11,8 +11,12 @@ pub struct VmId(pub u32);
 impl VmId {
     /// The raw index.
     #[inline]
+    #[expect(
+        clippy::as_conversions,
+        reason = "u32 → usize is lossless on every supported target"
+    )]
     pub fn index(self) -> usize {
-        self.0 as usize // analyzer:allow(lossy-cast) -- u32 → usize is lossless on every supported target
+        self.0 as usize
     }
 
     /// Converts a container index back into an id, checking the `u32` id
@@ -30,8 +34,12 @@ pub struct FlowId(pub u32);
 impl FlowId {
     /// The raw index.
     #[inline]
+    #[expect(
+        clippy::as_conversions,
+        reason = "u32 → usize is lossless on every supported target"
+    )]
     pub fn index(self) -> usize {
-        self.0 as usize // analyzer:allow(lossy-cast) -- u32 → usize is lossless on every supported target
+        self.0 as usize
     }
 
     /// Converts a container index back into an id, checking the `u32` id

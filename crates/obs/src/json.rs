@@ -115,19 +115,20 @@ impl std::error::Error for JsonError {}
 
 /// Parses one JSON document (trailing whitespace allowed, nothing else).
 pub fn parse(src: &str) -> Result<Value, JsonError> {
-    let bytes = src.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser { src, pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != bytes.len() {
+    if p.pos != src.len() {
         return Err(p.err("trailing garbage after document"));
     }
     Ok(v)
 }
 
+/// Recursive-descent state. `pos` only ever advances over ASCII bytes
+/// or whole characters, so `src[pos..]` is always on a char boundary.
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
 }
 
@@ -140,7 +141,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -159,7 +160,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, lit: &str, v: Value) -> Result<Value, JsonError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.src[self.pos..].starts_with(lit) {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -255,9 +256,8 @@ impl Parser<'_> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .src
                                 .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("invalid \\u escape"))?;
@@ -271,11 +271,12 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // boundaries are valid by construction).
-                    let rest = &self.bytes[start..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("empty char"))?;
+                    // One whole character: decoding only its own bytes
+                    // keeps string scanning linear in the document.
+                    let c = self.src[start..]
+                        .chars()
+                        .next()
+                        .ok_or_else(|| self.err("empty char"))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -309,8 +310,7 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
+        let text = &self.src[start..self.pos];
         if is_float {
             text.parse::<f64>()
                 .map(Value::Float)
@@ -354,10 +354,18 @@ mod tests {
 
     #[test]
     fn escaped_strings_round_trip() {
-        let original = "line1\nline2\t\"quoted\" \\ done";
-        let doc = format!("{{\"s\": \"{}\"}}", escape(original));
-        let v = parse(&doc).unwrap();
-        assert_eq!(v.get("s").and_then(Value::as_str), Some(original));
+        for original in [
+            "line1\nline2\t\"quoted\" \\ done",
+            // Multi-byte characters, each next to an escape.
+            "a ≤\tb",
+            "\"Σ\" over flows",
+            "hop→\nhop",
+            "ok 🦀\\ done",
+        ] {
+            let doc = format!("{{\"s\": \"{}\"}}", escape(original));
+            let v = parse(&doc).unwrap();
+            assert_eq!(v.get("s").and_then(Value::as_str), Some(original));
+        }
     }
 
     #[test]

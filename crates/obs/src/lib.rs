@@ -11,10 +11,10 @@
 //! * **Fixed-bucket histograms** — [`Registry::record_hist`] tallies
 //!   values into [`DURATION_BUCKET_BOUNDS_NS`]-bounded buckets (1 µs …
 //!   1 s, plus an overflow bucket).
-//! * **Sinks** — library crates never print (the analyzer's `no-print`
-//!   rule): per-event output goes through the [`Sink`] abstraction
-//!   instead. [`MemorySink`] backs tests; [`JsonLinesSink`] streams
-//!   JSON-lines to any `io::Write` for runs.
+//! * **Sinks** — library crates never print (`clippy::print_stdout` &
+//!   co. are denied in each `lib.rs`): per-event output goes through the
+//!   [`Sink`] abstraction instead. [`MemorySink`] backs tests;
+//!   [`JsonLinesSink`] streams JSON-lines to any `io::Write` for runs.
 //! * **Snapshots** — [`Registry::snapshot`] freezes the aggregates into a
 //!   [`Snapshot`] whose [`Snapshot::to_json`] output is the machine-
 //!   readable per-phase summary the experiments CLI exports with
@@ -37,6 +37,17 @@
 //! Timing values are inherently nondeterministic; everything else in a
 //! seeded run stays bit-reproducible because this crate only ever
 //! *observes*.
+
+// Library code reports through return values and telemetry, never
+// stdout/stderr, and never drops a value without naming it. Binaries,
+// tests, benches and examples print by design and are out of scope.
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+#![deny(clippy::let_underscore_untyped, clippy::unused_result_ok)]
+#![cfg_attr(
+    test,
+    allow(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)
+)]
+#![cfg_attr(test, allow(clippy::let_underscore_untyped, clippy::unused_result_ok))]
 
 pub mod json;
 mod registry;

@@ -1,6 +1,7 @@
 //! The sink abstraction: where per-event telemetry goes.
 //!
-//! Library crates never print (the analyzer's `no-print` rule); they emit
+//! Library crates never print (`clippy::print_stdout` & co. are denied in
+//! each `lib.rs`); they emit
 //! [`Event`]s through whatever [`Sink`] the owning binary installed.
 //! [`MemorySink`] captures events for tests; [`JsonLinesSink`] streams
 //! one JSON object per line to any `io::Write` for runs.

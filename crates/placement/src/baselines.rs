@@ -109,7 +109,11 @@ pub fn greedy_placement(
     let mut chosen: Vec<NodeId> = Vec::with_capacity(n);
     let mut used = vec![false; g.num_nodes()];
     for j in 0..n {
-        let unplaced = (n - 1 - j) as u64; // analyzer:allow(lossy-cast) -- usize → u64 is lossless on every supported target
+        #[expect(
+            clippy::as_conversions,
+            reason = "usize → u64 is lossless on every supported target"
+        )]
+        let unplaced = (n - 1 - j) as u64;
         let mut best: Option<(Cost, NodeId)> = None;
         for &x in &switches {
             if used[x.index()] {
@@ -121,7 +125,11 @@ pub fn greedy_placement(
                 rate * dm.cost(chosen[j - 1], x)
             };
             let egress_term = if j + 1 == n { agg.a_out(x) } else { 0 };
-            let lookahead = unplaced * rate * sum_dist[x.index()] / switches.len() as u64; // analyzer:allow(lossy-cast) -- usize → u64 is lossless on every supported target
+            #[expect(
+                clippy::as_conversions,
+                reason = "usize → u64 is lossless on every supported target"
+            )]
+            let lookahead = unplaced * rate * sum_dist[x.index()] / switches.len() as u64;
             let score = increment + egress_term + lookahead;
             if best.is_none_or(|(c, b)| score < c || (score == c && x < b)) {
                 best = Some((score, x));

@@ -138,8 +138,12 @@ impl<'a> Search<'a> {
             return Ok(());
         }
         if self.prune {
+            #[expect(
+                clippy::as_conversions,
+                reason = "usize → u64 is lossless on every supported target"
+            )]
             let lb = g
-                + self.rate * self.min_edge * (self.n - depth) as Cost // analyzer:allow(lossy-cast) -- usize → u64 is lossless on every supported target
+                + self.rate * self.min_edge * (self.n - depth) as Cost
                 + self.min_unused_a_out(last);
             if lb >= self.best_cost {
                 return Ok(());
@@ -170,8 +174,12 @@ impl<'a> Search<'a> {
         for x in first_order {
             if self.prune {
                 // Even a free interior cannot beat the incumbent.
+                #[expect(
+                    clippy::as_conversions,
+                    reason = "usize → u64 is lossless on every supported target"
+                )]
                 let lb = self.agg.a_in(self.closure.node(x))
-                    + self.rate * self.min_edge * (self.n - 1) as Cost; // analyzer:allow(lossy-cast) -- usize → u64 is lossless on every supported target
+                    + self.rate * self.min_edge * (self.n - 1) as Cost;
                 if lb >= self.best_cost {
                     continue;
                 }

@@ -224,10 +224,14 @@ pub fn optimal_placement_scaled(
                 return Ok(());
             }
             // Admissible bound on remaining chain hops.
+            #[expect(
+                clippy::as_conversions,
+                reason = "usize → u128 is lossless on every supported target"
+            )]
             let lb = cost
                 + self.min_seg_suffix[depth]
                     * u128::from(self.min_edge)
-                    * (self.n - depth).saturating_sub(1) as u128; // analyzer:allow(lossy-cast) -- usize → u128 is lossless on every supported target
+                    * (self.n - depth).saturating_sub(1) as u128;
             if lb >= self.best {
                 return Ok(());
             }

@@ -38,6 +38,16 @@
 
 #![deny(clippy::unwrap_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
+// Library code reports through return values and telemetry, never
+// stdout/stderr, and never drops a value without naming it. Binaries,
+// tests, benches and examples print by design and are out of scope.
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+#![deny(clippy::let_underscore_untyped, clippy::unused_result_ok)]
+#![cfg_attr(
+    test,
+    allow(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)
+)]
+#![cfg_attr(test, allow(clippy::let_underscore_untyped, clippy::unused_result_ok))]
 
 pub mod chaos;
 pub mod checkpoint;

@@ -197,10 +197,20 @@ const PERTURB_MASK: Cost = 0xFFF;
 /// A deterministic per-(attempt, edge) hash for tie-breaking.
 fn perturb_hash(attempt: u64, i: usize, j: usize) -> Cost {
     let (a, b) = if i < j { (i, j) } else { (j, i) };
+    #[expect(
+        clippy::as_conversions,
+        reason = "usize → u64 is lossless on every supported target"
+    )]
+    let hi = (a as u64) << 32;
+    #[expect(
+        clippy::as_conversions,
+        reason = "usize → u64 is lossless on every supported target"
+    )]
+    let lo = b as u64;
     let mut x = attempt
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add((a as u64) << 32) // analyzer:allow(lossy-cast) -- usize → u64 is lossless on every supported target
-        .wrapping_add(b as u64); // analyzer:allow(lossy-cast) -- usize → u64 is lossless on every supported target
+        .wrapping_add(hi)
+        .wrapping_add(lo);
     x ^= x >> 30;
     x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x ^= x >> 27;
@@ -353,7 +363,11 @@ impl DpBatchSolver {
                     max_edges: max_edges(n),
                 };
                 for attempt in 1..MAX_ATTEMPTS {
-                    let idx = (attempt - 1) as usize; // analyzer:allow(lossy-cast) -- attempt < MAX_ATTEMPTS = 8, fits usize
+                    #[expect(
+                        clippy::as_conversions,
+                        reason = "attempt < MAX_ATTEMPTS = 8, fits usize"
+                    )]
+                    let idx = (attempt - 1) as usize;
                     if self.retries.len() <= idx {
                         let pc = perturbed_closure(closure, attempt);
                         let tb = DpTables::new(&pc, t);

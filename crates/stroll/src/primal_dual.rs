@@ -291,7 +291,11 @@ pub fn primal_dual_stroll(
     let mut edges: Vec<(usize, usize, f64)> = Vec::new();
     for (u, v, w) in graph.edges() {
         if let (Some(lu), Some(lv)) = (closure.index(u), closure.index(v)) {
-            edges.push((lu, lv, w as f64)); // analyzer:allow(lossy-cast) -- link weights ≪ 2⁵³ are exactly representable in f64
+            #[expect(
+                clippy::as_conversions,
+                reason = "link weights ≪ 2⁵³ are exactly representable in f64"
+            )]
+            edges.push((lu, lv, w as f64));
         }
     }
     let n = inst.n();

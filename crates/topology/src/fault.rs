@@ -240,8 +240,12 @@ impl Partition {
     }
 
     /// Number of nodes in component `c`.
+    #[expect(
+        clippy::as_conversions,
+        reason = "u32 → usize is lossless on every supported target"
+    )]
     pub fn size(&self, c: u32) -> usize {
-        self.sizes[c as usize] // analyzer:allow(lossy-cast) -- u32 → usize is lossless on every supported target
+        self.sizes[c as usize]
     }
 
     /// True if `a` and `b` are in the same component.

@@ -73,8 +73,12 @@ pub fn mint_u32(n: usize, what: &str) -> u32 {
 impl NodeId {
     /// The raw index, usable to address per-node arrays.
     #[inline]
+    #[expect(
+        clippy::as_conversions,
+        reason = "u32 → usize is lossless on every supported target"
+    )]
     pub fn index(self) -> usize {
-        self.0 as usize // analyzer:allow(lossy-cast) -- u32 → usize is lossless on every supported target
+        self.0 as usize
     }
 
     /// Converts a per-node array index back into an id, checking the
@@ -99,8 +103,12 @@ pub struct EdgeId(pub u32);
 impl EdgeId {
     /// The raw index, usable to address per-edge arrays.
     #[inline]
+    #[expect(
+        clippy::as_conversions,
+        reason = "u32 → usize is lossless on every supported target"
+    )]
     pub fn index(self) -> usize {
-        self.0 as usize // analyzer:allow(lossy-cast) -- u32 → usize is lossless on every supported target
+        self.0 as usize
     }
 
     /// Converts a per-edge array index back into an id, checking the

@@ -30,6 +30,20 @@
 // test modules opt back in via the cfg_attr below.
 #![warn(clippy::unwrap_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
+// Library code reports through return values and telemetry, never
+// stdout/stderr, and never drops a value without naming it. Binaries,
+// tests, benches and examples print by design and are out of scope.
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+#![deny(clippy::let_underscore_untyped, clippy::unused_result_ok)]
+#![cfg_attr(
+    test,
+    allow(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)
+)]
+#![cfg_attr(test, allow(clippy::let_underscore_untyped, clippy::unused_result_ok))]
+// Cost/NodeId arithmetic converts with `From`/`try_from`; each bare `as`
+// that is lossless by construction carries an `#[expect]` with its reason.
+#![deny(clippy::as_conversions)]
+#![cfg_attr(test, allow(clippy::as_conversions))]
 
 pub mod builders;
 pub mod fault;

@@ -119,7 +119,10 @@ impl MetricClosure {
     #[inline]
     pub fn index(&self, n: NodeId) -> Option<usize> {
         match self.index_of.get(n.index()) {
-            // analyzer:allow(lossy-cast) -- u32 → usize is lossless on every supported target
+            #[expect(
+                clippy::as_conversions,
+                reason = "u32 → usize is lossless on every supported target"
+            )]
             Some(&i) if i != NOT_MEMBER => Some(i as usize),
             _ => None,
         }

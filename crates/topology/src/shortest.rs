@@ -38,7 +38,11 @@ fn apsp_budget_bytes() -> u64 {
 /// Bytes a dense matrix over `n` nodes allocates: n² distances (8 bytes)
 /// plus n² parents (4 bytes).
 fn dense_bytes(n: usize) -> u64 {
-    let n = n as u64; // analyzer:allow(lossy-cast) -- usize → u64 is lossless on every supported target
+    #[expect(
+        clippy::as_conversions,
+        reason = "usize → u64 is lossless on every supported target"
+    )]
+    let n = n as u64;
     n.saturating_mul(n).saturating_mul(12)
 }
 

@@ -16,6 +16,17 @@
 //! is re-scaled every simulated hour, which is exactly what the TOM
 //! experiments (Fig. 11) consume.
 
+// Library code reports through return values and telemetry, never
+// stdout/stderr, and never drops a value without naming it. Binaries,
+// tests, benches and examples print by design and are out of scope.
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+#![deny(clippy::let_underscore_untyped, clippy::unused_result_ok)]
+#![cfg_attr(
+    test,
+    allow(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)
+)]
+#![cfg_attr(test, allow(clippy::let_underscore_untyped, clippy::unused_result_ok))]
+
 pub mod diurnal;
 pub mod locality;
 pub mod rates;
