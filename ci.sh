@@ -11,7 +11,9 @@
 #                         (baseline-capped allows, 10 s budget)
 #   5. tier-1 verify    — release build + full test suite
 #   6. contracts        — solver tests with strict-invariants enabled
-#   7. proptests        — at PROPTEST_CASES=256
+#   7. proptests        — at PROPTEST_CASES=256, then again with 8 rayon
+#                         workers so the parallel fold sweep and the
+#                         branch-and-bound run with more workers than cores
 #   8. smokes           — failure sweep with metrics export, fault-free
 #                         day, metrics schema check, k=32 oracle, chaos,
 #                         1M-flow stream day, churned stream day
@@ -61,6 +63,9 @@ cargo test -q --features strict-invariants -p ppdc-topology -p ppdc-placement -p
 
 echo "==> proptests at PROPTEST_CASES=256"
 PROPTEST_CASES=256 cargo test -q --test proptests
+
+echo "==> proptests at PROPTEST_CASES=256 with 8 rayon workers"
+RAYON_NUM_THREADS=8 PROPTEST_CASES=256 cargo test -q --test proptests
 
 echo "==> failure-sweep smoke (quick scale) with metrics export"
 mkdir -p target

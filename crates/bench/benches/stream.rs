@@ -1,18 +1,20 @@
 //! Streaming-ingestion benchmarks: million-flow stores on the k = 32
 //! fabric (1280 switches, 8192 hosts) driven by rate-delta batches.
 //!
-//! One measured unit is a full aggregate update: route the batch through
-//! [`ShardedFlowStore::ingest`] and fold the merged per-host masses into
-//! [`AttachAggregates::try_apply_mass_deltas`]. The fold dominates and its
-//! cost is `O(|touched hosts| · |switches|)` — independent of the store's
-//! flow count — so the cases sweep churn *locality* against a fixed
-//! 1M-flow store:
+//! One measured unit is a full aggregate update: net, validate and commit
+//! the batch in [`ShardedFlowStore::ingest`] (flat flow-id-order arrays,
+//! one pass each), then fold the per-host masses into
+//! [`AttachAggregates::try_apply_mass_deltas`]. The fold first reduces
+//! host deltas onto their anchors — each fat-tree host's ToR — so its cost
+//! is `O(|touched ToRs| · |switches|)`: 16× fewer oracle rows than per
+//! host at k = 32, and independent of the store's flow count. The cases
+//! sweep churn *locality* against a fixed 1M-flow store:
 //!
 //! * `hot_racks_8` — both endpoints inside 8 hot racks (≤ 128 hosts), the
 //!   paper's active-rack churn pattern and the sub-10 ms target case,
 //! * `hot_pods_2` — endpoints inside two pods (≤ 512 hosts),
 //! * `full_fabric` — every flow moves (all 8192 hosts), the worst case a
-//!   diurnal epoch can produce.
+//!   diurnal epoch can produce; here the store's per-flow passes dominate.
 //!
 //! Batches alternate with their exact negation each iteration, so the
 //! store and aggregates return to the initial state every two samples and
@@ -23,8 +25,8 @@
 //!
 //! * `fingerprint_1m` — [`stream_fingerprint`] of the day's inputs (what
 //!   every checkpointed or resumed stream day pays once),
-//! * `store_build_1m` — [`ShardedFlowStore::build`] (day set-up and every
-//!   resume),
+//! * `store_build_1m` — [`ShardedFlowStore::build`], a copy of the
+//!   workload's endpoints and rates (day set-up and every resume),
 //! * `rate_deltas_1m` — [`DynamicTrace::try_rate_deltas`], cycling through
 //!   the day's 12 epochs of a diurnal trace with 25 % hourly churn.
 //!
@@ -59,7 +61,7 @@ fn enabled(group: &str) -> bool {
 }
 
 /// The deterministic million-flow workload the `stream` smoke uses: pairs
-/// strided over every host so the store's shard map covers the fabric.
+/// strided over every host so every ToR carries traffic.
 fn million_flow_workload(ft: &FatTree) -> Workload {
     let hosts: Vec<NodeId> = ft.graph().hosts().collect();
     let mut w = Workload::new();

@@ -138,8 +138,9 @@ fn real_main() -> Result<(), CliError> {
         return smoke_k32(budget);
     }
 
-    // Streaming smoke: drive the sharded million-flow epoch engine through
-    // a full diurnal day on the k=32 analytic-oracle fabric, assert its
+    // Streaming smoke: drive the million-flow epoch engine (flat flow
+    // store, ToR-collapsed aggregate fold) through a full diurnal day on
+    // the k=32 analytic-oracle fabric, assert its
     // counter pair, and enforce a wall-clock budget. The ci.sh gate runs
     // this with ≥1M flows.
     if which.iter().any(|w| w == "stream") {
@@ -335,8 +336,8 @@ fn smoke_k32(budget_ms: u64) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Streams a full diurnal day of rate deltas through the sharded flow
-/// store on the k=32 fat-tree (analytic oracle, no V² matrix): builds
+/// Streams a full diurnal day of rate deltas through the flat flow store
+/// on the k=32 fat-tree (analytic oracle, no V² matrix): builds
 /// `n_flows` deterministic cross-pod flows, runs [`ppdc_sim::run_stream_day`]
 /// with a zero-tolerance drift rule (every epoch re-solved or certified
 /// optimal), and asserts the engine's counter pair before checking the

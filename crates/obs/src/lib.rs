@@ -134,8 +134,8 @@ pub mod names {
     /// Hours whose healthy-baseline reroute telemetry was skipped because
     /// the APSP byte budget refused the full healthy matrix.
     pub const SIM_REROUTE_SKIPPED: &str = "sim.reroute_skipped_hours";
-    /// One streaming delta-batch ingest: shard scatter, per-shard partial
-    /// reduction, tree merge, and the aggregate fold.
+    /// One streaming delta-batch ingest: net, validate and commit in the
+    /// flow store, then the aggregate fold.
     pub const STREAM_INGEST: &str = "stream.ingest";
     /// Accumulated absolute rate drift `Σ|Δλ|` ingested by the streaming
     /// engine (the drift tracker's raw material).

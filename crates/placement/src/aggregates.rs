@@ -23,34 +23,35 @@
 //! per-host rate masses first makes [`AttachAggregates::build`]
 //! `O(|flows| + |V_h|·|V_s|)` instead of `O(|flows|·|V_s|)` — many VMs
 //! share an attach node, and a production workload has orders of magnitude
-//! more flows than hosts. All arithmetic is exact `u64`, so regrouping the
-//! sum changes nothing: the arrays are bit-identical to the flow-by-flow
-//! ones (kept as [`AttachAggregates::build_flow_by_flow`] for tests and
-//! benches).
+//! more flows than hosts.
+//!
+//! A host whose only neighbour is a switch `t` (every fat-tree host: its
+//! ToR) satisfies `c(h, x) = w(h, t) + c(t, x)` exactly, so the host masses
+//! fold once more, onto their ToR, plus one per-candidate constant
+//! `Σ_h R_out[h]·w(h, t)`. That is k/2 fewer oracle rows on a fat-tree.
+//! All arithmetic is exact (`u128` on builds, checked `i128` on folds,
+//! clamped at [`INFINITY`]), so regrouping the sum changes nothing: the
+//! arrays are bit-identical to the flow-by-flow ones (kept as
+//! [`AttachAggregates::build_flow_by_flow`] for tests and benches).
 //!
 //! The same grouping makes TOM epochs incremental: when only rates change
 //! (hosts and distances fixed), [`AttachAggregates::apply_rate_deltas`]
-//! folds the rate deltas into per-host masses and adds
-//! `Δmass·c(h, x)` to each switch — `O(|Δ| + |touched hosts|·|V_s|)` per
-//! epoch instead of a full rebuild.
+//! folds the rate deltas into per-host, then per-anchor masses and adds
+//! `Δmass·c(t, x)` to each switch — `O(|Δ| + |touched anchors|·|V_s|)`
+//! per epoch instead of a full rebuild.
 
 use ppdc_model::{FlowId, Placement, Workload};
-use ppdc_topology::{Cost, DistanceOracle, Graph, NodeId, INFINITY};
+use ppdc_topology::{Cost, DistanceOracle, Graph, NodeId, NodeKind, INFINITY};
 use rayon::prelude::*;
 
-/// One `λ·c(h, x)` attachment term, with the unreachable sentinel kept
-/// intact: a positive mass across an [`INFINITY`] distance contributes
-/// exactly `INFINITY` (never the overflowing product), and a zero mass
+/// One `λ·c(h, x)` attachment term of the flow-by-flow oracle. The
+/// product saturates, and [`attach_acc`] clamps the running sum at
+/// [`INFINITY`]: a positive mass across an unreachable distance (or any
+/// sum that large) lands on exactly the sentinel, and a zero mass
 /// contributes 0 regardless of reachability.
 #[inline]
 fn attach_term(mass: u64, cost: Cost) -> Cost {
-    if mass == 0 {
-        0
-    } else if cost >= INFINITY {
-        INFINITY
-    } else {
-        mass * cost
-    }
+    mass.saturating_mul(cost)
 }
 
 /// Saturating aggregate accumulation: any unreachable contribution pins the
@@ -59,6 +60,30 @@ fn attach_term(mass: u64, cost: Cost) -> Cost {
 #[inline]
 fn attach_acc(acc: Cost, mass: u64, cost: Cost) -> Cost {
     acc.saturating_add(attach_term(mass, cost)).min(INFINITY)
+}
+
+/// Clamps an exact (saturating) `u128` attachment sum to the
+/// [`INFINITY`] sentinel.
+#[inline]
+fn clamp_attach(sum: u128) -> Cost {
+    Cost::try_from(sum.min(u128::from(INFINITY))).unwrap_or(INFINITY)
+}
+
+/// Every node's *anchor*: the node whose distances stand in for its own,
+/// and the cost of reaching it. A host whose only neighbour is `t` reaches
+/// every other node through `t`, so `c(h, x) = w(h, t) + c(t, x)` and
+/// `c(x, h) = c(x, t) + w(t, h)` exactly (DESIGN.md §9); it anchors to
+/// `(t, w(h, t))`. Every other node anchors to itself at 0. On an oracle
+/// with an unreachable pair every node anchors to itself: there
+/// `c(t, x) = INFINITY` is a sentinel, not a sum the identity could carry.
+fn anchors<D: DistanceOracle + ?Sized>(g: &Graph, dm: &D) -> Vec<(NodeId, Cost)> {
+    let collapse = dm.all_connected();
+    g.nodes()
+        .map(|h| match g.neighbors(h) {
+            &[(t, w)] if collapse && g.kind(h) == NodeKind::Host => (t, w),
+            _ => (h, 0),
+        })
+        .collect()
 }
 
 /// Typed failure of the checked delta folds
@@ -100,11 +125,11 @@ impl std::fmt::Display for AggregateError {
 impl std::error::Error for AggregateError {}
 
 /// One attach node's net rate-mass change, the unit the streaming engine's
-/// per-shard tree-reduce folds over: `d_out` is the change of
-/// `R_out[host]` (the host's total source rate), `d_in` of `R_in[host]`.
-/// Deltas are `i128` so any sum of per-flow `i64` deltas — including a
-/// stream that transiently overshoots `u64` range before a compensating
-/// delta lands — accumulates exactly.
+/// flow store reports per batch: `d_out` is the change of `R_out[host]`
+/// (the host's total source rate), `d_in` of `R_in[host]`. Deltas are
+/// `i128` so any sum of per-flow `i64` deltas — including a stream that
+/// transiently overshoots `u64` range before a compensating delta lands —
+/// accumulates exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HostMassDelta {
     /// The attach node (host) whose masses changed.
@@ -122,52 +147,14 @@ pub struct AttachAggregates {
     a_out: Vec<Cost>,
     total_rate: u64,
     switches: Vec<NodeId>,
-}
-
-/// Per-attach-node rate masses: `out_mass[h] = Σ_{src host = h} λ`,
-/// `in_mass[h] = Σ_{dst host = h} λ`, with the touched node ids listed once.
-struct RateMasses {
-    out_mass: Vec<u64>,
-    in_mass: Vec<u64>,
-    touched: Vec<u32>,
-    // Membership must be tracked explicitly: a zero-rate flow (or deltas
-    // that cancel) can leave both masses at 0 for a host that is already
-    // in `touched`, and a mass==0 test would push it again — the switch
-    // sweep would then count that host twice.
-    seen: Vec<bool>,
-}
-
-impl RateMasses {
-    fn new(num_nodes: usize) -> Self {
-        RateMasses {
-            out_mass: vec![0; num_nodes],
-            in_mass: vec![0; num_nodes],
-            touched: Vec::new(),
-            seen: vec![false; num_nodes],
-        }
-    }
-
-    #[inline]
-    fn touch(&mut self, h: NodeId) {
-        if !self.seen[h.index()] {
-            self.seen[h.index()] = true;
-            self.touched.push(h.0);
-        }
-    }
-
-    #[inline]
-    fn add(&mut self, src: NodeId, dst: NodeId, rate: u64) {
-        self.touch(src);
-        self.out_mass[src.index()] += rate;
-        self.touch(dst);
-        self.in_mass[dst.index()] += rate;
-    }
+    /// Per node: `(anchor, cost to it)`, see [`anchors`].
+    anchor: Vec<(NodeId, Cost)>,
 }
 
 impl AttachAggregates {
     /// Builds the aggregates for `w` over all switches of `g` by first
-    /// folding the workload into per-attach-node rate masses
-    /// (`O(|flows| + |V_h|·|V_s|)`). Bit-identical to
+    /// folding the workload into per-anchor rate masses (see
+    /// [`AttachAggregates::build_restricted`]). Bit-identical to
     /// [`AttachAggregates::build_flow_by_flow`].
     pub fn build<D: DistanceOracle + ?Sized>(g: &Graph, dm: &D, w: &Workload) -> Self {
         let _span = ppdc_obs::global().span(ppdc_obs::names::AGG_BUILD);
@@ -177,16 +164,24 @@ impl AttachAggregates {
 
     /// Like [`AttachAggregates::build`], but over a caller-chosen candidate
     /// switch set — the fault-tolerant epoch loop restricts placement to
-    /// the serving component's alive switches this way.
+    /// the serving component's alive switches this way. `dm` must be the
+    /// distance oracle of `g`.
+    ///
+    /// Flow rates fold into one mass per anchor (a leaf host's ToR, or the
+    /// node itself; see [`anchors`]) plus one constant
+    /// `K = Σ_h R[h]·w(h, anchor)`, so each candidate costs one oracle row
+    /// per touched anchor: `O(|flows| + |anchors|·|V_s|)`, k/2 fewer rows
+    /// than per host on a fat-tree.
     ///
     /// Unreachable attachments saturate: a candidate `x` that cannot reach
     /// some host with nonzero mass gets `A_in[x]` (or `A_out[x]`) pinned at
     /// exactly [`INFINITY`] — the documented sentinel — rather than a
-    /// wrapped product. Zero-mass hosts never contribute, so masking
-    /// stranded flows' rates to 0 keeps the arrays finite even on a
-    /// partitioned fabric. [`AttachAggregates::apply_rate_deltas`] must
-    /// only be fed aggregates whose entries are all finite (the epoch loop
-    /// rebuilds on failure/repair events before delta-feeding resumes).
+    /// wrapped product, and so does any sum that reaches it. Zero-mass
+    /// hosts never contribute, so masking stranded flows' rates to 0 keeps
+    /// the arrays finite even on a partitioned fabric.
+    /// [`AttachAggregates::apply_rate_deltas`] must only be fed aggregates
+    /// whose entries are all finite (the epoch loop rebuilds on
+    /// failure/repair events before delta-feeding resumes).
     pub fn build_restricted<D: DistanceOracle + ?Sized>(
         g: &Graph,
         dm: &D,
@@ -195,35 +190,55 @@ impl AttachAggregates {
     ) -> Self {
         let _span = ppdc_obs::global().span(ppdc_obs::names::AGG_BUILD_RESTRICTED);
         let n = g.num_nodes();
-        let mut masses = RateMasses::new(n);
+        let anchor = anchors(g, dm);
+        // Exact sums: per-anchor masses stay below 2^96 (≤ 2^32 flows of
+        // u64 rates); the constants and products saturate, and a saturated
+        // sum is ≥ INFINITY anyway.
+        let mut out_mass = vec![0u128; n];
+        let mut in_mass = vec![0u128; n];
+        let (mut k_in, mut k_out) = (0u128, 0u128);
         let mut total_rate = 0u64;
         for (_, src, dst, rate) in w.iter() {
-            masses.add(src, dst, rate);
-            total_rate += rate;
+            total_rate = total_rate.saturating_add(rate);
+            let rate = u128::from(rate);
+            let (a, wa) = anchor[src.index()];
+            out_mass[a.index()] += rate;
+            k_in = k_in.saturating_add(rate * u128::from(wa));
+            let (a, wa) = anchor[dst.index()];
+            in_mass[a.index()] += rate;
+            k_out = k_out.saturating_add(rate * u128::from(wa));
         }
+        let touched: Vec<NodeId> = (0..n)
+            .filter(|&a| out_mass[a] != 0 || in_mass[a] != 0)
+            .map(NodeId::from_index)
+            .collect();
         let mut a_in = vec![0; n];
         let mut a_out = vec![0; n];
+        let mut queries = 0u64;
         for &x in candidates {
-            let (mut ain, mut aout) = (0, 0);
-            for &h in &masses.touched {
-                let h = NodeId(h);
-                ain = attach_acc(ain, masses.out_mass[h.index()], dm.cost(h, x));
-                aout = attach_acc(aout, masses.in_mass[h.index()], dm.cost(x, h));
+            let (mut ain, mut aout) = (k_in, k_out);
+            for &a in &touched {
+                let (mo, mi) = (out_mass[a.index()], in_mass[a.index()]);
+                if mo != 0 {
+                    ain = ain.saturating_add(mo.saturating_mul(u128::from(dm.cost(a, x))));
+                    queries += 1;
+                }
+                if mi != 0 {
+                    aout = aout.saturating_add(mi.saturating_mul(u128::from(dm.cost(x, a))));
+                    queries += 1;
+                }
             }
-            a_in[x.index()] = ain;
-            a_out[x.index()] = aout;
+            a_in[x.index()] = clamp_attach(ain);
+            a_out[x.index()] = clamp_attach(aout);
         }
-        // One batched count for the whole sweep (two queries per
-        // touched-host/candidate pair) — no per-query atomics.
-        ppdc_obs::global().add(
-            ppdc_obs::names::ORACLE_QUERIES,
-            u64::try_from(2 * masses.touched.len() * candidates.len()).unwrap_or(u64::MAX),
-        );
+        // One batched count for the whole sweep — no per-query atomics.
+        ppdc_obs::global().add(ppdc_obs::names::ORACLE_QUERIES, queries);
         let agg = AttachAggregates {
             a_in,
             a_out,
             total_rate,
             switches: candidates.to_vec(),
+            anchor,
         };
         // `strict-invariants` contract: the fold over `w.iter()` must land
         // on the workload's own cached total.
@@ -269,6 +284,7 @@ impl AttachAggregates {
             a_out,
             total_rate: w.total_rate(),
             switches: candidates.to_vec(),
+            anchor: anchors(g, dm),
         }
     }
 
@@ -386,14 +402,15 @@ impl AttachAggregates {
     }
 
     /// Folds pre-grouped per-host mass deltas into the aggregates — the
-    /// streaming engine's entry point: each shard of a
-    /// `ppdc_sim::stream::ShardedFlowStore` reduces its flow deltas to a
-    /// handful of [`HostMassDelta`]s, the shards tree-merge them, and one
-    /// switch sweep lands the merged list here. `total_delta` is the net
-    /// change of `Σλ`. Exactly the same arithmetic as
-    /// [`AttachAggregates::try_apply_rate_deltas`], so the result stays
-    /// bit-identical to a from-scratch rebuild. On error the aggregates
-    /// are left untouched.
+    /// streaming engine's entry point: the flow store reduces a batch to
+    /// one [`HostMassDelta`] per touched host, and one switch sweep lands
+    /// the list here. `total_delta` is the net change of `Σλ`. Host deltas
+    /// first reduce to their anchors (a leaf host's ToR; see
+    /// [`AttachAggregates::build_restricted`]), so the sweep costs
+    /// `|touched anchors| · |V_s|` oracle queries. Exactly the same
+    /// arithmetic as [`AttachAggregates::try_apply_rate_deltas`], so the
+    /// result stays bit-identical to a from-scratch rebuild. On error the
+    /// aggregates are left untouched.
     ///
     /// # Errors
     ///
@@ -411,15 +428,48 @@ impl AttachAggregates {
         self.fold_mass_deltas(dm, deltas, total_delta)
     }
 
-    /// The shared switch sweep: stage `A_in`/`A_out` updates for every
-    /// candidate, validate all of them, then commit — a failed fold never
-    /// leaves the aggregates half-updated.
+    /// The shared switch sweep: reduce host deltas to anchor deltas plus
+    /// the constants `K = Σ Δmass·w(h, anchor)`, stage `A_in`/`A_out`
+    /// updates for every candidate, validate all of them, then commit — a
+    /// failed fold never leaves the aggregates half-updated.
     fn fold_mass_deltas<D: DistanceOracle + ?Sized>(
         &mut self,
         dm: &D,
         deltas: &[HostMassDelta],
         total_delta: i128,
     ) -> Result<(), AggregateError> {
+        const IN: AggregateError = AggregateError::Overflow { what: "A_in" };
+        const OUT: AggregateError = AggregateError::Overflow { what: "A_out" };
+        let (mut k_in, mut k_out) = (0i128, 0i128);
+        let mut rows: Vec<(NodeId, i128, i128)> = Vec::with_capacity(deltas.len());
+        for d in deltas {
+            let (a, wa) = self.anchor[d.host.index()];
+            let wa = i128::from(wa);
+            k_in = d
+                .d_out
+                .checked_mul(wa)
+                .and_then(|t| k_in.checked_add(t))
+                .ok_or(IN)?;
+            k_out = d
+                .d_in
+                .checked_mul(wa)
+                .and_then(|t| k_out.checked_add(t))
+                .ok_or(OUT)?;
+            rows.push((a, d.d_out, d.d_in));
+        }
+        // Merge rows per anchor. Host-sorted input is already anchor-sorted
+        // on a fat-tree (a ToR's hosts have consecutive ids).
+        rows.sort_unstable_by_key(|r| r.0);
+        let mut merged: Vec<(NodeId, i128, i128)> = Vec::with_capacity(rows.len());
+        for (a, d_out, d_in) in rows {
+            match merged.last_mut() {
+                Some(m) if m.0 == a => {
+                    m.1 = m.1.checked_add(d_out).ok_or(IN)?;
+                    m.2 = m.2.checked_add(d_in).ok_or(OUT)?;
+                }
+                _ => merged.push((a, d_out, d_in)),
+            }
+        }
         // Every switch's (A_in, A_out) pair is staged independently from
         // immutable state, so the sweep parallelizes without any cross-
         // switch reduction — per-switch arithmetic is the same serial
@@ -429,24 +479,22 @@ impl AttachAggregates {
         let a_out = &self.a_out;
         let switches = &self.switches;
         let stage_one = |x: NodeId| -> Result<(usize, Cost, Cost), AggregateError> {
-            let mut ain = i128::from(a_in[x.index()]);
-            let mut aout = i128::from(a_out[x.index()]);
-            for d in deltas {
+            let mut ain = i128::from(a_in[x.index()]).checked_add(k_in).ok_or(IN)?;
+            let mut aout = i128::from(a_out[x.index()]).checked_add(k_out).ok_or(OUT)?;
+            for &(a, d_out, d_in) in &merged {
                 // A zero-sided mass contributes an exact zero: skipping
                 // the term (and its oracle query) is bit-identical.
-                if d.d_out != 0 {
-                    ain = d
-                        .d_out
-                        .checked_mul(i128::from(dm.cost(d.host, x)))
+                if d_out != 0 {
+                    ain = d_out
+                        .checked_mul(i128::from(dm.cost(a, x)))
                         .and_then(|t| ain.checked_add(t))
-                        .ok_or(AggregateError::Overflow { what: "A_in" })?;
+                        .ok_or(IN)?;
                 }
-                if d.d_in != 0 {
-                    aout = d
-                        .d_in
-                        .checked_mul(i128::from(dm.cost(x, d.host)))
+                if d_in != 0 {
+                    aout = d_in
+                        .checked_mul(i128::from(dm.cost(x, a)))
                         .and_then(|t| aout.checked_add(t))
-                        .ok_or(AggregateError::Overflow { what: "A_out" })?;
+                        .ok_or(OUT)?;
                 }
             }
             let ain =
@@ -457,7 +505,7 @@ impl AttachAggregates {
         };
         const PARALLEL_FOLD_WORK: usize = 1 << 15;
         let staged: Vec<(usize, Cost, Cost)> =
-            if switches.len().saturating_mul(deltas.len()) < PARALLEL_FOLD_WORK {
+            if switches.len().saturating_mul(merged.len()) < PARALLEL_FOLD_WORK {
                 switches
                     .iter()
                     .map(|&x| stage_one(x))
@@ -555,6 +603,80 @@ mod tests {
     use ppdc_topology::builders::{fat_tree, linear};
     use ppdc_topology::DistanceMatrix;
 
+    /// Non-fat-tree fabrics over the switch chain `s0 -2- s1 -2- s2 -2- s3`,
+    /// as `(name, graph, serving hosts, island hosts)`:
+    /// * `two-homed` — leaf hosts `h0` (s0), `h2`, `h3` (s2), `h4` (s3) next
+    ///   to `h1`, wired to both s1 and s3;
+    /// * `weighted-leaf` — the same with `h2` on a weight-7 link and `h3`
+    ///   moved to s0 on a weight-3 link;
+    /// * `partitioned` — `two-homed` plus an unreachable island switch `s4`
+    ///   with leaf `h5`, so `all_connected()` is false.
+    fn mixed_fabrics() -> Vec<(&'static str, Graph, Vec<NodeId>, Vec<NodeId>)> {
+        let build = |links: &[(usize, usize, Cost)], island: bool| {
+            let mut g = Graph::new();
+            let s: Vec<NodeId> = (0..4).map(|i| g.add_switch(format!("s{i}"))).collect();
+            let h: Vec<NodeId> = (0..5).map(|i| g.add_host(format!("h{i}"))).collect();
+            for j in 1..4 {
+                g.add_edge(s[j - 1], s[j], 2).unwrap();
+            }
+            for &(i, j, c) in links {
+                g.add_edge(h[i], s[j], c).unwrap();
+            }
+            let mut isle = Vec::new();
+            if island {
+                let s4 = g.add_switch("s4");
+                let h5 = g.add_host("h5");
+                g.add_edge(h5, s4, 1).unwrap();
+                isle.push(h5);
+            }
+            (g, h, isle)
+        };
+        let two_homed = [
+            (0, 0, 1),
+            (1, 1, 1),
+            (1, 3, 1),
+            (2, 2, 1),
+            (3, 2, 1),
+            (4, 3, 1),
+        ];
+        let weighted = [
+            (0, 0, 1),
+            (1, 1, 1),
+            (1, 3, 1),
+            (2, 2, 7),
+            (3, 0, 3),
+            (4, 3, 1),
+        ];
+        [
+            ("two-homed", &two_homed[..], false),
+            ("weighted-leaf", &weighted[..], false),
+            ("partitioned", &two_homed[..], true),
+        ]
+        .into_iter()
+        .map(|(name, links, island)| {
+            let (g, h, isle) = build(links, island);
+            (name, g, h, isle)
+        })
+        .collect()
+    }
+
+    /// Groups per-flow deltas into host-sorted mass deltas and the net
+    /// `Σλ` change, as the streaming store reports them.
+    fn host_masses(w: &Workload, deltas: &[(FlowId, i64)]) -> (Vec<HostMassDelta>, i128) {
+        let mut by_host = std::collections::BTreeMap::<NodeId, (i128, i128)>::new();
+        for &(f, d) in deltas {
+            let (src, dst) = w.endpoints(f);
+            by_host.entry(src).or_default().0 += i128::from(d);
+            by_host.entry(dst).or_default().1 += i128::from(d);
+        }
+        let total = deltas.iter().map(|&(_, d)| i128::from(d)).sum();
+        let masses = by_host
+            .into_iter()
+            .map(|(host, (d_out, d_in))| HostMassDelta { host, d_out, d_in })
+            .collect();
+        (masses, total)
+    }
+
     #[test]
     fn aggregate_cost_matches_direct_eq1() {
         let g = fat_tree(4).unwrap();
@@ -619,6 +741,80 @@ mod tests {
         let fast = AttachAggregates::build(&g, &dm, &w);
         let slow = AttachAggregates::build_flow_by_flow(&g, &dm, &w);
         assert!(fast.same_as(&slow));
+        // Multi-homed hosts beside leaves, a non-unit leaf link, and a
+        // partitioned fabric, where island traffic pins sentinels.
+        for (name, g, mut hosts, island) in mixed_fabrics() {
+            hosts.extend(island);
+            let dm = DistanceMatrix::build(&g);
+            let mut w = Workload::new();
+            for (i, &a) in hosts.iter().enumerate() {
+                for (j, &b) in hosts.iter().enumerate() {
+                    w.add_pair(a, b, 1 + (7 * i + 3 * j) as u64);
+                }
+            }
+            let fast = AttachAggregates::build(&g, &dm, &w);
+            assert!(
+                fast.same_as(&AttachAggregates::build_flow_by_flow(&g, &dm, &w)),
+                "{name}"
+            );
+            assert_eq!(
+                fast.a_in.contains(&INFINITY),
+                name == "partitioned",
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn leaf_hosts_anchor_to_their_only_neighbour() {
+        let g = fat_tree(4).unwrap();
+        let dm = DistanceMatrix::build(&g);
+        for h in g.nodes() {
+            let want = match g.kind(h) {
+                NodeKind::Host => (g.top_of_rack(h).unwrap(), 1),
+                NodeKind::Switch => (h, 0),
+            };
+            assert_eq!(anchors(&g, &dm)[h.index()], want);
+        }
+        for (name, g, hosts, _) in mixed_fabrics() {
+            let dm = DistanceMatrix::build(&g);
+            let a = anchors(&g, &dm);
+            let s: Vec<NodeId> = g.switches().collect();
+            let want = match name {
+                "two-homed" => [(s[0], 1), (hosts[1], 0), (s[2], 1), (s[2], 1), (s[3], 1)],
+                "weighted-leaf" => [(s[0], 1), (hosts[1], 0), (s[2], 7), (s[0], 3), (s[3], 1)],
+                // Unreachable pairs: nothing collapses.
+                _ => [0, 1, 2, 3, 4].map(|i| (hosts[i], 0)),
+            };
+            let got: Vec<(NodeId, Cost)> = hosts.iter().map(|h| a[h.index()]).collect();
+            assert_eq!(got, want, "{name}");
+            assert!(s.iter().all(|&x| a[x.index()] == (x, 0)), "{name}");
+        }
+    }
+
+    #[test]
+    fn infinite_rates_saturate_instead_of_overflowing() {
+        // Regression: `attach_term`'s `mass * cost` and the u64 host-mass
+        // sums trapped ("attempt to multiply with overflow") on one
+        // INFINITY-rate flow across a cost-5 path, although `build`
+        // documents saturation at the sentinel.
+        let g = fat_tree(4).unwrap();
+        let dm = DistanceMatrix::build(&g);
+        let hosts: Vec<NodeId> = g.hosts().collect();
+        let (src, dst) = (hosts[0], hosts[hosts.len() - 1]);
+        let far = g.switches().find(|&x| dm.cost(src, x) == 5).unwrap();
+        let mut w = Workload::new();
+        w.add_pair(src, dst, INFINITY);
+        let fast = AttachAggregates::build(&g, &dm, &w);
+        assert_eq!(fast.a_in(far), INFINITY);
+        assert!(fast.same_as(&AttachAggregates::build_flow_by_flow(&g, &dm, &w)));
+        // A host mass of exactly u64::MAX: every attach product saturates.
+        w.add_pair(src, dst, u64::MAX - INFINITY);
+        let fast = AttachAggregates::build(&g, &dm, &w);
+        assert!(g
+            .switches()
+            .all(|x| fast.a_in(x) == INFINITY && fast.a_out(x) == INFINITY));
+        assert!(fast.same_as(&AttachAggregates::build_flow_by_flow(&g, &dm, &w)));
     }
 
     #[test]
@@ -799,7 +995,7 @@ mod tests {
 
     #[test]
     fn mass_delta_fold_matches_flow_delta_fold() {
-        // `try_apply_mass_deltas` is the streaming tree-reduce target: a
+        // `try_apply_mass_deltas` is the streaming store's target: a
         // pre-grouped per-host mass list must land bit-identically to the
         // per-flow path (and to a from-scratch rebuild).
         let g = fat_tree(4).unwrap();
@@ -848,6 +1044,48 @@ mod tests {
         by_mass.try_apply_mass_deltas(&dm, &masses, 13).unwrap();
         assert!(by_mass.same_as(&by_flow));
         assert!(by_mass.same_as(&AttachAggregates::build(&g, &dm, &w)));
+        // The same on the mixed fabrics, over the switches the serving
+        // hosts reach; island flows carry rate 0, as the fault engine
+        // masks stranded flows.
+        for (name, g, hosts, island) in mixed_fabrics() {
+            let dm = DistanceMatrix::build(&g);
+            let mut w = Workload::new();
+            for (i, &a) in hosts.iter().enumerate() {
+                for (j, &b) in hosts.iter().enumerate() {
+                    w.add_pair(a, b, 50 + (7 * i + 3 * j) as u64);
+                }
+            }
+            let live = w.num_flows();
+            for &a in &hosts {
+                for &b in &island {
+                    w.add_pair(a, b, 0);
+                    w.add_pair(b, a, 0);
+                }
+            }
+            let candidates: Vec<NodeId> = g
+                .switches()
+                .filter(|&x| dm.cost(hosts[0], x) < INFINITY)
+                .collect();
+            let mut by_flow = AttachAggregates::build_restricted(&g, &dm, &w, &candidates);
+            let mut by_mass = by_flow.clone();
+            for step in 0..3i64 {
+                let deltas: Vec<(FlowId, i64)> = w
+                    .flow_ids()
+                    .filter(|f| f.index() < live && (f.index() as i64 + step) % 3 != 0)
+                    .map(|f| (f, (f.index() as i64 % 9 - 4) * (step + 1)))
+                    .collect();
+                for &(f, d) in &deltas {
+                    let new = u64::try_from(i64::try_from(w.rate(f)).unwrap() + d).unwrap();
+                    w.set_rate(f, new);
+                }
+                by_flow.try_apply_rate_deltas(&dm, &w, &deltas).unwrap();
+                let (masses, total) = host_masses(&w, &deltas);
+                by_mass.try_apply_mass_deltas(&dm, &masses, total).unwrap();
+                let rebuilt = AttachAggregates::build_restricted(&g, &dm, &w, &candidates);
+                assert!(by_mass.same_as(&by_flow), "{name} step {step}");
+                assert!(by_mass.same_as(&rebuilt), "{name} step {step}");
+            }
+        }
     }
 
     #[test]

@@ -8,18 +8,16 @@
 //!
 //! Three pieces:
 //!
-//! - [`ShardedFlowStore`] — a struct-of-arrays flow store sharded by
-//!   (src top-of-rack, dst top-of-rack) switch pair. A delta batch is
-//!   routed to a fixed set of contiguous shard groups; each group nets
-//!   its slots and reduces them to per-host [`HostMassDelta`]s in
-//!   parallel, and the group partials tree-merge into one mass list that
-//!   lands on [`AttachAggregates::try_apply_mass_deltas`] with a single
-//!   switch sweep. The reduction tree has a **fixed shape** (adjacent
-//!   pairs in shard-key group order, level by level), so the merge order
-//!   never depends on thread scheduling; since every sum is exact `i128`
-//!   integer math, the result is bit-identical to a from-scratch rebuild
-//!   either way — the fixed shape makes that true *by construction*, not
-//!   just by algebra.
+//! - [`ShardedFlowStore`] — flow endpoints and rates in flat
+//!   flow-id-order arrays. A delta batch nets per flow, validates every
+//!   netted rate and only then commits, reducing the applied flows to
+//!   per-host [`HostMassDelta`]s that land on
+//!   [`AttachAggregates::try_apply_mass_deltas`] with a single switch
+//!   sweep. Every reported sum is order-free — exact `i128` masses and a
+//!   saturating sum of non-negative drift terms — so the report is a pure
+//!   function of the batch and equals what a from-scratch rebuild would
+//!   differ by. (The name predates the flat layout; it stays until the
+//!   benchmark reads engine records instead of calling the store.)
 //! - [`DriftTracker`] — accumulates the ingested absolute rate drift
 //!   `Σ|Δλ|` and gates the solver: below
 //!   [`StreamConfig::drift_threshold`] the epoch is served by the stale
@@ -34,9 +32,9 @@
 //!   loop, mirroring the hourly engine: `ppdc-stream-ckpt/v2` snapshots
 //!   through the same atomic two-slot [`CheckpointStore`], an input
 //!   fingerprint refusing foreign snapshots, and **bit-identical resume**
-//!   (derived state — shards, aggregates — is rebuilt from the
-//!   checkpointed rate vector; the PR 1 delta/rebuild equivalence makes
-//!   the reconstruction exact).
+//!   (derived state — the flow store, aggregates — is rebuilt from the
+//!   checkpointed rate vector; the delta/rebuild equivalence makes the
+//!   reconstruction exact).
 //!
 //! Epochs that do re-solve go through [`dp_placement_warm`]: each ingest
 //! reports its merged mass deltas to a persistent
@@ -56,7 +54,6 @@ use ppdc_placement::{
 };
 use ppdc_topology::{Cost, DistanceOracle, Graph, NodeId};
 use ppdc_traffic::{DynamicTrace, TraceError};
-use rayon::prelude::*;
 
 use crate::checkpoint::{
     arr_field, as_obj, dec_len, field, hash_instance, hash_trace, node_ids, push_list, row_u64,
@@ -92,11 +89,6 @@ pub enum StreamError {
     Trace(TraceError),
     /// Checkpoint persistence or restore failed.
     Checkpoint(CkptError),
-    /// A flow endpoint host has no top-of-rack switch to shard by.
-    NoTopOfRack {
-        /// The switchless host.
-        host: NodeId,
-    },
     /// A delta referenced a flow the store was not built with.
     UnknownFlow {
         /// The foreign flow id.
@@ -125,9 +117,6 @@ impl std::fmt::Display for StreamError {
             StreamError::Model(e) => write!(f, "stream model input: {e}"),
             StreamError::Trace(e) => write!(f, "stream trace: {e}"),
             StreamError::Checkpoint(e) => write!(f, "stream checkpoint: {e}"),
-            StreamError::NoTopOfRack { host } => {
-                write!(f, "host {} has no top-of-rack switch to shard by", host.0)
-            }
             StreamError::UnknownFlow { flow } => {
                 write!(f, "rate delta references unknown flow {}", flow.0)
             }
@@ -176,123 +165,12 @@ impl From<CkptError> for StreamError {
     }
 }
 
-/// One shard of the flow store: all flows whose endpoints share one
-/// (src ToR, dst ToR) pair, in struct-of-arrays layout.
-#[derive(Debug, Clone)]
-struct Shard {
-    /// Flow ids, slot-aligned with the arrays below.
-    flows: Vec<FlowId>,
-    /// Source host per slot.
-    src_hosts: Vec<NodeId>,
-    /// Destination host per slot.
-    dst_hosts: Vec<NodeId>,
-    /// Current rate per slot.
-    rates: Vec<u64>,
-    /// Batch scratch: netted pending delta per slot.
-    pending: Vec<i128>,
-    /// Slots with a staged `pending` entry this batch. Explicit
-    /// membership (`seen`) rather than a `pending != 0` test: a slot
-    /// whose deltas cancel mid-batch must not be re-pushed.
-    touched: Vec<u32>,
-    /// Membership marker for `touched`.
-    seen: Vec<bool>,
-}
-
-impl Shard {
-    /// Clears every staged batch entry without applying it (error path).
-    fn clear_staged(&mut self) {
-        for &slot in &self.touched {
-            let s = slot as usize;
-            self.pending[s] = 0;
-            self.seen[s] = false;
-        }
-        self.touched.clear();
-    }
-}
-
-/// How many contiguous shard groups an ingest fans out over. Fixed (not
-/// derived from the thread count) so the per-group accumulation order —
-/// and with it the saturating drift total — is a pure function of the
-/// input, never of the machine.
-const INGEST_GROUPS: usize = 64;
-
-/// One shard group's contribution to a batch: per-host mass deltas (host
-/// order), the net `Σλ` change, and ingestion telemetry.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct ShardPartial {
-    masses: Vec<HostMassDelta>,
-    total: i128,
-    drift: u64,
-    applied: u64,
-}
-
-/// Merges two host-ordered partials (two-pointer merge, exact sums).
-fn merge_two(a: ShardPartial, b: ShardPartial) -> ShardPartial {
-    let mut masses = Vec::with_capacity(a.masses.len() + b.masses.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.masses.len() && j < b.masses.len() {
-        let (ma, mb) = (a.masses[i], b.masses[j]);
-        match ma.host.cmp(&mb.host) {
-            std::cmp::Ordering::Less => {
-                masses.push(ma);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                masses.push(mb);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                masses.push(HostMassDelta {
-                    host: ma.host,
-                    d_out: ma.d_out + mb.d_out,
-                    d_in: ma.d_in + mb.d_in,
-                });
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    masses.extend_from_slice(&a.masses[i..]);
-    masses.extend_from_slice(&b.masses[j..]);
-    ShardPartial {
-        masses,
-        total: a.total + b.total,
-        drift: a.drift.saturating_add(b.drift),
-        applied: a.applied + b.applied,
-    }
-}
-
-/// Pairwise tree-reduce with a fixed shape: level by level, adjacent
-/// pairs in group order, odd tail carried unchanged. The shape depends
-/// only on the partial count, never on thread scheduling, so the merge
-/// order is deterministic by construction (and every sum is exact `i128`
-/// math on top of that).
-fn tree_merge(mut level: Vec<ShardPartial>) -> ShardPartial {
-    while level.len() > 1 {
-        let mut pairs: Vec<(ShardPartial, Option<ShardPartial>)> =
-            Vec::with_capacity(level.len().div_ceil(2));
-        let mut it = level.into_iter();
-        while let Some(a) = it.next() {
-            pairs.push((a, it.next()));
-        }
-        // Order-preserving parallel map: the level's outputs land in pair
-        // order regardless of which worker ran which merge.
-        level = pairs
-            .into_par_iter()
-            .map(|(a, b)| match b {
-                Some(b) => merge_two(a, b),
-                None => a,
-            })
-            .collect();
-    }
-    level.pop().unwrap_or_default()
-}
-
 /// What one delta batch netted out to, ready for
 /// [`AttachAggregates::try_apply_mass_deltas`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IngestReport {
-    /// Net per-host mass changes, in host order.
+    /// Net per-host mass changes, in host order: one entry per endpoint
+    /// host of an applied flow (its net may still be zero).
     pub masses: Vec<HostMassDelta>,
     /// Net change of `Σλ`.
     pub total_delta: i128,
@@ -304,163 +182,78 @@ pub struct IngestReport {
     pub records: u64,
 }
 
-/// Struct-of-arrays flow store sharded by (src top-of-rack,
-/// dst top-of-rack) switch pair.
+/// The streaming engine's flow store: flow endpoints and rates in flat
+/// flow-id-order arrays, plus the scratch one batch nets in.
 ///
-/// Shards are keyed and ordered by their ToR pair, so the shard list —
-/// and with it every reduction order — is a pure function of the
-/// workload's endpoint layout. A flow's slot never moves; `route` maps
-/// flow ids to `(shard, slot)` for O(1) delta scatter.
+/// A batch is one pass over its records to net them, one to validate and
+/// one to commit — no routing, no fan-out. Every quantity the commit
+/// reports is an order-free sum (exact `i128` masses, a saturating sum of
+/// non-negative drift terms), so the report depends only on the batch,
+/// never on the order records arrive in or on the machine.
 #[derive(Debug, Clone)]
 pub struct ShardedFlowStore {
-    shards: Vec<Shard>,
-    /// Flow id → (shard index, slot index).
-    route: Vec<(u32, u32)>,
-    /// Node-id bound of the build graph (sizes the per-group dense
-    /// mass accumulators).
-    num_nodes: usize,
+    /// Source host per flow.
+    src: Vec<NodeId>,
+    /// Destination host per flow.
+    dst: Vec<NodeId>,
+    /// Current rate per flow.
+    rates: Vec<u64>,
+    /// Batch scratch: netted pending delta per flow, all zero between
+    /// batches.
+    pending: Vec<i128>,
+    /// Batch scratch: per-node `(d_out, d_in)` mass accumulators and the
+    /// nodes touched this batch, all cleared between batches.
+    mass: Vec<(i128, i128)>,
+    mass_seen: Vec<bool>,
+    mass_hosts: Vec<NodeId>,
 }
 
 impl ShardedFlowStore {
-    /// Builds the store from a workload's current flows and rates,
-    /// sharding by the endpoints' top-of-rack switches on `g`.
+    /// Builds the store from a workload's current flows and rates on `g`.
     ///
     /// # Errors
     ///
-    /// [`StreamError::NoTopOfRack`] when a flow endpoint host has no
-    /// switch neighbor (cannot happen on fat-tree builders).
+    /// [`StreamError::Model`] when a flow endpoint is not a node of `g`.
     pub fn build(g: &Graph, w: &Workload) -> Result<Self, StreamError> {
-        const UNSET: u32 = u32::MAX;
-        let n_flows = w.num_flows();
-        // Each endpoint host's ToR, looked up once per host (flow order, so
-        // the first switchless endpoint is the one reported).
-        let mut tor_of = vec![UNSET; g.num_nodes()];
-        let mut ends: Vec<(NodeId, NodeId)> = Vec::with_capacity(n_flows);
-        for (_, src, dst, _) in w.iter() {
-            for host in [src, dst] {
-                if tor_of[host.index()] == UNSET {
-                    let tor = g
-                        .top_of_rack(host)
-                        .ok_or(StreamError::NoTopOfRack { host })?;
-                    tor_of[host.index()] = tor.0;
-                }
+        let n = w.num_flows();
+        let (mut src, mut dst) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for (_, s, d, _) in w.iter() {
+            if let Some(&bad) = [s, d].iter().find(|h| h.index() >= g.num_nodes()) {
+                return Err(ModelError::NotAHost(bad).into());
             }
-            ends.push((src, dst));
-        }
-        // Dense rank of every ToR in use, in node-id order, then each host's
-        // ToR rank: ranks order exactly like the ToR ids they replace.
-        let mut is_tor = vec![false; g.num_nodes()];
-        for &t in tor_of.iter().filter(|&&t| t != UNSET) {
-            is_tor[t as usize] = true;
-        }
-        let mut rank = vec![UNSET; g.num_nodes()];
-        let mut n_tors = 0u32;
-        for (r, _) in rank.iter_mut().zip(&is_tor).filter(|(_, &t)| t) {
-            *r = n_tors;
-            n_tors += 1;
-        }
-        let host_rank: Vec<u32> = tor_of
-            .iter()
-            .map(|&t| if t == UNSET { UNSET } else { rank[t as usize] })
-            .collect();
-        // Stable two-digit LSD counting sort on (src rank, dst rank), the
-        // dense form of the (src ToR, dst ToR) key: bucket starts for both
-        // digits from one pass, then a scatter by dst rank (flows in id
-        // order) and one by src rank (dst buckets in rank order). Each
-        // scatter carries the other digit along, so neither pass looks a
-        // flow up out of order.
-        let n_tors = n_tors as usize;
-        let mut src_start = vec![0usize; n_tors + 1];
-        let mut dst_start = vec![0usize; n_tors + 1];
-        for &(s, d) in &ends {
-            src_start[host_rank[s.index()] as usize + 1] += 1;
-            dst_start[host_rank[d.index()] as usize + 1] += 1;
-        }
-        for r in 0..n_tors {
-            src_start[r + 1] += src_start[r];
-            dst_start[r + 1] += dst_start[r];
-        }
-        // (flow, src rank), grouped by dst rank.
-        let mut by_dst = vec![(0u32, 0u32); n_flows];
-        let mut cursor = dst_start.clone();
-        for (i, &(s, d)) in ends.iter().enumerate() {
-            let c = &mut cursor[host_rank[d.index()] as usize];
-            by_dst[*c] = (i as u32, host_rank[s.index()]);
-            *c += 1;
-        }
-        // (flow, dst rank), grouped by src rank and then by dst rank.
-        let mut sorted = vec![(0u32, 0u32); n_flows];
-        let mut cursor = src_start.clone();
-        for rd in 0..n_tors {
-            for &(i, rs) in &by_dst[dst_start[rd]..dst_start[rd + 1]] {
-                let c = &mut cursor[rs as usize];
-                sorted[*c] = (i, rd as u32);
-                *c += 1;
-            }
-        }
-        drop(by_dst);
-        // One shard per (src rank, dst rank) run, every array at its exact
-        // size: shard order is ToR-pair order, slot order flow-id order.
-        let rates = w.rates();
-        let mut shards: Vec<Shard> = Vec::new();
-        let mut route = vec![(0u32, 0u32); n_flows];
-        for rs in 0..n_tors {
-            let src_run = &sorted[src_start[rs]..src_start[rs + 1]];
-            for run in src_run.chunk_by(|a, b| a.1 == b.1) {
-                let len = run.len();
-                let mut shard = Shard {
-                    flows: Vec::with_capacity(len),
-                    src_hosts: Vec::with_capacity(len),
-                    dst_hosts: Vec::with_capacity(len),
-                    rates: Vec::with_capacity(len),
-                    pending: vec![0; len],
-                    touched: Vec::new(),
-                    seen: vec![false; len],
-                };
-                for (slot, &(i, _)) in run.iter().enumerate() {
-                    let (src, dst) = ends[i as usize];
-                    route[i as usize] = (shards.len() as u32, slot as u32);
-                    shard.flows.push(FlowId(i));
-                    shard.src_hosts.push(src);
-                    shard.dst_hosts.push(dst);
-                    shard.rates.push(rates[i as usize]);
-                }
-                shards.push(shard);
-            }
+            src.push(s);
+            dst.push(d);
         }
         Ok(ShardedFlowStore {
-            shards,
-            route,
-            num_nodes: g.num_nodes(),
+            src,
+            dst,
+            rates: w.rates().to_vec(),
+            pending: vec![0; n],
+            mass: vec![(0, 0); g.num_nodes()],
+            mass_seen: vec![false; g.num_nodes()],
+            mass_hosts: Vec::new(),
         })
     }
 
     /// Number of flows stored.
     pub fn num_flows(&self) -> usize {
-        self.route.len()
-    }
-
-    /// Number of (src ToR, dst ToR) shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
+        self.rates.len()
     }
 
     /// The current rate of one flow.
     pub fn rate(&self, f: FlowId) -> Option<u64> {
-        let &(s, slot) = self.route.get(f.index())?;
-        Some(self.shards[s as usize].rates[slot as usize])
+        self.rates.get(f.index()).copied()
     }
 
-    /// Writes the current per-flow rate vector (flow id order) into
-    /// `out`, resizing it to the flow count.
+    /// The current per-flow rates, flow id order.
+    pub fn rates(&self) -> &[u64] {
+        &self.rates
+    }
+
+    /// Copies the current per-flow rates (flow id order) into `out`.
     pub fn export_rates(&self, out: &mut Vec<u64>) {
         out.clear();
-        out.resize(self.route.len(), 0);
-        for shard in &self.shards {
-            for (i, &f) in shard.flows.iter().enumerate() {
-                out[f.index()] = shard.rates[i];
-            }
-        }
+        out.extend_from_slice(&self.rates);
     }
 
     /// Overwrites every stored rate from a flow-id-ordered vector
@@ -471,228 +264,96 @@ impl ShardedFlowStore {
     /// [`StreamError::ShapeMismatch`] when the vector length differs from
     /// the flow count.
     pub fn set_rates(&mut self, rates: &[u64]) -> Result<(), StreamError> {
-        if rates.len() != self.route.len() {
+        if rates.len() != self.rates.len() {
             return Err(StreamError::ShapeMismatch {
-                flows: self.route.len(),
+                flows: self.rates.len(),
                 trace_flows: rates.len(),
             });
         }
-        for shard in &mut self.shards {
-            for (r, &f) in shard.rates.iter_mut().zip(&shard.flows) {
-                *r = rates[f.index()];
-            }
-        }
+        self.rates.copy_from_slice(rates);
         Ok(())
     }
 
-    /// Ingests one delta batch: scatter to shards, net per slot, validate
-    /// every new rate, apply, and tree-merge the per-group partials into
-    /// one [`IngestReport`]. On error nothing is applied.
+    /// Ingests one delta batch: net each flow's records, validate every
+    /// netted rate, then commit them and reduce the applied flows to
+    /// per-host masses. On error nothing is applied.
     ///
     /// Zero deltas are dropped at the door and a flow's deltas net within
-    /// the batch, so only real rate movement reaches the shards; the
-    /// report's mass list is bit-exactly what a from-scratch
-    /// [`AttachAggregates::build`] at the new rates would differ by.
-    ///
-    /// The fan-out is over [`INGEST_GROUPS`] contiguous shard runs: one
-    /// serial pass routes each delta to its group, a first parallel pass
-    /// nets the deltas into shard slots and validates every new rate, and
-    /// only then a second parallel pass commits rates and reduces each
-    /// group to a dense per-host mass accumulator. The group partials
-    /// tree-merge in a fixed shape, so both passes and the reduction are
-    /// pure functions of the input — never of thread scheduling.
+    /// the batch, so only real rate movement is applied; the report's mass
+    /// list is bit-exactly what a from-scratch [`AttachAggregates::build`]
+    /// at the new rates would differ by.
     ///
     /// # Errors
     ///
-    /// [`StreamError::UnknownFlow`] for a delta outside the store,
-    /// [`StreamError::RateOutOfRange`] when a netted rate leaves `u64`.
+    /// [`StreamError::UnknownFlow`] for the first record (batch order)
+    /// outside the store, else [`StreamError::RateOutOfRange`] for the
+    /// lowest flow id whose netted rate leaves `u64`.
     pub fn ingest(&mut self, deltas: &[RateDelta]) -> Result<IngestReport, StreamError> {
-        let n_shards = self.shards.len();
-        let records = deltas.len() as u64;
-        if n_shards == 0 || deltas.is_empty() {
-            if let Some(d) = deltas.iter().find(|d| d.delta != 0) {
-                return Err(StreamError::UnknownFlow { flow: d.flow });
-            }
-            return Ok(IngestReport {
-                records,
-                ..IngestReport::default()
-            });
-        }
-        let per_group = n_shards.div_ceil(INGEST_GROUPS).max(1);
-        // Route: sequential appends into per-group batches. Nothing is
-        // staged yet, so an unknown flow returns without cleanup.
-        let mut grouped: Vec<Vec<(u32, u32, i64)>> = vec![Vec::new(); n_shards.div_ceil(per_group)];
-        for d in deltas {
-            if d.delta == 0 {
-                continue;
-            }
-            let Some(&(s, slot)) = self.route.get(d.flow.index()) else {
+        let mut report = IngestReport {
+            records: deltas.len() as u64,
+            ..IngestReport::default()
+        };
+        let moving = || deltas.iter().filter(|d| d.delta != 0);
+        // Net. A flow's first record stages the batch's whole net delta;
+        // the scratch is zero again after commit or rollback.
+        for (i, d) in moving().enumerate() {
+            let Some(p) = self.pending.get_mut(d.flow.index()) else {
+                for d in moving().take(i) {
+                    self.pending[d.flow.index()] = 0;
+                }
                 return Err(StreamError::UnknownFlow { flow: d.flow });
             };
-            grouped[s as usize / per_group].push((s, slot, d.delta));
+            *p += i128::from(d.delta);
         }
-        // Net + validate (parallel per group): stage pending deltas into
-        // shard slots and check every netted rate, mutating no rate. The
-        // batch commits atomically or not at all.
-        let staged: Vec<Result<(), StreamError>> = {
-            // (group index, the group's shard run, its routed records).
-            type GroupWork<'a> = (usize, &'a mut [Shard], &'a [(u32, u32, i64)]);
-            let work: Vec<GroupWork<'_>> = self
-                .shards
-                .chunks_mut(per_group)
-                .zip(&grouped)
-                .enumerate()
-                .map(|(g, (chunk, batch))| (g, chunk, batch.as_slice()))
-                .collect();
-            work.into_par_iter()
-                .map(|(g, chunk, batch)| {
-                    let s0 = g * per_group;
-                    for &(s, slot, delta) in batch {
-                        let shard = &mut chunk[s as usize - s0];
-                        let sl = slot as usize;
-                        if !shard.seen[sl] {
-                            shard.seen[sl] = true;
-                            shard.touched.push(slot);
-                        }
-                        shard.pending[sl] += i128::from(delta);
-                    }
-                    for shard in chunk.iter_mut() {
-                        // Slot order independent of batch arrival order.
-                        shard.touched.sort_unstable();
-                        for &slot in &shard.touched {
-                            let sl = slot as usize;
-                            let net = i128::from(shard.rates[sl]) + shard.pending[sl];
-                            if u64::try_from(net).is_err() {
-                                return Err(StreamError::RateOutOfRange {
-                                    flow: shard.flows[sl],
-                                });
-                            }
-                        }
-                    }
-                    Ok(())
-                })
-                .collect()
-        };
-        if let Some(e) = staged.into_iter().find_map(Result::err) {
-            self.clear_staged();
-            return Err(e);
+        // Validate, mutating nothing.
+        let bad = moving()
+            .map(|d| d.flow)
+            .filter(|f| {
+                u64::try_from(i128::from(self.rates[f.index()]) + self.pending[f.index()]).is_err()
+            })
+            .min();
+        if let Some(flow) = bad {
+            for d in moving() {
+                self.pending[d.flow.index()] = 0;
+            }
+            return Err(StreamError::RateOutOfRange { flow });
         }
-        // Commit + reduce (parallel per group): apply each staged slot to
-        // its rate and accumulate the group's per-host masses — shard
-        // order within the group, group order fixed by the partition, so
-        // the (saturating) drift total is deterministic. Small batches
-        // accumulate sparsely (sort + fold); only batches large relative
-        // to the node count pay for zeroing a dense per-node array. The
-        // choice depends on batch sizes alone — never on the machine —
-        // and both paths produce the same host-sorted exact sums.
-        let num_nodes = self.num_nodes;
-        let partials: Vec<ShardPartial> = {
-            let work: Vec<(&mut [Shard], usize)> = self
-                .shards
-                .chunks_mut(per_group)
-                .zip(&grouped)
-                .map(|(chunk, batch)| (chunk, batch.len()))
-                .collect();
-            work.into_par_iter()
-                .map(|(chunk, batch_len)| {
-                    if batch_len == 0 {
-                        return ShardPartial::default();
-                    }
-                    let dense = batch_len * 8 >= num_nodes;
-                    let mut d_out = vec![0i128; if dense { num_nodes } else { 0 }];
-                    let mut d_in = vec![0i128; if dense { num_nodes } else { 0 }];
-                    let mut marked = vec![false; if dense { num_nodes } else { 0 }];
-                    let mut hosts: Vec<u32> = Vec::new();
-                    // Sparse path scratch: (host, signed out-mass, signed
-                    // in-mass) contribution per applied slot endpoint.
-                    let mut sparse: Vec<(u32, i128, i128)> = Vec::new();
-                    let mut p = ShardPartial::default();
-                    for shard in chunk.iter_mut() {
-                        for i in 0..shard.touched.len() {
-                            let sl = shard.touched[i] as usize;
-                            shard.seen[sl] = false;
-                            let d = std::mem::take(&mut shard.pending[sl]);
-                            if d == 0 {
-                                // The batch's deltas for this flow
-                                // cancelled exactly — nothing to apply,
-                                // nothing to count as drift.
-                                continue;
-                            }
-                            let new = i128::from(shard.rates[sl]) + d;
-                            debug_assert!(
-                                u64::try_from(new).is_ok(),
-                                "validated in the staging pass"
-                            );
-                            shard.rates[sl] = new as u64;
-                            p.total += d;
-                            p.drift = p.drift.saturating_add(
-                                u64::try_from(d.unsigned_abs()).unwrap_or(u64::MAX),
-                            );
-                            p.applied += 1;
-                            let (src, dst) = (shard.src_hosts[sl], shard.dst_hosts[sl]);
-                            if dense {
-                                d_out[src.index()] += d;
-                                d_in[dst.index()] += d;
-                                for h in [src.index(), dst.index()] {
-                                    if !marked[h] {
-                                        marked[h] = true;
-                                        hosts.push(h as u32);
-                                    }
-                                }
-                            } else {
-                                sparse.push((src.0, d, 0));
-                                sparse.push((dst.0, 0, d));
-                            }
-                        }
-                        shard.touched.clear();
-                    }
-                    // Either path emits masses in node-id order: the tree
-                    // merge and the aggregate fold both want host-sorted
-                    // lists.
-                    if dense {
-                        hosts.sort_unstable();
-                        p.masses = hosts
-                            .iter()
-                            .map(|&h| HostMassDelta {
-                                host: NodeId(h),
-                                d_out: d_out[h as usize],
-                                d_in: d_in[h as usize],
-                            })
-                            .collect();
-                    } else {
-                        sparse.sort_unstable_by_key(|&(h, ..)| h);
-                        for (h, dout, din) in sparse {
-                            match p.masses.last_mut() {
-                                Some(m) if m.host.0 == h => {
-                                    m.d_out += dout;
-                                    m.d_in += din;
-                                }
-                                _ => p.masses.push(HostMassDelta {
-                                    host: NodeId(h),
-                                    d_out: dout,
-                                    d_in: din,
-                                }),
-                            }
-                        }
-                    }
-                    p
-                })
-                .collect()
-        };
-        let merged = tree_merge(partials);
-        Ok(IngestReport {
-            masses: merged.masses,
-            total_delta: merged.total,
-            drift: merged.drift,
-            applied: merged.applied,
-            records,
-        })
-    }
-
-    fn clear_staged(&mut self) {
-        for shard in &mut self.shards {
-            shard.clear_staged();
+        // Commit. Repeated records find their flow's scratch already taken.
+        for d in moving() {
+            let f = d.flow.index();
+            let net = std::mem::take(&mut self.pending[f]);
+            if net == 0 {
+                // Unchanged, or the batch's deltas for this flow cancelled
+                // exactly: nothing to apply, nothing to count as drift.
+                continue;
+            }
+            let new = i128::from(self.rates[f]) + net;
+            self.rates[f] = u64::try_from(new).unwrap_or_default();
+            report.total_delta += net;
+            report.drift = report
+                .drift
+                .saturating_add(u64::try_from(net.unsigned_abs()).unwrap_or(u64::MAX));
+            report.applied += 1;
+            let (s, t) = (self.src[f], self.dst[f]);
+            self.mass[s.index()].0 += net;
+            self.mass[t.index()].1 += net;
+            for h in [s, t] {
+                if !std::mem::replace(&mut self.mass_seen[h.index()], true) {
+                    self.mass_hosts.push(h);
+                }
+            }
         }
+        self.mass_hosts.sort_unstable();
+        report.masses = self
+            .mass_hosts
+            .drain(..)
+            .map(|host| {
+                self.mass_seen[host.index()] = false;
+                let (d_out, d_in) = std::mem::take(&mut self.mass[host.index()]);
+                HostMassDelta { host, d_out, d_in }
+            })
+            .collect();
+        Ok(report)
     }
 }
 
@@ -842,8 +503,9 @@ pub struct StreamRun {
 /// A frozen mid-day streaming-engine state (`ppdc-stream-ckpt/v2`).
 ///
 /// Only primary state is stored: the rate vector, incumbent placement,
-/// drift accumulator, and accumulated telemetry. Shards and aggregates
-/// are rebuilt on restore — bit-identically, by the PR 1 equivalence.
+/// drift accumulator, and accumulated telemetry. The flow store and
+/// aggregates are rebuilt on restore — bit-identically, by the
+/// delta/rebuild equivalence.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamCheckpoint {
     /// FNV-1a hash of every input (see [`stream_fingerprint`]).
@@ -1052,7 +714,7 @@ pub fn stream_fingerprint(
 }
 
 /// Runs one streaming day: TOP at hour 0, then every epoch ingests the
-/// trace's rate deltas through the sharded store, folds them into the
+/// trace's rate deltas through the flow store, folds them into the
 /// live aggregates, and serves the epoch by the drift rule (see the
 /// module docs). Two calls with the same inputs produce bit-identical
 /// results.
@@ -1072,8 +734,8 @@ pub fn run_stream_day<D: DistanceOracle + ?Sized>(
 }
 
 /// Resumes a streaming day from a [`StreamCheckpoint`] and finishes it
-/// **bit-identically** to the uninterrupted run: shards and aggregates
-/// are rebuilt from the checkpointed rate vector, and the PR 1
+/// **bit-identically** to the uninterrupted run: the flow store and
+/// aggregates are rebuilt from the checkpointed rate vector, and the
 /// delta/rebuild equivalence makes the reconstruction exact.
 ///
 /// # Errors
@@ -1167,11 +829,10 @@ fn run_stream_day_impl<D: DistanceOracle + ?Sized>(
         }
     };
     let every = cfg.checkpoint_every.max(1);
-    // The store's rates in flow-id order, exported at most once per epoch
-    // and lent to the checkpoint rather than cloned.
+    // The snapshot's rate buffer, lent to each checkpoint and taken back
+    // rather than reallocated.
     let mut rates_buf: Vec<u64> = Vec::new();
     for epoch in start_epoch..=n_hours {
-        let mut exported = false;
         let batch: Vec<RateDelta> = trace
             .try_rate_deltas(epoch)?
             .into_iter()
@@ -1203,9 +864,7 @@ fn run_stream_day_impl<D: DistanceOracle + ?Sized>(
                 tracker.reset();
                 (EpochAction::SkippedCertified { gap }, inc_cost)
             } else {
-                store.export_rates(&mut rates_buf);
-                exported = true;
-                w_cur.set_rates(&rates_buf)?;
+                w_cur.set_rates(store.rates())?;
                 let (p, c) =
                     dp_placement_warm(g, dm, &w_cur, sfc, &agg, &mut cache, Some(&placement))?;
                 st.resolves += 1;
@@ -1228,9 +887,7 @@ fn run_stream_day_impl<D: DistanceOracle + ?Sized>(
         let stop_here = cfg.stop_after == Some(epoch);
         let last = epoch == n_hours;
         if wants_snapshots && (stop_here || last || epoch % every == 0) {
-            if !exported {
-                store.export_rates(&mut rates_buf);
-            }
+            store.export_rates(&mut rates_buf);
             let ck = StreamCheckpoint {
                 fingerprint: fp,
                 epoch,
@@ -1284,7 +941,6 @@ mod tests {
         let (g, dm, mut w, trace) = fixture(40, 11);
         w.set_rates(&trace.rates_at(0)).unwrap();
         let mut store = ShardedFlowStore::build(&g, &w).unwrap();
-        assert!(store.num_shards() > 1);
         let mut agg = AttachAggregates::build(&g, &dm, &w);
         for h in 1..=trace.model().n_hours {
             let batch: Vec<RateDelta> = trace
@@ -1304,72 +960,57 @@ mod tests {
         }
     }
 
-    /// The sort-based store build the counting sort replaced: a
-    /// comparison sort of `((src ToR, dst ToR), flow)` keys, shards grown
-    /// by push.
-    fn build_reference(g: &Graph, w: &Workload) -> Result<ShardedFlowStore, StreamError> {
-        type KeyedFlow = ((NodeId, NodeId), FlowId, NodeId, NodeId, u64);
-        let mut keyed: Vec<KeyedFlow> = Vec::with_capacity(w.num_flows());
-        for (f, src, dst, rate) in w.iter() {
-            let ks = g
-                .top_of_rack(src)
-                .ok_or(StreamError::NoTopOfRack { host: src })?;
-            let kd = g
-                .top_of_rack(dst)
-                .ok_or(StreamError::NoTopOfRack { host: dst })?;
-            keyed.push(((ks, kd), f, src, dst, rate));
+    /// The store's contract, one flow at a time: zero records are
+    /// ignored, the first unknown flow in batch order is rejected, records
+    /// net per flow, the lowest flow id whose net rate leaves `u64` is
+    /// rejected, and otherwise every nonzero net applies and adds to its
+    /// endpoints' masses. A rejected batch changes nothing.
+    fn reference_ingest(
+        rates: &mut [u64],
+        ends: &[(NodeId, NodeId)],
+        batch: &[RateDelta],
+    ) -> Result<IngestReport, StreamError> {
+        use std::collections::BTreeMap;
+        let moving = || batch.iter().filter(|d| d.delta != 0);
+        if let Some(d) = moving().find(|d| d.flow.index() >= rates.len()) {
+            return Err(StreamError::UnknownFlow { flow: d.flow });
         }
-        keyed.sort_unstable_by_key(|&(k, f, ..)| (k, f));
-        let mut shards: Vec<Shard> = Vec::new();
-        let mut route = vec![(0u32, 0u32); w.num_flows()];
-        let mut cur_key = None;
-        for (k, f, src, dst, rate) in keyed {
-            if cur_key != Some(k) {
-                shards.push(Shard {
-                    flows: Vec::new(),
-                    src_hosts: Vec::new(),
-                    dst_hosts: Vec::new(),
-                    rates: Vec::new(),
-                    pending: Vec::new(),
-                    touched: Vec::new(),
-                    seen: Vec::new(),
-                });
-                cur_key = Some(k);
+        let mut net: BTreeMap<FlowId, i128> = BTreeMap::new();
+        for d in moving() {
+            *net.entry(d.flow).or_default() += i128::from(d.delta);
+        }
+        for (&f, &d) in &net {
+            if u64::try_from(i128::from(rates[f.index()]) + d).is_err() {
+                return Err(StreamError::RateOutOfRange { flow: f });
             }
-            let si = shards.len() - 1;
-            let shard = &mut shards[si];
-            route[f.index()] = (si as u32, shard.flows.len() as u32);
-            shard.flows.push(f);
-            shard.src_hosts.push(src);
-            shard.dst_hosts.push(dst);
-            shard.rates.push(rate);
-            shard.pending.push(0);
-            shard.seen.push(false);
         }
-        Ok(ShardedFlowStore {
-            shards,
-            route,
-            num_nodes: g.num_nodes(),
-        })
+        let mut report = IngestReport {
+            records: batch.len() as u64,
+            ..IngestReport::default()
+        };
+        let mut masses: BTreeMap<NodeId, (i128, i128)> = BTreeMap::new();
+        for (f, d) in net.into_iter().filter(|&(_, d)| d != 0) {
+            let r = &mut rates[f.index()];
+            *r = u64::try_from(i128::from(*r) + d).unwrap();
+            report.total_delta += d;
+            report.drift = report
+                .drift
+                .saturating_add(u64::try_from(d.unsigned_abs()).unwrap());
+            report.applied += 1;
+            let (src, dst) = ends[f.index()];
+            masses.entry(src).or_default().0 += d;
+            masses.entry(dst).or_default().1 += d;
+        }
+        report.masses = masses
+            .into_iter()
+            .map(|(host, (d_out, d_in))| HostMassDelta { host, d_out, d_in })
+            .collect();
+        Ok(report)
     }
 
-    fn assert_same_layout(a: &ShardedFlowStore, b: &ShardedFlowStore) {
-        assert_eq!(a.route, b.route);
-        assert_eq!(a.num_nodes, b.num_nodes);
-        assert_eq!(a.shards.len(), b.shards.len());
-        for (sa, sb) in a.shards.iter().zip(&b.shards) {
-            assert_eq!(sa.flows, sb.flows);
-            assert_eq!(sa.src_hosts, sb.src_hosts);
-            assert_eq!(sa.dst_hosts, sb.dst_hosts);
-            assert_eq!(sa.rates, sb.rates);
-            assert_eq!(sa.pending, sb.pending);
-            assert_eq!(sa.seen, sb.seen);
-        }
-    }
-
-    /// A hand-built fabric whose ToR ids do not follow host order, with a
-    /// host wired to two switches (the larger id first, so `top_of_rack`'s
-    /// minimum matters) and flows listed out of ToR-pair order.
+    /// A hand-built fabric mixing leaf hosts with a host wired to two
+    /// switches, whose switch ids do not follow host order, with flows
+    /// listed out of host order.
     fn two_homed_fixture() -> (Graph, Workload) {
         let mut g = Graph::new();
         let h: Vec<NodeId> = (0..6).map(|i| g.add_host(format!("h{i}"))).collect();
@@ -1400,38 +1041,98 @@ mod tests {
     }
 
     #[test]
-    fn counting_sort_build_matches_the_sort_based_build() {
+    fn ingest_matches_the_per_flow_reference_model() {
         let (g, _, mut w, trace) = fixture(60, 7);
         w.set_rates(&trace.rates_at(0)).unwrap();
         let (g2, w2) = two_homed_fixture();
-        for (g, w) in [(&g, &w), (&g2, &w2)] {
-            let mut store = ShardedFlowStore::build(g, w).unwrap();
-            let mut reference = build_reference(g, w).unwrap();
-            assert!(store.num_shards() > 1);
-            assert_same_layout(&store, &reference);
-            // Identical layouts must stay identical under ingest.
-            for step in 0..6u64 {
-                let batch: Vec<RateDelta> = (0..w.num_flows())
-                    .filter(|i| !(*i as u64 + step).is_multiple_of(3))
-                    .map(|i| RateDelta {
-                        flow: FlowId(i as u32),
-                        delta: (i as i64 % 5 + 1) * if step % 2 == 0 { 1 } else { -1 },
+        for (g, mut w) in [(&g, w), (&g2, w2)] {
+            // Headroom, so only the planted records drive a rate negative.
+            let lifted: Vec<u64> = w.rates().iter().map(|r| r + 1_000).collect();
+            w.set_rates(&lifted).unwrap();
+            let mut store = ShardedFlowStore::build(g, &w).unwrap();
+            let mut rates = w.rates().to_vec();
+            let ends: Vec<(NodeId, NodeId)> = w.iter().map(|(_, s, d, _)| (s, d)).collect();
+            let n = w.num_flows() as u32;
+            let mut x = 0x9E37_79B9_7F4A_7C15u64;
+            let mut next = move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            let (mut rejected, mut accepted) = (0, 0);
+            for step in 0..200 {
+                // Records in random flow order, with repeats, zeros and
+                // exact in-batch cancellations.
+                let mut batch: Vec<RateDelta> = (0..next() % 24)
+                    .map(|_| RateDelta {
+                        flow: FlowId(next() as u32 % n),
+                        delta: (next() % 61) as i64 - 30,
                     })
                     .collect();
-                assert_eq!(store.ingest(&batch), reference.ingest(&batch));
-                let (mut a, mut b) = (Vec::new(), Vec::new());
-                store.export_rates(&mut a);
-                reference.export_rates(&mut b);
-                assert_eq!(a, b);
+                if let Some(&d) = batch.first() {
+                    batch.push(RateDelta {
+                        flow: d.flow,
+                        delta: -d.delta,
+                    });
+                }
+                match step % 5 {
+                    // Two flows driven below zero, the higher id first.
+                    1 => {
+                        let (lo, hi) = (next() as u32 % (n / 2), n / 2 + next() as u32 % (n / 2));
+                        for f in [hi, lo] {
+                            let r = rates[f as usize] as i64;
+                            batch.insert(
+                                next() as usize % (batch.len() + 1),
+                                RateDelta {
+                                    flow: FlowId(f),
+                                    delta: -r - 10_000,
+                                },
+                            );
+                        }
+                    }
+                    // Unknown flows after a moving record; a zero record
+                    // for a foreign flow is ignored like any zero.
+                    2 => {
+                        batch.push(RateDelta {
+                            flow: FlowId(n + 5),
+                            delta: 0,
+                        });
+                        batch.push(RateDelta {
+                            flow: FlowId(n + 1),
+                            delta: 3,
+                        });
+                        batch.push(RateDelta {
+                            flow: FlowId(u32::MAX),
+                            delta: -2,
+                        });
+                    }
+                    _ => {}
+                }
+                let before = rates.clone();
+                let want = reference_ingest(&mut rates, &ends, &batch);
+                assert_eq!(store.ingest(&batch), want, "step {step}");
+                assert_eq!(store.rates(), &rates[..], "step {step}");
+                match want {
+                    Ok(_) => accepted += 1,
+                    Err(e) => {
+                        assert_eq!(rates, before, "reference rejected but mutated");
+                        match step % 5 {
+                            1 => assert!(matches!(e, StreamError::RateOutOfRange { .. })),
+                            2 => assert_eq!(
+                                e,
+                                StreamError::UnknownFlow {
+                                    flow: FlowId(n + 1)
+                                }
+                            ),
+                            _ => unreachable!("step {step}: {e}"),
+                        }
+                        rejected += 1;
+                    }
+                }
             }
+            assert_eq!((rejected, accepted), (80, 120));
         }
-        // A switchless endpoint is reported the same way by both builds.
-        let (mut g3, mut w3) = two_homed_fixture();
-        let lonely = g3.add_host("lonely");
-        w3.add_pair(NodeId(0), lonely, 1);
-        let want = StreamError::NoTopOfRack { host: lonely };
-        assert_eq!(ShardedFlowStore::build(&g3, &w3).unwrap_err(), want);
-        assert_eq!(build_reference(&g3, &w3).unwrap_err(), want);
     }
 
     #[test]

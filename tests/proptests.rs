@@ -733,6 +733,75 @@ proptest! {
         }
     }
 
+    /// Streamed ≡ rebuilt off the fat-tree: on a random switch fabric
+    /// whose hosts mix single-link leaves (collapsed onto their switch at
+    /// random link weights) with two- and three-homed hosts (folded per
+    /// host), streamed aggregates — full and restricted — equal a fresh
+    /// build after every epoch, and the store holds the target rates.
+    #[test]
+    fn streamed_ingest_equals_rebuild_on_a_mixed_fabric(
+        (g, _) in arb_ppdc(),
+        n_hosts in 2usize..10,
+        num_flows in 1usize..24,
+        n_epochs in 1usize..5,
+        seed in any::<u64>(),
+    ) {
+        use ppdc::model::FlowId;
+        use ppdc::sim::{RateDelta, ShardedFlowStore};
+        let mut g = g;
+        let mut x = seed | 1;
+        let mut next = || { x ^= x << 13; x ^= x >> 7; x ^= x << 17; x };
+        let switches: Vec<NodeId> = g.switches().collect();
+        let mut hosts: Vec<NodeId> = g.hosts().collect();
+        for i in 0..n_hosts {
+            let h = g.add_host(format!("m{i}"));
+            for _ in 0..1 + next() % 3 {
+                let s = switches[next() as usize % switches.len()];
+                let _ = g.add_edge(h, s, 1 + next() % 9);
+            }
+            hosts.push(h);
+        }
+        let dm = DistanceMatrix::build(&g);
+        prop_assert!(dm.all_connected());
+        let mut w = Workload::new();
+        for _ in 0..num_flows {
+            let a = hosts[next() as usize % hosts.len()];
+            let b = hosts[next() as usize % hosts.len()];
+            w.add_pair(a, b, next() % 10_000);
+        }
+        let mut candidates: Vec<NodeId> =
+            switches.iter().copied().filter(|_| next() % 3 != 0).collect();
+        if candidates.is_empty() {
+            candidates = switches;
+        }
+        let mut store = ShardedFlowStore::build(&g, &w).unwrap();
+        let mut agg = AttachAggregates::build(&g, &dm, &w);
+        let mut agg_r = AttachAggregates::build_restricted(&g, &dm, &w, &candidates);
+        let mut w_cur = w.clone();
+        for _ in 0..n_epochs {
+            let target: Vec<u64> = (0..w_cur.num_flows()).map(|_| next() % 10_000).collect();
+            let deltas: Vec<RateDelta> = w_cur
+                .rates()
+                .iter()
+                .enumerate()
+                .map(|(f, &r)| RateDelta {
+                    flow: FlowId(f as u32),
+                    delta: target[f] as i64 - r as i64,
+                })
+                .collect();
+            let report = store.ingest(&deltas).unwrap();
+            agg.try_apply_mass_deltas(&dm, &report.masses, report.total_delta).unwrap();
+            agg_r.try_apply_mass_deltas(&dm, &report.masses, report.total_delta).unwrap();
+            w_cur.set_rates(&target).unwrap();
+            prop_assert!(agg.same_as(&AttachAggregates::build(&g, &dm, &w_cur)));
+            prop_assert!(agg.same_as(&AttachAggregates::build_flow_by_flow(&g, &dm, &w_cur)));
+            prop_assert!(
+                agg_r.same_as(&AttachAggregates::build_restricted(&g, &dm, &w_cur, &candidates))
+            );
+            prop_assert_eq!(store.rates(), &target[..]);
+        }
+    }
+
     /// The warm-started re-solver is bit-identical to the exhaustive cold
     /// sweep — cost **and** lexicographic switch tie-break — across random
     /// epoch sequences of churn confined to a random locality, with the
