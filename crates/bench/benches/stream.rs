@@ -28,7 +28,13 @@
 //! * `store_build_1m` — [`ShardedFlowStore::build`], a copy of the
 //!   workload's endpoints and rates (day set-up and every resume),
 //! * `rate_deltas_1m` — [`DynamicTrace::try_rate_deltas`], cycling through
-//!   the day's 12 epochs of a diurnal trace with 25 % hourly churn.
+//!   the day's 12 epochs of a diurnal trace with 25 % hourly churn,
+//! * `trace_feed_1m` — [`ShardedFlowStore::advance`] over the same trace
+//!   and store, cycling through the same epochs: the engine's whole
+//!   trace-driven store step, which replaces `rate_deltas_1m` plus the
+//!   store half of `full_fabric`. When the day wraps, the store is reset
+//!   to hour 0's rates with [`ShardedFlowStore::set_rates`]; that 1M-rate
+//!   copy (one sample in 12) is inside the timer.
 //!
 //! The `stream_resolve` group measures the *solver* half of an epoch: the
 //! warm-started re-solve ([`dp_placement_warm`] with a persistent
@@ -186,6 +192,20 @@ fn bench_stream_ingest(c: &mut Criterion) {
         b.iter(|| {
             hour = hour % n_hours + 1;
             trace.try_rate_deltas(hour).unwrap()
+        })
+    });
+    let day_start = trace.rates_at(0);
+    let mut store = ShardedFlowStore::build(g, &w).unwrap();
+    store.set_rates(&day_start).unwrap();
+    let mut hour = 0;
+    group.bench_function("trace_feed_1m", |b| {
+        b.iter(|| {
+            if hour == n_hours {
+                store.set_rates(&day_start).unwrap();
+                hour = 0;
+            }
+            hour += 1;
+            store.advance(&trace, hour).unwrap().applied
         })
     });
     group.finish();

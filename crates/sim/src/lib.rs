@@ -28,12 +28,13 @@
 //! checkpoints, and resource pressure into asserted invariants.
 //!
 //! [`stream`] scales the epoch loop to millions of flows:
-//! [`run_stream_day`] ingests **rate deltas** through a flat
-//! flow-id-order store ([`ShardedFlowStore`]) whose exact per-host mass
-//! sums are order-free, folds them into the live attach aggregates (leaf
-//! hosts collapsed onto their ToR), and re-runs the solver only when
-//! accumulated drift crosses a threshold — using the
-//! admissible placement bound to certify when the stale incumbent is
+//! [`run_stream_day`] advances a flat flow-id-order store
+//! ([`ShardedFlowStore`]) straight from the trace, hour by hour, with
+//! exact per-host mass sums that are order-free, folds them into the
+//! live attach aggregates (leaf hosts collapsed onto their ToR), and
+//! re-runs the solver only when accumulated drift crosses a threshold —
+//! using the admissible placement bound to certify when the stale
+//! incumbent is
 //! provably close enough to serve. [`resume_stream_day`] restores a
 //! `ppdc-stream-ckpt/v2` snapshot and finishes the day bit-identically.
 

@@ -2,22 +2,26 @@
 //!
 //! The batch simulator re-prices a full in-memory rate vector every hour.
 //! This module is the step from "reproduce Fig. 7" to "serve millions of
-//! users": a long-running engine that ingests **rate deltas** instead of
-//! rate vectors and re-runs the placement solver only when the traffic has
+//! users": a long-running engine that moves only the flows whose rates
+//! changed and re-runs the placement solver only when the traffic has
 //! drifted far enough to matter.
 //!
 //! Three pieces:
 //!
 //! - [`ShardedFlowStore`] — flow endpoints and rates in flat
-//!   flow-id-order arrays. A delta batch nets per flow, validates every
-//!   netted rate and only then commits, reducing the applied flows to
-//!   per-host [`HostMassDelta`]s that land on
+//!   flow-id-order arrays. The engine's epochs arrive as trace hours
+//!   through [`ShardedFlowStore::advance`], which overwrites each flow
+//!   the trace reports as possibly moved with its absolute rate at the
+//!   new hour. [`ShardedFlowStore::ingest`] is the entry point for
+//!   external delta batches: it nets per flow, validates every netted
+//!   rate and only then commits. Both paths share one commit routine and
+//!   reduce the applied flows to per-host [`HostMassDelta`]s that land on
 //!   [`AttachAggregates::try_apply_mass_deltas`] with a single switch
 //!   sweep. Every reported sum is order-free — exact `i128` masses and a
 //!   saturating sum of non-negative drift terms — so the report is a pure
-//!   function of the batch and equals what a from-scratch rebuild would
-//!   differ by. (The name predates the flat layout; it stays until the
-//!   benchmark reads engine records instead of calling the store.)
+//!   function of the rate change and equals what a from-scratch rebuild
+//!   would differ by. (The name predates the flat layout; it stays until
+//!   the benchmark reads engine records instead of calling the store.)
 //! - [`DriftTracker`] — accumulates the ingested absolute rate drift
 //!   `Σ|Δλ|` and gates the solver: below
 //!   [`StreamConfig::drift_threshold`] the epoch is served by the stale
@@ -33,10 +37,11 @@
 //!   through the same atomic two-slot [`CheckpointStore`], an input
 //!   fingerprint refusing foreign snapshots, and **bit-identical resume**
 //!   (derived state — the flow store, aggregates — is rebuilt from the
-//!   checkpointed rate vector; the delta/rebuild equivalence makes the
+//!   checkpointed rate vector, which is the trace's rates at the
+//!   checkpointed epoch; the delta/rebuild equivalence makes the
 //!   reconstruction exact).
 //!
-//! Epochs that do re-solve go through [`dp_placement_warm`]: each ingest
+//! Epochs that do re-solve go through [`dp_placement_warm`]: each epoch
 //! reports its merged mass deltas to a persistent
 //! [`BoundCache`](ppdc_placement::BoundCache) so only touched bound rows
 //! refresh, and the incumbent placement — priced under the new
@@ -165,8 +170,8 @@ impl From<CkptError> for StreamError {
     }
 }
 
-/// What one delta batch netted out to, ready for
-/// [`AttachAggregates::try_apply_mass_deltas`].
+/// What one store step — a trace hour or a delta batch — changed, ready
+/// for [`AttachAggregates::try_apply_mass_deltas`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IngestReport {
     /// Net per-host mass changes, in host order: one entry per endpoint
@@ -178,18 +183,24 @@ pub struct IngestReport {
     pub drift: u64,
     /// Flows whose stored rate actually changed.
     pub applied: u64,
-    /// Delta records scanned (including zeros and in-batch cancellations).
+    /// Input records scanned. For [`ShardedFlowStore::ingest`], the
+    /// batch's delta records, zeros and in-batch cancellations included;
+    /// for [`ShardedFlowStore::advance`], the `(flow, rate)` pairs the
+    /// trace yielded, unchanged rates included. The two paths agree on
+    /// every other field, not on this one.
     pub records: u64,
 }
 
 /// The streaming engine's flow store: flow endpoints and rates in flat
-/// flow-id-order arrays, plus the scratch one batch nets in.
+/// flow-id-order arrays, plus the scratch one delta batch nets in.
 ///
-/// A batch is one pass over its records to net them, one to validate and
-/// one to commit — no routing, no fan-out. Every quantity the commit
-/// reports is an order-free sum (exact `i128` masses, a saturating sum of
-/// non-negative drift terms), so the report depends only on the batch,
-/// never on the order records arrive in or on the machine.
+/// A trace hour ([`ShardedFlowStore::advance`]) is one pass that commits
+/// each yielded absolute rate. A delta batch ([`ShardedFlowStore::ingest`])
+/// is one pass over its records to net them, one to validate and one to
+/// commit — no routing, no fan-out. Every quantity a commit reports is an
+/// order-free sum (exact `i128` masses, a saturating sum of non-negative
+/// drift terms), so the report depends only on which rates changed and by
+/// how much, never on the order they arrive in or on the machine.
 #[derive(Debug, Clone)]
 pub struct ShardedFlowStore {
     /// Source host per flow.
@@ -322,27 +333,76 @@ impl ShardedFlowStore {
         for d in moving() {
             let f = d.flow.index();
             let net = std::mem::take(&mut self.pending[f]);
-            if net == 0 {
-                // Unchanged, or the batch's deltas for this flow cancelled
-                // exactly: nothing to apply, nothing to count as drift.
-                continue;
-            }
-            let new = i128::from(self.rates[f]) + net;
-            self.rates[f] = u64::try_from(new).unwrap_or_default();
-            report.total_delta += net;
-            report.drift = report
-                .drift
-                .saturating_add(u64::try_from(net.unsigned_abs()).unwrap_or(u64::MAX));
-            report.applied += 1;
-            let (s, t) = (self.src[f], self.dst[f]);
-            self.mass[s.index()].0 += net;
-            self.mass[t.index()].1 += net;
-            for h in [s, t] {
-                if !std::mem::replace(&mut self.mass_seen[h.index()], true) {
-                    self.mass_hosts.push(h);
-                }
+            // Validated above, so the sum fits. A zero net (unchanged, or
+            // the batch's deltas for this flow cancelled exactly) commits
+            // nothing and counts as no drift.
+            let new = u64::try_from(i128::from(self.rates[f]) + net).unwrap_or_default();
+            self.commit(f, new, &mut report);
+        }
+        self.drain_masses(&mut report);
+        Ok(report)
+    }
+
+    /// Advances the store from trace hour `h − 1` to hour `h`: each flow
+    /// [`DynamicTrace::try_changed_rates`] yields is compared with its
+    /// stored rate and committed when it moved, exactly as
+    /// [`ShardedFlowStore::ingest`] commits a netted batch.
+    ///
+    /// Precondition: the store holds `trace.rates_at(h - 1)`. It then holds
+    /// `trace.rates_at(h)` afterwards, and the report equals the one
+    /// `ingest` returns for `try_rate_deltas(h)` in every field but
+    /// `records` (DESIGN.md §9). No delta vector is built and no netting
+    /// scratch is touched.
+    ///
+    /// # Errors
+    ///
+    /// [`StreamError::ShapeMismatch`] when the trace's flow count differs
+    /// from the store's, [`StreamError::Trace`] when `h` is 0. Both are
+    /// checked before anything is written, and an absolute `u64` rate
+    /// cannot leave range, so on error nothing is applied.
+    pub fn advance(&mut self, trace: &DynamicTrace, h: u32) -> Result<IngestReport, StreamError> {
+        if trace.num_flows() != self.rates.len() {
+            return Err(StreamError::ShapeMismatch {
+                flows: self.rates.len(),
+                trace_flows: trace.num_flows(),
+            });
+        }
+        let mut report = IngestReport::default();
+        for (flow, rate) in trace.try_changed_rates(h)? {
+            report.records += 1;
+            self.commit(flow.index(), rate, &mut report);
+        }
+        self.drain_masses(&mut report);
+        Ok(report)
+    }
+
+    /// Sets flow `f`'s rate to `new` and books the move: `Σλ`, the
+    /// saturating drift, the applied count and the endpoints' staged
+    /// masses. An unchanged rate books nothing.
+    fn commit(&mut self, f: usize, new: u64, report: &mut IngestReport) {
+        let net = i128::from(new) - i128::from(self.rates[f]);
+        if net == 0 {
+            return;
+        }
+        self.rates[f] = new;
+        report.total_delta += net;
+        report.drift = report
+            .drift
+            .saturating_add(u64::try_from(net.unsigned_abs()).unwrap_or(u64::MAX));
+        report.applied += 1;
+        let (s, t) = (self.src[f], self.dst[f]);
+        self.mass[s.index()].0 += net;
+        self.mass[t.index()].1 += net;
+        for h in [s, t] {
+            if !std::mem::replace(&mut self.mass_seen[h.index()], true) {
+                self.mass_hosts.push(h);
             }
         }
+    }
+
+    /// Moves the staged masses into the report, host-sorted, leaving the
+    /// mass scratch clear for the next step.
+    fn drain_masses(&mut self, report: &mut IngestReport) {
         self.mass_hosts.sort_unstable();
         report.masses = self
             .mass_hosts
@@ -353,7 +413,6 @@ impl ShardedFlowStore {
                 HostMassDelta { host, d_out, d_in }
             })
             .collect();
-        Ok(report)
     }
 }
 
@@ -713,11 +772,11 @@ pub fn stream_fingerprint(
     h.finish()
 }
 
-/// Runs one streaming day: TOP at hour 0, then every epoch ingests the
-/// trace's rate deltas through the flow store, folds them into the
-/// live aggregates, and serves the epoch by the drift rule (see the
-/// module docs). Two calls with the same inputs produce bit-identical
-/// results.
+/// Runs one streaming day: TOP at hour 0, then every epoch advances the
+/// flow store to the trace's next hour ([`ShardedFlowStore::advance`]),
+/// folds the moved masses into the live aggregates, and serves the epoch
+/// by the drift rule (see the module docs). Two calls with the same
+/// inputs produce bit-identical results.
 ///
 /// # Errors
 ///
@@ -833,14 +892,9 @@ fn run_stream_day_impl<D: DistanceOracle + ?Sized>(
     // rather than reallocated.
     let mut rates_buf: Vec<u64> = Vec::new();
     for epoch in start_epoch..=n_hours {
-        let batch: Vec<RateDelta> = trace
-            .try_rate_deltas(epoch)?
-            .into_iter()
-            .map(|(flow, delta)| RateDelta { flow, delta })
-            .collect();
         let report = {
             let _span = obs.span(obs_names::STREAM_INGEST);
-            let report = store.ingest(&batch)?;
+            let report = store.advance(trace, epoch)?;
             agg.try_apply_mass_deltas(dm, &report.masses, report.total_delta)?;
             cache.note_mass_deltas(&report.masses);
             report
@@ -1192,6 +1246,37 @@ mod tests {
         let r = store.ingest(&[RateDelta { flow: f, delta: 5 }]).unwrap();
         assert_eq!(r.applied, 1);
         assert_eq!(store.rate(f).unwrap(), rate + 5);
+    }
+
+    /// `advance` checks the trace's shape and the hour before it writes
+    /// anything: a foreign-sized trace and hour 0 are refused with the
+    /// store's rates untouched, and the store still advances afterwards.
+    #[test]
+    fn advance_refuses_bad_steps_without_writing() {
+        let (g, _, mut w, trace) = fixture(20, 3);
+        let (_, _, _, short) = fixture(10, 3);
+        assert!(short.num_flows() < trace.num_flows());
+        w.set_rates(&trace.rates_at(0)).unwrap();
+        let mut store = ShardedFlowStore::build(&g, &w).unwrap();
+        let before = store.rates().to_vec();
+        // The short trace's hour-1 rates differ from the store's, so a
+        // commit before the shape check would show in the rates.
+        assert_ne!(short.rates_at(1), before[..short.num_flows()]);
+        assert_eq!(
+            store.advance(&short, 1),
+            Err(StreamError::ShapeMismatch {
+                flows: trace.num_flows(),
+                trace_flows: short.num_flows(),
+            })
+        );
+        assert_eq!(store.rates(), &before[..]);
+        assert_eq!(
+            store.advance(&trace, 0),
+            Err(StreamError::Trace(TraceError::NoPrecedingHour))
+        );
+        assert_eq!(store.rates(), &before[..]);
+        store.advance(&trace, 1).unwrap();
+        assert_eq!(store.rates(), &trace.rates_at(1)[..]);
     }
 
     #[test]

@@ -363,37 +363,90 @@ impl DynamicTrace {
     ///
     /// [`TraceError::NoPrecedingHour`] when `h` is 0.
     pub fn try_rate_deltas(&self, h: u32) -> Result<Vec<(FlowId, i64)>, TraceError> {
+        Ok(self
+            .candidates(h)?
+            .filter_map(|(flow, (a, s), (b, t))| {
+                let (old, new) = (scaled(a, s), scaled(b, t));
+                (old != new).then(|| (flow, new as i64 - old as i64))
+            })
+            .collect())
+    }
+
+    /// The rates at hour `h` of the flows that may have moved since hour
+    /// `h − 1`, as `(flow, λ at h)` pairs in flow-id order.
+    ///
+    /// This is the streaming engine's epoch feed: a consumer that holds
+    /// `rates_at(h - 1)` and overwrites the yielded flows holds
+    /// `rates_at(h)` exactly. Every flow whose rate changed is yielded; so
+    /// is a flow whose base entry or cohort scale moved but whose rounded
+    /// rate did not (its pair carries the unchanged rate). Each rate is
+    /// evaluated once, at `h` only.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceError::NoPrecedingHour`] when `h` is 0.
+    pub fn try_changed_rates(
+        &self,
+        h: u32,
+    ) -> Result<impl Iterator<Item = (FlowId, u64)> + '_, TraceError> {
+        Ok(self
+            .candidates(h)?
+            .map(|(flow, _, (b, t))| (flow, scaled(b, t))))
+    }
+
+    /// The flows the exact skip rule keeps for the step from hour `h − 1`
+    /// to hour `h`, in flow-id order, each with its `(base, scale)` at
+    /// both hours: both hourly feeds walk this.
+    ///
+    /// A flow's rate is `round(base · scale)` of its row entry and its
+    /// cohort's scale, so a flow whose base entry and cohort scale both
+    /// stayed put (the scale compared bit for bit) cannot have moved and
+    /// is skipped. The two cohort scales per hour are evaluated once, not
+    /// per flow.
+    fn candidates(
+        &self,
+        h: u32,
+    ) -> Result<impl Iterator<Item = (FlowId, Scaled, Scaled)> + '_, TraceError> {
         if h < 1 {
             return Err(TraceError::NoPrecedingHour);
         }
-        // A flow's rate is `round(base · scale)` of its row entry and its
-        // cohort's scale, so a flow whose base entry and cohort scale both
-        // stayed put cannot have moved: only the others are evaluated.
         let (prev_row, next_row) = (self.row(h - 1), self.row(h));
         let (prev, next) = (self.cohort_scales(h - 1), self.cohort_scales(h));
         let moved = [0, 1].map(|c| prev[c].to_bits() != next[c].to_bits());
-        let mut out = Vec::with_capacity(if moved.contains(&true) {
-            self.east.len()
-        } else {
-            0
-        });
-        for (i, ((&a, &b), &east)) in prev_row.iter().zip(next_row).zip(&self.east).enumerate() {
-            let c = usize::from(east);
-            if a == b && !moved[c] {
-                continue;
-            }
-            let (old, new) = (scaled(a, prev[c]), scaled(b, next[c]));
-            if old != new {
-                out.push((FlowId(i as u32), new as i64 - old as i64));
-            }
-        }
-        Ok(out)
+        Ok(prev_row
+            .iter()
+            .zip(next_row)
+            .zip(&self.east)
+            .enumerate()
+            .filter_map(move |(i, ((a, &b), &east))| {
+                let c = usize::from(east);
+                // The previous row is read only when the scale stayed put,
+                // or when a consumer asks for the old rate.
+                (moved[c] || *a != b).then(|| (FlowId(i as u32), (*a, prev[c]), (b, next[c])))
+            }))
     }
 }
 
+/// A flow's rate inputs at one hour: its base rate and its cohort's scale.
+type Scaled = (u64, f64);
+
 /// A flow's rate: its base rate scaled by its cohort's envelope factor.
 fn scaled(base: u64, scale: f64) -> u64 {
-    (base as f64 * scale).round() as u64
+    round_to_u64(base as f64 * scale)
+}
+
+/// `x.round() as u64` (half away from zero, saturating), branch-free and
+/// without the libm call `round` compiles to on baseline x86-64.
+///
+/// Exact: for `1 ≤ x < 2^53` the truncation `t` satisfies `t ≤ x < 2t`,
+/// so `x − t` is exact (Sterbenz) and compares with `0.5` exactly; below
+/// 1, `t = 0` and the fraction is `x` itself; from `2^53` up, `x` is an
+/// integer and the fraction is 0. Negative and NaN inputs truncate to 0
+/// with a fraction below `0.5`, and values past `u64::MAX` saturate, as
+/// the cast does.
+fn round_to_u64(x: f64) -> u64 {
+    let t = x as u64;
+    t.saturating_add(u64::from(x - t as f64 >= 0.5))
 }
 
 /// Read-only view of the inputs that define a [`DynamicTrace`]: the hourly
@@ -646,6 +699,40 @@ mod tests {
             for i in 0..4 {
                 assert_eq!(t.base_rate_at(h, i), (i + 1) as u64);
             }
+        }
+    }
+
+    #[test]
+    fn round_to_u64_equals_the_rounding_cast() {
+        let below = |x: f64| f64::from_bits(x.to_bits() - 1);
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            below(0.5),
+            0.5,
+            1.5,
+            2.5,
+            below(2.5),
+            4_503_599_627_370_495.5, // 2^52 − 0.5
+            9_007_199_254_740_993.0, // 2^53 + 1, rounded to 2^53
+            u64::MAX as f64,
+            1e300,
+            f64::INFINITY,
+            -0.75,
+            -1e300,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..10_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            xs.push((x % 20_000) as f64 * [0.2, 0.35, 0.5, 0.6, 0.8][(x % 5) as usize]);
+            xs.push(f64::from_bits(x));
+        }
+        for x in xs {
+            assert_eq!(round_to_u64(x), x.round() as u64, "x = {x:e}");
         }
     }
 

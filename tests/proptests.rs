@@ -930,3 +930,131 @@ proptest! {
         );
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The fused trace feed equals the delta-batch path: stepping a store
+    /// through every hour with `advance(trace, h)` and a twin store with
+    /// `ingest` of `try_rate_deltas(h)` gives equal reports — masses,
+    /// `Σλ` change, drift and applied count; `records` counts different
+    /// inputs on the two paths — and both stores hold `rates_at(h)`
+    /// after each hour, hours past the trace's last row included. Traces
+    /// cover the default diurnal envelope, the flat `tau_min = 1` one,
+    /// external rows that repeat or change, shifted east cohorts, and
+    /// zero-rate flows; each runs on a fat-tree and on a random fabric
+    /// mixing leaf hosts with two- and three-homed ones.
+    #[test]
+    fn trace_feed_equals_the_delta_batch_path(
+        (g, _) in arb_ppdc(),
+        shape in 0usize..4,
+        num_flows in 0usize..32,
+        n_hours in 1u32..10,
+        zero_pick in 0u64..3,
+        seed in any::<u64>(),
+    ) {
+        use ppdc::sim::{RateDelta, ShardedFlowStore};
+        use ppdc::topology::FatTree;
+        use ppdc::traffic::{
+            rng_for_run, DiurnalModel, DynamicTrace, DEFAULT_MIX, STANDARD_CHURN,
+        };
+        let mut x = seed | 1;
+        let mut next = || { x ^= x << 13; x ^= x >> 7; x ^= x << 17; x };
+        // Fabric 1: a fat-tree. Fabric 2: the random switch graph with
+        // extra hosts wired to one, two or three switches.
+        let ft = FatTree::build(4).unwrap();
+        let mut mixed = g;
+        let switches: Vec<NodeId> = mixed.switches().collect();
+        for i in 0..2 + next() % 6 {
+            let h = mixed.add_host(format!("m{i}"));
+            for _ in 0..1 + next() % 3 {
+                let s = switches[next() as usize % switches.len()];
+                let _ = mixed.add_edge(h, s, 1 + next() % 9);
+            }
+        }
+        // One rate vector for both fabrics' workloads; `zero_pick` sets
+        // none, about a quarter or about half of the flows to rate 0.
+        let rates: Vec<u64> = (0..num_flows)
+            .map(|_| if next() % 4 < zero_pick { 0 } else { next() % 10_000 })
+            .collect();
+        let workload_on = |g: &Graph, next: &mut dyn FnMut() -> u64| {
+            let hosts: Vec<NodeId> = g.hosts().collect();
+            let mut w = Workload::new();
+            for &r in &rates {
+                let a = hosts[next() as usize % hosts.len()];
+                let b = hosts[next() as usize % hosts.len()];
+                w.add_pair(a, b, r);
+            }
+            w
+        };
+        let fabrics = [
+            (ft.graph().clone(), workload_on(ft.graph(), &mut next)),
+            (mixed.clone(), workload_on(&mixed, &mut next)),
+        ];
+        let w = &fabrics[0].1;
+        let mut rng = rng_for_run(seed, shape as u64);
+        let model = DiurnalModel { n_hours, tau_min: [0.2, 0.35, 0.5][(next() % 3) as usize] };
+        let east: Vec<bool> = (0..num_flows).map(|_| next() % 2 == 0).collect();
+        let trace = match shape {
+            // The paper's default envelope, with or without churn.
+            0 => {
+                let churn = [0.0, STANDARD_CHURN][(next() % 2) as usize];
+                DynamicTrace::with_churn(w, DiurnalModel::default(), &DEFAULT_MIX, churn, &mut rng)
+            }
+            // A flat envelope: only churn moves rates.
+            1 => {
+                let flat = DiurnalModel { n_hours, tau_min: 1.0 };
+                DynamicTrace::with_churn(w, flat, &DEFAULT_MIX, STANDARD_CHURN, &mut rng)
+            }
+            // External rows: each hour repeats the previous row or changes
+            // a few entries, some of them to 0.
+            2 => {
+                let mut rows: Vec<Vec<i64>> = vec![rates.iter().map(|&r| r as i64).collect()];
+                for _ in 0..n_hours {
+                    let mut row = rows[rows.len() - 1].clone();
+                    if next() % 2 == 0 {
+                        for r in row.iter_mut() {
+                            if next() % 5 == 0 {
+                                *r = [0, (next() % 10_000) as i64][(next() % 2) as usize];
+                            }
+                        }
+                    }
+                    rows.push(row);
+                }
+                DynamicTrace::from_rows(w, model, east, &rows).unwrap()
+            }
+            // Caller-chosen east cohorts at a shifted offset.
+            _ => {
+                let offset = (next() % 31) as i64 - 15;
+                DynamicTrace::with_cohorts(w, model, &DEFAULT_MIX, STANDARD_CHURN, east, &mut rng)
+                    .with_offset(offset)
+            }
+        };
+        let last = trace.model().n_hours + 2;
+        for (g, w) in &fabrics {
+            let mut w0 = w.clone();
+            w0.set_rates(&trace.rates_at(0)).unwrap();
+            let mut fed = ShardedFlowStore::build(g, &w0).unwrap();
+            let mut batched = fed.clone();
+            for h in 1..=last {
+                let a = fed.advance(&trace, h).unwrap();
+                let deltas: Vec<RateDelta> = trace
+                    .try_rate_deltas(h)
+                    .unwrap()
+                    .into_iter()
+                    .map(|(flow, delta)| RateDelta { flow, delta })
+                    .collect();
+                let b = batched.ingest(&deltas).unwrap();
+                prop_assert_eq!(&a.masses, &b.masses, "shape {} hour {}", shape, h);
+                prop_assert_eq!(a.total_delta, b.total_delta, "shape {} hour {}", shape, h);
+                prop_assert_eq!(a.drift, b.drift, "shape {} hour {}", shape, h);
+                prop_assert_eq!(a.applied, b.applied, "shape {} hour {}", shape, h);
+                prop_assert_eq!(b.records, deltas.len() as u64);
+                prop_assert!(a.applied <= a.records && a.records <= num_flows as u64);
+                let want = trace.rates_at(h);
+                prop_assert_eq!(fed.rates(), &want[..], "shape {} hour {}", shape, h);
+                prop_assert_eq!(batched.rates(), &want[..], "shape {} hour {}", shape, h);
+            }
+        }
+    }
+}
