@@ -16,7 +16,8 @@
 #                         branch-and-bound run with more workers than cores
 #   8. smokes           — failure sweep with metrics export, fault-free
 #                         day, metrics schema check, k=32 oracle, chaos,
-#                         1M-flow stream day, churned stream day
+#                         1M-flow stream day (then killed at mid-day and
+#                         resumed from disk), churned stream day
 #   9. bench smoke      — one pass of the bench groups, appended to the
 #                         BENCH_placement.json trajectory
 #
@@ -83,7 +84,7 @@ cargo run --release -p ppdc-experiments -- smoke-k32 --budget-ms 15000
 echo "==> chaos smoke (64 seeded trials: crashes, torn checkpoints, starvation)"
 cargo run --release -p ppdc-experiments -- chaos --trials 64 --seed 1
 
-echo "==> streaming-engine smoke (1M flows over the k=32 fabric, counter invariants)"
+echo "==> streaming-engine smoke (1M flows over the k=32 fabric, counter invariants, mid-day kill/resume)"
 cargo run --release -p ppdc-experiments -- stream --flows 1000000 --budget-ms 120000
 
 echo "==> churned-day stream smoke (hot-rack/two-pod/full-fabric spikes, warm-solver counters + budget)"

@@ -4,22 +4,28 @@
 //! atomic two-slot snapshot persist (serialize + tmp + fsync + rotate +
 //! rename), `restore` is one load back (read + parse + slot fallback).
 //! The checkpoints are real ones — a fault-injected day halted mid-run —
-//! so the serialized hours/degraded/rates payload has production shape.
+//! so the serialized hosts/stranded/hours/degraded payload has production
+//! shape.
 //!
-//! `stream_write_1m` is the streaming engine's per-epoch persist at scale:
-//! [`StreamCheckpoint::to_json`] + [`CheckpointStore::write_raw`] of a
-//! snapshot carrying 1M flow rates and 16 epoch records.
-//! `stream_restore_1m` loads that snapshot back through
-//! [`CheckpointStore::load_with`] + [`StreamCheckpoint::from_json`].
+//! `stream_write_1m` is the streaming engine's per-epoch persist on a
+//! 1M-flow day: [`StreamCheckpoint::to_json`] +
+//! [`CheckpointStore::write_raw`] of a snapshot shaped like the engine's —
+//! 16 epoch records and no rates, which restore re-derives from the trace.
+//! `stream_restore_1m` is the whole restore trade: load that snapshot back
+//! through [`CheckpointStore::load_with`] + [`StreamCheckpoint::from_json`],
+//! then regenerate the 1M rates with [`DynamicTrace::rates_at`] at the
+//! snapshot's epoch.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ppdc_model::Sfc;
+use ppdc_model::{Sfc, Workload};
 use ppdc_sim::{
     run_day, Checkpoint, CheckpointStore, EngineConfig, EpochAction, EpochRecord, FaultConfig,
     FaultSchedule, MigrationPolicy, SimConfig, StreamCheckpoint,
 };
 use ppdc_topology::{FatTree, NodeId};
-use ppdc_traffic::standard_workload;
+use ppdc_traffic::{
+    rng_for_run, standard_workload, DiurnalModel, DynamicTrace, DEFAULT_MIX, STANDARD_CHURN,
+};
 use std::time::Duration;
 
 /// A realistic mid-day checkpoint: run a faulty day on a k-ary fat-tree
@@ -79,6 +85,7 @@ fn bench_checkpoint(c: &mut Criterion) {
         std::fs::remove_dir_all(&dir).unwrap();
     }
     let ck = stream_checkpoint_1m();
+    let trace = million_flow_trace(ck.epoch);
     let dir = std::env::temp_dir().join(format!("ppdc-bench-ckpt-{}-stream", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let store = CheckpointStore::new(dir.join("stream.ckpt"));
@@ -89,17 +96,40 @@ fn bench_checkpoint(c: &mut Criterion) {
         b.iter(|| {
             let (loaded, _slot) = store.load_with(StreamCheckpoint::from_json).unwrap();
             assert_eq!(loaded.epoch, ck.epoch);
-            loaded
+            trace.rates_at(loaded.epoch)
         })
     });
     std::fs::remove_dir_all(&dir).unwrap();
     group.finish();
 }
 
-/// A stream snapshot at the 1M-flow scale: the rates of the `stream_ingest`
-/// workload after 16 epochs, with every epoch action represented.
+/// The `stream_ingest` bench's 1M-flow workload (pairs strided over every
+/// k = 32 host) under a churned diurnal trace of `n_hours` epochs.
+fn million_flow_trace(n_hours: u32) -> DynamicTrace {
+    let ft = FatTree::build(32).unwrap();
+    let hosts: Vec<NodeId> = ft.graph().hosts().collect();
+    let mut w = Workload::new();
+    for i in 0..1_000_000usize {
+        let a = hosts[(i * 131) % hosts.len()];
+        let b = hosts[(i * 2_477 + 4_096) % hosts.len()];
+        w.add_pair(a, b, (i as u64 % 97) * 13 + 1);
+    }
+    let model = DiurnalModel {
+        n_hours,
+        ..DiurnalModel::default()
+    };
+    DynamicTrace::with_churn(
+        &w,
+        model,
+        &DEFAULT_MIX,
+        STANDARD_CHURN,
+        &mut rng_for_run(0x5EED, 0),
+    )
+}
+
+/// A stream snapshot of a 1M-flow day after 16 epochs, with every epoch
+/// action represented. Like the engine's, it carries no rates.
 fn stream_checkpoint_1m() -> StreamCheckpoint {
-    const FLOWS: u64 = 1_000_000;
     let epochs: Vec<EpochRecord> = (1..=16u32)
         .map(|epoch| EpochRecord {
             epoch,
@@ -118,7 +148,7 @@ fn stream_checkpoint_1m() -> StreamCheckpoint {
         epoch: 16,
         initial_cost: 6_826_000_000,
         placement: vec![NodeId(1_100), NodeId(1_101), NodeId(1_102), NodeId(1_103)],
-        rates: (0..FLOWS).map(|i| (i % 97) * 13 + 1).collect(),
+        rates: Vec::new(),
         drift_accum: 0,
         total_cost: epochs.iter().map(|e| e.comm_cost).sum::<u64>() + 6_826_000_000,
         resolves: 5,

@@ -341,10 +341,15 @@ fn smoke_k32(budget_ms: u64) -> Result<(), CliError> {
 /// `n_flows` deterministic cross-pod flows, runs [`ppdc_sim::run_stream_day`]
 /// with a zero-tolerance drift rule (every epoch re-solved or certified
 /// optimal), and asserts the engine's counter pair before checking the
-/// wall-clock budget.
+/// wall-clock budget. A second, unbudgeted leg then kills the same day at
+/// mid-day through a [`ppdc_sim::CheckpointStore`] under `target/`, loads
+/// the snapshot back from disk, resumes, and requires the result to equal
+/// the uninterrupted day's.
 fn stream_smoke(n_flows: usize, budget_ms: u64) -> Result<(), CliError> {
     use ppdc_model::{Sfc, Workload};
-    use ppdc_sim::{run_stream_day, StreamConfig};
+    use ppdc_sim::{
+        resume_stream_day, run_stream_day, CheckpointStore, StreamCheckpoint, StreamConfig,
+    };
     use ppdc_topology::{FatTree, FatTreeOracle};
     use ppdc_traffic::{rng_for_run, DiurnalModel, DynamicTrace};
 
@@ -453,6 +458,39 @@ fn stream_smoke(n_flows: usize, budget_ms: u64) -> Result<(), CliError> {
             total_ms: total_ms as u64,
             budget_ms,
         });
+    }
+
+    let smoke_err = |what: &str, e: &dyn std::fmt::Display| CliError::Smoke(format!("{what}: {e}"));
+    std::fs::create_dir_all("target").map_err(|e| smoke_err("target/", &e))?;
+    let store = CheckpointStore::new("target/stream-smoke.ckpt");
+    let mid = trace.model().n_hours / 2;
+    let halted = run_stream_day(
+        g,
+        &oracle,
+        &w,
+        &trace,
+        &sfc,
+        &StreamConfig {
+            store: Some(store.clone()),
+            stop_after: Some(mid),
+            ..StreamConfig::default()
+        },
+    )
+    .map_err(|e| smoke_err("halted stream day", &e))?;
+    let (ck, _slot) = store
+        .load_with(StreamCheckpoint::from_json)
+        .map_err(|e| smoke_err("checkpoint load", &e))?;
+    let bytes = std::fs::metadata(store.path())
+        .map_err(|e| smoke_err("checkpoint stat", &e))?
+        .len();
+    let resumed = resume_stream_day(g, &oracle, &w, &trace, &sfc, &StreamConfig::default(), &ck)
+        .map_err(|e| smoke_err("resumed stream day", &e))?;
+    eprintln!("# stream: killed at epoch {mid}, resumed from a {bytes}-byte checkpoint on disk");
+    if halted.completed || ck.epoch != mid || !resumed.completed || resumed.result != run.result {
+        return Err(CliError::Smoke(
+            "stream kill/resume check failed: resumed day differs from the uninterrupted one"
+                .to_string(),
+        ));
     }
     Ok(())
 }

@@ -1,15 +1,15 @@
-//! Crash-safe epoch checkpoints (`ppdc-ckpt/v2`).
+//! Crash-safe epoch checkpoints (`ppdc-ckpt/v3`).
 //!
 //! A [`Checkpoint`] freezes everything [`crate::run_day`] needs to restart
 //! a fault-aware day from the last completed hour and finish it
 //! **bit-identically** to the uninterrupted run: the incumbent placement,
-//! the workload's current VM hosts and (masked) flow rates, the fault set,
-//! the elected serving view, every accumulated per-hour record, and the
-//! running totals. Derived state is deliberately *not* stored — the
-//! distance matrix, metric closure, and attach aggregates are recomputed
-//! on restore, and PR 1/PR 5's bit-identity guarantees (delta-fed
-//! aggregates ≡ rebuilds, dirty-row APSP ≡ full rebuilds) make the
-//! reconstruction exact.
+//! the workload's current VM hosts, the fault set, the elected serving
+//! view, every accumulated per-hour record, and the running totals. What
+//! the inputs regenerate is deliberately *not* stored — the rates are
+//! `rates_at(hour)` masked by the stored stranded set, and the distance
+//! matrix, metric closure, and attach aggregates are recomputed on
+//! restore; the bit-identity guarantees (delta-fed aggregates ≡ rebuilds,
+//! dirty-row APSP ≡ full rebuilds) make the reconstruction exact.
 //!
 //! There is no RNG position to save: the fault schedule and traffic trace
 //! are generated *before* the day starts, so the epoch loop itself never
@@ -38,7 +38,7 @@ use crate::fault::{DegradedHourRecord, FaultSchedule, HourProvenance};
 use crate::simulator::{HourRecord, MigrationPolicy, SimConfig};
 
 /// Version tag every snapshot carries; restore rejects anything else.
-pub const CKPT_SCHEMA: &str = "ppdc-ckpt/v2";
+pub const CKPT_SCHEMA: &str = "ppdc-ckpt/v3";
 
 /// Errors from writing, reading, or validating a checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,7 +54,7 @@ pub enum CkptError {
     },
     /// The file held no parseable JSON document — the classic torn write.
     Parse(String),
-    /// The document parsed but is not a `ppdc-ckpt/v2` snapshot.
+    /// The document parsed but is not a snapshot of the parser's schema.
     Schema(String),
     /// A field is missing, has the wrong type, or holds an impossible
     /// value (id out of range, mismatched array length, …).
@@ -105,8 +105,6 @@ pub struct Checkpoint {
     pub placement: Vec<NodeId>,
     /// Current host of every VM (PLAN/MCF move VMs mid-day).
     pub hosts: Vec<NodeId>,
-    /// Current per-flow rates, stranded flows already masked to zero.
-    pub rates: Vec<u64>,
     /// Switches down at end of `hour`, in id order.
     pub failed_nodes: Vec<NodeId>,
     /// Explicitly failed links at end of `hour`, in id order.
@@ -116,7 +114,8 @@ pub struct Checkpoint {
     /// endpoints of the *election* hour, which VM migration may since have
     /// changed.
     pub candidates: Vec<NodeId>,
-    /// Per-flow stranded mask of the serving view.
+    /// Per-flow stranded mask of the serving view; restore zeroes these
+    /// flows' `trace.rates_at(hour)`.
     pub stranded: Vec<bool>,
     /// Hour records accumulated so far (hours `1..=hour`).
     pub hours: Vec<HourRecord>,
@@ -156,7 +155,7 @@ fn prov_from_code(c: u64) -> Result<HourProvenance, CkptError> {
 }
 
 impl Checkpoint {
-    /// Serializes to the deterministic `ppdc-ckpt/v2` JSON document. Two
+    /// Serializes to the deterministic `ppdc-ckpt/v3` JSON document. Two
     /// equal checkpoints always produce byte-identical output.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
@@ -168,7 +167,6 @@ impl Checkpoint {
         let ids = |v: &[NodeId]| v.iter().map(|n| u64::from(n.0)).collect::<Vec<u64>>();
         push_list(&mut out, "placement", ids(&self.placement));
         push_list(&mut out, "hosts", ids(&self.hosts));
-        push_list(&mut out, "rates", self.rates.iter().copied());
         push_list(&mut out, "failed_nodes", ids(&self.failed_nodes));
         push_list(
             &mut out,
@@ -235,7 +233,7 @@ impl Checkpoint {
         out
     }
 
-    /// Parses a `ppdc-ckpt/v2` document.
+    /// Parses a `ppdc-ckpt/v3` document.
     ///
     /// # Errors
     ///
@@ -291,7 +289,6 @@ impl Checkpoint {
             initial_cost: u64_field(top, "initial_cost")?,
             placement: node_ids(top, "placement")?,
             hosts: node_ids(top, "hosts")?,
-            rates: u64_arr(arr_field(top, "rates")?, "rates")?,
             failed_nodes: node_ids(top, "failed_nodes")?,
             failed_edges: u64_arr(arr_field(top, "failed_edges")?, "failed_edges")?
                 .into_iter()
@@ -342,7 +339,6 @@ impl Checkpoint {
         let shape = [
             ("placement", self.placement.len(), sfc.len()),
             ("hosts", self.hosts.len(), w.num_vms()),
-            ("rates", self.rates.len(), w.num_flows()),
             ("stranded", self.stranded.len(), w.num_flows()),
             ("hours", self.hours.len(), self.hour as usize),
             ("degraded", self.degraded.len(), self.hour as usize),
@@ -593,11 +589,6 @@ pub(crate) fn push_list(out: &mut String, key: &str, xs: impl IntoIterator<Item 
     out.push_str("],\n");
 }
 
-/// Decimal digits of `x` (the JSON width of one integer).
-pub(crate) fn dec_len(x: u64) -> usize {
-    x.checked_ilog10().map_or(1, |d| d as usize + 1)
-}
-
 /// Which on-disk slot a checkpoint was recovered from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CkptSlot {
@@ -650,7 +641,7 @@ impl CheckpointStore {
 
     /// The slot machinery behind [`CheckpointStore::write`], usable with
     /// any serialized snapshot document (the streaming engine persists its
-    /// own `ppdc-stream-ckpt/v2` schema through the same store).
+    /// own `ppdc-stream-ckpt/v3` schema through the same store).
     ///
     /// # Errors
     ///
@@ -745,7 +736,6 @@ mod tests {
             initial_cost: 1234,
             placement: vec![NodeId(4), NodeId(5), NodeId(6)],
             hosts: vec![NodeId(20), NodeId(21)],
-            rates: vec![10, 0],
             failed_nodes: vec![NodeId(4)],
             failed_edges: vec![EdgeId(7)],
             candidates: vec![NodeId(5), NodeId(6)],
@@ -785,6 +775,33 @@ mod tests {
         assert_eq!(
             Checkpoint::from_json(&doc),
             Err(CkptError::Schema("ppdc-ckpt/v1".to_string()))
+        );
+    }
+
+    /// A `/v2` document, as the engine wrote it when snapshots carried
+    /// the rate vector, is refused by its schema tag rather than resumed.
+    #[test]
+    fn v2_documents_with_rates_are_refused_by_schema() {
+        let v2 = r#"{
+  "schema": "ppdc-ckpt/v2",
+  "fingerprint": 3735928559,
+  "hour": 1,
+  "initial_cost": 1234,
+  "placement": [4,5,6],
+  "hosts": [20,21],
+  "rates": [10,0],
+  "failed_nodes": [4],
+  "failed_edges": [7],
+  "candidates": [5,6],
+  "stranded": [0,1],
+  "totals": {"total_cost": 43, "total_migrations": 1, "aggregate_rebuilds": 2, "blackout_hours": 0, "recovery_migrations": 1},
+  "hours": [[1,3,40,43,1]],
+  "degraded": [[1,1,1,1,5,2,1,0,1,1,2]]
+}
+"#;
+        assert_eq!(
+            Checkpoint::from_json(v2),
+            Err(CkptError::Schema("ppdc-ckpt/v2".to_string()))
         );
     }
 
@@ -871,7 +888,7 @@ mod tests {
             Err(CkptError::Corrupt(_))
         ));
         let mut bad = c.clone();
-        bad.rates.push(9);
+        bad.stranded.push(false);
         assert!(matches!(
             bad.validate_against(g, &w, &sfc, 12, c.fingerprint),
             Err(CkptError::Corrupt(_))

@@ -708,10 +708,11 @@ pub fn run_day(
 
 /// Resumes a day from a [`Checkpoint`] taken by [`run_day`] (directly or
 /// loaded back through a [`CheckpointStore`]) and finishes it. The
-/// completed run is **bit-identical** to the uninterrupted one: derived
-/// state (APSP, metric closure, attach aggregates) is rebuilt from the
-/// snapshot, and the PR 1/PR 5 equivalence guarantees make the rebuilds
-/// exact.
+/// completed run is **bit-identical** to the uninterrupted one: the rates
+/// are re-derived from the trace (`rates_at(hour)` masked by the
+/// snapshot's stranded set), derived state (APSP, metric closure, attach
+/// aggregates) is rebuilt from the snapshot, and the delta/rebuild
+/// equivalence guarantees make the rebuilds exact.
 ///
 /// # Errors
 ///
@@ -812,7 +813,9 @@ fn run_day_impl(
         for (i, &host) in ck.hosts.iter().enumerate() {
             w_cur.set_host(VmId::from_index(i), host);
         }
-        w_cur.set_rates(&ck.rates)?;
+        // Every hour ends with exactly these masked rates (each branch of
+        // the loop calls `set_masked_rates`, and VM moves keep rates).
+        set_masked_rates(&mut w_cur, trace, ck.hour, &ck.stranded)?;
         sv = ServingView::from_parts(g.num_nodes(), ck.candidates.clone(), ck.stranded.clone());
         agg = AttachAggregates::build_restricted(&g_view, &dm_cur, &w_cur, &sv.candidates);
         p = Placement::new_unchecked(ck.placement.clone());
@@ -1248,7 +1251,6 @@ fn snapshot(fp: u64, hour: u32, s: &SnapState<'_>) -> Checkpoint {
         initial_cost: s.initial_cost,
         placement: s.p.switches().to_vec(),
         hosts: s.w_cur.vm_ids().map(|v| s.w_cur.host_of(v)).collect(),
-        rates: s.w_cur.rates().to_vec(),
         failed_nodes: s.faults.failed_nodes().collect(),
         failed_edges: s.faults.failed_edges().collect(),
         candidates: s.sv.candidates.clone(),
@@ -1613,6 +1615,57 @@ mod tests {
             .count();
         assert_eq!(d3.stranded_flows, rack_flows);
         assert!(r.aggregate_rebuilds >= 3, "hour 0 + two event hours");
+    }
+
+    /// The hourly snapshot stores no rates: a day killed while a ToR is
+    /// down resumes with `rates_at(hour)` masked by the stored stranded
+    /// set, and finishes bit-identically through the outage's quiet hours
+    /// and the repair.
+    #[test]
+    fn resume_inside_an_outage_remasks_stranded_rates() {
+        let ft = FatTree::build(4).unwrap();
+        let g = ft.graph();
+        let (w, trace) = ppdc_traffic::standard_workload(&ft, 40, 9, 0);
+        let sfc = Sfc::of_len(3).unwrap();
+        // The ToR under flow 0's source host, so the outage strands flows.
+        let tor = g.top_of_rack(w.endpoints(FlowId(0)).0).unwrap();
+        let schedule = FaultSchedule::new(
+            vec![
+                FaultEvent {
+                    hour: 3,
+                    kind: FaultKind::FailSwitch(tor),
+                },
+                FaultEvent {
+                    hour: 8,
+                    kind: FaultKind::RepairSwitch(tor),
+                },
+            ],
+            trace.model().n_hours,
+        )
+        .unwrap();
+        let c = cfg(MigrationPolicy::MPareto);
+        let run = |ecfg: &EngineConfig| run_day(g, &w, &trace, &sfc, &c, &schedule, ecfg).unwrap();
+        let full = run(&EngineConfig::default());
+        let ck = run(&EngineConfig {
+            stop_after: Some(4),
+            ..EngineConfig::default()
+        })
+        .checkpoint
+        .unwrap();
+        assert!(ck.stranded.contains(&true), "the kill lands mid-outage");
+        let ck = Checkpoint::from_json(&ck.to_json()).unwrap();
+        let resumed = resume_day(
+            g,
+            &w,
+            &trace,
+            &sfc,
+            &c,
+            &schedule,
+            &EngineConfig::default(),
+            &ck,
+        )
+        .unwrap();
+        assert_eq!(resumed.result, full.result);
     }
 
     #[test]
@@ -2181,6 +2234,53 @@ mod tests {
             })
             .collect();
         assert_eq!(squeezed.degraded, zeroed, "only reroute telemetry differs");
+    }
+
+    /// Besides the per-VM `hosts` and the per-flow `stranded` mask, which
+    /// are primary state, nothing in the hourly document scales with the
+    /// flow count: the same faulty day halted at the same hour writes
+    /// about the same remainder at 40 and at 4,000 flows. Integers may
+    /// widen with the larger costs; a per-flow array would add at least
+    /// two bytes per flow.
+    #[test]
+    fn checkpoint_size_does_not_grow_with_the_flow_count() {
+        let fc = FaultConfig {
+            link_fail_per_hour: 0.05,
+            switch_fail_per_hour: 0.01,
+            repair_after: 2,
+        };
+        let sfc = Sfc::of_len(3).unwrap();
+        let doc = |pairs: usize| {
+            let (ft, w, trace) = day24(pairs, 13);
+            assert_eq!(w.num_flows(), pairs);
+            let schedule = FaultSchedule::generate(ft.graph(), 24, &fc, 13);
+            let mut ck = run_day(
+                ft.graph(),
+                &w,
+                &trace,
+                &sfc,
+                &cfg(MigrationPolicy::MPareto),
+                &schedule,
+                &EngineConfig {
+                    stop_after: Some(6),
+                    ..EngineConfig::default()
+                },
+            )
+            .unwrap()
+            .checkpoint
+            .unwrap();
+            assert_eq!(ck.stranded.len(), pairs);
+            ck.hosts.clear();
+            ck.stranded.clear();
+            ck.to_json()
+        };
+        let (small, big) = (doc(40), doc(4_000));
+        assert!(
+            big.len() < small.len() + 1_000,
+            "{} bytes at 40 flows, {} at 4,000",
+            small.len(),
+            big.len()
+        );
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!
 //! [`checkpoint`], [`supervisor`], and [`chaos`] harden it against
 //! *operator-side* failures: [`run_day`] persists crash-safe
-//! `ppdc-ckpt/v2` snapshots every hour and [`resume_day`] finishes an
+//! `ppdc-ckpt/v3` snapshots every hour and [`resume_day`] finishes an
 //! interrupted day bit-identically; a supervised degradation ladder
 //! (exact → deadline-degraded → last-known-good) keeps every hour served
 //! through solver starvation; and the seeded chaos harness
@@ -36,7 +36,8 @@
 //! using the admissible placement bound to certify when the stale
 //! incumbent is
 //! provably close enough to serve. [`resume_stream_day`] restores a
-//! `ppdc-stream-ckpt/v2` snapshot and finishes the day bit-identically.
+//! `ppdc-stream-ckpt/v3` snapshot — the rates re-derived from the trace,
+//! not stored — and finishes the day bit-identically.
 
 #![deny(clippy::unwrap_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]

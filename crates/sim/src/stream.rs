@@ -33,13 +33,14 @@
 //!   `stream.drift` / `stream.resolves_skipped` counter pair exports how
 //!   much churn the engine absorbed without solving.
 //! - [`run_stream_day`] / [`resume_stream_day`] — the crash-safe epoch
-//!   loop, mirroring the hourly engine: `ppdc-stream-ckpt/v2` snapshots
+//!   loop, mirroring the hourly engine: `ppdc-stream-ckpt/v3` snapshots
 //!   through the same atomic two-slot [`CheckpointStore`], an input
 //!   fingerprint refusing foreign snapshots, and **bit-identical resume**
-//!   (derived state — the flow store, aggregates — is rebuilt from the
-//!   checkpointed rate vector, which is the trace's rates at the
-//!   checkpointed epoch; the delta/rebuild equivalence makes the
-//!   reconstruction exact).
+//!   (no rates are stored: restore re-derives them as
+//!   `trace.rates_at(epoch)`, which the fingerprint pins and
+//!   [`ShardedFlowStore::advance`] leaves in the live store, then rebuilds
+//!   the flow store and aggregates; the delta/rebuild equivalence makes
+//!   the reconstruction exact).
 //!
 //! Epochs that do re-solve go through [`dp_placement_warm`]: each epoch
 //! reports its merged mass deltas to a persistent
@@ -61,13 +62,14 @@ use ppdc_topology::{Cost, DistanceOracle, Graph, NodeId};
 use ppdc_traffic::{DynamicTrace, TraceError};
 
 use crate::checkpoint::{
-    arr_field, as_obj, dec_len, field, hash_instance, hash_trace, node_ids, push_list, row_u64,
-    str_field, to_u32, u64_arr, u64_field, CheckpointStore, CkptError, Fnv,
+    arr_field, as_obj, field, hash_instance, hash_trace, node_ids, push_list, row_u64, str_field,
+    to_u32, u64_field, CheckpointStore, CkptError, Fnv,
 };
 
 /// Version tag of streaming-engine snapshots; restore rejects anything
-/// else (including plain `ppdc-ckpt/v2` day snapshots).
-pub const STREAM_CKPT_SCHEMA: &str = "ppdc-stream-ckpt/v2";
+/// else (including `ppdc-ckpt/v3` day snapshots and `/v2` stream
+/// snapshots, which carried the rates).
+pub const STREAM_CKPT_SCHEMA: &str = "ppdc-stream-ckpt/v3";
 
 /// One streamed rate change: `new λ − old λ` for one flow. Zero deltas
 /// are dropped at ingestion; a batch may carry several deltas for the
@@ -261,7 +263,9 @@ impl ShardedFlowStore {
         &self.rates
     }
 
-    /// Copies the current per-flow rates (flow id order) into `out`.
+    /// Copies the current per-flow rates (flow id order) into `out`. The
+    /// engine reads [`ShardedFlowStore::rates`] directly; only the
+    /// layer-by-layer benchmark replay and tests call this.
     pub fn export_rates(&self, out: &mut Vec<u64>) {
         out.clear();
         out.extend_from_slice(&self.rates);
@@ -559,12 +563,13 @@ pub struct StreamRun {
     pub checkpoint: Option<StreamCheckpoint>,
 }
 
-/// A frozen mid-day streaming-engine state (`ppdc-stream-ckpt/v2`).
+/// A frozen mid-day streaming-engine state (`ppdc-stream-ckpt/v3`).
 ///
-/// Only primary state is stored: the rate vector, incumbent placement,
-/// drift accumulator, and accumulated telemetry. The flow store and
-/// aggregates are rebuilt on restore — bit-identically, by the
-/// delta/rebuild equivalence.
+/// Only what the inputs cannot regenerate is stored: the epoch, incumbent
+/// placement, drift accumulator and accumulated telemetry. Restore
+/// re-derives the rates as `trace.rates_at(epoch)` and rebuilds the flow
+/// store and aggregates from them — bit-identically, by the delta/rebuild
+/// equivalence.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamCheckpoint {
     /// FNV-1a hash of every input (see [`stream_fingerprint`]).
@@ -575,7 +580,9 @@ pub struct StreamCheckpoint {
     pub initial_cost: Cost,
     /// The incumbent placement's switches, in SFC order.
     pub placement: Vec<NodeId>,
-    /// Current per-flow rates, flow id order.
+    /// Not persisted and not read: restore re-derives the rates from the
+    /// trace. The engine always leaves it empty; the field stays only
+    /// because the benchmark replay builds this struct by literal.
     pub rates: Vec<u64>,
     /// The drift accumulator since the last reset.
     pub drift_accum: u64,
@@ -613,17 +620,12 @@ fn action_from_row(code: u64, gap: u64) -> Result<EpochAction, CkptError> {
 }
 
 impl StreamCheckpoint {
-    /// Serializes to the deterministic `ppdc-stream-ckpt/v2` JSON
-    /// document. Equal checkpoints produce byte-identical output.
+    /// Serializes to the deterministic `ppdc-stream-ckpt/v3` JSON
+    /// document. Equal checkpoints produce byte-identical output; `rates`
+    /// is not written.
     pub fn to_json(&self) -> String {
-        // Every integer is formatted straight into one buffer sized up
-        // front: rates at the widest rate's width, the rest generously.
-        let widest = dec_len(self.rates.iter().copied().max().unwrap_or(0));
-        let mut out = String::with_capacity(
-            512 + self.rates.len() * (widest + 1)
-                + self.placement.len() * 11
-                + self.epochs.len() * 6 * 21,
-        );
+        let mut out =
+            String::with_capacity(512 + self.placement.len() * 11 + self.epochs.len() * 6 * 21);
         out.push_str("{\n");
         out.push_str(&format!("  \"schema\": \"{STREAM_CKPT_SCHEMA}\",\n"));
         out.push_str(&format!("  \"fingerprint\": {},\n", self.fingerprint));
@@ -635,7 +637,6 @@ impl StreamCheckpoint {
             "placement",
             self.placement.iter().map(|n| u64::from(n.0)),
         );
-        push_list(&mut out, "rates", self.rates.iter().copied());
         out.push_str(&format!(
             "  \"totals\": {{\"total_cost\": {}, \"resolves\": {}, \
              \"resolves_skipped\": {}, \"drift_total\": {}, \"deltas_total\": {}}},\n",
@@ -662,7 +663,7 @@ impl StreamCheckpoint {
         out
     }
 
-    /// Parses a `ppdc-stream-ckpt/v2` document.
+    /// Parses a `ppdc-stream-ckpt/v3` document; `rates` comes back empty.
     ///
     /// # Errors
     ///
@@ -696,7 +697,7 @@ impl StreamCheckpoint {
             initial_cost: u64_field(top, "initial_cost")?,
             drift_accum: u64_field(top, "drift_accum")?,
             placement: node_ids(top, "placement")?,
-            rates: u64_arr(arr_field(top, "rates")?, "rates")?,
+            rates: Vec::new(),
             epochs,
             total_cost: u64_field(totals, "total_cost")?,
             resolves: u64_field(totals, "resolves")?,
@@ -714,7 +715,6 @@ impl StreamCheckpoint {
     pub fn validate_against(
         &self,
         g: &Graph,
-        w: &Workload,
         sfc: &Sfc,
         n_hours: u32,
         expected_fingerprint: u64,
@@ -733,7 +733,6 @@ impl StreamCheckpoint {
         }
         let shape = [
             ("placement", self.placement.len(), sfc.len()),
-            ("rates", self.rates.len(), w.num_flows()),
             ("epochs", self.epochs.len(), self.epoch as usize),
         ];
         for (name, got, want) in shape {
@@ -794,8 +793,10 @@ pub fn run_stream_day<D: DistanceOracle + ?Sized>(
 
 /// Resumes a streaming day from a [`StreamCheckpoint`] and finishes it
 /// **bit-identically** to the uninterrupted run: the flow store and
-/// aggregates are rebuilt from the checkpointed rate vector, and the
-/// delta/rebuild equivalence makes the reconstruction exact.
+/// aggregates are rebuilt from `trace.rates_at(ck.epoch)`, which the
+/// fingerprint pins and which the uninterrupted run's store holds after
+/// [`ShardedFlowStore::advance`]; the delta/rebuild equivalence makes the
+/// reconstruction exact.
 ///
 /// # Errors
 ///
@@ -844,7 +845,7 @@ fn run_stream_day_impl<D: DistanceOracle + ?Sized>(
     let mut tracker = DriftTracker::new(cfg.drift_threshold);
     // The warm-solver bound cache lives for the day and is *never*
     // persisted: a resumed day starts from an empty cache and rebuilds it
-    // on its first re-solve, so `ppdc-stream-ckpt/v2` stays primary-state-
+    // on its first re-solve, so `ppdc-stream-ckpt/v3` stays primary-state-
     // only and kill/resume stays bit-identical (warm ≡ cold makes the
     // rebuilt cache indistinguishable from the lost one).
     let mut cache = BoundCache::new();
@@ -867,9 +868,9 @@ fn run_stream_day_impl<D: DistanceOracle + ?Sized>(
             (1, store, agg, p, st)
         }
         Some(ck) => {
-            ck.validate_against(g, w, sfc, n_hours, fp)?;
+            ck.validate_against(g, sfc, n_hours, fp)?;
             obs.add(obs_names::CKPT_RESTORES, 1);
-            w_cur.set_rates(&ck.rates)?;
+            w_cur.set_rates(&trace.rates_at(ck.epoch))?;
             let store = ShardedFlowStore::build(g, &w_cur)?;
             let agg = AttachAggregates::build(g, dm, &w_cur);
             let placement = Placement::new_unchecked(ck.placement.clone());
@@ -888,9 +889,6 @@ fn run_stream_day_impl<D: DistanceOracle + ?Sized>(
         }
     };
     let every = cfg.checkpoint_every.max(1);
-    // The snapshot's rate buffer, lent to each checkpoint and taken back
-    // rather than reallocated.
-    let mut rates_buf: Vec<u64> = Vec::new();
     for epoch in start_epoch..=n_hours {
         let report = {
             let _span = obs.span(obs_names::STREAM_INGEST);
@@ -941,13 +939,12 @@ fn run_stream_day_impl<D: DistanceOracle + ?Sized>(
         let stop_here = cfg.stop_after == Some(epoch);
         let last = epoch == n_hours;
         if wants_snapshots && (stop_here || last || epoch % every == 0) {
-            store.export_rates(&mut rates_buf);
             let ck = StreamCheckpoint {
                 fingerprint: fp,
                 epoch,
                 initial_cost: st.initial_cost,
                 placement: st.placement.clone(),
-                rates: std::mem::take(&mut rates_buf),
+                rates: Vec::new(),
                 drift_accum: tracker.accum(),
                 epochs: st.epochs.clone(),
                 total_cost: st.total_cost,
@@ -966,7 +963,6 @@ fn run_stream_day_impl<D: DistanceOracle + ?Sized>(
                     checkpoint: Some(ck),
                 });
             }
-            rates_buf = ck.rates;
         }
     }
     Ok(StreamRun {
@@ -1391,6 +1387,58 @@ mod tests {
         assert_eq!(
             StreamCheckpoint::from_json(&doc),
             Err(CkptError::Schema("ppdc-stream-ckpt/v1".to_string()))
+        );
+    }
+
+    /// A `/v2` document, as the engine wrote it when snapshots carried
+    /// the rate vector, is refused by its schema tag rather than resumed.
+    #[test]
+    fn v2_documents_with_rates_are_refused_by_schema() {
+        let v2 = r#"{
+  "schema": "ppdc-stream-ckpt/v2",
+  "fingerprint": 8334592082975981288,
+  "epoch": 2,
+  "initial_cost": 6038,
+  "drift_accum": 0,
+  "placement": [0,12,15],
+  "rates": [203,4081],
+  "totals": {"total_cost": 49992, "resolves": 2, "resolves_skipped": 0, "drift_total": 4587, "deltas_total": 4},
+  "epochs": [[1,2,1626,3,0,17438],[2,2,2961,2,0,26516]]
+}
+"#;
+        assert_eq!(
+            StreamCheckpoint::from_json(v2),
+            Err(CkptError::Schema("ppdc-stream-ckpt/v2".to_string()))
+        );
+    }
+
+    /// The same day halted at the same epoch writes a document of about
+    /// the same length at 40 and at 4,000 flows: integers may widen with
+    /// the larger costs, but a per-flow array would add at least two
+    /// bytes per flow.
+    #[test]
+    fn checkpoint_size_does_not_grow_with_the_flow_count() {
+        let sfc = Sfc::of_len(3).unwrap();
+        let cfg = StreamConfig {
+            stop_after: Some(6),
+            ..StreamConfig::default()
+        };
+        let doc = |pairs: usize| {
+            let (g, dm, w, trace) = fixture(pairs, 43);
+            assert_eq!(w.num_flows(), pairs);
+            let ck = run_stream_day(&g, &dm, &w, &trace, &sfc, &cfg)
+                .unwrap()
+                .checkpoint
+                .unwrap();
+            assert!(ck.rates.is_empty(), "the engine leaves `rates` empty");
+            ck.to_json()
+        };
+        let (small, big) = (doc(40), doc(4_000));
+        assert!(
+            big.len() < small.len() + 1_000,
+            "{} bytes at 40 flows, {} at 4,000",
+            small.len(),
+            big.len()
         );
     }
 

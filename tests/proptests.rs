@@ -1057,4 +1057,120 @@ proptest! {
             }
         }
     }
+
+    /// Kill/resume with the rates re-derived from the trace: a streamed
+    /// day killed at a random epoch, its checkpoint round-tripped through
+    /// JSON and resumed, finishes **bit-identically** to the uninterrupted
+    /// run. The snapshot carries no rates, so this pins down that
+    /// `rates_at(epoch)` equals the live store for every trace kind the
+    /// fused-feed test draws — external rows that repeat or change, zero
+    /// rates, shifted east cohorts, the flat `tau_min = 1` envelope and
+    /// churned cohorts — on a fat-tree and on a random fabric mixing leaf
+    /// hosts with two- and three-homed ones, across drift thresholds that
+    /// re-solve always, sometimes and never.
+    #[test]
+    fn stream_resume_regenerates_rates_for_every_trace_kind(
+        (g, _) in arb_ppdc(),
+        shape in 0usize..4,
+        num_flows in 1usize..32,
+        n_hours in 2u32..10,
+        zero_pick in 0u64..3,
+        kill_pick in any::<u32>(),
+        threshold_pick in 0usize..3,
+        seed in any::<u64>(),
+    ) {
+        use ppdc::sim::{resume_stream_day, run_stream_day, StreamCheckpoint, StreamConfig};
+        use ppdc::topology::FatTree;
+        use ppdc::traffic::{
+            rng_for_run, DiurnalModel, DynamicTrace, DEFAULT_MIX, STANDARD_CHURN,
+        };
+        let mut x = seed | 1;
+        let mut next = || { x ^= x << 13; x ^= x >> 7; x ^= x << 17; x };
+        let ft = FatTree::build(4).unwrap();
+        let mut mixed = g;
+        let switches: Vec<NodeId> = mixed.switches().collect();
+        for i in 0..2 + next() % 6 {
+            let h = mixed.add_host(format!("m{i}"));
+            for _ in 0..1 + next() % 3 {
+                let s = switches[next() as usize % switches.len()];
+                let _ = mixed.add_edge(h, s, 1 + next() % 9);
+            }
+        }
+        let rates: Vec<u64> = (0..num_flows)
+            .map(|_| if next() % 4 < zero_pick { 0 } else { next() % 10_000 })
+            .collect();
+        let workload_on = |g: &Graph, next: &mut dyn FnMut() -> u64| {
+            let hosts: Vec<NodeId> = g.hosts().collect();
+            let mut w = Workload::new();
+            for &r in &rates {
+                let a = hosts[next() as usize % hosts.len()];
+                let b = hosts[next() as usize % hosts.len()];
+                w.add_pair(a, b, r);
+            }
+            w
+        };
+        let fabrics = [
+            (ft.graph().clone(), workload_on(ft.graph(), &mut next)),
+            (mixed.clone(), workload_on(&mixed, &mut next)),
+        ];
+        let w = &fabrics[0].1;
+        let mut rng = rng_for_run(seed, shape as u64);
+        let model = DiurnalModel { n_hours, tau_min: [0.2, 0.35, 0.5][(next() % 3) as usize] };
+        let east: Vec<bool> = (0..num_flows).map(|_| next() % 2 == 0).collect();
+        let trace = match shape {
+            0 => {
+                let churn = [0.0, STANDARD_CHURN][(next() % 2) as usize];
+                DynamicTrace::with_churn(w, DiurnalModel::default(), &DEFAULT_MIX, churn, &mut rng)
+            }
+            1 => {
+                let flat = DiurnalModel { n_hours, tau_min: 1.0 };
+                DynamicTrace::with_churn(w, flat, &DEFAULT_MIX, STANDARD_CHURN, &mut rng)
+            }
+            2 => {
+                let mut rows: Vec<Vec<i64>> = vec![rates.iter().map(|&r| r as i64).collect()];
+                for _ in 0..n_hours {
+                    let mut row = rows[rows.len() - 1].clone();
+                    if next() % 2 == 0 {
+                        for r in row.iter_mut() {
+                            if next() % 5 == 0 {
+                                *r = [0, (next() % 10_000) as i64][(next() % 2) as usize];
+                            }
+                        }
+                    }
+                    rows.push(row);
+                }
+                DynamicTrace::from_rows(w, model, east, &rows).unwrap()
+            }
+            _ => {
+                let offset = (next() % 31) as i64 - 15;
+                DynamicTrace::with_cohorts(w, model, &DEFAULT_MIX, STANDARD_CHURN, east, &mut rng)
+                    .with_offset(offset)
+            }
+        };
+        let last = trace.model().n_hours;
+        let kill = 1 + kill_pick % (last - 1);
+        let sfc = Sfc::of_len(3).unwrap();
+        let cfg = StreamConfig {
+            drift_threshold: [0u64, 5_000, u64::MAX][threshold_pick],
+            ..StreamConfig::default()
+        };
+        for (g, w) in &fabrics {
+            let dm = DistanceMatrix::build(g);
+            let full = run_stream_day(g, &dm, w, &trace, &sfc, &cfg).unwrap();
+            prop_assert!(full.completed);
+            let halted = run_stream_day(
+                g, &dm, w, &trace, &sfc,
+                &StreamConfig { stop_after: Some(kill), ..cfg.clone() },
+            ).unwrap();
+            let ck = halted.checkpoint.expect("stopped runs carry a checkpoint");
+            prop_assert_eq!(ck.epoch, kill);
+            let ck = StreamCheckpoint::from_json(&ck.to_json()).unwrap();
+            let resumed = resume_stream_day(g, &dm, w, &trace, &sfc, &cfg, &ck).unwrap();
+            prop_assert!(resumed.completed);
+            prop_assert_eq!(
+                resumed.result, full.result,
+                "shape {} kill {} threshold {}", shape, kill, cfg.drift_threshold
+            );
+        }
+    }
 }
