@@ -18,7 +18,8 @@
 #                         day, metrics schema check, k=32 oracle, chaos,
 #                         1M-flow stream day (then killed at mid-day and
 #                         resumed from disk), churned stream day
-#   9. bench smoke      — one pass of the bench groups, appended to the
+#   9. bench smoke      — one pass of the bench groups (including the
+#                         hourly engine's simulated day), appended to the
 #                         BENCH_placement.json trajectory
 #
 # The bench crate (ppdc-bench) is outside the workspace default-members,
@@ -90,7 +91,7 @@ cargo run --release -p ppdc-experiments -- stream --flows 1000000 --budget-ms 12
 echo "==> churned-day stream smoke (hot-rack/two-pod/full-fabric spikes, warm-solver counters + budget)"
 cargo run --release -p ppdc-experiments -- stream --churned --flows 1000000 --budget-ms 120000 --warm-ms 1000
 
-echo "==> bench smoke (oracle + placement + checkpoint + stream groups once, trajectory appended)"
+echo "==> bench smoke (oracle + placement + hourly day + checkpoint + stream groups once, trajectory appended)"
 rm -f target/ci-bench-samples.jsonl
 PPDC_BENCH_ONLY=dp_placement,dp_placement_k32 \
     PPDC_BENCH_JSON="$PWD/target/ci-bench-samples.jsonl" \
@@ -98,6 +99,8 @@ PPDC_BENCH_ONLY=dp_placement,dp_placement_k32 \
 PPDC_BENCH_ONLY=distance_oracle \
     PPDC_BENCH_JSON="$PWD/target/ci-bench-samples.jsonl" \
     cargo bench -p ppdc-bench --bench topology
+PPDC_BENCH_JSON="$PWD/target/ci-bench-samples.jsonl" \
+    cargo bench -p ppdc-bench --bench simulation
 PPDC_BENCH_JSON="$PWD/target/ci-bench-samples.jsonl" \
     cargo bench -p ppdc-bench --bench checkpoint
 PPDC_BENCH_JSON="$PWD/target/ci-bench-samples.jsonl" \

@@ -11,10 +11,9 @@ use serde::{Deserialize, Serialize};
 /// One rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Violation {
-    /// Rule id (`no-panic`, `raw-cost-arith`, `nondeterminism`, the
-    /// determinism/concurrency pack (`hash-iter`, `reduce-order`,
-    /// `relaxed-atomic`, `float-sort`), or the meta-rules
-    /// `bad-allow`/`stale-allow`).
+    /// Rule id (`no-panic`, `raw-cost-arith`, the determinism/concurrency
+    /// pack (`reduce-order`, `relaxed-atomic`, `float-sort`), or the
+    /// meta-rules `bad-allow`/`stale-allow`).
     pub rule: String,
     /// Workspace-relative path of the offending file.
     pub file: String,

@@ -6,16 +6,10 @@
 //! * `raw-cost-arith` — the `INFINITY` sentinel may never be an operand
 //!   of raw `+`/`-`/`*`; saturating helpers (`sat_add`/`sat_mul`) keep it
 //!   a fixed point so it cannot overflow (the PR 2 PLAN/MCF class).
-//! * `nondeterminism` — simulation/traffic/experiment library code uses
-//!   seeded RNG only: no `SystemTime`, `Instant::now`, `thread_rng`
-//!   (seeded runs must be bit-reproducible).
 //!
 //! The determinism/concurrency pack (v2, syntax-aware via
 //! [`crate::syntax::match_open`] token trees):
 //!
-//! * `hash-iter` — iterating a `HashMap`/`HashSet` in solver or
-//!   deterministic crates: iteration order varies run to run, so any
-//!   decision or serialized output downstream is nondeterministic.
 //! * `reduce-order` — `-`/`/` inside the closures of a rayon-chain
 //!   `reduce`/`fold`: parallel reduction order is scheduler-dependent, so
 //!   non-commutative/non-associative ops give run-dependent results.
@@ -31,10 +25,13 @@
 //! reachability analysis (it needs cross-file call chains); the meta-rules
 //! `bad-allow` / `stale-allow` live in the suppression layer.
 //!
-//! Checks clippy already makes are crate-level denies instead of rules
-//! here (DESIGN.md §6): bare casts (`clippy::as_conversions` in the cost
+//! Checks clippy already makes are clippy lints instead of rules here
+//! (DESIGN.md §6): bare casts (`clippy::as_conversions` in the cost
 //! crates), printing (`print_stdout`/`print_stderr`/`dbg_macro`) and
-//! discarded values (`let_underscore_untyped`/`unused_result_ok`).
+//! discarded values (`let_underscore_untyped`/`unused_result_ok`) are
+//! crate-level denies; hash containers (`disallowed_types`) and wall
+//! clocks / unseeded RNG (`disallowed_methods`) are banned through
+//! per-crate `clippy.toml` files.
 //!
 //! `assert!`/`debug_assert!` are deliberately *not* flagged: they are the
 //! sanctioned contract mechanism (the `strict-invariants` feature).
@@ -42,7 +39,6 @@
 use crate::lexer::{lex, test_regions, Tok, TokKind};
 use crate::report::Violation;
 use crate::syntax::{is_keyword, match_open};
-use std::collections::BTreeSet;
 
 /// Metadata for one rule, for `--rules` listings and docs.
 #[derive(Debug, Clone, Copy)]
@@ -62,15 +58,6 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "raw-cost-arith",
         summary: "no raw +/-/* on the INFINITY cost sentinel (use sat_add/sat_mul)",
-    },
-    RuleInfo {
-        id: "nondeterminism",
-        summary: "no SystemTime/Instant::now/thread_rng in sim/traffic/experiments library code",
-    },
-    RuleInfo {
-        id: "hash-iter",
-        summary: "no HashMap/HashSet iteration in solver/deterministic crates (order is \
-                  nondeterministic; use BTreeMap/BTreeSet)",
     },
     RuleInfo {
         id: "reduce-order",
@@ -94,10 +81,6 @@ pub fn is_known_rule(id: &str) -> bool {
     id == "bad-allow" || id == "stale-allow" || RULES.iter().any(|r| r.id == id)
 }
 
-/// Crates whose non-test code gates solver decisions: the strictest
-/// scope for the concurrency/determinism rules.
-const SOLVER_CRATES: &[&str] = &["stroll", "placement", "migration", "mcflow"];
-
 /// Crates where the `INFINITY` sentinel circulates: the `Cost`/`NodeId`
 /// arithmetic crates plus `sim`, which handles degraded-fabric costs.
 const SENTINEL_CRATES: &[&str] = &[
@@ -115,27 +98,10 @@ const SENTINEL_CRATES: &[&str] = &[
 const SENTINEL_EXEMPT_FILES: &[&str] =
     &["crates/topology/src/graph.rs", "crates/model/src/cost.rs"];
 
-/// Crates whose library code must be deterministic under a fixed seed.
-const DETERMINISTIC_CRATES: &[&str] = &["sim", "traffic", "experiments"];
-
 /// Crates where `Ordering::Relaxed` is suspect: atomics in solver/sim
 /// code gate pruning and engine decisions across threads. `ppdc-obs`'s
 /// monotonic enabled-flag load is deliberately out of scope.
 const ATOMIC_CRATES: &[&str] = &["stroll", "placement", "migration", "mcflow", "sim"];
-
-/// Methods whose receiver iteration order leaks into results.
-const HASH_ITER_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "into_iter",
-    "into_keys",
-    "into_values",
-    "drain",
-    "retain",
-];
 
 /// Slice/iterator adapters that take an ordering comparator closure.
 const COMPARATOR_FNS: &[&str] = &[
@@ -159,8 +125,6 @@ pub struct FileCtx {
     /// The crate's directory name under `crates/` (the root package is
     /// `"ppdc"`).
     pub crate_name: String,
-    /// `main.rs` / `src/bin/*` — exempt from `nondeterminism`/`hash-iter`.
-    pub is_binary: bool,
 }
 
 impl FileCtx {
@@ -171,11 +135,9 @@ impl FileCtx {
             .and_then(|rest| rest.split('/').next())
             .unwrap_or("ppdc")
             .to_string();
-        let is_binary = path.ends_with("/main.rs") || path.contains("/bin/");
         FileCtx {
             path: path.to_string(),
             crate_name,
-            is_binary,
         }
     }
 }
@@ -195,7 +157,6 @@ pub fn check_tokens(ctx: &FileCtx, toks: &[Tok], src: &str) -> Vec<Violation> {
             open_of[m] = k;
         }
     }
-    let hash_idents = hash_bound_idents(toks, &code);
     let mut out = Vec::new();
 
     let snippet = |line: u32| -> String {
@@ -217,10 +178,6 @@ pub fn check_tokens(ctx: &FileCtx, toks: &[Tok], src: &str) -> Vec<Violation> {
 
     let sentinel = SENTINEL_CRATES.contains(&ctx.crate_name.as_str())
         && !SENTINEL_EXEMPT_FILES.contains(&ctx.path.as_str());
-    let deterministic = DETERMINISTIC_CRATES.contains(&ctx.crate_name.as_str()) && !ctx.is_binary;
-    let hashy = (SOLVER_CRATES.contains(&ctx.crate_name.as_str())
-        || DETERMINISTIC_CRATES.contains(&ctx.crate_name.as_str()))
-        && !ctx.is_binary;
     let atomic = ATOMIC_CRATES.contains(&ctx.crate_name.as_str());
 
     for (k, &i) in code.iter().enumerate() {
@@ -231,8 +188,6 @@ pub fn check_tokens(ctx: &FileCtx, toks: &[Tok], src: &str) -> Vec<Violation> {
         let prev = k.checked_sub(1).map(|p| &toks[code[p]]);
         let prev2 = k.checked_sub(2).map(|p| &toks[code[p]]);
         let next = code.get(k + 1).map(|&n| &toks[n]);
-        let next2 = code.get(k + 2).map(|&n| &toks[n]);
-        let next3 = code.get(k + 3).map(|&n| &toks[n]);
 
         if t.kind == TokKind::Ident {
             let id = t.text.as_str();
@@ -240,52 +195,6 @@ pub fn check_tokens(ctx: &FileCtx, toks: &[Tok], src: &str) -> Vec<Violation> {
                 |s: &str| matches!(next, Some(n) if n.kind == TokKind::Punct && n.text == s);
             let prev_is =
                 |s: &str| matches!(prev, Some(p) if p.kind == TokKind::Punct && p.text == s);
-
-            if deterministic
-                && (id == "SystemTime"
-                    || id == "thread_rng"
-                    || (id == "Instant"
-                        && matches!(next, Some(n) if n.text == "::")
-                        && matches!(next2, Some(n) if n.text == "now")))
-            {
-                push(
-                    "nondeterminism",
-                    t.line,
-                    format!("`{id}` in library code — seeded RNG / simulated clocks only"),
-                );
-            }
-
-            if hashy && hash_idents.contains(id) {
-                // `map.keys()` / `set.iter()` / `map.drain()` …
-                if next_is(".")
-                    && matches!(next2, Some(n) if n.kind == TokKind::Ident
-                        && HASH_ITER_METHODS.contains(&n.text.as_str()))
-                    && matches!(next3, Some(n) if n.kind == TokKind::Punct && n.text == "(")
-                {
-                    push(
-                        "hash-iter",
-                        t.line,
-                        format!(
-                            "iterating `{id}` (a HashMap/HashSet) — order is nondeterministic; \
-                             use BTreeMap/BTreeSet or sort before consuming"
-                        ),
-                    );
-                }
-                // `for x in &map {` / `for x in map {`
-                let after_in = matches!(prev, Some(p) if p.kind == TokKind::Ident && p.text == "in")
-                    || (prev_is("&")
-                        && matches!(prev2, Some(p) if p.kind == TokKind::Ident && p.text == "in"));
-                if next_is("{") && after_in {
-                    push(
-                        "hash-iter",
-                        t.line,
-                        format!(
-                            "`for … in {id}` iterates a HashMap/HashSet — order is \
-                             nondeterministic; use BTreeMap/BTreeSet or sort first"
-                        ),
-                    );
-                }
-            }
 
             if atomic
                 && id == "Relaxed"
@@ -395,32 +304,6 @@ pub fn check_tokens(ctx: &FileCtx, toks: &[Tok], src: &str) -> Vec<Violation> {
     out
 }
 
-/// Identifiers bound to a `HashMap`/`HashSet` anywhere in the file:
-/// `let m = HashMap::new()`, `let m: HashMap<…>`, struct fields and fn
-/// params (`m: HashMap<…>`). `use` imports don't bind (their prev is
-/// `::`).
-fn hash_bound_idents(toks: &[Tok], code: &[usize]) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    for (k, &i) in code.iter().enumerate() {
-        let t = &toks[i];
-        if t.kind != TokKind::Ident || (t.text != "HashMap" && t.text != "HashSet") {
-            continue;
-        }
-        let prev = k.checked_sub(1).map(|p| &toks[code[p]]);
-        let prev2 = k.checked_sub(2).map(|p| &toks[code[p]]);
-        let binds = matches!(prev, Some(p) if p.kind == TokKind::Punct
-            && (p.text == ":" || p.text == "="));
-        if binds {
-            if let Some(p2) = prev2 {
-                if p2.kind == TokKind::Ident && !is_keyword(&p2.text) {
-                    out.insert(p2.text.clone());
-                }
-            }
-        }
-    }
-    out
-}
-
 /// Walks the method chain backward from the `.reduce`/`.fold` receiver,
 /// looking for a rayon marker (`par_iter`, `into_par_iter`, `par_*`).
 /// Matched groups are jumped over; any statement boundary stops the walk.
@@ -490,8 +373,6 @@ mod tests {
     fn crate_name_derivation() {
         assert_eq!(ctx("crates/stroll/src/dp.rs").crate_name, "stroll");
         assert_eq!(ctx("src/lib.rs").crate_name, "ppdc");
-        assert!(ctx("crates/experiments/src/main.rs").is_binary);
-        assert!(!ctx("crates/experiments/src/fig7.rs").is_binary);
     }
 
     #[test]
@@ -516,39 +397,10 @@ mod tests {
     }
 
     #[test]
-    fn determinism_rule_exempts_binaries() {
-        let src = "fn f() { let t = Instant::now(); let r = thread_rng(); }";
-        let hits = rules_hit("crates/sim/src/simulator.rs", src);
-        assert_eq!(hits, vec!["nondeterminism", "nondeterminism"]);
-        assert!(rules_hit("crates/experiments/src/main.rs", src).is_empty());
-    }
-
-    #[test]
     fn test_modules_are_exempt_everywhere() {
         let src = "#[cfg(test)]\nmod tests {\n fn f(a: u64) -> u64 { let t = a + INFINITY; \
                    t.load(Ordering::Relaxed) }\n}";
         assert!(rules_hit("crates/stroll/src/dp.rs", src).is_empty());
-    }
-
-    #[test]
-    fn hash_iter_fires_on_iteration_not_lookup() {
-        let iter = "fn f() { let m = HashMap::new(); for (k, v) in &m { use_it(k, v); } }";
-        assert_eq!(
-            rules_hit("crates/sim/src/stats.rs", iter),
-            vec!["hash-iter"]
-        );
-        let keys = "struct S { m: HashMap<u32, u32> }\nfn f(s: &S) -> Vec<u32> { s.m.keys().copied().collect() }";
-        assert_eq!(
-            rules_hit("crates/placement/src/dp.rs", keys),
-            vec!["hash-iter"]
-        );
-        // Point lookups are order-free; BTreeMap iteration is ordered.
-        let get = "fn f() { let m = HashMap::new(); m.get(&3); m.insert(1, 2); }";
-        assert!(rules_hit("crates/sim/src/stats.rs", get).is_empty());
-        let btree = "fn f() { let m = BTreeMap::new(); for (k, v) in &m { use_it(k, v); } }";
-        assert!(rules_hit("crates/sim/src/stats.rs", btree).is_empty());
-        // Out-of-scope crates (obs, topology) are not checked.
-        assert!(rules_hit("crates/obs/src/registry.rs", iter).is_empty());
     }
 
     #[test]
@@ -613,7 +465,6 @@ mod tests {
     #[test]
     fn new_rules_are_known_for_allows() {
         for id in [
-            "hash-iter",
             "reduce-order",
             "relaxed-atomic",
             "float-sort",
@@ -624,5 +475,8 @@ mod tests {
             assert!(is_known_rule(id), "{id}");
         }
         assert!(!is_known_rule("no-such-rule"));
+        // Retired onto clippy (`disallowed_types` / `disallowed_methods`).
+        assert!(!is_known_rule("hash-iter"));
+        assert!(!is_known_rule("nondeterminism"));
     }
 }

@@ -1,7 +1,9 @@
 //! Fixture suite: one good + one bad fixture per rule, the suppression
 //! contract, the JSON schema round-trip, and the workspace-is-clean gate.
 //! Casts, printing and discarded values are clippy denies declared in each
-//! library crate's `lib.rs`, so they have no fixtures here.
+//! library crate's `lib.rs`, and hash containers, wall clocks and unseeded
+//! RNG are banned by per-crate `clippy.toml` files, so they have no
+//! fixtures here — only checks that the clippy configuration is in place.
 //!
 //! Fixtures live in `tests/fixtures/` (a subdirectory, so cargo never
 //! compiles them) and are scanned under a synthetic in-crate path so the
@@ -13,6 +15,11 @@ use ppdc_analyzer::{
     analyze_corpus, analyze_corpus_with, analyze_source, analyze_workspace, json, AnalyzeOptions,
 };
 use ppdc_obs::json::Value;
+
+fn workspace_root() -> std::path::PathBuf {
+    let start = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    ppdc_analyzer::find_workspace_root(&start).expect("workspace root")
+}
 
 /// Scans a fixture as if it lived at `path` inside the workspace.
 fn scan(path: &str, src: &str) -> (Vec<String>, usize) {
@@ -65,50 +72,124 @@ fn raw_cost_arith_good_fixture_passes() {
 }
 
 #[test]
-fn nondeterminism_bad_fixture_fails() {
-    let (rules, _) = scan(
-        "crates/sim/src/fixture.rs",
-        include_str!("fixtures/nondeterminism_bad.rs"),
-    );
-    assert_eq!(
-        rules,
-        vec!["nondeterminism"; 3],
-        "Instant::now, SystemTime, thread_rng"
-    );
-}
-
-#[test]
-fn nondeterminism_good_fixture_passes() {
-    let (rules, _) = scan(
-        "crates/sim/src/fixture.rs",
-        include_str!("fixtures/nondeterminism_good.rs"),
-    );
-    assert!(rules.is_empty(), "{rules:?}");
-}
-
-#[test]
 fn binaries_are_exempt_from_print_and_determinism_rules() {
-    // Printing is clippy's (`print_stdout` & co., denied in each lib.rs,
-    // so binaries are out of scope); the determinism half is ours.
-    let (rules, _) = scan(
-        "crates/experiments/src/main.rs",
-        include_str!("fixtures/nondeterminism_bad.rs"),
+    // Printing is denied in each lib.rs, so binaries are out of scope; the
+    // wall-clock ban is a per-crate `clippy.toml` that the experiments
+    // binary (which times whole runs) opts out of at its crate root.
+    let root = workspace_root();
+    let main =
+        std::fs::read_to_string(root.join("crates/experiments/src/main.rs")).expect("main.rs");
+    assert!(
+        main.contains("#![allow(") && main.contains("clippy::disallowed_methods"),
+        "bin-root allow missing"
     );
-    assert!(rules.is_empty(), "{rules:?}");
+    assert!(!main.contains("clippy::print_stdout"), "binaries may print");
+}
+
+// `hash-iter` and `nondeterminism` are clippy's: hash containers are
+// `disallowed_types` in the solver and deterministic crates, wall clocks
+// and unseeded RNG `disallowed_methods` in the deterministic ones. Each
+// holds only while the crate's `clippy.toml` lists what its bad fixture
+// uses and nothing its good fixture needs.
+const HASHED_CRATES: [&str; 7] = [
+    "stroll",
+    "placement",
+    "migration",
+    "mcflow",
+    "sim",
+    "traffic",
+    "experiments",
+];
+const CLOCKED_CRATES: [&str; 3] = ["sim", "traffic", "experiments"];
+
+/// The `path = "..."` entries of one list (`disallowed-types` or
+/// `disallowed-methods`) in a crate's `clippy.toml`.
+fn disallowed(krate: &str, list: &str) -> Vec<String> {
+    let path = workspace_root()
+        .join("crates")
+        .join(krate)
+        .join("clippy.toml");
+    let cfg = std::fs::read_to_string(&path).unwrap_or_default();
+    let mut current = "";
+    let mut out = Vec::new();
+    for line in cfg.lines().map(str::trim) {
+        if let Some((key, _)) = line.split_once('=').filter(|_| line.ends_with('[')) {
+            current = key.trim();
+        } else if current == list {
+            if let Some(rest) = line.split_once("path = \"").map(|(_, r)| r) {
+                out.extend(rest.split('"').next().map(str::to_string));
+            }
+        }
+    }
+    out
 }
 
 #[test]
 fn hash_iter_fixtures() {
-    let (rules, _) = scan(
-        "crates/sim/src/fixture.rs",
-        include_str!("fixtures/hash_iter_bad.rs"),
-    );
-    assert_eq!(rules, vec!["hash-iter"; 2], "loop + .iter() drain");
-    let (rules, _) = scan(
-        "crates/sim/src/fixture.rs",
-        include_str!("fixtures/hash_iter_good.rs"),
-    );
-    assert!(rules.is_empty(), "{rules:?}");
+    let bad = include_str!("fixtures/hash_iter_bad.rs");
+    let good = include_str!("fixtures/hash_iter_good.rs");
+    for krate in HASHED_CRATES {
+        let types = disallowed(krate, "disallowed-types");
+        assert_eq!(
+            types,
+            ["std::collections::HashMap", "std::collections::HashSet"],
+            "{krate}: hash containers not disallowed"
+        );
+        for ty in &types {
+            assert!(
+                bad.contains(ty.as_str()),
+                "{krate}: bad fixture never uses {ty}"
+            );
+            let name = ty.rsplit("::").next().unwrap_or(ty);
+            assert!(!good.contains(name), "{krate}: good fixture uses {name}");
+        }
+    }
+}
+
+#[test]
+fn nondeterminism_bad_fixture_fails() {
+    let bad = include_str!("fixtures/nondeterminism_bad.rs");
+    for krate in HASHED_CRATES {
+        let methods = disallowed(krate, "disallowed-methods");
+        if !CLOCKED_CRATES.contains(&krate) {
+            assert!(
+                methods.is_empty(),
+                "{krate}: clocks are allowed here: {methods:?}"
+            );
+            continue;
+        }
+        assert_eq!(
+            methods,
+            [
+                "std::time::Instant::now",
+                "std::time::SystemTime::now",
+                "rand::thread_rng"
+            ],
+            "{krate}: Instant::now, SystemTime, thread_rng"
+        );
+        for method in &methods {
+            assert!(
+                bad.contains(&format!("{method}()")),
+                "{krate}: bad fixture never calls {method}"
+            );
+        }
+    }
+}
+
+#[test]
+fn nondeterminism_good_fixture_passes() {
+    let good = include_str!("fixtures/nondeterminism_good.rs");
+    for krate in CLOCKED_CRATES {
+        let methods = disallowed(krate, "disallowed-methods");
+        assert!(!methods.is_empty(), "{krate}: no disallowed methods");
+        for method in &methods {
+            let name = method.rsplit("::").next().unwrap_or(method);
+            assert!(
+                !good.contains(&format!("{name}(")),
+                "{krate}: good fixture calls {method}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -267,8 +348,7 @@ fn json_report_round_trips_through_the_schema() {
 fn retired_rules_are_clippy_denies_in_every_library_crate() {
     // The print, discarded-value and cast checks are clippy denies: they
     // hold only while each library crate's lib.rs declares them.
-    let start = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    let root = ppdc_analyzer::find_workspace_root(&start).expect("workspace root");
+    let root = workspace_root();
     let mut libs = vec![("ppdc".to_string(), root.join("src/lib.rs"))];
     for entry in std::fs::read_dir(root.join("crates")).expect("crates dir") {
         let dir = entry.expect("crate entry").path();

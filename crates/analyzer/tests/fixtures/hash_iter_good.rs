@@ -1,12 +1,12 @@
 // Fixture: the sanctioned twins — ordered containers for anything that
-// gets iterated, hash containers only for point lookups. Clean under
-// `hash-iter`.
+// is iterated or looked up. Names no type the scoped crates' `clippy.toml`
+// disallows.
 pub struct Registry {
-    seen: BTreeSet<u32>,
+    seen: std::collections::BTreeSet<u32>,
 }
 
 pub fn merge_counts(pairs: &[(u32, u64)]) -> Vec<(u32, u64)> {
-    let mut m = BTreeMap::new();
+    let mut m = std::collections::BTreeMap::new();
     for (k, v) in pairs {
         *m.entry(*k).or_insert(0) += *v;
     }
@@ -21,6 +21,6 @@ pub fn snapshot(r: &Registry) -> Vec<u32> {
     r.seen.iter().copied().collect()
 }
 
-pub fn lookup(m: &HashMap<u32, u64>, k: u32) -> u64 {
-    m.get(&k).copied().unwrap_or(0) // point lookups are order-free
+pub fn lookup(m: &std::collections::BTreeMap<u32, u64>, k: u32) -> u64 {
+    m.get(&k).copied().unwrap_or(0)
 }

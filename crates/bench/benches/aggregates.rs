@@ -50,7 +50,7 @@ fn bench_epoch_update(c: &mut Criterion) {
     group.bench_function("apply_rate_deltas", |b| {
         b.iter(|| {
             let mut agg = agg0.clone();
-            agg.apply_rate_deltas(&dm, &w1, &deltas);
+            agg.apply_rate_deltas(&dm, &w1, &deltas).unwrap();
             agg
         })
     });

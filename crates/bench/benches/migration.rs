@@ -4,13 +4,14 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use ppdc_bench::fixture;
 use ppdc_migration::{mcf_vm_migration, mpareto, plan_vm_migration};
 use ppdc_model::Sfc;
-use ppdc_placement::dp_placement;
+use ppdc_placement::{dp_placement, AttachAggregates};
 use std::time::Duration;
 
 fn bench_mpareto(c: &mut Criterion) {
     let (ft, dm, mut w) = fixture(8, 100);
     let sfc = Sfc::of_len(5).unwrap();
-    let (p, _) = dp_placement(ft.graph(), &dm, &w, &sfc).unwrap();
+    let (p, _) =
+        dp_placement(&dm, &w, &sfc, &AttachAggregates::build(ft.graph(), &dm, &w)).unwrap();
     // Shift the traffic so the frontier walk does real work.
     let mut rates = w.rates().to_vec();
     rates.reverse();
@@ -20,7 +21,18 @@ fn bench_mpareto(c: &mut Criterion) {
     group.warm_up_time(Duration::from_secs(1));
     group.measurement_time(Duration::from_secs(3));
     group.bench_function("mu_1e4", |b| {
-        b.iter(|| mpareto(ft.graph(), &dm, &w, &sfc, &p, 10_000).unwrap())
+        b.iter(|| {
+            mpareto(
+                ft.graph(),
+                &dm,
+                &w,
+                &sfc,
+                &p,
+                10_000,
+                &AttachAggregates::build(ft.graph(), &dm, &w),
+            )
+            .unwrap()
+        })
     });
     group.finish();
 }
@@ -28,7 +40,8 @@ fn bench_mpareto(c: &mut Criterion) {
 fn bench_vm_baselines(c: &mut Criterion) {
     let (ft, dm, mut w) = fixture(8, 100);
     let sfc = Sfc::of_len(5).unwrap();
-    let (p, _) = dp_placement(ft.graph(), &dm, &w, &sfc).unwrap();
+    let (p, _) =
+        dp_placement(&dm, &w, &sfc, &AttachAggregates::build(ft.graph(), &dm, &w)).unwrap();
     let mut rates = w.rates().to_vec();
     rates.reverse();
     w.set_rates(&rates).unwrap();

@@ -7,7 +7,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ppdc_bench::{fixture, oracle_fixture};
 use ppdc_model::Sfc;
-use ppdc_placement::{dp_placement, greedy_placement, optimal_placement, steering_placement};
+use ppdc_placement::optimal::DEFAULT_BUDGET;
+use ppdc_placement::{
+    dp_placement, greedy_placement, optimal_placement, steering_placement, AttachAggregates,
+};
 use std::time::Duration;
 
 fn enabled(group: &str) -> bool {
@@ -31,7 +34,12 @@ fn bench_dp_placement(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("k{k}_l{l}")),
             &(),
-            |b, _| b.iter(|| dp_placement(ft.graph(), &dm, &w, &sfc).unwrap()),
+            |b, _| {
+                b.iter(|| {
+                    dp_placement(&dm, &w, &sfc, &AttachAggregates::build(ft.graph(), &dm, &w))
+                        .unwrap()
+                })
+            },
         );
     }
     group.finish();
@@ -54,7 +62,15 @@ fn bench_dp_placement_k32(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(1));
     group.measurement_time(Duration::from_secs(1));
     group.bench_with_input(BenchmarkId::from_parameter("k32_l64"), &(), |b, _| {
-        b.iter(|| dp_placement(ft.graph(), &oracle, &w, &sfc).unwrap())
+        b.iter(|| {
+            dp_placement(
+                &oracle,
+                &w,
+                &sfc,
+                &AttachAggregates::build(ft.graph(), &oracle, &w),
+            )
+            .unwrap()
+        })
     });
     group.finish();
 }
@@ -85,7 +101,16 @@ fn bench_optimal(c: &mut Criterion) {
     for n in [3usize, 5] {
         let sfc = Sfc::of_len(n).unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(n), &sfc, |b, sfc| {
-            b.iter(|| optimal_placement(ft.graph(), &dm, &w, sfc).unwrap())
+            b.iter(|| {
+                optimal_placement(
+                    &dm,
+                    &w,
+                    sfc,
+                    &AttachAggregates::build(ft.graph(), &dm, &w),
+                    DEFAULT_BUDGET,
+                )
+                .unwrap()
+            })
         });
     }
     group.finish();
@@ -102,7 +127,8 @@ fn bench_extensions(c: &mut Criterion) {
     group.sample_size(10);
     group.warm_up_time(Duration::from_secs(1));
     group.measurement_time(Duration::from_secs(3));
-    let (p, _) = dp_placement(ft.graph(), &dm, &w, &sfc).unwrap();
+    let (p, _) =
+        dp_placement(&dm, &w, &sfc, &AttachAggregates::build(ft.graph(), &dm, &w)).unwrap();
     group.bench_function("greedy_replication_4", |b| {
         b.iter(|| greedy_replication(ft.graph(), &dm, &w, &p, 4).unwrap())
     });

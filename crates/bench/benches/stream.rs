@@ -39,7 +39,7 @@
 //! The `stream_resolve` group measures the *solver* half of an epoch: the
 //! warm-started re-solve ([`dp_placement_warm`] with a persistent
 //! [`BoundCache`] and the previous optimum as incumbent) against the cold
-//! [`dp_placement_with_agg`] the engine would otherwise pay, over the same
+//! [`dp_placement`] the engine would otherwise pay, over the same
 //! three churn localities. Aggregates are prebuilt outside the timer and
 //! alternate base ↔ churned between iterations, so the measured unit is
 //! exactly the post-ingest re-solve latency.
@@ -50,7 +50,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ppdc_model::{Sfc, Workload};
 use ppdc_placement::{
-    dp_placement_warm, dp_placement_with_agg, AttachAggregates, BoundCache, HostMassDelta,
+    dp_placement, dp_placement_warm, AttachAggregates, BoundCache, HostMassDelta,
 };
 use ppdc_sim::{stream_fingerprint, RateDelta, ShardedFlowStore, StreamConfig};
 use ppdc_topology::{FatTree, FatTreeOracle, NodeId};
@@ -237,7 +237,7 @@ fn bench_stream_resolve(c: &mut Criterion) {
 
     let base = AttachAggregates::build(g, &oracle, &w);
     group.bench_with_input(BenchmarkId::new("cold", FLOWS), &(), |b, ()| {
-        b.iter(|| dp_placement_with_agg(g, &oracle, &w, &sfc, &base).unwrap())
+        b.iter(|| dp_placement(&oracle, &w, &sfc, &base).unwrap())
     });
 
     let touch = [HostMassDelta {

@@ -40,7 +40,7 @@ fn bench_optimal_stroll(c: &mut Criterion) {
     for n in [3usize, 5, 7] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             let inst = StrollInstance::new(&mc, s, t, n).unwrap();
-            b.iter(|| optimal_stroll(&inst).unwrap())
+            b.iter(|| optimal_stroll(&inst, ppdc_stroll::exact::DEFAULT_BUDGET))
         });
     }
     group.finish();

@@ -20,7 +20,7 @@
 
 use crate::{fat_tree_with_distances, fmt_summary, summarize_runs, Scale};
 use ppdc_model::Sfc;
-use ppdc_placement::{comm_cost_replicated, dp_placement, greedy_replication};
+use ppdc_placement::{comm_cost_replicated, dp_placement, greedy_replication, AttachAggregates};
 use ppdc_sim::{run_day, EngineConfig, FaultSchedule, MigrationPolicy, SimConfig, Table};
 use ppdc_traffic::standard_workload;
 
@@ -35,7 +35,8 @@ fn replicated_day(
 ) -> u64 {
     let mut w = w.clone();
     w.set_rates(&trace.rates_at(0)).expect("trace covers flows");
-    let (p, _) = dp_placement(g, dm, &w, sfc).expect("TOP solves");
+    let (p, _) =
+        dp_placement(dm, &w, sfc, &AttachAggregates::build(g, dm, &w)).expect("TOP solves");
     let (rp, _) = greedy_replication(g, dm, &w, &p, extra_replicas).expect("greedy solves");
     let mut total = 0;
     for h in 1..=trace.model().n_hours {
@@ -66,7 +67,8 @@ fn chain_replicated_day(
     let n = sfc.len();
     let mut w = w.clone();
     w.set_rates(&trace.rates_at(0)).expect("trace covers flows");
-    let (p, _) = dp_placement(g, dm, &w, sfc).expect("TOP solves");
+    let (p, _) =
+        dp_placement(dm, &w, sfc, &AttachAggregates::build(g, dm, &w)).expect("TOP solves");
     let mut rp = ReplicatedPlacement::from_placement(&p);
     // Canonical in-pod chain for pod q: edge(q,0), agg(q,0), edge(q,1), …
     let half = ft.k() / 2;

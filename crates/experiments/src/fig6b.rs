@@ -9,7 +9,7 @@
 use crate::{fat_tree_with_distances, Scale};
 use ppdc_migration::{is_convex, mpareto, pareto_front};
 use ppdc_model::Sfc;
-use ppdc_placement::dp_placement;
+use ppdc_placement::{dp_placement, AttachAggregates};
 use ppdc_sim::Table;
 use ppdc_traffic::{standard_workload, DynamicTrace};
 
@@ -22,12 +22,14 @@ pub fn fig6b(scale: &Scale) -> Table {
     let pairs = if scale.quick { 30 } else { 200 };
     let (mut w, _trace): (_, DynamicTrace) = standard_workload(&ft, pairs, 66, 0);
     let sfc = Sfc::of_len(n).expect("n >= 1");
-    let (p, _) = dp_placement(g, &dm, &w, &sfc).expect("initial TOP");
+    let (p, _) =
+        dp_placement(&dm, &w, &sfc, &AttachAggregates::build(g, &dm, &w)).expect("initial TOP");
     // Drastic rate change: reverse the rate vector so heavy flows move.
     let mut rates = w.rates().to_vec();
     rates.reverse();
     w.set_rates(&rates).expect("same length");
-    let out = mpareto(g, &dm, &w, &sfc, &p, mu).expect("mpareto");
+    let agg = AttachAggregates::build(g, &dm, &w);
+    let out = mpareto(g, &dm, &w, &sfc, &p, mu, &agg).expect("mpareto");
     let mut table = Table::new(
         format!(
             "Fig. 6(b) — parallel-frontier Pareto front (k={}, n={n}, mu={mu})",

@@ -17,7 +17,7 @@ use crate::{
 };
 use ppdc_model::{Sfc, Workload};
 use ppdc_placement::{
-    dp_placement, greedy_placement, optimal_placement_with_budget, steering_placement,
+    dp_placement, greedy_placement, optimal_placement, steering_placement, AttachAggregates,
 };
 use ppdc_sim::Table;
 use ppdc_topology::DistanceMatrix;
@@ -51,16 +51,20 @@ fn run_point(scale: &Scale, weighted: bool, l: usize, n: usize, seed: u64) -> Po
         let g = ft.graph();
         let w: Workload = generate_pairs(&ft, &PairPlacement::default(), &DEFAULT_MIX, l, &mut rng);
         let sfc = Sfc::of_len(n).expect("n >= 1");
-        let (_, dp_cost) = dp_placement(g, &dm, &w, &sfc).expect("dp solves");
+        let agg = AttachAggregates::build(g, &dm, &w);
+        let (_, dp_cost) = dp_placement(&dm, &w, &sfc, &agg).expect("dp solves");
         point.dp.push(dp_cost as f64);
         let (_, gr) = greedy_placement(g, &dm, &w, &sfc).expect("greedy solves");
         point.greedy.push(gr as f64);
         let (_, st) = steering_placement(g, &dm, &w, &sfc).expect("steering solves");
         point.steering.push(st as f64);
+        // A budget-degraded incumbent is not an optimum: report it as
+        // not computed (`n/c`).
         point.optimal.push(
-            optimal_placement_with_budget(g, &dm, &w, &sfc, OPT_BUDGET)
+            optimal_placement(&dm, &w, &sfc, &agg, OPT_BUDGET)
                 .ok()
-                .map(|(_, c)| c as f64),
+                .filter(|(_, _, exactness)| exactness.is_exact())
+                .map(|(_, c, _)| c as f64),
         );
     }
     point

@@ -219,7 +219,7 @@ pub fn mcf_vm_migration<D: DistanceOracle + ?Sized>(
     let host_base = 1 + nv;
     let sink = host_base + nh;
     let mut net = McfNetwork::new(sink + 1);
-    let host_pos: std::collections::HashMap<NodeId, usize> =
+    let host_pos: std::collections::BTreeMap<NodeId, usize> =
         hosts.iter().enumerate().map(|(i, &h)| (h, i)).collect();
     let mut edge_refs: Vec<(VmId, NodeId, ppdc_mcf::EdgeRef)> = Vec::new();
     for (vi, &v) in vms.iter().enumerate() {
@@ -316,7 +316,13 @@ mod tests {
         w.add_pair(hosts[12], hosts[15], 90);
         w.add_pair(hosts[4], hosts[9], 2);
         let sfc = Sfc::of_len(2).unwrap();
-        let (p, _) = dp_placement(&g, &dm, &w, &sfc).unwrap();
+        let (p, _) = dp_placement(
+            &dm,
+            &w,
+            &sfc,
+            &ppdc_placement::AttachAggregates::build(&g, &dm, &w),
+        )
+        .unwrap();
         (g, dm, w, p)
     }
 

@@ -8,7 +8,7 @@
 //! sequence, `C_a` (communication) falls — the points form a Pareto front,
 //! and Theorem 5 says mPareto is optimal whenever that front is convex.
 
-use ppdc_model::{comm_cost, migration_cost, MigrationCoefficient, Placement, Workload};
+use ppdc_model::{migration_cost, MigrationCoefficient, Placement};
 use ppdc_placement::AttachAggregates;
 use ppdc_topology::{Cost, DistanceOracle, Graph, NodeId, NodeKind, INFINITY};
 
@@ -42,25 +42,6 @@ impl FrontierPoint {
 /// The migration paths `S_j`: the shortest path from `p(j)` to `p'(j)` for
 /// every VNF (a single-switch path when the VNF does not move).
 ///
-/// # Panics
-///
-/// Panics if the two placements differ in length or some `p(j)` cannot
-/// reach `p'(j)` — use [`try_migration_paths`] when the fabric may be
-/// partitioned.
-pub fn migration_paths<D: DistanceOracle + ?Sized>(
-    g: &Graph,
-    dm: &D,
-    p: &Placement,
-    p_new: &Placement,
-) -> Vec<Vec<NodeId>> {
-    match try_migration_paths(g, dm, p, p_new) {
-        Ok(paths) => paths,
-        Err(e) => panic!("migration_paths: {e}"), // documented panicking convenience wrapper; fallible twin is try_migration_paths
-    }
-}
-
-/// Fallible twin of [`migration_paths`] for degraded fabrics.
-///
 /// # Errors
 ///
 /// [`crate::MigrationError::Model`] on a placement length mismatch;
@@ -68,7 +49,7 @@ pub fn migration_paths<D: DistanceOracle + ?Sized>(
 /// sit in different components — the epoch loop must then repair the
 /// placement (both placements inside one serving component make every path
 /// exist).
-pub fn try_migration_paths<D: DistanceOracle + ?Sized>(
+pub fn migration_paths<D: DistanceOracle + ?Sized>(
     g: &Graph,
     dm: &D,
     p: &Placement,
@@ -101,48 +82,24 @@ pub fn try_migration_paths<D: DistanceOracle + ?Sized>(
 /// The `h_max` parallel migration frontiers ℙ of Definition 2, evaluated:
 /// row 0 is `p` itself (zero migration), the last row is `p'`.
 ///
+/// `C_a` is evaluated through the attach-cost aggregates instead of
+/// per-flow sums — `O(n)` per frontier row regardless of the flow count.
+/// Exact: Eq. 1's decomposition holds for every frontier snapshot,
+/// injective or not. `agg` must describe the current workload on `dm`.
+///
 /// # Errors
 ///
 /// [`crate::MigrationError::EmptyMigrationPath`] when some path has no
 /// switches at all — a frontier row cannot place that VNF anywhere.
-/// Paths produced by [`migration_paths`]/[`try_migration_paths`] always
-/// hold at least the source switch, so this only fires on malformed
-/// caller-supplied paths (previously this underflowed `path.len() - 1`).
+/// Paths produced by [`migration_paths`] always hold at least the source
+/// switch, so this only fires on malformed caller-supplied paths
+/// (previously this underflowed `path.len() - 1`).
 pub fn parallel_frontiers<D: DistanceOracle + ?Sized>(
-    dm: &D,
-    w: &Workload,
-    paths: &[Vec<NodeId>],
-    p: &Placement,
-    mu: MigrationCoefficient,
-) -> Result<Vec<FrontierPoint>, crate::MigrationError> {
-    frontiers_impl(paths, |m| {
-        (migration_cost(dm, p, m, mu), comm_cost(dm, w, m))
-    })
-}
-
-/// [`parallel_frontiers`] with `C_a` evaluated through precomputed
-/// attach-cost aggregates instead of per-flow sums — `O(n)` per frontier
-/// row regardless of the flow count. Exact: Eq. 1's decomposition holds
-/// for every frontier snapshot, injective or not. `agg` must describe `w`.
-///
-/// # Errors
-///
-/// Same conditions as [`parallel_frontiers`].
-pub fn parallel_frontiers_with_agg<D: DistanceOracle + ?Sized>(
     dm: &D,
     agg: &AttachAggregates,
     paths: &[Vec<NodeId>],
     p: &Placement,
     mu: MigrationCoefficient,
-) -> Result<Vec<FrontierPoint>, crate::MigrationError> {
-    frontiers_impl(paths, |m| {
-        (migration_cost(dm, p, m, mu), agg.comm_cost(dm, m))
-    })
-}
-
-fn frontiers_impl(
-    paths: &[Vec<NodeId>],
-    costs: impl Fn(&Placement) -> (Cost, Cost),
 ) -> Result<Vec<FrontierPoint>, crate::MigrationError> {
     if let Some(vnf) = paths.iter().position(Vec::is_empty) {
         return Err(crate::MigrationError::EmptyMigrationPath { vnf });
@@ -155,10 +112,9 @@ fn frontiers_impl(
                 .map(|path| path[i.min(path.len() - 1)])
                 .collect();
             let m = Placement::new_relaxed(snapshot);
-            let (migration_cost, comm_cost) = costs(&m);
             FrontierPoint {
-                migration_cost,
-                comm_cost,
+                migration_cost: migration_cost(dm, p, &m, mu),
+                comm_cost: agg.comm_cost(dm, &m),
                 placement: m,
             }
         })
@@ -225,7 +181,7 @@ pub fn is_convex(front: &[FrontierPoint]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppdc_model::Sfc;
+    use ppdc_model::{comm_cost, Sfc, Workload};
     use ppdc_topology::builders::linear;
     use ppdc_topology::DistanceMatrix;
 
@@ -246,7 +202,7 @@ mod tests {
     #[test]
     fn paths_walk_the_line() {
         let (g, dm, _, p, p_new) = setting();
-        let paths = migration_paths(&g, &dm, &p, &p_new);
+        let paths = migration_paths(&g, &dm, &p, &p_new).unwrap();
         assert_eq!(paths.len(), 2);
         assert_eq!(paths[0].len(), 5, "s1 → s5 crosses all five switches");
         assert_eq!(paths[1].len(), 3, "s2 → s4");
@@ -257,8 +213,9 @@ mod tests {
     #[test]
     fn identity_migration_single_frontier() {
         let (g, dm, w, p, _) = setting();
-        let paths = migration_paths(&g, &dm, &p, &p);
-        let fr = parallel_frontiers(&dm, &w, &paths, &p, 1).unwrap();
+        let paths = migration_paths(&g, &dm, &p, &p).unwrap();
+        let fr =
+            parallel_frontiers(&dm, &AttachAggregates::build(&g, &dm, &w), &paths, &p, 1).unwrap();
         assert_eq!(fr.len(), 1);
         assert_eq!(fr[0].migration_cost, 0);
         assert_eq!(fr[0].comm_cost, comm_cost(&dm, &w, &p));
@@ -267,8 +224,9 @@ mod tests {
     #[test]
     fn frontier_rows_interpolate_p_to_p_new() {
         let (g, dm, w, p, p_new) = setting();
-        let paths = migration_paths(&g, &dm, &p, &p_new);
-        let fr = parallel_frontiers(&dm, &w, &paths, &p, 1).unwrap();
+        let paths = migration_paths(&g, &dm, &p, &p_new).unwrap();
+        let fr =
+            parallel_frontiers(&dm, &AttachAggregates::build(&g, &dm, &w), &paths, &p, 1).unwrap();
         assert_eq!(fr.len(), 5);
         assert_eq!(fr[0].placement.switches(), p.switches());
         assert_eq!(fr[4].placement.switches(), p_new.switches());
@@ -284,8 +242,9 @@ mod tests {
     #[test]
     fn comm_cost_falls_as_migration_rises_in_example1() {
         let (g, dm, w, p, p_new) = setting();
-        let paths = migration_paths(&g, &dm, &p, &p_new);
-        let fr = parallel_frontiers(&dm, &w, &paths, &p, 1).unwrap();
+        let paths = migration_paths(&g, &dm, &p, &p_new).unwrap();
+        let fr =
+            parallel_frontiers(&dm, &AttachAggregates::build(&g, &dm, &w), &paths, &p, 1).unwrap();
         // Hand-computed row costs: rows 0–4 place the pair at
         // (s1,s2), (s2,s3), (s3,s4), (s4,s4), (s5,s4).
         let comm: Vec<Cost> = fr.iter().map(|f| f.comm_cost).collect();
@@ -299,8 +258,9 @@ mod tests {
     #[test]
     fn pareto_front_is_nondominated_and_sorted() {
         let (g, dm, w, p, p_new) = setting();
-        let paths = migration_paths(&g, &dm, &p, &p_new);
-        let fr = parallel_frontiers(&dm, &w, &paths, &p, 1).unwrap();
+        let paths = migration_paths(&g, &dm, &p, &p_new).unwrap();
+        let fr =
+            parallel_frontiers(&dm, &AttachAggregates::build(&g, &dm, &w), &paths, &p, 1).unwrap();
         let front = pareto_front(&fr);
         assert!(!front.is_empty());
         for w2 in front.windows(2) {
@@ -323,13 +283,19 @@ mod tests {
         // which underflows (and panics) on an empty path. Malformed paths
         // must surface as a typed error instead.
         let (g, dm, w, p, p_new) = setting();
-        let mut paths = migration_paths(&g, &dm, &p, &p_new);
+        let mut paths = migration_paths(&g, &dm, &p, &p_new).unwrap();
         paths[1].clear();
-        let err = parallel_frontiers(&dm, &w, &paths, &p, 1).unwrap_err();
+        let err = parallel_frontiers(&dm, &AttachAggregates::build(&g, &dm, &w), &paths, &p, 1)
+            .unwrap_err();
         assert_eq!(err, crate::MigrationError::EmptyMigrationPath { vnf: 1 });
         // Well-formed paths (even all-singleton) stay fine.
-        let paths = migration_paths(&g, &dm, &p, &p);
-        assert_eq!(parallel_frontiers(&dm, &w, &paths, &p, 1).unwrap().len(), 1);
+        let paths = migration_paths(&g, &dm, &p, &p).unwrap();
+        assert_eq!(
+            parallel_frontiers(&dm, &AttachAggregates::build(&g, &dm, &w), &paths, &p, 1)
+                .unwrap()
+                .len(),
+            1
+        );
     }
 
     #[test]

@@ -47,18 +47,12 @@ pub mod mpareto;
 pub mod optimal;
 
 pub use baselines::{mcf_vm_migration, no_migration, plan_vm_migration, VmMigrationOutcome};
-pub use frontier::{
-    is_convex, migration_paths, parallel_frontiers, parallel_frontiers_with_agg, pareto_front,
-    try_migration_paths, FrontierPoint,
-};
-pub use mpareto::{mpareto, mpareto_with_closure, MigrationOutcome};
-pub use optimal::{
-    optimal_migration, optimal_migration_with_budget, optimal_migration_with_deadline,
-};
+pub use frontier::{is_convex, migration_paths, parallel_frontiers, pareto_front, FrontierPoint};
+pub use mpareto::{mpareto, MigrationOutcome};
+pub use optimal::optimal_migration;
 
 use ppdc_model::ModelError;
 use ppdc_placement::PlacementError;
-use ppdc_stroll::StrollError;
 
 /// Errors produced by migration solvers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,8 +61,6 @@ pub enum MigrationError {
     Model(ModelError),
     /// The placement step inside the solver failed.
     Placement(PlacementError),
-    /// The exact search exhausted its budget.
-    Stroll(StrollError),
     /// The MCF baseline's flow network was infeasible.
     Infeasible(&'static str),
     /// A migration endpoint pair sits in different components of a
@@ -100,18 +92,11 @@ impl From<PlacementError> for MigrationError {
     }
 }
 
-impl From<StrollError> for MigrationError {
-    fn from(e: StrollError) -> Self {
-        MigrationError::Stroll(e)
-    }
-}
-
 impl std::fmt::Display for MigrationError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             MigrationError::Model(e) => write!(f, "model error: {e}"),
             MigrationError::Placement(e) => write!(f, "placement error: {e}"),
-            MigrationError::Stroll(e) => write!(f, "search error: {e}"),
             MigrationError::Infeasible(what) => write!(f, "infeasible: {what}"),
             MigrationError::Unreachable { from, to } => write!(
                 f,

@@ -1,9 +1,9 @@
 //! **mPareto** — Algorithm 5: parallel-frontier VNF migration.
 
-use crate::frontier::{parallel_frontiers_with_agg, try_migration_paths, FrontierPoint};
+use crate::frontier::{migration_paths, parallel_frontiers, FrontierPoint};
 use crate::MigrationError;
 use ppdc_model::{MigrationCoefficient, Placement, Sfc, Workload};
-use ppdc_placement::{dp_placement_with_agg, AttachAggregates};
+use ppdc_placement::{dp_placement, AttachAggregates};
 use ppdc_topology::{Cost, DistanceOracle, Graph};
 
 /// Result of a TOM solve (mPareto or Optimal).
@@ -47,12 +47,16 @@ impl MigrationOutcome {
 /// rates with Algorithm 3, then picks the cheapest parallel migration
 /// frontier between `p` and `p'`.
 ///
-/// `w` must already carry the *new* rate vector; `p` is the placement the
-/// VNFs currently occupy.
+/// `w` must already carry the *new* rate vector and `agg` must describe
+/// it on `dm` — the hourly TOM loop keeps one [`AttachAggregates`] alive
+/// and folds each hour's deltas into it; callers without aggregates build
+/// them with [`AttachAggregates::build`]. `p` is the placement the VNFs
+/// currently occupy.
 ///
 /// # Errors
 ///
-/// Propagates failures of the inner Algorithm 3 call.
+/// Propagates failures of the inner Algorithm 3 call and of
+/// [`migration_paths`] (a VNF whose new home sits in another component).
 pub fn mpareto<D: DistanceOracle + ?Sized>(
     g: &Graph,
     dm: &D,
@@ -60,57 +64,15 @@ pub fn mpareto<D: DistanceOracle + ?Sized>(
     sfc: &Sfc,
     p: &Placement,
     mu: MigrationCoefficient,
-) -> Result<MigrationOutcome, MigrationError> {
-    let agg = AttachAggregates::build(g, dm, w);
-    mpareto_inner(g, dm, w, sfc, p, mu, &agg, None)
-}
-
-/// [`mpareto`] against caller-supplied attach-cost aggregates and a
-/// caller-cached metric closure over `agg`'s candidate switches (see
-/// [`ppdc_placement::dp_placement_with_closure`]): the hourly TOM loop
-/// maintains one [`AttachAggregates`] incrementally across epochs and holds
-/// one [`ppdc_topology::CachedClosure`] per day segment, so neither the
-/// per-flow sums nor the closure are rebuilt per solve. `agg` must
-/// describe `w` on `g`/`dm`.
-///
-/// # Errors
-///
-/// Same conditions as [`mpareto`].
-#[allow(clippy::too_many_arguments)]
-pub fn mpareto_with_closure<D: DistanceOracle + ?Sized>(
-    g: &Graph,
-    dm: &D,
-    w: &Workload,
-    sfc: &Sfc,
-    p: &Placement,
-    mu: MigrationCoefficient,
     agg: &AttachAggregates,
-    closure: &ppdc_topology::MetricClosure,
-) -> Result<MigrationOutcome, MigrationError> {
-    mpareto_inner(g, dm, w, sfc, p, mu, agg, Some(closure))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn mpareto_inner<D: DistanceOracle + ?Sized>(
-    g: &Graph,
-    dm: &D,
-    w: &Workload,
-    sfc: &Sfc,
-    p: &Placement,
-    mu: MigrationCoefficient,
-    agg: &AttachAggregates,
-    closure: Option<&ppdc_topology::MetricClosure>,
 ) -> Result<MigrationOutcome, MigrationError> {
     let _span = ppdc_obs::global().span(ppdc_obs::names::SOLVER_MPARETO);
-    let (p_new, _) = match closure {
-        Some(c) => ppdc_placement::dp_placement_with_closure(g, dm, w, sfc, agg, c)?,
-        None => dp_placement_with_agg(g, dm, w, sfc, agg)?,
-    };
+    let (p_new, _) = dp_placement(dm, w, sfc, agg)?;
     // On a healthy fabric every path exists; on a degraded one the epoch
     // loop keeps p and the candidate set inside one serving component, so
     // an Unreachable error here means the caller skipped placement repair.
-    let paths = try_migration_paths(g, dm, p, &p_new)?;
-    let frontiers = parallel_frontiers_with_agg(dm, agg, &paths, p, mu)?;
+    let paths = migration_paths(g, dm, p, &p_new)?;
+    let frontiers = parallel_frontiers(dm, agg, &paths, p, mu)?;
     // Mid-migration frontier rows can transiently co-locate two VNFs on
     // one switch; the *chosen* resting point must respect the model's
     // one-VNF-per-switch assumption (footnote 3 of the paper). Row 0 is
@@ -152,6 +114,18 @@ mod tests {
     use ppdc_topology::builders::{fat_tree, linear};
     use ppdc_topology::{DistanceMatrix, NodeId};
 
+    /// mPareto over freshly built aggregates.
+    fn fresh_mpareto(
+        g: &Graph,
+        dm: &DistanceMatrix,
+        w: &Workload,
+        sfc: &Sfc,
+        p: &Placement,
+        mu: MigrationCoefficient,
+    ) -> MigrationOutcome {
+        mpareto(g, dm, w, sfc, p, mu, &AttachAggregates::build(g, dm, w)).unwrap()
+    }
+
     fn example1() -> (Graph, DistanceMatrix, Workload, Sfc, Placement) {
         let (g, h1, h2) = linear(5).unwrap();
         let dm = DistanceMatrix::build(&g);
@@ -168,7 +142,7 @@ mod tests {
     fn example1_migrates_fully_and_reaches_416() {
         let (g, dm, mut w, sfc, p) = example1();
         w.set_rates(&[1, 100]).unwrap();
-        let out = mpareto(&g, &dm, &w, &sfc, &p, 1).unwrap();
+        let out = fresh_mpareto(&g, &dm, &w, &sfc, &p, 1);
         // Moving all the way to (s5, s4): C_b = 6, C_a = 410.
         assert_eq!(out.total_cost, 416);
         assert_eq!(out.migration_cost, 6);
@@ -181,7 +155,7 @@ mod tests {
     fn huge_mu_freezes_the_vnfs() {
         let (g, dm, mut w, sfc, p) = example1();
         w.set_rates(&[1, 100]).unwrap();
-        let out = mpareto(&g, &dm, &w, &sfc, &p, 1_000_000).unwrap();
+        let out = fresh_mpareto(&g, &dm, &w, &sfc, &p, 1_000_000);
         assert_eq!(out.num_migrations, 0);
         assert_eq!(out.migration.switches(), p.switches());
         assert_eq!(out.total_cost, comm_cost(&dm, &w, &p));
@@ -191,7 +165,7 @@ mod tests {
     fn zero_mu_goes_straight_to_p_new() {
         let (g, dm, mut w, sfc, p) = example1();
         w.set_rates(&[1, 100]).unwrap();
-        let out = mpareto(&g, &dm, &w, &sfc, &p, 0).unwrap();
+        let out = fresh_mpareto(&g, &dm, &w, &sfc, &p, 0);
         assert_eq!(out.migration_cost, 0, "μ = 0 makes migration free");
         assert_eq!(out.comm_cost, 410);
     }
@@ -201,7 +175,7 @@ mod tests {
         let (g, dm, w, sfc, p) = example1();
         // p is already optimal for ⟨100, 1⟩ (cost 410); any migration
         // could only add C_b.
-        let out = mpareto(&g, &dm, &w, &sfc, &p, 10).unwrap();
+        let out = fresh_mpareto(&g, &dm, &w, &sfc, &p, 10);
         assert_eq!(out.total_cost, 410);
         assert_eq!(out.num_migrations, 0);
     }
@@ -216,10 +190,10 @@ mod tests {
             w.add_pair(hosts[i], hosts[15 - i], 10 * (i as u64 + 1));
         }
         let sfc = Sfc::of_len(3).unwrap();
-        let (p, _) = dp_placement(&g, &dm, &w, &sfc).unwrap();
+        let (p, _) = dp_placement(&dm, &w, &sfc, &AttachAggregates::build(&g, &dm, &w)).unwrap();
         // Shift the traffic drastically.
         w.set_rates(&[600, 1, 1, 1, 1, 500]).unwrap();
-        let out = mpareto(&g, &dm, &w, &sfc, &p, 5).unwrap();
+        let out = fresh_mpareto(&g, &dm, &w, &sfc, &p, 5);
         assert_eq!(out.total_cost, out.migration_cost + out.comm_cost);
         assert_eq!(out.total_cost, total_cost(&dm, &w, &p, &out.migration, 5));
         assert!(!out.frontiers.is_empty());
@@ -237,9 +211,9 @@ mod tests {
         w.add_pair(hosts[0], hosts[1], 100);
         w.add_pair(hosts[14], hosts[15], 1);
         let sfc = Sfc::of_len(3).unwrap();
-        let (p, _) = dp_placement(&g, &dm, &w, &sfc).unwrap();
+        let (p, _) = dp_placement(&dm, &w, &sfc, &AttachAggregates::build(&g, &dm, &w)).unwrap();
         w.set_rates(&[1, 100]).unwrap();
-        let out = mpareto(&g, &dm, &w, &sfc, &p, 2).unwrap();
+        let out = fresh_mpareto(&g, &dm, &w, &sfc, &p, 2);
         let front = pareto_front(&out.frontiers);
         assert!(front.len() >= 2, "traffic swap must force movement");
         // mPareto's pick is the cheapest injective frontier point, and the

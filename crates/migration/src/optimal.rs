@@ -16,10 +16,10 @@
 use crate::frontier::FrontierPoint;
 use crate::mpareto::MigrationOutcome;
 use crate::MigrationError;
-use ppdc_model::{migration_cost, MigrationCoefficient, ModelError, Placement, Sfc, Workload};
+use ppdc_model::{migration_cost, MigrationCoefficient, ModelError, Placement, Sfc};
 use ppdc_placement::AttachAggregates;
 use ppdc_stroll::{Exactness, StrollError};
-use ppdc_topology::{Cost, DistanceOracle, Graph, MetricClosure, NodeId, INFINITY};
+use ppdc_topology::{Cost, DistanceOracle, MetricClosure, NodeId, INFINITY};
 
 /// Default expansion budget for the migration branch-and-bound.
 pub const DEFAULT_BUDGET: u64 = 200_000_000;
@@ -110,57 +110,19 @@ impl<'a> Search<'a> {
     }
 }
 
-/// Exact optimal migration with the default budget, seeded by `seed` (pass
+/// Exact optimal migration (Algorithm 6) under an expansion budget
+/// ([`DEFAULT_BUDGET`] suits the paper's sizes), seeded by `seed` (pass
 /// mPareto's outcome for fast pruning) when provided.
-pub fn optimal_migration<D: DistanceOracle + ?Sized>(
-    g: &Graph,
-    dm: &D,
-    w: &Workload,
-    sfc: &Sfc,
-    p: &Placement,
-    mu: MigrationCoefficient,
-    seed: Option<&Placement>,
-) -> Result<MigrationOutcome, MigrationError> {
-    optimal_migration_with_budget(g, dm, w, sfc, p, mu, seed, DEFAULT_BUDGET)
-}
-
-/// Exact optimal migration with a caller-chosen branch-and-bound budget.
-///
-/// # Errors
-///
-/// [`MigrationError::Stroll`] with `BudgetExhausted` when the search could
-/// not be completed within `budget` expansions.
-#[allow(clippy::too_many_arguments)]
-pub fn optimal_migration_with_budget<D: DistanceOracle + ?Sized>(
-    g: &Graph,
-    dm: &D,
-    w: &Workload,
-    sfc: &Sfc,
-    p: &Placement,
-    mu: MigrationCoefficient,
-    seed: Option<&Placement>,
-    budget: u64,
-) -> Result<MigrationOutcome, MigrationError> {
-    let agg = AttachAggregates::build(g, dm, w);
-    match optimal_migration_with_deadline(g, dm, sfc, p, mu, seed, budget, &agg)? {
-        (out, Exactness::Exact) => Ok(out),
-        (_, Exactness::Degraded { .. }) => {
-            Err(MigrationError::Stroll(StrollError::BudgetExhausted {
-                budget,
-            }))
-        }
-    }
-}
-
-/// Optimal migration under a deadline: never fails on exhaustion.
 ///
 /// The degraded-solver contract ([`Exactness`]): the incumbent is seeded
 /// with the better of "stay at `p`" and the caller's `seed` before the
 /// search, so when the budget dies the best incumbent so far comes back
 /// flagged [`Exactness::Degraded`] — a 24-hour day with an `OptimalVnf`
-/// policy always completes. Candidate switches are taken from `agg`
+/// policy always completes. Strict callers check the flag themselves.
+/// Candidate switches are taken from `agg`
 /// ([`AttachAggregates::switches`]), so restricted aggregates confine the
-/// migration to the serving component of a degraded fabric.
+/// migration to the serving component of a degraded fabric; callers
+/// without aggregates build them with [`AttachAggregates::build`].
 ///
 /// # Errors
 ///
@@ -168,9 +130,7 @@ pub fn optimal_migration_with_budget<D: DistanceOracle + ?Sized>(
 /// few candidate switches, or a current placement (partly) outside the
 /// candidate set — the epoch loop must repair such a placement *before*
 /// asking for a migration.
-#[allow(clippy::too_many_arguments)]
-pub fn optimal_migration_with_deadline<D: DistanceOracle + ?Sized>(
-    _g: &Graph,
+pub fn optimal_migration<D: DistanceOracle + ?Sized>(
     dm: &D,
     sfc: &Sfc,
     p: &Placement,
@@ -310,10 +270,27 @@ pub fn optimal_migration_with_deadline<D: DistanceOracle + ?Sized>(
 mod tests {
     use super::*;
     use crate::mpareto::mpareto;
+    use ppdc_model::Workload;
     use ppdc_model::{comm_cost, total_cost};
     use ppdc_placement::dp_placement;
     use ppdc_topology::builders::{fat_tree, linear};
-    use ppdc_topology::DistanceMatrix;
+    use ppdc_topology::{DistanceMatrix, Graph};
+
+    /// The budgeted search over full aggregates, run to proven optimality.
+    fn exact_mig(
+        g: &Graph,
+        dm: &DistanceMatrix,
+        w: &Workload,
+        sfc: &Sfc,
+        p: &Placement,
+        mu: MigrationCoefficient,
+        seed: Option<&Placement>,
+    ) -> MigrationOutcome {
+        let agg = AttachAggregates::build(g, dm, w);
+        let (out, ex) = optimal_migration(dm, sfc, p, mu, seed, DEFAULT_BUDGET, &agg).unwrap();
+        assert!(ex.is_exact(), "default budget exhausted");
+        out
+    }
 
     fn example1_swapped() -> (Graph, DistanceMatrix, Workload, Sfc, Placement) {
         let (g, h1, h2) = linear(5).unwrap();
@@ -330,8 +307,17 @@ mod tests {
     #[test]
     fn example1_optimal_matches_mpareto() {
         let (g, dm, w, sfc, p) = example1_swapped();
-        let opt = optimal_migration(&g, &dm, &w, &sfc, &p, 1, None).unwrap();
-        let mp = mpareto(&g, &dm, &w, &sfc, &p, 1).unwrap();
+        let opt = exact_mig(&g, &dm, &w, &sfc, &p, 1, None);
+        let mp = mpareto(
+            &g,
+            &dm,
+            &w,
+            &sfc,
+            &p,
+            1,
+            &AttachAggregates::build(&g, &dm, &w),
+        )
+        .unwrap();
         assert_eq!(opt.total_cost, 416);
         assert_eq!(opt.total_cost, mp.total_cost);
         assert_eq!(opt.total_cost, total_cost(&dm, &w, &p, &opt.migration, 1));
@@ -347,11 +333,20 @@ mod tests {
             w.add_pair(hosts[3 * i], hosts[3 * i + 1], 10 + i as u64 * 37);
         }
         let sfc = Sfc::of_len(3).unwrap();
-        let (p, _) = dp_placement(&g, &dm, &w, &sfc).unwrap();
+        let (p, _) = dp_placement(&dm, &w, &sfc, &AttachAggregates::build(&g, &dm, &w)).unwrap();
         w.set_rates(&[500, 3, 2, 400, 1]).unwrap();
         for mu in [0u64, 2, 50, 10_000] {
-            let mp = mpareto(&g, &dm, &w, &sfc, &p, mu).unwrap();
-            let opt = optimal_migration(&g, &dm, &w, &sfc, &p, mu, Some(&mp.migration)).unwrap();
+            let mp = mpareto(
+                &g,
+                &dm,
+                &w,
+                &sfc,
+                &p,
+                mu,
+                &AttachAggregates::build(&g, &dm, &w),
+            )
+            .unwrap();
+            let opt = exact_mig(&g, &dm, &w, &sfc, &p, mu, Some(&mp.migration));
             assert!(opt.total_cost <= mp.total_cost, "mu={mu}");
             assert!(
                 opt.total_cost <= comm_cost(&dm, &w, &p),
@@ -371,17 +366,26 @@ mod tests {
         w.add_pair(hosts[0], hosts[2], 10);
         w.add_pair(hosts[7], hosts[12], 90);
         let sfc = Sfc::of_len(3).unwrap();
-        let (p, _) = dp_placement(&g, &dm, &w, &sfc).unwrap();
+        let (p, _) = dp_placement(&dm, &w, &sfc, &AttachAggregates::build(&g, &dm, &w)).unwrap();
         w.set_rates(&[90, 10]).unwrap();
-        let opt_m = optimal_migration(&g, &dm, &w, &sfc, &p, 0, None).unwrap();
-        let (_, opt_p_cost) = ppdc_placement::optimal_placement(&g, &dm, &w, &sfc).unwrap();
+        let opt_m = exact_mig(&g, &dm, &w, &sfc, &p, 0, None);
+        let agg = AttachAggregates::build(&g, &dm, &w);
+        let (_, opt_p_cost, ex) = ppdc_placement::optimal_placement(
+            &dm,
+            &w,
+            &sfc,
+            &agg,
+            ppdc_placement::optimal::DEFAULT_BUDGET,
+        )
+        .unwrap();
+        assert!(ex.is_exact());
         assert_eq!(opt_m.total_cost, opt_p_cost);
     }
 
     #[test]
     fn huge_mu_stays_put() {
         let (g, dm, w, sfc, p) = example1_swapped();
-        let opt = optimal_migration(&g, &dm, &w, &sfc, &p, u32::MAX as u64, None).unwrap();
+        let opt = exact_mig(&g, &dm, &w, &sfc, &p, u32::MAX as u64, None);
         assert_eq!(opt.num_migrations, 0);
         assert_eq!(opt.total_cost, comm_cost(&dm, &w, &p));
     }
@@ -394,11 +398,10 @@ mod tests {
         let mut w = Workload::new();
         w.add_pair(hosts[0], hosts[15], 5);
         let sfc = Sfc::of_len(5).unwrap();
-        let (p, _) = dp_placement(&g, &dm, &w, &sfc).unwrap();
-        assert!(matches!(
-            optimal_migration_with_budget(&g, &dm, &w, &sfc, &p, 1, None, 2),
-            Err(MigrationError::Stroll(StrollError::BudgetExhausted { .. }))
-        ));
+        let (p, _) = dp_placement(&dm, &w, &sfc, &AttachAggregates::build(&g, &dm, &w)).unwrap();
+        let agg = AttachAggregates::build(&g, &dm, &w);
+        let (_, ex) = optimal_migration(&dm, &sfc, &p, 1, None, 2, &agg).unwrap();
+        assert!(matches!(ex, Exactness::Degraded { .. }));
     }
 
     #[test]
@@ -409,21 +412,20 @@ mod tests {
         let mut w = Workload::new();
         w.add_pair(hosts[0], hosts[15], 5);
         let sfc = Sfc::of_len(5).unwrap();
-        let (p, _) = dp_placement(&g, &dm, &w, &sfc).unwrap();
+        let (p, _) = dp_placement(&dm, &w, &sfc, &AttachAggregates::build(&g, &dm, &w)).unwrap();
         let agg = AttachAggregates::build(&g, &dm, &w);
-        // The budget that makes the strict variant fail still yields a
-        // feasible migration — never worse than staying put.
-        let (out, ex) =
-            optimal_migration_with_deadline(&g, &dm, &sfc, &p, 1, None, 2, &agg).unwrap();
+        // A starved budget still yields a feasible migration — never
+        // worse than staying put.
+        let (out, ex) = optimal_migration(&dm, &sfc, &p, 1, None, 2, &agg).unwrap();
         assert!(!ex.is_exact());
         assert_eq!(out.total_cost, total_cost(&dm, &w, &p, &out.migration, 1));
         assert!(out.total_cost <= comm_cost(&dm, &w, &p));
-        // An ample deadline is exact and matches the strict variant.
-        let strict = optimal_migration(&g, &dm, &w, &sfc, &p, 1, None).unwrap();
-        let (out2, ex2) =
-            optimal_migration_with_deadline(&g, &dm, &sfc, &p, 1, None, DEFAULT_BUDGET, &agg)
-                .unwrap();
+        // An ample deadline is exact, no worse than the starved run, and
+        // matches a fresh-aggregate exact solve.
+        let (out2, ex2) = optimal_migration(&dm, &sfc, &p, 1, None, DEFAULT_BUDGET, &agg).unwrap();
         assert!(ex2.is_exact());
+        assert!(out2.total_cost <= out.total_cost);
+        let strict = exact_mig(&g, &dm, &w, &sfc, &p, 1, None);
         assert_eq!(out2.total_cost, strict.total_cost);
     }
 
@@ -441,7 +443,7 @@ mod tests {
         let subset: Vec<NodeId> = all[4..10].to_vec();
         let agg = AttachAggregates::build_restricted(&g, &dm, &w, &subset);
         assert!(matches!(
-            optimal_migration_with_deadline(&g, &dm, &sfc, &p, 1, None, DEFAULT_BUDGET, &agg),
+            optimal_migration(&dm, &sfc, &p, 1, None, DEFAULT_BUDGET, &agg),
             Err(MigrationError::Infeasible(_))
         ));
     }
@@ -451,7 +453,15 @@ mod tests {
         let (g, dm, w, _, p) = example1_swapped();
         let sfc3 = Sfc::of_len(3).unwrap();
         assert!(matches!(
-            optimal_migration(&g, &dm, &w, &sfc3, &p, 1, None),
+            optimal_migration(
+                &dm,
+                &sfc3,
+                &p,
+                1,
+                None,
+                DEFAULT_BUDGET,
+                &AttachAggregates::build(&g, &dm, &w)
+            ),
             Err(MigrationError::Model(ModelError::WrongLength { .. }))
         ));
     }

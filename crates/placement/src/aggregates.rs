@@ -87,7 +87,7 @@ fn anchors<D: DistanceOracle + ?Sized>(g: &Graph, dm: &D) -> Vec<(NodeId, Cost)>
 }
 
 /// Typed failure of the checked delta folds
-/// ([`AttachAggregates::try_apply_rate_deltas`] /
+/// ([`AttachAggregates::apply_rate_deltas`] /
 /// [`AttachAggregates::try_apply_mass_deltas`]). The aggregates are left
 /// untouched when a fold fails — updates are staged and committed only
 /// after every entry validated.
@@ -298,27 +298,6 @@ impl AttachAggregates {
     /// Because all arithmetic is exact integer math, the result is
     /// bit-identical to a from-scratch rebuild under the new rates.
     ///
-    /// # Panics
-    ///
-    /// Panics (in all build profiles) if a delta drives an aggregate
-    /// negative — i.e. the deltas disagree with the rates the aggregates
-    /// were built from. [`AttachAggregates::try_apply_rate_deltas`] is the
-    /// typed-error twin.
-    pub fn apply_rate_deltas<D: DistanceOracle + ?Sized>(
-        &mut self,
-        dm: &D,
-        w: &Workload,
-        deltas: &[(FlowId, i64)],
-    ) {
-        let applied = self.try_apply_rate_deltas(dm, w, deltas);
-        if let Err(e) = applied {
-            // analyzer:allow(no-panic) -- documented loud-panic contract: inconsistent deltas are caller bugs
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible twin of [`AttachAggregates::apply_rate_deltas`].
-    ///
     /// Per-host deltas accumulate in `i128`, so a delta stream that
     /// briefly overshoots — the running sum exceeding `u64`/`i64` range
     /// before a compensating delta lands in the same batch — folds
@@ -328,10 +307,10 @@ impl AttachAggregates {
     /// # Errors
     ///
     /// [`AggregateError::OutOfRange`] when the net deltas disagree with
-    /// the rates the aggregates were built from,
-    /// [`AggregateError::Overflow`] on (adversarial) `i128` intermediate
-    /// overflow.
-    pub fn try_apply_rate_deltas<D: DistanceOracle + ?Sized>(
+    /// the rates the aggregates were built from (a delta drove an
+    /// aggregate negative), [`AggregateError::Overflow`] on (adversarial)
+    /// `i128` intermediate overflow.
+    pub fn apply_rate_deltas<D: DistanceOracle + ?Sized>(
         &mut self,
         dm: &D,
         w: &Workload,
@@ -408,13 +387,13 @@ impl AttachAggregates {
     /// first reduce to their anchors (a leaf host's ToR; see
     /// [`AttachAggregates::build_restricted`]), so the sweep costs
     /// `|touched anchors| · |V_s|` oracle queries. Exactly the same
-    /// arithmetic as [`AttachAggregates::try_apply_rate_deltas`], so the
+    /// arithmetic as [`AttachAggregates::apply_rate_deltas`], so the
     /// result stays bit-identical to a from-scratch rebuild. On error the
     /// aggregates are left untouched.
     ///
     /// # Errors
     ///
-    /// As [`AttachAggregates::try_apply_rate_deltas`].
+    /// As [`AttachAggregates::apply_rate_deltas`].
     pub fn try_apply_mass_deltas<D: DistanceOracle + ?Sized>(
         &mut self,
         dm: &D,
@@ -903,7 +882,7 @@ mod tests {
         for &(f, d) in &deltas {
             w.set_rate(f, (w.rate(f) as i64 + d) as u64);
         }
-        agg.apply_rate_deltas(&dm, &w, &deltas);
+        agg.apply_rate_deltas(&dm, &w, &deltas).unwrap();
         let rebuilt = AttachAggregates::build(&g, &dm, &w);
         assert!(agg.same_as(&rebuilt));
     }
@@ -926,24 +905,24 @@ mod tests {
         for &(f, d) in &deltas {
             w.set_rate(f, (w.rate(f) as i64 + d) as u64);
         }
-        agg.apply_rate_deltas(&dm, &w, &deltas);
+        agg.apply_rate_deltas(&dm, &w, &deltas).unwrap();
         let rebuilt = AttachAggregates::build(&g, &dm, &w);
         assert!(agg.same_as(&rebuilt));
     }
 
     #[test]
-    #[should_panic(expected = "rate deltas drove")]
-    fn inconsistent_negative_delta_panics_loudly() {
+    fn inconsistent_negative_delta_is_a_typed_error() {
         // Overflow-hardening regression: before the i128 delta fold, a
         // delta below -λ wrapped the aggregate into a huge Cost that
         // silently poisoned every placement decision downstream. The
-        // documented contract is now a loud panic in all build profiles.
+        // contract is now a typed error the caller must handle.
         let (g, h1, h2) = linear(3).unwrap();
         let dm = DistanceMatrix::build(&g);
         let mut w = Workload::new();
         let f = w.add_pair(h1, h2, 10);
         let mut agg = AttachAggregates::build(&g, &dm, &w);
-        agg.apply_rate_deltas(&dm, &w, &[(f, -20)]);
+        let err = agg.apply_rate_deltas(&dm, &w, &[(f, -20)]).unwrap_err();
+        assert!(err.to_string().contains("rate deltas drove"), "{err}");
     }
 
     #[test]
@@ -966,7 +945,7 @@ mod tests {
         let mut agg = AttachAggregates::build(&g, &dm, &w);
         let deltas = [(f0, D), (f1, D), (f2, D), (f0, -D), (f1, -D), (f2, -D + 3)];
         w.set_rate(f2, 33); // net: f0 and f1 unchanged, f2 +3
-        agg.try_apply_rate_deltas(&dm, &w, &deltas)
+        agg.apply_rate_deltas(&dm, &w, &deltas)
             .expect("overshooting-but-compensated deltas must fold");
         let rebuilt = AttachAggregates::build(&g, &dm, &w);
         assert!(agg.same_as(&rebuilt));
@@ -986,7 +965,7 @@ mod tests {
         let mut agg = AttachAggregates::build(&g, &dm, &w);
         let before = agg.clone();
         let err = agg
-            .try_apply_rate_deltas(&dm, &w, &[(f0, 1), (f1, -500)])
+            .apply_rate_deltas(&dm, &w, &[(f0, 1), (f1, -500)])
             .expect_err("delta below -λ must be rejected");
         assert_eq!(err, AggregateError::OutOfRange { what: "A_in" });
         assert!(agg.same_as(&before));
@@ -1012,7 +991,7 @@ mod tests {
             let new = u64::try_from(i64::try_from(w.rate(f)).unwrap() + d).unwrap();
             w.set_rate(f, new);
         }
-        by_flow.try_apply_rate_deltas(&dm, &w, &deltas).unwrap();
+        by_flow.apply_rate_deltas(&dm, &w, &deltas).unwrap();
         // Grouped by endpoint host, first-touch order of the flow path.
         let masses = [
             HostMassDelta {
@@ -1078,7 +1057,7 @@ mod tests {
                     let new = u64::try_from(i64::try_from(w.rate(f)).unwrap() + d).unwrap();
                     w.set_rate(f, new);
                 }
-                by_flow.try_apply_rate_deltas(&dm, &w, &deltas).unwrap();
+                by_flow.apply_rate_deltas(&dm, &w, &deltas).unwrap();
                 let (masses, total) = host_masses(&w, &deltas);
                 by_mass.try_apply_mass_deltas(&dm, &masses, total).unwrap();
                 let rebuilt = AttachAggregates::build_restricted(&g, &dm, &w, &candidates);
@@ -1096,8 +1075,8 @@ mod tests {
         let f = w.add_pair(h1, h2, 10);
         let mut agg = AttachAggregates::build(&g, &dm, &w);
         let before = agg.clone();
-        agg.apply_rate_deltas(&dm, &w, &[]);
-        agg.apply_rate_deltas(&dm, &w, &[(f, 0)]);
+        agg.apply_rate_deltas(&dm, &w, &[]).unwrap();
+        agg.apply_rate_deltas(&dm, &w, &[(f, 0)]).unwrap();
         assert!(agg.same_as(&before));
     }
 }

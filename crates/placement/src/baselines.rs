@@ -20,7 +20,7 @@
 use crate::aggregates::AttachAggregates;
 use crate::PlacementError;
 use ppdc_model::{ModelError, Placement, Sfc, Workload};
-use ppdc_topology::{Cost, DistanceMatrix, Graph, NodeId};
+use ppdc_topology::{sat_add, sat_mul, Cost, DistanceMatrix, Graph, NodeId};
 
 fn check(g: &Graph, w: &Workload, sfc: &Sfc) -> Result<Vec<NodeId>, PlacementError> {
     if w.num_flows() == 0 {
@@ -60,10 +60,10 @@ pub fn steering_placement(
             let mut score = if j == 0 {
                 agg.a_in(x)
             } else {
-                rate * dm.cost(chosen[j - 1], x)
+                sat_mul(rate, dm.cost(chosen[j - 1], x))
             };
             if j + 1 == n {
-                score += agg.a_out(x);
+                score = sat_add(score, agg.a_out(x));
             }
             if best.is_none_or(|(c, b)| score < c || (score == c && x < b)) {
                 best = Some((score, x));
@@ -103,7 +103,7 @@ pub fn greedy_placement(
     // distance to an unplaced middlebox keeps its fractional part.
     let mut sum_dist = vec![0u64; g.num_nodes()];
     for &x in &switches {
-        let total: Cost = switches.iter().map(|&y| dm.cost(x, y)).sum();
+        let total: Cost = switches.iter().map(|&y| dm.cost(x, y)).fold(0, sat_add);
         sum_dist[x.index()] = total;
     }
     let mut chosen: Vec<NodeId> = Vec::with_capacity(n);
@@ -122,15 +122,16 @@ pub fn greedy_placement(
             let increment = if j == 0 {
                 agg.a_in(x)
             } else {
-                rate * dm.cost(chosen[j - 1], x)
+                sat_mul(rate, dm.cost(chosen[j - 1], x))
             };
             let egress_term = if j + 1 == n { agg.a_out(x) } else { 0 };
             #[expect(
                 clippy::as_conversions,
                 reason = "usize → u64 is lossless on every supported target"
             )]
-            let lookahead = unplaced * rate * sum_dist[x.index()] / switches.len() as u64;
-            let score = increment + egress_term + lookahead;
+            let lookahead =
+                sat_mul(sat_mul(unplaced, rate), sum_dist[x.index()]) / switches.len() as u64;
+            let score = sat_add(sat_add(increment, egress_term), lookahead);
             if best.is_none_or(|(c, b)| score < c || (score == c && x < b)) {
                 best = Some((score, x));
             }
@@ -154,7 +155,7 @@ pub fn greedy_placement(
 mod tests {
     use super::*;
     use crate::dp::dp_placement;
-    use crate::optimal::optimal_placement;
+    use crate::optimal::{optimal_placement, DEFAULT_BUDGET};
     use ppdc_model::comm_cost;
     use ppdc_topology::builders::{fat_tree, linear};
 
@@ -190,7 +191,9 @@ mod tests {
         let (g, dm, w) = fat_tree_workload();
         for n in 1..=4 {
             let sfc = Sfc::of_len(n).unwrap();
-            let (_, copt) = optimal_placement(&g, &dm, &w, &sfc).unwrap();
+            let agg = AttachAggregates::build(&g, &dm, &w);
+            let (_, copt, ex) = optimal_placement(&dm, &w, &sfc, &agg, DEFAULT_BUDGET).unwrap();
+            assert!(ex.is_exact());
             let (_, cst) = steering_placement(&g, &dm, &w, &sfc).unwrap();
             let (_, cgr) = greedy_placement(&g, &dm, &w, &sfc).unwrap();
             assert!(copt <= cst, "n={n}");
@@ -205,7 +208,7 @@ mod tests {
         // be at least as good, and typically strictly better.
         let (g, dm, w) = fat_tree_workload();
         let sfc = Sfc::of_len(4).unwrap();
-        let (_, cdp) = dp_placement(&g, &dm, &w, &sfc).unwrap();
+        let (_, cdp) = dp_placement(&dm, &w, &sfc, &AttachAggregates::build(&g, &dm, &w)).unwrap();
         let (_, cst) = steering_placement(&g, &dm, &w, &sfc).unwrap();
         let (_, cgr) = greedy_placement(&g, &dm, &w, &sfc).unwrap();
         assert!(cdp <= cst);
@@ -221,7 +224,7 @@ mod tests {
         let mut w = Workload::new();
         w.add_pair(h1, h2, 3);
         let sfc = Sfc::of_len(1).unwrap();
-        let (_, cdp) = dp_placement(&g, &dm, &w, &sfc).unwrap();
+        let (_, cdp) = dp_placement(&dm, &w, &sfc, &AttachAggregates::build(&g, &dm, &w)).unwrap();
         let (_, cst) = steering_placement(&g, &dm, &w, &sfc).unwrap();
         assert_eq!(cdp, cst);
     }

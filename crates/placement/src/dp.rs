@@ -25,7 +25,7 @@
 //! far — through an `AtomicU64`; an egress (or a single ingress row inside
 //! one) is skipped when its bound **strictly** exceeds the incumbent.
 //! Strictness is what keeps the result bit-identical to the exhaustive
-//! sweep ([`dp_placement_exhaustive_with_agg`]): an optimal candidate has
+//! sweep ([`dp_placement_exhaustive`]): an optimal candidate has
 //! `lb ≤ cost = optimum ≤ incumbent` at every point in time, so no
 //! cost-optimal candidate is ever pruned and the deterministic
 //! lexicographic tie-break sees exactly the same contenders.
@@ -79,19 +79,17 @@
 use crate::aggregates::AttachAggregates;
 use crate::PlacementError;
 use ppdc_model::{Placement, Sfc, Workload};
-use ppdc_stroll::{dp_stroll_all_sources, DpBatchSolver};
-use ppdc_topology::{
-    sat_add, sat_mul, Cost, DistanceOracle, Graph, MetricClosure, NodeId, INFINITY,
-};
+use ppdc_stroll::{dp_stroll_all_sources, DpBatchSolver, StrollError};
+use ppdc_topology::{sat_add, sat_mul, Cost, DistanceOracle, MetricClosure, NodeId, INFINITY};
 use rayon::prelude::*;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 thread_local! {
-    /// Closure scratch for [`dp_placement_with_agg`]: refilled in place
-    /// each call, so the hourly loop never re-allocates the `m × m` cost
-    /// matrix or the node-universe-sized reverse index.
+    /// Closure scratch for [`dp_placement`]: refilled in place each call,
+    /// so the hourly loop never re-allocates the `m × m` cost matrix or the
+    /// node-universe-sized reverse index.
     static CLOSURE_SCRATCH: RefCell<MetricClosure> = RefCell::new(MetricClosure::default());
     /// Per-worker sweep scratch: stroll tables and chain buffers reused
     /// across egresses and epochs.
@@ -163,50 +161,42 @@ pub(crate) fn too_few(switches: usize, vnfs: usize) -> PlacementError {
     PlacementError::Model(ppdc_model::ModelError::TooFewSwitches { switches, vnfs })
 }
 
-/// Runs Algorithm 3, returning the placement and its exact `C_a`.
-///
-/// # Errors
-///
-/// Fails when the workload has no flows, the SFC is longer than the number
-/// of switches, or the graph is disconnected.
-pub fn dp_placement<D: DistanceOracle + ?Sized>(
-    g: &Graph,
-    dm: &D,
-    w: &Workload,
-    sfc: &Sfc,
+/// The exact solvers' shared verdict on their best candidate: none at all,
+/// or a cost saturated at [`INFINITY`] (every placement crosses a
+/// partition, so the cost is the sentinel, not a magnitude), is
+/// [`StrollError::Unreachable`]. Routing every solver through here keeps
+/// their answers identical on a disconnected fabric.
+pub(crate) fn reachable(
+    best: Option<(Placement, Cost)>,
 ) -> Result<(Placement, Cost), PlacementError> {
-    if w.num_flows() == 0 {
-        return Err(PlacementError::NoFlows);
+    match best {
+        Some((p, cost)) if cost < INFINITY => Ok((p, cost)),
+        _ => Err(PlacementError::Stroll(StrollError::Unreachable)),
     }
-    let agg = AttachAggregates::build(g, dm, w);
-    dp_placement_with_agg(g, dm, w, sfc, &agg)
 }
 
-/// [`dp_placement`] against caller-supplied aggregates.
-///
-/// The epoch loop of the simulator keeps one [`AttachAggregates`] alive all
-/// day and folds each hour's rate deltas into it
-/// ([`AttachAggregates::apply_rate_deltas`]); this entry point lets it run
-/// Algorithm 3 without rebuilding the arrays. `agg` must describe `w` on
-/// `g`/`dm`.
+/// Runs Algorithm 3 against `agg`, returning the placement and its exact
+/// `C_a`. `agg` must describe `w` on `dm`; callers without aggregates build
+/// them with [`AttachAggregates::build`].
 ///
 /// Candidate switches are taken from `agg` itself
 /// ([`AttachAggregates::switches`]), so aggregates built with
 /// [`AttachAggregates::build_restricted`] confine the placement to their
 /// candidate set — this is how the fault-tolerant loop keeps VNFs inside the
 /// serving component of a partitioned fabric. For full aggregates the
-/// candidate set equals `g.switches()` and behavior is unchanged.
+/// candidate set is every switch of the graph.
 ///
-/// The metric closure is rebuilt into thread-local scratch each call;
-/// callers that hold `dm` and the switch set fixed across calls should pass
-/// a [`ppdc_topology::CachedClosure`]'s contents to
-/// [`dp_placement_with_closure`] instead and skip even the refill.
+/// The metric closure over the candidates is refilled into thread-local
+/// scratch each call, so repeated solves never re-allocate the `m × m`
+/// cost matrix and no caller has to track when the distances or the
+/// candidate set changed.
 ///
 /// # Errors
 ///
-/// Same conditions as [`dp_placement`].
-pub fn dp_placement_with_agg<D: DistanceOracle + ?Sized>(
-    _g: &Graph,
+/// Fails when the workload has no flows, the SFC is longer than the number
+/// of candidate switches, or every placement crosses a partition
+/// ([`StrollError::Unreachable`]).
+pub fn dp_placement<D: DistanceOracle + ?Sized>(
     dm: &D,
     w: &Workload,
     sfc: &Sfc,
@@ -225,27 +215,6 @@ pub fn dp_placement_with_agg<D: DistanceOracle + ?Sized>(
         // to a fresh closure rather than risking a borrow panic.
         Err(_) => dp_placement_inner(dm, w, sfc, agg, None),
     })
-}
-
-/// [`dp_placement_with_agg`] against a caller-cached metric closure, which
-/// must cover exactly `agg`'s candidate switches on `dm` (checked in debug
-/// builds). The simulator's hourly loop holds one
-/// [`ppdc_topology::CachedClosure`] per day segment — the switch set and
-/// distance matrix only change on fault events — and runs every solve
-/// through it.
-///
-/// # Errors
-///
-/// Same conditions as [`dp_placement`].
-pub fn dp_placement_with_closure<D: DistanceOracle + ?Sized>(
-    _g: &Graph,
-    dm: &D,
-    w: &Workload,
-    sfc: &Sfc,
-    agg: &AttachAggregates,
-    closure: &MetricClosure,
-) -> Result<(Placement, Cost), PlacementError> {
-    dp_placement_inner(dm, w, sfc, agg, Some(closure))
 }
 
 /// The branch-and-bound admissible bound, minimised over all ordered
@@ -326,17 +295,13 @@ pub(crate) fn dp_placement_inner<D: DistanceOracle + ?Sized>(
         return Err(too_few(switches.len(), n));
     }
     let result = match n {
-        1 => {
-            // The length check above guarantees at least one switch.
-            let Some(best) = switches
+        1 => reachable(
+            switches
                 .iter()
-                .map(|&x| (agg.a_in(x) + agg.a_out(x), x))
+                .map(|&x| (sat_add(agg.a_in(x), agg.a_out(x)), x))
                 .min()
-            else {
-                return Err(too_few(0, n));
-            };
-            Ok((Placement::new_unchecked(vec![best.1]), best.0))
-        }
+                .map(|(cost, x)| (Placement::new_unchecked(vec![x]), cost)),
+        ),
         2 => {
             let rate = agg.total_rate();
             let mut best: Option<(Cost, NodeId, NodeId)> = None;
@@ -345,17 +310,16 @@ pub(crate) fn dp_placement_inner<D: DistanceOracle + ?Sized>(
                     if i == j {
                         continue;
                     }
-                    let cost = agg.a_in(i) + rate * dm.cost(i, j) + agg.a_out(j);
+                    let cost = sat_add(
+                        sat_add(agg.a_in(i), sat_mul(rate, dm.cost(i, j))),
+                        agg.a_out(j),
+                    );
                     if best.is_none_or(|(c, ..)| cost < c) {
                         best = Some((cost, i, j));
                     }
                 }
             }
-            // The length check above guarantees at least two switches.
-            let Some((cost, i, j)) = best else {
-                return Err(too_few(switches.len(), n));
-            };
-            Ok((Placement::new_unchecked(vec![i, j]), cost))
+            reachable(best.map(|(cost, i, j)| (Placement::new_unchecked(vec![i, j]), cost)))
         }
         _ => match closure {
             Some(c) => {
@@ -815,17 +779,16 @@ impl<D: DistanceOracle + ?Sized> SweepCtx<'_, D> {
                 })
             })
             .collect();
-        results
-            .into_iter()
-            .flatten()
-            .min_by(|a, b| {
-                a.0.cmp(&b.0)
-                    .then_with(|| a.1.switches().cmp(b.1.switches()))
-            })
-            .map(|(c, p)| (p, c))
-            .ok_or(PlacementError::Stroll(
-                ppdc_stroll::StrollError::Unreachable,
-            ))
+        reachable(
+            results
+                .into_iter()
+                .flatten()
+                .min_by(|a, b| {
+                    a.0.cmp(&b.0)
+                        .then_with(|| a.1.switches().cmp(b.1.switches()))
+                })
+                .map(|(c, p)| (p, c)),
+        )
     }
 }
 
@@ -871,8 +834,7 @@ fn bb_sweep<D: DistanceOracle + ?Sized>(
 /// # Errors
 ///
 /// Same conditions as [`dp_placement`].
-pub fn dp_placement_exhaustive_with_agg<D: DistanceOracle + ?Sized>(
-    _g: &Graph,
+pub fn dp_placement_exhaustive<D: DistanceOracle + ?Sized>(
     dm: &D,
     w: &Workload,
     sfc: &Sfc,
@@ -896,16 +858,15 @@ pub fn dp_placement_exhaustive_with_agg<D: DistanceOracle + ?Sized>(
         .into_par_iter()
         .filter_map(|t_ix| best_for_egress_exhaustive(dm, agg, &closure, t_ix, n))
         .collect();
-    results
-        .into_iter()
-        .min_by(|a, b| {
-            a.0.cmp(&b.0)
-                .then_with(|| a.1.switches().cmp(b.1.switches()))
-        })
-        .map(|(c, p)| (p, c))
-        .ok_or(PlacementError::Stroll(
-            ppdc_stroll::StrollError::Unreachable,
-        ))
+    reachable(
+        results
+            .into_iter()
+            .min_by(|a, b| {
+                a.0.cmp(&b.0)
+                    .then_with(|| a.1.switches().cmp(b.1.switches()))
+            })
+            .map(|(c, p)| (p, c)),
+    )
 }
 
 /// Best placement whose egress is closure node `t_ix`, every ingress row
@@ -964,7 +925,7 @@ mod tests {
         let agg = AttachAggregates::build(&g, &dm, &w);
         for n in 1..=4usize {
             let sfc = Sfc::of_len(n).unwrap();
-            let (_, opt) = dp_placement_with_agg(&g, &dm, &w, &sfc, &agg).unwrap();
+            let (_, opt) = dp_placement(&dm, &w, &sfc, &agg).unwrap();
             let lb = placement_cost_lower_bound(&dm, &agg, n);
             assert!(lb <= opt, "n={n}: lb {lb} > optimum {opt}");
             if n <= 2 {
@@ -976,7 +937,7 @@ mod tests {
         let subset: Vec<NodeId> = all.iter().copied().step_by(2).collect();
         let ragg = AttachAggregates::build_restricted(&g, &dm, &w, &subset);
         let sfc = Sfc::of_len(3).unwrap();
-        let (_, ropt) = dp_placement_with_agg(&g, &dm, &w, &sfc, &ragg).unwrap();
+        let (_, ropt) = dp_placement(&dm, &w, &sfc, &ragg).unwrap();
         let rlb = placement_cost_lower_bound(&dm, &ragg, 3);
         assert!(rlb <= ropt);
     }
@@ -1004,12 +965,13 @@ mod tests {
         w.add_pair(h1, h1, 100);
         w.add_pair(h2, h2, 1);
         let sfc = Sfc::of_len(2).unwrap();
-        let (p, cost) = dp_placement(&g, &dm, &w, &sfc).unwrap();
+        let (p, cost) = dp_placement(&dm, &w, &sfc, &AttachAggregates::build(&g, &dm, &w)).unwrap();
         assert_eq!(cost, 410);
         assert_eq!(cost, comm_cost(&dm, &w, &p));
         // After the rate swap the optimum mirrors to 410 as well.
         w.set_rates(&[1, 100]).unwrap();
-        let (p2, cost2) = dp_placement(&g, &dm, &w, &sfc).unwrap();
+        let (p2, cost2) =
+            dp_placement(&dm, &w, &sfc, &AttachAggregates::build(&g, &dm, &w)).unwrap();
         assert_eq!(cost2, 410);
         assert_ne!(p.switches(), p2.switches());
     }
@@ -1021,7 +983,7 @@ mod tests {
         let mut w = Workload::new();
         w.add_pair(h1, h2, 1);
         let sfc = Sfc::of_len(1).unwrap();
-        let (p, cost) = dp_placement(&g, &dm, &w, &sfc).unwrap();
+        let (p, cost) = dp_placement(&dm, &w, &sfc, &AttachAggregates::build(&g, &dm, &w)).unwrap();
         // Any switch on the h1–h2 line gives cost 6.
         assert_eq!(cost, 6);
         assert_eq!(p.len(), 1);
@@ -1034,7 +996,7 @@ mod tests {
         let mut w = Workload::new();
         w.add_pair(h1, h2, 10);
         let sfc = Sfc::of_len(3).unwrap();
-        let (p, cost) = dp_placement(&g, &dm, &w, &sfc).unwrap();
+        let (p, cost) = dp_placement(&dm, &w, &sfc, &AttachAggregates::build(&g, &dm, &w)).unwrap();
         // Three consecutive switches on the line: still the plain 6-hop
         // route, cost 60.
         assert_eq!(cost, 60);
@@ -1053,7 +1015,8 @@ mod tests {
         w.add_pair(hosts[7], hosts[7], 70);
         for n in 1..=5 {
             let sfc = Sfc::of_len(n).unwrap();
-            let (p, cost) = dp_placement(&g, &dm, &w, &sfc).unwrap();
+            let (p, cost) =
+                dp_placement(&dm, &w, &sfc, &AttachAggregates::build(&g, &dm, &w)).unwrap();
             assert_eq!(cost, comm_cost(&dm, &w, &p), "n={n}");
             assert_eq!(p.len(), n);
         }
@@ -1074,8 +1037,8 @@ mod tests {
         for n in 3..=6 {
             let sfc = Sfc::of_len(n).unwrap();
             let agg = AttachAggregates::build(&g, &dm, &w);
-            let (p_bb, c_bb) = dp_placement_with_agg(&g, &dm, &w, &sfc, &agg).unwrap();
-            let (p_ex, c_ex) = dp_placement_exhaustive_with_agg(&g, &dm, &w, &sfc, &agg).unwrap();
+            let (p_bb, c_bb) = dp_placement(&dm, &w, &sfc, &agg).unwrap();
+            let (p_ex, c_ex) = dp_placement_exhaustive(&dm, &w, &sfc, &agg).unwrap();
             assert_eq!(c_bb, c_ex, "n={n}");
             assert_eq!(p_bb.switches(), p_ex.switches(), "n={n}");
         }
@@ -1169,16 +1132,20 @@ mod tests {
         for n in 1..=5 {
             let sfc = Sfc::of_len(n).unwrap();
             let agg = AttachAggregates::build(g, &oracle, &w);
-            let (p_o, c_o) = dp_placement_with_agg(g, &oracle, &w, &sfc, &agg).unwrap();
+            let (p_o, c_o) = dp_placement(&oracle, &w, &sfc, &agg).unwrap();
             let agg_d = AttachAggregates::build(g, &dm, &w);
-            let (p_d, c_d) = dp_placement_exhaustive_with_agg(g, &dm, &w, &sfc, &agg_d).unwrap();
+            let (p_d, c_d) = dp_placement_exhaustive(&dm, &w, &sfc, &agg_d).unwrap();
             assert_eq!(c_o, c_d, "n={n}");
             assert_eq!(p_o.switches(), p_d.switches(), "n={n}");
         }
     }
 
     #[test]
-    fn cached_closure_entry_point_matches() {
+    fn closure_scratch_refill_tracks_the_candidate_set() {
+        // The thread-local closure is refilled on every solve, so
+        // alternating candidate sets and distance oracles on one thread
+        // must each match a solve over a freshly built closure — no
+        // caller-side invalidation exists to forget.
         let g = fat_tree(4).unwrap();
         let dm = DistanceMatrix::build(&g);
         let hosts: Vec<NodeId> = g.hosts().collect();
@@ -1186,14 +1153,22 @@ mod tests {
         w.add_pair(hosts[1], hosts[9], 17);
         w.add_pair(hosts[4], hosts[2], 3);
         let sfc = Sfc::of_len(4).unwrap();
-        let agg = AttachAggregates::build(&g, &dm, &w);
-        let mut cc = ppdc_topology::CachedClosure::new();
-        let (p1, c1) = dp_placement_with_agg(&g, &dm, &w, &sfc, &agg).unwrap();
+        let all: Vec<NodeId> = g.switches().collect();
+        let subset: Vec<NodeId> = all.iter().copied().step_by(2).collect();
+        let full = AttachAggregates::build(&g, &dm, &w);
+        let restricted = AttachAggregates::build_restricted(&g, &dm, &w, &subset);
+        let mut faults = ppdc_topology::FaultSet::new(&g);
+        faults.fail_node(all[0]).unwrap();
+        let g_cut = g.degraded_view(&faults);
+        let dm_cut = DistanceMatrix::build(&g_cut);
+        let cut = AttachAggregates::build(&g_cut, &dm_cut, &w);
         for _ in 0..2 {
-            let closure = cc.get_or_rebuild(&dm, agg.switches());
-            let (p2, c2) = dp_placement_with_closure(&g, &dm, &w, &sfc, &agg, closure).unwrap();
-            assert_eq!(c1, c2);
-            assert_eq!(p1.switches(), p2.switches());
+            for (dm, agg) in [(&dm, &full), (&dm, &restricted), (&dm_cut, &cut)] {
+                let (p1, c1) = dp_placement(dm, &w, &sfc, agg).unwrap();
+                let (p2, c2) = dp_placement_exhaustive(dm, &w, &sfc, agg).unwrap();
+                assert_eq!(c1, c2);
+                assert_eq!(p1.switches(), p2.switches());
+            }
         }
     }
 
@@ -1203,7 +1178,12 @@ mod tests {
         let dm = DistanceMatrix::build(&g);
         let sfc = Sfc::of_len(2).unwrap();
         assert!(matches!(
-            dp_placement(&g, &dm, &Workload::new(), &sfc),
+            dp_placement(
+                &dm,
+                &Workload::new(),
+                &sfc,
+                &AttachAggregates::build(&g, &dm, &Workload::new())
+            ),
             Err(PlacementError::NoFlows)
         ));
     }
@@ -1216,7 +1196,7 @@ mod tests {
         w.add_pair(h1, h2, 1);
         let sfc = Sfc::of_len(4).unwrap();
         assert!(matches!(
-            dp_placement(&g, &dm, &w, &sfc),
+            dp_placement(&dm, &w, &sfc, &AttachAggregates::build(&g, &dm, &w)),
             Err(PlacementError::Model(_))
         ));
     }
@@ -1231,8 +1211,8 @@ mod tests {
             w.add_pair(hosts[i], hosts[15 - i], (i as u64 + 1) * 13);
         }
         let sfc = Sfc::of_len(4).unwrap();
-        let (p1, c1) = dp_placement(&g, &dm, &w, &sfc).unwrap();
-        let (p2, c2) = dp_placement(&g, &dm, &w, &sfc).unwrap();
+        let (p1, c1) = dp_placement(&dm, &w, &sfc, &AttachAggregates::build(&g, &dm, &w)).unwrap();
+        let (p2, c2) = dp_placement(&dm, &w, &sfc, &AttachAggregates::build(&g, &dm, &w)).unwrap();
         assert_eq!(c1, c2);
         assert_eq!(p1.switches(), p2.switches());
     }

@@ -64,14 +64,8 @@ pub mod warm;
 
 pub use aggregates::{AggregateError, AttachAggregates, HostMassDelta};
 pub use baselines::{greedy_placement, steering_placement};
-pub use dp::{
-    dp_placement, dp_placement_exhaustive_with_agg, dp_placement_with_agg,
-    dp_placement_with_closure, placement_cost_lower_bound,
-};
-pub use optimal::{
-    exhaustive_placement, optimal_placement, optimal_placement_with_budget,
-    optimal_placement_with_deadline,
-};
+pub use dp::{dp_placement, dp_placement_exhaustive, placement_cost_lower_bound};
+pub use optimal::{exhaustive_placement, optimal_placement};
 pub use replication::{
     comm_cost_replicated, flow_cost_replicated, greedy_replication, ReplicatedPlacement,
 };

@@ -16,10 +16,11 @@
 //!   first node.
 
 use crate::aggregates::AttachAggregates;
+use crate::dp::{reachable, too_few};
 use crate::PlacementError;
 use ppdc_model::{Placement, Sfc, Workload};
 use ppdc_stroll::{Exactness, StrollError};
-use ppdc_topology::{Cost, DistanceMatrix, Graph, MetricClosure, NodeId, INFINITY};
+use ppdc_topology::{sat_add, sat_mul, Cost, DistanceOracle, MetricClosure, NodeId, INFINITY};
 
 /// Default expansion budget for the placement branch-and-bound.
 pub const DEFAULT_BUDGET: u64 = 200_000_000;
@@ -102,14 +103,18 @@ impl<'a> Search<'a> {
             let Some(next) = self.sorted_from[cur].iter().copied().find(|&x| !used[x]) else {
                 return;
             };
-            cost += self.rate * self.closure.cost_ix(cur, next);
+            cost = sat_add(cost, sat_mul(self.rate, self.closure.cost_ix(cur, next)));
             used[next] = true;
             seq.push(next);
             cur = next;
         }
-        cost += self.agg.a_out(self.closure.node(cur));
-        self.best_cost = cost;
+        self.best_cost = sat_add(cost, self.agg.a_out(self.closure.node(cur)));
         self.best_seq = seq;
+    }
+
+    /// `Σλ · δ_min`: the cheapest conceivable chain hop.
+    fn interior_step(&self) -> Cost {
+        sat_mul(self.rate, self.min_edge)
     }
 
     fn min_unused_a_out(&self, last: usize) -> Cost {
@@ -130,7 +135,7 @@ impl<'a> Search<'a> {
             });
         }
         if depth == self.n {
-            let total = g + self.agg.a_out(self.closure.node(last));
+            let total = sat_add(g, self.agg.a_out(self.closure.node(last)));
             if total < self.best_cost {
                 self.best_cost = total;
                 self.best_seq = self.seq.clone();
@@ -142,9 +147,10 @@ impl<'a> Search<'a> {
                 clippy::as_conversions,
                 reason = "usize → u64 is lossless on every supported target"
             )]
-            let lb = g
-                + self.rate * self.min_edge * (self.n - depth) as Cost
-                + self.min_unused_a_out(last);
+            let lb = sat_add(
+                sat_add(g, sat_mul(self.interior_step(), (self.n - depth) as Cost)),
+                self.min_unused_a_out(last),
+            );
             if lb >= self.best_cost {
                 return Ok(());
             }
@@ -154,10 +160,10 @@ impl<'a> Search<'a> {
             if self.used[x] {
                 continue;
             }
-            let step = self.rate * self.closure.cost_ix(last, x);
+            let step = sat_mul(self.rate, self.closure.cost_ix(last, x));
             self.used[x] = true;
             self.seq.push(x);
-            self.dfs(x, depth + 1, g + step)?;
+            self.dfs(x, depth + 1, sat_add(g, step))?;
             self.seq.pop();
             self.used[x] = false;
         }
@@ -167,7 +173,7 @@ impl<'a> Search<'a> {
     /// Runs the search to completion or to its deadline. The greedy seed
     /// always installs an incumbent first, so a feasible placement comes
     /// back even when the budget dies on the first expansion.
-    fn run_with_exactness(mut self) -> (Placement, Cost, Exactness) {
+    fn run(mut self) -> (Placement, Cost, Exactness) {
         self.seed_greedy();
         let mut exactness = Exactness::Exact;
         let first_order = self.first_order.clone();
@@ -178,8 +184,10 @@ impl<'a> Search<'a> {
                     clippy::as_conversions,
                     reason = "usize → u64 is lossless on every supported target"
                 )]
-                let lb = self.agg.a_in(self.closure.node(x))
-                    + self.rate * self.min_edge * (self.n - 1) as Cost;
+                let lb = sat_add(
+                    self.agg.a_in(self.closure.node(x)),
+                    sat_mul(self.interior_step(), (self.n - 1) as Cost),
+                );
                 if lb >= self.best_cost {
                     continue;
                 }
@@ -214,111 +222,68 @@ impl<'a> Search<'a> {
         );
         (placement, self.best_cost, exactness)
     }
-
-    fn run(self) -> Result<(Placement, Cost), StrollError> {
-        let budget = self.budget;
-        match self.run_with_exactness() {
-            (p, c, Exactness::Exact) => Ok((p, c)),
-            (_, _, Exactness::Degraded { .. }) => Err(StrollError::BudgetExhausted { budget }),
-        }
-    }
 }
 
-fn check_inputs(g: &Graph, w: &Workload, sfc: &Sfc) -> Result<Vec<NodeId>, PlacementError> {
-    let switches: Vec<NodeId> = g.switches().collect();
-    check_inputs_restricted(g, w, sfc, &switches)?;
-    Ok(switches)
-}
-
-fn check_inputs_restricted(
-    _g: &Graph,
-    w: &Workload,
-    sfc: &Sfc,
-    candidates: &[NodeId],
-) -> Result<(), PlacementError> {
+fn check_inputs(w: &Workload, sfc: &Sfc, agg: &AttachAggregates) -> Result<(), PlacementError> {
     if w.num_flows() == 0 {
         return Err(PlacementError::NoFlows);
     }
-    if candidates.len() < sfc.len() {
-        return Err(PlacementError::Model(
-            ppdc_model::ModelError::TooFewSwitches {
-                switches: candidates.len(),
-                vnfs: sfc.len(),
-            },
-        ));
+    let candidates = agg.switches().len();
+    if candidates < sfc.len() {
+        return Err(too_few(candidates, sfc.len()));
     }
     Ok(())
 }
 
-/// Exact optimal placement with the default budget.
-pub fn optimal_placement(
-    g: &Graph,
-    dm: &DistanceMatrix,
-    w: &Workload,
-    sfc: &Sfc,
-) -> Result<(Placement, Cost), PlacementError> {
-    optimal_placement_with_budget(g, dm, w, sfc, DEFAULT_BUDGET)
-}
-
-/// Exact optimal placement with a caller-chosen branch-and-bound budget.
-///
-/// # Errors
-///
-/// [`PlacementError::Stroll`] with
-/// [`StrollError::BudgetExhausted`] when the search could not complete —
-/// callers fall back to [`crate::dp_placement`] or report the point as
-/// not computed, as the paper's exhaustive baseline must at scale.
-pub fn optimal_placement_with_budget(
-    g: &Graph,
-    dm: &DistanceMatrix,
-    w: &Workload,
-    sfc: &Sfc,
-    budget: u64,
-) -> Result<(Placement, Cost), PlacementError> {
-    let agg = AttachAggregates::build(g, dm, w);
-    check_inputs_restricted(g, w, sfc, agg.switches())?;
-    let closure = MetricClosure::over(dm, agg.switches());
-    Ok(Search::new(&agg, &closure, sfc.len(), budget, true).run()?)
-}
-
-/// Optimal placement under a deadline: never fails on exhaustion.
+/// Exact optimal placement (Algorithm 4) over `agg`'s candidate switches
+/// under an expansion budget ([`DEFAULT_BUDGET`] suits the paper's sizes).
+/// `agg` must describe `w` on `dm`; callers without aggregates build them
+/// with [`AttachAggregates::build`].
 ///
 /// The degraded-solver contract ([`Exactness`]): when the branch-and-bound
 /// budget runs out, the best incumbent found so far is returned flagged
-/// [`Exactness::Degraded`] instead of aborting with
-/// [`StrollError::BudgetExhausted`]. The incumbent is seeded greedily before
-/// the search, so a feasible placement always comes back.
+/// [`Exactness::Degraded`]. The incumbent is seeded greedily before the
+/// search, so a feasible placement always comes back. Strict callers (the
+/// paper's exhaustive baseline, which must report "not computed" at
+/// scale) check the flag themselves.
 ///
 /// # Errors
 ///
-/// Only input errors ([`PlacementError::NoFlows`], too few candidate
-/// switches) — never budget exhaustion.
-pub fn optimal_placement_with_deadline(
-    g: &Graph,
-    dm: &DistanceMatrix,
+/// Input errors ([`PlacementError::NoFlows`], too few candidate switches)
+/// and [`StrollError::Unreachable`] when the best placement found crosses
+/// a partition (its cost saturates at [`INFINITY`]).
+pub fn optimal_placement<D: DistanceOracle + ?Sized>(
+    dm: &D,
     w: &Workload,
     sfc: &Sfc,
-    budget: u64,
     agg: &AttachAggregates,
+    budget: u64,
 ) -> Result<(Placement, Cost, Exactness), PlacementError> {
     let _span = ppdc_obs::global().span(ppdc_obs::names::SOLVER_OPTIMAL_PLACEMENT);
-    check_inputs_restricted(g, w, sfc, agg.switches())?;
+    check_inputs(w, sfc, agg)?;
     let closure = MetricClosure::over(dm, agg.switches());
-    Ok(Search::new(agg, &closure, sfc.len(), budget, true).run_with_exactness())
+    let (p, cost, exactness) = Search::new(agg, &closure, sfc.len(), budget, true).run();
+    let (p, cost) = reachable(Some((p, cost)))?;
+    Ok((p, cost, exactness))
 }
 
-/// The literal `O(|V_s|ⁿ)` enumeration of Algorithm 4 (no pruning).
-/// Only sensible on small instances; used to validate the branch-and-bound.
-pub fn exhaustive_placement(
-    g: &Graph,
-    dm: &DistanceMatrix,
+/// The literal `O(|V_s|ⁿ)` enumeration of Algorithm 4 (no pruning, no
+/// budget) over `agg`'s candidate switches. Only sensible on small
+/// instances; used to validate the branch-and-bound.
+///
+/// # Errors
+///
+/// As [`optimal_placement`].
+pub fn exhaustive_placement<D: DistanceOracle + ?Sized>(
+    dm: &D,
     w: &Workload,
     sfc: &Sfc,
+    agg: &AttachAggregates,
 ) -> Result<(Placement, Cost), PlacementError> {
-    let switches = check_inputs(g, w, sfc)?;
-    let agg = AttachAggregates::build(g, dm, w);
-    let closure = MetricClosure::over(dm, &switches);
-    Ok(Search::new(&agg, &closure, sfc.len(), u64::MAX, false).run()?)
+    check_inputs(w, sfc, agg)?;
+    let closure = MetricClosure::over(dm, agg.switches());
+    let (p, cost, _) = Search::new(agg, &closure, sfc.len(), u64::MAX, false).run();
+    reachable(Some((p, cost)))
 }
 
 #[cfg(test)]
@@ -327,6 +292,15 @@ mod tests {
     use crate::dp::dp_placement;
     use ppdc_model::comm_cost;
     use ppdc_topology::builders::{fat_tree, linear};
+    use ppdc_topology::{DistanceMatrix, Graph};
+
+    /// The budgeted search over full aggregates, run to proven optimality.
+    fn exact_opt(g: &Graph, dm: &DistanceMatrix, w: &Workload, sfc: &Sfc) -> (Placement, Cost) {
+        let agg = AttachAggregates::build(g, dm, w);
+        let (p, cost, ex) = optimal_placement(dm, w, sfc, &agg, DEFAULT_BUDGET).unwrap();
+        assert!(ex.is_exact(), "default budget exhausted");
+        (p, cost)
+    }
 
     #[test]
     fn bb_matches_exhaustive_on_linear() {
@@ -337,8 +311,9 @@ mod tests {
         w.add_pair(h2, h2, 1);
         for n in 1..=4 {
             let sfc = Sfc::of_len(n).unwrap();
-            let (pb, cb) = optimal_placement(&g, &dm, &w, &sfc).unwrap();
-            let (pe, ce) = exhaustive_placement(&g, &dm, &w, &sfc).unwrap();
+            let (pb, cb) = exact_opt(&g, &dm, &w, &sfc);
+            let (pe, ce) =
+                exhaustive_placement(&dm, &w, &sfc, &AttachAggregates::build(&g, &dm, &w)).unwrap();
             assert_eq!(cb, ce, "n={n}");
             assert_eq!(cb, comm_cost(&dm, &w, &pb));
             assert_eq!(ce, comm_cost(&dm, &w, &pe));
@@ -355,8 +330,9 @@ mod tests {
         w.add_pair(hosts[4], hosts[12], 3);
         for n in 1..=3 {
             let sfc = Sfc::of_len(n).unwrap();
-            let (_, cb) = optimal_placement(&g, &dm, &w, &sfc).unwrap();
-            let (_, ce) = exhaustive_placement(&g, &dm, &w, &sfc).unwrap();
+            let (_, cb) = exact_opt(&g, &dm, &w, &sfc);
+            let (_, ce) =
+                exhaustive_placement(&dm, &w, &sfc, &AttachAggregates::build(&g, &dm, &w)).unwrap();
             assert_eq!(cb, ce, "n={n}");
         }
     }
@@ -372,8 +348,9 @@ mod tests {
         }
         for n in 1..=5 {
             let sfc = Sfc::of_len(n).unwrap();
-            let (_, copt) = optimal_placement(&g, &dm, &w, &sfc).unwrap();
-            let (_, cdp) = dp_placement(&g, &dm, &w, &sfc).unwrap();
+            let (_, copt) = exact_opt(&g, &dm, &w, &sfc);
+            let (_, cdp) =
+                dp_placement(&dm, &w, &sfc, &AttachAggregates::build(&g, &dm, &w)).unwrap();
             assert!(copt <= cdp, "n={n}: optimal {copt} > dp {cdp}");
         }
     }
@@ -386,7 +363,7 @@ mod tests {
         w.add_pair(h1, h1, 100);
         w.add_pair(h2, h2, 1);
         let sfc = Sfc::of_len(2).unwrap();
-        let (_, cost) = optimal_placement(&g, &dm, &w, &sfc).unwrap();
+        let (_, cost) = exact_opt(&g, &dm, &w, &sfc);
         assert_eq!(cost, 410);
     }
 
@@ -398,10 +375,9 @@ mod tests {
         let mut w = Workload::new();
         w.add_pair(hosts[0], hosts[15], 5);
         let sfc = Sfc::of_len(6).unwrap();
-        assert!(matches!(
-            optimal_placement_with_budget(&g, &dm, &w, &sfc, 3),
-            Err(PlacementError::Stroll(StrollError::BudgetExhausted { .. }))
-        ));
+        let agg = AttachAggregates::build(&g, &dm, &w);
+        let (_, _, ex) = optimal_placement(&dm, &w, &sfc, &agg, 3).unwrap();
+        assert!(matches!(ex, Exactness::Degraded { .. }));
     }
 
     #[test]
@@ -413,17 +389,16 @@ mod tests {
         w.add_pair(hosts[0], hosts[15], 5);
         let sfc = Sfc::of_len(6).unwrap();
         let agg = AttachAggregates::build(&g, &dm, &w);
-        // The budget that makes the strict variant fail still produces a
-        // valid, cost-consistent placement here.
-        let (p, cost, ex) = optimal_placement_with_deadline(&g, &dm, &w, &sfc, 3, &agg).unwrap();
+        // A starved budget still produces a valid, cost-consistent
+        // placement here.
+        let (p, cost, ex) = optimal_placement(&dm, &w, &sfc, &agg, 3).unwrap();
         assert!(!ex.is_exact());
         assert_eq!(p.len(), 6);
         assert_eq!(cost, comm_cost(&dm, &w, &p));
-        let (_, copt) = optimal_placement(&g, &dm, &w, &sfc).unwrap();
+        let (_, copt) = exact_opt(&g, &dm, &w, &sfc);
         assert!(cost >= copt);
         // An ample deadline is exact and optimal.
-        let (_, c2, ex2) =
-            optimal_placement_with_deadline(&g, &dm, &w, &sfc, DEFAULT_BUDGET, &agg).unwrap();
+        let (_, c2, ex2) = optimal_placement(&dm, &w, &sfc, &agg, DEFAULT_BUDGET).unwrap();
         assert!(ex2.is_exact());
         assert_eq!(c2, copt);
     }
@@ -440,8 +415,7 @@ mod tests {
         let all: Vec<NodeId> = g.switches().collect();
         let subset: Vec<NodeId> = all[..6].to_vec();
         let agg = AttachAggregates::build_restricted(&g, &dm, &w, &subset);
-        let (p, cost, ex) =
-            optimal_placement_with_deadline(&g, &dm, &w, &sfc, DEFAULT_BUDGET, &agg).unwrap();
+        let (p, cost, ex) = optimal_placement(&dm, &w, &sfc, &agg, DEFAULT_BUDGET).unwrap();
         assert!(ex.is_exact());
         assert_eq!(cost, comm_cost(&dm, &w, &p));
         for &s in p.switches() {
@@ -450,7 +424,7 @@ mod tests {
         // Asking for more VNFs than candidates is a typed error.
         let sfc_big = Sfc::of_len(7).unwrap();
         assert!(matches!(
-            optimal_placement_with_deadline(&g, &dm, &w, &sfc_big, DEFAULT_BUDGET, &agg),
+            optimal_placement(&dm, &w, &sfc_big, &agg, DEFAULT_BUDGET),
             Err(PlacementError::Model(
                 ppdc_model::ModelError::TooFewSwitches {
                     switches: 6,

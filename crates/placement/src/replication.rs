@@ -262,7 +262,8 @@ mod tests {
         let mut w = Workload::new();
         w.add_pair(hosts[0], hosts[0], 10);
         let sfc = Sfc::of_len(2).unwrap();
-        let (p, _) = crate::dp_placement(&g, &dm, &w, &sfc).unwrap();
+        let agg = crate::AttachAggregates::build(&g, &dm, &w);
+        let (p, _) = crate::dp_placement(&dm, &w, &sfc, &agg).unwrap();
         let (rp, trace) = greedy_replication(&g, &dm, &w, &p, 5).unwrap();
         assert_eq!(rp.num_instances(), 2, "no replica strictly helps");
         assert_eq!(trace.len(), 1);

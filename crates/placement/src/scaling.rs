@@ -284,7 +284,8 @@ pub fn optimal_placement_scaled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimal_placement;
+    use crate::optimal::DEFAULT_BUDGET;
+    use crate::{optimal_placement, AttachAggregates};
     use ppdc_model::comm_cost;
     use ppdc_topology::builders::{fat_tree, linear};
 
@@ -302,7 +303,9 @@ mod tests {
         assert_eq!(comm_cost_scaled(&dm, &w, &p, &id), comm_cost(&dm, &w, &p));
         // And the scaled optimizer agrees with the plain one.
         let (_, c1) = optimal_placement_scaled(&g, &dm, &w, &sfc, &id, u64::MAX).unwrap();
-        let (_, c2) = optimal_placement(&g, &dm, &w, &sfc).unwrap();
+        let agg = AttachAggregates::build(&g, &dm, &w);
+        let (_, c2, ex) = optimal_placement(&dm, &w, &sfc, &agg, DEFAULT_BUDGET).unwrap();
+        assert!(ex.is_exact());
         assert_eq!(c1, c2);
     }
 
@@ -338,7 +341,9 @@ mod tests {
         // Ingress adjacent to the source host.
         assert_eq!(dm.cost(src, p.ingress()), 1, "ingress at the source ToR");
         // And the scaled cost is far below the pass-through optimum.
-        let (_, plain) = optimal_placement(&g, &dm, &w, &sfc).unwrap();
+        let agg = AttachAggregates::build(&g, &dm, &w);
+        let (_, plain, ex) = optimal_placement(&dm, &w, &sfc, &agg, DEFAULT_BUDGET).unwrap();
+        assert!(ex.is_exact());
         assert!(cost < plain / 2, "filtering saves: {cost} vs {plain}");
     }
 

@@ -11,7 +11,7 @@
 use crate::PlacementError;
 use ppdc_model::{comm_cost_flow, ModelError, Placement};
 use ppdc_stroll::{
-    dp_stroll, optimal_stroll_with_budget, primal_dual_stroll, PrimalDualConfig, StrollInstance,
+    dp_stroll, optimal_stroll, primal_dual_stroll, PrimalDualConfig, StrollError, StrollInstance,
     StrollSolution,
 };
 use ppdc_topology::{Cost, DistanceMatrix, Graph, MetricClosure, NodeId};
@@ -74,7 +74,9 @@ pub fn top1_dp(
     to_solution(dm, src, dst, rate, n, sol)
 }
 
-/// TOP-1 via the exact branch-and-bound (**Optimal**).
+/// TOP-1 via the exact branch-and-bound (**Optimal**). Strict: a search
+/// the budget cut short is [`StrollError::BudgetExhausted`], never an
+/// unproven placement.
 pub fn top1_optimal(
     g: &Graph,
     dm: &DistanceMatrix,
@@ -86,7 +88,10 @@ pub fn top1_optimal(
 ) -> Result<Top1Solution, PlacementError> {
     let closure = build_closure(g, src, dst, dm);
     let inst = StrollInstance::new(&closure, src, dst, n)?;
-    let sol = optimal_stroll_with_budget(&inst, budget)?;
+    let (sol, exactness) = optimal_stroll(&inst, budget);
+    if !exactness.is_exact() {
+        return Err(StrollError::BudgetExhausted { budget }.into());
+    }
     to_solution(dm, src, dst, rate, n, sol)
 }
 

@@ -36,7 +36,7 @@
 //!
 //! The warm solve returns the same cost **and** the same lexicographic
 //! switch tie-break as the cold solve (DESIGN.md §10, proptested against
-//! [`crate::dp_placement_exhaustive_with_agg`]). The argument in brief:
+//! [`crate::dp_placement_exhaustive`]). The argument in brief:
 //! the seed is the exact cost of a feasible placement, so it is an upper
 //! bound on nothing below the optimum; strict-inequality pruning then
 //! never drops a candidate of optimal cost, and the per-egress local
@@ -261,7 +261,7 @@ impl BoundCache {
 }
 
 /// Warm-started Algorithm 3: bit-identical to
-/// [`crate::dp_placement_with_agg`] (cost and lexicographic switch
+/// [`crate::dp_placement`] (cost and lexicographic switch
 /// tie-break), faster when `cache` is fresh and `incumbent` is near the
 /// optimum. See the module docs for the mechanism and the cache contract.
 ///
@@ -374,7 +374,7 @@ pub fn dp_placement_warm<D: DistanceOracle + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{dp_placement_exhaustive_with_agg, dp_placement_with_agg};
+    use crate::{dp_placement, dp_placement_exhaustive};
     use ppdc_topology::builders::fat_tree;
     use ppdc_topology::DistanceMatrix;
 
@@ -417,7 +417,7 @@ mod tests {
             }]);
             let (wp, wc) =
                 dp_placement_warm(&g, &dm, &w, &sfc, &agg, &mut cache, prev.as_ref()).unwrap();
-            let (cp, cc) = dp_placement_exhaustive_with_agg(&g, &dm, &w, &sfc, &agg).unwrap();
+            let (cp, cc) = dp_placement_exhaustive(&dm, &w, &sfc, &agg).unwrap();
             assert_eq!(wc, cc, "epoch {epoch}: cost diverged");
             assert_eq!(
                 wp.switches(),
@@ -439,7 +439,7 @@ mod tests {
         // No deltas reported: the second solve must take the verbatim-reuse
         // path and still agree with a cold solve.
         let (p2, c2) = dp_placement_warm(&g, &dm, &w, &sfc, &agg, &mut cache, Some(&p1)).unwrap();
-        let (p3, c3) = dp_placement_with_agg(&g, &dm, &w, &sfc, &agg).unwrap();
+        let (p3, c3) = dp_placement(&dm, &w, &sfc, &agg).unwrap();
         assert_eq!((c1, p1.switches()), (c2, p2.switches()));
         assert_eq!((c2, p2.switches()), (c3, p3.switches()));
     }
@@ -456,7 +456,7 @@ mod tests {
         let subset: Vec<NodeId> = g.switches().step_by(2).collect();
         let ragg = AttachAggregates::build_restricted(&g, &dm, &w, &subset);
         let (rp, rc) = dp_placement_warm(&g, &dm, &w, &sfc, &ragg, &mut cache, Some(&pf)).unwrap();
-        let (xp, xc) = dp_placement_exhaustive_with_agg(&g, &dm, &w, &sfc, &ragg).unwrap();
+        let (xp, xc) = dp_placement_exhaustive(&dm, &w, &sfc, &ragg).unwrap();
         assert_eq!((rc, rp.switches()), (xc, xp.switches()));
         // And back to the full set, seeding from the restricted solution.
         let (bp, bc) = dp_placement_warm(&g, &dm, &w, &sfc, &full, &mut cache, Some(&rp)).unwrap();
@@ -471,7 +471,7 @@ mod tests {
         for n in 1..=2usize {
             let sfc = Sfc::of_len(n).unwrap();
             let (wp, wc) = dp_placement_warm(&g, &dm, &w, &sfc, &agg, &mut cache, None).unwrap();
-            let (cp, cc) = dp_placement_with_agg(&g, &dm, &w, &sfc, &agg).unwrap();
+            let (cp, cc) = dp_placement(&dm, &w, &sfc, &agg).unwrap();
             assert_eq!((wc, wp.switches()), (cc, cp.switches()), "n={n}");
             assert!(
                 !cache.is_warm(),
@@ -485,7 +485,7 @@ mod tests {
         let (g, dm, w) = fixture();
         let sfc = Sfc::of_len(4).unwrap();
         let agg = AttachAggregates::build(&g, &dm, &w);
-        let (cp, cc) = dp_placement_with_agg(&g, &dm, &w, &sfc, &agg).unwrap();
+        let (cp, cc) = dp_placement(&dm, &w, &sfc, &agg).unwrap();
         let switches: Vec<NodeId> = g.switches().collect();
         let hosts: Vec<NodeId> = g.hosts().collect();
         let bad: Vec<Placement> = vec![

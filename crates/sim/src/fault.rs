@@ -43,15 +43,14 @@
 use std::collections::BTreeSet;
 
 use ppdc_migration::{
-    mcf_vm_migration, mpareto_with_closure, optimal_migration_with_deadline, plan_vm_migration,
-    MigrationError,
+    mcf_vm_migration, mpareto, optimal_migration, plan_vm_migration, MigrationError,
 };
 use ppdc_model::{comm_cost, FlowId, ModelError, Placement, Sfc, VmId, Workload};
 use ppdc_obs::{names as obs_names, Stopwatch};
-use ppdc_placement::{dp_placement_with_closure, AttachAggregates, PlacementError};
+use ppdc_placement::{dp_placement, AggregateError, AttachAggregates, PlacementError};
 use ppdc_topology::{
-    CachedClosure, Cost, DistanceMatrix, EdgeId, FaultSet, Graph, NodeId, NodeKind, Partition,
-    TopologyError, INFINITY,
+    Cost, DistanceMatrix, EdgeId, FaultSet, Graph, NodeId, NodeKind, Partition, TopologyError,
+    INFINITY,
 };
 use ppdc_traffic::{rng_for_run, DynamicTrace, TraceError};
 use rand::Rng;
@@ -329,6 +328,9 @@ pub enum SimError {
     Schedule(ScheduleError),
     /// The dynamic trace rejected an hour index or rate-row shape.
     Trace(TraceError),
+    /// An hour's rate deltas disagreed with the aggregates they were
+    /// folded into.
+    Aggregate(AggregateError),
 }
 
 impl From<MigrationError> for SimError {
@@ -373,6 +375,12 @@ impl From<TraceError> for SimError {
     }
 }
 
+impl From<AggregateError> for SimError {
+    fn from(e: AggregateError) -> Self {
+        SimError::Aggregate(e)
+    }
+}
+
 impl std::fmt::Display for SimError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -383,6 +391,7 @@ impl std::fmt::Display for SimError {
             SimError::Checkpoint(e) => write!(f, "checkpoint error: {e}"),
             SimError::Schedule(e) => write!(f, "schedule error: {e}"),
             SimError::Trace(e) => write!(f, "trace error: {e}"),
+            SimError::Aggregate(e) => write!(f, "aggregate error: {e}"),
         }
     }
 }
@@ -774,10 +783,6 @@ fn run_day_impl(
     let mut dm_healthy = HealthyBaseline::Unbuilt;
     let mut faults = FaultSet::new(g);
     let mut w_cur = w.clone();
-    // One metric closure serves every Algorithm 3 / mPareto call between
-    // fault events: only event hours change `dm_cur` or the candidate set,
-    // so only they invalidate it (the n < 3 solves never read it).
-    let mut closure_cache = CachedClosure::new();
 
     let mut g_view;
     let mut dm_cur;
@@ -837,8 +842,7 @@ fn run_day_impl(
         w_cur.set_rates(&trace.rates_at(0))?;
         agg = AttachAggregates::build(&g_view, &dm_cur, &w_cur);
         aggregate_rebuilds = 1usize;
-        let c = closure_cache.get_or_rebuild(&dm_cur, agg.switches());
-        let (p0, c0) = dp_placement_with_closure(&g_view, &dm_cur, &w_cur, sfc, &agg, c)?;
+        let (p0, c0) = dp_placement(&dm_cur, &w_cur, sfc, &agg)?;
         p = p0;
         initial_cost = c0;
         sv = ServingView::elect(&g_view, &faults, &w_cur);
@@ -899,7 +903,6 @@ fn run_day_impl(
             let apsp_sw = Stopwatch::start_if(measuring);
             dm_cur.rebuild_dirty(&g_view, &changed);
             apsp_ns = apsp_sw.elapsed_ns();
-            closure_cache.invalidate();
             sv = ServingView::elect(&g_view, &faults, &w_cur);
             stranded_rate = set_masked_rates(&mut w_cur, trace, h, &sv.stranded)?;
             // The stranded set changed: delta feeds would mix masked and
@@ -920,7 +923,7 @@ fn run_day_impl(
                 .collect();
             stranded_rate = set_masked_rates(&mut w_cur, trace, h, &sv.stranded)?;
             let agg_sw = Stopwatch::start_if(measuring);
-            agg.apply_rate_deltas(&dm_cur, &w_cur, &deltas);
+            agg.apply_rate_deltas(&dm_cur, &w_cur, &deltas)?;
             aggregates_ns = agg_sw.elapsed_ns();
         } else {
             stranded_rate = set_masked_rates(&mut w_cur, trace, h, &sv.stranded)?;
@@ -1006,8 +1009,7 @@ fn run_day_impl(
             // Recovery: re-place inside the serving component before any
             // policy gets to run; the hour's migration budget is spent on
             // getting the chain back up.
-            let c = closure_cache.get_or_rebuild(&dm_cur, agg.switches());
-            let (p_new, comm) = dp_placement_with_closure(&g_view, &dm_cur, &w_cur, sfc, &agg, c)?;
+            let (p_new, comm) = dp_placement(&dm_cur, &w_cur, sfc, &agg)?;
             let reinstantiate = dm_cur.diameter();
             let mut migration_cost: Cost = 0;
             let mut moved = 0usize;
@@ -1050,9 +1052,7 @@ fn run_day_impl(
             recovery_migrations = 0;
             match cfg.policy {
                 MigrationPolicy::MPareto => {
-                    let c = closure_cache.get_or_rebuild(&dm_cur, agg.switches());
-                    let out =
-                        mpareto_with_closure(&g_view, &dm_cur, &w_cur, sfc, &p, cfg.mu, &agg, c)?;
+                    let out = mpareto(&g_view, &dm_cur, &w_cur, sfc, &p, cfg.mu, &agg)?;
                     p = out.migration.clone();
                     HourRecord {
                         hour: h,
@@ -1063,11 +1063,8 @@ fn run_day_impl(
                     }
                 }
                 MigrationPolicy::OptimalVnf { budget } => {
-                    let c = closure_cache.get_or_rebuild(&dm_cur, agg.switches());
-                    let seed =
-                        mpareto_with_closure(&g_view, &dm_cur, &w_cur, sfc, &p, cfg.mu, &agg, c)?;
-                    let (out, exactness) = optimal_migration_with_deadline(
-                        &g_view,
+                    let seed = mpareto(&g_view, &dm_cur, &w_cur, sfc, &p, cfg.mu, &agg)?;
+                    let (out, exactness) = optimal_migration(
                         &dm_cur,
                         sfc,
                         &p,
@@ -1534,11 +1531,26 @@ mod tests {
         let dm = DistanceMatrix::build(g);
         let mut wl = w.clone();
         wl.set_rates(&trace.rates_at(0)).unwrap();
-        let (mut p, initial) = ppdc_placement::dp_placement(g, &dm, &wl, &sfc).unwrap();
+        let (mut p, initial) = ppdc_placement::dp_placement(
+            &dm,
+            &wl,
+            &sfc,
+            &ppdc_placement::AttachAggregates::build(g, &dm, &wl),
+        )
+        .unwrap();
         let mut hours = Vec::new();
         for hour in 1..=trace.model().n_hours {
             wl.set_rates(&trace.rates_at(hour)).unwrap();
-            let out = ppdc_migration::mpareto(g, &dm, &wl, &sfc, &p, c.mu).unwrap();
+            let out = ppdc_migration::mpareto(
+                g,
+                &dm,
+                &wl,
+                &sfc,
+                &p,
+                c.mu,
+                &ppdc_placement::AttachAggregates::build(g, &dm, &wl),
+            )
+            .unwrap();
             p = out.migration;
             hours.push(HourRecord {
                 hour,
@@ -1700,7 +1712,13 @@ mod tests {
         let dm = DistanceMatrix::build(g);
         let mut w0 = w.clone();
         w0.set_rates(&trace.rates_at(0)).unwrap();
-        let (p0, _) = ppdc_placement::dp_placement(g, &dm, &w0, &sfc).unwrap();
+        let (p0, _) = ppdc_placement::dp_placement(
+            &dm,
+            &w0,
+            &sfc,
+            &ppdc_placement::AttachAggregates::build(g, &dm, &w0),
+        )
+        .unwrap();
         let victim = p0.switch(0);
         let schedule = FaultSchedule::new(
             vec![FaultEvent {

@@ -7,7 +7,9 @@
 //! policies (mPareto, Optimal, NoMigration) never rebuild the per-flow
 //! sums on a quiet hour. The VM-migration baselines (PLAN, MCF) rewrite
 //! VM→host assignments instead of rates, which invalidates the aggregates
-//! — they run flow-level after hour 0.
+//! — they run flow-level after hour 0. Each Algorithm 3 solve refills its
+//! metric closure from thread-local scratch, so no hour has to remember
+//! to invalidate a cached closure after a fault event.
 
 use ppdc_model::MigrationCoefficient;
 use ppdc_topology::Cost;
@@ -76,10 +78,9 @@ mod tests {
 
     use super::*;
     use crate::fault::{run_day, EngineConfig, FaultSchedule, FaultSimResult, HourProvenance};
-    use ppdc_migration::{
-        mcf_vm_migration, mpareto, optimal_migration_with_budget, plan_vm_migration,
-    };
+    use ppdc_migration::{mcf_vm_migration, mpareto, optimal_migration, plan_vm_migration};
     use ppdc_model::{comm_cost, Sfc, Workload};
+    use ppdc_placement::AttachAggregates;
     use ppdc_topology::{DistanceMatrix, FatTree, Graph};
     use ppdc_traffic::{standard_workload, DynamicTrace};
 
@@ -130,7 +131,8 @@ mod tests {
 
     /// The naive reference loop: every hour re-solves from scratch with
     /// flow-level costs and freshly built aggregates — no delta feed, no
-    /// cached closure. Returns the hour-0 cost and the hourly records.
+    /// state carried between hours. Returns the hour-0 cost and the hourly
+    /// records.
     fn naive_day(
         g: &Graph,
         w: &Workload,
@@ -141,29 +143,31 @@ mod tests {
         let dm = DistanceMatrix::build(g);
         let mut w = w.clone();
         w.set_rates(&trace.rates_at(0)).unwrap();
-        let (mut p, initial) = ppdc_placement::dp_placement(g, &dm, &w, sfc).unwrap();
+        let agg = AttachAggregates::build(g, &dm, &w);
+        let (mut p, initial) = ppdc_placement::dp_placement(&dm, &w, sfc, &agg).unwrap();
         let mut hours = Vec::new();
         for hour in 1..=trace.model().n_hours {
             w.set_rates(&trace.rates_at(hour)).unwrap();
+            let agg = AttachAggregates::build(g, &dm, &w);
             let (migration_cost, comm_cost, num_migrations) = match cfg.policy {
                 MigrationPolicy::MPareto => {
-                    let out = mpareto(g, &dm, &w, sfc, &p, cfg.mu).unwrap();
+                    let out = mpareto(g, &dm, &w, sfc, &p, cfg.mu, &agg).unwrap();
                     p = out.migration;
                     (out.migration_cost, out.comm_cost, out.num_migrations)
                 }
                 MigrationPolicy::OptimalVnf { budget } => {
-                    let seed = mpareto(g, &dm, &w, sfc, &p, cfg.mu).unwrap();
-                    let out = optimal_migration_with_budget(
-                        g,
+                    let seed = mpareto(g, &dm, &w, sfc, &p, cfg.mu, &agg).unwrap();
+                    let (out, exactness) = optimal_migration(
                         &dm,
-                        &w,
                         sfc,
                         &p,
                         cfg.mu,
                         Some(&seed.migration),
                         budget,
+                        &agg,
                     )
                     .unwrap();
+                    assert!(exactness.is_exact(), "hour {hour}: budget exhausted");
                     p = out.migration;
                     (out.migration_cost, out.comm_cost, out.num_migrations)
                 }

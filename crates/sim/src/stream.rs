@@ -1288,7 +1288,13 @@ mod tests {
         let mut w_ref = w.clone();
         for rec in &run.result.epochs {
             w_ref.set_rates(&trace.rates_at(rec.epoch)).unwrap();
-            let (_, opt) = ppdc_placement::dp_placement(&g, &dm, &w_ref, &sfc).unwrap();
+            let (_, opt) = ppdc_placement::dp_placement(
+                &dm,
+                &w_ref,
+                &sfc,
+                &ppdc_placement::AttachAggregates::build(&g, &dm, &w_ref),
+            )
+            .unwrap();
             assert_eq!(rec.comm_cost, opt, "epoch {} served off-optimum", rec.epoch);
         }
         assert_eq!(

@@ -4,9 +4,9 @@
 //! epoch loop. The supervisor wraps every hour in a three-rung ladder:
 //!
 //! 1. **Exact** — the policy's normal solve ran to completion.
-//! 2. **Degraded deadline** — the budgeted `*_with_deadline` solver ran
-//!    out of exploration budget and returned its best-so-far incumbent
-//!    (`Exactness::Degraded`, introduced in PR 2).
+//! 2. **Degraded deadline** — the budgeted solver ran out of exploration
+//!    budget and returned its best-so-far incumbent
+//!    (`Exactness::Degraded`).
 //! 3. **Last known good** — the solve could not run at all (transient
 //!    resource starvation exhausted the retry budget); the previous
 //!    hour's placement is kept and repriced at the current rates.

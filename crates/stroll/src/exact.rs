@@ -164,7 +164,7 @@ impl<'a, 'b> Search<'a, 'b> {
     /// feasible solution: the incumbent is seeded greedily before the first
     /// expansion, so even a budget of 0 returns a valid stroll (flagged
     /// [`Exactness::Degraded`]).
-    fn run_with_exactness(mut self) -> (StrollSolution, Exactness) {
+    fn run(mut self) -> (StrollSolution, Exactness) {
         if self.inst.n() == 0 {
             let walk = if self.inst.is_tour() {
                 vec![self.inst.s_ix()]
@@ -187,53 +187,25 @@ impl<'a, 'b> Search<'a, 'b> {
         walk.push(self.inst.t_ix());
         (self.inst.solution_from_walk(walk), exactness)
     }
-
-    fn run(self) -> Result<StrollSolution, StrollError> {
-        let budget = self.budget;
-        match self.run_with_exactness() {
-            (sol, Exactness::Exact) => Ok(sol),
-            (_, Exactness::Degraded { .. }) => Err(StrollError::BudgetExhausted { budget }),
-        }
-    }
 }
 
-/// Exact optimal n-stroll with the default expansion budget.
+/// Exact optimal n-stroll under an expansion budget ([`DEFAULT_BUDGET`]
+/// suits every experiment size in the paper).
 ///
-/// # Errors
-///
-/// [`StrollError::BudgetExhausted`] if the search could not be completed —
-/// the caller decides whether to fall back to [`crate::dp_stroll`].
-pub fn optimal_stroll(inst: &StrollInstance<'_>) -> Result<StrollSolution, StrollError> {
-    optimal_stroll_with_budget(inst, DEFAULT_BUDGET)
-}
-
-/// Exact optimal n-stroll with a caller-chosen expansion budget.
-pub fn optimal_stroll_with_budget(
-    inst: &StrollInstance<'_>,
-    budget: u64,
-) -> Result<StrollSolution, StrollError> {
+/// Never fails: when the budget runs out, the best-so-far incumbent comes
+/// back flagged [`Exactness::Degraded`] — the degraded-solver contract (see
+/// [`Exactness`]). Callers that must not report an unproven bound check
+/// the flag and treat a degraded result as not computed.
+pub fn optimal_stroll(inst: &StrollInstance<'_>, budget: u64) -> (StrollSolution, Exactness) {
     Search::new(inst, budget, true).run()
-}
-
-/// Optimal n-stroll under a deadline: never fails on exhaustion.
-///
-/// Identical search to [`optimal_stroll_with_budget`], but when the budget
-/// runs out the best-so-far incumbent is returned flagged
-/// [`Exactness::Degraded`] instead of [`StrollError::BudgetExhausted`] —
-/// the degraded-solver contract (see [`Exactness`]) that lets a simulated
-/// day always complete.
-pub fn optimal_stroll_with_deadline(
-    inst: &StrollInstance<'_>,
-    budget: u64,
-) -> (StrollSolution, Exactness) {
-    Search::new(inst, budget, true).run_with_exactness()
 }
 
 /// Plain exhaustive enumeration of all ordered waypoint sequences —
 /// `O(|V|ⁿ)`, the paper's Algorithm 4 specialised to one flow. Only for
-/// small instances and cross-validation.
+/// small instances and cross-validation. Unbudgeted, so it always
+/// completes.
 pub fn exhaustive_stroll(inst: &StrollInstance<'_>) -> Result<StrollSolution, StrollError> {
-    Search::new(inst, u64::MAX, false).run()
+    Ok(Search::new(inst, u64::MAX, false).run().0)
 }
 
 #[cfg(test)]
@@ -242,6 +214,13 @@ mod tests {
     use crate::dp::dp_stroll;
     use ppdc_topology::builders::{fat_tree, linear};
     use ppdc_topology::{DistanceMatrix, Graph, MetricClosure, NodeId};
+
+    /// The budgeted search run to proven optimality.
+    fn exact_opt(inst: &StrollInstance<'_>) -> StrollSolution {
+        let (sol, ex) = optimal_stroll(inst, DEFAULT_BUDGET);
+        assert!(ex.is_exact(), "default budget exhausted");
+        sol
+    }
 
     fn closure_with_hosts(g: &Graph, extra: &[NodeId]) -> MetricClosure {
         let dm = DistanceMatrix::build(g);
@@ -256,7 +235,7 @@ mod tests {
         let mc = closure_with_hosts(&g, &[h1, h2]);
         for n in 0..=5 {
             let inst = StrollInstance::new(&mc, h1, h2, n).unwrap();
-            let bb = optimal_stroll(&inst).unwrap();
+            let bb = exact_opt(&inst);
             let ex = exhaustive_stroll(&inst).unwrap();
             assert_eq!(bb.cost, ex.cost, "n={n}");
             bb.validate(&inst).unwrap();
@@ -271,7 +250,7 @@ mod tests {
         let mc = closure_with_hosts(&g, &[hosts[0], hosts[9]]);
         for n in 1..=6 {
             let inst = StrollInstance::new(&mc, hosts[0], hosts[9], n).unwrap();
-            let opt = optimal_stroll(&inst).unwrap();
+            let opt = exact_opt(&inst);
             let dp = dp_stroll(&inst).unwrap();
             assert!(
                 opt.cost <= dp.cost,
@@ -296,7 +275,7 @@ mod tests {
         let h5 = ft.rack(2)[0];
         let mc = closure_with_hosts(g, &[h4, h5]);
         let inst = StrollInstance::new(&mc, h4, h5, 7).unwrap();
-        let opt = optimal_stroll(&inst).unwrap();
+        let opt = exact_opt(&inst);
         opt.validate(&inst).unwrap();
         assert_eq!(opt.cost, 8, "8 hops to span 7 distinct switches");
         assert_eq!(opt.distinct.len(), 7);
@@ -309,7 +288,7 @@ mod tests {
         let (g, h1, _) = linear(4).unwrap();
         let mc = closure_with_hosts(&g, &[h1]);
         let inst = StrollInstance::new(&mc, h1, h1, 3).unwrap();
-        let opt = optimal_stroll(&inst).unwrap();
+        let opt = exact_opt(&inst);
         let ex = exhaustive_stroll(&inst).unwrap();
         assert_eq!(opt.cost, ex.cost);
         // Out to s3 and back: 2 * 3 = 6.
@@ -322,10 +301,8 @@ mod tests {
         let hosts: Vec<NodeId> = g.hosts().collect();
         let mc = closure_with_hosts(&g, &[hosts[0], hosts[9]]);
         let inst = StrollInstance::new(&mc, hosts[0], hosts[9], 8).unwrap();
-        assert!(matches!(
-            optimal_stroll_with_budget(&inst, 10),
-            Err(StrollError::BudgetExhausted { budget: 10 })
-        ));
+        let (_, ex) = optimal_stroll(&inst, 10);
+        assert_eq!(ex, Exactness::Degraded { explored: 11 });
     }
 
     #[test]
@@ -334,17 +311,17 @@ mod tests {
         let hosts: Vec<NodeId> = g.hosts().collect();
         let mc = closure_with_hosts(&g, &[hosts[0], hosts[9]]);
         let inst = StrollInstance::new(&mc, hosts[0], hosts[9], 8).unwrap();
-        // Same starved budget that makes the strict variant fail…
-        let (sol, ex) = optimal_stroll_with_deadline(&inst, 10);
+        // A starved budget…
+        let (sol, ex) = optimal_stroll(&inst, 10);
         assert_eq!(ex, Exactness::Degraded { explored: 11 });
         assert!(!ex.is_exact());
         // …still yields a valid stroll, no worse than the greedy seed and
         // no better than the true optimum.
         sol.validate(&inst).unwrap();
-        let opt = optimal_stroll(&inst).unwrap();
+        let opt = exact_opt(&inst);
         assert!(sol.cost >= opt.cost);
-        // An ample deadline is exact and matches the strict variant.
-        let (sol2, ex2) = optimal_stroll_with_deadline(&inst, DEFAULT_BUDGET);
+        // An ample deadline is exact and optimal.
+        let (sol2, ex2) = optimal_stroll(&inst, DEFAULT_BUDGET);
         assert_eq!(ex2, Exactness::Exact);
         assert_eq!(sol2.cost, opt.cost);
     }
@@ -365,7 +342,7 @@ mod tests {
         let dm = DistanceMatrix::build(&g);
         let mc = MetricClosure::over(&dm, &[s, a, b, c, t]);
         let inst = StrollInstance::new(&mc, s, t, 2).unwrap();
-        let opt = optimal_stroll(&inst).unwrap();
+        let opt = exact_opt(&inst);
         assert_eq!(opt.cost, 3, "rides a, b — never the dear c");
         assert_eq!(opt.distinct, vec![a, b]);
     }

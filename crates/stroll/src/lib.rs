@@ -55,9 +55,7 @@ pub mod instance;
 pub mod primal_dual;
 
 pub use dp::{dp_stroll, dp_stroll_all_sources, DpBatchSolver, DpTables};
-pub use exact::{
-    exhaustive_stroll, optimal_stroll, optimal_stroll_with_budget, optimal_stroll_with_deadline,
-};
+pub use exact::{exhaustive_stroll, optimal_stroll};
 pub use instance::{StrollInstance, StrollSolution};
 pub use primal_dual::{primal_dual_stroll, PrimalDualConfig};
 
@@ -66,13 +64,14 @@ pub use primal_dual::{primal_dual_stroll, PrimalDualConfig};
 ///
 /// This is the *degraded-solver contract* shared by every NP-hard search in
 /// the workspace (exact n-stroll, optimal placement, optimal migration):
-/// the `*_with_deadline` entry points always return a **feasible** solution
-/// — on budget exhaustion the incumbent found so far, flagged
-/// [`Exactness::Degraded`], instead of an error. A 24-hour simulated day
-/// therefore always completes, merely with a weaker guarantee on the hours
-/// where the deadline bit. The `*_with_budget` twins keep the strict
-/// behavior (exhaustion is [`StrollError::BudgetExhausted`]) for callers
-/// that must report "not computed" rather than an unproven bound.
+/// each search has one budgeted entry point that always returns a
+/// **feasible** solution — on budget exhaustion the incumbent found so
+/// far, flagged [`Exactness::Degraded`], instead of an error. A 24-hour
+/// simulated day therefore always completes, merely with a weaker
+/// guarantee on the hours where the deadline bit. Strict callers that must
+/// report "not computed" rather than an unproven bound check the flag
+/// themselves (e.g. mapping a degraded result to
+/// [`StrollError::BudgetExhausted`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Exactness {
     /// The search ran to completion; the result is provably optimal.

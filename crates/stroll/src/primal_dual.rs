@@ -386,7 +386,7 @@ pub fn primal_dual_stroll(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact::optimal_stroll;
+    use crate::exact::{optimal_stroll, DEFAULT_BUDGET};
     use ppdc_topology::builders::{fat_tree, linear};
     use ppdc_topology::{DistanceMatrix, MetricClosure, NodeId};
 
@@ -417,7 +417,8 @@ mod tests {
         for n in 1..=6 {
             let inst = StrollInstance::new(&mc, hosts[0], hosts[9], n).unwrap();
             let pd = primal_dual_stroll(&g, &inst, PrimalDualConfig::default()).unwrap();
-            let opt = optimal_stroll(&inst).unwrap();
+            let (opt, ex) = optimal_stroll(&inst, DEFAULT_BUDGET);
+            assert!(ex.is_exact());
             pd.validate(&inst).unwrap();
             assert!(
                 pd.cost <= 2 * opt.cost + 1,

@@ -55,7 +55,7 @@ pub mod shortest;
 pub use builders::{fat_tree, leaf_spine, linear, star, FatTree};
 pub use fault::{FaultSet, Partition};
 pub use graph::{mint_u32, sat_add, sat_mul, Cost, EdgeId, Graph, NodeId, NodeKind, INFINITY};
-pub use metric::{CachedClosure, MetricClosure};
+pub use metric::MetricClosure;
 pub use oracle::{DistanceOracle, FatTreeCoord, FatTreeOracle};
 pub use shortest::{DistanceMatrix, ShortestPaths};
 

@@ -13,7 +13,7 @@
 
 use ppdc::migration::{is_convex, mpareto, pareto_front};
 use ppdc::model::{Sfc, Workload};
-use ppdc::placement::dp_placement;
+use ppdc::placement::{dp_placement, AttachAggregates};
 use ppdc::topology::{DistanceMatrix, FatTree};
 
 fn main() {
@@ -35,7 +35,8 @@ fn main() {
     let sfc = Sfc::of_len(6).expect("n = 6, as in Fig. 6(b)");
     let mu = 200; // the figure's migration coefficient
 
-    let (p, c0) = dp_placement(ft.graph(), &dm, &w, &sfc).expect("TOP solves");
+    let agg = AttachAggregates::build(ft.graph(), &dm, &w);
+    let (p, c0) = dp_placement(&dm, &w, &sfc, &agg).expect("TOP solves");
     println!("initial placement {p} with cost {c0}");
 
     // The clusters swap activity: A's meetings end, B's begin.
@@ -43,7 +44,8 @@ fn main() {
     rates.reverse();
     w.set_rates(&rates).expect("same flow count");
 
-    let out = mpareto(ft.graph(), &dm, &w, &sfc, &p, mu).expect("TOM solves");
+    let agg = AttachAggregates::build(ft.graph(), &dm, &w);
+    let out = mpareto(ft.graph(), &dm, &w, &sfc, &p, mu, &agg).expect("TOM solves");
     println!("\n  frontier |      C_b |      C_a |      C_t");
     println!("  ---------+----------+----------+---------");
     for (i, f) in out.frontiers.iter().enumerate() {

@@ -10,8 +10,12 @@
 //! ```
 
 use ppdc::model::{Placement, Sfc};
-use ppdc::placement::{dp_placement, greedy_placement, optimal_placement, steering_placement};
+use ppdc::placement::{
+    dp_placement, greedy_placement, optimal_placement, steering_placement, AttachAggregates,
+    PlacementError,
+};
 use ppdc::sim::Table;
+use ppdc::stroll::StrollError;
 use ppdc::topology::{Cost, DistanceMatrix, FatTree, Graph};
 use ppdc::traffic::{generate_pairs, rng_for_run, PairPlacement, DEFAULT_MIX};
 use std::time::Instant;
@@ -21,7 +25,23 @@ type Solver = fn(
     &DistanceMatrix,
     &ppdc::model::Workload,
     &Sfc,
-) -> Result<(Placement, Cost), ppdc::placement::PlacementError>;
+) -> Result<(Placement, Cost), PlacementError>;
+
+/// Algorithm 4 at its default budget, strict: a budget-degraded incumbent
+/// is not an optimum.
+fn optimal(
+    g: &Graph,
+    dm: &DistanceMatrix,
+    w: &ppdc::model::Workload,
+    sfc: &Sfc,
+) -> Result<(Placement, Cost), PlacementError> {
+    let budget = ppdc::placement::optimal::DEFAULT_BUDGET;
+    let agg = AttachAggregates::build(g, dm, w);
+    match optimal_placement(dm, w, sfc, &agg, budget)? {
+        (p, cost, exactness) if exactness.is_exact() => Ok((p, cost)),
+        _ => Err(StrollError::BudgetExhausted { budget }.into()),
+    }
+}
 
 fn main() {
     let ft = FatTree::build(4).expect("k = 4 fat-tree");
@@ -36,8 +56,10 @@ fn main() {
     );
 
     let solvers: [(&str, Solver); 4] = [
-        ("Optimal (Algo 4)", optimal_placement),
-        ("DP (Algo 3)", dp_placement),
+        ("Optimal (Algo 4)", optimal),
+        ("DP (Algo 3)", |g, dm, w, sfc| {
+            dp_placement(dm, w, sfc, &AttachAggregates::build(g, dm, w))
+        }),
         ("Greedy (Liu)", greedy_placement),
         ("Steering", steering_placement),
     ];

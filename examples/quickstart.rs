@@ -11,7 +11,7 @@
 
 use ppdc::migration::mpareto;
 use ppdc::model::{comm_cost, Sfc, Workload};
-use ppdc::placement::dp_placement;
+use ppdc::placement::{dp_placement, AttachAggregates};
 use ppdc::topology::{builders::linear, DistanceMatrix};
 
 fn main() {
@@ -32,7 +32,8 @@ fn main() {
     let sfc = Sfc::named(["firewall", "cache-proxy"]).expect("two VNFs");
 
     // TOP: traffic-optimal initial placement (Algorithm 3).
-    let (p, initial) = dp_placement(&g, &dm, &w, &sfc).expect("TOP solves");
+    let agg = AttachAggregates::build(&g, &dm, &w);
+    let (p, initial) = dp_placement(&dm, &w, &sfc, &agg).expect("TOP solves");
     println!("\nTOP places the SFC at {p} — total communication cost {initial}");
     assert_eq!(initial, 410);
 
@@ -43,7 +44,8 @@ fn main() {
     assert_eq!(stale, 1004);
 
     // TOM: mPareto (Algorithm 5) walks the VNFs along migration frontiers.
-    let out = mpareto(&g, &dm, &w, &sfc, &p, 1).expect("TOM solves");
+    let agg = AttachAggregates::build(&g, &dm, &w);
+    let out = mpareto(&g, &dm, &w, &sfc, &p, 1, &agg).expect("TOM solves");
     println!(
         "\nmPareto migrates {} VNFs to {} — migration cost {}, new comm cost {}",
         out.num_migrations, out.migration, out.migration_cost, out.comm_cost

@@ -31,7 +31,7 @@
 //! ```
 //! use ppdc::model::{comm_cost, Sfc, Workload};
 //! use ppdc::migration::mpareto;
-//! use ppdc::placement::dp_placement;
+//! use ppdc::placement::{dp_placement, AttachAggregates};
 //! use ppdc::topology::{builders::linear, DistanceMatrix};
 //!
 //! let (g, h1, h2) = linear(5).unwrap();
@@ -42,7 +42,8 @@
 //! let sfc = Sfc::named(["firewall", "cache-proxy"]).unwrap();
 //!
 //! // TOP: the initial traffic-optimal placement costs 410.
-//! let (p, cost) = dp_placement(&g, &dm, &w, &sfc).unwrap();
+//! let agg = AttachAggregates::build(&g, &dm, &w);
+//! let (p, cost) = dp_placement(&dm, &w, &sfc, &agg).unwrap();
 //! assert_eq!(cost, 410);
 //!
 //! // The rates swap — the old placement now costs 1004.
@@ -50,7 +51,8 @@
 //! assert_eq!(comm_cost(&dm, &w, &p), 1004);
 //!
 //! // TOM: mPareto migrates both VNFs (cost 6) and lands at 416 total.
-//! let out = mpareto(&g, &dm, &w, &sfc, &p, 1).unwrap();
+//! let agg = AttachAggregates::build(&g, &dm, &w);
+//! let out = mpareto(&g, &dm, &w, &sfc, &p, 1, &agg).unwrap();
 //! assert_eq!(out.total_cost, 416);
 //! assert_eq!(out.num_migrations, 2);
 //! ```

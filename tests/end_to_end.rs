@@ -2,7 +2,7 @@
 
 use ppdc::migration::{mcf_vm_migration, mpareto, plan_vm_migration};
 use ppdc::model::{comm_cost, total_cost, Placement, Sfc, Workload};
-use ppdc::placement::{dp_placement, greedy_placement, steering_placement};
+use ppdc::placement::{dp_placement, greedy_placement, steering_placement, AttachAggregates};
 use ppdc::sim::{
     run_day, summarize, EngineConfig, FaultSchedule, FaultSimResult, MigrationPolicy, SimConfig,
 };
@@ -101,7 +101,10 @@ fn placements_from_all_algorithms_are_valid() {
     for n in [1usize, 2, 3, 5] {
         let sfc = Sfc::of_len(n).unwrap();
         for (name, result) in [
-            ("dp", dp_placement(g, &dm, &w, &sfc)),
+            (
+                "dp",
+                dp_placement(&dm, &w, &sfc, &AttachAggregates::build(g, &dm, &w)),
+            ),
             ("steering", steering_placement(g, &dm, &w, &sfc)),
             ("greedy", greedy_placement(g, &dm, &w, &sfc)),
         ] {
@@ -122,7 +125,7 @@ fn vm_baselines_preserve_vm_count_and_capacity() {
     let (mut w, trace) = standard_workload(&ft, 10, 13, 0);
     w.set_rates(&trace.rates_at(6)).unwrap();
     let sfc = Sfc::of_len(3).unwrap();
-    let (p, _) = dp_placement(g, &dm, &w, &sfc).unwrap();
+    let (p, _) = dp_placement(&dm, &w, &sfc, &AttachAggregates::build(g, &dm, &w)).unwrap();
     let slots = 6;
     let plan = plan_vm_migration(g, &dm, &w, &p, 1, slots, 5);
     let mcf = mcf_vm_migration(g, &dm, &w, &p, 1, slots, 8).unwrap();
@@ -145,11 +148,20 @@ fn migration_outcome_matches_eq8_accounting() {
     let (mut w, trace) = standard_workload(&ft, 8, 3, 1);
     let sfc = Sfc::of_len(3).unwrap();
     w.set_rates(&trace.rates_at(0)).unwrap();
-    let (p, _) = dp_placement(g, &dm, &w, &sfc).unwrap();
+    let (p, _) = dp_placement(&dm, &w, &sfc, &AttachAggregates::build(g, &dm, &w)).unwrap();
     for h in [3u32, 6, 9] {
         w.set_rates(&trace.rates_at(h)).unwrap();
         for mu in [0u64, 10, 10_000] {
-            let out = mpareto(g, &dm, &w, &sfc, &p, mu).unwrap();
+            let out = mpareto(
+                g,
+                &dm,
+                &w,
+                &sfc,
+                &p,
+                mu,
+                &AttachAggregates::build(g, &dm, &w),
+            )
+            .unwrap();
             assert_eq!(
                 out.total_cost,
                 total_cost(&dm, &w, &p, &out.migration, mu),

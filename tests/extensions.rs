@@ -4,7 +4,7 @@
 use ppdc::model::{comm_cost, Sfc};
 use ppdc::placement::{
     comm_cost_replicated, dp_placement, greedy_replication, optimal_placement,
-    optimal_placement_scaled, ReplicatedPlacement, TrafficScaling,
+    optimal_placement_scaled, AttachAggregates, ReplicatedPlacement, TrafficScaling,
 };
 use ppdc::topology::{DistanceMatrix, FatTree, NodeId};
 use ppdc::traffic::standard_workload;
@@ -16,7 +16,7 @@ fn replication_never_hurts_and_respects_one_vnf_per_switch() {
     let dm = DistanceMatrix::build(g);
     let (w, _) = standard_workload(&ft, 10, 0xEE, 0);
     let sfc = Sfc::of_len(3).unwrap();
-    let (p, base) = dp_placement(g, &dm, &w, &sfc).unwrap();
+    let (p, base) = dp_placement(&dm, &w, &sfc, &AttachAggregates::build(g, &dm, &w)).unwrap();
     let (rp, trace) = greedy_replication(g, &dm, &w, &p, 5).unwrap();
     assert_eq!(trace[0], base);
     for pair in trace.windows(2) {
@@ -43,7 +43,7 @@ fn replication_lower_bounds_any_single_placement() {
     let dm = DistanceMatrix::build(g);
     let (w, _) = standard_workload(&ft, 8, 0xEF, 1);
     let sfc = Sfc::of_len(2).unwrap();
-    let (p, _) = dp_placement(g, &dm, &w, &sfc).unwrap();
+    let (p, _) = dp_placement(&dm, &w, &sfc, &AttachAggregates::build(g, &dm, &w)).unwrap();
     let mut rp = ReplicatedPlacement::from_placement(&p);
     let unused: Vec<NodeId> = g.switches().filter(|s| !rp.occupies(*s)).take(2).collect();
     rp.add_replica(g, 0, unused[0]).unwrap();
@@ -60,7 +60,16 @@ fn scaled_placement_reduces_to_plain_top_at_identity() {
     let sfc = Sfc::of_len(3).unwrap();
     let id = TrafficScaling::identity(&sfc);
     let (_, scaled) = optimal_placement_scaled(g, &dm, &w, &sfc, &id, u64::MAX).unwrap();
-    let (_, plain) = optimal_placement(g, &dm, &w, &sfc).unwrap();
+    let agg = AttachAggregates::build(g, &dm, &w);
+    let (_, plain, exactness) = optimal_placement(
+        &dm,
+        &w,
+        &sfc,
+        &agg,
+        ppdc::placement::optimal::DEFAULT_BUDGET,
+    )
+    .unwrap();
+    assert!(exactness.is_exact());
     assert_eq!(scaled, plain);
 }
 
@@ -91,7 +100,7 @@ fn workload_rates_do_not_affect_replica_validity() {
     let (mut w, trace) = standard_workload(&ft, 10, 0xF2, 0);
     let sfc = Sfc::of_len(3).unwrap();
     w.set_rates(&trace.rates_at(0)).unwrap();
-    let (p, _) = dp_placement(g, &dm, &w, &sfc).unwrap();
+    let (p, _) = dp_placement(&dm, &w, &sfc, &AttachAggregates::build(g, &dm, &w)).unwrap();
     let (rp, _) = greedy_replication(g, &dm, &w, &p, 3).unwrap();
     for h in 1..=12 {
         w.set_rates(&trace.rates_at(h)).unwrap();

@@ -2,7 +2,7 @@
 
 use ppdc::migration::{mpareto, optimal_migration};
 use ppdc::model::{chain_cost, comm_cost, migration_cost, total_cost, Placement, Sfc, Workload};
-use ppdc::placement::{dp_placement, optimal_placement, top1_dp, top1_optimal};
+use ppdc::placement::{dp_placement, optimal_placement, top1_dp, top1_optimal, AttachAggregates};
 use ppdc::stroll::{dp_stroll, optimal_stroll, StrollInstance};
 use ppdc::topology::{builders::linear, DistanceMatrix, FatTree, Graph, MetricClosure, NodeId};
 
@@ -18,15 +18,33 @@ fn example1_full_story() {
     w.add_pair(h2, h2, 1);
     let sfc = Sfc::of_len(2).unwrap();
 
-    let (p, c) = dp_placement(&g, &dm, &w, &sfc).unwrap();
+    let (p, c) = dp_placement(&dm, &w, &sfc, &AttachAggregates::build(&g, &dm, &w)).unwrap();
     assert_eq!(c, 410);
-    let (_, c_opt) = optimal_placement(&g, &dm, &w, &sfc).unwrap();
+    let agg = AttachAggregates::build(&g, &dm, &w);
+    let (_, c_opt, exactness) = optimal_placement(
+        &dm,
+        &w,
+        &sfc,
+        &agg,
+        ppdc::placement::optimal::DEFAULT_BUDGET,
+    )
+    .unwrap();
+    assert!(exactness.is_exact());
     assert_eq!(c_opt, 410, "DP finds the optimum here");
 
     w.set_rates(&[1, 100]).unwrap();
     assert_eq!(comm_cost(&dm, &w, &p), 1004);
 
-    let out = mpareto(&g, &dm, &w, &sfc, &p, 1).unwrap();
+    let out = mpareto(
+        &g,
+        &dm,
+        &w,
+        &sfc,
+        &p,
+        1,
+        &AttachAggregates::build(&g, &dm, &w),
+    )
+    .unwrap();
     assert_eq!(out.migration_cost, 6);
     assert_eq!(out.comm_cost, 410);
     assert_eq!(out.total_cost, 416);
@@ -34,7 +52,18 @@ fn example1_full_story() {
     assert!((reduction - 0.586).abs() < 0.001, "58.6% reduction");
 
     // The exact TOM search agrees.
-    let opt = optimal_migration(&g, &dm, &w, &sfc, &p, 1, Some(&out.migration)).unwrap();
+    let agg = AttachAggregates::build(&g, &dm, &w);
+    let (opt, exactness) = optimal_migration(
+        &dm,
+        &sfc,
+        &p,
+        1,
+        Some(&out.migration),
+        ppdc::migration::optimal::DEFAULT_BUDGET,
+        &agg,
+    )
+    .unwrap();
+    assert!(exactness.is_exact());
     assert_eq!(opt.total_cost, 416);
 }
 
@@ -62,7 +91,8 @@ fn example2_dp_on_closure() {
     let dp = dp_stroll(&inst).unwrap();
     assert_eq!(dp.cost, 6);
     assert_eq!(dp.distinct, vec![d, c]);
-    let opt = optimal_stroll(&inst).unwrap();
+    let (opt, exactness) = optimal_stroll(&inst, ppdc::stroll::exact::DEFAULT_BUDGET);
+    assert!(exactness.is_exact());
     assert_eq!(opt.cost, 6, "the DP solution is optimal (Theorem 3 case)");
 }
 
@@ -113,10 +143,10 @@ fn theorem4_mu_zero() {
     w.add_pair(hosts[0], hosts[3], 11);
     w.add_pair(hosts[8], hosts[14], 70);
     let sfc = Sfc::of_len(3).unwrap();
-    let (p, _) = dp_placement(g, &dm, &w, &sfc).unwrap();
+    let (p, _) = dp_placement(&dm, &w, &sfc, &AttachAggregates::build(g, &dm, &w)).unwrap();
     w.set_rates(&[70, 11]).unwrap();
     // Any migration m: C_t(p, m) with μ=0 equals C_a(m).
-    let (m, _) = dp_placement(g, &dm, &w, &sfc).unwrap();
+    let (m, _) = dp_placement(&dm, &w, &sfc, &AttachAggregates::build(g, &dm, &w)).unwrap();
     assert_eq!(total_cost(&dm, &w, &p, &m, 0), comm_cost(&dm, &w, &m));
     assert_eq!(migration_cost(&dm, &p, &m, 0), 0);
 }

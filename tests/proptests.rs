@@ -2,10 +2,11 @@
 
 use ppdc::model::{comm_cost, comm_cost_flow, total_cost, Placement, Sfc, Workload};
 use ppdc::placement::{
-    dp_placement, dp_placement_exhaustive_with_agg, dp_placement_with_agg, exhaustive_placement,
-    greedy_placement, optimal_placement, steering_placement, AttachAggregates,
+    dp_placement, dp_placement_exhaustive, dp_placement_warm, exhaustive_placement,
+    greedy_placement, optimal_placement, steering_placement, AttachAggregates, BoundCache,
+    PlacementError,
 };
-use ppdc::stroll::{dp_stroll, exhaustive_stroll, optimal_stroll, StrollInstance};
+use ppdc::stroll::{dp_stroll, exhaustive_stroll, optimal_stroll, StrollError, StrollInstance};
 use ppdc::topology::{
     DistanceMatrix, EdgeId, FaultSet, Graph, MetricClosure, NodeId, Partition, INFINITY,
 };
@@ -51,6 +52,39 @@ fn arb_ppdc() -> impl Strategy<Value = (Graph, Vec<NodeId>)> {
     )
 }
 
+/// [`arb_ppdc`], sometimes with a host-less island of 1–3 switches (a
+/// chain of unit links) that no other switch reaches: a disconnected
+/// fabric whose island switches sit at the `INFINITY` sentinel from every
+/// host and from the main component.
+fn arb_ppdc_maybe_island() -> impl Strategy<Value = (Graph, Vec<NodeId>)> {
+    (arb_ppdc(), 0usize..4).prop_map(|((mut g, hosts), island)| {
+        let mut prev: Option<NodeId> = None;
+        for i in 0..island {
+            let s = g.add_switch(format!("island{i}"));
+            if let Some(p) = prev {
+                g.add_edge(p, s, 1).unwrap();
+            }
+            prev = Some(s);
+        }
+        (g, hosts)
+    })
+}
+
+/// The budgeted optimal placement run to proven optimality.
+fn exact_optimal_placement(
+    dm: &DistanceMatrix,
+    w: &Workload,
+    sfc: &Sfc,
+    agg: &AttachAggregates,
+) -> Result<(Placement, u64), PlacementError> {
+    optimal_placement(dm, w, sfc, agg, ppdc::placement::optimal::DEFAULT_BUDGET).map(
+        |(p, cost, exactness)| {
+            assert!(exactness.is_exact(), "default budget exhausted");
+            (p, cost)
+        },
+    )
+}
+
 proptest! {
     // 64 cases by default; CI raises it via PROPTEST_CASES.
     #![proptest_config(ProptestConfig::env_or(64))]
@@ -67,7 +101,8 @@ proptest! {
         let inst = StrollInstance::new(&mc, hosts[0], hosts[1], n).unwrap();
         let dp = dp_stroll(&inst).unwrap();
         dp.validate(&inst).unwrap();
-        let opt = optimal_stroll(&inst).unwrap();
+        let (opt, exactness) = optimal_stroll(&inst, ppdc::stroll::exact::DEFAULT_BUDGET);
+        prop_assert!(exactness.is_exact());
         opt.validate(&inst).unwrap();
         prop_assert!(opt.cost <= dp.cost);
         prop_assert!(dp.cost <= 2 * opt.cost + 1, "dp {} opt {}", dp.cost, opt.cost);
@@ -82,17 +117,22 @@ proptest! {
         let mc = MetricClosure::over(&dm, &members);
         prop_assume!(g.num_switches() >= n);
         let inst = StrollInstance::new(&mc, hosts[0], hosts[1], n).unwrap();
-        let bb = optimal_stroll(&inst).unwrap();
+        let (bb, exactness) = optimal_stroll(&inst, ppdc::stroll::exact::DEFAULT_BUDGET);
+        prop_assert!(exactness.is_exact());
         let ex = exhaustive_stroll(&inst).unwrap();
         prop_assert_eq!(bb.cost, ex.cost);
     }
 
     /// The placement branch-and-bound equals exhaustive enumeration, and
-    /// no algorithm beats it.
+    /// no algorithm beats it. Algorithm 3's pruned, exhaustive and warm
+    /// (fresh cache) sweeps agree bit for bit. On a fabric with a
+    /// host-less island every exact solver returns the same cost or the
+    /// same `Unreachable` (when the chain cannot fit in the hosts'
+    /// component), and nothing panics.
     #[test]
     fn placement_optimality_chain(
-        (g, hosts) in arb_ppdc(),
-        n in 1usize..4,
+        (g, hosts) in arb_ppdc_maybe_island(),
+        n in 1usize..6,
         rate1 in 1u64..1000,
         rate2 in 1u64..1000,
     ) {
@@ -102,11 +142,44 @@ proptest! {
         w.add_pair(hosts[0], hosts[1], rate1);
         w.add_pair(hosts[1], hosts[0], rate2);
         let sfc = Sfc::of_len(n).unwrap();
-        let (_, bb) = optimal_placement(&g, &dm, &w, &sfc).unwrap();
-        let (_, ex) = exhaustive_placement(&g, &dm, &w, &sfc).unwrap();
-        prop_assert_eq!(bb, ex, "b&b vs exhaustive");
+        let agg = AttachAggregates::build(&g, &dm, &w);
+        let bb = exact_optimal_placement(&dm, &w, &sfc, &agg).map(|(_, c)| c);
+        let ex = exhaustive_placement(&dm, &w, &sfc, &agg).map(|(_, c)| c);
+        prop_assert_eq!(&bb, &ex, "b&b vs exhaustive");
+        let dp = dp_placement(&dm, &w, &sfc, &agg);
+        let dp_ex = dp_placement_exhaustive(&dm, &w, &sfc, &agg);
+        let dp_warm = dp_placement_warm(&g, &dm, &w, &sfc, &agg, &mut BoundCache::new(), None);
+        for (name, other) in [("exhaustive sweep", &dp_ex), ("warm sweep", &dp_warm)] {
+            match (&dp, other) {
+                (Ok((p1, c1)), Ok((p2, c2))) => {
+                    prop_assert_eq!(c1, c2, "dp vs {}", name);
+                    prop_assert_eq!(p1.switches(), p2.switches(), "dp vs {} tie-break", name);
+                }
+                (a, b) => prop_assert_eq!(a, b, "dp vs {}", name),
+            }
+        }
+        let Ok(bb) = bb else {
+            // Only a partition can make an exact solve fail here, and then
+            // every exact solver (and Algorithm 3) must say so.
+            let unreachable = Err(PlacementError::Stroll(StrollError::Unreachable));
+            prop_assert_eq!(&ex.map(|_| ()), &unreachable);
+            prop_assert_eq!(&dp.map(|_| ()), &unreachable);
+            for (name, res) in [
+                ("steering", steering_placement(&g, &dm, &w, &sfc)),
+                ("greedy", greedy_placement(&g, &dm, &w, &sfc)),
+            ] {
+                let (p, cost) = res.unwrap();
+                prop_assert_eq!(cost, INFINITY, "{} found a reachable chain", name);
+                prop_assert_eq!(cost, comm_cost(&dm, &w, &p), "{} cost accounting", name);
+            }
+            return Ok(());
+        };
+        if n <= 2 {
+            // The closed-form small-n paths are exact.
+            prop_assert_eq!(dp.as_ref().map(|(_, c)| *c), Ok(bb), "dp is exact for n <= 2");
+        }
         for (name, res) in [
-            ("dp", dp_placement(&g, &dm, &w, &sfc)),
+            ("dp", dp),
             ("steering", steering_placement(&g, &dm, &w, &sfc)),
             ("greedy", greedy_placement(&g, &dm, &w, &sfc)),
         ] {
@@ -119,7 +192,7 @@ proptest! {
     /// Attach aggregates reproduce Eq. 1 exactly for arbitrary placements.
     #[test]
     fn aggregates_match_eq1(
-        (g, hosts) in arb_ppdc(),
+        (g, hosts) in arb_ppdc_maybe_island(),
         n in 1usize..4,
         rate in 1u64..10_000,
         pick in any::<u64>(),
@@ -143,6 +216,17 @@ proptest! {
         let sfc = Sfc::of_len(n).unwrap();
         let p = Placement::new(&g, &sfc, chosen).unwrap();
         prop_assert_eq!(agg.comm_cost(&dm, &p), comm_cost(&dm, &w, &p));
+        // The solvers' reported costs are the same Eq. 1 evaluation, cold
+        // and warm (fresh cache) alike.
+        let cold = dp_placement(&dm, &w, &sfc, &agg);
+        let warm = dp_placement_warm(&g, &dm, &w, &sfc, &agg, &mut BoundCache::new(), None);
+        for (name, res) in [("cold", &cold), ("warm", &warm)] {
+            if let Ok((q, c)) = res {
+                prop_assert_eq!(*c, comm_cost(&dm, &w, q), "{} dp cost accounting", name);
+                prop_assert_eq!(*c, agg.comm_cost(&dm, q), "{} dp vs aggregates", name);
+            }
+        }
+        prop_assert_eq!(cold, warm);
     }
 
     /// The switch-aggregated build is bit-identical to the flow-by-flow
@@ -216,7 +300,7 @@ proptest! {
                 deltas.push((f, d));
             }
         }
-        agg.apply_rate_deltas(&dm, &w, &deltas);
+        agg.apply_rate_deltas(&dm, &w, &deltas).unwrap();
         let rebuilt = AttachAggregates::build(&g, &dm, &w);
         prop_assert!(agg.same_as(&rebuilt));
     }
@@ -245,7 +329,7 @@ proptest! {
         for &(f, dd) in &deltas {
             w.set_rate(f, (w.rate(f) as i64 + dd) as u64);
         }
-        agg.apply_rate_deltas(&dm, &w, &deltas);
+        agg.apply_rate_deltas(&dm, &w, &deltas).unwrap();
         let rebuilt = AttachAggregates::build(&g, &dm, &w);
         prop_assert!(agg.same_as(&rebuilt));
     }
@@ -303,8 +387,8 @@ proptest! {
         }
         let sfc = Sfc::of_len(n).unwrap();
         let agg = AttachAggregates::build(&g, &dm, &w);
-        let (p_bb, c_bb) = dp_placement_with_agg(&g, &dm, &w, &sfc, &agg).unwrap();
-        let (p_ex, c_ex) = dp_placement_exhaustive_with_agg(&g, &dm, &w, &sfc, &agg).unwrap();
+        let (p_bb, c_bb) = dp_placement(&dm, &w, &sfc, &agg).unwrap();
+        let (p_ex, c_ex) = dp_placement_exhaustive(&dm, &w, &sfc, &agg).unwrap();
         prop_assert_eq!(c_bb, c_ex);
         prop_assert_eq!(p_bb.switches(), p_ex.switches());
     }
@@ -467,9 +551,9 @@ proptest! {
         w.add_pair(hosts[0], hosts[1], r1);
         w.add_pair(hosts[1], hosts[0], r2);
         let sfc = Sfc::of_len(n).unwrap();
-        let (p, _) = dp_placement(&g, &dm, &w, &sfc).unwrap();
+        let (p, _) = dp_placement(&dm, &w, &sfc, &AttachAggregates::build(&g, &dm, &w)).unwrap();
         w.set_rates(&[r2, r1]).unwrap();
-        let out = ppdc::migration::mpareto(&g, &dm, &w, &sfc, &p, mu).unwrap();
+        let out = ppdc::migration::mpareto(&g, &dm, &w, &sfc, &p, mu, &AttachAggregates::build(&g, &dm, &w)).unwrap();
         prop_assert_eq!(out.total_cost, total_cost(&dm, &w, &p, &out.migration, mu));
         prop_assert!(out.total_cost <= comm_cost(&dm, &w, &p));
     }
@@ -602,9 +686,9 @@ proptest! {
         prop_assume!(w.rates().iter().any(|&r| r > 0));
         let sfc = Sfc::of_len(n).unwrap();
         let agg_o = AttachAggregates::build(g, &oracle, &w);
-        let (p_o, c_o) = dp_placement_with_agg(g, &oracle, &w, &sfc, &agg_o).unwrap();
+        let (p_o, c_o) = dp_placement(&oracle, &w, &sfc, &agg_o).unwrap();
         let agg_d = AttachAggregates::build(g, &dm, &w);
-        let (p_d, c_d) = dp_placement_exhaustive_with_agg(g, &dm, &w, &sfc, &agg_d).unwrap();
+        let (p_d, c_d) = dp_placement_exhaustive(&dm, &w, &sfc, &agg_d).unwrap();
         prop_assert_eq!(c_o, c_d, "cost mismatch at n={}", n);
         prop_assert_eq!(p_o.switches(), p_d.switches(), "tie-break mismatch at n={}", n);
     }
@@ -868,7 +952,7 @@ proptest! {
             }
             let (wp, wc) =
                 dp_placement_warm(g, &oracle, &w, &sfc, &agg, &mut cache, prev.as_ref()).unwrap();
-            let (cp, cc) = dp_placement_exhaustive_with_agg(g, &oracle, &w, &sfc, &agg).unwrap();
+            let (cp, cc) = dp_placement_exhaustive(&oracle, &w, &sfc, &agg).unwrap();
             prop_assert_eq!(wc, cc, "epoch {}: warm cost diverged", epoch);
             prop_assert_eq!(
                 wp.switches(), cp.switches(),
