@@ -19,8 +19,10 @@
 #                         1M-flow stream day (then killed at mid-day and
 #                         resumed from disk), churned stream day
 #   9. bench smoke      — one pass of the bench groups (including the
-#                         hourly engine's simulated day), appended to the
-#                         BENCH_placement.json trajectory
+#                         hourly engine's simulated day and every exact
+#                         search: stroll, placement, scaled placement,
+#                         migration), appended to the BENCH_placement.json
+#                         trajectory
 #
 # The bench crate (ppdc-bench) is outside the workspace default-members,
 # so step 5's plain `cargo build`/`cargo test` skip it; clippy still
@@ -91,11 +93,15 @@ cargo run --release -p ppdc-experiments -- stream --flows 1000000 --budget-ms 12
 echo "==> churned-day stream smoke (hot-rack/two-pod/full-fabric spikes, warm-solver counters + budget)"
 cargo run --release -p ppdc-experiments -- stream --churned --flows 1000000 --budget-ms 120000 --warm-ms 1000
 
-echo "==> bench smoke (oracle + placement + hourly day + checkpoint + stream groups once, trajectory appended)"
+echo "==> bench smoke (oracle + placement + exact searches + hourly day + checkpoint + stream groups once, trajectory appended)"
 rm -f target/ci-bench-samples.jsonl
-PPDC_BENCH_ONLY=dp_placement,dp_placement_k32 \
+PPDC_BENCH_ONLY=dp_placement,dp_placement_k32,optimal_placement_k4,extensions_k4 \
     PPDC_BENCH_JSON="$PWD/target/ci-bench-samples.jsonl" \
     cargo bench -p ppdc-bench --bench placement
+PPDC_BENCH_JSON="$PWD/target/ci-bench-samples.jsonl" \
+    cargo bench -p ppdc-bench --bench stroll
+PPDC_BENCH_JSON="$PWD/target/ci-bench-samples.jsonl" \
+    cargo bench -p ppdc-bench --bench migration
 PPDC_BENCH_ONLY=distance_oracle \
     PPDC_BENCH_JSON="$PWD/target/ci-bench-samples.jsonl" \
     cargo bench -p ppdc-bench --bench topology

@@ -1,112 +1,69 @@
 //! **Optimal** — Algorithm 6: exact VNF migration.
 //!
-//! Minimizes `C_t(p, m)` over all ordered distinct switch sequences `m`.
-//! The search reuses the branch-and-bound idea of the placement solver but
-//! adds the position-dependent migration term `μ·c(p(j), m(j))` to every
-//! slot. The bound stays admissible:
+//! Minimizes `C_t(p, m)` over all ordered distinct switch sequences `m` on
+//! the workspace's one branch-and-bound ([`ppdc_stroll::search`]). The
+//! objective is Algorithm 4's chain ([`ChainTerms`]: `A_in`, `Σλ·c` per
+//! hop, `A_out`) plus the position-dependent migration term
+//! `μ·c(p(j), m(j))` on every slot. The bound stays admissible:
 //!
-//! `g + Σλ·(n−k)·δ_min + min_unused A_out + μ·Σ_{j>k} minmove(j) ≤ C_t`
+//! `g + Σλ·(n−k−1)·δ_min + min_unused A_out ≤ C_t`
 //!
-//! where `minmove(j) = min_x c(p(j), x)` over candidate switches — the
-//! cheapest conceivable move for a VNF not yet placed (0 when staying put
-//! is possible). The incumbent is seeded with the better of "stay at `p`"
-//! and the caller-provided seed (typically mPareto's answer), so the search
-//! starts with strong pruning.
+//! It charges one hop fewer than Algorithm 4's bound, and nothing for the
+//! slots' migrations still to come: the cheapest move of an unplaced slot
+//! is staying put, which is free. The incumbent is seeded with the better
+//! of "stay at `p`" and the caller-provided seed (typically mPareto's
+//! answer), so the search starts with strong pruning.
 
 use crate::frontier::FrontierPoint;
 use crate::mpareto::MigrationOutcome;
 use crate::MigrationError;
 use ppdc_model::{migration_cost, MigrationCoefficient, ModelError, Placement, Sfc};
-use ppdc_placement::AttachAggregates;
-use ppdc_stroll::{Exactness, StrollError};
-use ppdc_topology::{Cost, DistanceOracle, MetricClosure, NodeId, INFINITY};
+use ppdc_placement::{AttachAggregates, ChainTerms};
+use ppdc_stroll::{branch_and_bound, Exactness, Incumbent, Objective};
+use ppdc_topology::{sat_add, DistanceOracle, MetricClosure, NodeId};
 
 /// Default expansion budget for the migration branch-and-bound.
 pub const DEFAULT_BUDGET: u64 = 200_000_000;
 
-struct Search<'a> {
-    agg: &'a AttachAggregates,
-    closure: &'a MetricClosure,
+/// Algorithm 6 as an [`Objective`].
+struct Alg6<'a> {
+    chain: ChainTerms<'a>,
     /// Closure index of `p(j)` per slot.
     from: Vec<usize>,
-    n: usize,
-    rate: u64,
-    mu: MigrationCoefficient,
-    min_edge: Cost,
-    /// Suffix sums of the per-slot cheapest-move bound.
-    minmove_suffix: Vec<Cost>,
-    sorted_from: Vec<Vec<usize>>,
-    used: Vec<bool>,
-    seq: Vec<usize>,
-    best_cost: Cost,
-    best_seq: Vec<usize>,
-    expansions: u64,
-    budget: u64,
+    mu: u128,
+    /// Every closure index in index order: the ingress order.
+    all: Vec<usize>,
 }
 
-impl<'a> Search<'a> {
-    fn dfs(&mut self, depth: usize, g: Cost) -> Result<(), StrollError> {
-        self.expansions += 1;
-        if self.expansions > self.budget {
-            return Err(StrollError::BudgetExhausted {
-                budget: self.budget,
-            });
-        }
-        if depth == self.n {
-            // Callers reject n == 0, so the sequence is non-empty at a
-            // leaf; an empty one would mean a broken search invariant —
-            // skip the leaf rather than panic.
-            let Some(&last) = self.seq.last() else {
-                return Ok(());
-            };
-            let total = g + self.agg.a_out(self.closure.node(last));
-            if total < self.best_cost {
-                self.best_cost = total;
-                self.best_seq = self.seq.clone();
-            }
-            return Ok(());
-        }
-        // Admissible bound on the remaining slots.
-        #[expect(
-            clippy::as_conversions,
-            reason = "usize → u64 is lossless on every supported target"
-        )]
-        let lb = g
-            + self.rate * self.min_edge * (self.n - depth).saturating_sub(1) as Cost
-            + self.minmove_suffix[depth]
-            + self.min_unused_a_out();
-        if lb >= self.best_cost {
-            return Ok(());
-        }
-        // `seq` is empty exactly at depth 0 (the ingress choice).
-        let (order, prev): (Vec<usize>, Option<usize>) = match self.seq.last() {
-            None => ((0..self.closure.len()).collect(), None),
-            Some(&last) => (self.sorted_from[last].clone(), Some(last)),
-        };
-        for x in order {
-            if self.used[x] {
-                continue;
-            }
-            let mut step = self.mu * self.closure.cost_ix(self.from[depth], x);
-            match prev {
-                None => step += self.agg.a_in(self.closure.node(x)),
-                Some(last) => step += self.rate * self.closure.cost_ix(last, x),
-            }
-            self.used[x] = true;
-            self.seq.push(x);
-            self.dfs(depth + 1, g + step)?;
-            self.seq.pop();
-            self.used[x] = false;
-        }
-        Ok(())
+impl Objective for Alg6<'_> {
+    fn size(&self) -> usize {
+        self.all.len()
     }
 
-    fn min_unused_a_out(&self) -> Cost {
-        (0..self.closure.len())
-            .filter(|&x| !self.used[x])
-            .map(|x| self.agg.a_out(self.closure.node(x)))
-            .min()
-            .unwrap_or(0)
+    fn seq_len(&self) -> usize {
+        self.from.len()
+    }
+
+    fn order(&self, last: Option<usize>) -> &[usize] {
+        match last {
+            None => &self.all,
+            Some(u) => self.chain.nearest(u),
+        }
+    }
+
+    fn step(&self, last: Option<usize>, depth: usize, x: usize) -> u128 {
+        let moved = self.chain.closure().cost_ix(self.from[depth], x);
+        self.mu * u128::from(moved) + self.chain.step(last, x)
+    }
+
+    fn close(&self, last: Option<usize>) -> u128 {
+        self.chain.close(last)
+    }
+
+    fn bound(&self, used: &[bool], _last: Option<usize>, depth: usize) -> u128 {
+        let hops = (self.seq_len() - depth).saturating_sub(1);
+        let egress = u128::from(self.chain.min_egress(used, None));
+        self.chain.hops_lb(hops).saturating_add(egress)
     }
 }
 
@@ -155,18 +112,6 @@ pub fn optimal_migration<D: DistanceOracle + ?Sized>(
         }));
     }
     let closure = MetricClosure::over(dm, &switches);
-    let m_count = closure.len();
-    let mut min_edge = INFINITY;
-    for i in 0..m_count {
-        for j in 0..m_count {
-            if i != j {
-                min_edge = min_edge.min(closure.cost_ix(i, j));
-            }
-        }
-    }
-    if m_count < 2 {
-        min_edge = 0;
-    }
     let from: Vec<usize> = p
         .switches()
         .iter()
@@ -176,75 +121,36 @@ pub fn optimal_migration<D: DistanceOracle + ?Sized>(
             ))
         })
         .collect::<Result<_, _>>()?;
-    // minmove[j] = μ · min_x c(p(j), x); staying (x = p(j)) costs 0, so
-    // this is 0 — unless the slot's own switch is somehow excluded. Kept
-    // general and summed into suffix bounds.
-    let minmove: Vec<Cost> = from
-        .iter()
-        .map(|&f| {
-            (0..m_count)
-                .map(|x| mu * closure.cost_ix(f, x))
-                .min()
-                .unwrap_or(0)
-        })
-        .collect();
-    let mut minmove_suffix = vec![0; n + 1];
-    for j in (0..n).rev() {
-        minmove_suffix[j] = minmove_suffix[j + 1] + minmove[j];
-    }
-    let mut sorted_from = vec![Vec::new(); m_count];
-    for (u, slot) in sorted_from.iter_mut().enumerate() {
-        let mut list: Vec<usize> = (0..m_count).filter(|&x| x != u).collect();
-        list.sort_by_key(|&x| (closure.cost_ix(u, x), x));
-        // Staying options first is handled by including u itself up front.
-        list.insert(0, u);
-        *slot = list;
-    }
     // Seed: the better of "stay at p" and the provided seed. A seed that
     // strays outside the candidate set (possible right after a failure
     // event) is simply ignored — never an error.
-    let stay_cost = agg.comm_cost(dm, p);
-    let mut best_cost = stay_cost;
-    let mut best_seq: Vec<usize> = from.clone();
+    let mut incumbent = Incumbent {
+        seq: from.clone(),
+        cost: u128::from(agg.comm_cost(dm, p)),
+    };
     if let Some(sd) = seed {
         let seed_ixs: Option<Vec<usize>> =
             sd.switches().iter().map(|&s| closure.index(s)).collect();
         if let Some(ixs) = seed_ixs {
             if sd.len() == n && sd.is_injective() {
-                let c = migration_cost(dm, p, sd, mu) + agg.comm_cost(dm, sd);
-                if c < best_cost {
-                    best_cost = c;
-                    best_seq = ixs;
+                let c =
+                    u128::from(migration_cost(dm, p, sd, mu)) + u128::from(agg.comm_cost(dm, sd));
+                if c < incumbent.cost {
+                    incumbent = Incumbent { seq: ixs, cost: c };
                 }
             }
         }
     }
-    let mut search = Search {
-        agg,
-        closure: &closure,
+    let objective = Alg6 {
+        chain: ChainTerms::new(&closure, agg),
         from,
-        n,
-        rate: agg.total_rate(),
-        mu,
-        min_edge,
-        minmove_suffix,
-        sorted_from,
-        used: vec![false; m_count],
-        seq: Vec::with_capacity(n),
-        best_cost,
-        best_seq,
-        expansions: 0,
-        budget,
+        mu: u128::from(mu),
+        all: (0..closure.len()).collect(),
     };
-    let exactness = match search.dfs(0, 0) {
-        Ok(()) => Exactness::Exact,
-        // dfs only fails on budget exhaustion; the stay/seed incumbent (or
-        // anything better found before the deadline) stands.
-        Err(_) => Exactness::Degraded {
-            explored: search.expansions,
-        },
-    };
-    let m = Placement::new_unchecked(search.best_seq.iter().map(|&i| closure.node(i)).collect());
+    // Budget exhaustion keeps the stay/seed incumbent (or anything better
+    // found before the deadline).
+    let (best, exactness) = branch_and_bound(&objective, Some(incumbent), budget, true);
+    let m = Placement::new_unchecked(best.seq.iter().map(|&i| closure.node(i)).collect());
     let mig = migration_cost(dm, p, &m, mu);
     let com = agg.comm_cost(dm, &m);
     let num_migrations = p
@@ -257,7 +163,7 @@ pub fn optimal_migration<D: DistanceOracle + ?Sized>(
         MigrationOutcome {
             migration_cost: mig,
             comm_cost: com,
-            total_cost: mig + com,
+            total_cost: sat_add(mig, com),
             num_migrations,
             migration: m,
             frontiers: Vec::<FrontierPoint>::new(),
@@ -427,6 +333,33 @@ mod tests {
         assert!(out2.total_cost <= out.total_cost);
         let strict = exact_mig(&g, &dm, &w, &sfc, &p, 1, None);
         assert_eq!(out2.total_cost, strict.total_cost);
+    }
+
+    #[test]
+    fn candidates_spanning_a_partition_stay_put() {
+        // Chain s1–s4 with h1 on s1 and h2 on s4, plus a host-less
+        // 2-switch island; full aggregates make the island switches
+        // candidates at the INFINITY sentinel. Staying at [s2, s3] costs
+        // 100·2 + 100·1 + 100·2 = 500, and no move beats it.
+        let (mut g, h1, h2) = linear(4).unwrap();
+        let a = g.add_switch("island0");
+        let b = g.add_switch("island1");
+        g.link(a, b);
+        let dm = DistanceMatrix::build(&g);
+        let mut w = Workload::new();
+        w.add_pair(h1, h2, 100);
+        let sfc = Sfc::of_len(2).unwrap();
+        let s: Vec<NodeId> = g.switches().collect();
+        let p = Placement::new(&g, &sfc, vec![s[1], s[2]]).unwrap();
+        let agg = AttachAggregates::build(&g, &dm, &w);
+        for mu in [1, 10] {
+            let (out, ex) = optimal_migration(&dm, &sfc, &p, mu, None, 1_000_000, &agg).unwrap();
+            assert_eq!(ex, Exactness::Exact, "mu={mu}");
+            assert_eq!(out.total_cost, 500, "mu={mu}");
+            assert_eq!(out.num_migrations, 0, "mu={mu}");
+            let mp = mpareto(&g, &dm, &w, &sfc, &p, mu, &agg).unwrap();
+            assert_eq!(out.total_cost, mp.total_cost, "mu={mu}");
+        }
     }
 
     #[test]

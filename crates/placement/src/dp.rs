@@ -161,6 +161,23 @@ pub(crate) fn too_few(switches: usize, vnfs: usize) -> PlacementError {
     PlacementError::Model(ppdc_model::ModelError::TooFewSwitches { switches, vnfs })
 }
 
+/// The solvers' shared input check: a workload with flows, and at least as
+/// many candidate switches in `agg` as the chain has VNFs.
+pub(crate) fn check_inputs(
+    w: &Workload,
+    sfc: &Sfc,
+    agg: &AttachAggregates,
+) -> Result<(), PlacementError> {
+    if w.num_flows() == 0 {
+        return Err(PlacementError::NoFlows);
+    }
+    let candidates = agg.switches().len();
+    if candidates < sfc.len() {
+        return Err(too_few(candidates, sfc.len()));
+    }
+    Ok(())
+}
+
 /// The exact solvers' shared verdict on their best candidate: none at all,
 /// or a cost saturated at [`INFINITY`] (every placement crosses a
 /// partition, so the cost is the sentinel, not a magnitude), is
@@ -286,14 +303,9 @@ pub(crate) fn dp_placement_inner<D: DistanceOracle + ?Sized>(
     closure: Option<&MetricClosure>,
 ) -> Result<(Placement, Cost), PlacementError> {
     let _span = ppdc_obs::global().span(ppdc_obs::names::SOLVER_DP);
-    if w.num_flows() == 0 {
-        return Err(PlacementError::NoFlows);
-    }
+    check_inputs(w, sfc, agg)?;
     let n = sfc.len();
     let switches = agg.switches();
-    if switches.len() < n {
-        return Err(too_few(switches.len(), n));
-    }
     let result = match n {
         1 => reachable(
             switches
@@ -482,19 +494,6 @@ pub(crate) fn sweep_classes_with_hashes(
     } else {
         interchange_classes_with_hashes(closure, a_in, a_out, hashes)
     }
-}
-
-/// The cheapest distinct-pair closure cost — the `c_min` of the module
-/// docs' bound.
-pub(crate) fn closure_c_min(closure: &MetricClosure) -> Cost {
-    let m = closure.len();
-    let mut c_min = INFINITY;
-    for i in 0..m {
-        for j in (i + 1)..m {
-            c_min = c_min.min(closure.cost_ix(i, j));
-        }
-    }
-    c_min
 }
 
 /// `class_size[i]`: how many members index `i`'s class has — the "was
@@ -800,7 +799,7 @@ fn bb_sweep<D: DistanceOracle + ?Sized>(
     n: usize,
 ) -> Result<(Placement, Cost), PlacementError> {
     let m = closure.len();
-    let c_min = closure_c_min(closure);
+    let c_min = closure.min_pair_cost();
     let interior = u64::try_from(n - 1).unwrap_or(u64::MAX);
     let rate = agg.total_rate();
     let seg_lb = sat_mul(interior, c_min);
@@ -845,14 +844,9 @@ pub fn dp_placement_exhaustive<D: DistanceOracle + ?Sized>(
         return dp_placement_inner(dm, w, sfc, agg, None);
     }
     let _span = ppdc_obs::global().span(ppdc_obs::names::SOLVER_DP);
-    if w.num_flows() == 0 {
-        return Err(PlacementError::NoFlows);
-    }
+    check_inputs(w, sfc, agg)?;
     let n = sfc.len();
     let switches = agg.switches();
-    if switches.len() < n {
-        return Err(too_few(switches.len(), n));
-    }
     let closure = MetricClosure::over(dm, switches);
     let results: Vec<(Cost, Placement)> = (0..switches.len())
         .into_par_iter()

@@ -65,7 +65,7 @@ pub mod warm;
 pub use aggregates::{AggregateError, AttachAggregates, HostMassDelta};
 pub use baselines::{greedy_placement, steering_placement};
 pub use dp::{dp_placement, dp_placement_exhaustive, placement_cost_lower_bound};
-pub use optimal::{exhaustive_placement, optimal_placement};
+pub use optimal::{exhaustive_placement, optimal_placement, ChainTerms};
 pub use replication::{
     comm_cost_replicated, flow_cost_replicated, greedy_replication, ReplicatedPlacement,
 };

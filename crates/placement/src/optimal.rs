@@ -1,238 +1,177 @@
 //! **Optimal** — Algorithm 4: exact VNF placement.
 //!
 //! The paper's benchmark enumerates all `|V_s|·(|V_s|−1)…(|V_s|−n+1)`
-//! ordered placements. We keep that literal enumeration
-//! ([`exhaustive_placement`]) for small cross-checks and provide an exact
-//! branch-and-bound ([`optimal_placement`]) that reaches the paper's
-//! experiment sizes:
+//! ordered placements. Both solvers here run the workspace's one
+//! branch-and-bound ([`ppdc_stroll::search`]) over that enumeration: the
+//! literal enumeration ([`exhaustive_placement`]) for small cross-checks,
+//! and the pruned search ([`optimal_placement`]) that reaches the paper's
+//! experiment sizes. The objective:
 //!
-//! * nodes are ordered best-first (`A_in` for the ingress, closure distance
-//!   for interior hops),
+//! * the first step costs `A_in[p₁]`, each later hop `Σλ·c(p_k, p_{k+1})`,
+//!   and the chain closes with `A_out[p_n]` (Eq. 1 via the attach
+//!   aggregates);
+//! * the ingress is tried in `A_in` order, interior hops nearest first;
 //! * a partial chain `p₁ … p_k` is pruned when
 //!   `A_in[p₁] + Σλ·chain + Σλ·(n−k)·δ_min + min_unused A_out ≥ best`,
 //!   where `δ_min` is the cheapest switch-to-switch closure distance — an
-//!   admissible bound, so optimality is preserved,
-//! * the incumbent is seeded with a greedy chain so pruning bites from the
-//!   first node.
+//!   admissible bound, so optimality is preserved;
+//! * the incumbent is seeded with the greedy nearest-neighbour chain so
+//!   pruning bites from the first node.
+//!
+//! [`ChainTerms`] holds these terms so Algorithm 6 (TOM at μ = 0 is TOP,
+//! Theorem 4) prices the same chain.
 
 use crate::aggregates::AttachAggregates;
-use crate::dp::{reachable, too_few};
+use crate::dp::{check_inputs, reachable};
 use crate::PlacementError;
 use ppdc_model::{Placement, Sfc, Workload};
-use ppdc_stroll::{Exactness, StrollError};
-use ppdc_topology::{sat_add, sat_mul, Cost, DistanceOracle, MetricClosure, NodeId, INFINITY};
+use ppdc_stroll::{branch_and_bound, Exactness, Objective};
+use ppdc_topology::{Cost, DistanceOracle, MetricClosure, INFINITY};
 
 /// Default expansion budget for the placement branch-and-bound.
 pub const DEFAULT_BUDGET: u64 = 200_000_000;
 
-struct Search<'a> {
-    agg: &'a AttachAggregates,
+/// Algorithm 4's cost terms over a candidate closure, in the `u128` costs
+/// of [`ppdc_stroll::search`]: the ingress `A_in`, the chain hop `Σλ·c`,
+/// the egress `A_out`, and the pieces of the admissible bound.
+pub struct ChainTerms<'a> {
     closure: &'a MetricClosure,
-    n: usize,
-    rate: u64,
-    min_edge: Cost,
-    sorted_from: Vec<Vec<usize>>, // per closure node, others by distance
-    first_order: Vec<usize>,      // closure nodes by A_in
-    used: Vec<bool>,
-    seq: Vec<usize>,
-    best_cost: Cost,
-    best_seq: Vec<usize>,
-    expansions: u64,
-    budget: u64,
-    prune: bool,
+    nearest: Vec<Vec<usize>>,
+    a_in: Vec<Cost>,
+    a_out: Vec<Cost>,
+    rate: u128,
+    /// `Σλ · δ_min`: the cheapest conceivable chain hop.
+    hop_lb: u128,
 }
 
-impl<'a> Search<'a> {
-    fn new(
-        agg: &'a AttachAggregates,
-        closure: &'a MetricClosure,
-        n: usize,
-        budget: u64,
-        prune: bool,
-    ) -> Self {
-        let m = closure.len();
-        let mut min_edge = INFINITY;
-        for i in 0..m {
-            for j in 0..m {
-                if i != j {
-                    min_edge = min_edge.min(closure.cost_ix(i, j));
-                }
-            }
-        }
-        if m < 2 {
-            min_edge = 0;
-        }
-        let mut sorted_from = vec![Vec::new(); m];
-        for (u, slot) in sorted_from.iter_mut().enumerate() {
-            let mut list: Vec<usize> = (0..m).filter(|&x| x != u).collect();
-            list.sort_by_key(|&x| (closure.cost_ix(u, x), x));
-            *slot = list;
-        }
-        let mut first_order: Vec<usize> = (0..m).collect();
-        first_order.sort_by_key(|&x| (agg.a_in(closure.node(x)), x));
-        Search {
-            agg,
+impl<'a> ChainTerms<'a> {
+    /// The terms of the chain over `closure`'s members, priced by `agg`.
+    pub fn new(closure: &'a MetricClosure, agg: &AttachAggregates) -> Self {
+        let rate = u128::from(agg.total_rate());
+        ChainTerms {
             closure,
-            n,
-            rate: agg.total_rate(),
-            min_edge,
-            sorted_from,
-            first_order,
-            used: vec![false; m],
-            seq: Vec::with_capacity(n),
-            best_cost: INFINITY,
-            best_seq: Vec::new(),
-            expansions: 0,
-            budget,
-            prune,
+            nearest: closure.nearest_first(),
+            a_in: closure.nodes().iter().map(|&s| agg.a_in(s)).collect(),
+            a_out: closure.nodes().iter().map(|&s| agg.a_out(s)).collect(),
+            rate,
+            hop_lb: rate * u128::from(closure.min_pair_cost()),
         }
     }
 
-    fn seed_greedy(&mut self) {
-        let mut used = vec![false; self.closure.len()];
-        let mut seq = Vec::with_capacity(self.n);
-        let first = self.first_order[0];
-        used[first] = true;
-        seq.push(first);
-        let mut cost = self.agg.a_in(self.closure.node(first));
-        let mut cur = first;
-        for _ in 1..self.n {
-            // The caller checks that the closure holds >= n candidates; if
-            // that invariant ever breaks, leave the incumbent at INFINITY
-            // and let the search run unseeded instead of panicking.
-            let Some(next) = self.sorted_from[cur].iter().copied().find(|&x| !used[x]) else {
-                return;
-            };
-            cost = sat_add(cost, sat_mul(self.rate, self.closure.cost_ix(cur, next)));
-            used[next] = true;
-            seq.push(next);
-            cur = next;
+    /// The closure the indices refer to.
+    pub fn closure(&self) -> &'a MetricClosure {
+        self.closure
+    }
+
+    /// The other closure indices, nearest to `u` first.
+    pub fn nearest(&self, u: usize) -> &[usize] {
+        &self.nearest[u]
+    }
+
+    /// `A_in` and `A_out` of closure index `x`, as the aggregates hold them.
+    pub fn attach(&self, x: usize) -> (Cost, Cost) {
+        (self.a_in[x], self.a_out[x])
+    }
+
+    /// Cost of placing `x` after `last`: `A_in[x]` for the ingress,
+    /// `Σλ·c(last, x)` for a later hop.
+    pub fn step(&self, last: Option<usize>, x: usize) -> u128 {
+        match last {
+            None => u128::from(self.a_in[x]),
+            Some(u) => self.rate * u128::from(self.closure.cost_ix(u, x)),
         }
-        self.best_cost = sat_add(cost, self.agg.a_out(self.closure.node(cur)));
-        self.best_seq = seq;
     }
 
-    /// `Σλ · δ_min`: the cheapest conceivable chain hop.
-    fn interior_step(&self) -> Cost {
-        sat_mul(self.rate, self.min_edge)
+    /// `A_out` of the egress `last` (0 for an empty chain).
+    pub fn close(&self, last: Option<usize>) -> u128 {
+        last.map_or(0, |x| u128::from(self.a_out[x]))
     }
 
-    fn min_unused_a_out(&self, last: usize) -> Cost {
-        // The egress is either `last` (when depth == n, handled at leaves)
-        // or one of the unused nodes.
-        (0..self.closure.len())
-            .filter(|&x| !self.used[x] || x == last)
-            .map(|x| self.agg.a_out(self.closure.node(x)))
+    /// `Σλ·δ_min` per hop: a lower bound on `hops` more chain hops.
+    pub fn hops_lb(&self, hops: usize) -> u128 {
+        self.hop_lb
+            .saturating_mul(u128::try_from(hops).unwrap_or(u128::MAX))
+    }
+
+    /// The cheapest `A_out` among the unused indices and `also`.
+    pub fn min_egress(&self, used: &[bool], also: Option<usize>) -> Cost {
+        (0..used.len())
+            .filter(|&x| !used[x] || Some(x) == also)
+            .map(|x| self.a_out[x])
             .min()
             .unwrap_or(0)
     }
+}
 
-    fn dfs(&mut self, last: usize, depth: usize, g: Cost) -> Result<(), StrollError> {
-        self.expansions += 1;
-        if self.expansions > self.budget {
-            return Err(StrollError::BudgetExhausted {
-                budget: self.budget,
-            });
-        }
-        if depth == self.n {
-            let total = sat_add(g, self.agg.a_out(self.closure.node(last)));
-            if total < self.best_cost {
-                self.best_cost = total;
-                self.best_seq = self.seq.clone();
-            }
-            return Ok(());
-        }
-        if self.prune {
-            #[expect(
-                clippy::as_conversions,
-                reason = "usize → u64 is lossless on every supported target"
-            )]
-            let lb = sat_add(
-                sat_add(g, sat_mul(self.interior_step(), (self.n - depth) as Cost)),
-                self.min_unused_a_out(last),
-            );
-            if lb >= self.best_cost {
-                return Ok(());
-            }
-        }
-        let order = self.sorted_from[last].clone();
-        for x in order {
-            if self.used[x] {
-                continue;
-            }
-            let step = sat_mul(self.rate, self.closure.cost_ix(last, x));
-            self.used[x] = true;
-            self.seq.push(x);
-            self.dfs(x, depth + 1, sat_add(g, step))?;
-            self.seq.pop();
-            self.used[x] = false;
-        }
-        Ok(())
+/// Algorithm 4 as an [`Objective`].
+struct Alg4<'a> {
+    chain: ChainTerms<'a>,
+    /// Closure indices by `(A_in, index)`: the ingress order.
+    by_a_in: Vec<usize>,
+    n: usize,
+}
+
+impl Objective for Alg4<'_> {
+    fn size(&self) -> usize {
+        self.chain.closure().len()
     }
 
-    /// Runs the search to completion or to its deadline. The greedy seed
-    /// always installs an incumbent first, so a feasible placement comes
-    /// back even when the budget dies on the first expansion.
-    fn run(mut self) -> (Placement, Cost, Exactness) {
-        self.seed_greedy();
-        let mut exactness = Exactness::Exact;
-        let first_order = self.first_order.clone();
-        for x in first_order {
-            if self.prune {
-                // Even a free interior cannot beat the incumbent.
-                #[expect(
-                    clippy::as_conversions,
-                    reason = "usize → u64 is lossless on every supported target"
-                )]
-                let lb = sat_add(
-                    self.agg.a_in(self.closure.node(x)),
-                    sat_mul(self.interior_step(), (self.n - 1) as Cost),
-                );
-                if lb >= self.best_cost {
-                    continue;
-                }
-            }
-            self.used[x] = true;
-            self.seq.push(x);
-            let g = self.agg.a_in(self.closure.node(x));
-            if self.dfs(x, 1, g).is_err() {
-                // dfs only fails on budget exhaustion; keep the incumbent.
-                exactness = Exactness::Degraded {
-                    explored: self.expansions,
-                };
-                break;
-            }
-            self.seq.pop();
-            self.used[x] = false;
+    fn seq_len(&self) -> usize {
+        self.n
+    }
+
+    fn order(&self, last: Option<usize>) -> &[usize] {
+        match last {
+            None => &self.by_a_in,
+            Some(u) => self.chain.nearest(u),
         }
-        let switches: Vec<NodeId> = self
-            .best_seq
-            .iter()
-            .map(|&i| self.closure.node(i))
-            .collect();
-        let placement = Placement::new_unchecked(switches);
-        // `strict-invariants` contract: every search exit (exact,
-        // budget-degraded, exhaustive) funnels through here and must hand
-        // back an injective placement.
-        #[cfg(feature = "strict-invariants")]
-        assert!(
-            placement.is_injective(),
-            "branch-and-bound returned a non-injective placement: {:?}",
-            placement.switches()
-        );
-        (placement, self.best_cost, exactness)
+    }
+
+    fn step(&self, last: Option<usize>, _depth: usize, x: usize) -> u128 {
+        self.chain.step(last, x)
+    }
+
+    fn close(&self, last: Option<usize>) -> u128 {
+        self.chain.close(last)
+    }
+
+    fn bound(&self, used: &[bool], last: Option<usize>, depth: usize) -> u128 {
+        // The ingress is not a hop: a chain of n has n − 1 of them.
+        let egress = u128::from(self.chain.min_egress(used, last));
+        self.chain
+            .hops_lb(self.n - depth.max(1))
+            .saturating_add(egress)
     }
 }
 
-fn check_inputs(w: &Workload, sfc: &Sfc, agg: &AttachAggregates) -> Result<(), PlacementError> {
-    if w.num_flows() == 0 {
-        return Err(PlacementError::NoFlows);
-    }
-    let candidates = agg.switches().len();
-    if candidates < sfc.len() {
-        return Err(too_few(candidates, sfc.len()));
-    }
-    Ok(())
+/// Runs Algorithm 4 over `agg`'s candidates (pruned or literal). The
+/// greedy seed always installs an incumbent first, so a feasible placement
+/// comes back even when the budget dies on the first expansion.
+fn search<D: DistanceOracle + ?Sized>(
+    dm: &D,
+    agg: &AttachAggregates,
+    n: usize,
+    budget: u64,
+    prune: bool,
+) -> Result<(Placement, Cost, Exactness), PlacementError> {
+    let closure = MetricClosure::over(dm, agg.switches());
+    let chain = ChainTerms::new(&closure, agg);
+    let mut by_a_in: Vec<usize> = (0..closure.len()).collect();
+    by_a_in.sort_by_key(|&x| (chain.attach(x).0, x));
+    let (best, exactness) = branch_and_bound(&Alg4 { chain, by_a_in, n }, None, budget, prune);
+    let placement = Placement::new_unchecked(best.seq.iter().map(|&i| closure.node(i)).collect());
+    // `strict-invariants` contract: every search exit (exact,
+    // budget-degraded, exhaustive) funnels through here and must hand
+    // back an injective placement.
+    #[cfg(feature = "strict-invariants")]
+    assert!(
+        placement.is_injective(),
+        "branch-and-bound returned a non-injective placement: {:?}",
+        placement.switches()
+    );
+    let cost = Cost::try_from(best.cost).map_or(INFINITY, |c| c.min(INFINITY));
+    let (placement, cost) = reachable(Some((placement, cost)))?;
+    Ok((placement, cost, exactness))
 }
 
 /// Exact optimal placement (Algorithm 4) over `agg`'s candidate switches
@@ -250,8 +189,8 @@ fn check_inputs(w: &Workload, sfc: &Sfc, agg: &AttachAggregates) -> Result<(), P
 /// # Errors
 ///
 /// Input errors ([`PlacementError::NoFlows`], too few candidate switches)
-/// and [`StrollError::Unreachable`] when the best placement found crosses
-/// a partition (its cost saturates at [`INFINITY`]).
+/// and [`ppdc_stroll::StrollError::Unreachable`] when the best placement
+/// found crosses a partition (its cost saturates at [`INFINITY`]).
 pub fn optimal_placement<D: DistanceOracle + ?Sized>(
     dm: &D,
     w: &Workload,
@@ -261,10 +200,7 @@ pub fn optimal_placement<D: DistanceOracle + ?Sized>(
 ) -> Result<(Placement, Cost, Exactness), PlacementError> {
     let _span = ppdc_obs::global().span(ppdc_obs::names::SOLVER_OPTIMAL_PLACEMENT);
     check_inputs(w, sfc, agg)?;
-    let closure = MetricClosure::over(dm, agg.switches());
-    let (p, cost, exactness) = Search::new(agg, &closure, sfc.len(), budget, true).run();
-    let (p, cost) = reachable(Some((p, cost)))?;
-    Ok((p, cost, exactness))
+    search(dm, agg, sfc.len(), budget, true)
 }
 
 /// The literal `O(|V_s|ⁿ)` enumeration of Algorithm 4 (no pruning, no
@@ -281,9 +217,8 @@ pub fn exhaustive_placement<D: DistanceOracle + ?Sized>(
     agg: &AttachAggregates,
 ) -> Result<(Placement, Cost), PlacementError> {
     check_inputs(w, sfc, agg)?;
-    let closure = MetricClosure::over(dm, agg.switches());
-    let (p, cost, _) = Search::new(agg, &closure, sfc.len(), u64::MAX, false).run();
-    reachable(Some((p, cost)))
+    let (p, cost, _) = search(dm, agg, sfc.len(), u64::MAX, false)?;
+    Ok((p, cost))
 }
 
 #[cfg(test)]
@@ -292,7 +227,7 @@ mod tests {
     use crate::dp::dp_placement;
     use ppdc_model::comm_cost;
     use ppdc_topology::builders::{fat_tree, linear};
-    use ppdc_topology::{DistanceMatrix, Graph};
+    use ppdc_topology::{DistanceMatrix, Graph, NodeId};
 
     /// The budgeted search over full aggregates, run to proven optimality.
     fn exact_opt(g: &Graph, dm: &DistanceMatrix, w: &Workload, sfc: &Sfc) -> (Placement, Cost) {

@@ -16,12 +16,23 @@
 //! Factors are exact permille integers to keep the whole cost algebra in
 //! integer arithmetic: all segment rates are computed as
 //! `λ·σ₁…σ_j / 1000^j` with u128 intermediates.
+//!
+//! [`optimal_placement_scaled`] is Algorithm 4's objective on the shared
+//! branch-and-bound ([`ppdc_stroll::search`]) with per-segment rates in
+//! «16 fixed point. Its bound charges each remaining hop its own segment
+//! rate times `δ_min`, plus the cheapest unused egress at the last
+//! segment's rate. A leg that carries traffic across a partition costs the
+//! sentinel whatever the filtering, so a chain that cannot fit in the
+//! hosts' component is [`StrollError::Unreachable`], as for
+//! Algorithms 3 and 4.
 
 use crate::aggregates::AttachAggregates;
+use crate::dp::{check_inputs, reachable};
+use crate::optimal::ChainTerms;
 use crate::PlacementError;
 use ppdc_model::{ModelError, Placement, Sfc, Workload};
-use ppdc_stroll::StrollError;
-use ppdc_topology::{Cost, DistanceMatrix, Graph, MetricClosure, NodeId, INFINITY};
+use ppdc_stroll::{branch_and_bound, Objective, StrollError};
+use ppdc_topology::{Cost, DistanceMatrix, Graph, MetricClosure, INFINITY};
 
 /// Per-VNF traffic scale factors in permille (1000 = pass-through).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,7 +103,26 @@ pub fn scaled_segment_rates(scaling: &TrafficScaling) -> Vec<u64> {
     out
 }
 
+/// One leg in «16 fixed point: `rate · c`, where a leg that crosses a
+/// partition (`c` at the [`INFINITY`] sentinel) costs the sentinel
+/// `INFINITY << 16` however strongly its traffic was filtered — unless no
+/// traffic rides it at all. Like `sat_mul`, but the sentinel stays a
+/// sentinel under fractional rates.
+fn leg(rate: u128, c: Cost) -> u128 {
+    let sentinel = u128::from(INFINITY) << 16;
+    if rate == 0 {
+        0
+    } else if c >= INFINITY {
+        sentinel
+    } else {
+        rate.checked_mul(u128::from(c))
+            .map_or(sentinel, |v| v.min(sentinel))
+    }
+}
+
 /// Exact scaled communication cost of a placement (the generalized Eq. 1).
+/// Saturates at [`INFINITY`], like Eq. 1's `comm_cost`, when a leg that
+/// carries traffic crosses a partition.
 pub fn comm_cost_scaled(
     dm: &DistanceMatrix,
     w: &Workload,
@@ -104,27 +134,78 @@ pub fn comm_cost_scaled(
     let mut total: u128 = 0;
     for (_, src, dst, rate) in w.iter() {
         let rate = u128::from(rate);
-        let mut cost: u128 = (rate * u128::from(dm.cost(src, p.ingress()))) << 16;
+        total = total.saturating_add(leg(rate << 16, dm.cost(src, p.ingress())));
         for (j, &s) in seg.iter().enumerate().take(p.len() - 1) {
-            cost += rate * u128::from(s) * u128::from(dm.cost(p.switch(j), p.switch(j + 1)));
+            let hop = dm.cost(p.switch(j), p.switch(j + 1));
+            total = total.saturating_add(leg(rate * u128::from(s), hop));
         }
-        cost += rate * u128::from(seg[p.len() - 1]) * u128::from(dm.cost(p.egress(), dst));
-        total += cost;
+        let out = dm.cost(p.egress(), dst);
+        total = total.saturating_add(leg(rate * u128::from(seg[p.len() - 1]), out));
     }
-    Cost::try_from(total >> 16).unwrap_or(INFINITY)
+    Cost::try_from(total >> 16).map_or(INFINITY, |c| c.min(INFINITY))
+}
+
+/// The scaled placement as an [`Objective`], in «16 fixed point: the
+/// ingress step costs `A_in`, the hop after VNF `j` costs its segment's
+/// aggregate rate times the closure distance, and the egress `A_out`
+/// scaled by the last segment factor.
+struct Scaled<'a> {
+    chain: ChainTerms<'a>,
+    /// Aggregate rate of the hop after VNF `j`.
+    seg_rate: Vec<u128>,
+    /// Factor on `A_out` for the egress leg.
+    egress: u128,
+    /// `hops_lb[j]`: the cheapest conceivable hops `j..n−1`, each charged
+    /// its own segment rate times `δ_min`.
+    hops_lb: Vec<u128>,
+    /// Every closure index in index order: the ingress order.
+    all: Vec<usize>,
+}
+
+impl Objective for Scaled<'_> {
+    fn size(&self) -> usize {
+        self.all.len()
+    }
+
+    fn seq_len(&self) -> usize {
+        self.hops_lb.len()
+    }
+
+    fn order(&self, last: Option<usize>) -> &[usize] {
+        match last {
+            None => &self.all,
+            Some(u) => self.chain.nearest(u),
+        }
+    }
+
+    fn step(&self, last: Option<usize>, depth: usize, x: usize) -> u128 {
+        match last {
+            None => leg(1 << 16, self.chain.attach(x).0),
+            Some(u) => leg(self.seg_rate[depth - 1], self.chain.closure().cost_ix(u, x)),
+        }
+    }
+
+    fn close(&self, last: Option<usize>) -> u128 {
+        last.map_or(0, |x| leg(self.egress, self.chain.attach(x).1))
+    }
+
+    fn bound(&self, used: &[bool], _last: Option<usize>, depth: usize) -> u128 {
+        let egress = leg(self.egress, self.chain.min_egress(used, None));
+        self.hops_lb[depth.max(1) - 1].saturating_add(egress)
+    }
 }
 
 /// Exact branch-and-bound placement under traffic scaling.
 ///
 /// The chain term is no longer a single multiplier, so Algorithm 3's
-/// shared-stroll trick does not apply; instead the Algorithm-4 search is
-/// generalized with per-depth segment rates (the bound stays admissible:
-/// remaining segments are charged the *smallest* remaining segment rate
-/// times the cheapest closure edge).
+/// shared-stroll trick does not apply; instead Algorithm 4's search runs
+/// with per-segment rates (see the module docs for its bound).
 ///
 /// # Errors
 ///
-/// Standard placement errors plus budget exhaustion.
+/// Standard placement errors, budget exhaustion, and
+/// [`StrollError::Unreachable`] when every placement crosses a partition
+/// (its cost saturates at [`INFINITY`]).
 pub fn optimal_placement_scaled(
     g: &Graph,
     dm: &DistanceMatrix,
@@ -133,152 +214,33 @@ pub fn optimal_placement_scaled(
     scaling: &TrafficScaling,
     budget: u64,
 ) -> Result<(Placement, Cost), PlacementError> {
-    if w.num_flows() == 0 {
-        return Err(PlacementError::NoFlows);
-    }
-    let switches: Vec<NodeId> = g.switches().collect();
-    let n = sfc.len();
-    if switches.len() < n {
-        return Err(PlacementError::Model(ModelError::TooFewSwitches {
-            switches: switches.len(),
-            vnfs: n,
-        }));
-    }
-    let closure = MetricClosure::over(dm, &switches);
     let agg = AttachAggregates::build(g, dm, w);
-    let total_rate = agg.total_rate();
+    check_inputs(w, sfc, &agg)?;
+    let n = sfc.len();
+    let closure = MetricClosure::over(dm, agg.switches());
+    let chain = ChainTerms::new(&closure, &agg);
     let seg = scaled_segment_rates(scaling);
-    // Fixed-point («16) per-segment aggregate rates.
-    let seg_rate: Vec<u128> = seg
-        .iter()
-        .map(|&s| u128::from(total_rate) * u128::from(s))
-        .collect();
-    let m = closure.len();
-    let mut min_edge = INFINITY;
-    for i in 0..m {
-        for j in 0..m {
-            if i != j {
-                min_edge = min_edge.min(closure.cost_ix(i, j));
-            }
-        }
+    let total_rate = u128::from(agg.total_rate());
+    let seg_rate: Vec<u128> = seg.iter().map(|&s| total_rate * u128::from(s)).collect();
+    let delta = closure.min_pair_cost();
+    let mut hops_lb = vec![0u128; n];
+    for j in (0..n - 1).rev() {
+        hops_lb[j] = hops_lb[j + 1].saturating_add(leg(seg_rate[j], delta));
     }
-    if m < 2 {
-        min_edge = 0;
-    }
-    let mut sorted_from: Vec<Vec<usize>> = vec![Vec::new(); m];
-    for (u, slot) in sorted_from.iter_mut().enumerate() {
-        let mut list: Vec<usize> = (0..m).filter(|&x| x != u).collect();
-        list.sort_by_key(|&x| (closure.cost_ix(u, x), x));
-        *slot = list;
-    }
-    // Suffix bound: cheapest possible remaining chain = min segment rate
-    // from position j onward times the min edge, per remaining hop.
-    let mut min_seg_suffix: Vec<u128> = vec![u128::MAX; n + 1];
-    min_seg_suffix[n] = 0;
-    for j in (0..n).rev() {
-        min_seg_suffix[j] = min_seg_suffix[j + 1].min(seg_rate[j]);
-    }
-
-    struct S<'a> {
-        agg: &'a AttachAggregates,
-        closure: &'a MetricClosure,
-        seg_rate: &'a [u128],
-        egress_seg: u128,
-        min_edge: Cost,
-        min_seg_suffix: &'a [u128],
-        sorted_from: &'a [Vec<usize>],
-        n: usize,
-        used: Vec<bool>,
-        seq: Vec<usize>,
-        best: u128,
-        best_seq: Vec<usize>,
-        expansions: u64,
-        budget: u64,
-    }
-    impl S<'_> {
-        fn a_out_scaled(&self, x: usize) -> u128 {
-            // A_out is rate-weighted by the *input* rate; rescale by the
-            // egress segment factor (uniform across flows).
-            u128::from(self.agg.a_out(self.closure.node(x))) * self.egress_seg
-                / u128::from(self.agg.total_rate()).max(1)
-        }
-        fn dfs(&mut self, depth: usize, cost: u128) -> Result<(), StrollError> {
-            self.expansions += 1;
-            if self.expansions > self.budget {
-                return Err(StrollError::BudgetExhausted {
-                    budget: self.budget,
-                });
-            }
-            if depth == self.n {
-                // Callers reject n == 0, so the sequence is non-empty at a
-                // leaf; an empty one would mean a broken search invariant —
-                // skip the leaf rather than panic.
-                let Some(&last) = self.seq.last() else {
-                    return Ok(());
-                };
-                let total = cost + self.a_out_scaled(last);
-                if total < self.best {
-                    self.best = total;
-                    self.best_seq = self.seq.clone();
-                }
-                return Ok(());
-            }
-            // Admissible bound on remaining chain hops.
-            #[expect(
-                clippy::as_conversions,
-                reason = "usize → u128 is lossless on every supported target"
-            )]
-            let lb = cost
-                + self.min_seg_suffix[depth]
-                    * u128::from(self.min_edge)
-                    * (self.n - depth).saturating_sub(1) as u128;
-            if lb >= self.best {
-                return Ok(());
-            }
-            // `seq` is empty exactly at depth 0 (the ingress choice).
-            let (order, prev): (Vec<usize>, Option<usize>) = match self.seq.last() {
-                None => ((0..self.closure.len()).collect(), None),
-                Some(&last) => (self.sorted_from[last].clone(), Some(last)),
-            };
-            for x in order {
-                if self.used[x] {
-                    continue;
-                }
-                let step = match prev {
-                    None => u128::from(self.agg.a_in(self.closure.node(x))) << 16,
-                    Some(last) => {
-                        self.seg_rate[depth - 1] * u128::from(self.closure.cost_ix(last, x))
-                    }
-                };
-                self.used[x] = true;
-                self.seq.push(x);
-                self.dfs(depth + 1, cost + step)?;
-                self.seq.pop();
-                self.used[x] = false;
-            }
-            Ok(())
-        }
-    }
-    let mut s = S {
-        agg: &agg,
-        closure: &closure,
-        seg_rate: &seg_rate,
-        egress_seg: u128::from(seg[n - 1]) * u128::from(total_rate),
-        min_edge,
-        min_seg_suffix: &min_seg_suffix,
-        sorted_from: &sorted_from,
-        n,
-        used: vec![false; m],
-        seq: Vec::with_capacity(n),
-        best: u128::MAX,
-        best_seq: Vec::new(),
-        expansions: 0,
-        budget,
+    let objective = Scaled {
+        chain,
+        seg_rate,
+        egress: u128::from(seg[n - 1]),
+        hops_lb,
+        all: (0..closure.len()).collect(),
     };
-    s.dfs(0, 0)?;
-    let p = Placement::new_unchecked(s.best_seq.iter().map(|&i| closure.node(i)).collect());
+    let (best, exactness) = branch_and_bound(&objective, None, budget, true);
+    if !exactness.is_exact() {
+        return Err(StrollError::BudgetExhausted { budget }.into());
+    }
+    let p = Placement::new_unchecked(best.seq.iter().map(|&i| closure.node(i)).collect());
     let cost = comm_cost_scaled(dm, w, &p, scaling);
-    Ok((p, cost))
+    reachable(Some((p, cost)))
 }
 
 #[cfg(test)]
@@ -288,6 +250,7 @@ mod tests {
     use crate::{optimal_placement, AttachAggregates};
     use ppdc_model::comm_cost;
     use ppdc_topology::builders::{fat_tree, linear};
+    use ppdc_topology::NodeId;
 
     #[test]
     fn identity_scaling_matches_eq1() {
@@ -359,6 +322,32 @@ mod tests {
         let expand = TrafficScaling::uniform(&sfc, 3000); // 3× per VNF
         let (p, _) = optimal_placement_scaled(&g, &dm, &w, &sfc, &expand, u64::MAX).unwrap();
         assert_eq!(dm.cost(p.egress(), dst), 1, "egress at the destination ToR");
+    }
+
+    #[test]
+    fn chain_longer_than_the_hosts_component_is_unreachable() {
+        // Chain s1–s4 with h1 on s1 and h2 on s4, plus a host-less
+        // 2-switch island: five VNFs cannot fit in the hosts' component,
+        // so every placement crosses the partition.
+        let (mut g, h1, h2) = linear(4).unwrap();
+        let a = g.add_switch("island0");
+        let b = g.add_switch("island1");
+        g.link(a, b);
+        let dm = DistanceMatrix::build(&g);
+        let mut w = Workload::new();
+        w.add_pair(h1, h2, 100);
+        let sfc = Sfc::of_len(5).unwrap();
+        let unreachable = Err(PlacementError::Stroll(StrollError::Unreachable));
+        for sc in [
+            TrafficScaling::identity(&sfc),
+            TrafficScaling::uniform(&sfc, 500),
+        ] {
+            let scaled = optimal_placement_scaled(&g, &dm, &w, &sfc, &sc, u64::MAX);
+            assert_eq!(scaled.map(|_| ()), unreachable, "{sc:?}");
+        }
+        let agg = AttachAggregates::build(&g, &dm, &w);
+        let dp = crate::dp_placement(&dm, &w, &sfc, &agg);
+        assert_eq!(dp.map(|_| ()), unreachable);
     }
 
     #[test]

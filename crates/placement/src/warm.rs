@@ -60,8 +60,8 @@
 
 use crate::aggregates::{AttachAggregates, HostMassDelta};
 use crate::dp::{
-    class_sizes, closure_c_min, closure_row_hashes, dp_placement_inner, egress_order,
-    sweep_classes_with_hashes, too_few, InteriorMemo, SweepCtx, ORBIT_MIN_SWITCHES,
+    class_sizes, closure_row_hashes, dp_placement_inner, egress_order, sweep_classes_with_hashes,
+    too_few, InteriorMemo, SweepCtx, ORBIT_MIN_SWITCHES,
 };
 use crate::PlacementError;
 use ppdc_model::{Placement, Sfc, Workload};
@@ -240,7 +240,7 @@ impl BoundCache {
         } else {
             closure_row_hashes(&self.closure)
         };
-        self.c_min = closure_c_min(&self.closure);
+        self.c_min = self.closure.min_pair_cost();
         self.rate = agg.total_rate();
         self.a_in = (0..m).map(|i| agg.a_in(self.closure.node(i))).collect();
         self.a_out = (0..m).map(|i| agg.a_out(self.closure.node(i))).collect();

@@ -638,7 +638,7 @@ pub struct EngineConfig {
     /// stable-schema summary afterwards. Observation never feeds back:
     /// every non-`phase` field is bit-identical to the unobserved run.
     pub observe: bool,
-    /// Retry/backoff policy and injected starvation for the hourly solve.
+    /// Retry policy and injected starvation for the hourly solve.
     pub supervisor: SupervisorConfig,
     /// Where to persist snapshots; `None` disables checkpointing.
     pub store: Option<CheckpointStore>,
@@ -2141,7 +2141,6 @@ mod tests {
         let starved = EngineConfig {
             supervisor: SupervisorConfig {
                 max_retries: 2,
-                backoff_ns: 0,
                 starvation: Some(SolverStarvation::new(vec![(3, 1), (5, 10)])),
             },
             ..EngineConfig::default()

@@ -14,11 +14,11 @@
 //! Every solver in this workspace is deterministic, so "transient
 //! failure" cannot arise spontaneously — it is *injected* by the chaos
 //! harness via [`SolverStarvation`], a seeded map from hour to the number
-//! of attempts that fail before one succeeds. The supervisor retries with
-//! bounded exponential backoff and falls back to rung 3 when the budget
-//! runs out. Because the starvation schedule, the retry budget, and the
-//! fallback repricing are all deterministic, supervised runs stay
-//! bit-identically reproducible — and resumable from checkpoints.
+//! of attempts that fail before one succeeds. The supervisor retries up
+//! to its budget and falls back to rung 3 when the budget runs out.
+//! Because the starvation schedule, the retry budget, and the fallback
+//! repricing are all deterministic, supervised runs stay bit-identically
+//! reproducible — and resumable from checkpoints.
 
 use ppdc_traffic::rng_for_run;
 use rand::Rng;
@@ -33,10 +33,6 @@ pub struct SupervisorConfig {
     /// Retries allowed per hour before falling back to the last-known-good
     /// placement. `max_retries = 2` means up to three attempts.
     pub max_retries: u32,
-    /// Base backoff slept before retry `i` (doubling each retry, capped at
-    /// 20 doublings). Zero — the default — skips sleeping entirely, which
-    /// keeps tests and CI fast; the ladder logic is identical either way.
-    pub backoff_ns: u64,
     /// Injected transient-failure schedule (chaos harness). `None` means
     /// every solve succeeds on the first attempt.
     pub starvation: Option<SolverStarvation>,
@@ -46,7 +42,6 @@ impl Default for SupervisorConfig {
     fn default() -> Self {
         SupervisorConfig {
             max_retries: 2,
-            backoff_ns: 0,
             starvation: None,
         }
     }
@@ -119,9 +114,9 @@ pub struct GateOutcome {
 }
 
 /// Runs the injected-starvation gate ahead of hour `h`'s solve: consume
-/// failing attempts (sleeping the configured backoff between them) until
-/// either the starvation burns out — the solve may run — or the retry
-/// budget is exhausted — the caller falls back to last-known-good.
+/// failing attempts until either the starvation burns out — the solve may
+/// run — or the retry budget is exhausted — the caller falls back to
+/// last-known-good.
 pub(crate) fn transient_gate(cfg: &SupervisorConfig, h: u32) -> GateOutcome {
     let burn = cfg.starvation.as_ref().map_or(0, |s| s.attempts(h));
     if burn == 0 {
@@ -146,10 +141,6 @@ pub(crate) fn transient_gate(cfg: &SupervisorConfig, h: u32) -> GateOutcome {
             };
         }
         failures += 1;
-        if cfg.backoff_ns > 0 {
-            let shift = failures.saturating_sub(1).min(20);
-            std::thread::sleep(std::time::Duration::from_nanos(cfg.backoff_ns << shift));
-        }
     }
 }
 
@@ -185,7 +176,6 @@ mod tests {
     fn gate_retries_through_short_burns_and_exhausts_on_long_ones() {
         let cfg = |burns: Vec<(u32, u32)>| SupervisorConfig {
             max_retries: 2,
-            backoff_ns: 0,
             starvation: Some(SolverStarvation::new(burns)),
         };
         // No starvation at this hour: zero retries.
@@ -222,7 +212,6 @@ mod tests {
     fn zero_retry_budget_falls_back_on_first_failure() {
         let cfg = SupervisorConfig {
             max_retries: 0,
-            backoff_ns: 0,
             starvation: Some(SolverStarvation::new(vec![(1, 1)])),
         };
         let g = transient_gate(&cfg, 1);

@@ -237,42 +237,17 @@ pub fn perturbed_closure(closure: &MetricClosure, attempt: u64) -> MetricClosure
 }
 
 /// Solves one n-stroll instance with Algorithm 2, retrying with
-/// tie-breaking perturbations when the reconstructed strolls keep looping.
+/// tie-breaking perturbations when the reconstructed strolls keep looping
+/// (one [`DpBatchSolver`] call).
 ///
 /// # Errors
 ///
 /// Propagates instance errors and reports
 /// [`StrollError::NoConvergence`] if the edge cap is hit on every attempt.
 pub fn dp_stroll(inst: &StrollInstance<'_>) -> Result<StrollSolution, StrollError> {
-    let mut last = StrollError::NoConvergence {
-        max_edges: max_edges(inst.n()),
-    };
-    for attempt in 0..MAX_ATTEMPTS {
-        let result = if attempt == 0 {
-            let mut tables = DpTables::new(inst.closure(), inst.t_ix());
-            dp_stroll_with_tables(inst, &mut tables)
-        } else {
-            let pc = perturbed_closure(inst.closure(), attempt);
-            let mut tables = DpTables::new(&pc, inst.t_ix());
-            dp_stroll_on_closure(inst, &pc, &mut tables)
-        };
-        match result {
-            Ok(sol) => return Ok(sol),
-            Err(e @ StrollError::NoConvergence { .. }) => last = e,
-            Err(e) => return Err(e),
-        }
-    }
-    Err(last)
-}
-
-/// Solves one instance reusing caller-owned tables (which must target
-/// `inst.t_ix()`), growing them over the instance's own closure.
-/// Single-attempt: no tie-breaking retries.
-pub fn dp_stroll_with_tables(
-    inst: &StrollInstance<'_>,
-    tables: &mut DpTables,
-) -> Result<StrollSolution, StrollError> {
-    dp_stroll_on_closure(inst, inst.closure(), tables)
+    let mut solver = DpBatchSolver::new();
+    solver.reset(inst.closure(), inst.t_ix());
+    solver.solve(inst.closure(), inst.s_ix(), inst.n())
 }
 
 /// Single-attempt solve where the DP grows over `grow_closure` (possibly a
@@ -553,9 +528,10 @@ mod tests {
         let (g, nodes) = fig4();
         let mc = closure_of(&g);
         let inst = StrollInstance::new(&mc, nodes[0], nodes[5], 2).unwrap();
-        let mut tables = DpTables::new(&mc, inst.t_ix());
-        let sol = dp_stroll_with_tables(&inst, &mut tables).unwrap();
+        let sol = dp_stroll(&inst).unwrap();
         let e = sol.walk.len() - 1;
+        let mut tables = DpTables::new(&mc, inst.t_ix());
+        tables.grow_to(&mc, e);
         // The paper notes the fig-4 solution satisfies Theorem 3.
         assert!(tables.theorem3_holds(inst.s_ix(), e));
     }

@@ -4,8 +4,12 @@
 //! In a metric closure an optimal n-stroll can always be taken as a simple
 //! waypoint path `s → x₁ → … → x_n → t` with distinct `x_i`: shortcutting a
 //! walk to the first-visit subsequence never increases cost under the
-//! triangle inequality. The search therefore enumerates ordered distinct
-//! waypoint sequences, pruned by an admissible lower bound:
+//! triangle inequality. The search is therefore the workspace's one
+//! branch-and-bound ([`crate::search`]) over ordered distinct waypoint
+//! sequences: each step costs `c(last, x)` (from `s` first), the sequence
+//! closes with `c(x_n, t)`, and children are tried nearest first, so the
+//! first child whose step reaches the incumbent ends its sibling loop. The
+//! admissible bound on completing a prefix is
 //!
 //! * every not-yet-chosen waypoint must be *entered* once, so the remaining
 //!   cost is at least the sum of the `r` smallest "cheapest entering edge"
@@ -16,177 +20,115 @@
 //! on small instances — it is literally the paper's `O(|V|ⁿ)` Algorithm 4.
 
 use crate::instance::{StrollInstance, StrollSolution};
+use crate::search::{branch_and_bound, Objective};
 use crate::{Exactness, StrollError};
-use ppdc_topology::{Cost, INFINITY};
+use ppdc_topology::INFINITY;
 
 /// Default branch-and-bound expansion budget: ample for every experiment
 /// size in the paper while still bounding worst-case runtime.
 pub const DEFAULT_BUDGET: u64 = 50_000_000;
 
-struct Search<'a, 'b> {
+/// The n-stroll as an [`Objective`]: waypoints are closure indices other
+/// than the terminals.
+struct Stroll<'a, 'b> {
     inst: &'a StrollInstance<'b>,
-    /// Candidates sorted once; per-node candidate lists sorted by distance.
-    sorted_from: Vec<Vec<usize>>,
-    min_in: Vec<Cost>,
-    used: Vec<bool>,
-    seq: Vec<usize>,
-    best_cost: Cost,
-    best_seq: Vec<usize>,
-    expansions: u64,
-    budget: u64,
-    prune: bool,
+    nearest: Vec<Vec<usize>>,
+    /// `(cheapest edge entering x from anywhere, x)` per candidate,
+    /// cheapest first.
+    by_min_in: Vec<(u128, usize)>,
+    terminals: [usize; 2],
 }
 
-impl<'a, 'b> Search<'a, 'b> {
-    fn new(inst: &'a StrollInstance<'b>, budget: u64, prune: bool) -> Self {
-        let m = inst.closure().len();
-        let candidates: Vec<usize> = inst.candidates().collect();
-        // sorted_from[u] = candidate list ordered by c(u, x).
-        let mut sorted_from = vec![Vec::new(); m];
-        for (u, slot) in sorted_from.iter_mut().enumerate() {
-            let mut list = candidates.clone();
-            list.sort_by_key(|&x| (inst.closure().cost_ix(u, x), x));
-            *slot = list;
-        }
-        // min_in[x] = cheapest edge entering candidate x from anywhere.
-        let mut min_in = vec![INFINITY; m];
-        for &x in &candidates {
-            let mut best = INFINITY;
-            for y in 0..m {
-                if y != x {
-                    best = best.min(inst.closure().cost_ix(y, x));
-                }
-            }
-            min_in[x] = best;
-        }
-        Search {
-            inst,
-            sorted_from,
-            min_in,
-            used: vec![false; m],
-            seq: Vec::with_capacity(inst.n()),
-            best_cost: INFINITY,
-            best_seq: Vec::new(),
-            expansions: 0,
-            budget,
-            prune,
-        }
-    }
-
-    /// Greedy nearest-neighbor tour to seed the incumbent.
-    fn seed_greedy(&mut self) {
-        let n = self.inst.n();
-        let mut used = vec![false; self.inst.closure().len()];
-        let mut seq = Vec::with_capacity(n);
-        let mut cur = self.inst.s_ix();
-        let mut cost: Cost = 0;
-        for _ in 0..n {
-            // Instance validation guarantees n candidates; should that
-            // invariant ever break, leave the incumbent at INFINITY and let
-            // the branch-and-bound run unseeded instead of panicking.
-            let Some(next) = self.sorted_from[cur].iter().copied().find(|&x| !used[x]) else {
-                return;
-            };
-            cost += self.inst.closure().cost_ix(cur, next);
-            used[next] = true;
-            seq.push(next);
-            cur = next;
-        }
-        cost += self.inst.closure().cost_ix(cur, self.inst.t_ix());
-        self.best_cost = cost;
-        self.best_seq = seq;
-    }
-
-    /// Admissible lower bound on completing a partial sequence.
-    fn lower_bound(&self, remaining: usize) -> Cost {
-        if remaining == 0 {
-            return 0;
-        }
-        // r smallest entering-edge costs among unused candidates …
-        let mut smallest: Vec<Cost> = self
-            .inst
+impl<'a, 'b> Stroll<'a, 'b> {
+    fn new(inst: &'a StrollInstance<'b>) -> Self {
+        let mc = inst.closure();
+        let mut by_min_in: Vec<(u128, usize)> = inst
             .candidates()
-            .filter(|&x| !self.used[x])
-            .map(|x| self.min_in[x])
+            .map(|x| {
+                let min_in = (0..mc.len())
+                    .filter(|&y| y != x)
+                    .map(|y| mc.cost_ix(y, x))
+                    .min()
+                    .unwrap_or(INFINITY);
+                (u128::from(min_in), x)
+            })
             .collect();
-        smallest.sort_unstable();
-        let enter: Cost = smallest[..remaining].iter().sum();
+        by_min_in.sort_unstable();
+        Stroll {
+            inst,
+            nearest: mc.nearest_first(),
+            by_min_in,
+            terminals: [inst.s_ix(), inst.t_ix()],
+        }
+    }
+
+    fn c(&self, from: Option<usize>, to: usize) -> u128 {
+        let from = from.unwrap_or(self.inst.s_ix());
+        u128::from(self.inst.closure().cost_ix(from, to))
+    }
+}
+
+impl Objective for Stroll<'_, '_> {
+    const SORTED_STEPS: bool = true;
+
+    fn size(&self) -> usize {
+        self.inst.closure().len()
+    }
+
+    fn seq_len(&self) -> usize {
+        self.inst.n()
+    }
+
+    fn reserved(&self) -> &[usize] {
+        &self.terminals
+    }
+
+    fn order(&self, last: Option<usize>) -> &[usize] {
+        &self.nearest[last.unwrap_or(self.inst.s_ix())]
+    }
+
+    fn step(&self, last: Option<usize>, _depth: usize, x: usize) -> u128 {
+        self.c(last, x)
+    }
+
+    fn close(&self, last: Option<usize>) -> u128 {
+        self.c(last, self.inst.t_ix())
+    }
+
+    fn bound(&self, used: &[bool], _last: Option<usize>, depth: usize) -> u128 {
+        // The r smallest entering-edge costs among unused candidates …
+        let enter: u128 = self
+            .by_min_in
+            .iter()
+            .filter(|&&(_, x)| !used[x])
+            .take(self.inst.n() - depth)
+            .map(|&(c, _)| c)
+            .sum();
         // … plus the cheapest exit from any unused candidate to t.
-        let exit = self
-            .inst
-            .candidates()
-            .filter(|&x| !self.used[x])
-            .map(|x| self.inst.closure().cost_ix(x, self.inst.t_ix()))
+        let exit = (0..used.len())
+            .filter(|&x| !used[x])
+            .map(|x| self.close(Some(x)))
             .min()
             .unwrap_or(0);
         enter + exit
     }
+}
 
-    fn dfs(&mut self, last: usize, depth: usize, g: Cost) -> Result<(), StrollError> {
-        self.expansions += 1;
-        if self.expansions > self.budget {
-            return Err(StrollError::BudgetExhausted {
-                budget: self.budget,
-            });
-        }
-        let n = self.inst.n();
-        if depth == n {
-            let total = g + self.inst.closure().cost_ix(last, self.inst.t_ix());
-            if total < self.best_cost {
-                self.best_cost = total;
-                self.best_seq = self.seq.clone();
-            }
-            return Ok(());
-        }
-        if self.prune && g + self.lower_bound(n - depth) >= self.best_cost {
-            return Ok(());
-        }
-        let order = self.sorted_from[last].clone();
-        for x in order {
-            if self.used[x] {
-                continue;
-            }
-            let step = self.inst.closure().cost_ix(last, x);
-            if self.prune && g + step >= self.best_cost {
-                // Candidates are distance-sorted: all later ones are dearer.
-                break;
-            }
-            self.used[x] = true;
-            self.seq.push(x);
-            self.dfs(x, depth + 1, g + step)?;
-            self.seq.pop();
-            self.used[x] = false;
-        }
-        Ok(())
+/// Runs the search (pruned or not). Always produces a feasible solution:
+/// the incumbent is seeded greedily before the first expansion, so even a
+/// budget of 0 returns a valid stroll (flagged [`Exactness::Degraded`]).
+fn search(inst: &StrollInstance<'_>, budget: u64, prune: bool) -> (StrollSolution, Exactness) {
+    let (s, t) = (inst.s_ix(), inst.t_ix());
+    if inst.n() == 0 {
+        let walk = if inst.is_tour() { vec![s] } else { vec![s, t] };
+        return (inst.solution_from_walk(walk), Exactness::Exact);
     }
-
-    /// Runs the search to completion or to its deadline. Always produces a
-    /// feasible solution: the incumbent is seeded greedily before the first
-    /// expansion, so even a budget of 0 returns a valid stroll (flagged
-    /// [`Exactness::Degraded`]).
-    fn run(mut self) -> (StrollSolution, Exactness) {
-        if self.inst.n() == 0 {
-            let walk = if self.inst.is_tour() {
-                vec![self.inst.s_ix()]
-            } else {
-                vec![self.inst.s_ix(), self.inst.t_ix()]
-            };
-            return (self.inst.solution_from_walk(walk), Exactness::Exact);
-        }
-        self.seed_greedy();
-        let exactness = match self.dfs(self.inst.s_ix(), 0, 0) {
-            Ok(()) => Exactness::Exact,
-            // dfs only fails on budget exhaustion; the incumbent stands.
-            Err(_) => Exactness::Degraded {
-                explored: self.expansions,
-            },
-        };
-        let mut walk = Vec::with_capacity(self.inst.n() + 2);
-        walk.push(self.inst.s_ix());
-        walk.extend(self.best_seq.iter().copied());
-        walk.push(self.inst.t_ix());
-        (self.inst.solution_from_walk(walk), exactness)
-    }
+    let (best, exactness) = branch_and_bound(&Stroll::new(inst), None, budget, prune);
+    let mut walk = Vec::with_capacity(inst.n() + 2);
+    walk.push(s);
+    walk.extend(best.seq);
+    walk.push(t);
+    (inst.solution_from_walk(walk), exactness)
 }
 
 /// Exact optimal n-stroll under an expansion budget ([`DEFAULT_BUDGET`]
@@ -197,7 +139,7 @@ impl<'a, 'b> Search<'a, 'b> {
 /// [`Exactness`]). Callers that must not report an unproven bound check
 /// the flag and treat a degraded result as not computed.
 pub fn optimal_stroll(inst: &StrollInstance<'_>, budget: u64) -> (StrollSolution, Exactness) {
-    Search::new(inst, budget, true).run()
+    search(inst, budget, true)
 }
 
 /// Plain exhaustive enumeration of all ordered waypoint sequences —
@@ -205,7 +147,7 @@ pub fn optimal_stroll(inst: &StrollInstance<'_>, budget: u64) -> (StrollSolution
 /// small instances and cross-validation. Unbudgeted, so it always
 /// completes.
 pub fn exhaustive_stroll(inst: &StrollInstance<'_>) -> Result<StrollSolution, StrollError> {
-    Ok(Search::new(inst, u64::MAX, false).run().0)
+    Ok(search(inst, u64::MAX, false).0)
 }
 
 #[cfg(test)]

@@ -19,6 +19,8 @@
 //!   waypoint sequences in the metric closure (in a metric, some optimal
 //!   stroll is a simple waypoint path, so searching ordered subsets is
 //!   complete). Exponential worst case; used as the benchmark baseline.
+//!   It runs on [`search::branch_and_bound`], the one depth-first search
+//!   that Algorithms 4 and 6 and the traffic-scaled placement share.
 //! * [`primal_dual::primal_dual_stroll`] — **PrimalDual** (Algorithm 1): a
 //!   Goemans–Williamson moat-growing prize-collecting Steiner tree with a
 //!   binary search on the uniform node prize, doubled and shortcut into a
@@ -53,11 +55,13 @@ pub mod dp;
 pub mod exact;
 pub mod instance;
 pub mod primal_dual;
+pub mod search;
 
 pub use dp::{dp_stroll, dp_stroll_all_sources, DpBatchSolver, DpTables};
 pub use exact::{exhaustive_stroll, optimal_stroll};
 pub use instance::{StrollInstance, StrollSolution};
 pub use primal_dual::{primal_dual_stroll, PrimalDualConfig};
+pub use search::{branch_and_bound, Incumbent, Objective};
 
 /// Whether a branch-and-bound result is provably optimal or a best-so-far
 /// incumbent cut short by its expansion deadline.

@@ -6,7 +6,7 @@
 //! complete graph as a dense matrix with a compact local index space, which
 //! is what makes the DP cache-friendly.
 
-use crate::graph::{Cost, NodeId};
+use crate::graph::{Cost, NodeId, INFINITY};
 use crate::oracle::DistanceOracle;
 
 /// A dense complete graph over a subset of the original nodes, with
@@ -126,6 +126,35 @@ impl MetricClosure {
             Some(&i) if i != NOT_MEMBER => Some(i as usize),
             _ => None,
         }
+    }
+
+    /// `δ_min`: the cheapest cost between two distinct members — a lower
+    /// bound on every hop between distinct closure nodes. [`INFINITY`]
+    /// when the closure has fewer than two members.
+    pub fn min_pair_cost(&self) -> Cost {
+        let m = self.len();
+        let mut best = INFINITY;
+        for i in 0..m {
+            for j in 0..m {
+                if i != j {
+                    best = best.min(self.cost_ix(i, j));
+                }
+            }
+        }
+        best
+    }
+
+    /// For every member `u`, the other members nearest first: entry `u`
+    /// lists each `x ≠ u` ordered by `(cost_ix(u, x), x)`.
+    pub fn nearest_first(&self) -> Vec<Vec<usize>> {
+        let m = self.len();
+        (0..m)
+            .map(|u| {
+                let mut list: Vec<usize> = (0..m).filter(|&x| x != u).collect();
+                list.sort_by_key(|&x| (self.cost_ix(u, x), x));
+                list
+            })
+            .collect()
     }
 
     /// Returns a copy of the closure with every pairwise cost rewritten by

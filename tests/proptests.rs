@@ -2,9 +2,9 @@
 
 use ppdc::model::{comm_cost, comm_cost_flow, total_cost, Placement, Sfc, Workload};
 use ppdc::placement::{
-    dp_placement, dp_placement_exhaustive, dp_placement_warm, exhaustive_placement,
-    greedy_placement, optimal_placement, steering_placement, AttachAggregates, BoundCache,
-    PlacementError,
+    comm_cost_scaled, dp_placement, dp_placement_exhaustive, dp_placement_warm,
+    exhaustive_placement, greedy_placement, optimal_placement, optimal_placement_scaled,
+    steering_placement, AttachAggregates, BoundCache, PlacementError, TrafficScaling,
 };
 use ppdc::stroll::{dp_stroll, exhaustive_stroll, optimal_stroll, StrollError, StrollInstance};
 use ppdc::topology::{
@@ -68,6 +68,28 @@ fn arb_ppdc_maybe_island() -> impl Strategy<Value = (Graph, Vec<NodeId>)> {
         }
         (g, hosts)
     })
+}
+
+/// Every ordered sequence of `n` distinct members of `pool`, enumerated
+/// directly — the oracle that shares no code with the branch-and-bound.
+fn injective_sequences(pool: &[NodeId], n: usize) -> Vec<Placement> {
+    let mut out = Vec::new();
+    let mut seq = Vec::with_capacity(n);
+    fn extend(pool: &[NodeId], n: usize, seq: &mut Vec<NodeId>, out: &mut Vec<Placement>) {
+        if seq.len() == n {
+            out.push(Placement::new_unchecked(seq.clone()));
+            return;
+        }
+        for &x in pool {
+            if !seq.contains(&x) {
+                seq.push(x);
+                extend(pool, n, seq, out);
+                seq.pop();
+            }
+        }
+    }
+    extend(pool, n, &mut seq, &mut out);
+    out
 }
 
 /// The budgeted optimal placement run to proven optimality.
@@ -556,6 +578,78 @@ proptest! {
         let out = ppdc::migration::mpareto(&g, &dm, &w, &sfc, &p, mu, &AttachAggregates::build(&g, &dm, &w)).unwrap();
         prop_assert_eq!(out.total_cost, total_cost(&dm, &w, &p, &out.migration, mu));
         prop_assert!(out.total_cost <= comm_cost(&dm, &w, &p));
+    }
+
+    /// Independent oracles for Algorithm 6 and the traffic-scaled search,
+    /// which share one branch-and-bound with Algorithm 4: every injective
+    /// sequence is enumerated in the test itself. Optimal migration from
+    /// a placement inside the hosts' component equals the minimum Eq. 8
+    /// `C_t`; the scaled search equals the minimum scaled cost, or says
+    /// `Unreachable` exactly when that minimum is the sentinel. Host-less
+    /// islands included, nothing panics.
+    #[test]
+    fn migration_and_scaled_search_match_enumeration(
+        (g, hosts) in arb_ppdc_maybe_island(),
+        n in 1usize..5,
+        rate1 in 1u64..1000,
+        rate2 in 1u64..1000,
+        permille in proptest::collection::vec(0u32..3000, 4),
+        pick in any::<u64>(),
+    ) {
+        prop_assume!(g.num_switches() >= n);
+        let dm = DistanceMatrix::build(&g);
+        let mut w = Workload::new();
+        w.add_pair(hosts[0], hosts[1], rate1);
+        w.add_pair(hosts[1], hosts[0], rate2);
+        let sfc = Sfc::of_len(n).unwrap();
+        let switches: Vec<NodeId> = g.switches().collect();
+        let all = injective_sequences(&switches, n);
+
+        let scaling = TrafficScaling::new(&sfc, permille[..n].to_vec()).unwrap();
+        let best = all
+            .iter()
+            .map(|m| comm_cost_scaled(&dm, &w, m, &scaling))
+            .min()
+            .unwrap();
+        let scaled = optimal_placement_scaled(&g, &dm, &w, &sfc, &scaling, u64::MAX);
+        if let Ok((p, cost)) = &scaled {
+            prop_assert_eq!(*cost, comm_cost_scaled(&dm, &w, p, &scaling));
+        }
+        let expected = if best < INFINITY {
+            Ok(best)
+        } else {
+            Err(PlacementError::Stroll(StrollError::Unreachable))
+        };
+        prop_assert_eq!(scaled.map(|(_, c)| c), expected, "{:?}", scaling);
+
+        // A current placement drawn from the hosts' component, so staying
+        // put is always reachable.
+        let main: Vec<NodeId> = switches
+            .iter()
+            .copied()
+            .filter(|&s| dm.cost(hosts[0], s) < INFINITY)
+            .collect();
+        if main.len() < n {
+            return Ok(());
+        }
+        let mut pool = main;
+        let mut x = pick | 1;
+        let mut chosen = Vec::with_capacity(n);
+        while chosen.len() < n {
+            x ^= x << 13; x ^= x >> 7; x ^= x << 17;
+            chosen.push(pool.swap_remove((x as usize) % pool.len()));
+        }
+        let p = Placement::new(&g, &sfc, chosen).unwrap();
+        let agg = AttachAggregates::build(&g, &dm, &w);
+        for mu in [0u64, 1, 100] {
+            let (out, exactness) = ppdc::migration::optimal_migration(
+                &dm, &sfc, &p, mu, None, ppdc::migration::optimal::DEFAULT_BUDGET, &agg,
+            ).unwrap();
+            prop_assert!(exactness.is_exact());
+            prop_assert_eq!(out.total_cost, total_cost(&dm, &w, &p, &out.migration, mu));
+            let best = all.iter().map(|m| total_cost(&dm, &w, &p, m, mu)).min().unwrap();
+            prop_assert_eq!(out.total_cost, best, "mu={}", mu);
+        }
     }
 
     /// `pareto_front` always returns a strictly sorted, mutually
