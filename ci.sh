@@ -15,7 +15,9 @@
 #                         workers so the parallel fold sweep and the
 #                         branch-and-bound run with more workers than cores
 #   8. smokes           — failure sweep with metrics export, fault-free
-#                         day, metrics schema check, k=32 oracle, chaos,
+#                         day, metrics schema check, k=32 oracle, chaos
+#                         (the sweep, the day and chaos diffed against
+#                         their pinned output in tests/golden/),
 #                         1M-flow stream day (then killed at mid-day and
 #                         resumed from disk), churned stream day
 #   9. bench smoke      — one pass of the bench groups (including the
@@ -71,12 +73,18 @@ PROPTEST_CASES=256 cargo test -q --test proptests
 echo "==> proptests at PROPTEST_CASES=256 with 8 rayon workers"
 RAYON_NUM_THREADS=8 PROPTEST_CASES=256 cargo test -q --test proptests
 
-echo "==> failure-sweep smoke (quick scale) with metrics export"
-mkdir -p target
-cargo run --release -p ppdc-experiments -- --quick failsweep --metrics target/ci-metrics.json > /dev/null
+# Output pinned under tests/golden/ is compared byte for byte once its
+# wall-clock readings are masked.
+strip_timing() { sed -E 's/ in [0-9]+\.[0-9]+s/ in <elapsed>/'; }
 
-echo "==> fault-free day smoke (quick fig11 + ext_replication through run_day)"
-cargo run --release -p ppdc-experiments -- --quick fig11 ext_replication > /dev/null
+echo "==> failure-sweep smoke (quick scale) with metrics export, diffed against tests/golden/failsweep.txt"
+mkdir -p target
+cargo run -q --release -p ppdc-experiments -- --quick failsweep --metrics target/ci-metrics.json 2>&1 \
+    | strip_timing | diff -u tests/golden/failsweep.txt -
+
+echo "==> fault-free day smoke (quick fig11 + ext_replication through run_day), diffed against tests/golden/fig11_ext_replication.txt"
+cargo run -q --release -p ppdc-experiments -- --quick fig11 ext_replication 2>&1 \
+    | strip_timing | diff -u tests/golden/fig11_ext_replication.txt -
 
 echo "==> metrics schema check (ppdc-obs/v1 phase keys)"
 cargo run --release -p ppdc-experiments -- --check-metrics target/ci-metrics.json
@@ -84,8 +92,9 @@ cargo run --release -p ppdc-experiments -- --check-metrics target/ci-metrics.jso
 echo "==> k=32 oracle smoke (1,280 switches, no dense matrix, 15s budget)"
 cargo run --release -p ppdc-experiments -- smoke-k32 --budget-ms 15000
 
-echo "==> chaos smoke (64 seeded trials: crashes, torn checkpoints, starvation)"
-cargo run --release -p ppdc-experiments -- chaos --trials 64 --seed 1
+echo "==> chaos smoke (64 seeded trials: crashes, torn checkpoints, starvation), diffed against tests/golden/chaos.txt"
+cargo run -q --release -p ppdc-experiments -- chaos --trials 64 --seed 1 2>&1 \
+    | strip_timing | diff -u tests/golden/chaos.txt -
 
 echo "==> streaming-engine smoke (1M flows over the k=32 fabric, counter invariants, mid-day kill/resume)"
 cargo run --release -p ppdc-experiments -- stream --flows 1000000 --budget-ms 120000
