@@ -30,11 +30,18 @@
 //! * `rate_deltas_1m` — [`DynamicTrace::try_rate_deltas`], cycling through
 //!   the day's 12 epochs of a diurnal trace with 25 % hourly churn,
 //! * `trace_feed_1m` — [`ShardedFlowStore::advance`] over the same trace
-//!   and store, cycling through the same epochs: the engine's whole
-//!   trace-driven store step, which replaces `rate_deltas_1m` plus the
-//!   store half of `full_fabric`. When the day wraps, the store is reset
-//!   to hour 0's rates with [`ShardedFlowStore::set_rates`]; that 1M-rate
-//!   copy (one sample in 12) is inside the timer.
+//!   and store, stepping one
+//!   [`TraceCursor`](ppdc_traffic::TraceCursor) through the same epochs: the
+//!   engine's whole trace-driven store step, which replaces
+//!   `rate_deltas_1m` plus the store half of `full_fabric`. When the day
+//!   wraps, the store is reset to hour 0's rates with
+//!   [`ShardedFlowStore::set_rates`] and the cursor to hour 0; that
+//!   1M-rate copy (one sample in 12) is inside the timer.
+//! * `trace_feed_hot_racks_1m` — the same step on a flat-envelope day in
+//!   which odd hours halve the rates of 8 further racks' flows and even
+//!   hours repeat: one iteration is a hot hour and the repeat hour after
+//!   it. A repeat hour walks an empty change list, so the iteration costs
+//!   the hot hour's commits.
 //!
 //! The `stream_resolve` group measures the *solver* half of an epoch: the
 //! warm-started re-solve ([`dp_placement_warm`] with a persistent
@@ -197,18 +204,59 @@ fn bench_stream_ingest(c: &mut Criterion) {
     let day_start = trace.rates_at(0);
     let mut store = ShardedFlowStore::build(g, &w).unwrap();
     store.set_rates(&day_start).unwrap();
-    let mut hour = 0;
+    let mut cursor = trace.cursor(0);
     group.bench_function("trace_feed_1m", |b| {
         b.iter(|| {
-            if hour == n_hours {
+            if cursor.hour() == n_hours {
                 store.set_rates(&day_start).unwrap();
-                hour = 0;
+                cursor = trace.cursor(0);
             }
-            hour += 1;
-            store.advance(&trace, hour).unwrap().applied
+            store.advance(&mut cursor).unwrap().applied
+        })
+    });
+    let hot = hot_rack_trace(&ft, &w);
+    let day_start = hot.rates_at(0);
+    let n_hours = hot.model().n_hours;
+    store.set_rates(&day_start).unwrap();
+    let mut cursor = hot.cursor(0);
+    group.bench_function("trace_feed_hot_racks_1m", |b| {
+        b.iter(|| {
+            if cursor.hour() == n_hours {
+                store.set_rates(&day_start).unwrap();
+                cursor = hot.cursor(0);
+            }
+            let hot_hour = store.advance(&mut cursor).unwrap().applied;
+            hot_hour + store.advance(&mut cursor).unwrap().applied
         })
     });
     group.finish();
+}
+
+/// A flat-envelope day over `w` in which each odd hour halves the rates
+/// of the flows sourced in 8 further racks and each even hour repeats the
+/// hour before it.
+fn hot_rack_trace(ft: &FatTree, w: &Workload) -> DynamicTrace {
+    let g = ft.graph();
+    let tors = tors_in_host_order(ft);
+    let model = DiurnalModel {
+        n_hours: 12,
+        tau_min: 1.0,
+    };
+    let mut rows: Vec<Vec<i64>> = vec![w.rates().iter().map(|&r| r as i64).collect()];
+    for h in 1..=model.n_hours as usize {
+        let mut row = rows[h - 1].clone();
+        if h % 2 == 1 {
+            let racks = &tors[(h / 2 * 8) % tors.len()..][..8];
+            for (f, src, _, _) in w.iter() {
+                let tor = g.top_of_rack(src).expect("fat-tree host has a ToR");
+                if racks.contains(&tor) {
+                    row[f.index()] = (row[f.index()] / 2).max(1);
+                }
+            }
+        }
+        rows.push(row);
+    }
+    DynamicTrace::from_rows(w, model, vec![false; w.num_flows()], &rows).unwrap()
 }
 
 /// Warm vs cold epoch re-solve latency on the k = 32 fabric.

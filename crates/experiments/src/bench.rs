@@ -7,8 +7,14 @@
 //! when the previous entry measured the same benchmark ids — the median
 //! speedups against that entry, so a regression shows up as a highlight
 //! below 1.0 in review instead of a silent number drift.
+//!
+//! Each entry also records how long one run of a fixed [`calibrate`]
+//! kernel took on the host, so a speedup can be read against how fast the
+//! host itself ran ([`group_speedups`]): when every group of an entry
+//! moves with the calibration ratio, the host moved, not the code.
 
 use ppdc_obs::json::{self, escape, Value};
+use ppdc_obs::Stopwatch;
 
 /// One benchmark sample parsed from a `PPDC_BENCH_JSON` line.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,13 +99,25 @@ fn cold_counterpart(id: &str) -> Option<String> {
     replaced.then(|| mapped.join("/"))
 }
 
-/// Median times of the youngest trajectory entry, as `(id, median_ns)`.
-fn last_entry_medians(doc: &Value) -> Vec<(String, f64)> {
-    let Some(prev) = doc
-        .get("trajectory")
+/// The youngest trajectory entry.
+fn last_entry(doc: &Value) -> Option<&Value> {
+    doc.get("trajectory")
         .and_then(Value::as_arr)
         .and_then(<[Value]>::last)
-    else {
+}
+
+/// The calibration seconds an entry recorded, if it recorded any.
+fn entry_calibration(entry: &Value) -> Option<f64> {
+    entry
+        .get("environment")?
+        .get("calibration_s")?
+        .as_f64()
+        .filter(|&s| s > 0.0)
+}
+
+/// Median times of the youngest trajectory entry, as `(id, median_ns)`.
+fn last_entry_medians(doc: &Value) -> Vec<(String, f64)> {
+    let Some(prev) = last_entry(doc) else {
         return Vec::new();
     };
     prev.get("results")
@@ -122,6 +140,38 @@ fn fmt_f64(x: f64) -> String {
     }
 }
 
+/// Runs a fixed CPU-and-memory kernel that calls nothing in this
+/// repository and returns its seconds: how fast the host runs right now.
+///
+/// The kernel is the end-to-end benchmark's (`perfbench`): three rounds of
+/// a sequential hashing pass, a dependent random walk and a sort of an
+/// eighth of a 32 MiB buffer (larger than a last-level cache, like the
+/// 1M-flow rate vectors). The buffers are filled before the clock starts
+/// and freed on return.
+pub fn calibrate() -> f64 {
+    let mut buf: Vec<u64> = (0..1u64 << 22).collect();
+    let n = buf.len();
+    let mut part = buf[..n / 8].to_vec();
+    let clock = Stopwatch::start();
+    let mut h = 0x9E37_79B9_7F4A_7C15u64;
+    for _ in 0..3 {
+        for x in buf.iter_mut() {
+            h = (h ^ *x).wrapping_mul(0x100_0000_01B3);
+            *x = h;
+        }
+        let mut i = 0usize;
+        for _ in 0..n / 2 {
+            i = (buf[i] as usize ^ i) % n;
+            h = h.wrapping_add(buf[i]);
+        }
+        part.copy_from_slice(&buf[..n / 8]);
+        part.sort_unstable();
+        h ^= part[n / 16];
+    }
+    std::hint::black_box(h);
+    clock.elapsed_ns() as f64 * 1e-9
+}
+
 /// The machine context a bench entry was recorded under.
 ///
 /// `cpu_cores` must come from `std::thread::available_parallelism()` (not a
@@ -135,6 +185,9 @@ pub struct BenchEnvironment {
     pub cpu_cores: u64,
     /// Threads in the rayon pool the bench run used.
     pub rayon_threads: u64,
+    /// Seconds one [`calibrate`] run took on the host when the entry was
+    /// recorded.
+    pub calibration_s: f64,
     /// Free-form provenance note.
     pub note: String,
 }
@@ -144,7 +197,8 @@ pub struct BenchEnvironment {
 ///
 /// `highlights` holds the median speedup of each benchmark the previous
 /// entry also measured (`<id>_median_speedup_vs_prev`, previous median ÷
-/// new median — above 1.0 is faster).
+/// new median — above 1.0 is faster). The environment records the
+/// host's [`calibrate`] time, which [`group_speedups`] reads back.
 ///
 /// # Errors
 ///
@@ -206,17 +260,88 @@ pub fn append_bench_trajectory(
         })
         .collect();
     entries.push(format!(
-        "{{\"label\": \"{}\", \"date\": \"{}\", \"environment\": {{\"cpu_cores\": {}, \"rayon_threads\": {}, \"rayon_parallelized\": {}, \"note\": \"{}\"}}, \"highlights\": {{{}}}, \"results\": [{}]}}",
+        "{{\"label\": \"{}\", \"date\": \"{}\", \"environment\": {{\"cpu_cores\": {}, \"rayon_threads\": {}, \"rayon_parallelized\": {}, \"calibration_s\": {:.4}, \"note\": \"{}\"}}, \"highlights\": {{{}}}, \"results\": [{}]}}",
         escape(label),
         escape(date),
         env.cpu_cores,
         env.rayon_threads,
         env.rayon_threads > 1,
+        env.calibration_s,
         escape(&env.note),
         highlights.join(", "),
         results.join(", "),
     ));
     Ok(format!("{{\"trajectory\": [{}]}}\n", entries.join(", ")))
+}
+
+/// One bench group's speedup in the youngest entry of a trajectory.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GroupSpeedup {
+    /// The group: the id up to its first `/`.
+    pub group: String,
+    /// Geometric mean of the group's `<id>_median_speedup_vs_prev`
+    /// highlights.
+    pub speedup: f64,
+    /// How many ids the mean covers.
+    pub ids: usize,
+}
+
+/// The youngest entry's speedups against the entry before it, one per
+/// bench group in first-seen order, and the calibration ratio — the
+/// previous entry's [`calibrate`] time ÷ the youngest one's, above 1.0
+/// when the host itself ran faster — when both entries recorded one. A
+/// group whose speedup sits at the calibration ratio moved with the host,
+/// not with the code.
+///
+/// # Errors
+///
+/// When the document does not parse or has no `trajectory` array.
+pub fn group_speedups(doc_src: &str) -> Result<(Vec<GroupSpeedup>, Option<f64>), String> {
+    let doc = json::parse(doc_src).map_err(|e| format!("invalid trajectory document: {e}"))?;
+    let entries = doc
+        .get("trajectory")
+        .and_then(Value::as_arr)
+        .ok_or_else(|| "trajectory document lacks a \"trajectory\" array".to_string())?;
+    let calibration = match entries {
+        [.., before, now] => entry_calibration(before)
+            .zip(entry_calibration(now))
+            .map(|(b, n)| b / n),
+        _ => None,
+    };
+    let Some(highlights) = entries
+        .last()
+        .and_then(|e| e.get("highlights"))
+        .and_then(Value::as_obj)
+    else {
+        return Ok((Vec::new(), calibration));
+    };
+    // (group, Σ ln speedup, ids) in first-seen order.
+    let mut groups: Vec<(String, f64, usize)> = Vec::new();
+    for (key, v) in highlights {
+        let (Some(id), Some(x)) = (key.strip_suffix("_median_speedup_vs_prev"), v.as_f64()) else {
+            continue;
+        };
+        if x <= 0.0 {
+            continue;
+        }
+        let group = id.split('/').next().unwrap_or(id);
+        match groups.iter_mut().find(|(g, _, _)| g == group) {
+            Some((_, logs, ids)) => {
+                *logs += x.ln();
+                *ids += 1;
+            }
+            None => groups.push((group.to_string(), x.ln(), 1)),
+        }
+    }
+    let groups = groups
+        .into_iter()
+        .map(|(group, logs, ids)| GroupSpeedup {
+            group,
+            speedup: (logs / ids as f64).exp(),
+            ids,
+        })
+        .collect();
+    Ok((groups, calibration))
 }
 
 /// Serializes a parsed [`Value`] back to compact JSON (object keys come
@@ -252,6 +377,7 @@ mod tests {
         BenchEnvironment {
             cpu_cores: 8,
             rayon_threads: 8,
+            calibration_s: 0.2,
             note: "n".to_string(),
         }
     }
@@ -393,6 +519,43 @@ mod tests {
             cold_counterpart("stream_resolve/warm_hot_pods_2/1000000").as_deref(),
             Some("stream_resolve/cold/1000000")
         );
+    }
+
+    /// An entry records its calibration time; the next one reads its
+    /// speedups against the ratio of the two, per group.
+    #[test]
+    fn calibration_is_recorded_and_read_beside_group_speedups() {
+        let once = append_bench_trajectory(DOC, LINES, "a", "2026-08-06", &env()).unwrap();
+        let v = json::parse(&once).unwrap();
+        let entry = &v.get("trajectory").and_then(Value::as_arr).unwrap()[1];
+        assert_eq!(entry_calibration(entry), Some(0.2));
+        // The seed entry recorded no calibration: no ratio yet.
+        let (groups, ratio) = group_speedups(&once).unwrap();
+        assert_eq!(ratio, None);
+        assert_eq!(groups.len(), 1);
+        assert_eq!(
+            (groups[0].group.as_str(), groups[0].ids),
+            ("dp_placement", 1)
+        );
+        assert!((groups[0].speedup - 10.0).abs() < 1e-9, "{:?}", groups[0]);
+        // A host twice as slow: both ids took 4× and 1× as long, and the
+        // kernel took 2×.
+        let slower = concat!(
+            "{\"id\":\"dp_placement/k16_l100\",\"min_ns\":1.0,\"median_ns\":400.0,",
+            "\"mean_ns\":1.0,\"samples\":1,\"total_iters\":1}\n",
+            "{\"id\":\"dp_placement/k4_l20\",\"min_ns\":1.0,\"median_ns\":2.0,",
+            "\"mean_ns\":1.0,\"samples\":1,\"total_iters\":1}\n",
+        );
+        let host = BenchEnvironment {
+            calibration_s: 0.4,
+            ..env()
+        };
+        let twice = append_bench_trajectory(&once, slower, "b", "2026-08-07", &host).unwrap();
+        let (groups, ratio) = group_speedups(&twice).unwrap();
+        assert_eq!(ratio, Some(0.5));
+        assert_eq!(groups.len(), 1);
+        assert_eq!(groups[0].ids, 2);
+        assert!((groups[0].speedup - 0.5).abs() < 1e-9, "{:?}", groups[0]);
     }
 
     #[test]

@@ -38,7 +38,10 @@ pub mod fig8;
 pub mod fig9;
 pub mod metrics;
 
-pub use bench::{append_bench_trajectory, parse_bench_samples, BenchEnvironment, BenchSample};
+pub use bench::{
+    append_bench_trajectory, calibrate, group_speedups, parse_bench_samples, BenchEnvironment,
+    BenchSample, GroupSpeedup,
+};
 pub use chaos::{chaos_suite, ChaosSummary};
 pub use cli::{parse_u64, read_file, write_file, CliError};
 pub use ext_replication::ext_replication;

@@ -114,6 +114,8 @@ fn real_main() -> Result<(), CliError> {
         let env = BenchEnvironment {
             cpu_cores: std::thread::available_parallelism().map_or(1, |n| n.get() as u64),
             rayon_threads: rayon::current_num_threads() as u64,
+            // The fastest of three runs: the least disturbed reading.
+            calibration_s: (0..3).map(|_| calibrate()).fold(f64::INFINITY, f64::min),
             note: note.unwrap_or_else(|| {
                 "Timings from the offline stopwatch criterion stand-in (vendor/criterion), \
                  min/median/mean ns per iteration."
@@ -129,7 +131,18 @@ fn real_main() -> Result<(), CliError> {
         )
         .map_err(|e| CliError::Bench(e.to_string()))?;
         write_file(&doc_path, &updated)?;
-        eprintln!("# bench trajectory appended to {doc_path}");
+        eprintln!(
+            "# bench trajectory appended to {doc_path} (calibration kernel {:.3} s)",
+            env.calibration_s
+        );
+        let (groups, ratio) = group_speedups(&updated).map_err(CliError::Bench)?;
+        let ratio_text = ratio.map_or("n/a".to_string(), |r| format!("{r:.2}x"));
+        for g in &groups {
+            eprintln!(
+                "#   {:<28} {:>6.2}x vs previous entry over {:>2} ids   (host calibration {ratio_text})",
+                g.group, g.speedup, g.ids
+            );
+        }
         return Ok(());
     }
 

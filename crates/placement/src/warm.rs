@@ -56,7 +56,7 @@
 //! by construction — its oracle is fixed for the day and every mutation
 //! flows through the ingest report. On checkpoint restore the engine
 //! starts from a fresh cache (rebuilt, never persisted), which keeps
-//! `ppdc-stream-ckpt/v3` primary-state-only and kill/resume bit-identical.
+//! `ppdc-stream-ckpt/v4` primary-state-only and kill/resume bit-identical.
 
 use crate::aggregates::{AttachAggregates, HostMassDelta};
 use crate::dp::{

@@ -1,4 +1,4 @@
-//! Crash-safe epoch checkpoints (`ppdc-ckpt/v3`).
+//! Crash-safe epoch checkpoints (`ppdc-ckpt/v4`).
 //!
 //! A [`Checkpoint`] freezes everything [`crate::run_day`] needs to restart
 //! a fault-aware day from the last completed hour and finish it
@@ -38,7 +38,7 @@ use crate::fault::{DegradedHourRecord, FaultSchedule, HourProvenance};
 use crate::simulator::{HourRecord, MigrationPolicy, SimConfig};
 
 /// Version tag every snapshot carries; restore rejects anything else.
-pub const CKPT_SCHEMA: &str = "ppdc-ckpt/v3";
+pub const CKPT_SCHEMA: &str = "ppdc-ckpt/v4";
 
 /// Errors from writing, reading, or validating a checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -155,7 +155,7 @@ fn prov_from_code(c: u64) -> Result<HourProvenance, CkptError> {
 }
 
 impl Checkpoint {
-    /// Serializes to the deterministic `ppdc-ckpt/v3` JSON document. Two
+    /// Serializes to the deterministic `ppdc-ckpt/v4` JSON document. Two
     /// equal checkpoints always produce byte-identical output.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
@@ -233,7 +233,7 @@ impl Checkpoint {
         out
     }
 
-    /// Parses a `ppdc-ckpt/v3` document.
+    /// Parses a `ppdc-ckpt/v4` document.
     ///
     /// # Errors
     ///
@@ -516,8 +516,10 @@ pub(crate) fn hash_instance(h: &mut Fnv, g: &Graph, w: &Workload, sfc: &Sfc) {
 
 /// Hashes a trace by its defining inputs ([`DynamicTrace::inputs`]): the
 /// model (`n_hours`, `tau_min` bits), the cohort offset, the cohort flags
-/// (64 to a word) and every base-rate row. Every hour's rate vector is a
-/// pure function of these, so no rate is derived here.
+/// (64 to a word), hour 0's base-rate row, and then each later hour's
+/// change count, changed flows and new base rates. Every hour's rate
+/// vector is a pure function of these, so no rate is derived here, and a
+/// repeated hour costs one word.
 pub(crate) fn hash_trace(h: &mut Fnv, trace: &DynamicTrace) {
     let t = trace.inputs();
     h.u64(u64::from(t.model.n_hours));
@@ -532,11 +534,18 @@ pub(crate) fn hash_trace(h: &mut Fnv, trace: &DynamicTrace) {
                 .fold(0u64, |word, (i, &e)| word | (u64::from(e) << i)),
         );
     }
-    h.u64(t.base.len() as u64);
-    for row in t.base {
-        h.u64(row.len() as u64);
-        for &r in row {
-            h.u64(r);
+    h.u64(t.row0.len() as u64);
+    for &r in t.row0 {
+        h.u64(r);
+    }
+    h.u64(t.changes.len() as u64);
+    for hour in t.changes {
+        h.u64(hour.flows().len() as u64);
+        for &f in hour.flows() {
+            h.u64(u64::from(f));
+        }
+        for &b in hour.bases() {
+            h.u64(b);
         }
     }
 }
@@ -641,7 +650,7 @@ impl CheckpointStore {
 
     /// The slot machinery behind [`CheckpointStore::write`], usable with
     /// any serialized snapshot document (the streaming engine persists its
-    /// own `ppdc-stream-ckpt/v3` schema through the same store).
+    /// own `ppdc-stream-ckpt/v4` schema through the same store).
     ///
     /// # Errors
     ///
@@ -802,6 +811,18 @@ mod tests {
         assert_eq!(
             Checkpoint::from_json(v2),
             Err(CkptError::Schema("ppdc-ckpt/v2".to_string()))
+        );
+    }
+
+    /// A `/v3` document has the `/v4` layout, but its fingerprint hashed
+    /// the trace as one dense row per hour; it is refused by its schema
+    /// tag rather than failing later as a foreign input.
+    #[test]
+    fn v3_documents_are_refused_by_schema() {
+        let doc = sample(1).to_json().replace(CKPT_SCHEMA, "ppdc-ckpt/v3");
+        assert_eq!(
+            Checkpoint::from_json(&doc),
+            Err(CkptError::Schema("ppdc-ckpt/v3".to_string()))
         );
     }
 

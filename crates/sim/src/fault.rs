@@ -570,23 +570,18 @@ impl ServingView {
     }
 }
 
-/// Sets hour-`h` rates on `w` with stranded flows masked to zero; returns
-/// the total rate masked out.
-fn set_masked_rates(
-    w: &mut Workload,
-    trace: &DynamicTrace,
-    h: u32,
-    stranded: &[bool],
-) -> Result<u64, ModelError> {
-    let mut rates = trace.rates_at(h);
+/// Sets the hour's trace `rates` on `w` with stranded flows masked to
+/// zero; returns the total rate masked out.
+fn set_masked_rates(w: &mut Workload, rates: &[u64], stranded: &[bool]) -> Result<u64, ModelError> {
+    let mut masked_rates = rates.to_vec();
     let mut masked = 0u64;
-    for (i, r) in rates.iter_mut().enumerate() {
+    for (i, r) in masked_rates.iter_mut().enumerate() {
         if stranded.get(i).copied().unwrap_or(false) {
             masked += *r;
             *r = 0;
         }
     }
-    w.set_rates(&rates)?;
+    w.set_rates(&masked_rates)?;
     Ok(masked)
 }
 
@@ -784,6 +779,9 @@ fn run_day_impl(
     let mut faults = FaultSet::new(g);
     let mut w_cur = w.clone();
 
+    // The trace's unmasked rates at the last completed hour, stepped
+    // hour by hour by a cursor over the trace.
+    let mut rates;
     let mut g_view;
     let mut dm_cur;
     let mut agg;
@@ -820,7 +818,8 @@ fn run_day_impl(
         }
         // Every hour ends with exactly these masked rates (each branch of
         // the loop calls `set_masked_rates`, and VM moves keep rates).
-        set_masked_rates(&mut w_cur, trace, ck.hour, &ck.stranded)?;
+        rates = trace.rates_at(ck.hour);
+        set_masked_rates(&mut w_cur, &rates, &ck.stranded)?;
         sv = ServingView::from_parts(g.num_nodes(), ck.candidates.clone(), ck.stranded.clone());
         agg = AttachAggregates::build_restricted(&g_view, &dm_cur, &w_cur, &sv.candidates);
         p = Placement::new_unchecked(ck.placement.clone());
@@ -839,7 +838,8 @@ fn run_day_impl(
         // ids match `g` forever — views never renumber).
         g_view = g.degraded_view(&faults);
         dm_cur = DistanceMatrix::build(&g_view);
-        w_cur.set_rates(&trace.rates_at(0))?;
+        rates = trace.rates_at(0);
+        w_cur.set_rates(&rates)?;
         agg = AttachAggregates::build(&g_view, &dm_cur, &w_cur);
         aggregate_rebuilds = 1usize;
         let (p0, c0) = dp_placement(&dm_cur, &w_cur, sfc, &agg)?;
@@ -865,7 +865,9 @@ fn run_day_impl(
     let mut final_ckpt: Option<Checkpoint> = None;
     let mut halted_at: Option<u32> = None;
 
+    let mut cursor = trace.cursor(start_hour - 1);
     for h in start_hour..=n_hours {
+        let deltas = cursor.step_deltas(&mut rates)?;
         let events: Vec<FaultEvent> = schedule.events_at(h).copied().collect();
         let event_hour = !events.is_empty();
         let mut apsp_ns = 0u64;
@@ -904,7 +906,7 @@ fn run_day_impl(
             dm_cur.rebuild_dirty(&g_view, &changed);
             apsp_ns = apsp_sw.elapsed_ns();
             sv = ServingView::elect(&g_view, &faults, &w_cur);
-            stranded_rate = set_masked_rates(&mut w_cur, trace, h, &sv.stranded)?;
+            stranded_rate = set_masked_rates(&mut w_cur, &rates, &sv.stranded)?;
             // The stranded set changed: delta feeds would mix masked and
             // unmasked rates, so rebuild from the serving candidates.
             let agg_sw = Stopwatch::start_if(measuring);
@@ -916,17 +918,16 @@ fn run_day_impl(
         } else if maintains_agg {
             // Quiet hour: the stranded set is unchanged, so the masked
             // rates evolve exactly by the trace's deltas on active flows.
-            let deltas: Vec<(FlowId, i64)> = trace
-                .try_rate_deltas(h)?
+            let deltas: Vec<(FlowId, i64)> = deltas
                 .into_iter()
                 .filter(|(f, _)| !sv.stranded[f.index()])
                 .collect();
-            stranded_rate = set_masked_rates(&mut w_cur, trace, h, &sv.stranded)?;
+            stranded_rate = set_masked_rates(&mut w_cur, &rates, &sv.stranded)?;
             let agg_sw = Stopwatch::start_if(measuring);
             agg.apply_rate_deltas(&dm_cur, &w_cur, &deltas)?;
             aggregates_ns = agg_sw.elapsed_ns();
         } else {
-            stranded_rate = set_masked_rates(&mut w_cur, trace, h, &sv.stranded)?;
+            stranded_rate = set_masked_rates(&mut w_cur, &rates, &sv.stranded)?;
         }
         obs.add(obs_names::SIM_HOURS, 1);
 
@@ -1695,7 +1696,7 @@ mod tests {
         let dm = DistanceMatrix::build(&g_view);
         let mut w_cur = w.clone();
         let sv = ServingView::elect(&g_view, &faults, &w_cur);
-        set_masked_rates(&mut w_cur, &trace, 2, &sv.stranded).unwrap();
+        set_masked_rates(&mut w_cur, &trace.rates_at(2), &sv.stranded).unwrap();
         let fast = AttachAggregates::build_restricted(&g_view, &dm, &w_cur, &sv.candidates);
         let oracle =
             AttachAggregates::build_restricted_flow_by_flow(&g_view, &dm, &w_cur, &sv.candidates);

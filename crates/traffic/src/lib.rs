@@ -35,6 +35,8 @@ pub use diurnal::{DiurnalModel, EAST_COAST_OFFSET};
 pub use locality::{generate_pairs, PairPlacement};
 pub use rates::{classify, sample_rate, FlowClass, RateMix, DEFAULT_MIX};
 
+use std::borrow::Cow;
+
 use ppdc_model::{FlowId, Workload};
 use ppdc_topology::FatTree;
 use rand::Rng;
@@ -64,6 +66,9 @@ pub enum TraceError {
     NegativeRate { hour: usize, flow: usize, rate: i64 },
     /// Rate deltas compare an hour with its predecessor; hour 0 has none.
     NoPrecedingHour,
+    /// A flow's rate change from hour `hour − 1` to `hour` does not fit an
+    /// `i64` delta (both rates lie in `u64`, their difference may not).
+    DeltaOutOfRange { hour: u32, flow: usize },
 }
 
 impl std::fmt::Display for TraceError {
@@ -86,11 +91,53 @@ impl std::fmt::Display for TraceError {
             TraceError::NoPrecedingHour => {
                 write!(f, "rate deltas need a preceding hour (h must be >= 1)")
             }
+            TraceError::DeltaOutOfRange { hour, flow } => {
+                write!(f, "rate change of flow {flow} at hour {hour} exceeds i64")
+            }
         }
     }
 }
 
 impl std::error::Error for TraceError {}
+
+/// The base-rate changes of one hour: the flows whose base rate differs
+/// from the previous hour's, in increasing flow-id order, and their new
+/// base rates, as two parallel arrays.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct HourChanges {
+    flows: Vec<u32>,
+    bases: Vec<u64>,
+}
+
+impl HourChanges {
+    /// The changed flows, strictly increasing.
+    pub fn flows(&self) -> &[u32] {
+        &self.flows
+    }
+
+    /// `bases()[k]`: the new base rate of `flows()[k]`.
+    pub fn bases(&self) -> &[u64] {
+        &self.bases
+    }
+
+    /// True when no base rate changed this hour.
+    pub fn is_empty(&self) -> bool {
+        self.flows.is_empty()
+    }
+
+    /// Records flow `i`'s new base rate; flows arrive in increasing order.
+    fn push(&mut self, i: usize, base: u64) {
+        self.flows.push(i as u32);
+        self.bases.push(base);
+    }
+
+    /// Writes this hour's new base rates over the previous hour's row.
+    fn apply(&self, row: &mut [u64]) {
+        for (&f, &b) in self.flows.iter().zip(&self.bases) {
+            row[f as usize] = b;
+        }
+    }
+}
 
 /// A workload whose rates follow the diurnal model hour by hour, with
 /// per-flow churn.
@@ -104,10 +151,17 @@ impl std::error::Error for TraceError {}
 ///   entirely (Fig. 1, Fig. 3). Each hour a configurable fraction of
 ///   flows redraws its base rate from the production mix, redistributing
 ///   traffic across the fabric. Churn 0 reduces to pure scaling.
+///
+/// Only what changes is stored: hour 0's base-rate row and, for every
+/// later hour, the flows whose base rate moved ([`HourChanges`]). A day
+/// of repeated rows costs one row, not one per hour.
 #[derive(Debug, Clone)]
 pub struct DynamicTrace {
-    /// `base[h][i]`: flow `i`'s base rate at hour `h`.
-    base: Vec<Vec<u64>>,
+    /// `row0[i]`: flow `i`'s base rate at hour 0.
+    row0: Vec<u64>,
+    /// `changes[h - 1]`: the base-rate changes from hour `h − 1` to `h`
+    /// (`n_hours` lists; later hours keep the last row).
+    changes: Vec<HourChanges>,
     east: Vec<bool>,
     model: DiurnalModel,
     /// Hours the east cohort runs ahead (default [`EAST_COAST_OFFSET`]).
@@ -179,24 +233,32 @@ impl DynamicTrace {
                 cohorts: east.len(),
             });
         }
-        let mut base = Vec::with_capacity(model.n_hours as usize + 1);
-        let mut prev = w.rates().to_vec();
+        let row0 = w.rates().to_vec();
+        // Hour by hour, flow by flow, a redraw decision and (when it
+        // fires) one sample: the draws do not depend on the rates, so the
+        // stream is the same whatever is kept. A redraw that lands on the
+        // current base is not a change.
+        let churns = churn > 0.0;
+        let mut row = if churns { row0.clone() } else { Vec::new() };
+        let mut changes = Vec::with_capacity(model.n_hours as usize);
         for _ in 1..=model.n_hours {
-            let next: Vec<u64> = prev
-                .iter()
-                .map(|&r| {
-                    if churn > 0.0 && rng.gen_bool(churn.clamp(0.0, 1.0)) {
-                        sample_rate(mix, rng)
-                    } else {
-                        r
+            let mut hour = HourChanges::default();
+            if churns {
+                for (i, r) in row.iter_mut().enumerate() {
+                    if rng.gen_bool(churn.clamp(0.0, 1.0)) {
+                        let b = sample_rate(mix, rng);
+                        if b != *r {
+                            *r = b;
+                            hour.push(i, b);
+                        }
                     }
-                })
-                .collect();
-            base.push(std::mem::replace(&mut prev, next));
+                }
+            }
+            changes.push(hour);
         }
-        base.push(prev);
         Ok(DynamicTrace {
-            base,
+            row0,
+            changes,
             east,
             model,
             offset: EAST_COAST_OFFSET,
@@ -206,6 +268,8 @@ impl DynamicTrace {
     /// Builds a trace from externally supplied hourly base-rate rows (e.g. a
     /// parsed measurement file): `rows[h][i]` is flow `i`'s base rate at
     /// hour `h`, signed so malformed input is caught rather than wrapped.
+    /// Each row after the first is stored as its changes against the row
+    /// before it.
     ///
     /// # Errors
     ///
@@ -233,7 +297,8 @@ impl DynamicTrace {
                 got: rows.len(),
             });
         }
-        let mut base = Vec::with_capacity(expected_rows);
+        let mut row0 = Vec::with_capacity(w.num_flows());
+        let mut changes = Vec::with_capacity(expected_rows - 1);
         for (hour, row) in rows.iter().enumerate() {
             if row.len() != w.num_flows() {
                 return Err(TraceError::RowLengthMismatch {
@@ -242,17 +307,29 @@ impl DynamicTrace {
                     got: row.len(),
                 });
             }
-            let mut checked = Vec::with_capacity(row.len());
-            for (flow, &rate) in row.iter().enumerate() {
-                match u64::try_from(rate) {
-                    Ok(r) => checked.push(r),
-                    Err(_) => return Err(TraceError::NegativeRate { hour, flow, rate }),
+            let checked = |(flow, &rate): (usize, &i64)| {
+                u64::try_from(rate).map_err(|_| TraceError::NegativeRate { hour, flow, rate })
+            };
+            if hour == 0 {
+                row0 = row
+                    .iter()
+                    .enumerate()
+                    .map(checked)
+                    .collect::<Result<_, _>>()?;
+                continue;
+            }
+            let mut changed = HourChanges::default();
+            for (flow, (rate, prev)) in row.iter().zip(&rows[hour - 1]).enumerate() {
+                let r = checked((flow, rate))?;
+                if rate != prev {
+                    changed.push(flow, r);
                 }
             }
-            base.push(checked);
+            changes.push(changed);
         }
         Ok(DynamicTrace {
-            base,
+            row0,
+            changes,
             east,
             model,
             offset: EAST_COAST_OFFSET,
@@ -294,9 +371,16 @@ impl DynamicTrace {
         self.east[i]
     }
 
-    /// The base (pre-envelope) rate of flow `i` at hour `h`.
+    /// The base (pre-envelope) rate of flow `i` at hour `h`, replayed
+    /// from hour 0 through the change lists.
     pub fn base_rate_at(&self, h: u32, i: usize) -> u64 {
-        self.base[(h as usize).min(self.base.len() - 1)][i]
+        let key = i as u32;
+        self.changes_through(h).iter().fold(self.row0[i], |b, c| {
+            match c.flows.binary_search(&key) {
+                Ok(k) => c.bases[k],
+                Err(_) => b,
+            }
+        })
     }
 
     /// The rate vector at hour `h` (0 = 6 AM in the paper's framing):
@@ -304,8 +388,11 @@ impl DynamicTrace {
     /// day started earlier), west-cohort flows at `h` directly.
     pub fn rates_at(&self, h: u32) -> Vec<u64> {
         let scales = self.cohort_scales(h);
-        self.row(h)
-            .iter()
+        let mut row = Cow::Borrowed(&self.row0[..]);
+        for c in self.changes_through(h).iter().filter(|c| !c.is_empty()) {
+            c.apply(row.to_mut());
+        }
+        row.iter()
             .zip(&self.east)
             .map(|(&b, &east)| scaled(b, scales[usize::from(east)]))
             .collect()
@@ -316,17 +403,40 @@ impl DynamicTrace {
     /// fingerprints the whole trace without deriving a single rate.
     pub fn inputs(&self) -> TraceInputs<'_> {
         TraceInputs {
-            base: &self.base,
+            row0: &self.row0,
+            changes: &self.changes,
             east: &self.east,
             model: self.model,
             offset: self.offset,
         }
     }
 
-    /// The base-rate row in force at hour `h` (hours past the last row
-    /// keep it).
-    fn row(&self, h: u32) -> &[u64] {
-        &self.base[(h as usize).min(self.base.len() - 1)]
+    /// A cursor whose consumer holds `rates_at(hour)`; see [`TraceCursor`].
+    pub fn cursor(&self, hour: u32) -> TraceCursor<'_> {
+        TraceCursor {
+            trace: self,
+            hour,
+            row: None,
+            row_hour: 0,
+        }
+    }
+
+    /// The change lists of hours `1..=h` (hours past the last list keep
+    /// the last row).
+    fn changes_through(&self, h: u32) -> &[HourChanges] {
+        &self.changes[..(h as usize).min(self.changes.len())]
+    }
+
+    /// Hour `h`'s change list as `(flows, bases)`; empty for hour 0 and
+    /// for hours past the last list.
+    fn changes_at(&self, h: u32) -> (&[u32], &[u64]) {
+        match (h as usize)
+            .checked_sub(1)
+            .and_then(|k| self.changes.get(k))
+        {
+            Some(c) => (&c.flows, &c.bases),
+            None => (&[], &[]),
+        }
     }
 
     /// The envelope scales at hour `h`, indexed by cohort: `[west, east]`.
@@ -341,10 +451,11 @@ impl DynamicTrace {
     /// `(flow, new λ − old λ)` pairs with unchanged flows omitted.
     ///
     /// This is the epoch-update feed for
-    /// `AttachAggregates::apply_rate_deltas`: the simulator's hourly loop
-    /// folds these deltas into its aggregates instead of rebuilding them.
-    /// By construction `rates_at(h - 1)` plus the deltas equals
-    /// `rates_at(h)` exactly.
+    /// `AttachAggregates::apply_rate_deltas`. By construction
+    /// `rates_at(h - 1)` plus the deltas equals `rates_at(h)` exactly.
+    /// It is a stateless replay (one rate vector at `h − 1`, then one
+    /// cursor step); an engine that walks the day in order steps a
+    /// [`TraceCursor`] instead.
     ///
     /// # Panics
     ///
@@ -361,76 +472,221 @@ impl DynamicTrace {
     ///
     /// # Errors
     ///
-    /// [`TraceError::NoPrecedingHour`] when `h` is 0.
+    /// [`TraceError::NoPrecedingHour`] when `h` is 0, and
+    /// [`TraceError::DeltaOutOfRange`] for the lowest flow whose change
+    /// does not fit an `i64`.
     pub fn try_rate_deltas(&self, h: u32) -> Result<Vec<(FlowId, i64)>, TraceError> {
-        Ok(self
-            .candidates(h)?
-            .filter_map(|(flow, (a, s), (b, t))| {
-                let (old, new) = (scaled(a, s), scaled(b, t));
-                (old != new).then(|| (flow, new as i64 - old as i64))
-            })
-            .collect())
-    }
-
-    /// The rates at hour `h` of the flows that may have moved since hour
-    /// `h − 1`, as `(flow, λ at h)` pairs in flow-id order.
-    ///
-    /// This is the streaming engine's epoch feed: a consumer that holds
-    /// `rates_at(h - 1)` and overwrites the yielded flows holds
-    /// `rates_at(h)` exactly. Every flow whose rate changed is yielded; so
-    /// is a flow whose base entry or cohort scale moved but whose rounded
-    /// rate did not (its pair carries the unchanged rate). Each rate is
-    /// evaluated once, at `h` only.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceError::NoPrecedingHour`] when `h` is 0.
-    pub fn try_changed_rates(
-        &self,
-        h: u32,
-    ) -> Result<impl Iterator<Item = (FlowId, u64)> + '_, TraceError> {
-        Ok(self
-            .candidates(h)?
-            .map(|(flow, _, (b, t))| (flow, scaled(b, t))))
-    }
-
-    /// The flows the exact skip rule keeps for the step from hour `h − 1`
-    /// to hour `h`, in flow-id order, each with its `(base, scale)` at
-    /// both hours: both hourly feeds walk this.
-    ///
-    /// A flow's rate is `round(base · scale)` of its row entry and its
-    /// cohort's scale, so a flow whose base entry and cohort scale both
-    /// stayed put (the scale compared bit for bit) cannot have moved and
-    /// is skipped. The two cohort scales per hour are evaluated once, not
-    /// per flow.
-    fn candidates(
-        &self,
-        h: u32,
-    ) -> Result<impl Iterator<Item = (FlowId, Scaled, Scaled)> + '_, TraceError> {
-        if h < 1 {
-            return Err(TraceError::NoPrecedingHour);
-        }
-        let (prev_row, next_row) = (self.row(h - 1), self.row(h));
-        let (prev, next) = (self.cohort_scales(h - 1), self.cohort_scales(h));
-        let moved = [0, 1].map(|c| prev[c].to_bits() != next[c].to_bits());
-        Ok(prev_row
-            .iter()
-            .zip(next_row)
-            .zip(&self.east)
-            .enumerate()
-            .filter_map(move |(i, ((a, &b), &east))| {
-                let c = usize::from(east);
-                // The previous row is read only when the scale stayed put,
-                // or when a consumer asks for the old rate.
-                (moved[c] || *a != b).then(|| (FlowId(i as u32), (*a, prev[c]), (b, next[c])))
-            }))
+        let prev = h.checked_sub(1).ok_or(TraceError::NoPrecedingHour)?;
+        let mut rates = self.rates_at(prev);
+        self.cursor(prev).step_deltas(&mut rates)
     }
 }
 
-/// A flow's rate inputs at one hour: its base rate and its cohort's scale.
-type Scaled = (u64, f64);
+/// A position in a [`DynamicTrace`] that its consumer steps through the
+/// day hour by hour: the consumer holds `rates_at(hour())`, and each
+/// [`TraceCursor::step`] yields what it must overwrite to hold the next
+/// hour's rates.
+///
+/// A step from hour `h − 1` to `h` walks one of two things:
+///
+/// * neither cohort's scale moved (compared bit for bit): hour `h`'s
+///   change list alone. A flow absent from it kept its base entry and its
+///   scale, so its rate `round(base · scale)` cannot have moved; a repeat
+///   hour walks nothing.
+/// * a scale moved: the dense base row of hour `h`, yielding every flow
+///   of a moved cohort and every flow on hour `h`'s list.
+///
+/// The dense row starts as the trace's own hour-0 row, borrowed. Only a
+/// scale-moved step brings it up to date: the cursor copies it on the
+/// first base change such a step meets and replays the change lists
+/// since the last such step into the copy. A trace that only rescales,
+/// or only changes bases under a flat envelope, is never copied.
+#[derive(Debug, Clone)]
+pub struct TraceCursor<'a> {
+    trace: &'a DynamicTrace,
+    /// The hour whose rates the consumer holds.
+    hour: u32,
+    /// The base row at `row_hour`; `None` while it is still hour 0's row
+    /// (no change list up to `row_hour` is non-empty).
+    row: Option<Vec<u64>>,
+    row_hour: u32,
+}
+
+impl<'a> TraceCursor<'a> {
+    /// The trace this cursor walks.
+    pub fn trace(&self) -> &'a DynamicTrace {
+        self.trace
+    }
+
+    /// The hour whose rates the consumer holds.
+    pub fn hour(&self) -> u32 {
+        self.hour
+    }
+
+    /// Steps from `hour()` to the next hour and yields `(flow, λ at the
+    /// new hour)` for every flow that may have moved, in flow-id order.
+    ///
+    /// A consumer that holds `rates_at(h - 1)` and overwrites the yielded
+    /// flows holds `rates_at(h)` exactly. Every flow whose rate changed is
+    /// yielded; so is a flow whose base entry or cohort scale moved but
+    /// whose rounded rate did not (its pair carries the unchanged rate).
+    /// The two cohort scales are evaluated once per step, not per flow.
+    /// At hour `u32::MAX` the cursor stays put and yields nothing.
+    pub fn step(&mut self) -> HourWalk<'_> {
+        let t = self.trace;
+        let Some(h) = self.hour.checked_add(1) else {
+            return HourWalk::list_only(t, &[], &[], [1.0; 2]);
+        };
+        self.hour = h;
+        let (prev, next) = (t.cohort_scales(h - 1), t.cohort_scales(h));
+        let moved = [0, 1].map(|c| prev[c].to_bits() != next[c].to_bits());
+        let (flows, bases) = t.changes_at(h);
+        if moved == [false; 2] {
+            return HourWalk::list_only(t, flows, bases, next);
+        }
+        self.catch_up(h);
+        let row = self.row.as_deref().unwrap_or(&t.row0);
+        HourWalk {
+            dense: row.iter().zip(&t.east).enumerate(),
+            flows,
+            bases,
+            // When both scales moved every flow is yielded, listed or not.
+            taken: if moved == [true; 2] { flows.len() } else { 0 },
+            east: &t.east,
+            scales: next,
+            moved,
+        }
+    }
+
+    /// Steps like [`TraceCursor::step`], writes each yielded rate into
+    /// `rates` (which holds `rates_at(hour())` on entry and the next
+    /// hour's on return) and returns `(flow, new λ − old λ)` for every
+    /// flow whose rate changed, in flow-id order.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceError::DeltaOutOfRange`] for the first flow whose change
+    /// does not fit an `i64`; `rates` is then partly written.
+    ///
+    /// # Panics
+    ///
+    /// When `rates` is shorter than the trace's flow count.
+    pub fn step_deltas(&mut self, rates: &mut [u64]) -> Result<Vec<(FlowId, i64)>, TraceError> {
+        let hour = self.hour.saturating_add(1);
+        let mut out = Vec::new();
+        for (flow, new) in self.step() {
+            let old = std::mem::replace(&mut rates[flow.index()], new);
+            if old != new {
+                let delta = i64::try_from(i128::from(new) - i128::from(old));
+                out.push((
+                    flow,
+                    delta.map_err(|_| TraceError::DeltaOutOfRange {
+                        hour,
+                        flow: flow.index(),
+                    })?,
+                ));
+            }
+        }
+        Ok(out)
+    }
+
+    /// Brings the dense row to hour `h` by replaying the change lists
+    /// after `row_hour`, copying hour 0's row on the first non-empty one.
+    fn catch_up(&mut self, h: u32) {
+        let lists = self.trace.changes_through(h);
+        let done = (self.row_hour as usize).min(lists.len());
+        for c in lists[done..].iter().filter(|c| !c.is_empty()) {
+            c.apply(self.row.get_or_insert_with(|| self.trace.row0.clone()));
+        }
+        self.row_hour = self.row_hour.max(h);
+    }
+}
+
+/// One [`TraceCursor::step`]: `(flow, λ at the new hour)` pairs in flow-id
+/// order. A dense walk reads the new hour's base row, and the hour's
+/// change list only to find listed flows of a cohort whose scale stayed
+/// put; a list-only walk (no scale moved) reads the list alone.
+#[derive(Debug, Clone)]
+pub struct HourWalk<'a> {
+    /// The base row at the new hour with the cohort flags; empty for a
+    /// list-only walk.
+    dense:
+        std::iter::Enumerate<std::iter::Zip<std::slice::Iter<'a, u64>, std::slice::Iter<'a, bool>>>,
+    /// The hour's change list.
+    flows: &'a [u32],
+    bases: &'a [u64],
+    /// Change-list entries already walked.
+    taken: usize,
+    east: &'a [bool],
+    /// The cohort scales at the new hour, `[west, east]`.
+    scales: [f64; 2],
+    /// Whether each cohort's scale moved since the previous hour.
+    moved: [bool; 2],
+}
+
+impl<'a> HourWalk<'a> {
+    fn list_only(
+        t: &'a DynamicTrace,
+        flows: &'a [u32],
+        bases: &'a [u64],
+        scales: [f64; 2],
+    ) -> Self {
+        HourWalk {
+            dense: [].iter().zip(&t.east[..0]).enumerate(),
+            flows,
+            bases,
+            taken: 0,
+            east: &t.east,
+            scales,
+            moved: [false; 2],
+        }
+    }
+}
+
+impl Iterator for HourWalk<'_> {
+    type Item = (FlowId, u64);
+
+    #[inline]
+    fn next(&mut self) -> Option<(FlowId, u64)> {
+        let HourWalk {
+            dense,
+            flows,
+            bases,
+            taken,
+            east,
+            scales,
+            moved,
+        } = self;
+        let (flows, bases, scales, moved) = (*flows, *bases, *scales, *moved);
+        // The dense row is already at the new hour; the change list only
+        // marks which flows of a cohort whose scale stayed put must be
+        // yielded. With no such flow left the loop tests the cohort alone.
+        let hit = if *taken == flows.len() {
+            dense.find_map(|(i, (&b, &e))| {
+                let c = usize::from(e);
+                moved[c].then(|| (FlowId(i as u32), scaled(b, scales[c])))
+            })
+        } else {
+            dense.find_map(|(i, (&b, &e))| {
+                let c = usize::from(e);
+                let listed = flows.get(*taken) == Some(&(i as u32));
+                *taken += usize::from(listed);
+                (listed || moved[c]).then(|| (FlowId(i as u32), scaled(b, scales[c])))
+            })
+        };
+        if hit.is_some() {
+            return hit;
+        }
+        // A list-only walk; after a dense walk the list is already spent.
+        let (&f, &b) = (flows.get(*taken)?, bases.get(*taken)?);
+        *taken += 1;
+        let c = usize::from(east[f as usize]);
+        Some((FlowId(f), scaled(b, scales[c])))
+    }
+}
 
 /// A flow's rate: its base rate scaled by its cohort's envelope factor.
+#[inline]
 fn scaled(base: u64, scale: f64) -> u64 {
     round_to_u64(base as f64 * scale)
 }
@@ -444,18 +700,23 @@ fn scaled(base: u64, scale: f64) -> u64 {
 /// integer and the fraction is 0. Negative and NaN inputs truncate to 0
 /// with a fraction below `0.5`, and values past `u64::MAX` saturate, as
 /// the cast does.
+#[inline]
 fn round_to_u64(x: f64) -> u64 {
     let t = x as u64;
     t.saturating_add(u64::from(x - t as f64 >= 0.5))
 }
 
-/// Read-only view of the inputs that define a [`DynamicTrace`]: the hourly
-/// base-rate rows, the cohort flags, the diurnal model, and the east
-/// cohort's offset. Every hour's rate vector is a pure function of these.
+/// Read-only view of the inputs that define a [`DynamicTrace`]: hour 0's
+/// base-rate row, each later hour's base-rate changes, the cohort flags,
+/// the diurnal model, and the east cohort's offset. Every hour's rate
+/// vector is a pure function of these.
 #[derive(Debug, Clone, Copy)]
 pub struct TraceInputs<'a> {
-    /// `base[h][i]`: flow `i`'s base rate at hour `h` (`n_hours + 1` rows).
-    pub base: &'a [Vec<u64>],
+    /// `row0[i]`: flow `i`'s base rate at hour 0.
+    pub row0: &'a [u64],
+    /// `changes[h - 1]`: the base-rate changes from hour `h − 1` to `h`
+    /// (`n_hours` lists).
+    pub changes: &'a [HourChanges],
     /// `east[i]`: flow `i` is in the east cohort.
     pub east: &'a [bool],
     /// The envelope model (`n_hours`, `tau_min`).
@@ -516,7 +777,7 @@ pub fn standard_workload(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppdc_topology::FatTree;
+    use ppdc_topology::{FatTree, NodeId};
 
     #[test]
     fn trace_is_reproducible() {
@@ -699,6 +960,89 @@ mod tests {
             for i in 0..4 {
                 assert_eq!(t.base_rate_at(h, i), (i + 1) as u64);
             }
+        }
+    }
+
+    /// A base of `i64::MAX` scales to 2^63 at scale 1.0, so the rise from
+    /// 0 does not fit an `i64` delta: it is refused, not reported with its
+    /// sign flipped as a decrease.
+    #[test]
+    fn a_delta_past_i64_max_is_refused_not_sign_flipped() {
+        let mut w = Workload::new();
+        w.add_pair(NodeId(0), NodeId(1), 0);
+        let flat = DiurnalModel {
+            n_hours: 1,
+            tau_min: 1.0,
+        };
+        let t = DynamicTrace::from_rows(&w, flat, vec![false], &[vec![0], vec![i64::MAX]]).unwrap();
+        assert_eq!(t.rates_at(1), vec![1u64 << 63]);
+        let refused = TraceError::DeltaOutOfRange { hour: 1, flow: 0 };
+        assert_eq!(t.try_rate_deltas(1), Err(refused.clone()));
+        let mut rates = t.rates_at(0);
+        assert_eq!(t.cursor(0).step_deltas(&mut rates), Err(refused));
+        // The fall back from 2^63 to 0 is exactly `i64::MIN`, and a rise
+        // that fits is reported exactly.
+        for (rows, delta) in [([i64::MAX, 0], i64::MIN), ([1, i64::MAX], i64::MAX)] {
+            let t = DynamicTrace::from_rows(&w, flat, vec![false], &rows.map(|r| vec![r])).unwrap();
+            assert_eq!(t.try_rate_deltas(1), Ok(vec![(FlowId(0), delta)]));
+        }
+    }
+
+    /// Under a flat envelope a repeat hour walks nothing and a changed
+    /// hour walks its change list alone; neither copies the base row.
+    /// Under a moving envelope the row is copied only once a scale-moved
+    /// step meets a base change.
+    #[test]
+    fn the_cursor_copies_the_base_row_only_when_it_must() {
+        let mut w = Workload::new();
+        for i in 0..6 {
+            w.add_pair(NodeId(i), NodeId(i + 1), 100 * u64::from(i + 1));
+        }
+        let row: Vec<i64> = w.rates().iter().map(|&r| r as i64).collect();
+        let mut changed = row.clone();
+        changed[2] = 7;
+        changed[5] = 9;
+        let rows = vec![row.clone(), row.clone(), changed.clone(), changed, row];
+        let flat = DiurnalModel {
+            n_hours: 4,
+            tau_min: 1.0,
+        };
+        let t = DynamicTrace::from_rows(&w, flat, vec![false; 6], &rows).unwrap();
+        let mut c = t.cursor(0);
+        let walked: Vec<Vec<(FlowId, u64)>> = (0..6).map(|_| c.step().collect()).collect();
+        assert_eq!(
+            walked,
+            vec![
+                vec![],
+                vec![(FlowId(2), 7), (FlowId(5), 9)],
+                vec![],
+                vec![(FlowId(2), 300), (FlowId(5), 600)],
+                vec![],
+                vec![],
+            ]
+        );
+        assert!(c.row.is_none(), "a flat envelope never needs the dense row");
+        // The default envelope moves a scale every hour of the day: hour
+        // 1 walks row 0 itself, hour 2's step needs the row with hour 2's
+        // change written over it.
+        let t = DynamicTrace::from_rows(
+            &w,
+            DiurnalModel {
+                n_hours: 4,
+                tau_min: 0.2,
+            },
+            vec![false; 6],
+            &rows,
+        )
+        .unwrap();
+        let mut c = t.cursor(0);
+        for h in 1..=4 {
+            let mut held = t.rates_at(h - 1);
+            for (f, r) in c.step() {
+                held[f.index()] = r;
+            }
+            assert_eq!(held, t.rates_at(h), "hour {h}");
+            assert_eq!(c.row.is_some(), h >= 2, "hour {h}");
         }
     }
 

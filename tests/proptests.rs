@@ -1113,7 +1113,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The fused trace feed equals the delta-batch path: stepping a store
-    /// through every hour with `advance(trace, h)` and a twin store with
+    /// through every hour with `advance` of a trace cursor and a twin store with
     /// `ingest` of `try_rate_deltas(h)` gives equal reports — masses,
     /// `Σλ` change, drift and applied count; `records` counts different
     /// inputs on the two paths — and both stores hold `rates_at(h)`
@@ -1214,8 +1214,9 @@ proptest! {
             w0.set_rates(&trace.rates_at(0)).unwrap();
             let mut fed = ShardedFlowStore::build(g, &w0).unwrap();
             let mut batched = fed.clone();
+            let mut cursor = trace.cursor(0);
             for h in 1..=last {
-                let a = fed.advance(&trace, h).unwrap();
+                let a = fed.advance(&mut cursor).unwrap();
                 let deltas: Vec<RateDelta> = trace
                     .try_rate_deltas(h)
                     .unwrap()
@@ -1349,6 +1350,153 @@ proptest! {
                 resumed.result, full.result,
                 "shape {} kill {} threshold {}", shape, kill, cfg.drift_threshold
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The trace against dense rows the test keeps itself: rows drawn in
+    /// the test (repeat hours, a few random flows, flow 0, the last flow,
+    /// every flow, or a whole repeated day) go through `from_rows`, and
+    /// `rates_at`, `try_rate_deltas` and cursor steps from every start
+    /// hour (the resume case) must match `round(row · scale)` computed
+    /// here from those rows, through hours past the last row, under
+    /// envelopes where both cohorts, one cohort or no cohort moves. The
+    /// trace's own change lists are never read.
+    ///
+    /// Moving one base change to the next hour, or to a neighbouring
+    /// flow, must change `stream_fingerprint`.
+    #[test]
+    fn trace_matches_its_dense_rows_and_fingerprints_every_change(
+        num_flows in 1usize..24,
+        n_hours in 1u32..9,
+        envelope in 0usize..3,
+        all_repeat in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        use ppdc::sim::{stream_fingerprint, StreamConfig};
+        use ppdc::topology::FatTree;
+        use ppdc::traffic::{DiurnalModel, DynamicTrace};
+        let mut x = seed | 1;
+        let mut next = || { x ^= x << 13; x ^= x >> 7; x ^= x << 17; x };
+        let ft = FatTree::build(4).unwrap();
+        let hosts: Vec<NodeId> = ft.graph().hosts().collect();
+        let mut w = Workload::new();
+        let mut rows: Vec<Vec<i64>> = vec![Vec::new()];
+        for _ in 0..num_flows {
+            let a = hosts[next() as usize % hosts.len()];
+            let b = hosts[next() as usize % hosts.len()];
+            let r = next() % 10_000;
+            w.add_pair(a, b, r);
+            rows[0].push(r as i64);
+        }
+        let last_flow = num_flows - 1;
+        for _ in 0..n_hours {
+            let mut row = rows[rows.len() - 1].clone();
+            let draw = |next: &mut dyn FnMut() -> u64| (next() % 10_000) as i64;
+            match if all_repeat { 0 } else { next() % 5 } {
+                0 => {}
+                1 => {
+                    for _ in 0..1 + next() % 3 {
+                        let i = next() as usize % num_flows;
+                        row[i] = draw(&mut next);
+                    }
+                }
+                2 => row[0] = draw(&mut next),
+                3 => row[last_flow] = draw(&mut next),
+                _ => row.iter_mut().for_each(|r| *r = draw(&mut next)),
+            }
+            rows.push(row);
+        }
+        // Flat: no scale moves. Default offset: both cohorts move. An
+        // offset past the day: the east cohort rests at the floor while
+        // the west one moves.
+        let (tau_min, offset) = [(1.0, 3), (0.2, 3), (0.35, i64::from(n_hours) + 1)][envelope];
+        let model = DiurnalModel { n_hours, tau_min };
+        let east: Vec<bool> = (0..num_flows).map(|_| next() % 2 == 0).collect();
+        let build = |rows: &[Vec<i64>]| {
+            DynamicTrace::from_rows(&w, model, east.clone(), rows)
+                .unwrap()
+                .with_offset(offset)
+        };
+        let trace = build(&rows);
+        let want = |h: u32| -> Vec<u64> {
+            let row = &rows[(h as usize).min(rows.len() - 1)];
+            row.iter()
+                .zip(&east)
+                .map(|(&b, &e)| {
+                    let at = i64::from(h) + if e { offset } else { 0 };
+                    (b as f64 * model.scale_at(at)).round() as u64
+                })
+                .collect()
+        };
+        let end = n_hours + 2;
+        for h in 0..=end {
+            prop_assert_eq!(trace.rates_at(h), want(h), "hour {}", h);
+        }
+        for h in 1..=end {
+            let (prev, now) = (want(h - 1), want(h));
+            let deltas: Vec<(ppdc::model::FlowId, i64)> = prev
+                .iter()
+                .zip(&now)
+                .enumerate()
+                .filter(|(_, (a, b))| a != b)
+                .map(|(i, (&a, &b))| (ppdc::model::FlowId(i as u32), b as i64 - a as i64))
+                .collect();
+            prop_assert_eq!(trace.try_rate_deltas(h).unwrap(), deltas, "hour {}", h);
+        }
+        for start in 0..end {
+            let mut cursor = trace.cursor(start);
+            let mut held = want(start);
+            for h in start + 1..=end {
+                let prev_row = &rows[(h as usize - 1).min(rows.len() - 1)];
+                let row = &rows[(h as usize).min(rows.len() - 1)];
+                let scale_moved = (0..2).any(|c| {
+                    let at = |h: u32| i64::from(h) + if c == 1 { offset } else { 0 };
+                    model.scale_at(at(h - 1)).to_bits() != model.scale_at(at(h)).to_bits()
+                });
+                let mut walked = 0usize;
+                let mut last_seen = None;
+                for (f, r) in cursor.step() {
+                    prop_assert!(last_seen < Some(f.index()), "flow order at hour {}", h);
+                    last_seen = Some(f.index());
+                    held[f.index()] = r;
+                    walked += 1;
+                }
+                prop_assert_eq!(cursor.hour(), h);
+                prop_assert_eq!(&held, &want(h), "start {} hour {}", start, h);
+                if !scale_moved {
+                    // Only the hour's base changes are walked: a repeat
+                    // hour walks nothing.
+                    let changed = row.iter().zip(prev_row).filter(|(a, b)| a != b).count();
+                    prop_assert_eq!(walked, changed, "start {} hour {}", start, h);
+                }
+            }
+        }
+        // Fingerprints: move the first base change one hour later, or onto
+        // a neighbouring flow.
+        let sfc = Sfc::of_len(3).unwrap();
+        let cfg = StreamConfig::default();
+        let fp = |t: &DynamicTrace| stream_fingerprint(ft.graph(), &w, t, &sfc, &cfg);
+        let base_fp = fp(&trace);
+        let first_change = (1..rows.len())
+            .flat_map(|h| (0..num_flows).map(move |i| (h, i)))
+            .find(|&(h, i)| rows[h][i] != rows[h - 1][i]);
+        if let Some((h, i)) = first_change {
+            if h < rows.len() - 1 {
+                let mut later = rows.clone();
+                later[h][i] = rows[h - 1][i];
+                prop_assert!(fp(&build(&later)) != base_fp, "change at ({}, {}) one hour later", h, i);
+            }
+            if num_flows > 1 {
+                let j = if i == last_flow { i - 1 } else { i + 1 };
+                let mut beside = rows.clone();
+                beside[h][i] = rows[h - 1][i];
+                beside[h][j] = rows[h][i];
+                prop_assert!(fp(&build(&beside)) != base_fp, "change at ({}, {}) moved to flow {}", h, i, j);
+            }
         }
     }
 }
