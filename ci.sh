@@ -20,7 +20,11 @@
 #                         their pinned output in tests/golden/),
 #                         1M-flow stream day (then killed at mid-day and
 #                         resumed from disk), churned stream day
-#   9. bench smoke      — one pass of the bench groups (including the
+#   9. benchmark build  — perfbench/ (its own workspace, which names
+#                         engine functions) built offline, then one
+#                         1-second end-to-end run that must report
+#                         "correct": true
+#  10. bench smoke      — one pass of the bench groups (including the
 #                         hourly engine's simulated day and every exact
 #                         search: stroll, placement, scaled placement,
 #                         migration), appended to the BENCH_placement.json
@@ -101,6 +105,18 @@ cargo run --release -p ppdc-experiments -- stream --flows 1000000 --budget-ms 12
 
 echo "==> churned-day stream smoke (hot-rack/two-pod/full-fabric spikes, warm-solver counters + budget)"
 cargo run --release -p ppdc-experiments -- stream --churned --flows 1000000 --budget-ms 120000 --warm-ms 1000
+
+echo "==> perfbench build (offline; breaks when an engine name it uses changes)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
+echo "==> perfbench smoke (rack-churn, 1 s, end to end; must print \"correct\": true)"
+perfbench_out=$(CARGO_TARGET_DIR="$PWD/perfbench/target" \
+    python3 perfbench/run.py --workload rack-churn --seed 1 --seconds 1 --trace 0)
+echo "$perfbench_out"
+if ! echo "$perfbench_out" | tail -n 1 | grep -q '"correct": true'; then
+    echo "perfbench smoke did not report \"correct\": true" >&2
+    exit 1
+fi
 
 echo "==> bench smoke (oracle + placement + exact searches + hourly day + checkpoint + stream groups once, trajectory appended)"
 rm -f target/ci-bench-samples.jsonl

@@ -49,7 +49,11 @@
 //! [`dp_placement`] the engine would otherwise pay, over the same
 //! three churn localities. Aggregates are prebuilt outside the timer and
 //! alternate base ↔ churned between iterations, so the measured unit is
-//! exactly the post-ingest re-solve latency.
+//! exactly the post-ingest re-solve latency. The same group prices the
+//! staleness certificate both ways: `certify_scan` is the `O(m²)` oracle
+//! scan [`placement_cost_lower_bound`], and each `certify_cached_<case>`
+//! is [`BoundCache::lower_bound`] — the refresh the engine runs each
+//! checked epoch — over the same alternating aggregates.
 //!
 //! `PPDC_BENCH_ONLY=stream_ingest` (comma-separated group names) restricts
 //! the run — the vendored criterion stand-in has no CLI filter.
@@ -57,7 +61,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ppdc_model::{Sfc, Workload};
 use ppdc_placement::{
-    dp_placement, dp_placement_warm, AttachAggregates, BoundCache, HostMassDelta,
+    dp_placement, dp_placement_warm, placement_cost_lower_bound, AttachAggregates, BoundCache,
+    HostMassDelta,
 };
 use ppdc_sim::{stream_fingerprint, RateDelta, ShardedFlowStore, StreamConfig};
 use ppdc_topology::{FatTree, FatTreeOracle, NodeId};
@@ -268,6 +273,9 @@ fn hot_rack_trace(ft: &FatTree, w: &Workload) -> DynamicTrace {
 /// [`BoundCache::note_mass_deltas`], and re-solves seeded with the
 /// previous optimum — exactly the streaming engine's per-epoch solver
 /// path, with the ingest fold excluded so the two sides are comparable.
+/// `certify_scan` and `certify_cached_<case>` time the certificate's
+/// bound on the same inputs; each cached case first checks that its bound
+/// equals the scan's.
 fn bench_stream_resolve(c: &mut Criterion) {
     if !enabled("stream_resolve") {
         return;
@@ -287,6 +295,9 @@ fn bench_stream_resolve(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("cold", FLOWS), &(), |b, ()| {
         b.iter(|| dp_placement(&oracle, &w, &sfc, &base).unwrap())
     });
+    group.bench_with_input(BenchmarkId::new("certify_scan", FLOWS), &(), |b, ()| {
+        b.iter(|| placement_cost_lower_bound(&oracle, &base, sfc.len()))
+    });
 
     let touch = [HostMassDelta {
         host: g.hosts().next().expect("fat-tree has hosts"),
@@ -300,6 +311,25 @@ fn bench_stream_resolve(c: &mut Criterion) {
         churned
             .try_apply_mass_deltas(&oracle, &r.masses, r.total_delta)
             .unwrap();
+        let mut cache = BoundCache::new();
+        assert_eq!(
+            cache.lower_bound(&oracle, &churned, sfc.len()),
+            placement_cost_lower_bound(&oracle, &churned, sfc.len()),
+            "{name}: the cached bound left the scan"
+        );
+        let mut flip = false;
+        group.bench_with_input(
+            BenchmarkId::new(format!("certify_cached_{name}"), FLOWS),
+            &(),
+            |b, ()| {
+                b.iter(|| {
+                    let agg = if flip { &churned } else { &base };
+                    flip = !flip;
+                    cache.note_mass_deltas(&touch);
+                    cache.lower_bound(&oracle, agg, sfc.len())
+                })
+            },
+        );
         let mut cache = BoundCache::new();
         let (mut prev, _) =
             dp_placement_warm(g, &oracle, &w, &sfc, &base, &mut cache, None).unwrap();

@@ -149,15 +149,17 @@ pub mod names {
     /// it. Pairs with [`STREAM_DRIFT`].
     pub const STREAM_RESOLVES_SKIPPED: &str = "stream.resolves_skipped";
     /// One warm-started Algorithm 3 solve (`dp_placement_warm`): bound
-    /// cache refresh, incumbent seeding, and the seeded sweep.
+    /// cache refresh (unless the epoch's certificate already ran it),
+    /// incumbent seeding, and the seeded sweep.
     pub const SOLVER_WARM: &str = "solver.warm";
     /// Warm solves that installed a priced feasible incumbent as the
     /// sweep's initial upper bound.
     pub const SOLVER_WARM_SEEDED: &str = "solver.warm.seeded";
-    /// Bound-cache rows recomputed because their attach aggregates moved
-    /// (full rebuilds count every row).
+    /// Bound-cache rows recomputed by a refresh because their attach
+    /// aggregates moved (full rebuilds count every row).
     pub const SOLVER_WARM_ROWS_DIRTY: &str = "solver.warm.rows_dirty";
-    /// Bound-cache rows reused verbatim across a warm solve.
+    /// Bound-cache rows reused verbatim by a refresh (the certificate's
+    /// or a warm solve's).
     pub const SOLVER_WARM_ROWS_REUSED: &str = "solver.warm.rows_reused";
     /// Egresses dropped before the sweep because their cached bound
     /// already exceeded the seeded incumbent.

@@ -244,11 +244,15 @@ pub fn dp_placement<D: DistanceOracle + ?Sized>(
 /// of Algorithm 3 over `agg`'s candidate set — in the saturating algebra.
 /// For `n ≤ 2` the bound is exact.
 ///
-/// This is the streaming engine's *staleness certificate*: after folding
-/// rate deltas into `agg`, `comm_cost(incumbent) − LB` bounds how far the
-/// stale incumbent placement can be from the current optimum, without
-/// running a solve. `O(m²)` oracle queries and no closure build, so it is
-/// cheap even at k = 32 against the analytic fat-tree oracle.
+/// This is the bound of the streaming engine's *staleness certificate*:
+/// after folding rate deltas into `agg`, `comm_cost(incumbent) − LB`
+/// bounds how far the stale incumbent placement can be from the current
+/// optimum, without running a solve. `O(m²)` oracle queries and no
+/// closure build. The engine prices it through
+/// [`crate::BoundCache::lower_bound`], which returns this value off its
+/// cached egress order for `n ≥ 3` (DESIGN.md §10) and calls this
+/// function for `n < 3`; the scan stays the reference the cache is
+/// tested against.
 ///
 /// Returns [`INFINITY`] when `agg` offers fewer than `sfc_len` candidate
 /// switches (no placement exists, so every cost bound holds vacuously) or

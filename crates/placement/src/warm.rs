@@ -15,10 +15,15 @@
 //!    the per-candidate `A_in`/`A_out` bound terms, the metric closure,
 //!    its commutative row fingerprints, the interchangeability classes,
 //!    and the best-bound egress order. Epochs report their merged mass
-//!    deltas via [`BoundCache::note_mass_deltas`]; at the next solve only
-//!    rows whose aggregates actually moved recompute (a cancelling delta
-//!    pair leaves its rows clean), classes are re-verified only when some
-//!    row is dirty, and a quiet epoch reuses everything verbatim.
+//!    deltas via [`BoundCache::note_mass_deltas`]; the next refresh diffs
+//!    every row's terms against the snapshot in `O(m)` and rewrites the
+//!    ones that moved (a cancelling delta pair leaves its rows clean),
+//!    classes are re-verified only when some row moved, and a quiet epoch
+//!    reuses everything verbatim. A refresh runs at most once per
+//!    reported batch: [`BoundCache::lower_bound`] refreshes to price the
+//!    streaming engine's staleness certificate — the head of the egress
+//!    order *is* [`crate::placement_cost_lower_bound`] — and a solve that
+//!    follows before the next batch reuses that refresh.
 //! 3. **Dirty-row egress sweep** — with a seeded incumbent, cached order
 //!    entries whose bound already exceeds the seed are dropped before the
 //!    parallel sweep even spawns them.
@@ -60,13 +65,13 @@
 
 use crate::aggregates::{AttachAggregates, HostMassDelta};
 use crate::dp::{
-    class_sizes, closure_row_hashes, dp_placement_inner, egress_order, sweep_classes_with_hashes,
-    too_few, InteriorMemo, SweepCtx, ORBIT_MIN_SWITCHES,
+    class_sizes, closure_row_hashes, dp_placement_inner, egress_order, placement_cost_lower_bound,
+    sweep_classes_with_hashes, too_few, InteriorMemo, SweepCtx, ORBIT_MIN_SWITCHES,
 };
 use crate::PlacementError;
 use ppdc_model::{Placement, Sfc, Workload};
 use ppdc_obs::names as obs_names;
-use ppdc_topology::{sat_mul, Cost, DistanceOracle, Graph, MetricClosure, NodeId};
+use ppdc_topology::{sat_mul, Cost, DistanceOracle, Graph, MetricClosure, NodeId, INFINITY};
 use std::sync::atomic::AtomicU64;
 
 /// Persistent bound state reused across warm solves; see the module docs
@@ -78,8 +83,13 @@ use std::sync::atomic::AtomicU64;
 #[derive(Debug, Default)]
 pub struct BoundCache {
     valid: bool,
-    /// Set by [`BoundCache::note_mass_deltas`]; cleared by each solve.
+    /// Set by [`BoundCache::note_mass_deltas`]; cleared by each refresh.
     touched: bool,
+    /// Set by each refresh; cleared by [`BoundCache::note_mass_deltas`].
+    /// While set the cache already reflects the aggregates, so a second
+    /// refresh in the same epoch (the solve after a failed certificate)
+    /// neither diffs nor counts rows again.
+    synced: bool,
     /// Chain length the cached `seg_lb`/order were computed for.
     n: usize,
     /// Candidate switch set the closure covers, in aggregate order.
@@ -130,6 +140,32 @@ impl BoundCache {
     /// diffs the per-switch terms exactly — only whether anything did.
     pub fn note_mass_deltas(&mut self, masses: &[HostMassDelta]) {
         self.touched |= !masses.is_empty();
+        self.synced = false;
+    }
+
+    /// Brings the cache up to date with `agg` for an `n`-VNF chain and
+    /// returns the admissible lower bound that prices the streaming
+    /// engine's staleness certificate. The value always equals
+    /// [`placement_cost_lower_bound`]`(dm, agg, n)` (DESIGN.md §10):
+    ///
+    /// - for `n ≥ 3` it is the head of the cached best-bound egress
+    ///   order, so the certificate costs one `O(m)` refresh instead of
+    ///   an `O(m²)` oracle scan, and a [`dp_placement_warm`] call made
+    ///   before the next [`BoundCache::note_mass_deltas`] reuses that
+    ///   refresh;
+    /// - for `n < 3`, or fewer than `n` candidates, it is the exact
+    ///   closed form (or [`INFINITY`]) and the cache is left untouched.
+    pub fn lower_bound<D: DistanceOracle + ?Sized>(
+        &mut self,
+        dm: &D,
+        agg: &AttachAggregates,
+        n: usize,
+    ) -> Cost {
+        if n < 3 || agg.switches().len() < n {
+            return placement_cost_lower_bound(dm, agg, n);
+        }
+        self.refresh(dm, agg, n);
+        self.order.first().map_or(INFINITY, |&(bound, _)| bound)
     }
 
     /// `(n−1) · c_min` for the cached shape.
@@ -159,14 +195,18 @@ impl BoundCache {
                 "BoundCache used across a distance change without invalidate()"
             );
         }
+        if self.synced {
+            return;
+        }
+        self.synced = true;
         let m = self.closure.len();
         let m64 = u64::try_from(m).unwrap_or(u64::MAX);
         let rate = agg.total_rate();
         if !self.touched && rate == self.rate {
-            // Nothing was reported since the last solve: unchanged
-            // aggregates + unchanged closure rows imply unchanged bounds,
-            // so every row — and the order built from them — is reused
-            // verbatim (DESIGN.md §10).
+            // Only empty batches were reported since the last refresh:
+            // unchanged aggregates + unchanged closure rows imply unchanged
+            // bounds, so every row — and the order built from them — is
+            // reused verbatim (DESIGN.md §10).
             debug_assert!(
                 (0..m).all(|i| {
                     let x = self.closure.node(i);
@@ -257,6 +297,7 @@ impl BoundCache {
         );
         self.valid = true;
         self.touched = false;
+        self.synced = true;
     }
 }
 
@@ -269,6 +310,11 @@ impl BoundCache {
 /// under the *current* aggregates and only used when still feasible for
 /// this candidate set and chain length, so a stale incumbent can cost
 /// nothing but the seeding opportunity.
+///
+/// `w` is read only for its flow count (an empty workload is
+/// [`PlacementError::NoFlows`]); the rates come from `agg`, so a caller
+/// whose rates live elsewhere passes any workload with the same flows.
+/// `_g` is not read.
 ///
 /// # Errors
 ///
@@ -461,6 +507,49 @@ mod tests {
         // And back to the full set, seeding from the restricted solution.
         let (bp, bc) = dp_placement_warm(&g, &dm, &w, &sfc, &full, &mut cache, Some(&rp)).unwrap();
         assert_eq!((bc, bp.switches()), (cf, pf.switches()));
+    }
+
+    #[test]
+    fn lower_bound_equals_the_scan_over_classes() {
+        // k = 16 has 320 switches, past the orbit cutoff, and a
+        // half-fabric shift workload makes the classes coarse, so the
+        // cached order's head is a class-pair minimum.
+        let ft = ppdc_topology::FatTree::build(16).unwrap();
+        let g = ft.graph();
+        let dm = ppdc_topology::FatTreeOracle::new(&ft);
+        let hosts: Vec<NodeId> = g.hosts().collect();
+        let h = hosts.len();
+        let mut base = Workload::new();
+        for i in 0..h {
+            base.add_pair(hosts[i], hosts[(i + h / 2) % h], 5);
+        }
+        for n in 1..=5 {
+            let mut w = base.clone();
+            let mut rates = w.rates().to_vec();
+            let mut cache = BoundCache::new();
+            for epoch in 0..4usize {
+                let agg = AttachAggregates::build(g, &dm, &w);
+                cache.note_mass_deltas(&[HostMassDelta {
+                    host: hosts[0],
+                    d_in: 0,
+                    d_out: 0,
+                }]);
+                assert_eq!(
+                    cache.lower_bound(&dm, &agg, n),
+                    placement_cost_lower_bound(&dm, &agg, n),
+                    "epoch {epoch}, n={n}"
+                );
+                assert_eq!(cache.is_warm(), n >= 3);
+                if n >= 3 {
+                    assert!(cache.classes.len() < cache.closure.len() / 2);
+                }
+                // Heat one more rack each epoch.
+                for r in &mut rates[epoch * 8..][..8] {
+                    *r += 7;
+                }
+                w.set_rates(&rates).unwrap();
+            }
+        }
     }
 
     #[test]

@@ -27,7 +27,9 @@
 //!   `Σ|Δλ|` and gates the solver: below
 //!   [`StreamConfig::drift_threshold`] the epoch is served by the stale
 //!   incumbent outright. At or above it, the PR 5 admissible bound
-//!   ([`placement_cost_lower_bound`]) prices a **staleness certificate**
+//!   ([`BoundCache::lower_bound`], equal to
+//!   [`placement_cost_lower_bound`](ppdc_placement::placement_cost_lower_bound))
+//!   prices a **staleness certificate**
 //!   `gap = C_a(incumbent) − LB ≥ C_a(incumbent) − C_a(optimal)`: when the
 //!   gap is within [`StreamConfig::max_certified_gap`] the incumbent is
 //!   provably close enough and the re-solve is skipped too. The
@@ -43,11 +45,14 @@
 //!   the flow store and aggregates and starts a cursor at `epoch`; the
 //!   delta/rebuild equivalence makes the reconstruction exact).
 //!
-//! Epochs that do re-solve go through [`dp_placement_warm`]: each epoch
-//! reports its merged mass deltas to a persistent
-//! [`BoundCache`](ppdc_placement::BoundCache) so only touched bound rows
-//! refresh, and the incumbent placement — priced under the new
-//! aggregates — seeds the sweep's upper bound. The warm solve is
+//! Each epoch reports its merged mass deltas to a persistent
+//! [`BoundCache`]. An epoch that prices the certificate refreshes the
+//! cache once — an `O(m)` diff of every bound row against the snapshot,
+//! then the reclassification and egress order when a row or `Σλ` moved —
+//! and reads the bound off the order's head. Epochs that do re-solve go
+//! through [`dp_placement_warm`] on that already-refreshed cache, and the
+//! incumbent placement — priced under the new aggregates — seeds the
+//! sweep's upper bound. The warm solve is
 //! bit-identical to the cold one (DESIGN.md §10), so nothing downstream
 //! can tell; it is just 1–2 orders of magnitude faster on localized
 //! churn. The cache is derived state and is **never** checkpointed: a
@@ -56,8 +61,7 @@
 use ppdc_model::{FlowId, ModelError, Placement, Sfc, Workload};
 use ppdc_obs::names as obs_names;
 use ppdc_placement::{
-    dp_placement_warm, placement_cost_lower_bound, AggregateError, AttachAggregates, BoundCache,
-    HostMassDelta, PlacementError,
+    dp_placement_warm, AggregateError, AttachAggregates, BoundCache, HostMassDelta, PlacementError,
 };
 use ppdc_topology::{Cost, DistanceOracle, Graph, NodeId};
 use ppdc_traffic::{DynamicTrace, TraceCursor};
@@ -842,16 +846,17 @@ fn run_stream_day_impl<D: DistanceOracle + ?Sized>(
     let mut tracker = DriftTracker::new(cfg.drift_threshold);
     // The warm-solver bound cache lives for the day and is *never*
     // persisted: a resumed day starts from an empty cache and rebuilds it
-    // on its first re-solve, so `ppdc-stream-ckpt/v4` stays primary-state-
-    // only and kill/resume stays bit-identical (warm ≡ cold makes the
-    // rebuilt cache indistinguishable from the lost one).
+    // on its first certificate, so `ppdc-stream-ckpt/v4` stays primary-
+    // state-only and kill/resume stays bit-identical (the bound equals the
+    // O(m²) scan and warm ≡ cold, so the rebuilt cache is
+    // indistinguishable from the lost one).
     let mut cache = BoundCache::new();
     let (start_epoch, mut store, mut agg, mut placement, mut st) = match resume {
         None => {
             w_cur.set_rates(&trace.rates_at(0))?;
             let store = ShardedFlowStore::build(g, &w_cur)?;
             let agg = AttachAggregates::build(g, dm, &w_cur);
-            let (p, c) = dp_placement_warm(g, dm, &w_cur, sfc, &agg, &mut cache, None)?;
+            let (p, c) = dp_placement_warm(g, dm, w, sfc, &agg, &mut cache, None)?;
             let st = StreamResult {
                 initial_cost: c,
                 placement: p.switches().to_vec(),
@@ -906,7 +911,7 @@ fn run_stream_day_impl<D: DistanceOracle + ?Sized>(
             obs.add(obs_names::STREAM_RESOLVES_SKIPPED, 1);
             (EpochAction::SkippedLowDrift, inc_cost)
         } else {
-            let lb = placement_cost_lower_bound(dm, &agg, sfc.len());
+            let lb = cache.lower_bound(dm, &agg, sfc.len());
             let gap = inc_cost.saturating_sub(lb);
             if gap <= cfg.max_certified_gap {
                 st.resolves_skipped += 1;
@@ -914,9 +919,9 @@ fn run_stream_day_impl<D: DistanceOracle + ?Sized>(
                 tracker.reset();
                 (EpochAction::SkippedCertified { gap }, inc_cost)
             } else {
-                w_cur.set_rates(store.rates())?;
-                let (p, c) =
-                    dp_placement_warm(g, dm, &w_cur, sfc, &agg, &mut cache, Some(&placement))?;
+                // `w` stands in for the live rates: the warm solve reads
+                // only its flow count, and the cache was refreshed above.
+                let (p, c) = dp_placement_warm(g, dm, w, sfc, &agg, &mut cache, Some(&placement))?;
                 st.resolves += 1;
                 obs.add(obs_names::STREAM_RESOLVES, 1);
                 tracker.reset();
@@ -1346,6 +1351,69 @@ mod tests {
             let back = StreamCheckpoint::from_json(&ck.to_json()).unwrap();
             assert_eq!(ck, back);
             let resumed = resume_stream_day(&g, &dm, &w, &trace, &sfc, &cfg, &back).unwrap();
+            assert!(resumed.completed);
+            assert_eq!(resumed.result, full.result, "kill at {kill} diverged");
+        }
+    }
+
+    #[test]
+    fn certified_gaps_equal_the_scanned_bound() {
+        // A drift threshold and a gap allowance that make this day take
+        // every action: low-drift skips, certified skips and re-solves.
+        let (g, dm, w, trace) = fixture(30, 17);
+        let sfc = Sfc::of_len(4).unwrap();
+        let cfg = StreamConfig {
+            drift_threshold: 20_000,
+            max_certified_gap: 10_000,
+            ..StreamConfig::default()
+        };
+        let full = run_stream_day(&g, &dm, &w, &trace, &sfc, &cfg).unwrap();
+        let epochs = &full.result.epochs;
+        let certified = |e: &EpochRecord| matches!(e.action, EpochAction::SkippedCertified { .. });
+        assert!(epochs
+            .iter()
+            .any(|e| matches!(e.action, EpochAction::SkippedCertified { gap } if gap > 0)));
+        assert!(epochs
+            .iter()
+            .any(|e| e.action == EpochAction::SkippedLowDrift));
+        assert!(epochs
+            .iter()
+            .any(|e| matches!(e.action, EpochAction::Resolved { .. })));
+        // The engine reads the bound off its warm cache; every certified
+        // gap must equal the O(m²) scan over aggregates rebuilt from the
+        // epoch's rates.
+        let mut w_ref = w.clone();
+        for rec in epochs {
+            if let EpochAction::SkippedCertified { gap } = rec.action {
+                w_ref.set_rates(&trace.rates_at(rec.epoch)).unwrap();
+                let agg = AttachAggregates::build(&g, &dm, &w_ref);
+                let lb = ppdc_placement::placement_cost_lower_bound(&dm, &agg, sfc.len());
+                assert_eq!(gap, rec.comm_cost - lb, "epoch {}", rec.epoch);
+            }
+        }
+        // Kill before each certified epoch: the resumed day's fresh cache
+        // prices a certificate before it ever solves.
+        let kills: Vec<u32> = epochs
+            .windows(2)
+            .filter(|pair| certified(&pair[1]))
+            .map(|pair| pair[0].epoch)
+            .collect();
+        assert!(kills.iter().any(|&k| certified(&epochs[k as usize - 1])));
+        for kill in kills {
+            let stopped = run_stream_day(
+                &g,
+                &dm,
+                &w,
+                &trace,
+                &sfc,
+                &StreamConfig {
+                    stop_after: Some(kill),
+                    ..cfg.clone()
+                },
+            )
+            .unwrap();
+            let ck = stopped.checkpoint.expect("stopped run carries a snapshot");
+            let resumed = resume_stream_day(&g, &dm, &w, &trace, &sfc, &cfg, &ck).unwrap();
             assert!(resumed.completed);
             assert_eq!(resumed.result, full.result, "kill at {kill} diverged");
         }

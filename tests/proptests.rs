@@ -1056,6 +1056,114 @@ proptest! {
         }
     }
 
+    /// The staleness certificate's bound read off a warm [`BoundCache`]
+    /// equals the `O(m²)` scan [`placement_cost_lower_bound`], kept as the
+    /// oracle, after every step of one cache's life: dirty (with and
+    /// without a change of `Σλ`), cancelling, quiet and rate-only
+    /// mass-delta folds, and candidate-set changes through
+    /// `build_restricted`, on fabrics with and without an unreachable
+    /// island. With fewer candidates than VNFs both are
+    /// `INFINITY`. Each step also re-solves on the cache the bound just
+    /// refreshed, against a cold solve.
+    #[test]
+    fn cached_certificate_bound_equals_the_scan(
+        (g, hosts) in arb_ppdc_maybe_island(),
+        n in 1usize..6,
+        seed in any::<u64>(),
+        n_steps in 1usize..16,
+    ) {
+        use ppdc::placement::{placement_cost_lower_bound, HostMassDelta};
+        let dm = DistanceMatrix::build(&g);
+        let mut x = seed | 1;
+        let mut next = move || { x ^= x << 13; x ^= x >> 7; x ^= x << 17; x };
+        let flows = [(hosts[0], hosts[1]), (hosts[1], hosts[0])];
+        let mut w = Workload::new();
+        for &(a, b) in &flows {
+            w.add_pair(a, b, next() % 1_000 + 1);
+        }
+        let sfc = Sfc::of_len(n).unwrap();
+        let switches: Vec<NodeId> = g.switches().collect();
+        let mut agg = AttachAggregates::build(&g, &dm, &w);
+        let mut cache = BoundCache::new();
+        // Moves flow `f` by `d`: the workload, then the aggregates by a
+        // fold of the endpoints' masses, reported to the cache.
+        let shift = |f: usize, d: i128, w: &mut Workload, agg: &mut AttachAggregates,
+                     cache: &mut BoundCache| {
+            let mut rates = w.rates().to_vec();
+            rates[f] = u64::try_from(i128::from(rates[f]) + d).unwrap();
+            w.set_rates(&rates).unwrap();
+            let (src, dst) = flows[f];
+            let masses = [
+                HostMassDelta { host: src, d_out: d, d_in: 0 },
+                HostMassDelta { host: dst, d_out: 0, d_in: d },
+            ];
+            // An island candidate's `INFINITY` entries are outside the
+            // fold's contract; such aggregates move by a rebuild instead.
+            let finite = agg
+                .switches()
+                .iter()
+                .all(|&s| agg.a_in(s) < INFINITY && agg.a_out(s) < INFINITY);
+            if finite {
+                agg.try_apply_mass_deltas(&dm, &masses, d).unwrap();
+            } else {
+                *agg = AttachAggregates::build_restricted(&g, &dm, w, agg.switches());
+            }
+            cache.note_mass_deltas(&masses);
+        };
+        for step in 0..n_steps {
+            let f = usize::from(next() % 2 == 1);
+            match next() % 6 {
+                // Dirty: one flow's rate moves (by zero now and then).
+                0 => {
+                    let r = w.rates()[f];
+                    let d = i128::from(next() % (r + 1_000)) - i128::from(r);
+                    shift(f, d, &mut w, &mut agg, &mut cache);
+                }
+                // Dirty at a constant `Σλ`: rate moves from one flow to
+                // the other.
+                1 => {
+                    let d = i128::from(next() % (w.rates()[1 - f] + 1));
+                    shift(f, d, &mut w, &mut agg, &mut cache);
+                    shift(1 - f, -d, &mut w, &mut agg, &mut cache);
+                }
+                // Cancelling: a move and its undo land before one refresh.
+                2 => {
+                    let d = i128::from(next() % 1_000 + 1);
+                    shift(f, d, &mut w, &mut agg, &mut cache);
+                    shift(f, -d, &mut w, &mut agg, &mut cache);
+                }
+                // Quiet: an empty batch.
+                3 => cache.note_mass_deltas(&[]),
+                // Rate-only: `Σλ` moves while no candidate row does.
+                4 => {
+                    agg.try_apply_mass_deltas(&dm, &[], i128::from(next() % 1_000 + 1))
+                        .unwrap();
+                    cache.note_mass_deltas(&[]);
+                }
+                // A new candidate set, rebuilt from the workload.
+                _ => {
+                    let mut candidates: Vec<NodeId> =
+                        switches.iter().copied().filter(|_| next() % 3 != 0).collect();
+                    if next() % 4 == 0 {
+                        candidates = switches.clone();
+                    }
+                    agg = AttachAggregates::build_restricted(&g, &dm, &w, &candidates);
+                    cache.note_mass_deltas(&[HostMassDelta { host: hosts[0], d_out: 0, d_in: 0 }]);
+                }
+            }
+            let cached = cache.lower_bound(&dm, &agg, n);
+            let scanned = placement_cost_lower_bound(&dm, &agg, n);
+            prop_assert_eq!(cached, scanned, "step {}", step);
+            if agg.switches().len() < n {
+                prop_assert_eq!(cached, INFINITY);
+                continue;
+            }
+            let warm = dp_placement_warm(&g, &dm, &w, &sfc, &agg, &mut cache, None);
+            let cold = dp_placement(&dm, &w, &sfc, &agg);
+            prop_assert_eq!(warm, cold, "step {}", step);
+        }
+    }
+
     /// Crash safety for the streaming engine: killing a streamed day at a
     /// random epoch and resuming from the JSON-round-tripped checkpoint
     /// finishes **bit-identically** to the uninterrupted run — placement,
