@@ -15,9 +15,11 @@
 #                         workers so the parallel fold sweep and the
 #                         branch-and-bound run with more workers than cores
 #   8. smokes           — failure sweep with metrics export, fault-free
-#                         day, metrics schema check, k=32 oracle, chaos
-#                         (the sweep, the day and chaos diffed against
-#                         their pinned output in tests/golden/),
+#                         day, the quickstart, pareto_frontier and
+#                         zoom_conferencing examples, metrics schema
+#                         check, k=32 oracle, chaos (the sweep, the day,
+#                         the examples and chaos diffed against their
+#                         pinned output in tests/golden/),
 #                         1M-flow stream day (then killed at mid-day and
 #                         resumed from disk), churned stream day
 #   9. benchmark build  — perfbench/ (its own workspace, which names
@@ -89,6 +91,13 @@ cargo run -q --release -p ppdc-experiments -- --quick failsweep --metrics target
 echo "==> fault-free day smoke (quick fig11 + ext_replication through run_day), diffed against tests/golden/fig11_ext_replication.txt"
 cargo run -q --release -p ppdc-experiments -- --quick fig11 ext_replication 2>&1 \
     | strip_timing | diff -u tests/golden/fig11_ext_replication.txt -
+
+# The deterministic examples print no wall time, so their stdout is pinned
+# as is. placement_comparison is left out: it prints solver wall times.
+for example in quickstart pareto_frontier zoom_conferencing; do
+    echo "==> example $example, diffed against tests/golden/$example.txt"
+    cargo run -q --release --example "$example" 2>&1 | diff -u "tests/golden/$example.txt" -
+done
 
 echo "==> metrics schema check (ppdc-obs/v1 phase keys)"
 cargo run --release -p ppdc-experiments -- --check-metrics target/ci-metrics.json

@@ -62,10 +62,6 @@ fn bench_apsp_parallel_vs_sequential(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("sequential", k), &g, |b, g| {
             b.iter(|| DistanceMatrix::build_sequential(g))
         });
-        group.bench_with_input(BenchmarkId::new("rebuild_into", k), &g, |b, g| {
-            let mut dm = DistanceMatrix::build(g);
-            b.iter(|| dm.rebuild_into(g))
-        });
     }
     group.finish();
 }

@@ -2,8 +2,8 @@
 //!
 //! Fans [`ppdc_sim::run_chaos_trial`] out over a contiguous seed range.
 //! Each seed derives a different injection mix ([`ChaosTrialConfig::seeded`]
-//! rotates policies and cycles the kill / torn-checkpoint / starvation /
-//! budget-pressure injections on coprime residues), so a modest trial
+//! rotates policies, draws the kill hour and cycles the torn-checkpoint
+//! and starvation injections on coprime residues), so a modest trial
 //! count covers the whole matrix. The suite stops at the first violated
 //! contract and reports the seed, which reproduces the failure exactly.
 

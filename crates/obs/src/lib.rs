@@ -69,7 +69,9 @@ pub use sink::{Event, JsonLinesSink, MemorySink, Sink};
 pub mod names {
     /// Full APSP build (`DistanceMatrix::build`).
     pub const APSP_BUILD: &str = "apsp.build";
-    /// In-place APSP recompute (`DistanceMatrix::rebuild_into`).
+    /// In-place dirty-row APSP recompute (`DistanceMatrix::rebuild_dirty`);
+    /// the name predates that method and is kept so metrics files stay
+    /// comparable.
     pub const APSP_REBUILD: &str = "apsp.rebuild_into";
     /// Full attach-aggregate build (`AttachAggregates::build`).
     pub const AGG_BUILD: &str = "agg.build";
@@ -131,9 +133,6 @@ pub mod names {
     /// Loads that fell back to the previous good snapshot because the
     /// primary slot was torn or unparseable.
     pub const CKPT_TORN_RECOVERIES: &str = "ckpt.torn_recoveries";
-    /// Hours whose healthy-baseline reroute telemetry was skipped because
-    /// the APSP byte budget refused the full healthy matrix.
-    pub const SIM_REROUTE_SKIPPED: &str = "sim.reroute_skipped_hours";
     /// One streaming delta-batch ingest: net, validate and commit in the
     /// flow store, then the aggregate fold.
     pub const STREAM_INGEST: &str = "stream.ingest";
@@ -201,7 +200,6 @@ pub mod names {
         CKPT_WRITE_NANOS,
         CKPT_RESTORES,
         CKPT_TORN_RECOVERIES,
-        SIM_REROUTE_SKIPPED,
         STREAM_DRIFT,
         STREAM_DELTAS,
         STREAM_RESOLVES,

@@ -18,9 +18,7 @@
 //!   before resume, forcing [`CheckpointStore::load`] onto the previous
 //!   good slot,
 //! * **solver starvation** — injected transient failures walking the
-//!   supervisor's retry/fallback ladder,
-//! * **APSP byte-budget pressure** — the healthy-fabric baseline is
-//!   refused, which may zero reroute telemetry but never change costs.
+//!   supervisor's retry/fallback ladder.
 //!
 //! [`run_chaos_trial`] runs one seeded trial end to end and checks the
 //! invariants (day completes, cost identities hold, serving placements
@@ -165,9 +163,6 @@ pub struct ChaosTrialConfig {
     /// Truncate the primary snapshot before resume, forcing recovery from
     /// the previous good slot (needs `kill_hour >= 2`).
     pub tear_checkpoint: bool,
-    /// APSP byte budget for the healthy-fabric reroute baseline; `Some(1)`
-    /// guarantees refusal (resource-pressure injection).
-    pub apsp_budget_bytes: Option<u64>,
     /// Where checkpoint scratch files go; `None` uses the OS temp dir.
     /// Each trial works in its own subdirectory and removes it afterwards.
     pub scratch_dir: Option<PathBuf>,
@@ -175,9 +170,9 @@ pub struct ChaosTrialConfig {
 
 impl ChaosTrialConfig {
     /// Derives a varied trial from one seed: the policy rotates through
-    /// all five, and the kill hour, torn-checkpoint, starvation, and
-    /// budget-pressure injections cycle on coprime residues so every
-    /// combination appears across a contiguous seed range.
+    /// all five, and the torn-checkpoint and starvation injections cycle
+    /// on coprime residues so every combination appears across a
+    /// contiguous seed range; the kill hour is drawn from the seed.
     pub fn seeded(seed: u64) -> Self {
         let chaos = ChaosConfig::default();
         let policy = match seed % 5 {
@@ -205,11 +200,6 @@ impl ChaosTrialConfig {
             starve_max_attempts: 4,
             kill_hour: Some(kill_hour),
             tear_checkpoint: seed.is_multiple_of(3),
-            apsp_budget_bytes: if seed.is_multiple_of(4) {
-                Some(1)
-            } else {
-                None
-            },
             scratch_dir: None,
         }
     }
@@ -424,7 +414,6 @@ pub fn run_chaos_trial(trial: &ChaosTrialConfig) -> Result<ChaosTrialReport, Cha
             starvation,
             ..SupervisorConfig::default()
         },
-        apsp_budget_bytes: trial.apsp_budget_bytes,
         ..EngineConfig::default()
     };
 
@@ -586,7 +575,6 @@ mod tests {
         assert!(trials.iter().any(|t| t.tear_checkpoint));
         assert!(trials.iter().any(|t| !t.tear_checkpoint));
         assert!(trials.iter().any(|t| t.starve_per_hour > 0.0));
-        assert!(trials.iter().any(|t| t.apsp_budget_bytes.is_some()));
         assert!(trials
             .iter()
             .any(|t| t.policy == MigrationPolicy::NoMigration));

@@ -39,6 +39,15 @@
 //! and `μ·diameter` (degraded, i.e. largest finite pairwise distance) per
 //! VNF whose old switch is gone — re-instantiating from the image store is
 //! priced like the longest possible copy. Recovery hours skip the policy.
+//!
+//! ## Reroute penalty
+//!
+//! On an unhealthy hour, [`DegradedHourRecord::reroute_cost`] is the
+//! served comm cost on the degraded fabric minus the same placement's
+//! comm cost on the healthy one. The healthy side is priced from one
+//! single-source row per placement switch, never from a second V²
+//! matrix: Eq. 1 reads only distances from the placement's switches, so
+//! a faulty day holds one dense matrix, the degraded view's.
 
 use std::collections::BTreeSet;
 
@@ -49,8 +58,8 @@ use ppdc_model::{comm_cost, FlowId, ModelError, Placement, Sfc, VmId, Workload};
 use ppdc_obs::{names as obs_names, Stopwatch};
 use ppdc_placement::{dp_placement, AggregateError, AttachAggregates, PlacementError};
 use ppdc_topology::{
-    Cost, DistanceMatrix, EdgeId, FaultSet, Graph, NodeId, NodeKind, Partition, TopologyError,
-    INFINITY,
+    sat_add, sat_mul, Cost, DistanceMatrix, EdgeId, FaultSet, Graph, NodeId, NodeKind, Partition,
+    ShortestPaths, TopologyError, INFINITY,
 };
 use ppdc_traffic::{rng_for_run, DynamicTrace, TraceError};
 use rand::Rng;
@@ -585,45 +594,38 @@ fn set_masked_rates(w: &mut Workload, rates: &[u64], stranded: &[bool]) -> Resul
     Ok(masked)
 }
 
-/// The healthy-fabric distance matrix backing the reroute-penalty
-/// baseline, tri-state so APSP byte-budget pressure degrades the
-/// telemetry instead of aborting the day.
-enum HealthyBaseline {
-    /// Not needed yet (fault-free hours so far).
-    Unbuilt,
-    /// Built and cached for the rest of the day.
-    Ready(Box<DistanceMatrix>),
-    /// The budget refused the dense build; reroute penalties are reported
-    /// as zero and `sim.reroute_skipped_hours` counts the gaps.
-    Refused,
-}
-
-impl HealthyBaseline {
-    fn get(
-        &mut self,
-        g: &Graph,
-        budget: Option<u64>,
-    ) -> Result<Option<&DistanceMatrix>, TopologyError> {
-        if matches!(self, HealthyBaseline::Unbuilt) {
-            *self = match budget {
-                None => HealthyBaseline::Ready(Box::new(DistanceMatrix::build(g))),
-                Some(b) => match DistanceMatrix::try_build_with_budget(g, b) {
-                    Ok(dm) => HealthyBaseline::Ready(Box::new(dm)),
-                    Err(TopologyError::TooLarge { .. }) => HealthyBaseline::Refused,
-                    Err(e) => return Err(e),
-                },
-            };
-        }
-        Ok(match self {
-            HealthyBaseline::Ready(dm) => Some(dm),
-            _ => None,
-        })
+/// Eq. 1's communication cost of `p` on the healthy fabric `g`, priced
+/// from one single-source row per placement switch instead of a V²
+/// matrix. The fabric is undirected, so `c(h, p(1))` is row `p(1)` at `h`;
+/// the arithmetic runs in [`comm_cost`]'s order, so the result is
+/// bit-identical to `comm_cost(&DistanceMatrix::build(g), w, p)`.
+fn healthy_comm_cost(g: &Graph, w: &Workload, p: &Placement) -> Cost {
+    let rows: Vec<ShortestPaths> = p
+        .switches()
+        .iter()
+        .map(|&s| ShortestPaths::dijkstra(g, s))
+        .collect();
+    let (Some(ingress), Some(egress)) = (rows.first(), rows.last()) else {
+        return 0;
+    };
+    let chain = rows
+        .iter()
+        .zip(p.switches().iter().skip(1))
+        .map(|(row, &next)| row.cost(next))
+        .fold(0, sat_add);
+    let mut total = sat_mul(w.total_rate(), chain);
+    for (_, src, dst, rate) in w.iter() {
+        total = sat_add(
+            total,
+            sat_mul(rate, sat_add(ingress.cost(src), egress.cost(dst))),
+        );
     }
+    total
 }
 
 /// Knobs of the crash-safe epoch engine ([`run_day`] / [`resume_day`]).
 /// `EngineConfig::default()` runs the plain day: no observation, no
-/// persistence, no early stop, default supervisor, unlimited APSP budget.
+/// persistence, no early stop, default supervisor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
     /// Fill [`DegradedHourRecord::phase`] with per-phase wall time (APSP
@@ -644,10 +646,6 @@ pub struct EngineConfig {
     /// [`DayRun`] then carries `completed = false` (unless the day ended
     /// anyway) and a resume checkpoint.
     pub stop_after: Option<u32>,
-    /// Byte budget for the lazily-built healthy-fabric APSP baseline.
-    /// Exceeding it degrades reroute telemetry to zero instead of
-    /// aborting (chaos pressure injection). `None` = unlimited.
-    pub apsp_budget_bytes: Option<u64>,
 }
 
 impl Default for EngineConfig {
@@ -658,7 +656,6 @@ impl Default for EngineConfig {
             store: None,
             checkpoint_every: 1,
             stop_after: None,
-            apsp_budget_bytes: None,
         }
     }
 }
@@ -687,7 +684,7 @@ pub struct DayRun {
 /// (see [`DegradedHourRecord`]) instead of aborting it.
 ///
 /// `ecfg` adds engine control on top: phase observation, checkpoint
-/// persistence, supervised solves, early stop, APSP budget pressure.
+/// persistence, supervised solves, early stop.
 /// Two calls with the same inputs produce bit-identical results.
 ///
 /// # Errors
@@ -695,8 +692,7 @@ pub struct DayRun {
 /// [`SimError`] on genuinely broken inputs (trace/workload shape
 /// mismatches, a schedule whose day length differs from the trace's,
 /// events referencing foreign elements, infeasible MCF) or failed
-/// checkpoint I/O — never because of an injected fault, starvation, or
-/// budget pressure.
+/// checkpoint I/O — never because of an injected fault or starvation.
 #[allow(clippy::too_many_arguments)]
 pub fn run_day(
     g: &Graph,
@@ -772,10 +768,6 @@ fn run_day_impl(
     } else {
         0
     };
-    // The healthy-fabric matrix only backs the reroute-penalty baseline,
-    // which is consulted on unhealthy hours alone — built lazily so a
-    // fault-free schedule never pays this second V² build.
-    let mut dm_healthy = HealthyBaseline::Unbuilt;
     let mut faults = FaultSet::new(g);
     let mut w_cur = w.clone();
 
@@ -935,253 +927,232 @@ fn run_day_impl(
         obs.add(obs_names::SIM_STRANDED_FLOW_HOURS, stranded_flows as u64);
         let any_traffic = w_cur.rates().iter().any(|&r| r > 0);
         let blackout = sv.candidates.len() < sfc.len();
-        if blackout || !any_traffic {
+        let (rec, drec) = if blackout || !any_traffic {
             // Nothing can be (or needs to be) served this hour.
             blackout_hours += 1;
             obs.add(obs_names::SIM_BLACKOUT_HOURS, 1);
-            hours.push(HourRecord {
-                hour: h,
-                migration_cost: 0,
-                comm_cost: 0,
-                total_cost: 0,
-                num_migrations: 0,
-            });
-            degraded.push(DegradedHourRecord {
-                hour: h,
-                failed_switches: faults.num_failed_nodes(),
-                failed_links: faults.num_failed_edges(),
-                stranded_flows,
-                stranded_rate,
-                reroute_cost: 0,
-                recovery_migrations: 0,
-                blackout: true,
-                degraded_solver: false,
-                provenance: HourProvenance::Blackout,
-                solver_retries: 0,
-                phase: ecfg.observe.then_some(PhaseNanos {
-                    apsp_ns,
-                    aggregates_ns,
-                    solver_ns: 0,
-                    repair_ns: 0,
-                }),
-            });
-            let state = SnapState {
-                p: &p,
-                w_cur: &w_cur,
-                faults: &faults,
-                sv: &sv,
-                hours: &hours,
-                degraded: &degraded,
-                initial_cost,
-                total_cost,
-                total_migrations,
-                aggregate_rebuilds,
-                blackout_hours,
-                recovery_migrations: recovery_total,
+            (
+                HourRecord {
+                    hour: h,
+                    migration_cost: 0,
+                    comm_cost: 0,
+                    total_cost: 0,
+                    num_migrations: 0,
+                },
+                DegradedHourRecord {
+                    hour: h,
+                    failed_switches: faults.num_failed_nodes(),
+                    failed_links: faults.num_failed_edges(),
+                    stranded_flows,
+                    stranded_rate,
+                    reroute_cost: 0,
+                    recovery_migrations: 0,
+                    blackout: true,
+                    degraded_solver: false,
+                    provenance: HourProvenance::Blackout,
+                    solver_retries: 0,
+                    phase: ecfg.observe.then_some(PhaseNanos {
+                        apsp_ns,
+                        aggregates_ns,
+                        solver_ns: 0,
+                        repair_ns: 0,
+                    }),
+                },
+            )
+        } else {
+            let needs_repair = p.switches().iter().any(|s| !sv.cand_mask[s.index()]);
+            // The transient-failure gate (supervisor rung 2→3 walk). Recovery
+            // hours bypass it: a displaced chain must be re-placed before
+            // anything else can be served, starvation or not.
+            let gate = if needs_repair {
+                GateOutcome {
+                    retries: 0,
+                    exhausted: false,
+                }
+            } else {
+                transient_gate(&ecfg.supervisor, h)
             };
-            if let Some(ck) = hour_tail(ecfg, every, n_hours, fp, h, &state)? {
-                final_ckpt = Some(ck);
-                halted_at = Some(h);
-                break;
+            if gate.retries > 0 {
+                obs.add(obs_names::SUPERVISOR_RETRIES, u64::from(gate.retries));
             }
-            continue;
-        }
+            let recovery_migrations;
+            let mut degraded_solver = false;
+            let mut provenance = HourProvenance::Exact;
+            let solve_sw = Stopwatch::start_if(measuring);
+            let rec = if needs_repair {
+                // Recovery: re-place inside the serving component before any
+                // policy gets to run; the hour's migration budget is spent on
+                // getting the chain back up.
+                let (p_new, comm) = dp_placement(&dm_cur, &w_cur, sfc, &agg)?;
+                let reinstantiate = dm_cur.diameter();
+                let mut migration_cost: Cost = 0;
+                let mut moved = 0usize;
+                for (&old, &new) in p.switches().iter().zip(p_new.switches()) {
+                    if old == new {
+                        continue;
+                    }
+                    moved += 1;
+                    let d = dm_cur.cost(old, new);
+                    let hop = if d >= INFINITY { reinstantiate } else { d };
+                    migration_cost = migration_cost.saturating_add(cfg.mu.saturating_mul(hop));
+                }
+                p = p_new;
+                recovery_migrations = moved;
+                recovery_total += moved;
+                HourRecord {
+                    hour: h,
+                    migration_cost,
+                    comm_cost: comm,
+                    total_cost: migration_cost.saturating_add(comm),
+                    num_migrations: moved,
+                }
+            } else if gate.exhausted {
+                // Rung 3: the solve could not run at all. Keep the incumbent
+                // placement and reprice it at this hour's (masked) rates —
+                // valid for every policy, including the VM movers, whose
+                // workload simply stays put for the hour.
+                recovery_migrations = 0;
+                degraded_solver = true;
+                provenance = HourProvenance::LastKnownGood;
+                let comm = comm_cost(&dm_cur, &w_cur, &p);
+                HourRecord {
+                    hour: h,
+                    migration_cost: 0,
+                    comm_cost: comm,
+                    total_cost: comm,
+                    num_migrations: 0,
+                }
+            } else {
+                recovery_migrations = 0;
+                match cfg.policy {
+                    MigrationPolicy::MPareto => {
+                        let out = mpareto(&g_view, &dm_cur, &w_cur, sfc, &p, cfg.mu, &agg)?;
+                        p = out.migration.clone();
+                        HourRecord {
+                            hour: h,
+                            migration_cost: out.migration_cost,
+                            comm_cost: out.comm_cost,
+                            total_cost: out.total_cost,
+                            num_migrations: out.num_migrations,
+                        }
+                    }
+                    MigrationPolicy::OptimalVnf { budget } => {
+                        let seed = mpareto(&g_view, &dm_cur, &w_cur, sfc, &p, cfg.mu, &agg)?;
+                        let (out, exactness) = optimal_migration(
+                            &dm_cur,
+                            sfc,
+                            &p,
+                            cfg.mu,
+                            Some(&seed.migration),
+                            budget,
+                            &agg,
+                        )?;
+                        degraded_solver = !exactness.is_exact();
+                        if degraded_solver {
+                            provenance = HourProvenance::DegradedDeadline;
+                        }
+                        p = out.migration.clone();
+                        HourRecord {
+                            hour: h,
+                            migration_cost: out.migration_cost,
+                            comm_cost: out.comm_cost,
+                            total_cost: out.total_cost,
+                            num_migrations: out.num_migrations,
+                        }
+                    }
+                    MigrationPolicy::Plan { slots, passes } => {
+                        let out = plan_vm_migration(
+                            &g_view, &dm_cur, &w_cur, &p, cfg.vm_mu, slots, passes,
+                        );
+                        w_cur = out.workload.clone();
+                        HourRecord {
+                            hour: h,
+                            migration_cost: out.migration_cost,
+                            comm_cost: out.comm_cost,
+                            total_cost: out.total_cost,
+                            num_migrations: out.num_migrations,
+                        }
+                    }
+                    MigrationPolicy::Mcf { slots, candidates } => {
+                        let out = mcf_vm_migration(
+                            &g_view, &dm_cur, &w_cur, &p, cfg.vm_mu, slots, candidates,
+                        )?;
+                        w_cur = out.workload.clone();
+                        HourRecord {
+                            hour: h,
+                            migration_cost: out.migration_cost,
+                            comm_cost: out.comm_cost,
+                            total_cost: out.total_cost,
+                            num_migrations: out.num_migrations,
+                        }
+                    }
+                    MigrationPolicy::NoMigration => {
+                        let c = agg.comm_cost(&dm_cur, &p);
+                        HourRecord {
+                            hour: h,
+                            migration_cost: 0,
+                            comm_cost: c,
+                            total_cost: c,
+                            num_migrations: 0,
+                        }
+                    }
+                }
+            };
 
-        let needs_repair = p.switches().iter().any(|s| !sv.cand_mask[s.index()]);
-        // The transient-failure gate (supervisor rung 2→3 walk). Recovery
-        // hours bypass it: a displaced chain must be re-placed before
-        // anything else can be served, starvation or not.
-        let gate = if needs_repair {
-            GateOutcome {
-                retries: 0,
-                exhausted: false,
-            }
-        } else {
-            transient_gate(&ecfg.supervisor, h)
-        };
-        if gate.retries > 0 {
-            obs.add(obs_names::SUPERVISOR_RETRIES, u64::from(gate.retries));
-        }
-        let recovery_migrations;
-        let mut degraded_solver = false;
-        let mut provenance = HourProvenance::Exact;
-        let solve_sw = Stopwatch::start_if(measuring);
-        let rec = if needs_repair {
-            // Recovery: re-place inside the serving component before any
-            // policy gets to run; the hour's migration budget is spent on
-            // getting the chain back up.
-            let (p_new, comm) = dp_placement(&dm_cur, &w_cur, sfc, &agg)?;
-            let reinstantiate = dm_cur.diameter();
-            let mut migration_cost: Cost = 0;
-            let mut moved = 0usize;
-            for (&old, &new) in p.switches().iter().zip(p_new.switches()) {
-                if old == new {
-                    continue;
-                }
-                moved += 1;
-                let d = dm_cur.cost(old, new);
-                let hop = if d >= INFINITY { reinstantiate } else { d };
-                migration_cost = migration_cost.saturating_add(cfg.mu.saturating_mul(hop));
-            }
-            p = p_new;
-            recovery_migrations = moved;
-            recovery_total += moved;
-            HourRecord {
-                hour: h,
-                migration_cost,
-                comm_cost: comm,
-                total_cost: migration_cost.saturating_add(comm),
-                num_migrations: moved,
-            }
-        } else if gate.exhausted {
-            // Rung 3: the solve could not run at all. Keep the incumbent
-            // placement and reprice it at this hour's (masked) rates —
-            // valid for every policy, including the VM movers, whose
-            // workload simply stays put for the hour.
-            recovery_migrations = 0;
-            degraded_solver = true;
-            provenance = HourProvenance::LastKnownGood;
-            let comm = comm_cost(&dm_cur, &w_cur, &p);
-            HourRecord {
-                hour: h,
-                migration_cost: 0,
-                comm_cost: comm,
-                total_cost: comm,
-                num_migrations: 0,
-            }
-        } else {
-            recovery_migrations = 0;
-            match cfg.policy {
-                MigrationPolicy::MPareto => {
-                    let out = mpareto(&g_view, &dm_cur, &w_cur, sfc, &p, cfg.mu, &agg)?;
-                    p = out.migration.clone();
-                    HourRecord {
-                        hour: h,
-                        migration_cost: out.migration_cost,
-                        comm_cost: out.comm_cost,
-                        total_cost: out.total_cost,
-                        num_migrations: out.num_migrations,
-                    }
-                }
-                MigrationPolicy::OptimalVnf { budget } => {
-                    let seed = mpareto(&g_view, &dm_cur, &w_cur, sfc, &p, cfg.mu, &agg)?;
-                    let (out, exactness) = optimal_migration(
-                        &dm_cur,
-                        sfc,
-                        &p,
-                        cfg.mu,
-                        Some(&seed.migration),
-                        budget,
-                        &agg,
-                    )?;
-                    degraded_solver = !exactness.is_exact();
-                    if degraded_solver {
-                        provenance = HourProvenance::DegradedDeadline;
-                    }
-                    p = out.migration.clone();
-                    HourRecord {
-                        hour: h,
-                        migration_cost: out.migration_cost,
-                        comm_cost: out.comm_cost,
-                        total_cost: out.total_cost,
-                        num_migrations: out.num_migrations,
-                    }
-                }
-                MigrationPolicy::Plan { slots, passes } => {
-                    let out =
-                        plan_vm_migration(&g_view, &dm_cur, &w_cur, &p, cfg.vm_mu, slots, passes);
-                    w_cur = out.workload.clone();
-                    HourRecord {
-                        hour: h,
-                        migration_cost: out.migration_cost,
-                        comm_cost: out.comm_cost,
-                        total_cost: out.total_cost,
-                        num_migrations: out.num_migrations,
-                    }
-                }
-                MigrationPolicy::Mcf { slots, candidates } => {
-                    let out = mcf_vm_migration(
-                        &g_view, &dm_cur, &w_cur, &p, cfg.vm_mu, slots, candidates,
-                    )?;
-                    w_cur = out.workload.clone();
-                    HourRecord {
-                        hour: h,
-                        migration_cost: out.migration_cost,
-                        comm_cost: out.comm_cost,
-                        total_cost: out.total_cost,
-                        num_migrations: out.num_migrations,
-                    }
-                }
-                MigrationPolicy::NoMigration => {
-                    let c = agg.comm_cost(&dm_cur, &p);
-                    HourRecord {
-                        hour: h,
-                        migration_cost: 0,
-                        comm_cost: c,
-                        total_cost: c,
-                        num_migrations: 0,
-                    }
-                }
-            }
-        };
+            let solve_ns = solve_sw.elapsed_ns();
+            let (solver_ns, repair_ns) = if needs_repair {
+                obs.record_span_ns(obs_names::SIM_REPAIR, solve_ns);
+                obs.add(
+                    obs_names::SIM_RECOVERY_MIGRATIONS,
+                    recovery_migrations as u64,
+                );
+                (0, solve_ns)
+            } else {
+                obs.record_hist(obs_names::SIM_HOUR_SOLVER_NS, solve_ns);
+                (solve_ns, 0)
+            };
 
-        let solve_ns = solve_sw.elapsed_ns();
-        let (solver_ns, repair_ns) = if needs_repair {
-            obs.record_span_ns(obs_names::SIM_REPAIR, solve_ns);
-            obs.add(
-                obs_names::SIM_RECOVERY_MIGRATIONS,
-                recovery_migrations as u64,
-            );
-            (0, solve_ns)
-        } else {
-            obs.record_hist(obs_names::SIM_HOUR_SOLVER_NS, solve_ns);
-            (solve_ns, 0)
-        };
+            if degraded_solver {
+                obs.add(obs_names::SUPERVISOR_DEGRADED_HOURS, 1);
+            }
 
-        if degraded_solver {
-            obs.add(obs_names::SUPERVISOR_DEGRADED_HOURS, 1);
-        }
+            // Detour penalty: what the served flows pay on the degraded fabric
+            // over the same placement on the healthy one.
 
-        // Detour penalty: what the served flows pay on the degraded fabric
-        // over the same placement on the healthy one. Under APSP budget
-        // pressure the baseline may be refused — the penalty is then
-        // reported as zero and the gap counted, never aborted on.
-        let reroute_cost = if faults.is_healthy() {
-            0
-        } else {
-            match dm_healthy.get(g, ecfg.apsp_budget_bytes)? {
-                Some(dmh) => rec
-                    .total_cost
+            let reroute_cost = if faults.is_healthy() {
+                0
+            } else {
+                rec.total_cost
                     .saturating_sub(rec.migration_cost)
-                    .saturating_sub(comm_cost(dmh, &w_cur, &p)),
-                None => {
-                    obs.add(obs_names::SIM_REROUTE_SKIPPED, 1);
-                    0
-                }
-            }
+                    .saturating_sub(healthy_comm_cost(g, &w_cur, &p))
+            };
+            (
+                rec,
+                DegradedHourRecord {
+                    hour: h,
+                    failed_switches: faults.num_failed_nodes(),
+                    failed_links: faults.num_failed_edges(),
+                    stranded_flows,
+                    stranded_rate,
+                    reroute_cost,
+                    recovery_migrations,
+                    blackout: false,
+                    degraded_solver,
+                    provenance,
+                    solver_retries: gate.retries,
+                    phase: ecfg.observe.then_some(PhaseNanos {
+                        apsp_ns,
+                        aggregates_ns,
+                        solver_ns,
+                        repair_ns,
+                    }),
+                },
+            )
         };
         total_cost = total_cost.saturating_add(rec.total_cost);
         total_migrations += rec.num_migrations;
         hours.push(rec);
-        degraded.push(DegradedHourRecord {
-            hour: h,
-            failed_switches: faults.num_failed_nodes(),
-            failed_links: faults.num_failed_edges(),
-            stranded_flows,
-            stranded_rate,
-            reroute_cost,
-            recovery_migrations,
-            blackout: false,
-            degraded_solver,
-            provenance,
-            solver_retries: gate.retries,
-            phase: ecfg.observe.then_some(PhaseNanos {
-                apsp_ns,
-                aggregates_ns,
-                solver_ns,
-                repair_ns,
-            }),
-        });
+        degraded.push(drec);
 
         let state = SnapState {
             p: &p,
@@ -2188,70 +2159,44 @@ mod tests {
         assert_eq!(r, again);
     }
 
+    /// The row-priced healthy baseline is Eq. 1 on the dense matrix, bit
+    /// for bit: on unit weights, on random per-link delays, and on a
+    /// fabric where a flow's host is cut off from the placement.
     #[test]
-    fn apsp_budget_pressure_degrades_telemetry_never_costs() {
+    fn healthy_comm_cost_equals_the_dense_matrix_price() {
         let ft = FatTree::build(4).unwrap();
         let g = ft.graph();
-        // The tri-state baseline refuses (and caches the refusal) under an
-        // impossible byte budget, and builds normally without one.
-        let mut hb = HealthyBaseline::Unbuilt;
-        assert!(hb.get(g, Some(1)).unwrap().is_none());
-        assert!(hb.get(g, Some(1)).unwrap().is_none(), "refusal is cached");
-        let mut hb_ok = HealthyBaseline::Unbuilt;
-        assert!(hb_ok.get(g, None).unwrap().is_some());
-        // End to end: a squeezed run serves the exact same costs; only the
-        // reroute telemetry is zeroed.
-        let (ft, w, trace) = day24(30, 9);
-        let g = ft.graph();
-        let tor = g.top_of_rack(g.hosts().next().unwrap()).unwrap();
-        let schedule = FaultSchedule::new(
-            vec![
-                FaultEvent {
-                    hour: 2,
-                    kind: FaultKind::FailSwitch(tor),
-                },
-                FaultEvent {
-                    hour: 6,
-                    kind: FaultKind::RepairSwitch(tor),
-                },
-            ],
-            24,
-        )
-        .unwrap();
-        let sfc = Sfc::of_len(3).unwrap();
-        let c = cfg(MigrationPolicy::MPareto);
-        let unlimited = run_day(g, &w, &trace, &sfc, &c, &schedule, &EngineConfig::default())
-            .unwrap()
-            .result;
-        let squeezed = run_day(
-            g,
-            &w,
-            &trace,
-            &sfc,
-            &c,
-            &schedule,
-            &EngineConfig {
-                apsp_budget_bytes: Some(1),
-                ..EngineConfig::default()
-            },
-        )
-        .unwrap()
-        .result;
-        assert_eq!(
-            squeezed.hours, unlimited.hours,
-            "pressure never changes costs"
-        );
-        assert_eq!(squeezed.total_cost, unlimited.total_cost);
-        assert!(squeezed.degraded.iter().all(|d| d.reroute_cost == 0));
-        let zeroed: Vec<DegradedHourRecord> = unlimited
-            .degraded
+        let (w, _) = ppdc_traffic::standard_workload(&ft, 30, 5, 0);
+        let (src, _) = w.endpoints(FlowId::from_index(0));
+        assert!(w.rate(FlowId::from_index(0)) > 0);
+        let tor = g.top_of_rack(src).unwrap();
+        let alive: Vec<NodeId> = g.switches().filter(|&s| s != tor).collect();
+        let placements: Vec<Placement> = [[0, 7, 13], [18, 2, 11], [4, 5, 6], [9, 3, 16]]
             .iter()
-            .map(|d| DegradedHourRecord {
-                reroute_cost: 0,
-                ..*d
-            })
+            .map(|ix| Placement::new_unchecked(ix.iter().map(|&i| alive[i]).collect()))
             .collect();
-        assert_eq!(squeezed.degraded, zeroed, "only reroute telemetry differs");
+        let priced = |g: &Graph| -> Vec<Cost> {
+            let dm = DistanceMatrix::build(g);
+            placements
+                .iter()
+                .map(|p| {
+                    let cost = healthy_comm_cost(g, &w, p);
+                    assert_eq!(cost, comm_cost(&dm, &w, p));
+                    cost
+                })
+                .collect()
+        };
+        assert!(priced(g).iter().all(|&c| 0 < c && c < INFINITY));
+        // The 1000–2000 per-link delays of the fig. 9 experiments.
+        let mut rng = rng_for_run(3, 0);
+        let mut delayed = g.clone();
+        delayed.map_edge_weights(|_, _, _| rng.gen_range(1000..=2000));
+        assert!(priced(&delayed).iter().all(|&c| 0 < c && c < INFINITY));
+        // Flow 0's ToR is down, so its source host reaches no switch.
+        let mut faults = FaultSet::new(g);
+        faults.fail_node(tor).unwrap();
+        let cut = g.degraded_view(&faults);
+        assert!(priced(&cut).iter().all(|&c| c == INFINITY));
     }
 
     /// Besides the per-VM `hosts` and the per-flow `stranded` mask, which

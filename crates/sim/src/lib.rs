@@ -24,8 +24,8 @@
 //! interrupted day bit-identically; a supervised degradation ladder
 //! (exact → deadline-degraded → last-known-good) keeps every hour served
 //! through solver starvation; and the seeded chaos harness
-//! ([`run_chaos_trial`]) turns correlated pod outages, link flaps, torn
-//! checkpoints, and resource pressure into asserted invariants.
+//! ([`run_chaos_trial`]) turns correlated pod outages, link flaps, kills,
+//! torn checkpoints, and solver starvation into asserted invariants.
 //!
 //! [`stream`] scales the epoch loop to millions of flows:
 //! [`run_stream_day`] advances a flat flow-id-order store

@@ -268,8 +268,8 @@ impl ShardedFlowStore {
         out.extend_from_slice(&self.rates);
     }
 
-    /// Overwrites every stored rate from a flow-id-ordered vector
-    /// (checkpoint restore).
+    /// Overwrites every stored rate from a flow-id-ordered vector (the
+    /// start epoch's rates, at set-up or resume).
     ///
     /// # Errors
     ///
@@ -842,7 +842,21 @@ fn run_stream_day_impl<D: DistanceOracle + ?Sized>(
     } else {
         0
     };
-    let mut w_cur = w.clone();
+    // The store and aggregates start at the start epoch's rates. Only the
+    // aggregate build needs them on a workload, so it reads a copy of `w`
+    // that is dropped before the store is built from `w` itself: the
+    // store then reuses the copy's memory, and no copy lives into the day.
+    let start_state = |epoch: u32| -> Result<(ShardedFlowStore, AttachAggregates), StreamError> {
+        let rates = trace.rates_at(epoch);
+        let agg = {
+            let mut w_start = w.clone();
+            w_start.set_rates(&rates)?;
+            AttachAggregates::build(g, dm, &w_start)
+        };
+        let mut store = ShardedFlowStore::build(g, w)?;
+        store.set_rates(&rates)?;
+        Ok((store, agg))
+    };
     let mut tracker = DriftTracker::new(cfg.drift_threshold);
     // The warm-solver bound cache lives for the day and is *never*
     // persisted: a resumed day starts from an empty cache and rebuilds it
@@ -853,9 +867,7 @@ fn run_stream_day_impl<D: DistanceOracle + ?Sized>(
     let mut cache = BoundCache::new();
     let (start_epoch, mut store, mut agg, mut placement, mut st) = match resume {
         None => {
-            w_cur.set_rates(&trace.rates_at(0))?;
-            let store = ShardedFlowStore::build(g, &w_cur)?;
-            let agg = AttachAggregates::build(g, dm, &w_cur);
+            let (store, agg) = start_state(0)?;
             let (p, c) = dp_placement_warm(g, dm, w, sfc, &agg, &mut cache, None)?;
             let st = StreamResult {
                 initial_cost: c,
@@ -872,9 +884,7 @@ fn run_stream_day_impl<D: DistanceOracle + ?Sized>(
         Some(ck) => {
             ck.validate_against(g, sfc, n_hours, fp)?;
             obs.add(obs_names::CKPT_RESTORES, 1);
-            w_cur.set_rates(&trace.rates_at(ck.epoch))?;
-            let store = ShardedFlowStore::build(g, &w_cur)?;
-            let agg = AttachAggregates::build(g, dm, &w_cur);
+            let (store, agg) = start_state(ck.epoch)?;
             let placement = Placement::new_unchecked(ck.placement.clone());
             tracker.accum = ck.drift_accum;
             let st = StreamResult {

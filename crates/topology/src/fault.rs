@@ -7,10 +7,10 @@
 //! fabric on demand. Crucially the view keeps **every node of the original
 //! graph, with the same ids** — a failed switch becomes an isolated node
 //! rather than disappearing — so all `NodeId`-indexed state (workloads,
-//! distance matrices via [`crate::DistanceMatrix::rebuild_into`], aggregate
-//! arrays) stays valid across failure and repair events. Only *edge* ids
-//! differ between the original and a view; downstream code consumes the view
-//! through distances, never through edge ids.
+//! distance matrices via [`crate::DistanceMatrix::rebuild_dirty`],
+//! aggregate arrays) stays valid across failure and repair events. Only
+//! *edge* ids differ between the original and a view; downstream code
+//! consumes the view through distances, never through edge ids.
 //!
 //! [`Partition`] reports the connected components of a (degraded) graph so
 //! the epoch loop can pick a serving component and detect stranded flows.
@@ -157,7 +157,7 @@ impl Graph {
     ///
     /// Keeping failed nodes in place (isolated) preserves every
     /// `NodeId`-indexed structure across fail/repair events; in particular
-    /// [`crate::DistanceMatrix::rebuild_into`] can reuse its allocation.
+    /// [`crate::DistanceMatrix::rebuild_dirty`] can reuse its allocation.
     /// Edge ids of the view are renumbered and do **not** correspond to
     /// `self`'s edge ids — consume the view through distances, not edges.
     ///
@@ -327,18 +327,23 @@ mod tests {
     fn healthy_view_round_trips_to_identical_distances() {
         let g = fat_tree(4).unwrap();
         let dm0 = DistanceMatrix::build(&g);
-        let mut f = FaultSet::new(&g);
-        f.fail_edge(EdgeId(3)).unwrap();
+        let e = EdgeId(3);
         let s = g.switches().nth(2).unwrap();
+        // The toggled edges with their healthy weights, listed the way
+        // the hourly engine lists them for a failed link and switch.
+        let mut changed = vec![g.edge(e)];
+        changed.extend(g.neighbors(s).iter().map(|&(v, w)| (s, v, w)));
+        let mut f = FaultSet::new(&g);
+        f.fail_edge(e).unwrap();
         f.fail_node(s).unwrap();
 
         let mut dm = dm0.clone();
-        dm.rebuild_into(&g.degraded_view(&f));
+        dm.rebuild_dirty(&g.degraded_view(&f), &changed);
         assert!(!dm.all_connected());
 
-        f.repair_edge(EdgeId(3)).unwrap();
+        f.repair_edge(e).unwrap();
         f.repair_node(s).unwrap();
-        dm.rebuild_into(&g.degraded_view(&f));
+        dm.rebuild_dirty(&g.degraded_view(&f), &changed);
         for u in g.nodes() {
             for v in g.nodes() {
                 assert_eq!(dm.cost(u, v), dm0.cost(u, v));

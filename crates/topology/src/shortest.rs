@@ -28,7 +28,7 @@ pub const DEFAULT_APSP_BUDGET_BYTES: u64 = 8 << 30;
 
 /// The effective dense-matrix budget: `PPDC_APSP_BUDGET_BYTES` if set to a
 /// parseable byte count, [`DEFAULT_APSP_BUDGET_BYTES`] otherwise.
-fn apsp_budget_bytes() -> u64 {
+fn env_budget_bytes() -> u64 {
     std::env::var("PPDC_APSP_BUDGET_BYTES")
         .ok()
         .and_then(|s| s.parse().ok())
@@ -198,11 +198,11 @@ impl DistanceMatrix {
     /// returns [`TopologyError::TooLarge`] *before* allocating the
     /// V²-sized arrays when they would not fit.
     pub fn try_build(g: &Graph) -> Result<Self, TopologyError> {
-        Self::try_build_with_budget(g, apsp_budget_bytes())
+        Self::try_build_with_budget(g, env_budget_bytes())
     }
 
     /// [`DistanceMatrix::try_build`] with an explicit byte budget.
-    pub fn try_build_with_budget(g: &Graph, budget: u64) -> Result<Self, TopologyError> {
+    fn try_build_with_budget(g: &Graph, budget: u64) -> Result<Self, TopologyError> {
         let n = g.num_nodes();
         let bytes = dense_bytes(n);
         if bytes > budget {
@@ -249,23 +249,6 @@ impl DistanceMatrix {
         dm
     }
 
-    /// Recomputes the matrix for `g` in place, reusing both allocations.
-    /// The epoch loop calls this when topology weights change (e.g. link
-    /// cost updates) without paying two `V²`-sized allocations per epoch.
-    ///
-    /// # Panics
-    ///
-    /// `g` must have the same number of nodes the matrix was built with.
-    pub fn rebuild_into(&mut self, g: &Graph) {
-        let _span = ppdc_obs::global().span(ppdc_obs::names::APSP_REBUILD);
-        assert_eq!(
-            g.num_nodes(),
-            self.n,
-            "rebuild_into needs an equal-size graph"
-        );
-        self.fill_parallel(g);
-    }
-
     /// Recomputes the matrix for `g`, re-running the per-source search only
     /// for rows whose shortest-path structure can differ — the dirty rows.
     /// Returns how many rows were re-run.
@@ -273,8 +256,10 @@ impl DistanceMatrix {
     /// `changed` lists the edges toggled between the graph this matrix
     /// currently describes and `g` (failed or repaired, with the healthy
     /// weight `w`; listing extra untoggled edges is harmless, it can only
-    /// mark more rows dirty). On the **old** row of source `u`, edge
-    /// `(a, b, w)` dirties the row iff
+    /// mark more rows dirty). A reweighted edge is listed with its weight
+    /// in `g`: the tests below then cover it as a removal of the old
+    /// weight and an insertion of the new. On the **old** row of source
+    /// `u`, edge `(a, b, w)` dirties the row iff
     ///
     /// - `u`'s parent tree routes through the edge (`parent_u(b) = a` or
     ///   `parent_u(a) = b`) — the only way a *removal* can change the row:
@@ -291,8 +276,8 @@ impl DistanceMatrix {
     ///   deterministic lowest-id parent tie-break at that endpoint.
     ///
     /// Clean rows keep their exact bits, making the result bit-identical
-    /// to [`DistanceMatrix::rebuild_into`] — debug builds assert this
-    /// against a from-scratch build. See DESIGN.md for the full argument.
+    /// to a from-scratch [`DistanceMatrix::build`] of `g` — debug builds
+    /// assert this. See DESIGN.md for the full argument.
     ///
     /// # Panics
     ///
@@ -633,17 +618,20 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_into_tracks_weight_changes() {
+    fn rebuild_dirty_tracks_weight_changes() {
         let g = fat_tree(4).unwrap();
         let mut dm = DistanceMatrix::build(&g);
         let before = dm.clone();
         let mut g2 = g.clone();
         g2.map_edge_weights(|_, _, w| w * 3);
-        dm.rebuild_into(&g2);
+        // A reweighted edge is listed with its weight in the new graph.
+        let tripled: Vec<_> = g2.edges().collect();
+        dm.rebuild_dirty(&g2, &tripled);
         assert_eq!(dm.diameter(), 3 * before.diameter());
         assert_eq!(dm.dist, DistanceMatrix::build(&g2).dist);
         // Rebuilding with the original graph restores the original matrix.
-        dm.rebuild_into(&g);
+        let healthy: Vec<_> = g.edges().collect();
+        dm.rebuild_dirty(&g, &healthy);
         assert_eq!(dm.dist, before.dist);
         assert_eq!(dm.parent, before.parent);
     }

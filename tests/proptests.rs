@@ -481,17 +481,22 @@ proptest! {
         let mut faults = FaultSet::new(&g);
         let switches: Vec<NodeId> = g.switches().collect();
         let dead = switches[(pick as usize) % switches.len()];
+        let cut = EdgeId((pick >> 16) as u32 % g.num_edges() as u32);
         faults.fail_node(dead).unwrap();
-        faults.fail_edge(EdgeId((pick >> 16) as u32 % g.num_edges() as u32)).unwrap();
+        faults.fail_edge(cut).unwrap();
+        // The toggled edges with their healthy weights, as the hourly
+        // engine lists them for a failed switch and link.
+        let mut changed = vec![g.edge(cut)];
+        changed.extend(g.neighbors(dead).iter().map(|&(v, wv)| (dead, v, wv)));
         let mut dm = DistanceMatrix::build(&g);
-        dm.rebuild_into(&g.degraded_view(&faults));
+        dm.rebuild_dirty(&g.degraded_view(&faults), &changed);
         faults.repair_node(dead).unwrap();
         for e in faults.failed_edges().collect::<Vec<_>>() {
             faults.repair_edge(e).unwrap();
         }
         prop_assert!(faults.is_healthy());
         let healed = g.degraded_view(&faults);
-        dm.rebuild_into(&healed);
+        dm.rebuild_dirty(&healed, &changed);
         for a in g.nodes() {
             for b in g.nodes() {
                 prop_assert_eq!(dm.cost(a, b), dm0.cost(a, b));
