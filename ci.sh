@@ -23,8 +23,9 @@
 #                         1M-flow stream day (then killed at mid-day and
 #                         resumed from disk), churned stream day
 #   9. benchmark build  — perfbench/ (its own workspace, which names
-#                         engine functions) built offline, then one
-#                         1-second end-to-end run that must report
+#                         engine functions) built offline, then a
+#                         1-second end-to-end run of each workload
+#                         (rack-churn, diurnal-fabric) that must report
 #                         "correct": true
 #  10. bench smoke      — one pass of the bench groups (including the
 #                         hourly engine's simulated day and every exact
@@ -118,14 +119,18 @@ cargo run --release -p ppdc-experiments -- stream --churned --flows 1000000 --bu
 echo "==> perfbench build (offline; breaks when an engine name it uses changes)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> perfbench smoke (rack-churn, 1 s, end to end; must print \"correct\": true)"
-perfbench_out=$(CARGO_TARGET_DIR="$PWD/perfbench/target" \
-    python3 perfbench/run.py --workload rack-churn --seed 1 --seconds 1 --trace 0)
-echo "$perfbench_out"
-if ! echo "$perfbench_out" | tail -n 1 | grep -q '"correct": true'; then
-    echo "perfbench smoke did not report \"correct\": true" >&2
-    exit 1
-fi
+# rack-churn only ever takes list-only trace steps; diurnal-fabric moves
+# a cohort scale every epoch, so it runs the dense trace feed.
+for workload in rack-churn diurnal-fabric; do
+    echo "==> perfbench smoke ($workload, 1 s, end to end; must print \"correct\": true)"
+    perfbench_out=$(CARGO_TARGET_DIR="$PWD/perfbench/target" \
+        python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 0)
+    echo "$perfbench_out"
+    if ! echo "$perfbench_out" | tail -n 1 | grep -q '"correct": true'; then
+        echo "perfbench smoke ($workload) did not report \"correct\": true" >&2
+        exit 1
+    fi
+done
 
 echo "==> bench smoke (oracle + placement + exact searches + hourly day + checkpoint + stream groups once, trajectory appended)"
 rm -f target/ci-bench-samples.jsonl

@@ -37,6 +37,12 @@
 //!   wraps, the store is reset to hour 0's rates with
 //!   [`ShardedFlowStore::set_rates`] and the cursor to hour 0; that
 //!   1M-rate copy (one sample in 12) is inside the timer.
+//! * `trace_feed_one_cohort_1m` — the same step over hours 9 → 12 of a
+//!   churn-free diurnal day with random cohorts (the `diurnal-fabric`
+//!   shape), where the east cohort rests at its floor and only the west
+//!   scale moves: every flow is still re-derived, but only about half of
+//!   them change. The store and cursor return to hour 9 every third
+//!   sample, with the same in-timer copy.
 //! * `trace_feed_hot_racks_1m` — the same step on a flat-envelope day in
 //!   which odd hours halve the rates of 8 further racks' flows and even
 //!   hours repeat: one iteration is a hot hour and the repeat hour after
@@ -215,6 +221,31 @@ fn bench_stream_ingest(c: &mut Criterion) {
             if cursor.hour() == n_hours {
                 store.set_rates(&day_start).unwrap();
                 cursor = trace.cursor(0);
+            }
+            store.advance(&mut cursor).unwrap().applied
+        })
+    });
+    let quiet_east = DynamicTrace::new(&w, DiurnalModel::default(), &mut rng_for_run(0x5EED, 1));
+    let (from, to) = (9, 12);
+    assert!(
+        (from + 1..=to).all(|h| {
+            let east = |h: u32| {
+                quiet_east
+                    .model()
+                    .scale_at(i64::from(h) + quiet_east.offset())
+            };
+            east(h) == east(h - 1)
+        }),
+        "the east scale must rest over the one-cohort hours"
+    );
+    let one_cohort_start = quiet_east.rates_at(from);
+    store.set_rates(&one_cohort_start).unwrap();
+    let mut cursor = quiet_east.cursor(from);
+    group.bench_function("trace_feed_one_cohort_1m", |b| {
+        b.iter(|| {
+            if cursor.hour() == to {
+                store.set_rates(&one_cohort_start).unwrap();
+                cursor = quiet_east.cursor(from);
             }
             store.advance(&mut cursor).unwrap().applied
         })

@@ -582,15 +582,14 @@ impl ServingView {
 /// Sets the hour's trace `rates` on `w` with stranded flows masked to
 /// zero; returns the total rate masked out.
 fn set_masked_rates(w: &mut Workload, rates: &[u64], stranded: &[bool]) -> Result<u64, ModelError> {
-    let mut masked_rates = rates.to_vec();
+    w.set_rates(rates)?;
     let mut masked = 0u64;
-    for (i, r) in masked_rates.iter_mut().enumerate() {
+    for (i, &r) in rates.iter().enumerate() {
         if stranded.get(i).copied().unwrap_or(false) {
-            masked += *r;
-            *r = 0;
+            masked += r;
+            w.set_rate(FlowId::from_index(i), 0);
         }
     }
-    w.set_rates(&masked_rates)?;
     Ok(masked)
 }
 

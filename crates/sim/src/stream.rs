@@ -12,7 +12,9 @@
 //!   flow-id-order arrays. The engine's epochs arrive as trace hours
 //!   through [`ShardedFlowStore::advance`], which steps a
 //!   [`TraceCursor`] one hour and overwrites each flow the step reports
-//!   as possibly moved with its absolute rate at the new hour.
+//!   as possibly moved with its absolute rate at the new hour — the
+//!   listed flows when no cohort scale moved, else every flow, in one
+//!   branch-free pass over the hour's base row.
 //!   [`ShardedFlowStore::ingest`] is the entry point for
 //!   external delta batches: it nets per flow, validates every netted
 //!   rate and only then commits. Both paths share one commit routine and
@@ -64,7 +66,7 @@ use ppdc_placement::{
     dp_placement_warm, AggregateError, AttachAggregates, BoundCache, HostMassDelta, PlacementError,
 };
 use ppdc_topology::{Cost, DistanceOracle, Graph, NodeId};
-use ppdc_traffic::{DynamicTrace, TraceCursor};
+use ppdc_traffic::{DynamicTrace, HourStep, RateRule, TraceCursor};
 
 use crate::checkpoint::{
     arr_field, as_obj, field, hash_instance, hash_trace, node_ids, push_list, row_u64, str_field,
@@ -184,9 +186,10 @@ pub struct IngestReport {
     pub applied: u64,
     /// Input records scanned. For [`ShardedFlowStore::ingest`], the
     /// batch's delta records, zeros and in-batch cancellations included;
-    /// for [`ShardedFlowStore::advance`], the `(flow, rate)` pairs the
-    /// cursor step yielded, unchanged rates included. The two paths agree on
-    /// every other field, not on this one.
+    /// for [`ShardedFlowStore::advance`], the flows the cursor step
+    /// covered, unchanged rates included: the listed flows of a list-only
+    /// step, every flow of a dense one. The two paths agree on every other
+    /// field, not on this one.
     pub records: u64,
 }
 
@@ -194,7 +197,7 @@ pub struct IngestReport {
 /// flow-id-order arrays, plus the scratch one delta batch nets in.
 ///
 /// A trace hour ([`ShardedFlowStore::advance`]) is one pass that commits
-/// each yielded absolute rate. A delta batch ([`ShardedFlowStore::ingest`])
+/// each absolute rate its step yields. A delta batch ([`ShardedFlowStore::ingest`])
 /// is one pass over its records to net them, one to validate and one to
 /// commit — no routing, no fan-out. Every quantity a commit reports is an
 /// order-free sum (exact `i128` masses, a saturating sum of non-negative
@@ -345,10 +348,11 @@ impl ShardedFlowStore {
     }
 
     /// Advances the store one trace hour: `cursor` steps from hour
-    /// `h − 1` to `h`, and each flow its walk yields
-    /// ([`TraceCursor::step`]) is compared with its stored rate and
-    /// committed when it moved, exactly as [`ShardedFlowStore::ingest`]
-    /// commits a netted batch.
+    /// `h − 1` to `h` ([`TraceCursor::step`]). A list-only step compares
+    /// each listed flow's new rate with its stored one and commits it
+    /// when it moved, exactly as [`ShardedFlowStore::ingest`] commits a
+    /// netted batch; a dense step re-derives every flow in one
+    /// straight-line pass (`commit_row`) that books the same sums.
     ///
     /// Precondition: the store holds `trace.rates_at(cursor.hour())`. It
     /// then holds the next hour's rates, and the report equals the one
@@ -371,12 +375,65 @@ impl ShardedFlowStore {
             });
         }
         let mut report = IngestReport::default();
-        for (flow, rate) in cursor.step() {
-            report.records += 1;
-            self.commit(flow.index(), rate, &mut report);
+        match cursor.step() {
+            HourStep::Dense { row, rule } => self.commit_row(row, rule, &mut report),
+            step @ HourStep::Listed { .. } => {
+                for (flow, rate) in step {
+                    report.records += 1;
+                    self.commit(flow.index(), rate, &mut report);
+                }
+                self.drain_masses(&mut report);
+            }
         }
-        self.drain_masses(&mut report);
         Ok(report)
+    }
+
+    /// Re-derives every flow's rate from `row` (the base rates of a dense
+    /// step's new hour) and books what moved, as [`ShardedFlowStore::commit`]
+    /// would flow by flow, in one straight-line pass: a zero net is written
+    /// and summed like any other (it adds nothing), and an endpoint's
+    /// touched flag is or-ed with `net != 0`, so no branch depends on the
+    /// data. `Σλ` and the drift accumulate exactly (`i128`, `u128`), and
+    /// the drift is clamped to `u64` once at the end, which equals the
+    /// saturating sum because every term is non-negative. The touched
+    /// hosts drain in one node sweep, already in host order.
+    fn commit_row(&mut self, row: &[u64], rule: RateRule<'_>, report: &mut IngestReport) {
+        let (mut total, mut drift, mut applied) = (0i128, 0u128, 0u64);
+        let (mass, touched) = (&mut self.mass, &mut self.mass_seen);
+        let bases = row.iter().zip(rule.east());
+        let ends = self.src.iter().zip(&self.dst);
+        for ((r, (&b, &e)), (s, t)) in self.rates.iter_mut().zip(bases).zip(ends) {
+            let new = rule.rate(b, e);
+            let net = i128::from(new) - i128::from(*r);
+            *r = new;
+            total += net;
+            drift += net.unsigned_abs();
+            let moved = net != 0;
+            applied += u64::from(moved);
+            mass[s.index()].0 += net;
+            mass[t.index()].1 += net;
+            touched[s.index()] |= moved;
+            touched[t.index()] |= moved;
+        }
+        report.records = row.len() as u64;
+        report.total_delta = total;
+        report.drift = u64::try_from(drift).unwrap_or(u64::MAX);
+        report.applied = applied;
+        report.masses = touched
+            .iter_mut()
+            .zip(mass.iter_mut())
+            .enumerate()
+            .filter(|(_, (seen, _))| **seen)
+            .map(|(i, (seen, m))| {
+                *seen = false;
+                let (d_out, d_in) = std::mem::take(m);
+                HostMassDelta {
+                    host: NodeId::from_index(i),
+                    d_out,
+                    d_in,
+                }
+            })
+            .collect();
     }
 
     /// Sets flow `f`'s rate to `new` and books the move: `Σλ`, the
@@ -989,7 +1046,7 @@ fn run_stream_day_impl<D: DistanceOracle + ?Sized>(
 mod tests {
     use super::*;
     use ppdc_topology::{DistanceMatrix, FatTree};
-    use ppdc_traffic::standard_workload;
+    use ppdc_traffic::{standard_workload, DiurnalModel};
 
     fn fixture(pairs: usize, seed: u64) -> (Graph, DistanceMatrix, Workload, DynamicTrace) {
         let ft = FatTree::build(4).unwrap();
@@ -1284,6 +1341,74 @@ mod tests {
         assert_eq!(foreign.hour(), 0);
         store.advance(&mut trace.cursor(0)).unwrap();
         assert_eq!(store.rates(), &trace.rates_at(1)[..]);
+    }
+
+    /// Hour 9 → 10 of the default envelope moves the west scale only (the
+    /// east cohort rests at its floor from hour 9 on). The dense step
+    /// re-derives every flow, yet reports what `ingest` reports for the
+    /// hour's deltas, a host whose flows' nets cancel included, and
+    /// counts every flow as a record.
+    #[test]
+    fn a_one_cohort_dense_hour_reports_what_ingest_reports() {
+        let ft = FatTree::build(4).unwrap();
+        let g = ft.graph();
+        let hosts: Vec<NodeId> = g.hosts().collect();
+        let n = hosts.len();
+        // Both flows leave host 0. West flow 0 falls 1800 → 1400 with the
+        // west scale (0.6 → 0.4667); east flow 1's base rises 1000 → 3000
+        // at the resting floor, 200 → 600. Host 0's out-mass nets to zero.
+        let mut w = Workload::new();
+        w.add_pair(hosts[0], hosts[1], 0);
+        w.add_pair(hosts[0], hosts[2], 0);
+        let mut row0 = vec![3000, 1000];
+        let mut east = vec![false, true];
+        // 62 small flows away from host 0: their bases sit inside the
+        // rate memo (which covers bases up to the flow count), the two
+        // flows above lie outside it.
+        for i in 0..62 {
+            w.add_pair(
+                hosts[1 + i * 5 % (n - 1)],
+                hosts[1 + (i * 3 + 1) % (n - 1)],
+                0,
+            );
+            row0.push(i as i64);
+            east.push(i % 2 == 0);
+        }
+        let mut row10 = row0.clone();
+        row10[1] = 3000;
+        let rows: Vec<Vec<i64>> = (0..=12)
+            .map(|h| if h < 10 { row0.clone() } else { row10.clone() })
+            .collect();
+        let trace = DynamicTrace::from_rows(&w, DiurnalModel::default(), east, &rows).unwrap();
+        assert!(matches!(trace.cursor(9).step(), HourStep::Dense { .. }));
+        w.set_rates(&trace.rates_at(9)).unwrap();
+        let mut fed = ShardedFlowStore::build(g, &w).unwrap();
+        let mut batched = fed.clone();
+        let a = fed.advance(&mut trace.cursor(9)).unwrap();
+        let deltas: Vec<RateDelta> = trace
+            .try_rate_deltas(10)
+            .unwrap()
+            .into_iter()
+            .map(|(flow, delta)| RateDelta { flow, delta })
+            .collect();
+        let b = batched.ingest(&deltas).unwrap();
+        assert_eq!(a.masses, b.masses);
+        assert_eq!(
+            (a.total_delta, a.drift, a.applied),
+            (b.total_delta, b.drift, b.applied)
+        );
+        assert_eq!(a.records, 64);
+        assert!(
+            a.applied < a.records,
+            "the resting east flows keep their rates"
+        );
+        assert!(
+            a.masses
+                .iter()
+                .any(|m| m.host == hosts[0] && m.d_out == 0 && m.d_in == 0),
+            "host 0's nets cancel, and it is still reported"
+        );
+        assert_eq!(fed.rates(), &trace.rates_at(10)[..]);
     }
 
     #[test]

@@ -166,6 +166,9 @@ pub struct DynamicTrace {
     model: DiurnalModel,
     /// Hours the east cohort runs ahead (default [`EAST_COAST_OFFSET`]).
     offset: i64,
+    /// The largest base rate of any flow at any hour; it sizes the rate
+    /// memo ([`RateRule`]).
+    max_base: u64,
 }
 
 impl DynamicTrace {
@@ -256,13 +259,7 @@ impl DynamicTrace {
             }
             changes.push(hour);
         }
-        Ok(DynamicTrace {
-            row0,
-            changes,
-            east,
-            model,
-            offset: EAST_COAST_OFFSET,
-        })
+        Ok(DynamicTrace::from_parts(row0, changes, east, model))
     }
 
     /// Builds a trace from externally supplied hourly base-rate rows (e.g. a
@@ -327,13 +324,32 @@ impl DynamicTrace {
             }
             changes.push(changed);
         }
-        Ok(DynamicTrace {
+        Ok(DynamicTrace::from_parts(row0, changes, east, model))
+    }
+
+    /// Assembles a trace at the default cohort offset and finds its
+    /// largest base rate.
+    fn from_parts(
+        row0: Vec<u64>,
+        changes: Vec<HourChanges>,
+        east: Vec<bool>,
+        model: DiurnalModel,
+    ) -> Self {
+        let max_base = changes
+            .iter()
+            .flat_map(|c| &c.bases)
+            .chain(&row0)
+            .copied()
+            .max()
+            .unwrap_or(0);
+        DynamicTrace {
             row0,
             changes,
             east,
             model,
             offset: EAST_COAST_OFFSET,
-        })
+            max_base,
+        }
     }
 
     /// Overrides the cohort offset (hours the east cohort runs ahead).
@@ -387,15 +403,22 @@ impl DynamicTrace {
     /// east-cohort flows are evaluated 3 hours later on the curve (their
     /// day started earlier), west-cohort flows at `h` directly.
     pub fn rates_at(&self, h: u32) -> Vec<u64> {
-        let scales = self.cohort_scales(h);
         let mut row = Cow::Borrowed(&self.row0[..]);
         for c in self.changes_through(h).iter().filter(|c| !c.is_empty()) {
             c.apply(row.to_mut());
         }
+        let mut memo = Vec::new();
+        let rule = self.rule(self.cohort_scales(h), &mut memo);
         row.iter()
             .zip(&self.east)
-            .map(|(&b, &east)| scaled(b, scales[usize::from(east)]))
+            .map(|(&b, &east)| rule.rate(b, east))
             .collect()
+    }
+
+    /// The memoized [`RateRule`] for cohort scales `scales`, its memo
+    /// filled into `memo`.
+    fn rule<'a>(&'a self, scales: [f64; 2], memo: &'a mut Vec<u64>) -> RateRule<'a> {
+        RateRule::memoized(&self.east, scales, self.max_base, memo)
     }
 
     /// The inputs that define this trace. Together they pin
@@ -418,6 +441,7 @@ impl DynamicTrace {
             hour,
             row: None,
             row_hour: 0,
+            memo: Vec::new(),
         }
     }
 
@@ -484,23 +508,25 @@ impl DynamicTrace {
 
 /// A position in a [`DynamicTrace`] that its consumer steps through the
 /// day hour by hour: the consumer holds `rates_at(hour())`, and each
-/// [`TraceCursor::step`] yields what it must overwrite to hold the next
+/// [`TraceCursor::step`] says what it must overwrite to hold the next
 /// hour's rates.
 ///
-/// A step from hour `h − 1` to `h` walks one of two things:
+/// A step from hour `h − 1` to `h` is one of two shapes ([`HourStep`]):
 ///
 /// * neither cohort's scale moved (compared bit for bit): hour `h`'s
 ///   change list alone. A flow absent from it kept its base entry and its
 ///   scale, so its rate `round(base · scale)` cannot have moved; a repeat
-///   hour walks nothing.
-/// * a scale moved: the dense base row of hour `h`, yielding every flow
-///   of a moved cohort and every flow on hour `h`'s list.
+///   hour lists nothing.
+/// * a scale moved: the dense base row of hour `h`, from which every flow
+///   is re-derived; the change list is not read.
 ///
 /// The dense row starts as the trace's own hour-0 row, borrowed. Only a
 /// scale-moved step brings it up to date: the cursor copies it on the
 /// first base change such a step meets and replays the change lists
 /// since the last such step into the copy. A trace that only rescales,
-/// or only changes bases under a flat envelope, is never copied.
+/// or only changes bases under a flat envelope, is never copied. The
+/// cursor also owns the rate memo a dense step's [`RateRule`] reads,
+/// refilled at each dense step.
 #[derive(Debug, Clone)]
 pub struct TraceCursor<'a> {
     trace: &'a DynamicTrace,
@@ -510,6 +536,8 @@ pub struct TraceCursor<'a> {
     /// (no change list up to `row_hour` is non-empty).
     row: Option<Vec<u64>>,
     row_hour: u32,
+    /// The memo of the last dense step's rate rule.
+    memo: Vec<u64>,
 }
 
 impl<'a> TraceCursor<'a> {
@@ -523,38 +551,41 @@ impl<'a> TraceCursor<'a> {
         self.hour
     }
 
-    /// Steps from `hour()` to the next hour and yields `(flow, λ at the
-    /// new hour)` for every flow that may have moved, in flow-id order.
+    /// Steps from `hour()` to the next hour and returns what may have
+    /// moved: the hour's change list when no cohort scale moved, else the
+    /// new hour's whole base row. Either way the step carries the new
+    /// hour's [`RateRule`], whose two cohort scales are evaluated once per
+    /// step, not per flow; a dense step's rule reads a memo the cursor
+    /// fills here.
     ///
-    /// A consumer that holds `rates_at(h - 1)` and overwrites the yielded
-    /// flows holds `rates_at(h)` exactly. Every flow whose rate changed is
-    /// yielded; so is a flow whose base entry or cohort scale moved but
-    /// whose rounded rate did not (its pair carries the unchanged rate).
-    /// The two cohort scales are evaluated once per step, not per flow.
-    /// At hour `u32::MAX` the cursor stays put and yields nothing.
-    pub fn step(&mut self) -> HourWalk<'_> {
+    /// A consumer that holds `rates_at(h - 1)` and overwrites every flow
+    /// of [`HourStep::iter`] holds `rates_at(h)` exactly. Every flow whose
+    /// rate changed is yielded; so is a listed flow whose rounded rate did
+    /// not move, and on a dense step every flow. At hour `u32::MAX` the
+    /// cursor stays put and lists nothing.
+    pub fn step(&mut self) -> HourStep<'_> {
         let t = self.trace;
         let Some(h) = self.hour.checked_add(1) else {
-            return HourWalk::list_only(t, &[], &[], [1.0; 2]);
+            return HourStep::Listed {
+                flows: &[],
+                bases: &[],
+                rule: RateRule::plain(&t.east, [1.0; 2]),
+            };
         };
         self.hour = h;
         let (prev, next) = (t.cohort_scales(h - 1), t.cohort_scales(h));
-        let moved = [0, 1].map(|c| prev[c].to_bits() != next[c].to_bits());
-        let (flows, bases) = t.changes_at(h);
-        if moved == [false; 2] {
-            return HourWalk::list_only(t, flows, bases, next);
+        if prev.map(f64::to_bits) == next.map(f64::to_bits) {
+            let (flows, bases) = t.changes_at(h);
+            return HourStep::Listed {
+                flows,
+                bases,
+                rule: RateRule::plain(&t.east, next),
+            };
         }
         self.catch_up(h);
-        let row = self.row.as_deref().unwrap_or(&t.row0);
-        HourWalk {
-            dense: row.iter().zip(&t.east).enumerate(),
-            flows,
-            bases,
-            // When both scales moved every flow is yielded, listed or not.
-            taken: if moved == [true; 2] { flows.len() } else { 0 },
-            east: &t.east,
-            scales: next,
-            moved,
+        HourStep::Dense {
+            row: self.row.as_deref().unwrap_or(&t.row0),
+            rule: t.rule(next, &mut self.memo),
         }
     }
 
@@ -602,86 +633,133 @@ impl<'a> TraceCursor<'a> {
     }
 }
 
-/// One [`TraceCursor::step`]: `(flow, λ at the new hour)` pairs in flow-id
-/// order. A dense walk reads the new hour's base row, and the hour's
-/// change list only to find listed flows of a cohort whose scale stayed
-/// put; a list-only walk (no scale moved) reads the list alone.
-#[derive(Debug, Clone)]
-pub struct HourWalk<'a> {
-    /// The base row at the new hour with the cohort flags; empty for a
-    /// list-only walk.
-    dense:
-        std::iter::Enumerate<std::iter::Zip<std::slice::Iter<'a, u64>, std::slice::Iter<'a, bool>>>,
-    /// The hour's change list.
-    flows: &'a [u32],
-    bases: &'a [u64],
-    /// Change-list entries already walked.
-    taken: usize,
-    east: &'a [bool],
-    /// The cohort scales at the new hour, `[west, east]`.
-    scales: [f64; 2],
-    /// Whether each cohort's scale moved since the previous hour.
-    moved: [bool; 2],
-}
-
-impl<'a> HourWalk<'a> {
-    fn list_only(
-        t: &'a DynamicTrace,
+/// One [`TraceCursor::step`] from hour `h − 1` to `h`.
+#[derive(Debug, Clone, Copy)]
+pub enum HourStep<'a> {
+    /// No cohort scale moved, so only the listed flows can have moved:
+    /// hour `h`'s changed flows, strictly increasing, and `bases[k]`, the
+    /// new base rate of `flows[k]`.
+    Listed {
         flows: &'a [u32],
         bases: &'a [u64],
-        scales: [f64; 2],
-    ) -> Self {
-        HourWalk {
-            dense: [].iter().zip(&t.east[..0]).enumerate(),
-            flows,
-            bases,
-            taken: 0,
-            east: &t.east,
-            scales,
-            moved: [false; 2],
+        rule: RateRule<'a>,
+    },
+    /// A cohort scale moved: every flow `i` is re-derived from `row[i]`,
+    /// its base rate at hour `h`.
+    Dense { row: &'a [u64], rule: RateRule<'a> },
+}
+
+impl<'a> HourStep<'a> {
+    /// `(flow, λ at hour h)` for every flow the step covers, in flow-id
+    /// order: the listed flows, or every flow of a dense step.
+    pub fn iter(&self) -> HourIter<'a> {
+        HourIter {
+            step: *self,
+            next: 0,
         }
     }
 }
 
-impl Iterator for HourWalk<'_> {
+impl<'a> IntoIterator for HourStep<'a> {
+    type Item = (FlowId, u64);
+    type IntoIter = HourIter<'a>;
+
+    fn into_iter(self) -> HourIter<'a> {
+        self.iter()
+    }
+}
+
+/// The `(flow, λ at hour h)` pairs of one [`HourStep`], in flow-id order.
+#[derive(Debug, Clone)]
+pub struct HourIter<'a> {
+    step: HourStep<'a>,
+    /// The next list entry or row slot.
+    next: usize,
+}
+
+impl Iterator for HourIter<'_> {
     type Item = (FlowId, u64);
 
     #[inline]
     fn next(&mut self) -> Option<(FlowId, u64)> {
-        let HourWalk {
-            dense,
-            flows,
-            bases,
-            taken,
+        let k = self.next;
+        let (flow, base, rule) = match self.step {
+            HourStep::Listed { flows, bases, rule } => (*flows.get(k)?, *bases.get(k)?, rule),
+            HourStep::Dense { row, rule } => (k as u32, *row.get(k)?, rule),
+        };
+        self.next += 1;
+        Some((FlowId(flow), rule.rate(base, rule.east[flow as usize])))
+    }
+}
+
+/// The rate rule of one trace hour: a flow's rate is its base rate
+/// scaled by its cohort's envelope factor, rounded half away from zero,
+/// `round(base · scale)` (Eq. 9).
+///
+/// A memoized rule holds that rounding for both cohorts and every base
+/// from 0 to the trace's largest base, capped at
+/// [`RateRule::MEMO_BASES`]` − 1` and at the flow count (so filling it
+/// never costs more than rounding every flow twice); [`RateRule::rate`]
+/// reads a covered base from the table and rounds any other. The table
+/// is filled by the same rounding, so the two answers are the same bits.
+/// A dense cursor step and [`DynamicTrace::rates_at`] memoize; a listed
+/// step, which rounds only its listed flows, does not.
+#[derive(Debug, Clone, Copy)]
+pub struct RateRule<'a> {
+    /// `east[i]`: flow `i` is in the east cohort.
+    east: &'a [bool],
+    /// The envelope scales, `[west, east]`.
+    scales: [f64; 2],
+    /// `memo[2b + e]`: the rate of base `b` in cohort `e` (1 = east), for
+    /// every `b < memo.len() / 2`; empty when not memoized.
+    memo: &'a [u64],
+}
+
+impl<'a> RateRule<'a> {
+    /// Bases a memo covers at most: `2 · 2^14` rates, 256 KiB.
+    pub const MEMO_BASES: usize = 1 << 14;
+
+    /// A rule that rounds every rate.
+    fn plain(east: &'a [bool], scales: [f64; 2]) -> Self {
+        RateRule {
             east,
             scales,
-            moved,
-        } = self;
-        let (flows, bases, scales, moved) = (*flows, *bases, *scales, *moved);
-        // The dense row is already at the new hour; the change list only
-        // marks which flows of a cohort whose scale stayed put must be
-        // yielded. With no such flow left the loop tests the cohort alone.
-        let hit = if *taken == flows.len() {
-            dense.find_map(|(i, (&b, &e))| {
-                let c = usize::from(e);
-                moved[c].then(|| (FlowId(i as u32), scaled(b, scales[c])))
-            })
-        } else {
-            dense.find_map(|(i, (&b, &e))| {
-                let c = usize::from(e);
-                let listed = flows.get(*taken) == Some(&(i as u32));
-                *taken += usize::from(listed);
-                (listed || moved[c]).then(|| (FlowId(i as u32), scaled(b, scales[c])))
-            })
-        };
-        if hit.is_some() {
-            return hit;
+            memo: &[],
         }
-        // A list-only walk; after a dense walk the list is already spent.
-        let (&f, &b) = (flows.get(*taken)?, bases.get(*taken)?);
-        *taken += 1;
-        let c = usize::from(east[f as usize]);
-        Some((FlowId(f), scaled(b, scales[c])))
+    }
+
+    /// A rule whose memo, filled into `memo`, covers every base up to
+    /// `max_base`, capped at `MEMO_BASES − 1` and at the flow count.
+    fn memoized(east: &'a [bool], scales: [f64; 2], max_base: u64, memo: &'a mut Vec<u64>) -> Self {
+        let cap = (Self::MEMO_BASES - 1).min(east.len()) as u64;
+        let bases = max_base.min(cap) + 1;
+        memo.clear();
+        memo.extend((0..bases).flat_map(|b| scales.map(|s| scaled(b, s))));
+        RateRule { east, scales, memo }
+    }
+
+    /// The cohort flags, one per flow.
+    pub fn east(&self) -> &'a [bool] {
+        self.east
+    }
+
+    /// The rate of base `base` in the east (`true`) or west cohort.
+    #[inline]
+    pub fn rate(&self, base: u64, east: bool) -> u64 {
+        // The slot saturates past the memo for any base it does not cover.
+        let slot = base.saturating_mul(2) | u64::from(east);
+        match self.memo.get(usize::try_from(slot).unwrap_or(usize::MAX)) {
+            Some(&r) => r,
+            None => scaled(base, self.scale(east)),
+        }
+    }
+
+    /// The cohort's scale, selected by a bit mask on the flag rather than
+    /// by indexing `scales` with it.
+    #[inline]
+    fn scale(&self, east: bool) -> f64 {
+        let [w, e] = self.scales.map(f64::to_bits);
+        f64::from_bits(w ^ ((w ^ e) & u64::from(east).wrapping_neg()))
     }
 }
 
@@ -1009,7 +1087,7 @@ mod tests {
         };
         let t = DynamicTrace::from_rows(&w, flat, vec![false; 6], &rows).unwrap();
         let mut c = t.cursor(0);
-        let walked: Vec<Vec<(FlowId, u64)>> = (0..6).map(|_| c.step().collect()).collect();
+        let walked: Vec<Vec<(FlowId, u64)>> = (0..6).map(|_| c.step().iter().collect()).collect();
         assert_eq!(
             walked,
             vec![
@@ -1043,6 +1121,55 @@ mod tests {
             }
             assert_eq!(held, t.rates_at(h), "hour {h}");
             assert_eq!(c.row.is_some(), h >= 2, "hour {h}");
+        }
+    }
+
+    /// The memo answers exactly what rounding answers, on both cohorts,
+    /// at the edges of the memo and of exact `f64` integers, whatever the
+    /// trace's largest base.
+    #[test]
+    fn the_memoized_rule_equals_the_rounding() {
+        let tau_min = DiurnalModel::default().tau_min;
+        let mid = 0.2 + 0.8 * 5.0 / 12.0;
+        let cap = RateRule::MEMO_BASES as u64;
+        // Flags for 2^15 flows; the memo never covers more bases than
+        // there are flows, so a trace of 700 covers at most 701.
+        let long: Vec<bool> = (0..2 * cap).map(|i| i % 2 == 1).collect();
+        for (flows, max_base) in [
+            (2 * cap, 0),
+            (2 * cap, 1249),
+            (2 * cap, cap - 2),
+            (2 * cap, cap - 1),
+            (2 * cap, cap),
+            (2 * cap, 1 << 53),
+            (2 * cap, u64::MAX),
+            (700, 1249),
+            (700, 699),
+        ] {
+            let east = &long[..flows as usize];
+            for scales in [[tau_min, 1.0], [1.0, mid], [mid, tau_min]] {
+                let mut memo = Vec::new();
+                let rule = RateRule::memoized(east, scales, max_base, &mut memo);
+                let len = rule.memo.len() as u64 / 2;
+                assert_eq!(len, max_base.min(cap - 1).min(flows) + 1);
+                let plain = RateRule::plain(east, scales);
+                for base in [
+                    0,
+                    len - 1,
+                    len,
+                    cap - 1,
+                    cap,
+                    (1 << 53) - 1,
+                    (1 << 53) + 1,
+                    u64::MAX,
+                ] {
+                    for (c, e) in [false, true].into_iter().enumerate() {
+                        let want = scaled(base, scales[c]);
+                        assert_eq!(rule.rate(base, e), want, "base {base} cohort {c}");
+                        assert_eq!(plain.rate(base, e), want, "base {base} cohort {c}");
+                    }
+                }
+            }
         }
     }
 

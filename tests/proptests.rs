@@ -1232,13 +1232,15 @@ proptest! {
     /// inputs on the two paths — and both stores hold `rates_at(h)`
     /// after each hour, hours past the trace's last row included. Traces
     /// cover the default diurnal envelope, the flat `tau_min = 1` one,
-    /// external rows that repeat or change, shifted east cohorts, and
-    /// zero-rate flows; each runs on a fat-tree and on a random fabric
-    /// mixing leaf hosts with two- and three-homed ones.
+    /// external rows that repeat or change, shifted east cohorts,
+    /// zero-rate flows, and external rows whose bases straddle the rate
+    /// memo's bounds and the edge of exact `f64` integers; each runs on a
+    /// fat-tree and on a random fabric mixing leaf hosts with two- and
+    /// three-homed ones.
     #[test]
     fn trace_feed_equals_the_delta_batch_path(
         (g, _) in arb_ppdc(),
-        shape in 0usize..4,
+        shape in 0usize..5,
         num_flows in 0usize..32,
         n_hours in 1u32..10,
         zero_pick in 0u64..3,
@@ -1247,7 +1249,7 @@ proptest! {
         use ppdc::sim::{RateDelta, ShardedFlowStore};
         use ppdc::topology::FatTree;
         use ppdc::traffic::{
-            rng_for_run, DiurnalModel, DynamicTrace, DEFAULT_MIX, STANDARD_CHURN,
+            rng_for_run, DiurnalModel, DynamicTrace, RateRule, DEFAULT_MIX, STANDARD_CHURN,
         };
         let mut x = seed | 1;
         let mut next = || { x ^= x << 13; x ^= x >> 7; x ^= x << 17; x };
@@ -1315,10 +1317,38 @@ proptest! {
                 DynamicTrace::from_rows(w, model, east, &rows).unwrap()
             }
             // Caller-chosen east cohorts at a shifted offset.
-            _ => {
+            3 => {
                 let offset = (next() % 31) as i64 - 15;
                 DynamicTrace::with_cohorts(w, model, &DEFAULT_MIX, STANDARD_CHURN, east, &mut rng)
                     .with_offset(offset)
+            }
+            // External rows whose bases straddle the rate memo's bounds
+            // (the flow count and `MEMO_BASES − 1`) and 2^53, up to
+            // 2^53 + 1 so that every delta fits an `i64`; about a third
+            // of the entries change each hour.
+            _ => {
+                let cap = RateRule::MEMO_BASES as u64;
+                let n = num_flows as u64;
+                let picks = [
+                    0, 1, n.saturating_sub(1), n, n + 1, cap - 1, cap, cap + 1,
+                    (1 << 53) - 1, 1 << 53, (1 << 53) + 1,
+                ];
+                let draw = |next: &mut dyn FnMut() -> u64| {
+                    let p = next();
+                    let base = if p.is_multiple_of(4) { p % (2 * cap) } else { picks[(p / 4) as usize % picks.len()] };
+                    base as i64
+                };
+                let mut rows: Vec<Vec<i64>> = vec![(0..num_flows).map(|_| draw(&mut next)).collect()];
+                for _ in 0..n_hours {
+                    let mut row = rows[rows.len() - 1].clone();
+                    for r in row.iter_mut() {
+                        if next() % 3 == 0 {
+                            *r = draw(&mut next);
+                        }
+                    }
+                    rows.push(row);
+                }
+                DynamicTrace::from_rows(w, model, east, &rows).unwrap()
             }
         };
         let last = trace.model().n_hours + 2;
