@@ -28,10 +28,10 @@
 #                         (rack-churn, diurnal-fabric) that must report
 #                         "correct": true
 #  10. bench smoke      — one pass of the bench groups (including the
-#                         hourly engine's simulated day and every exact
-#                         search: stroll, placement, scaled placement,
-#                         migration), appended to the BENCH_placement.json
-#                         trajectory
+#                         hourly engine's simulated day, the quiet-hour
+#                         aggregate fold and every exact search: stroll,
+#                         placement, scaled placement, migration),
+#                         appended to the BENCH_placement.json trajectory
 #
 # The bench crate (ppdc-bench) is outside the workspace default-members,
 # so step 5's plain `cargo build`/`cargo test` skip it; clippy still
@@ -132,7 +132,7 @@ for workload in rack-churn diurnal-fabric; do
     fi
 done
 
-echo "==> bench smoke (oracle + placement + exact searches + hourly day + checkpoint + stream groups once, trajectory appended)"
+echo "==> bench smoke (oracle + placement + exact searches + aggregates + hourly day + checkpoint + stream groups once, trajectory appended)"
 rm -f target/ci-bench-samples.jsonl
 PPDC_BENCH_ONLY=dp_placement,dp_placement_k32,optimal_placement_k4,extensions_k4 \
     PPDC_BENCH_JSON="$PWD/target/ci-bench-samples.jsonl" \
@@ -144,6 +144,8 @@ PPDC_BENCH_JSON="$PWD/target/ci-bench-samples.jsonl" \
 PPDC_BENCH_ONLY=distance_oracle \
     PPDC_BENCH_JSON="$PWD/target/ci-bench-samples.jsonl" \
     cargo bench -p ppdc-bench --bench topology
+PPDC_BENCH_JSON="$PWD/target/ci-bench-samples.jsonl" \
+    cargo bench -p ppdc-bench --bench aggregates
 PPDC_BENCH_JSON="$PWD/target/ci-bench-samples.jsonl" \
     cargo bench -p ppdc-bench --bench simulation
 PPDC_BENCH_JSON="$PWD/target/ci-bench-samples.jsonl" \

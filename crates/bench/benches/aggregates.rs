@@ -4,13 +4,14 @@
 //!
 //! * switch-aggregated [`AttachAggregates::build`] vs the flow-by-flow
 //!   oracle — the `O(|flows| + |V_h|·|V_s|)` vs `O(|flows|·|V_s|)` gap,
-//! * one hour of [`AttachAggregates::apply_rate_deltas`] vs a full
-//!   rebuild — what the simulator's hourly loop saves,
-//! * delta application alone (the clone is hoisted out via `iter`'s
-//!   returned value being rebuilt from a pristine copy each iteration).
+//! * one hour's host-mass fold ([`AttachAggregates::try_apply_mass_deltas`]
+//!   of the hour's masses, as the flow store reports them) vs a full
+//!   rebuild — what both epoch engines save on a quiet hour; each fold
+//!   starts from a pristine clone of the hour-0 aggregates.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ppdc_placement::AttachAggregates;
+use ppdc_sim::{RateDelta, ShardedFlowStore};
 use ppdc_topology::{DistanceMatrix, FatTree};
 use ppdc_traffic::standard_workload;
 use std::time::Duration;
@@ -44,13 +45,23 @@ fn bench_epoch_update(c: &mut Criterion) {
     let (mut w, trace) = standard_workload(&ft, 10_000, 7, 0);
     w.set_rates(&trace.rates_at(0)).unwrap();
     let agg0 = AttachAggregates::build(ft.graph(), &dm, &w);
-    let deltas = trace.rate_deltas(1);
+    let deltas: Vec<RateDelta> = trace
+        .try_rate_deltas(1)
+        .unwrap()
+        .into_iter()
+        .map(|(flow, delta)| RateDelta { flow, delta })
+        .collect();
+    let hour1 = ShardedFlowStore::build(ft.graph(), &w)
+        .unwrap()
+        .ingest(&deltas)
+        .unwrap();
     let mut w1 = w.clone();
     w1.set_rates(&trace.rates_at(1)).unwrap();
-    group.bench_function("apply_rate_deltas", |b| {
+    group.bench_function("fold_mass_deltas", |b| {
         b.iter(|| {
             let mut agg = agg0.clone();
-            agg.apply_rate_deltas(&dm, &w1, &deltas).unwrap();
+            agg.try_apply_mass_deltas(&dm, &hour1.masses, hour1.total_delta)
+                .unwrap();
             agg
         })
     });

@@ -190,9 +190,11 @@ impl Workload {
         &self.rates
     }
 
-    /// Sum of all rates.
+    /// Sum of all rates, saturating at `u64::MAX` (as the attach
+    /// aggregates' total does), so a cost over it pins at the sentinel
+    /// instead of trapping.
     pub fn total_rate(&self) -> u64 {
-        self.rates.iter().sum()
+        self.rates.iter().fold(0, |sum, &r| sum.saturating_add(r))
     }
 
     /// Iterates over `(flow id, src host, dst host, rate)`.
@@ -307,6 +309,15 @@ mod tests {
         assert_eq!(w.endpoints(FlowId(1)), (h2, h2));
         assert_eq!(w.rates(), &[100, 1]);
         assert_eq!(w.total_rate(), 101);
+    }
+
+    #[test]
+    fn total_rate_saturates() {
+        let (_, h1, h2, mut w) = setup();
+        for _ in 0..3 {
+            w.add_pair(h1, h2, 1 << 63);
+        }
+        assert_eq!(w.total_rate(), u64::MAX);
     }
 
     #[test]

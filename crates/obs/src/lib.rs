@@ -77,10 +77,10 @@ pub mod names {
     pub const AGG_BUILD: &str = "agg.build";
     /// Candidate-restricted aggregate build (degraded fabrics).
     pub const AGG_BUILD_RESTRICTED: &str = "agg.build_restricted";
-    /// Incremental delta fold (`AttachAggregates::apply_rate_deltas`).
+    /// Incremental host-mass fold (`AttachAggregates::try_apply_mass_deltas`);
+    /// the name predates that method and is kept so metrics files stay
+    /// comparable.
     pub const AGG_APPLY_DELTAS: &str = "agg.apply_rate_deltas";
-    /// How many individual rate deltas the incremental folds consumed.
-    pub const AGG_DELTAS_APPLIED: &str = "agg.rate_deltas_applied";
     /// Algorithm 3 (DP placement).
     pub const SOLVER_DP: &str = "solver.dp_placement";
     /// Algorithm 4 (exact placement branch-and-bound).
@@ -184,7 +184,6 @@ pub mod names {
     ];
     /// Every counter name the epoch loop pre-declares.
     pub const COUNTERS: &[&str] = &[
-        AGG_DELTAS_APPLIED,
         SIM_HOURS,
         SIM_EVENT_HOURS,
         SIM_BLACKOUT_HOURS,

@@ -35,12 +35,14 @@
 //! [`AttachAggregates::build_flow_by_flow`] for tests and benches).
 //!
 //! The same grouping makes TOM epochs incremental: when only rates change
-//! (hosts and distances fixed), [`AttachAggregates::apply_rate_deltas`]
-//! folds the rate deltas into per-host, then per-anchor masses and adds
-//! `Δmass·c(t, x)` to each switch — `O(|Δ| + |touched anchors|·|V_s|)`
-//! per epoch instead of a full rebuild.
+//! (hosts and distances fixed), the caller reduces the moved flows to
+//! per-host mass changes ([`HostMassDelta`]; both epoch engines do this
+//! in one accumulator, the flow store's), and
+//! [`AttachAggregates::try_apply_mass_deltas`] folds those into per-anchor
+//! masses and adds `Δmass·c(t, x)` to each switch —
+//! `O(|touched anchors|·|V_s|)` per epoch instead of a full rebuild.
 
-use ppdc_model::{FlowId, Placement, Workload};
+use ppdc_model::{Placement, Workload};
 use ppdc_topology::{Cost, DistanceOracle, Graph, NodeId, NodeKind, INFINITY};
 use rayon::prelude::*;
 
@@ -86,9 +88,8 @@ fn anchors<D: DistanceOracle + ?Sized>(g: &Graph, dm: &D) -> Vec<(NodeId, Cost)>
         .collect()
 }
 
-/// Typed failure of the checked delta folds
-/// ([`AttachAggregates::apply_rate_deltas`] /
-/// [`AttachAggregates::try_apply_mass_deltas`]). The aggregates are left
+/// Typed failure of the checked mass-delta fold
+/// ([`AttachAggregates::try_apply_mass_deltas`]). The aggregates are left
 /// untouched when a fold fails — updates are staged and committed only
 /// after every entry validated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -179,9 +180,9 @@ impl AttachAggregates {
     /// wrapped product, and so does any sum that reaches it. Zero-mass
     /// hosts never contribute, so masking stranded flows' rates to 0 keeps
     /// the arrays finite even on a partitioned fabric.
-    /// [`AttachAggregates::apply_rate_deltas`] must only be fed aggregates
-    /// whose entries are all finite (the epoch loop rebuilds on
-    /// failure/repair events before delta-feeding resumes).
+    /// [`AttachAggregates::try_apply_mass_deltas`] must only be fed
+    /// aggregates whose entries are all finite (the hourly engine rebuilds
+    /// on failure/repair events before its quiet hours fold again).
     pub fn build_restricted<D: DistanceOracle + ?Sized>(
         g: &Graph,
         dm: &D,
@@ -253,7 +254,8 @@ impl AttachAggregates {
 
     /// The original `O(|flows|·|V_s|)` build, one flow at a time. Kept as
     /// the parity oracle for [`AttachAggregates::build`] /
-    /// [`AttachAggregates::apply_rate_deltas`] and as the bench baseline.
+    /// [`AttachAggregates::try_apply_mass_deltas`] and as the bench
+    /// baseline.
     pub fn build_flow_by_flow<D: DistanceOracle + ?Sized>(g: &Graph, dm: &D, w: &Workload) -> Self {
         let switches: Vec<NodeId> = g.switches().collect();
         Self::build_restricted_flow_by_flow(g, dm, w, &switches)
@@ -288,112 +290,26 @@ impl AttachAggregates {
         }
     }
 
-    /// Folds per-flow rate changes into the aggregates in place:
-    /// `deltas` holds `(flow, new λ − old λ)` entries; `w` supplies the
-    /// (unchanged) flow endpoints and must already — or still — describe
-    /// the same VM→host assignment the aggregates were built with.
-    ///
-    /// The update groups deltas by endpoint host and then adjusts every
-    /// switch once per touched host: `O(|Δ| + |touched hosts|·|V_s|)`.
-    /// Because all arithmetic is exact integer math, the result is
-    /// bit-identical to a from-scratch rebuild under the new rates.
-    ///
-    /// Per-host deltas accumulate in `i128`, so a delta stream that
-    /// briefly overshoots — the running sum exceeding `u64`/`i64` range
-    /// before a compensating delta lands in the same batch — folds
-    /// exactly; only the *net* per-host mass and the final aggregates must
-    /// be representable. On error the aggregates are left untouched.
+    /// Folds per-host rate-mass changes into the aggregates in place — the
+    /// epoch engines' fold: their flow-mass accumulator reduces an epoch's
+    /// moved flows to one [`HostMassDelta`] per touched host, and one
+    /// switch sweep lands the list here. `total_delta` is the net change
+    /// of `Σλ`. Host deltas first reduce to their anchors (a leaf host's
+    /// ToR; see [`AttachAggregates::build_restricted`]), so the sweep costs
+    /// `|touched anchors| · |V_s|` oracle queries. All arithmetic is exact
+    /// integer math, so the result is bit-identical to a from-scratch
+    /// rebuild under the new rates. Masses are `i128`, so a delta stream
+    /// that briefly overshoots before a compensating delta lands nets
+    /// exactly; only the net masses and the final aggregates must be
+    /// representable. A host whose masses net to zero is a no-op. On
+    /// error the aggregates are left untouched.
     ///
     /// # Errors
     ///
-    /// [`AggregateError::OutOfRange`] when the net deltas disagree with
-    /// the rates the aggregates were built from (a delta drove an
-    /// aggregate negative), [`AggregateError::Overflow`] on (adversarial)
-    /// `i128` intermediate overflow.
-    pub fn apply_rate_deltas<D: DistanceOracle + ?Sized>(
-        &mut self,
-        dm: &D,
-        w: &Workload,
-        deltas: &[(FlowId, i64)],
-    ) -> Result<(), AggregateError> {
-        if deltas.is_empty() {
-            return Ok(());
-        }
-        let obs = ppdc_obs::global();
-        let _span = obs.span(ppdc_obs::names::AGG_APPLY_DELTAS);
-        obs.add(
-            ppdc_obs::names::AGG_DELTAS_APPLIED,
-            u64::try_from(deltas.len()).unwrap_or(u64::MAX),
-        );
-        let n = self.a_in.len();
-        let mut out_delta = vec![0i128; n];
-        let mut in_delta = vec![0i128; n];
-        let mut touched: Vec<u32> = Vec::new();
-        // Explicit membership marker: a host's accumulated delta can
-        // transiently cancel to 0 mid-list, and a delta==0 test would push
-        // it into `touched` twice — applying its delta twice to every
-        // switch.
-        let mut seen = vec![false; n];
-        let mut total_delta = 0i128;
-        for &(f, d) in deltas {
-            if d == 0 {
-                continue;
-            }
-            let (src, dst) = w.endpoints(f);
-            if !seen[src.index()] {
-                seen[src.index()] = true;
-                touched.push(src.0);
-            }
-            out_delta[src.index()] += i128::from(d);
-            if !seen[dst.index()] {
-                seen[dst.index()] = true;
-                touched.push(dst.0);
-            }
-            in_delta[dst.index()] += i128::from(d);
-            total_delta += i128::from(d);
-        }
-        // A host's net delta can cancel back to zero; the switch sweep
-        // multiplies by 0 then, which is still correct.
-        let mass_deltas: Vec<HostMassDelta> = touched
-            .iter()
-            .map(|&h| {
-                let h = NodeId(h);
-                HostMassDelta {
-                    host: h,
-                    d_out: out_delta[h.index()],
-                    d_in: in_delta[h.index()],
-                }
-            })
-            .collect();
-        self.fold_mass_deltas(dm, &mass_deltas, total_delta)?;
-        // `strict-invariants` contract: the caller must have folded the
-        // same deltas into `w` before (or after) feeding them here, so the
-        // incremental total and the workload's total stay in lock-step.
-        #[cfg(feature = "strict-invariants")]
-        assert_eq!(
-            self.total_rate,
-            w.total_rate(),
-            "rate deltas left the aggregate total out of sync with the workload"
-        );
-        #[cfg(not(feature = "strict-invariants"))]
-        let _only_read_under_strict_invariants = w;
-        Ok(())
-    }
-
-    /// Folds pre-grouped per-host mass deltas into the aggregates — the
-    /// streaming engine's entry point: the flow store reduces a batch to
-    /// one [`HostMassDelta`] per touched host, and one switch sweep lands
-    /// the list here. `total_delta` is the net change of `Σλ`. Host deltas
-    /// first reduce to their anchors (a leaf host's ToR; see
-    /// [`AttachAggregates::build_restricted`]), so the sweep costs
-    /// `|touched anchors| · |V_s|` oracle queries. Exactly the same
-    /// arithmetic as [`AttachAggregates::apply_rate_deltas`], so the
-    /// result stays bit-identical to a from-scratch rebuild. On error the
-    /// aggregates are left untouched.
-    ///
-    /// # Errors
-    ///
-    /// As [`AttachAggregates::apply_rate_deltas`].
+    /// [`AggregateError::OutOfRange`] when the masses disagree with the
+    /// rates the aggregates were built from (a delta drove an aggregate
+    /// negative), [`AggregateError::Overflow`] on (adversarial) `i128`
+    /// intermediate overflow.
     pub fn try_apply_mass_deltas<D: DistanceOracle + ?Sized>(
         &mut self,
         dm: &D,
@@ -578,7 +494,7 @@ impl AttachAggregates {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppdc_model::{comm_cost, Sfc};
+    use ppdc_model::{comm_cost, FlowId, Sfc};
     use ppdc_topology::builders::{fat_tree, linear};
     use ppdc_topology::DistanceMatrix;
 
@@ -654,6 +570,18 @@ mod tests {
             .map(|(host, (d_out, d_in))| HostMassDelta { host, d_out, d_in })
             .collect();
         (masses, total)
+    }
+
+    /// Folds per-flow deltas the way the epoch engines do: grouped into
+    /// host masses first, then one mass fold.
+    fn fold_flow_deltas(
+        agg: &mut AttachAggregates,
+        dm: &DistanceMatrix,
+        w: &Workload,
+        deltas: &[(FlowId, i64)],
+    ) -> Result<(), AggregateError> {
+        let (masses, total) = host_masses(w, deltas);
+        agg.try_apply_mass_deltas(dm, &masses, total)
     }
 
     #[test]
@@ -796,6 +724,26 @@ mod tests {
         assert!(fast.same_as(&AttachAggregates::build_flow_by_flow(&g, &dm, &w)));
     }
 
+    /// Rates from a trace whose base rates reach `i64::MAX` sum past
+    /// `u64::MAX`: both pricings saturate at the sentinel instead of
+    /// trapping on the total rate.
+    #[test]
+    fn rates_summing_past_u64_price_at_the_sentinel() {
+        let g = fat_tree(4).unwrap();
+        let dm = DistanceMatrix::build(&g);
+        let hosts: Vec<NodeId> = g.hosts().collect();
+        let mut w = Workload::new();
+        for i in 0..3 {
+            w.add_pair(hosts[i], hosts[i + 5], i64::MAX.unsigned_abs());
+        }
+        let agg = AttachAggregates::build(&g, &dm, &w);
+        assert_eq!(agg.total_rate(), u64::MAX);
+        let switches: Vec<NodeId> = g.switches().collect();
+        let p = Placement::new_unchecked(vec![switches[0], switches[7], switches[13]]);
+        assert_eq!(comm_cost(&dm, &w, &p), INFINITY);
+        assert_eq!(agg.comm_cost(&dm, &p), INFINITY);
+    }
+
     #[test]
     fn zero_rate_flow_does_not_double_count_shared_host() {
         // Regression: a zero-rate flow leaves its hosts' masses at 0, so a
@@ -882,7 +830,7 @@ mod tests {
         for &(f, d) in &deltas {
             w.set_rate(f, (w.rate(f) as i64 + d) as u64);
         }
-        agg.apply_rate_deltas(&dm, &w, &deltas).unwrap();
+        fold_flow_deltas(&mut agg, &dm, &w, &deltas).unwrap();
         let rebuilt = AttachAggregates::build(&g, &dm, &w);
         assert!(agg.same_as(&rebuilt));
     }
@@ -891,8 +839,10 @@ mod tests {
     fn cancelling_deltas_then_retouch_do_not_double_apply() {
         // Regression: three flows share a src host; the first two deltas
         // (+5, -5) cancel its accumulated out-delta to exactly 0, so a
-        // delta==0 membership test would re-push the host on the third
-        // delta and apply its delta twice to every switch.
+        // delta==0 membership test in the host grouping would re-push the
+        // host on the third delta and apply its delta twice to every
+        // switch. (The engines' grouping is the flow store's mass
+        // accumulator; the workspace proptests drive it.)
         let g = fat_tree(4).unwrap();
         let dm = DistanceMatrix::build(&g);
         let hosts: Vec<NodeId> = g.hosts().collect();
@@ -905,7 +855,7 @@ mod tests {
         for &(f, d) in &deltas {
             w.set_rate(f, (w.rate(f) as i64 + d) as u64);
         }
-        agg.apply_rate_deltas(&dm, &w, &deltas).unwrap();
+        fold_flow_deltas(&mut agg, &dm, &w, &deltas).unwrap();
         let rebuilt = AttachAggregates::build(&g, &dm, &w);
         assert!(agg.same_as(&rebuilt));
     }
@@ -921,7 +871,7 @@ mod tests {
         let mut w = Workload::new();
         let f = w.add_pair(h1, h2, 10);
         let mut agg = AttachAggregates::build(&g, &dm, &w);
-        let err = agg.apply_rate_deltas(&dm, &w, &[(f, -20)]).unwrap_err();
+        let err = fold_flow_deltas(&mut agg, &dm, &w, &[(f, -20)]).unwrap_err();
         assert!(err.to_string().contains("rate deltas drove"), "{err}");
     }
 
@@ -945,7 +895,7 @@ mod tests {
         let mut agg = AttachAggregates::build(&g, &dm, &w);
         let deltas = [(f0, D), (f1, D), (f2, D), (f0, -D), (f1, -D), (f2, -D + 3)];
         w.set_rate(f2, 33); // net: f0 and f1 unchanged, f2 +3
-        agg.apply_rate_deltas(&dm, &w, &deltas)
+        fold_flow_deltas(&mut agg, &dm, &w, &deltas)
             .expect("overshooting-but-compensated deltas must fold");
         let rebuilt = AttachAggregates::build(&g, &dm, &w);
         assert!(agg.same_as(&rebuilt));
@@ -964,8 +914,7 @@ mod tests {
         let f1 = w.add_pair(hosts[3], hosts[11], 40);
         let mut agg = AttachAggregates::build(&g, &dm, &w);
         let before = agg.clone();
-        let err = agg
-            .apply_rate_deltas(&dm, &w, &[(f0, 1), (f1, -500)])
+        let err = fold_flow_deltas(&mut agg, &dm, &w, &[(f0, 1), (f1, -500)])
             .expect_err("delta below -λ must be rejected");
         assert_eq!(err, AggregateError::OutOfRange { what: "A_in" });
         assert!(agg.same_as(&before));
@@ -991,7 +940,7 @@ mod tests {
             let new = u64::try_from(i64::try_from(w.rate(f)).unwrap() + d).unwrap();
             w.set_rate(f, new);
         }
-        by_flow.apply_rate_deltas(&dm, &w, &deltas).unwrap();
+        fold_flow_deltas(&mut by_flow, &dm, &w, &deltas).unwrap();
         // Grouped by endpoint host, first-touch order of the flow path.
         let masses = [
             HostMassDelta {
@@ -1057,7 +1006,7 @@ mod tests {
                     let new = u64::try_from(i64::try_from(w.rate(f)).unwrap() + d).unwrap();
                     w.set_rate(f, new);
                 }
-                by_flow.apply_rate_deltas(&dm, &w, &deltas).unwrap();
+                fold_flow_deltas(&mut by_flow, &dm, &w, &deltas).unwrap();
                 let (masses, total) = host_masses(&w, &deltas);
                 by_mass.try_apply_mass_deltas(&dm, &masses, total).unwrap();
                 let rebuilt = AttachAggregates::build_restricted(&g, &dm, &w, &candidates);
@@ -1075,8 +1024,8 @@ mod tests {
         let f = w.add_pair(h1, h2, 10);
         let mut agg = AttachAggregates::build(&g, &dm, &w);
         let before = agg.clone();
-        agg.apply_rate_deltas(&dm, &w, &[]).unwrap();
-        agg.apply_rate_deltas(&dm, &w, &[(f, 0)]).unwrap();
+        fold_flow_deltas(&mut agg, &dm, &w, &[]).unwrap();
+        fold_flow_deltas(&mut agg, &dm, &w, &[(f, 0)]).unwrap();
         assert!(agg.same_as(&before));
     }
 }

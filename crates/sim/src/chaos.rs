@@ -37,11 +37,11 @@ use rand::Rng;
 
 use crate::checkpoint::{CheckpointStore, CkptSlot};
 use crate::fault::{
-    resume_day, run_day, EngineConfig, FaultEvent, FaultKind, FaultSchedule, FaultSimResult,
-    HourProvenance, SimError,
+    resume_day, run_day, Element, EngineConfig, FaultKind, FaultSchedule, FaultSimResult,
+    HourProvenance, OutageLog, SimError,
 };
 use crate::simulator::{MigrationPolicy, SimConfig};
-use crate::supervisor::{SolverStarvation, SupervisorConfig};
+use crate::supervisor::SolverStarvation;
 
 /// Dedicated RNG stream for chaos schedules, disjoint from the traffic
 /// (0), cohort (1), fault (0xFA17), and starvation (0x51A7) streams.
@@ -85,13 +85,9 @@ impl ChaosConfig {
         let mut rng = rng_for_run(seed, CHAOS_STREAM);
         let repair_after = self.pod_repair_after.max(1);
         let half = ft.k() / 2;
-        let pods = ft.k();
-        // Hour at which the element is back up (0 = never failed).
-        let mut up_node = vec![0u32; g.num_nodes()];
-        let mut up_edge = vec![0u32; g.num_edges()];
-        let mut events = Vec::new();
+        let mut log = OutageLog::new(g, self.n_hours);
         for h in 1..=self.n_hours {
-            for p in 0..pods {
+            for p in 0..ft.k() {
                 if !rng.gen_bool(self.pod_outage_per_hour) {
                     continue;
                 }
@@ -99,44 +95,21 @@ impl ChaosConfig {
                 let aggs = &ft.agg_switches()[p * half..(p + 1) * half];
                 let tors = &ft.edge_switches()[p * half..(p + 1) * half];
                 for &s in aggs.iter().chain(tors) {
-                    if up_node[s.index()] > h {
-                        continue; // still down from an earlier outage
-                    }
-                    up_node[s.index()] = up;
-                    events.push(FaultEvent {
-                        hour: h,
-                        kind: FaultKind::FailSwitch(s),
-                    });
-                    if up <= self.n_hours {
-                        events.push(FaultEvent {
-                            hour: up,
-                            kind: FaultKind::RepairSwitch(s),
-                        });
+                    // A switch still down from an earlier outage keeps its
+                    // repair clock.
+                    if !log.is_down(Element::Switch(s), h) {
+                        log.fail(Element::Switch(s), h, up);
                     }
                 }
             }
-            for (i, edge_up) in up_edge.iter_mut().enumerate() {
-                if *edge_up > h {
-                    continue;
-                }
-                if !rng.gen_bool(self.link_flap_per_hour) {
-                    continue;
-                }
-                let up = h.saturating_add(1);
-                *edge_up = up;
-                events.push(FaultEvent {
-                    hour: h,
-                    kind: FaultKind::FailLink(EdgeId::from_index(i)),
-                });
-                if up <= self.n_hours {
-                    events.push(FaultEvent {
-                        hour: up,
-                        kind: FaultKind::RepairLink(EdgeId::from_index(i)),
-                    });
+            for i in 0..g.num_edges() {
+                let e = Element::Link(EdgeId::from_index(i));
+                if !log.is_down(e, h) && rng.gen_bool(self.link_flap_per_hour) {
+                    log.fail(e, h, h.saturating_add(1));
                 }
             }
         }
-        FaultSchedule::from_sorted(events, self.n_hours)
+        log.finish()
     }
 }
 
@@ -410,10 +383,7 @@ pub fn run_chaos_trial(trial: &ChaosTrialConfig) -> Result<ChaosTrialReport, Cha
         policy: trial.policy,
     };
     let base = EngineConfig {
-        supervisor: SupervisorConfig {
-            starvation,
-            ..SupervisorConfig::default()
-        },
+        starvation,
         ..EngineConfig::default()
     };
 

@@ -4,7 +4,8 @@
 //! a fault-aware day from the last completed hour and finish it
 //! **bit-identically** to the uninterrupted run: the incumbent placement,
 //! the workload's current VM hosts, the fault set, the elected serving
-//! view, every accumulated per-hour record, and the running totals. What
+//! view, and the day so far (a [`FaultSimResult`]: every accumulated
+//! per-hour record and the running totals). What
 //! the inputs regenerate is deliberately *not* stored — the rates are
 //! `rates_at(hour)` masked by the stored stranded set, and the distance
 //! matrix, metric closure, and attach aggregates are recomputed on
@@ -31,10 +32,10 @@ use std::path::{Path, PathBuf};
 use ppdc_model::{Sfc, Workload};
 use ppdc_obs::json::{self, Value};
 use ppdc_obs::{names as obs_names, Stopwatch};
-use ppdc_topology::{Cost, EdgeId, Graph, NodeId};
+use ppdc_topology::{EdgeId, Graph, NodeId};
 use ppdc_traffic::DynamicTrace;
 
-use crate::fault::{DegradedHourRecord, FaultSchedule, HourProvenance};
+use crate::fault::{DegradedHourRecord, FaultSchedule, FaultSimResult, HourProvenance};
 use crate::simulator::{HourRecord, MigrationPolicy, SimConfig};
 
 /// Version tag every snapshot carries; restore rejects anything else.
@@ -92,15 +93,13 @@ impl std::fmt::Display for CkptError {
 impl std::error::Error for CkptError {}
 
 /// A frozen mid-day simulator state: everything mutable the epoch loop
-/// carries across hours, plus the accumulated day records.
+/// carries across hours, plus the day so far.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {
     /// FNV-1a hash of every input (see [`fingerprint`]).
     pub fingerprint: u64,
     /// The last *completed* hour; resume continues at `hour + 1`.
     pub hour: u32,
-    /// The TOP placement cost at hour 0.
-    pub initial_cost: Cost,
     /// The incumbent placement's switches, in SFC order.
     pub placement: Vec<NodeId>,
     /// Current host of every VM (PLAN/MCF move VMs mid-day).
@@ -117,22 +116,10 @@ pub struct Checkpoint {
     /// Per-flow stranded mask of the serving view; restore zeroes these
     /// flows' `trace.rates_at(hour)`.
     pub stranded: Vec<bool>,
-    /// Hour records accumulated so far (hours `1..=hour`).
-    pub hours: Vec<HourRecord>,
-    /// Degradation records accumulated so far. Phase timings are not
-    /// persisted (they are wall-clock noise); restored records carry
-    /// `phase: None`.
-    pub degraded: Vec<DegradedHourRecord>,
-    /// Running served-cost total.
-    pub total_cost: Cost,
-    /// Running migration count (policy + recovery).
-    pub total_migrations: usize,
-    /// Aggregate builds so far (hour 0 plus event hours).
-    pub aggregate_rebuilds: usize,
-    /// Hours skipped as blackouts so far.
-    pub blackout_hours: usize,
-    /// Recovery migrations so far.
-    pub recovery_migrations: usize,
+    /// The day through `hour`: its records (hours `1..=hour`) and running
+    /// totals. Phase timings are not persisted (they are wall-clock
+    /// noise); restored records carry `phase: None`.
+    pub result: FaultSimResult,
 }
 
 fn prov_code(p: HourProvenance) -> u64 {
@@ -162,8 +149,9 @@ impl Checkpoint {
         out.push_str("{\n");
         out.push_str(&format!("  \"schema\": \"{CKPT_SCHEMA}\",\n"));
         out.push_str(&format!("  \"fingerprint\": {},\n", self.fingerprint));
+        let day = &self.result;
         out.push_str(&format!("  \"hour\": {},\n", self.hour));
-        out.push_str(&format!("  \"initial_cost\": {},\n", self.initial_cost));
+        out.push_str(&format!("  \"initial_cost\": {},\n", day.initial_cost));
         let ids = |v: &[NodeId]| v.iter().map(|n| u64::from(n.0)).collect::<Vec<u64>>();
         push_list(&mut out, "placement", ids(&self.placement));
         push_list(&mut out, "hosts", ids(&self.hosts));
@@ -186,16 +174,16 @@ impl Checkpoint {
             "  \"totals\": {{\"total_cost\": {}, \"total_migrations\": {}, \
              \"aggregate_rebuilds\": {}, \"blackout_hours\": {}, \
              \"recovery_migrations\": {}}},\n",
-            self.total_cost,
-            self.total_migrations,
-            self.aggregate_rebuilds,
-            self.blackout_hours,
-            self.recovery_migrations
+            day.total_cost,
+            day.total_migrations,
+            day.aggregate_rebuilds,
+            day.blackout_hours,
+            day.recovery_migrations
         ));
         // Hour records as compact rows:
         // [hour, migration_cost, comm_cost, total_cost, num_migrations].
         out.push_str("  \"hours\": [");
-        for (i, r) in self.hours.iter().enumerate() {
+        for (i, r) in day.hours.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -210,7 +198,7 @@ impl Checkpoint {
         // recovery_migrations, blackout, degraded_solver, provenance,
         // solver_retries].
         out.push_str("  \"degraded\": [");
-        for (i, d) in self.degraded.iter().enumerate() {
+        for (i, d) in day.degraded.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -286,7 +274,6 @@ impl Checkpoint {
         Ok(Checkpoint {
             fingerprint: u64_field(top, "fingerprint")?,
             hour: to_u32(u64_field(top, "hour")?, "hour")?,
-            initial_cost: u64_field(top, "initial_cost")?,
             placement: node_ids(top, "placement")?,
             hosts: node_ids(top, "hosts")?,
             failed_nodes: node_ids(top, "failed_nodes")?,
@@ -299,13 +286,16 @@ impl Checkpoint {
                 .into_iter()
                 .map(|x| x != 0)
                 .collect(),
-            hours,
-            degraded,
-            total_cost: u64_field(totals, "total_cost")?,
-            total_migrations: to_usize(u64_field(totals, "total_migrations")?)?,
-            aggregate_rebuilds: to_usize(u64_field(totals, "aggregate_rebuilds")?)?,
-            blackout_hours: to_usize(u64_field(totals, "blackout_hours")?)?,
-            recovery_migrations: to_usize(u64_field(totals, "recovery_migrations")?)?,
+            result: FaultSimResult {
+                initial_cost: u64_field(top, "initial_cost")?,
+                hours,
+                degraded,
+                total_cost: u64_field(totals, "total_cost")?,
+                total_migrations: to_usize(u64_field(totals, "total_migrations")?)?,
+                aggregate_rebuilds: to_usize(u64_field(totals, "aggregate_rebuilds")?)?,
+                blackout_hours: to_usize(u64_field(totals, "blackout_hours")?)?,
+                recovery_migrations: to_usize(u64_field(totals, "recovery_migrations")?)?,
+            },
         })
     }
 
@@ -340,8 +330,8 @@ impl Checkpoint {
             ("placement", self.placement.len(), sfc.len()),
             ("hosts", self.hosts.len(), w.num_vms()),
             ("stranded", self.stranded.len(), w.num_flows()),
-            ("hours", self.hours.len(), self.hour as usize),
-            ("degraded", self.degraded.len(), self.hour as usize),
+            ("hours", self.result.hours.len(), self.hour as usize),
+            ("degraded", self.result.degraded.len(), self.hour as usize),
         ];
         for (name, got, want) in shape {
             if got != want {
@@ -742,39 +732,41 @@ mod tests {
         Checkpoint {
             fingerprint: 0xDEAD_BEEF,
             hour,
-            initial_cost: 1234,
             placement: vec![NodeId(4), NodeId(5), NodeId(6)],
             hosts: vec![NodeId(20), NodeId(21)],
             failed_nodes: vec![NodeId(4)],
             failed_edges: vec![EdgeId(7)],
             candidates: vec![NodeId(5), NodeId(6)],
             stranded: vec![false, true],
-            hours: vec![HourRecord {
-                hour: 1,
-                migration_cost: 3,
-                comm_cost: 40,
+            result: FaultSimResult {
+                initial_cost: 1234,
+                hours: vec![HourRecord {
+                    hour: 1,
+                    migration_cost: 3,
+                    comm_cost: 40,
+                    total_cost: 43,
+                    num_migrations: 1,
+                }],
+                degraded: vec![DegradedHourRecord {
+                    hour: 1,
+                    failed_switches: 1,
+                    failed_links: 1,
+                    stranded_flows: 1,
+                    stranded_rate: 5,
+                    reroute_cost: 2,
+                    recovery_migrations: 1,
+                    blackout: false,
+                    degraded_solver: true,
+                    provenance: HourProvenance::DegradedDeadline,
+                    solver_retries: 2,
+                    phase: None,
+                }],
                 total_cost: 43,
-                num_migrations: 1,
-            }],
-            degraded: vec![DegradedHourRecord {
-                hour: 1,
-                failed_switches: 1,
-                failed_links: 1,
-                stranded_flows: 1,
-                stranded_rate: 5,
-                reroute_cost: 2,
+                total_migrations: 1,
+                aggregate_rebuilds: 2,
+                blackout_hours: 0,
                 recovery_migrations: 1,
-                blackout: false,
-                degraded_solver: true,
-                provenance: HourProvenance::DegradedDeadline,
-                solver_retries: 2,
-                phase: None,
-            }],
-            total_cost: 43,
-            total_migrations: 1,
-            aggregate_rebuilds: 2,
-            blackout_hours: 0,
-            recovery_migrations: 1,
+            },
         }
     }
 

@@ -9,13 +9,17 @@
 //! * [`run_day`] / [`resume_day`] — the hourly TOP → TOM epoch loop,
 //!   hardened to run **every** hour of the day no matter what fails. With
 //!   an empty schedule it is the plain loop: TOP at hour 0, the policy
-//!   every hour after, aggregates folded by rate deltas. On event hours it
+//!   every hour after. A quiet hour (no event) steps the trace cursor and
+//!   touches only the flows it moves: each served flow whose rate changed
+//!   is written into the workload and booked at its endpoints in the same
+//!   host-mass accumulator the streaming flow store uses, whose drained
+//!   masses fold into the aggregates
+//!   ([`AttachAggregates::try_apply_mass_deltas`]). On event hours it
 //!   rebuilds the degraded view
 //!   ([`ppdc_topology::Graph::degraded_view`]) and its distance matrix in
 //!   place, elects the *serving component*, masks out stranded flows,
 //!   rebuilds candidate-restricted attach aggregates, and repairs the VNF
-//!   placement when a failure knocked one of its switches out. Quiet hours
-//!   keep the incremental delta feed.
+//!   placement when a failure knocked one of its switches out.
 //! * [`DegradedHourRecord`] — per-hour degradation telemetry (stranded
 //!   flows and rate, reroute cost over the healthy fabric, recovery
 //!   migrations, blackout and degraded-solver flags).
@@ -61,12 +65,13 @@ use ppdc_topology::{
     sat_add, sat_mul, Cost, DistanceMatrix, EdgeId, FaultSet, Graph, NodeId, NodeKind, Partition,
     ShortestPaths, TopologyError, INFINITY,
 };
-use ppdc_traffic::{rng_for_run, DynamicTrace, TraceError};
+use ppdc_traffic::{rng_for_run, DynamicTrace, TraceCursor};
 use rand::Rng;
 
 use crate::checkpoint::{fingerprint, Checkpoint, CheckpointStore, CkptError};
 use crate::simulator::{HourRecord, MigrationPolicy, SimConfig};
-use crate::supervisor::{transient_gate, GateOutcome, SupervisorConfig};
+use crate::stream::HostMasses;
+use crate::supervisor::{transient_gate, GateOutcome, SolverStarvation};
 
 /// Failure-process parameters for [`FaultSchedule::generate`].
 #[derive(Debug, Clone, Copy)]
@@ -243,53 +248,24 @@ impl FaultSchedule {
         // run indices for the same seed.
         let mut rng = rng_for_run(seed, 0xFA17);
         let repair_after = cfg.repair_after.max(1);
-        // Hour at which the element is back up (0 = never failed).
-        let mut up_node = vec![0u32; g.num_nodes()];
-        let mut up_edge = vec![0u32; g.num_edges()];
-        let mut events = Vec::new();
+        let mut log = OutageLog::new(g, n_hours);
         let switches: Vec<NodeId> = g.switches().collect();
         for h in 1..=n_hours {
+            let up = h.saturating_add(repair_after);
             for &s in &switches {
-                if up_node[s.index()] > h {
-                    continue; // still down
-                }
-                if rng.gen_bool(cfg.switch_fail_per_hour) {
-                    let up = h.saturating_add(repair_after);
-                    up_node[s.index()] = up;
-                    events.push(FaultEvent {
-                        hour: h,
-                        kind: FaultKind::FailSwitch(s),
-                    });
-                    if up <= n_hours {
-                        events.push(FaultEvent {
-                            hour: up,
-                            kind: FaultKind::RepairSwitch(s),
-                        });
-                    }
+                let e = Element::Switch(s);
+                if !log.is_down(e, h) && rng.gen_bool(cfg.switch_fail_per_hour) {
+                    log.fail(e, h, up);
                 }
             }
-            for (i, up_slot) in up_edge.iter_mut().enumerate() {
-                if *up_slot > h {
-                    continue;
-                }
-                if rng.gen_bool(cfg.link_fail_per_hour) {
-                    let e = EdgeId(i as u32);
-                    let up = h.saturating_add(repair_after);
-                    *up_slot = up;
-                    events.push(FaultEvent {
-                        hour: h,
-                        kind: FaultKind::FailLink(e),
-                    });
-                    if up <= n_hours {
-                        events.push(FaultEvent {
-                            hour: up,
-                            kind: FaultKind::RepairLink(e),
-                        });
-                    }
+            for i in 0..g.num_edges() {
+                let e = Element::Link(EdgeId::from_index(i));
+                if !log.is_down(e, h) && rng.gen_bool(cfg.link_fail_per_hour) {
+                    log.fail(e, h, up);
                 }
             }
         }
-        Self::from_sorted(events, n_hours)
+        log.finish()
     }
 
     /// The day length the schedule was generated for.
@@ -318,6 +294,77 @@ impl FaultSchedule {
     }
 }
 
+/// An element a fault process takes down.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Element {
+    /// A switch, with every link incident to it.
+    Switch(NodeId),
+    /// One link.
+    Link(EdgeId),
+}
+
+/// The bookkeeping the schedule samplers share: the hour each element is
+/// back up, and the events emitted so far. The samplers keep their own
+/// random draws, so each decides what fails and in which order it draws.
+pub(crate) struct OutageLog {
+    n_hours: u32,
+    num_nodes: usize,
+    /// Hour at which each node, then each edge, is back up (0 = never
+    /// failed).
+    up: Vec<u32>,
+    events: Vec<FaultEvent>,
+}
+
+impl OutageLog {
+    /// An empty log over `g`'s elements for a day of `n_hours`.
+    pub(crate) fn new(g: &Graph, n_hours: u32) -> Self {
+        OutageLog {
+            n_hours,
+            num_nodes: g.num_nodes(),
+            up: vec![0; g.num_nodes() + g.num_edges()],
+            events: Vec::new(),
+        }
+    }
+
+    fn slot(&self, e: Element) -> usize {
+        match e {
+            Element::Switch(s) => s.index(),
+            Element::Link(l) => self.num_nodes + l.index(),
+        }
+    }
+
+    /// True while `e` is still down at hour `h` from an earlier failure.
+    pub(crate) fn is_down(&self, e: Element, h: u32) -> bool {
+        self.up[self.slot(e)] > h
+    }
+
+    /// Fails `e` at hour `h` until hour `up`: the failure is emitted at
+    /// `h`, the repair at `up` when that is within the day.
+    pub(crate) fn fail(&mut self, e: Element, h: u32, up: u32) {
+        let slot = self.slot(e);
+        self.up[slot] = up;
+        let (fail, repair) = match e {
+            Element::Switch(s) => (FaultKind::FailSwitch(s), FaultKind::RepairSwitch(s)),
+            Element::Link(l) => (FaultKind::FailLink(l), FaultKind::RepairLink(l)),
+        };
+        self.events.push(FaultEvent {
+            hour: h,
+            kind: fail,
+        });
+        if up <= self.n_hours {
+            self.events.push(FaultEvent {
+                hour: up,
+                kind: repair,
+            });
+        }
+    }
+
+    /// The schedule of every emitted event.
+    pub(crate) fn finish(self) -> FaultSchedule {
+        FaultSchedule::from_sorted(self.events, self.n_hours)
+    }
+}
+
 /// Errors produced by the hourly engine ([`run_day`] / [`resume_day`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
@@ -335,9 +382,7 @@ pub enum SimError {
     /// A hand-crafted fault schedule was internally inconsistent, or its
     /// day length differs from the trace's.
     Schedule(ScheduleError),
-    /// The dynamic trace rejected an hour index or rate-row shape.
-    Trace(TraceError),
-    /// An hour's rate deltas disagreed with the aggregates they were
+    /// An hour's host masses disagreed with the aggregates they were
     /// folded into.
     Aggregate(AggregateError),
 }
@@ -378,12 +423,6 @@ impl From<ScheduleError> for SimError {
     }
 }
 
-impl From<TraceError> for SimError {
-    fn from(e: TraceError) -> Self {
-        SimError::Trace(e)
-    }
-}
-
 impl From<AggregateError> for SimError {
     fn from(e: AggregateError) -> Self {
         SimError::Aggregate(e)
@@ -399,7 +438,6 @@ impl std::fmt::Display for SimError {
             SimError::Topology(e) => write!(f, "topology error: {e}"),
             SimError::Checkpoint(e) => write!(f, "checkpoint error: {e}"),
             SimError::Schedule(e) => write!(f, "schedule error: {e}"),
-            SimError::Trace(e) => write!(f, "trace error: {e}"),
             SimError::Aggregate(e) => write!(f, "aggregate error: {e}"),
         }
     }
@@ -418,7 +456,7 @@ pub struct PhaseNanos {
     /// In-place APSP rebuild of the degraded view (event hours only).
     pub apsp_ns: u64,
     /// Attach-aggregate work: restricted rebuild on event hours, the
-    /// incremental delta fold on quiet hours.
+    /// host-mass fold on quiet hours.
     pub aggregates_ns: u64,
     /// The hour's migration-policy solve (0 on repair and blackout hours).
     pub solver_ns: u64,
@@ -509,6 +547,8 @@ struct ServingView {
     cand_mask: Vec<bool>,
     /// `stranded[f]` ⇔ flow `f` has an endpoint outside the component.
     stranded: Vec<bool>,
+    /// How many flows are stranded.
+    num_stranded: usize,
 }
 
 impl ServingView {
@@ -533,7 +573,6 @@ impl ServingView {
         let serving = (0..nc)
             .max_by_key(|&c| (alive_switches[c], alive_hosts[c], std::cmp::Reverse(c)))
             .unwrap_or(0) as u32;
-        let mut cand_mask = vec![false; g_view.num_nodes()];
         let mut candidates = Vec::new();
         let mut host_ok = vec![false; g_view.num_nodes()];
         for n in g_view.nodes() {
@@ -541,10 +580,7 @@ impl ServingView {
                 continue;
             }
             match g_view.kind(n) {
-                NodeKind::Switch => {
-                    cand_mask[n.index()] = true;
-                    candidates.push(n);
-                }
+                NodeKind::Switch => candidates.push(n),
                 NodeKind::Host => host_ok[n.index()] = true,
             }
         }
@@ -555,42 +591,74 @@ impl ServingView {
                 !(host_ok[src.index()] && host_ok[dst.index()])
             })
             .collect();
-        ServingView {
-            candidates,
-            cand_mask,
-            stranded,
-        }
+        Self::from_parts(g_view.num_nodes(), candidates, stranded)
     }
 
-    /// Rebuilds a view from checkpointed parts. The candidate list and
-    /// stranded mask are stored rather than re-elected: stranding was
-    /// computed against VM endpoints of the election hour, which VM
-    /// migration may since have moved.
+    /// Builds a view from its candidates and stranded mask: the election's,
+    /// or a checkpoint's. A checkpoint stores them rather than re-electing:
+    /// stranding was computed against VM endpoints of the election hour,
+    /// which VM migration may since have moved.
     fn from_parts(num_nodes: usize, candidates: Vec<NodeId>, stranded: Vec<bool>) -> Self {
         let mut cand_mask = vec![false; num_nodes];
         for c in &candidates {
             cand_mask[c.index()] = true;
         }
+        let num_stranded = stranded.iter().filter(|&&s| s).count();
         ServingView {
             candidates,
             cand_mask,
             stranded,
+            num_stranded,
         }
     }
 }
 
 /// Sets the hour's trace `rates` on `w` with stranded flows masked to
-/// zero; returns the total rate masked out.
-fn set_masked_rates(w: &mut Workload, rates: &[u64], stranded: &[bool]) -> Result<u64, ModelError> {
+/// zero; returns the exact total rate masked out.
+fn set_masked_rates(
+    w: &mut Workload,
+    rates: &[u64],
+    stranded: &[bool],
+) -> Result<i128, ModelError> {
     w.set_rates(rates)?;
-    let mut masked = 0u64;
+    let mut masked = 0i128;
     for (i, &r) in rates.iter().enumerate() {
         if stranded.get(i).copied().unwrap_or(false) {
-            masked += r;
+            masked += i128::from(r);
             w.set_rate(FlowId::from_index(i), 0);
         }
     }
     Ok(masked)
+}
+
+/// Steps `cursor` over one quiet hour, whose stranded set stands. Each
+/// yielded rate overwrites the unmasked `rates`; a served flow whose rate
+/// moved is written into `w_cur` and, when `masses` is given, booked at
+/// its endpoints. Returns the net change of the booked flows' `Σλ` and of
+/// the stranded flows' unmasked rate mass.
+fn feed_quiet_hour(
+    cursor: &mut TraceCursor<'_>,
+    rates: &mut [u64],
+    stranded: &[bool],
+    w_cur: &mut Workload,
+    mut masses: Option<&mut HostMasses>,
+) -> (i128, i128) {
+    let (mut served, mut masked) = (0i128, 0i128);
+    for (flow, rate) in cursor.step() {
+        let f = flow.index();
+        let net = i128::from(rate) - i128::from(std::mem::replace(&mut rates[f], rate));
+        if stranded[f] {
+            masked += net;
+        } else if net != 0 {
+            w_cur.set_rate(flow, rate);
+            if let Some(m) = masses.as_deref_mut() {
+                let (src, dst) = w_cur.endpoints(flow);
+                m.add(src, dst, net);
+                served += net;
+            }
+        }
+    }
+    (served, masked)
 }
 
 /// Eq. 1's communication cost of `p` on the healthy fabric `g`, priced
@@ -624,8 +692,8 @@ fn healthy_comm_cost(g: &Graph, w: &Workload, p: &Placement) -> Cost {
 
 /// Knobs of the crash-safe epoch engine ([`run_day`] / [`resume_day`]).
 /// `EngineConfig::default()` runs the plain day: no observation, no
-/// persistence, no early stop, default supervisor.
-#[derive(Debug, Clone, PartialEq)]
+/// persistence, no early stop, no injected starvation.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct EngineConfig {
     /// Fill [`DegradedHourRecord::phase`] with per-phase wall time (APSP
     /// rebuild / aggregates / solver / repair), and pre-declare and feed the
@@ -634,29 +702,17 @@ pub struct EngineConfig {
     /// stable-schema summary afterwards. Observation never feeds back:
     /// every non-`phase` field is bit-identical to the unobserved run.
     pub observe: bool,
-    /// Retry policy and injected starvation for the hourly solve.
-    pub supervisor: SupervisorConfig,
-    /// Where to persist snapshots; `None` disables checkpointing.
+    /// Injected transient failures for the hourly solve, retried up to
+    /// the supervisor's budget (see [`crate::supervisor`]). `None` means
+    /// every solve succeeds on the first attempt.
+    pub starvation: Option<SolverStarvation>,
+    /// Where to persist a snapshot after every completed hour; `None`
+    /// disables checkpointing.
     pub store: Option<CheckpointStore>,
-    /// Persist every `n` completed hours (floored at 1; the stop hour and
-    /// the final hour are always persisted when a store is set).
-    pub checkpoint_every: u32,
     /// Halt after completing this hour (crash simulation). The returned
     /// [`DayRun`] then carries `completed = false` (unless the day ended
     /// anyway) and a resume checkpoint.
     pub stop_after: Option<u32>,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            observe: false,
-            supervisor: SupervisorConfig::default(),
-            store: None,
-            checkpoint_every: 1,
-            stop_after: None,
-        }
-    }
 }
 
 /// Outcome of one (possibly interrupted) engine run.
@@ -769,81 +825,61 @@ fn run_day_impl(
     };
     let mut faults = FaultSet::new(g);
     let mut w_cur = w.clone();
-
-    // The trace's unmasked rates at the last completed hour, stepped
-    // hour by hour by a cursor over the trace.
-    let mut rates;
-    let mut g_view;
-    let mut dm_cur;
-    let mut agg;
-    let mut sv;
-    let mut p;
-    let initial_cost;
-    let mut hours;
-    let mut degraded;
-    let mut total_cost: Cost;
-    let mut total_migrations;
-    let mut aggregate_rebuilds;
-    let mut blackout_hours;
-    let mut recovery_total;
-    let start_hour;
-
+    let start = resume.map_or(0, |ck| ck.hour);
     if let Some(ck) = resume {
         ck.validate_against(g, w, sfc, n_hours, fp)?;
         obs.add(obs_names::CKPT_RESTORES, 1);
-        // Reconstruct the mutable loop state from the snapshot; derived
-        // structures (APSP, aggregates, closure) are rebuilt, which is
-        // exact: `rebuild_dirty` chains are proptested bit-identical to
-        // full builds, and `build` ≡ `build_restricted`(all) + delta
-        // feeds (PR 1/PR 5).
         for &n in &ck.failed_nodes {
             faults.fail_node(n)?;
         }
         for &e in &ck.failed_edges {
             faults.fail_edge(e)?;
         }
-        g_view = g.degraded_view(&faults);
-        dm_cur = DistanceMatrix::build(&g_view);
         for (i, &host) in ck.hosts.iter().enumerate() {
             w_cur.set_host(VmId::from_index(i), host);
         }
-        // Every hour ends with exactly these masked rates (each branch of
-        // the loop calls `set_masked_rates`, and VM moves keep rates).
-        rates = trace.rates_at(ck.hour);
-        set_masked_rates(&mut w_cur, &rates, &ck.stranded)?;
+    }
+    // A healthy degraded view re-adds every edge in original order, so on
+    // a fresh day `dm_cur` starts bit-identical to the healthy matrix (and
+    // node ids match `g` forever — views never renumber).
+    let mut g_view = g.degraded_view(&faults);
+    let mut dm_cur = DistanceMatrix::build(&g_view);
+    // The trace's unmasked rates at the last completed hour; the cursor
+    // steps them hour by hour.
+    let mut rates = trace.rates_at(start);
+    // Every hour ends with `w_cur` at these rates, stranded flows masked,
+    // and `stranded_mass` the masked flows' exact rate total. A resumed
+    // day rebuilds the derived state (APSP, aggregates) from the snapshot,
+    // which is exact: `rebuild_dirty` chains are proptested bit-identical
+    // to full builds, and a restricted build equals the folded one.
+    let mut sv;
+    let mut agg;
+    let mut p;
+    let mut day;
+    let mut stranded_mass;
+    if let Some(ck) = resume {
         sv = ServingView::from_parts(g.num_nodes(), ck.candidates.clone(), ck.stranded.clone());
+        stranded_mass = set_masked_rates(&mut w_cur, &rates, &sv.stranded)?;
         agg = AttachAggregates::build_restricted(&g_view, &dm_cur, &w_cur, &sv.candidates);
         p = Placement::new_unchecked(ck.placement.clone());
-        initial_cost = ck.initial_cost;
-        hours = ck.hours.clone();
-        degraded = ck.degraded.clone();
-        total_cost = ck.total_cost;
-        total_migrations = ck.total_migrations;
-        aggregate_rebuilds = ck.aggregate_rebuilds;
-        blackout_hours = ck.blackout_hours;
-        recovery_total = ck.recovery_migrations;
-        start_hour = ck.hour + 1;
+        day = ck.result.clone();
     } else {
-        // The healthy degraded view re-adds every edge in original order,
-        // so `dm_cur` starts bit-identical to the healthy matrix (and node
-        // ids match `g` forever — views never renumber).
-        g_view = g.degraded_view(&faults);
-        dm_cur = DistanceMatrix::build(&g_view);
-        rates = trace.rates_at(0);
         w_cur.set_rates(&rates)?;
         agg = AttachAggregates::build(&g_view, &dm_cur, &w_cur);
-        aggregate_rebuilds = 1usize;
-        let (p0, c0) = dp_placement(&dm_cur, &w_cur, sfc, &agg)?;
+        let (p0, initial_cost) = dp_placement(&dm_cur, &w_cur, sfc, &agg)?;
         p = p0;
-        initial_cost = c0;
         sv = ServingView::elect(&g_view, &faults, &w_cur);
-        hours = Vec::with_capacity(n_hours as usize);
-        degraded = Vec::with_capacity(n_hours as usize);
-        total_cost = 0;
-        total_migrations = 0usize;
-        blackout_hours = 0usize;
-        recovery_total = 0usize;
-        start_hour = 1;
+        stranded_mass = set_masked_rates(&mut w_cur, &rates, &sv.stranded)?;
+        day = FaultSimResult {
+            initial_cost,
+            hours: Vec::with_capacity(n_hours as usize),
+            degraded: Vec::with_capacity(n_hours as usize),
+            total_cost: 0,
+            total_migrations: 0,
+            aggregate_rebuilds: 1,
+            blackout_hours: 0,
+            recovery_migrations: 0,
+        };
     }
 
     let maintains_agg = matches!(
@@ -852,19 +888,32 @@ fn run_day_impl(
             | MigrationPolicy::OptimalVnf { .. }
             | MigrationPolicy::NoMigration
     );
-    let every = ecfg.checkpoint_every.max(1);
-    let mut final_ckpt: Option<Checkpoint> = None;
-    let mut halted_at: Option<u32> = None;
-
-    let mut cursor = trace.cursor(start_hour - 1);
-    for h in start_hour..=n_hours {
-        let deltas = cursor.step_deltas(&mut rates)?;
+    let mut masses = HostMasses::new(g.num_nodes());
+    let mut cursor = trace.cursor(start);
+    for h in start + 1..=n_hours {
         let events: Vec<FaultEvent> = schedule.events_at(h).copied().collect();
-        let event_hour = !events.is_empty();
         let mut apsp_ns = 0u64;
         let mut aggregates_ns = 0u64;
-        let stranded_rate;
-        if event_hour {
+        if events.is_empty() {
+            // Quiet hour: the stranded set stands, so only the flows the
+            // step moves change the masked rates and the aggregates.
+            let (served, masked) = feed_quiet_hour(
+                &mut cursor,
+                &mut rates,
+                &sv.stranded,
+                &mut w_cur,
+                maintains_agg.then_some(&mut masses),
+            );
+            stranded_mass += masked;
+            if maintains_agg {
+                let agg_sw = Stopwatch::start_if(measuring);
+                agg.try_apply_mass_deltas(&dm_cur, &masses.drain(), served)?;
+                aggregates_ns = agg_sw.elapsed_ns();
+            }
+        } else {
+            for (flow, rate) in cursor.step() {
+                rates[flow.index()] = rate;
+            }
             let rebuild_sw = Stopwatch::start_if(measuring);
             // Every edge an event can have toggled, with its healthy
             // weight from the original graph; over-listing (a repair of a
@@ -897,38 +946,27 @@ fn run_day_impl(
             dm_cur.rebuild_dirty(&g_view, &changed);
             apsp_ns = apsp_sw.elapsed_ns();
             sv = ServingView::elect(&g_view, &faults, &w_cur);
-            stranded_rate = set_masked_rates(&mut w_cur, &rates, &sv.stranded)?;
-            // The stranded set changed: delta feeds would mix masked and
+            stranded_mass = set_masked_rates(&mut w_cur, &rates, &sv.stranded)?;
+            // The stranded set changed: a fold would mix masked and
             // unmasked rates, so rebuild from the serving candidates.
             let agg_sw = Stopwatch::start_if(measuring);
             agg = AttachAggregates::build_restricted(&g_view, &dm_cur, &w_cur, &sv.candidates);
             aggregates_ns = agg_sw.elapsed_ns();
-            aggregate_rebuilds += 1;
+            day.aggregate_rebuilds += 1;
             obs.record_span_ns(obs_names::SIM_DEGRADED_REBUILD, rebuild_sw.elapsed_ns());
             obs.add(obs_names::SIM_EVENT_HOURS, 1);
-        } else if maintains_agg {
-            // Quiet hour: the stranded set is unchanged, so the masked
-            // rates evolve exactly by the trace's deltas on active flows.
-            let deltas: Vec<(FlowId, i64)> = deltas
-                .into_iter()
-                .filter(|(f, _)| !sv.stranded[f.index()])
-                .collect();
-            stranded_rate = set_masked_rates(&mut w_cur, &rates, &sv.stranded)?;
-            let agg_sw = Stopwatch::start_if(measuring);
-            agg.apply_rate_deltas(&dm_cur, &w_cur, &deltas)?;
-            aggregates_ns = agg_sw.elapsed_ns();
-        } else {
-            stranded_rate = set_masked_rates(&mut w_cur, &rates, &sv.stranded)?;
         }
         obs.add(obs_names::SIM_HOURS, 1);
 
-        let stranded_flows = sv.stranded.iter().filter(|&&s| s).count();
+        let stranded_flows = sv.num_stranded;
+        // The exact mass clamped once, which equals the saturating sum.
+        let stranded_rate = u64::try_from(stranded_mass).unwrap_or(u64::MAX);
         obs.add(obs_names::SIM_STRANDED_FLOW_HOURS, stranded_flows as u64);
         let any_traffic = w_cur.rates().iter().any(|&r| r > 0);
         let blackout = sv.candidates.len() < sfc.len();
         let (rec, drec) = if blackout || !any_traffic {
             // Nothing can be (or needs to be) served this hour.
-            blackout_hours += 1;
+            day.blackout_hours += 1;
             obs.add(obs_names::SIM_BLACKOUT_HOURS, 1);
             (
                 HourRecord {
@@ -969,7 +1007,7 @@ fn run_day_impl(
                     exhausted: false,
                 }
             } else {
-                transient_gate(&ecfg.supervisor, h)
+                transient_gate(ecfg.starvation.as_ref(), h)
             };
             if gate.retries > 0 {
                 obs.add(obs_names::SUPERVISOR_RETRIES, u64::from(gate.retries));
@@ -997,7 +1035,7 @@ fn run_day_impl(
                 }
                 p = p_new;
                 recovery_migrations = moved;
-                recovery_total += moved;
+                day.recovery_migrations += moved;
                 HourRecord {
                     hour: h,
                     migration_cost,
@@ -1148,119 +1186,53 @@ fn run_day_impl(
                 },
             )
         };
-        total_cost = total_cost.saturating_add(rec.total_cost);
-        total_migrations += rec.num_migrations;
-        hours.push(rec);
-        degraded.push(drec);
+        day.total_cost = day.total_cost.saturating_add(rec.total_cost);
+        day.total_migrations += rec.num_migrations;
+        day.hours.push(rec);
+        day.degraded.push(drec);
 
-        let state = SnapState {
-            p: &p,
-            w_cur: &w_cur,
-            faults: &faults,
-            sv: &sv,
-            hours: &hours,
-            degraded: &degraded,
-            initial_cost,
-            total_cost,
-            total_migrations,
-            aggregate_rebuilds,
-            blackout_hours,
-            recovery_migrations: recovery_total,
-        };
-        if let Some(ck) = hour_tail(ecfg, every, n_hours, fp, h, &state)? {
-            final_ckpt = Some(ck);
-            halted_at = Some(h);
-            break;
+        // Persist every hour when a store is set, and freeze the stop hour
+        // for the caller. Phase timings are stripped: they are wall-clock
+        // noise, and restored records must stay bit-comparable to
+        // unobserved runs.
+        let stop = ecfg.stop_after.is_some_and(|cut| h >= cut);
+        if ecfg.store.is_some() || stop {
+            let ck = Checkpoint {
+                fingerprint: fp,
+                hour: h,
+                placement: p.switches().to_vec(),
+                hosts: w_cur.vm_ids().map(|v| w_cur.host_of(v)).collect(),
+                failed_nodes: faults.failed_nodes().collect(),
+                failed_edges: faults.failed_edges().collect(),
+                candidates: sv.candidates.clone(),
+                stranded: sv.stranded.clone(),
+                result: FaultSimResult {
+                    hours: day.hours.clone(),
+                    degraded: day
+                        .degraded
+                        .iter()
+                        .map(|d| DegradedHourRecord { phase: None, ..*d })
+                        .collect(),
+                    ..day
+                },
+            };
+            if let Some(store) = &ecfg.store {
+                store.write(&ck)?;
+            }
+            if stop {
+                return Ok(DayRun {
+                    result: day,
+                    completed: h >= n_hours,
+                    checkpoint: Some(ck),
+                });
+            }
         }
     }
-    let completed = match halted_at {
-        Some(h) => h >= n_hours,
-        None => true,
-    };
     Ok(DayRun {
-        result: FaultSimResult {
-            initial_cost,
-            hours,
-            degraded,
-            total_cost,
-            total_migrations,
-            aggregate_rebuilds,
-            blackout_hours,
-            recovery_migrations: recovery_total,
-        },
-        completed,
-        checkpoint: final_ckpt,
+        result: day,
+        completed: true,
+        checkpoint: None,
     })
-}
-
-/// Everything a mid-day snapshot freezes, borrowed from the loop state.
-struct SnapState<'a> {
-    p: &'a Placement,
-    w_cur: &'a Workload,
-    faults: &'a FaultSet,
-    sv: &'a ServingView,
-    hours: &'a [HourRecord],
-    degraded: &'a [DegradedHourRecord],
-    initial_cost: Cost,
-    total_cost: Cost,
-    total_migrations: usize,
-    aggregate_rebuilds: usize,
-    blackout_hours: usize,
-    recovery_migrations: usize,
-}
-
-/// Freezes the loop state after hour `hour`. Phase timings are stripped:
-/// they are wall-clock noise, and restored records must stay
-/// bit-comparable to unobserved runs.
-fn snapshot(fp: u64, hour: u32, s: &SnapState<'_>) -> Checkpoint {
-    Checkpoint {
-        fingerprint: fp,
-        hour,
-        initial_cost: s.initial_cost,
-        placement: s.p.switches().to_vec(),
-        hosts: s.w_cur.vm_ids().map(|v| s.w_cur.host_of(v)).collect(),
-        failed_nodes: s.faults.failed_nodes().collect(),
-        failed_edges: s.faults.failed_edges().collect(),
-        candidates: s.sv.candidates.clone(),
-        stranded: s.sv.stranded.clone(),
-        hours: s.hours.to_vec(),
-        degraded: s
-            .degraded
-            .iter()
-            .map(|d| DegradedHourRecord { phase: None, ..*d })
-            .collect(),
-        total_cost: s.total_cost,
-        total_migrations: s.total_migrations,
-        aggregate_rebuilds: s.aggregate_rebuilds,
-        blackout_hours: s.blackout_hours,
-        recovery_migrations: s.recovery_migrations,
-    }
-}
-
-/// End-of-hour persistence and crash-stop logic: writes a snapshot when
-/// one is due (every `every` hours, at the final hour, and at the stop
-/// hour) and returns `Some(checkpoint)` exactly when
-/// [`EngineConfig::stop_after`] says to halt here.
-fn hour_tail(
-    ecfg: &EngineConfig,
-    every: u32,
-    n_hours: u32,
-    fp: u64,
-    h: u32,
-    state: &SnapState<'_>,
-) -> Result<Option<Checkpoint>, SimError> {
-    let stop = ecfg.stop_after.is_some_and(|cut| h >= cut);
-    let due = ecfg.store.is_some() && (h.is_multiple_of(every) || h == n_hours || stop);
-    if !due && !stop {
-        return Ok(None);
-    }
-    let ck = snapshot(fp, h, state);
-    if due {
-        if let Some(store) = &ecfg.store {
-            store.write(&ck)?;
-        }
-    }
-    Ok(if stop { Some(ck) } else { None })
 }
 
 #[cfg(test)]
@@ -1649,6 +1621,83 @@ mod tests {
         )
         .unwrap();
         assert_eq!(resumed.result, full.result);
+    }
+
+    /// A ToR fails at hour 2 and stays down: its racks' flows are stranded
+    /// for the rest of the day, every later hour is quiet, and the trace
+    /// keeps moving rates. Each quiet hour's feed leaves the folded
+    /// aggregates equal to the flow-by-flow oracle over the masked rates,
+    /// and the stranded rate the day reports equals the stranded flows'
+    /// `rates_at(h)` sum.
+    #[test]
+    fn quiet_hours_after_stranding_fold_to_the_oracle() {
+        let ft = FatTree::build(4).unwrap();
+        let g = ft.graph();
+        let (w, trace) = ppdc_traffic::standard_workload(&ft, 40, 9, 0);
+        let sfc = Sfc::of_len(3).unwrap();
+        let n_hours = trace.model().n_hours;
+        let tor = g.top_of_rack(w.endpoints(FlowId(0)).0).unwrap();
+        let fail = FaultEvent {
+            hour: 2,
+            kind: FaultKind::FailSwitch(tor),
+        };
+        let schedule = FaultSchedule::new(vec![fail], n_hours).unwrap();
+        let day = run_day(
+            g,
+            &w,
+            &trace,
+            &sfc,
+            &cfg(MigrationPolicy::NoMigration),
+            &schedule,
+            &EngineConfig::default(),
+        )
+        .unwrap()
+        .result;
+        // The engine's state after hour 2: the re-elected view, the masked
+        // rates and the restricted rebuild (NoMigration moves no VM).
+        let mut faults = FaultSet::new(g);
+        faults.fail_node(tor).unwrap();
+        let g_view = g.degraded_view(&faults);
+        let dm = DistanceMatrix::build(&g_view);
+        let mut w_cur = w.clone();
+        let sv = ServingView::elect(&g_view, &faults, &w_cur);
+        assert!(sv.num_stranded > 0);
+        let mut rates = trace.rates_at(2);
+        set_masked_rates(&mut w_cur, &rates, &sv.stranded).unwrap();
+        let mut agg = AttachAggregates::build_restricted(&g_view, &dm, &w_cur, &sv.candidates);
+        let mut masses = HostMasses::new(g.num_nodes());
+        let mut cursor = trace.cursor(2);
+        let mut served_moved = false;
+        for h in 3..=n_hours {
+            let before = w_cur.rates().to_vec();
+            let (served, _) = feed_quiet_hour(
+                &mut cursor,
+                &mut rates,
+                &sv.stranded,
+                &mut w_cur,
+                Some(&mut masses),
+            );
+            agg.try_apply_mass_deltas(&dm, &masses.drain(), served)
+                .unwrap();
+            served_moved |= w_cur.rates() != &before[..];
+            let oracle = AttachAggregates::build_restricted_flow_by_flow(
+                &g_view,
+                &dm,
+                &w_cur,
+                &sv.candidates,
+            );
+            assert!(agg.same_as(&oracle), "hour {h}");
+            let at_h = trace.rates_at(h);
+            assert_eq!(rates, at_h, "hour {h}");
+            let stranded: u64 = w
+                .flow_ids()
+                .filter(|f| sv.stranded[f.index()])
+                .map(|f| at_h[f.index()])
+                .sum();
+            assert_eq!(day.degraded[h as usize - 1].stranded_rate, stranded);
+            assert_eq!(day.degraded[h as usize - 1].stranded_flows, sv.num_stranded);
+        }
+        assert!(served_moved, "the trace moves served rates on quiet hours");
     }
 
     #[test]
@@ -2110,10 +2159,7 @@ mod tests {
         // Hour 3 burns one attempt (inside the retry budget), hour 5 burns
         // ten (hopeless): rung 1 with retries vs rung 3 fallback.
         let starved = EngineConfig {
-            supervisor: SupervisorConfig {
-                max_retries: 2,
-                starvation: Some(SolverStarvation::new(vec![(3, 1), (5, 10)])),
-            },
+            starvation: Some(SolverStarvation::new(vec![(3, 1), (5, 10)])),
             ..EngineConfig::default()
         };
         let r = run_day(ft.graph(), &w, &trace, &sfc, &c, &schedule, &starved)
@@ -2128,7 +2174,11 @@ mod tests {
         );
         assert!(!d3.degraded_solver);
         let d5 = &r.degraded[4];
-        assert_eq!(d5.solver_retries, 3, "max_retries + 1 failed attempts");
+        assert_eq!(
+            d5.solver_retries,
+            crate::supervisor::MAX_RETRIES + 1,
+            "MAX_RETRIES + 1 failed attempts"
+        );
         assert_eq!(d5.provenance, HourProvenance::LastKnownGood);
         assert!(d5.degraded_solver);
         assert_eq!(

@@ -75,4 +75,4 @@ pub use stream::{
     IngestReport, RateDelta, ShardedFlowStore, StreamCheckpoint, StreamConfig, StreamError,
     StreamResult, StreamRun, STREAM_CKPT_SCHEMA,
 };
-pub use supervisor::{SolverStarvation, SupervisorConfig};
+pub use supervisor::SolverStarvation;

@@ -2,8 +2,8 @@
 //! loop ([`crate::run_day`]).
 //!
 //! The loop builds the attach-cost aggregates **once** at hour 0 and then
-//! folds each hour's rate deltas into them
-//! ([`ppdc_placement::AttachAggregates::apply_rate_deltas`]): the VNF
+//! folds each quiet hour's moved flows into them as per-host masses
+//! ([`ppdc_placement::AttachAggregates::try_apply_mass_deltas`]): the VNF
 //! policies (mPareto, Optimal, NoMigration) never rebuild the per-flow
 //! sums on a quiet hour. The VM-migration baselines (PLAN, MCF) rewrite
 //! VM→host assignments instead of rates, which invalidates the aggregates

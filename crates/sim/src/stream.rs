@@ -214,11 +214,89 @@ pub struct ShardedFlowStore {
     /// Batch scratch: netted pending delta per flow, all zero between
     /// batches.
     pending: Vec<i128>,
-    /// Batch scratch: per-node `(d_out, d_in)` mass accumulators and the
-    /// nodes touched this batch, all cleared between batches.
+    /// Step scratch: the moved flows' per-host masses.
+    masses: HostMasses,
+}
+
+/// The per-host rate-mass accumulator of an epoch: the `(ΔR_out, ΔR_in)`
+/// the epoch's moved flows add at their endpoint hosts, drained as the
+/// host-sorted [`HostMassDelta`] list
+/// [`AttachAggregates::try_apply_mass_deltas`] folds. All zero between
+/// epochs. It is the one place moved flows become host masses: the flow
+/// store books through it, and so do the hourly engine's quiet hours.
+#[derive(Debug, Clone)]
+pub(crate) struct HostMasses {
+    /// Staged `(d_out, d_in)` per node.
     mass: Vec<(i128, i128)>,
-    mass_seen: Vec<bool>,
-    mass_hosts: Vec<NodeId>,
+    /// `seen[n]`: node `n` is an endpoint of a flow booked this epoch.
+    seen: Vec<bool>,
+    /// The nodes [`HostMasses::add`] staged, in first-touch order.
+    hosts: Vec<NodeId>,
+}
+
+impl HostMasses {
+    /// An empty accumulator over `num_nodes` nodes.
+    pub(crate) fn new(num_nodes: usize) -> Self {
+        HostMasses {
+            mass: vec![(0, 0); num_nodes],
+            seen: vec![false; num_nodes],
+            hosts: Vec::new(),
+        }
+    }
+
+    /// Books one flow's rate change `net` at its endpoints: `src`'s
+    /// outgoing mass and `dst`'s incoming mass.
+    #[inline]
+    pub(crate) fn add(&mut self, src: NodeId, dst: NodeId, net: i128) {
+        self.mass[src.index()].0 += net;
+        self.mass[dst.index()].1 += net;
+        for h in [src, dst] {
+            if !std::mem::replace(&mut self.seen[h.index()], true) {
+                self.hosts.push(h);
+            }
+        }
+    }
+
+    /// Drains what [`HostMasses::add`] booked, host-sorted, leaving the
+    /// scratch clear for the next epoch.
+    pub(crate) fn drain(&mut self) -> Vec<HostMassDelta> {
+        self.hosts.sort_unstable();
+        self.hosts
+            .drain(..)
+            .map(|host| {
+                self.seen[host.index()] = false;
+                let (d_out, d_in) = std::mem::take(&mut self.mass[host.index()]);
+                HostMassDelta { host, d_out, d_in }
+            })
+            .collect()
+    }
+
+    /// The raw per-node masses and `seen` flags, for a pass that books
+    /// every flow without a call or a branch per flow. Such a pass lists
+    /// no host, so it drains with [`HostMasses::drain_seen`].
+    pub(crate) fn slices(&mut self) -> (&mut [(i128, i128)], &mut [bool]) {
+        (&mut self.mass, &mut self.seen)
+    }
+
+    /// Drains every node flagged `seen` in one node-order sweep (host
+    /// order without a sort), leaving the scratch clear.
+    pub(crate) fn drain_seen(&mut self) -> Vec<HostMassDelta> {
+        self.seen
+            .iter_mut()
+            .zip(self.mass.iter_mut())
+            .enumerate()
+            .filter(|(_, (seen, _))| **seen)
+            .map(|(i, (seen, m))| {
+                *seen = false;
+                let (d_out, d_in) = std::mem::take(m);
+                HostMassDelta {
+                    host: NodeId::from_index(i),
+                    d_out,
+                    d_in,
+                }
+            })
+            .collect()
+    }
 }
 
 impl ShardedFlowStore {
@@ -242,9 +320,7 @@ impl ShardedFlowStore {
             dst,
             rates: w.rates().to_vec(),
             pending: vec![0; n],
-            mass: vec![(0, 0); g.num_nodes()],
-            mass_seen: vec![false; g.num_nodes()],
-            mass_hosts: Vec::new(),
+            masses: HostMasses::new(g.num_nodes()),
         })
     }
 
@@ -343,7 +419,7 @@ impl ShardedFlowStore {
             let new = u64::try_from(i128::from(self.rates[f]) + net).unwrap_or_default();
             self.commit(f, new, &mut report);
         }
-        self.drain_masses(&mut report);
+        report.masses = self.masses.drain();
         Ok(report)
     }
 
@@ -382,7 +458,7 @@ impl ShardedFlowStore {
                     report.records += 1;
                     self.commit(flow.index(), rate, &mut report);
                 }
-                self.drain_masses(&mut report);
+                report.masses = self.masses.drain();
             }
         }
         Ok(report)
@@ -399,7 +475,7 @@ impl ShardedFlowStore {
     /// hosts drain in one node sweep, already in host order.
     fn commit_row(&mut self, row: &[u64], rule: RateRule<'_>, report: &mut IngestReport) {
         let (mut total, mut drift, mut applied) = (0i128, 0u128, 0u64);
-        let (mass, touched) = (&mut self.mass, &mut self.mass_seen);
+        let (mass, touched) = self.masses.slices();
         let bases = row.iter().zip(rule.east());
         let ends = self.src.iter().zip(&self.dst);
         for ((r, (&b, &e)), (s, t)) in self.rates.iter_mut().zip(bases).zip(ends) {
@@ -419,21 +495,7 @@ impl ShardedFlowStore {
         report.total_delta = total;
         report.drift = u64::try_from(drift).unwrap_or(u64::MAX);
         report.applied = applied;
-        report.masses = touched
-            .iter_mut()
-            .zip(mass.iter_mut())
-            .enumerate()
-            .filter(|(_, (seen, _))| **seen)
-            .map(|(i, (seen, m))| {
-                *seen = false;
-                let (d_out, d_in) = std::mem::take(m);
-                HostMassDelta {
-                    host: NodeId::from_index(i),
-                    d_out,
-                    d_in,
-                }
-            })
-            .collect();
+        report.masses = self.masses.drain_seen();
     }
 
     /// Sets flow `f`'s rate to `new` and books the move: `Σλ`, the
@@ -450,29 +512,7 @@ impl ShardedFlowStore {
             .drift
             .saturating_add(u64::try_from(net.unsigned_abs()).unwrap_or(u64::MAX));
         report.applied += 1;
-        let (s, t) = (self.src[f], self.dst[f]);
-        self.mass[s.index()].0 += net;
-        self.mass[t.index()].1 += net;
-        for h in [s, t] {
-            if !std::mem::replace(&mut self.mass_seen[h.index()], true) {
-                self.mass_hosts.push(h);
-            }
-        }
-    }
-
-    /// Moves the staged masses into the report, host-sorted, leaving the
-    /// mass scratch clear for the next step.
-    fn drain_masses(&mut self, report: &mut IngestReport) {
-        self.mass_hosts.sort_unstable();
-        report.masses = self
-            .mass_hosts
-            .drain(..)
-            .map(|host| {
-                self.mass_seen[host.index()] = false;
-                let (d_out, d_in) = std::mem::take(&mut self.mass[host.index()]);
-                HostMassDelta { host, d_out, d_in }
-            })
-            .collect();
+        self.masses.add(self.src[f], self.dst[f], net);
     }
 }
 
@@ -1064,7 +1104,8 @@ mod tests {
         let mut agg = AttachAggregates::build(&g, &dm, &w);
         for h in 1..=trace.model().n_hours {
             let batch: Vec<RateDelta> = trace
-                .rate_deltas(h)
+                .try_rate_deltas(h)
+                .unwrap()
                 .into_iter()
                 .map(|(flow, delta)| RateDelta { flow, delta })
                 .collect();

@@ -15,7 +15,8 @@
 //! failure" cannot arise spontaneously — it is *injected* by the chaos
 //! harness via [`SolverStarvation`], a seeded map from hour to the number
 //! of attempts that fail before one succeeds. The supervisor retries up
-//! to its budget and falls back to rung 3 when the budget runs out.
+//! to [`MAX_RETRIES`] times and falls back to rung 3 when the budget runs
+//! out.
 //! Because the starvation schedule, the retry budget, and the fallback
 //! repricing are all deterministic, supervised runs stay bit-identically
 //! reproducible — and resumable from checkpoints.
@@ -27,25 +28,9 @@ use rand::Rng;
 /// traffic (0), cohort (1), and fault (0xFA17) streams.
 const STARVE_STREAM: u64 = 0x51A7;
 
-/// Retry policy for the hourly solve.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SupervisorConfig {
-    /// Retries allowed per hour before falling back to the last-known-good
-    /// placement. `max_retries = 2` means up to three attempts.
-    pub max_retries: u32,
-    /// Injected transient-failure schedule (chaos harness). `None` means
-    /// every solve succeeds on the first attempt.
-    pub starvation: Option<SolverStarvation>,
-}
-
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        SupervisorConfig {
-            max_retries: 2,
-            starvation: None,
-        }
-    }
-}
+/// Retries allowed per hour before falling back to the last-known-good
+/// placement: up to three attempts.
+pub const MAX_RETRIES: u32 = 2;
 
 /// A seeded, deterministic schedule of injected transient solver
 /// failures: for each listed hour, how many consecutive attempts fail
@@ -117,8 +102,8 @@ pub struct GateOutcome {
 /// failing attempts until either the starvation burns out — the solve may
 /// run — or the retry budget is exhausted — the caller falls back to
 /// last-known-good.
-pub(crate) fn transient_gate(cfg: &SupervisorConfig, h: u32) -> GateOutcome {
-    let burn = cfg.starvation.as_ref().map_or(0, |s| s.attempts(h));
+pub(crate) fn transient_gate(starvation: Option<&SolverStarvation>, h: u32) -> GateOutcome {
+    let burn = starvation.map_or(0, |s| s.attempts(h));
     if burn == 0 {
         return GateOutcome {
             retries: 0,
@@ -127,7 +112,7 @@ pub(crate) fn transient_gate(cfg: &SupervisorConfig, h: u32) -> GateOutcome {
     }
     let mut failures = 0u32;
     loop {
-        if failures > cfg.max_retries {
+        if failures > MAX_RETRIES {
             return GateOutcome {
                 retries: failures,
                 exhausted: true,
@@ -174,12 +159,9 @@ mod tests {
 
     #[test]
     fn gate_retries_through_short_burns_and_exhausts_on_long_ones() {
-        let cfg = |burns: Vec<(u32, u32)>| SupervisorConfig {
-            max_retries: 2,
-            starvation: Some(SolverStarvation::new(burns)),
-        };
+        let gate = |burns: Vec<(u32, u32)>| transient_gate(Some(&SolverStarvation::new(burns)), 3);
         // No starvation at this hour: zero retries.
-        let g = transient_gate(&cfg(vec![(9, 5)]), 3);
+        let g = gate(vec![(9, 5)]);
         assert_eq!(
             g,
             GateOutcome {
@@ -187,8 +169,8 @@ mod tests {
                 exhausted: false
             }
         );
-        // Burn of 2 fits inside max_retries = 2: attempt 3 succeeds.
-        let g = transient_gate(&cfg(vec![(3, 2)]), 3);
+        // Burn of 2 fits inside MAX_RETRIES = 2: attempt 3 succeeds.
+        let g = gate(vec![(3, 2)]);
         assert_eq!(
             g,
             GateOutcome {
@@ -196,9 +178,9 @@ mod tests {
                 exhausted: false
             }
         );
-        // Burn of 5 exceeds the budget: give up after max_retries + 1
+        // Burn of 5 exceeds the budget: give up after MAX_RETRIES + 1
         // failed attempts and fall back to last-known-good.
-        let g = transient_gate(&cfg(vec![(3, 5)]), 3);
+        let g = gate(vec![(3, 5)]);
         assert_eq!(
             g,
             GateOutcome {
@@ -206,16 +188,5 @@ mod tests {
                 exhausted: true
             }
         );
-    }
-
-    #[test]
-    fn zero_retry_budget_falls_back_on_first_failure() {
-        let cfg = SupervisorConfig {
-            max_retries: 0,
-            starvation: Some(SolverStarvation::new(vec![(1, 1)])),
-        };
-        let g = transient_gate(&cfg, 1);
-        assert!(g.exhausted);
-        assert_eq!(g.retries, 1);
     }
 }

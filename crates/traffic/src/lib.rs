@@ -472,27 +472,12 @@ impl DynamicTrace {
     }
 
     /// The per-flow rate changes from hour `h − 1` to hour `h`, as
-    /// `(flow, new λ − old λ)` pairs with unchanged flows omitted.
-    ///
-    /// This is the epoch-update feed for
-    /// `AttachAggregates::apply_rate_deltas`. By construction
+    /// `(flow, new λ − old λ)` pairs in flow-id order with unchanged flows
+    /// omitted: the delta batch a streaming ingest takes. By construction
     /// `rates_at(h - 1)` plus the deltas equals `rates_at(h)` exactly.
     /// It is a stateless replay (one rate vector at `h − 1`, then one
     /// cursor step); an engine that walks the day in order steps a
     /// [`TraceCursor`] instead.
-    ///
-    /// # Panics
-    ///
-    /// `h` must be at least 1 (hour 0 has no predecessor); use
-    /// [`DynamicTrace::try_rate_deltas`] for untrusted hour indices.
-    pub fn rate_deltas(&self, h: u32) -> Vec<(FlowId, i64)> {
-        match self.try_rate_deltas(h) {
-            Ok(d) => d,
-            Err(e) => panic!("rate_deltas: {e}"),
-        }
-    }
-
-    /// Fallible twin of [`DynamicTrace::rate_deltas`].
     ///
     /// # Errors
     ///
@@ -501,8 +486,20 @@ impl DynamicTrace {
     /// does not fit an `i64`.
     pub fn try_rate_deltas(&self, h: u32) -> Result<Vec<(FlowId, i64)>, TraceError> {
         let prev = h.checked_sub(1).ok_or(TraceError::NoPrecedingHour)?;
-        let mut rates = self.rates_at(prev);
-        self.cursor(prev).step_deltas(&mut rates)
+        let old = self.rates_at(prev);
+        let mut out = Vec::new();
+        // A step yields each flow at most once, so `old` is never stale.
+        for (flow, new) in self.cursor(prev).step() {
+            let net = i128::from(new) - i128::from(old[flow.index()]);
+            if net != 0 {
+                let delta = i64::try_from(net).map_err(|_| TraceError::DeltaOutOfRange {
+                    hour: h,
+                    flow: flow.index(),
+                })?;
+                out.push((flow, delta));
+            }
+        }
+        Ok(out)
     }
 }
 
@@ -587,38 +584,6 @@ impl<'a> TraceCursor<'a> {
             row: self.row.as_deref().unwrap_or(&t.row0),
             rule: t.rule(next, &mut self.memo),
         }
-    }
-
-    /// Steps like [`TraceCursor::step`], writes each yielded rate into
-    /// `rates` (which holds `rates_at(hour())` on entry and the next
-    /// hour's on return) and returns `(flow, new λ − old λ)` for every
-    /// flow whose rate changed, in flow-id order.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceError::DeltaOutOfRange`] for the first flow whose change
-    /// does not fit an `i64`; `rates` is then partly written.
-    ///
-    /// # Panics
-    ///
-    /// When `rates` is shorter than the trace's flow count.
-    pub fn step_deltas(&mut self, rates: &mut [u64]) -> Result<Vec<(FlowId, i64)>, TraceError> {
-        let hour = self.hour.saturating_add(1);
-        let mut out = Vec::new();
-        for (flow, new) in self.step() {
-            let old = std::mem::replace(&mut rates[flow.index()], new);
-            if old != new {
-                let delta = i64::try_from(i128::from(new) - i128::from(old));
-                out.push((
-                    flow,
-                    delta.map_err(|_| TraceError::DeltaOutOfRange {
-                        hour,
-                        flow: flow.index(),
-                    })?,
-                ));
-            }
-        }
-        Ok(out)
     }
 
     /// Brings the dense row to hour `h` by replaying the change lists
@@ -913,7 +878,7 @@ mod tests {
         let (_, trace) = standard_workload(&ft, 80, 11, 0);
         for h in 1..=12u32 {
             let mut rates = trace.rates_at(h - 1);
-            let deltas = trace.rate_deltas(h);
+            let deltas = trace.try_rate_deltas(h).unwrap();
             for &(f, d) in &deltas {
                 assert_ne!(d, 0, "unchanged flows must be omitted");
                 rates[f.index()] = (rates[f.index()] as i64 + d) as u64;
@@ -921,7 +886,7 @@ mod tests {
             assert_eq!(rates, trace.rates_at(h), "hour {h}");
         }
         // The diurnal envelope moves; some hour must produce deltas.
-        assert!((1..=12).any(|h| !trace.rate_deltas(h).is_empty()));
+        assert!((1..=12).any(|h| !trace.try_rate_deltas(h).unwrap().is_empty()));
     }
 
     #[test]
@@ -1055,9 +1020,7 @@ mod tests {
         let t = DynamicTrace::from_rows(&w, flat, vec![false], &[vec![0], vec![i64::MAX]]).unwrap();
         assert_eq!(t.rates_at(1), vec![1u64 << 63]);
         let refused = TraceError::DeltaOutOfRange { hour: 1, flow: 0 };
-        assert_eq!(t.try_rate_deltas(1), Err(refused.clone()));
-        let mut rates = t.rates_at(0);
-        assert_eq!(t.cursor(0).step_deltas(&mut rates), Err(refused));
+        assert_eq!(t.try_rate_deltas(1), Err(refused));
         // The fall back from 2^63 to 0 is exactly `i64::MIN`, and a rise
         // that fits is reported exactly.
         for (rows, delta) in [([i64::MAX, 0], i64::MIN), ([1, i64::MAX], i64::MAX)] {

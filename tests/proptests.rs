@@ -282,15 +282,17 @@ proptest! {
         prop_assert!(fast.same_as(&slow));
     }
 
-    /// Folding random rate deltas into existing aggregates is bit-identical
-    /// to rebuilding from scratch under the new rates.
+    /// Folding random rate deltas into existing aggregates — netted by
+    /// the flow store, reduced to host masses by its accumulator, then
+    /// one mass fold — is bit-identical to rebuilding from scratch under
+    /// the new rates.
     #[test]
     fn incremental_aggregates_equal_rebuild(
         (g, hosts) in arb_ppdc(),
         // Small rates make a host's accumulated delta cancel to exactly 0
-        // mid-list fairly often — the class that broke the delta==0
-        // membership test in apply_rate_deltas. Large rates still appear
-        // via the dedicated magnitude range.
+        // mid-list fairly often — the class that broke a delta==0
+        // membership test in the per-host grouping. Large rates still
+        // appear via the dedicated magnitude range.
         old_rates in proptest::collection::vec(
             prop_oneof![0u64..16, 0u64..10_000],
             1..16,
@@ -304,6 +306,7 @@ proptest! {
             w.add_pair(a, b, r);
         }
         let mut agg = AttachAggregates::build(&g, &dm, &w);
+        let mut store = ppdc::sim::ShardedFlowStore::build(&g, &w).unwrap();
         // New rates: pseudo-random, some flows unchanged (delta 0).
         let mut x = new_seed | 1;
         let mut deltas = Vec::new();
@@ -319,19 +322,20 @@ proptest! {
             let d = new as i64 - w.rate(f) as i64;
             w.set_rate(f, new);
             if d != 0 {
-                deltas.push((f, d));
+                deltas.push(ppdc::sim::RateDelta { flow: f, delta: d });
             }
         }
-        agg.apply_rate_deltas(&dm, &w, &deltas).unwrap();
+        let r = store.ingest(&deltas).unwrap();
+        agg.try_apply_mass_deltas(&dm, &r.masses, r.total_delta).unwrap();
         let rebuilt = AttachAggregates::build(&g, &dm, &w);
         prop_assert!(agg.same_as(&rebuilt));
     }
 
     /// A delta list whose prefix cancels a shared host's accumulated
     /// delta to exactly zero before a later delta retouches it — the
-    /// class that broke the delta==0 membership test in
-    /// `apply_rate_deltas` (the host was pushed into `touched` twice and
-    /// its delta applied twice to every switch).
+    /// class that broke a delta==0 membership test in the per-host
+    /// grouping (the host was pushed into `touched` twice and its delta
+    /// applied twice to every switch), now the flow store's accumulator.
     #[test]
     fn cancelling_delta_prefix_matches_rebuild(
         (g, hosts) in arb_ppdc(),
@@ -345,13 +349,16 @@ proptest! {
         let f1 = w.add_pair(hosts[0], hosts[1], base + d as u64);
         let f2 = w.add_pair(hosts[0], hosts[1], base);
         let mut agg = AttachAggregates::build(&g, &dm, &w);
+        let mut store = ppdc::sim::ShardedFlowStore::build(&g, &w).unwrap();
         // +d then -d zeroes both endpoints' accumulated deltas; `tail`
         // then retouches them.
         let deltas = [(f0, d), (f1, -d), (f2, tail)];
         for &(f, dd) in &deltas {
             w.set_rate(f, (w.rate(f) as i64 + dd) as u64);
         }
-        agg.apply_rate_deltas(&dm, &w, &deltas).unwrap();
+        let batch = deltas.map(|(flow, delta)| ppdc::sim::RateDelta { flow, delta });
+        let r = store.ingest(&batch).unwrap();
+        agg.try_apply_mass_deltas(&dm, &r.masses, r.total_delta).unwrap();
         let rebuilt = AttachAggregates::build(&g, &dm, &w);
         prop_assert!(agg.same_as(&rebuilt));
     }
