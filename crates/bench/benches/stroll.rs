@@ -3,9 +3,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ppdc_bench::fixture;
 use ppdc_stroll::{
-    dp_stroll, optimal_stroll, primal_dual_stroll, PrimalDualConfig, StrollInstance,
+    dp_stroll, optimal_stroll, primal_dual_stroll, DpTables, PrimalDualConfig, StrollInstance,
 };
-use ppdc_topology::{MetricClosure, NodeId};
+use ppdc_topology::{FatTree, FatTreeOracle, MetricClosure, NodeId};
 use std::time::Duration;
 
 fn closure_for(k: usize) -> (ppdc_topology::Graph, MetricClosure, NodeId, NodeId) {
@@ -28,6 +28,31 @@ fn bench_dp_stroll(c: &mut Criterion) {
             b.iter(|| dp_stroll(&inst).unwrap())
         });
     }
+    group.finish();
+}
+
+/// The stroll-DP level kernel alone: levels 2–3 grown for every target
+/// of the k=16 switch closure (320 switches), the per-egress work behind
+/// Algorithm 3's hour-0 solve.
+fn bench_dp_tables(c: &mut Criterion) {
+    let ft = FatTree::build(16).unwrap();
+    let oracle = FatTreeOracle::new(&ft);
+    let switches: Vec<NodeId> = ft.graph().switches().collect();
+    let mc = MetricClosure::over(&oracle, &switches);
+    let mut group = c.benchmark_group("dp_tables_k16");
+    group.sample_size(10);
+    group.bench_function("levels_2_3_all_targets", |b| {
+        let mut tables = DpTables::default();
+        b.iter(|| {
+            let mut total = 0u64;
+            for t in 0..mc.len() {
+                tables.reset(&mc, t);
+                tables.grow_to(&mc, 3);
+                total = total.wrapping_add(tables.cost(0, 3));
+            }
+            total
+        })
+    });
     group.finish();
 }
 
@@ -64,6 +89,7 @@ fn bench_primal_dual(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_dp_stroll,
+    bench_dp_tables,
     bench_optimal_stroll,
     bench_primal_dual
 );

@@ -69,7 +69,11 @@
 //!
 //! All per-egress state (stroll tables, candidate chains) lives in
 //! per-worker thread-local scratch reused across egresses and epochs, so
-//! the steady-state sweep allocates nothing but the final placement.
+//! the steady-state sweep allocates nothing but the final placement. A
+//! row's interior is read straight off the stroll tables
+//! ([`DpBatchSolver::interior_into`]) into the chain buffer, and the warm
+//! path's interior memo keeps each egress as one flat `m·(n−2)` arena
+//! plus a per-row solved flag, so filling it allocates nothing per row.
 //!
 //! Every distance is consumed through [`DistanceOracle`], so the sweep
 //! runs identically over a dense [`ppdc_topology::DistanceMatrix`] or the
@@ -105,12 +109,29 @@ struct EgressScratch {
     best_chain: Vec<NodeId>,
 }
 
-/// One egress slot of the interior memo, indexed by ingress closure
-/// index: the `n−2` interior switches of the row's chain, or `None` when
-/// the stroll solver reported the row unsolvable (or the index is the
-/// egress itself). Empty until the sweep first visits the egress, then
-/// filled densely in one pass — see [`SweepCtx::fill_slot`].
-type MemoSlot = Vec<Option<Box<[NodeId]>>>;
+/// One egress slot of the interior memo: one flat `m·(n−2)` arena whose
+/// row `s` holds the `n−2` interior switches of ingress `s`'s chain, and
+/// a per-row flag that is `false` when the stroll solver reported the row
+/// unsolvable (or `s` is the egress itself; the row then holds filler).
+/// Empty until the sweep first visits the egress, then filled densely in
+/// one pass — see [`SweepCtx::fill_slot`].
+#[derive(Debug, Default)]
+struct MemoSlot {
+    interior: Vec<NodeId>,
+    solved: Vec<bool>,
+}
+
+impl MemoSlot {
+    /// Ingress `s`'s memoized interior of `len` switches, or `None` for
+    /// an unsolvable row.
+    fn row(&self, s: usize, len: usize) -> Option<&[NodeId]> {
+        if self.solved[s] {
+            Some(&self.interior[s * len..(s + 1) * len])
+        } else {
+            None
+        }
+    }
+}
 
 /// Cross-epoch memo of interior stroll chains, owned by the warm path's
 /// [`crate::warm::BoundCache`].
@@ -629,20 +650,21 @@ impl<D: DistanceOracle + ?Sized> SweepCtx<'_, D> {
         scratch.chain.clear();
         scratch.chain.push(self.closure.node(s_ix));
         if let Some(slot) = memo_slot {
-            if slot.is_empty() {
-                self.fill_slot(t_ix, scratch, slot);
+            if slot.solved.is_empty() {
+                self.fill_slot(t_ix, &mut scratch.solver, slot);
             }
-            match &slot[s_ix] {
+            match slot.row(s_ix, self.n - 2) {
                 // Memo hit: the chain is closure-determined, so the
                 // cached interior is exactly what the DP would rebuild.
                 Some(interior) => scratch.chain.extend_from_slice(interior),
                 None => return false,
             }
-        } else {
-            let Ok(sol) = scratch.solver.solve(self.closure, s_ix, self.n - 2) else {
-                return false;
-            };
-            scratch.chain.extend_from_slice(sol.first_n(self.n - 2));
+        } else if scratch
+            .solver
+            .interior_into(self.closure, s_ix, self.n - 2, &mut scratch.chain)
+            .is_err()
+        {
+            return false;
         }
         scratch.chain.push(egress);
         true
@@ -650,22 +672,27 @@ impl<D: DistanceOracle + ?Sized> SweepCtx<'_, D> {
 
     /// Densely solves every ingress row of egress `t_ix` into its memo
     /// slot. The table growth behind the first solve dominates the DP's
-    /// cost and reconstructions are nearly free once grown, so completing
-    /// the slot costs barely more than the one row that triggered it —
-    /// and an epoch whose pruning boundary shifted afterwards hits the
-    /// memo instead of re-growing the egress's tables from scratch.
-    fn fill_slot(&self, t_ix: usize, scratch: &mut EgressScratch, slot: &mut MemoSlot) {
+    /// cost and each further row is one successor walk once grown, so
+    /// completing the slot costs barely more than the one row that
+    /// triggered it — and an epoch whose pruning boundary shifted
+    /// afterwards hits the memo instead of re-growing the egress's tables
+    /// from scratch. Rows are written straight into the slot's arena.
+    fn fill_slot(&self, t_ix: usize, solver: &mut DpBatchSolver, slot: &mut MemoSlot) {
         let m = self.closure.len();
-        slot.reserve_exact(m);
+        let len = self.n - 2;
+        slot.interior.reserve_exact(m * len);
+        slot.solved.reserve_exact(m);
         for s in 0..m {
-            slot.push(if s == t_ix {
-                None // a chain never starts at its own egress
-            } else {
-                match scratch.solver.solve(self.closure, s, self.n - 2) {
-                    Ok(sol) => Some(Box::from(sol.first_n(self.n - 2))),
-                    Err(_) => None,
-                }
-            });
+            // A chain never starts at its own egress.
+            let solved = s != t_ix
+                && solver
+                    .interior_into(self.closure, s, len, &mut slot.interior)
+                    .is_ok();
+            if !solved {
+                let filler = self.closure.node(t_ix);
+                slot.interior.resize((s + 1) * len, filler);
+            }
+            slot.solved.push(solved);
         }
     }
 

@@ -97,7 +97,6 @@ pub struct BoundCache {
     closure: MetricClosure,
     /// [`closure_row_hashes`] of `closure`; empty below the orbit cutoff.
     row_hash: Vec<u64>,
-    c_min: Cost,
     /// Total rate the cached order was computed under.
     rate: u64,
     a_in: Vec<Cost>,
@@ -171,7 +170,7 @@ impl BoundCache {
     /// `(n−1) · c_min` for the cached shape.
     fn seg_lb(&self) -> Cost {
         let interior = u64::try_from(self.n.saturating_sub(1)).unwrap_or(u64::MAX);
-        sat_mul(interior, self.c_min)
+        sat_mul(interior, self.closure.min_pair_cost())
     }
 
     /// Brings the cache in sync with `agg` for an `n`-VNF solve,
@@ -280,7 +279,6 @@ impl BoundCache {
         } else {
             closure_row_hashes(&self.closure)
         };
-        self.c_min = self.closure.min_pair_cost();
         self.rate = agg.total_rate();
         self.a_in = (0..m).map(|i| agg.a_in(self.closure.node(i))).collect();
         self.a_out = (0..m).map(|i| agg.a_out(self.closure.node(i))).collect();

@@ -730,7 +730,8 @@ pub struct DayRun {
     pub checkpoint: Option<Checkpoint>,
 }
 
-/// Runs one day: TOP at hour 0 on the healthy fabric, then every hour
+/// Runs one day: TOP at hour 0 inside the healthy fabric's serving
+/// component (the whole fabric when it is connected), then every hour
 /// applies the schedule's fail/repair events, re-elects the serving
 /// component, masks stranded flows, repairs the placement if a failure
 /// displaced it, and only then runs the policy. With an empty schedule
@@ -864,12 +865,16 @@ fn run_day_impl(
         p = Placement::new_unchecked(ck.placement.clone());
         day = ck.result.clone();
     } else {
-        w_cur.set_rates(&rates)?;
-        agg = AttachAggregates::build(&g_view, &dm_cur, &w_cur);
-        let (p0, initial_cost) = dp_placement(&dm_cur, &w_cur, sfc, &agg)?;
-        p = p0;
+        // Hour 0 serves the elected component like any fault hour does, so
+        // a fabric that starts out partitioned places its chain inside the
+        // serving component. On a connected fabric every switch is a
+        // candidate and nothing is stranded, which makes this the full
+        // build.
         sv = ServingView::elect(&g_view, &faults, &w_cur);
         stranded_mass = set_masked_rates(&mut w_cur, &rates, &sv.stranded)?;
+        agg = AttachAggregates::build_restricted(&g_view, &dm_cur, &w_cur, &sv.candidates);
+        let (p0, initial_cost) = dp_placement(&dm_cur, &w_cur, sfc, &agg)?;
+        p = p0;
         day = FaultSimResult {
             initial_cost,
             hours: Vec::with_capacity(n_hours as usize),
@@ -1454,6 +1459,52 @@ mod tests {
             assert_eq!(a.phase, None, "plain runs carry no timing");
             assert!(b.phase.is_some(), "observed runs time every hour");
             assert_eq!(*a, DegradedHourRecord { phase: None, ..*b });
+        }
+    }
+
+    #[test]
+    fn a_fabric_partitioned_before_any_fault_serves_its_main_component() {
+        // A k=4 fat-tree plus one island switch with one host and one flow
+        // to it: hour 0 must place inside the main component and strand
+        // the island flow, exactly as a fault hour would.
+        let ft = FatTree::build(4).unwrap();
+        let (base, _) = ppdc_traffic::standard_workload(&ft, 20, 3, 0);
+        let mut g = ft.graph().clone();
+        let island = g.add_switch("island");
+        let lone = g.add_host("lone");
+        g.add_edge(lone, island, 1).unwrap();
+        let mut w = Workload::new();
+        for (_, src, dst, rate) in base.iter() {
+            w.add_pair(src, dst, rate);
+        }
+        w.add_pair(ft.hosts()[0], lone, 5);
+        let model = DiurnalModel {
+            n_hours: 4,
+            ..DiurnalModel::default()
+        };
+        let trace = DynamicTrace::new(&w, model, &mut rng_for_run(3, 1));
+        let schedule = FaultSchedule::new(Vec::new(), 4).unwrap();
+        let sfc = Sfc::of_len(3).unwrap();
+        for policy in [MigrationPolicy::MPareto, MigrationPolicy::NoMigration] {
+            let run = run_day(
+                &g,
+                &w,
+                &trace,
+                &sfc,
+                &cfg(policy),
+                &schedule,
+                &EngineConfig::default(),
+            )
+            .unwrap();
+            assert!(run.completed);
+            let r = run.result;
+            assert!(r.initial_cost < INFINITY);
+            assert_eq!(r.blackout_hours, 0);
+            for d in &r.degraded {
+                assert_eq!(d.stranded_flows, 1, "hour {}", d.hour);
+                assert!(!d.blackout);
+            }
+            assert!(r.hours.iter().all(|h| h.comm_cost < INFINITY));
         }
     }
 

@@ -16,10 +16,25 @@
 //! The tables are keyed by the *target* only, so one table answers stroll
 //! queries for **every source** — the TOP placement algorithm (Algorithm 3)
 //! exploits this to amortize its `O(|V_s|²)` ingress/egress enumeration.
+//!
+//! # The level kernel
+//!
+//! Growing one level is a min-plus product of the closure with the
+//! previous level's costs. [`DpTables`] computes it row by row against an
+//! admissible row bound — `max(c(u, t), e·δ_min)`, rounded to the walk
+//! parity when the closure has a parity colouring — and stops a row's
+//! branch-free chunked scan as soon as the running minimum reaches it.
+//! The tables are bit-identical to a full strict-`<` argmin scan, which
+//! the tests keep as the reference (DESIGN.md §5b, *Stroll-DP level
+//! kernel*).
+//!
+//! [`DpBatchSolver::interior_into`] reads the first `n` distinct
+//! intermediates straight off the successor tables, which is all
+//! Algorithm 3 installs, without building a walk or a solution.
 
 use crate::instance::{StrollInstance, StrollSolution};
 use crate::StrollError;
-use ppdc_topology::{Cost, MetricClosure, INFINITY};
+use ppdc_topology::{sat_mul, Cost, MetricClosure, NodeId, INFINITY};
 
 const NO_SUCC: usize = usize::MAX;
 
@@ -42,7 +57,19 @@ pub struct DpTables {
     cost: Vec<Cost>,
     /// `succ[(e-1)*m + u]` = the next node after `u` on that stroll.
     succ: Vec<usize>,
+    /// Per-level scratch of [`DpTables::extend`]: the previous level's
+    /// costs with the target and unreachable suffixes masked to
+    /// `Cost::MAX`.
+    base: Vec<Cost>,
+    /// Per-level scratch of [`DpTables::extend`]: the previous level's
+    /// inverse successor lists, `back[back_at[u]..back_at[u + 1]]` being
+    /// every `v` with `succ(v) = u`.
+    back: Vec<usize>,
+    back_at: Vec<usize>,
 }
+
+/// Width of the kernel's branch-free row chunks.
+const LANES: usize = 16;
 
 impl DpTables {
     /// Initializes tables for target closure-index `t` (level `e = 1`).
@@ -91,7 +118,114 @@ impl DpTables {
 
     /// Adds one more edge-count level. `new`/`reset` seed level 1, so the
     /// tables are never empty here.
+    ///
+    /// Row `u` of level `e` is `min_v c(u, v) + cost(v, e−1)` over the
+    /// successors `v ≠ u`, `v ≠ t` with `succ(v, e−1) ≠ u` (no immediate
+    /// backtrack), ties to the lowest `v`. The excluded successors are
+    /// masked to `Cost::MAX` in a per-level copy of the previous costs —
+    /// the target and unreachable suffixes once per level, `u` and its
+    /// backtracks (found through per-level inverse successor lists) only
+    /// while row `u` is scanned — so the scan itself is a branch-free
+    /// saturating `c(u, v) + base[v]` minimum over chunks of [`LANES`].
+    /// It stops at the first chunk whose running minimum reaches the
+    /// admissible row bound `LB(u) = max(c(u, t), e·δ_min)`, rounded up to
+    /// the walk parity `col(u) ⊕ col(t)` when the closure has a parity
+    /// colouring (the `c(u, t)` term only on shortest-path closures). No
+    /// later successor can then be strictly cheaper, so the first index
+    /// holding the minimum — searched from the chunk where it first
+    /// appeared — is the full scan's argmin. DESIGN.md §5b (*Stroll-DP
+    /// level kernel*) proves both steps.
     fn extend(&mut self, closure: &MetricClosure) {
+        let m = self.m;
+        let t = self.t;
+        let filled = self.levels * m;
+        let e = u64::try_from(self.levels + 1).unwrap_or(u64::MAX);
+        self.cost.resize(filled + m, INFINITY);
+        self.succ.resize(filled + m, NO_SUCC);
+        let (prev_c, cur_c) = self.cost.split_at_mut(filled);
+        let prev_c = &prev_c[filled - m..];
+        let (prev_s, cur_s) = self.succ.split_at_mut(filled);
+        let prev_s = &prev_s[filled - m..];
+        // The target mid-walk and unreachable suffixes never qualify.
+        let unmasked = |v: usize| {
+            let c = prev_c[v];
+            if v == t || c >= INFINITY {
+                Cost::MAX
+            } else {
+                c
+            }
+        };
+        let base = &mut self.base;
+        base.clear();
+        base.extend((0..m).map(unmasked));
+        // Inverse successor lists: row `u` must skip every `v` whose
+        // suffix hops straight back to `u` (counting sort by `succ`).
+        let (back, back_at) = (&mut self.back, &mut self.back_at);
+        back_at.clear();
+        back_at.resize(m + 1, 0);
+        for &p in prev_s.iter().filter(|&&p| p < m) {
+            back_at[p] += 1;
+        }
+        for u in 1..=m {
+            back_at[u] += back_at[u - 1];
+        }
+        back.clear();
+        back.resize(back_at[m], 0);
+        for (v, &p) in prev_s.iter().enumerate().rev().filter(|&(_, &p)| p < m) {
+            back_at[p] -= 1;
+            back[back_at[p]] = v;
+        }
+        let hop_lb = sat_mul(e, closure.min_pair_cost());
+        let triangle = closure.is_shortest_path();
+        let parity = closure.parity_colouring();
+        for u in 0..m {
+            let row = closure.row(u);
+            let mut lb = if triangle { hop_lb.max(row[t]) } else { hop_lb };
+            if let Some(col) = parity {
+                if lb < INFINITY && lb & 1 != Cost::from(col[u] ^ col[t]) {
+                    lb += 1;
+                }
+            }
+            let backtracks = &back[back_at[u]..back_at[u + 1]];
+            base[u] = Cost::MAX;
+            for &v in backtracks {
+                base[v] = Cost::MAX;
+            }
+            let mut best = Cost::MAX;
+            let mut best_chunk = 0;
+            let chunks = row.chunks(LANES).zip(base.chunks(LANES));
+            for (start, (r, b)) in (0..).step_by(LANES).zip(chunks) {
+                let mut chunk_min = Cost::MAX;
+                for (&c, &bv) in r.iter().zip(b) {
+                    chunk_min = chunk_min.min(c.saturating_add(bv));
+                }
+                if chunk_min < best {
+                    best = chunk_min;
+                    best_chunk = start;
+                }
+                if best <= lb {
+                    break;
+                }
+            }
+            let first = (best < INFINITY)
+                .then(|| (best_chunk..m).find(|&v| row[v].saturating_add(base[v]) == best))
+                .flatten();
+            (cur_c[u], cur_s[u]) = match first {
+                Some(v) => (best, v),
+                None => (INFINITY, NO_SUCC),
+            };
+            base[u] = unmasked(u);
+            for &v in backtracks {
+                base[v] = unmasked(v);
+            }
+        }
+        self.levels += 1;
+    }
+
+    /// The reference level extension the kernel is proptested against: a
+    /// full strict-`<` argmin scan of every row.
+    #[cfg(test)]
+    fn extend_reference(&mut self, closure: &MetricClosure) {
         let m = self.m;
         let filled = self.levels * m;
         self.cost.resize(filled + m, INFINITY);
@@ -148,6 +282,40 @@ impl DpTables {
         }
         debug_assert_eq!(cur, self.t);
         Some(walk)
+    }
+
+    /// Appends to `out` the first `n` distinct intermediates (original
+    /// ids, first-visit order, neither `s` nor the target) of the `e`-edge
+    /// stroll from `s`, walking the successor chain in place. Returns
+    /// `false` — with `out` possibly grown — when no stroll exists or it
+    /// visits fewer than `n`.
+    fn first_distinct_into(
+        &self,
+        closure: &MetricClosure,
+        s: usize,
+        e: usize,
+        n: usize,
+        out: &mut Vec<NodeId>,
+    ) -> bool {
+        if self.cost(s, e) >= INFINITY {
+            return false;
+        }
+        let start = out.len();
+        let mut cur = s;
+        for level in (1..=e).rev() {
+            cur = self.succ[(level - 1) * self.m + cur];
+            if cur == s || cur == self.t {
+                continue;
+            }
+            let node = closure.node(cur);
+            if !out[start..].contains(&node) {
+                out.push(node);
+                if out.len() - start == n {
+                    return true;
+                }
+            }
+        }
+        false
     }
 
     /// Checks the sufficient optimality condition of Theorem 3 for the
@@ -277,8 +445,9 @@ fn dp_stroll_on_closure(
         }
         tables.grow_to(grow_closure, e);
         if let Some(walk) = tables.reconstruct(inst.s_ix(), e) {
-            if inst.distinct_of_walk(&walk).len() >= n {
-                return Ok(inst.solution_from_walk(walk));
+            let distinct = inst.distinct_of_walk(&walk);
+            if distinct.len() >= n {
+                return Ok(inst.solution_from_parts(walk, &distinct));
             }
         }
         e += 1;
@@ -332,33 +501,78 @@ impl DpBatchSolver {
         let t = self.tables.target();
         let inst = StrollInstance::new_unvalidated(closure, closure.node(s), closure.node(t), n)?;
         match dp_stroll_on_closure(&inst, closure, &mut self.tables) {
-            Ok(sol) => Ok(sol),
-            Err(StrollError::NoConvergence { .. }) => {
-                let mut last = StrollError::NoConvergence {
-                    max_edges: max_edges(n),
-                };
-                for attempt in 1..MAX_ATTEMPTS {
-                    #[expect(
-                        clippy::as_conversions,
-                        reason = "attempt < MAX_ATTEMPTS = 8, fits usize"
-                    )]
-                    let idx = (attempt - 1) as usize;
-                    if self.retries.len() <= idx {
-                        let pc = perturbed_closure(closure, attempt);
-                        let tb = DpTables::new(&pc, t);
-                        self.retries.push((pc, tb));
-                    }
-                    let (pc, tb) = &mut self.retries[idx];
-                    match dp_stroll_on_closure(&inst, pc, tb) {
-                        Ok(sol) => return Ok(sol),
-                        Err(e @ StrollError::NoConvergence { .. }) => last = e,
-                        Err(e) => return Err(e),
-                    }
-                }
-                Err(last)
-            }
-            Err(e) => Err(e),
+            Err(StrollError::NoConvergence { .. }) => self.solve_perturbed(&inst),
+            other => other,
         }
+    }
+
+    /// The tie-breaking retries for an instance whose unperturbed attempt
+    /// hit the edge cap: attempts `1..MAX_ATTEMPTS` in order, each on its
+    /// lazily built perturbed closure and tables.
+    fn solve_perturbed(
+        &mut self,
+        inst: &StrollInstance<'_>,
+    ) -> Result<StrollSolution, StrollError> {
+        let mut last = StrollError::NoConvergence {
+            max_edges: max_edges(inst.n()),
+        };
+        for attempt in 1..MAX_ATTEMPTS {
+            #[expect(
+                clippy::as_conversions,
+                reason = "attempt < MAX_ATTEMPTS = 8, fits usize"
+            )]
+            let idx = (attempt - 1) as usize;
+            if self.retries.len() <= idx {
+                let pc = perturbed_closure(inst.closure(), attempt);
+                let tb = DpTables::new(&pc, inst.t_ix());
+                self.retries.push((pc, tb));
+            }
+            let (pc, tb) = &mut self.retries[idx];
+            match dp_stroll_on_closure(inst, pc, tb) {
+                Ok(sol) => return Ok(sol),
+                Err(e @ StrollError::NoConvergence { .. }) => last = e,
+                Err(e) => return Err(e),
+            }
+        }
+        Err(last)
+    }
+
+    /// Appends to `out` exactly `solve(closure, s, n)?.first_n(n)` — the
+    /// chain interior Algorithm 3 installs — without building the walk or
+    /// the solution: the unperturbed tables' successor chain is walked in
+    /// place, level by level from `n + 1` edges, as `solve` reconstructs
+    /// it. Only a source whose unperturbed strolls never reach `n`
+    /// distinct intermediates goes on to `solve`'s perturbed retries. A
+    /// steady-state call allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`DpBatchSolver::solve`]; `out` is unchanged on
+    /// error.
+    pub fn interior_into(
+        &mut self,
+        closure: &MetricClosure,
+        s: usize,
+        n: usize,
+        out: &mut Vec<NodeId>,
+    ) -> Result<(), StrollError> {
+        let t = self.tables.target();
+        // The checks `solve` makes before growing anything.
+        let inst = StrollInstance::new_unvalidated(closure, closure.node(s), closure.node(t), n)?;
+        if n == 0 {
+            return Ok(());
+        }
+        let start = out.len();
+        for e in n + 1..=max_edges(n) {
+            self.tables.grow_to(closure, e);
+            if self.tables.first_distinct_into(closure, s, e, n, out) {
+                return Ok(());
+            }
+            out.truncate(start);
+        }
+        let sol = self.solve_perturbed(&inst)?;
+        out.extend_from_slice(sol.first_n(n));
+        Ok(())
     }
 }
 
@@ -613,6 +827,197 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// xorshift64 draws for the generated cost surfaces.
+    struct Draws(u64);
+
+    impl Draws {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// Adds `n` switches to `g`, joined by a random spanning tree plus a
+    /// few chords, weights in `1..=9`.
+    fn random_component(g: &mut Graph, n: usize, d: &mut Draws) {
+        let sw: Vec<NodeId> = (0..n).map(|i| g.add_switch(format!("s{i}"))).collect();
+        for i in 1..n {
+            let parent = d.below(i);
+            g.add_edge(sw[i], sw[parent], 1 + d.next() % 9).unwrap();
+        }
+        for _ in 0..d.below(n) {
+            let (a, b) = (d.below(n), d.below(n));
+            if a != b {
+                let _ = g.add_edge(sw[a], sw[b], 1 + d.next() % 9);
+            }
+        }
+    }
+
+    /// The closure over every node of `g`, or over its switches only.
+    fn closure_over(g: &Graph, with_hosts: bool) -> MetricClosure {
+        let dm = DistanceMatrix::build(g);
+        let members: Vec<NodeId> = if with_hosts {
+            g.nodes().collect()
+        } else {
+            g.switches().collect()
+        };
+        MetricClosure::over(&dm, &members)
+    }
+
+    /// Cost surfaces for the kernel ≡ reference properties, by `kind`:
+    /// 0 a random weighted connected graph; 1 a disconnected one
+    /// (`INFINITY` pairs); 2 a fat-tree k ∈ {4, 6, 8} and 3 a leaf–spine
+    /// (both parity-consistent); 4 a fat-tree with random link weights
+    /// (parity-inconsistent); 5 a perturbed copy of kind 0 or 2.
+    fn arb_closure(kind: u8, seed: u64) -> MetricClosure {
+        let mut d = Draws(seed | 1);
+        let with_hosts = d.next() & 1 == 1;
+        match kind {
+            0 => {
+                let mut g = Graph::new();
+                random_component(&mut g, 3 + d.below(18), &mut d);
+                closure_over(&g, false)
+            }
+            1 => {
+                let mut g = Graph::new();
+                random_component(&mut g, 2 + d.below(10), &mut d);
+                random_component(&mut g, 1 + d.below(8), &mut d);
+                closure_over(&g, false)
+            }
+            2 => {
+                let g = ppdc_topology::builders::fat_tree(4 + 2 * d.below(3)).unwrap();
+                closure_over(&g, with_hosts)
+            }
+            3 => {
+                let g = ppdc_topology::builders::leaf_spine(
+                    2 + d.below(5),
+                    1 + d.below(4),
+                    1 + d.below(2),
+                )
+                .unwrap();
+                closure_over(&g, with_hosts)
+            }
+            4 => {
+                let mut g = ppdc_topology::builders::fat_tree(4 + 2 * d.below(2)).unwrap();
+                g.map_edge_weights(|_, _, _| 1 + d.next() % 9);
+                closure_over(&g, with_hosts)
+            }
+            _ => {
+                let inner = if d.next() & 1 == 0 { 0 } else { 2 };
+                perturbed_closure(&arb_closure(inner, d.next()), 1 + d.next() % 7)
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::env_or(64))]
+
+        #[test]
+        fn dp_tables_equal_the_reference_scan(
+            kind in 0u8..6,
+            seed in proptest::prelude::any::<u64>(),
+            n in 1usize..6,
+            t_pick in proptest::prelude::any::<u64>(),
+        ) {
+            let mc = arb_closure(kind, seed);
+            if matches!(kind, 2 | 3) {
+                proptest::prop_assert!(mc.parity_colouring().is_some());
+            }
+            let t = (t_pick % mc.len() as u64) as usize;
+            let mut kernel = DpTables::new(&mc, t);
+            let mut reference = DpTables::new(&mc, t);
+            for e in 2..=max_edges(n) {
+                kernel.grow_to(&mc, e);
+                reference.extend_reference(&mc);
+                proptest::prop_assert_eq!(&kernel.cost, &reference.cost, "cost at level {}", e);
+                proptest::prop_assert_eq!(&kernel.succ, &reference.succ, "succ at level {}", e);
+            }
+        }
+
+        #[test]
+        fn interior_into_equals_solve_first_n(
+            kind in 0u8..6,
+            seed in proptest::prelude::any::<u64>(),
+            n in 0usize..8,
+            t_pick in proptest::prelude::any::<u64>(),
+        ) {
+            let mc = arb_closure(kind, seed);
+            let t = (t_pick % mc.len() as u64) as usize;
+            let (mut fast, mut full) = (DpBatchSolver::new(), DpBatchSolver::new());
+            fast.reset(&mc, t);
+            full.reset(&mc, t);
+            let prefix = NodeId(u32::MAX);
+            for s in 0..mc.len() {
+                let mut out = vec![prefix];
+                let got = fast.interior_into(&mc, s, n, &mut out);
+                match (got, full.solve(&mc, s, n)) {
+                    (Ok(()), Ok(sol)) => {
+                        proptest::prop_assert_eq!(&out[1..], sol.first_n(n), "source {}", s);
+                    }
+                    (Err(a), Err(b)) => {
+                        proptest::prop_assert_eq!(a, b);
+                        proptest::prop_assert_eq!(out.len(), 1, "out grew on error");
+                    }
+                    (a, b) => proptest::prop_assert!(false, "source {}: {:?} vs {:?}", s, a, b),
+                }
+                proptest::prop_assert_eq!(out[0], prefix);
+            }
+        }
+    }
+
+    #[test]
+    fn interior_into_matches_solve_through_perturbed_retries() {
+        // The unweighted k=8 fabric where the unperturbed tie-break loops
+        // for large n: at least one source must need a perturbed retry, and
+        // `interior_into` must still agree with `solve` on every source.
+        let g = ppdc_topology::builders::fat_tree(8).unwrap();
+        let dm = DistanceMatrix::build(&g);
+        let hosts: Vec<NodeId> = g.hosts().collect();
+        let mut members = vec![hosts[0], hosts[77]];
+        members.extend(g.switches());
+        let mc = MetricClosure::over(&dm, &members);
+        let t = mc.index(hosts[77]).unwrap();
+        let mut forced = 0;
+        for n in [11usize, 13] {
+            let (mut fast, mut full) = (DpBatchSolver::new(), DpBatchSolver::new());
+            fast.reset(&mc, t);
+            full.reset(&mc, t);
+            for s in (0..mc.len()).filter(|&s| s != t) {
+                let inst = StrollInstance::new(&mc, mc.node(s), mc.node(t), n).unwrap();
+                let mut tables = DpTables::new(&mc, t);
+                if dp_stroll_on_closure(&inst, &mc, &mut tables).is_err() {
+                    forced += 1;
+                }
+                let mut out = Vec::new();
+                fast.interior_into(&mc, s, n, &mut out).unwrap();
+                assert_eq!(
+                    out,
+                    full.solve(&mc, s, n).unwrap().first_n(n),
+                    "n={n} s={s}"
+                );
+            }
+        }
+        assert!(forced > 0, "no source needed a perturbed retry");
+        // Too few candidates is reported before anything is grown.
+        let mut solver = DpBatchSolver::new();
+        solver.reset(&mc, t);
+        let mut out = Vec::new();
+        assert_eq!(
+            solver.interior_into(&mc, 0, mc.len(), &mut out),
+            Err(StrollError::TooFewNodes {
+                available: mc.len() - 2,
+                needed: mc.len()
+            })
+        );
+        assert!(out.is_empty());
     }
 
     #[test]

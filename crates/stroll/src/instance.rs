@@ -126,13 +126,13 @@ impl<'a> StrollInstance<'a> {
             .sum()
     }
 
-    /// The distinct intermediates of a walk, in first-visit order.
+    /// The distinct intermediates of a walk, in first-visit order. Walks
+    /// are short (a chain's few VNFs plus a handful of repeat hops), so a
+    /// linear scan of the output replaces a closure-sized visited mask.
     pub fn distinct_of_walk(&self, walk: &[usize]) -> Vec<usize> {
-        let mut seen = vec![false; self.closure.len()];
         let mut out = Vec::new();
         for &v in walk {
-            if v != self.s && v != self.t && !seen[v] {
-                seen[v] = true;
+            if v != self.s && v != self.t && !out.contains(&v) {
                 out.push(v);
             }
         }
@@ -141,8 +141,18 @@ impl<'a> StrollInstance<'a> {
 
     /// Wraps a walk (closure indices) into a validated solution.
     pub fn solution_from_walk(&self, walk: Vec<usize>) -> StrollSolution {
-        let cost = self.walk_cost_ix(&walk);
         let distinct = self.distinct_of_walk(&walk);
+        self.solution_from_parts(walk, &distinct)
+    }
+
+    /// [`StrollInstance::solution_from_walk`] for a caller that already
+    /// holds the walk's [`StrollInstance::distinct_of_walk`].
+    pub(crate) fn solution_from_parts(
+        &self,
+        walk: Vec<usize>,
+        distinct: &[usize],
+    ) -> StrollSolution {
+        let cost = self.walk_cost_ix(&walk);
         StrollSolution {
             walk: walk.iter().map(|&i| self.closure.node(i)).collect(),
             distinct: distinct.iter().map(|&i| self.closure.node(i)).collect(),
