@@ -3,25 +3,26 @@
 #
 #   1. formatting       — cargo fmt --check over the whole workspace
 #   2. lints            — clippy with warnings denied, all targets; the
-#                         crate-level denies in each lib.rs (no printing,
-#                         no discarded values, no bare casts in the cost
+#                         crate-level denies in each lib.rs (no panics in
+#                         the solver and engine crates, no printing, no
+#                         discarded values, no bare casts in the cost
 #                         crates) are enforced here
 #   3. gated lints      — clippy again over the strict-invariants code
-#   4. project lints    — ppdc-analyzer over the whole workspace
-#                         (baseline-capped allows, 10 s budget)
+#   4. project lints    — ppdc-analyzer's lexical rules over the whole
+#                         workspace (10 s budget)
 #   5. tier-1 verify    — release build + full test suite
 #   6. contracts        — solver tests with strict-invariants enabled
 #   7. proptests        — at PROPTEST_CASES=256, then again with 8 rayon
 #                         workers so the parallel fold sweep and the
 #                         branch-and-bound run with more workers than cores
 #   8. smokes           — failure sweep with metrics export, fault-free
-#                         day, the quickstart, pareto_frontier and
-#                         zoom_conferencing examples, metrics schema
-#                         check, k=32 oracle, chaos (the sweep, the day,
-#                         the examples and chaos diffed against their
-#                         pinned output in tests/golden/),
+#                         day, the other quick figures, the quickstart,
+#                         pareto_frontier and zoom_conferencing examples,
+#                         metrics schema check, k=32 oracle, chaos,
 #                         1M-flow stream day (then killed at mid-day and
-#                         resumed from disk), churned stream day
+#                         resumed from disk), churned stream day (all but
+#                         the schema check and k=32 diffed against their
+#                         pinned output in tests/golden/)
 #   9. benchmark build  — perfbench/ (its own workspace, which names
 #                         engine functions) built offline, then a
 #                         1-second end-to-end run of each workload
@@ -51,13 +52,10 @@ echo "==> cargo clippy (strict-invariants feature) -- -D warnings"
 cargo clippy -p ppdc-topology -p ppdc-placement -p ppdc-migration --all-targets \
     --features strict-invariants -- -D warnings
 
-echo "==> ppdc-analyzer --workspace (project-specific lints, baseline-capped, 10s budget)"
-mkdir -p target
+echo "==> ppdc-analyzer --workspace (project-specific lints, 10s budget)"
 cargo build --release -q -p ppdc-analyzer
 analyzer_start=$(date +%s%N)
-./target/release/ppdc-analyzer --workspace \
-    --json-out target/analyzer.json \
-    --baseline analyzer-baseline.json
+./target/release/ppdc-analyzer --workspace
 analyzer_elapsed_ms=$(( ($(date +%s%N) - analyzer_start) / 1000000 ))
 echo "    analyzer wall clock: ${analyzer_elapsed_ms} ms (budget 10000 ms)"
 if [ "$analyzer_elapsed_ms" -ge 10000 ]; then
@@ -81,8 +79,10 @@ echo "==> proptests at PROPTEST_CASES=256 with 8 rayon workers"
 RAYON_NUM_THREADS=8 PROPTEST_CASES=256 cargo test -q --test proptests
 
 # Output pinned under tests/golden/ is compared byte for byte once its
-# wall-clock readings are masked.
+# wall-clock readings are masked. The stream smokes print millisecond
+# readings on their `# stream` lines only (fig10's `1.0ms` is a delay).
 strip_timing() { sed -E 's/ in [0-9]+\.[0-9]+s/ in <elapsed>/'; }
+strip_stream_ms() { sed -E '/^# stream/ s/[0-9]+(\.[0-9]+)?ms/<ms>/g'; }
 
 echo "==> failure-sweep smoke (quick scale) with metrics export, diffed against tests/golden/failsweep.txt"
 mkdir -p target
@@ -92,6 +92,10 @@ cargo run -q --release -p ppdc-experiments -- --quick failsweep --metrics target
 echo "==> fault-free day smoke (quick fig11 + ext_replication through run_day), diffed against tests/golden/fig11_ext_replication.txt"
 cargo run -q --release -p ppdc-experiments -- --quick fig11 ext_replication 2>&1 \
     | strip_timing | diff -u tests/golden/fig11_ext_replication.txt -
+
+echo "==> remaining quick figures (fig6b fig7 fig8 fig9a fig9b fig10), diffed against tests/golden/figures_quick.txt"
+cargo run -q --release -p ppdc-experiments -- --quick fig6b fig7 fig8 fig9a fig9b fig10 2>&1 \
+    | strip_timing | diff -u tests/golden/figures_quick.txt -
 
 # The deterministic examples print no wall time, so their stdout is pinned
 # as is. placement_comparison is left out: it prints solver wall times.
@@ -110,11 +114,13 @@ echo "==> chaos smoke (64 seeded trials: crashes, torn checkpoints, starvation),
 cargo run -q --release -p ppdc-experiments -- chaos --trials 64 --seed 1 2>&1 \
     | strip_timing | diff -u tests/golden/chaos.txt -
 
-echo "==> streaming-engine smoke (1M flows over the k=32 fabric, counter invariants, mid-day kill/resume)"
-cargo run --release -p ppdc-experiments -- stream --flows 1000000 --budget-ms 120000
+echo "==> streaming-engine smoke (1M flows over the k=32 fabric, counter invariants, mid-day kill/resume), diffed against tests/golden/stream.txt"
+cargo run -q --release -p ppdc-experiments -- stream --flows 1000000 --budget-ms 120000 2>&1 \
+    | strip_stream_ms | diff -u tests/golden/stream.txt -
 
-echo "==> churned-day stream smoke (hot-rack/two-pod/full-fabric spikes, warm-solver counters + budget)"
-cargo run --release -p ppdc-experiments -- stream --churned --flows 1000000 --budget-ms 120000 --warm-ms 1000
+echo "==> churned-day stream smoke (hot-rack/two-pod/full-fabric spikes, warm-solver counters + budget), diffed against tests/golden/stream_churned.txt"
+cargo run -q --release -p ppdc-experiments -- stream --churned --flows 1000000 --budget-ms 120000 --warm-ms 1000 2>&1 \
+    | strip_stream_ms | diff -u tests/golden/stream_churned.txt -
 
 echo "==> perfbench build (offline; breaks when an engine name it uses changes)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml

@@ -3,10 +3,9 @@
 //! or test modules.
 //!
 //! The lexer is intentionally not a parser. It produces a flat token
-//! stream with line numbers, captures line-comment text (where
-//! `analyzer:allow` directives live), and runs a brace-matching pass to
-//! mark `#[cfg(test)]` / `#[test]` item bodies so rules can skip test
-//! code. Strings (plain, raw, byte), char literals vs. lifetimes, nested
+//! stream with line numbers (comments dropped) and runs a brace-matching
+//! pass to mark `#[cfg(test)]` / `#[test]` item bodies so rules can skip
+//! test code. Strings (plain, raw, byte), char literals vs. lifetimes, nested
 //! block comments, and raw identifiers are all handled; anything fancier
 //! (macros-by-example internals, proc-macro output) is out of scope — the
 //! rules only need lexical adjacency.
@@ -23,8 +22,6 @@ pub enum TokKind {
     /// String literal of any flavor; content dropped so rules cannot
     /// match inside it.
     Str,
-    /// A `//` line comment; `text` holds everything after the slashes.
-    LineComment,
 }
 
 /// One lexed token with its 1-based source line.
@@ -63,13 +60,9 @@ pub fn lex(src: &str) -> Vec<Tok> {
             }
             b' ' | b'\t' | b'\r' => i += 1,
             b'/' if i + 1 < n && bytes[i + 1] == b'/' => {
-                let start = i + 2;
-                let mut j = start;
-                while j < n && bytes[j] != b'\n' {
-                    j += 1;
+                while i < n && bytes[i] != b'\n' {
+                    i += 1;
                 }
-                push!(TokKind::LineComment, src[start..j].to_string(), line);
-                i = j;
             }
             b'/' if i + 1 < n && bytes[i + 1] == b'*' => {
                 // Nested block comments, line-counted.
@@ -342,19 +335,16 @@ fn skip_raw_or_byte_string(bytes: &[u8], i: usize) -> (usize, u32) {
 /// out-of-line `#[cfg(test)] mod x;` has no body here and is ignored (the
 /// referenced file is classified by path instead).
 pub fn test_regions(toks: &[Tok]) -> Vec<bool> {
-    let code: Vec<usize> = (0..toks.len())
-        .filter(|&i| toks[i].kind != TokKind::LineComment)
-        .collect();
     let mut in_test = vec![false; toks.len()];
     let mut k = 0usize;
-    while k < code.len() {
-        if is_attr_start(toks, &code, k) {
-            let (end, is_test) = scan_attr(toks, &code, k);
+    while k < toks.len() {
+        if is_attr_start(toks, k) {
+            let (end, is_test) = scan_attr(toks, k);
             if is_test {
                 // Skip any stacked attributes after the test one.
                 let mut m = end;
-                while is_attr_start(toks, &code, m) {
-                    let (e, _) = scan_attr(toks, &code, m);
+                while is_attr_start(toks, m) {
+                    let (e, _) = scan_attr(toks, m);
                     m = e;
                 }
                 // Find the item's opening brace (stop at `;` for
@@ -362,8 +352,8 @@ pub fn test_regions(toks: &[Tok]) -> Vec<bool> {
                 let mut depth = 0usize;
                 let mut p = m;
                 let mut opened = false;
-                while p < code.len() {
-                    let t = &toks[code[p]];
+                while p < toks.len() {
+                    let t = &toks[p];
                     if t.kind == TokKind::Punct {
                         match t.text.as_str() {
                             "{" => {
@@ -382,9 +372,9 @@ pub fn test_regions(toks: &[Tok]) -> Vec<bool> {
                     }
                     p += 1;
                 }
-                let lo = toks[code[k]].line;
-                let hi = if p < code.len() {
-                    toks[code[p]].line
+                let lo = toks[k].line;
+                let hi = if p < toks.len() {
+                    toks[p].line
                 } else {
                     u32::MAX
                 };
@@ -404,12 +394,12 @@ pub fn test_regions(toks: &[Tok]) -> Vec<bool> {
     in_test
 }
 
-fn is_attr_start(toks: &[Tok], code: &[usize], k: usize) -> bool {
-    k + 1 < code.len()
-        && toks[code[k]].kind == TokKind::Punct
-        && toks[code[k]].text == "#"
-        && toks[code[k + 1]].kind == TokKind::Punct
-        && toks[code[k + 1]].text == "["
+fn is_attr_start(toks: &[Tok], k: usize) -> bool {
+    k + 1 < toks.len()
+        && toks[k].kind == TokKind::Punct
+        && toks[k].text == "#"
+        && toks[k + 1].kind == TokKind::Punct
+        && toks[k + 1].text == "["
 }
 
 /// Scans the attribute group at `k` (which must satisfy
@@ -418,12 +408,12 @@ fn is_attr_start(toks: &[Tok], code: &[usize], k: usize) -> bool {
 /// "Is test" means the attribute is exactly `#[test]`, `#[cfg(test)]`, or
 /// a `#[cfg(...)]` whose predicate mentions the bare `test` flag (e.g.
 /// `#[cfg(any(test, feature = "x"))]`).
-fn scan_attr(toks: &[Tok], code: &[usize], k: usize) -> (usize, bool) {
+fn scan_attr(toks: &[Tok], k: usize) -> (usize, bool) {
     let mut depth = 0usize;
     let mut p = k + 1; // at `[`
     let mut inner: Vec<&str> = Vec::new();
-    while p < code.len() {
-        let t = &toks[code[p]];
+    while p < toks.len() {
+        let t = &toks[p];
         if t.kind == TokKind::Punct {
             match t.text.as_str() {
                 "[" => depth += 1,

@@ -1,29 +1,18 @@
 //! `ppdc-analyzer` — the workspace's project-specific lint engine.
 //!
-//! Fully offline; it shares the zero-dependency `ppdc-obs` JSON codec.
-//! Two analysis layers share one [`lexer`]:
+//! Fully offline and dependency-free. It keeps only the lexical rules
+//! clippy has no lint for: one [`lexer`] feeds the per-file token rules in
+//! [`rules`] (raw sentinel math, rayon reduce order, relaxed atomics,
+//! float sort keys), and [`report`] renders rustc-style human output.
+//! A finding is fixed, not waived: there is no suppression syntax.
 //!
-//! * **per-file token rules** ([`rules`]) — raw sentinel math,
-//!   seeded-RNG determinism, plus the v2 determinism/concurrency pack
-//!   (hash iteration, rayon reduce order, relaxed atomics, float sort
-//!   keys);
-//! * **whole-corpus analyses** — [`syntax`] recovers an item outline and
-//!   per-fn facts from each file, [`callgraph`] stitches them into a
-//!   workspace call graph and runs panic reachability from the solver/sim
-//!   entrypoints, attaching the full call chain to every diagnostic.
-//!
-//! Inline [`allow`] directives waive individual findings *with a
-//! mandatory reason*; allows that stop suppressing anything become
-//! `stale-allow` violations. [`report`] renders rustc-style human output
-//! and [`json`] writes the machine-readable schema (including call chains
-//! and the allow count that `analyzer-baseline.json` caps).
-//!
-//! Checks clippy already makes — bare casts, printing, discarded values —
-//! are crate-level clippy denies, not analyzer rules (DESIGN.md §6).
+//! Checks clippy already makes — panics, bare casts, printing, discarded
+//! values — are crate-level clippy denies, not analyzer rules (DESIGN.md
+//! §6b).
 //!
 //! Run it as a binary (`cargo run --release -p ppdc-analyzer -- --workspace`,
-//! a `ci.sh` gate) or use [`analyze_source`] / [`analyze_corpus`] /
-//! [`analyze_workspace`] as a library (the fixture suite does).
+//! a `ci.sh` gate) or use [`analyze_corpus`] / [`analyze_workspace`] as a
+//! library (the fixture suite does).
 
 // Library code reports through return values and telemetry, never
 // stdout/stderr, and never drops a value without naming it. Binaries,
@@ -36,110 +25,24 @@
 )]
 #![cfg_attr(test, allow(clippy::let_underscore_untyped, clippy::unused_result_ok))]
 
-pub mod allow;
-pub mod baseline;
-pub mod callgraph;
-pub mod json;
 pub mod lexer;
 pub mod report;
 pub mod rules;
-pub mod syntax;
 
 use report::Report;
 use rules::FileCtx;
 use std::path::{Path, PathBuf};
 
-/// Tuning knobs for the corpus pipeline.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AnalyzeOptions {
-    /// Also report reachable **raw index expressions** (`v[i]`, `v[a..b]`),
-    /// not just the abort family (`panic!`-like macros, `.unwrap()`,
-    /// `.expect(..)`). Off by default — dense id-indexed flat arenas are
-    /// this workspace's deliberate core idiom (node-id tables, stroll
-    /// arenas, checkpoint cursors), all in-bounds by construction, and
-    /// flagging every `dist[v]` would bury the abort-class signal the
-    /// crash-safety guarantees actually rest on. `--index-panics` turns
-    /// this on for audits; the detector and chains are fixture-tested
-    /// either way.
-    pub index_panics: bool,
-}
-
-/// Runs the full pipeline — per-file rules, the workspace call graph
-/// with panic reachability, suppression, stale-allow detection — over an
-/// in-memory corpus of `(context, source)` files.
+/// Runs every per-file rule over an in-memory corpus of
+/// `(context, source)` files and returns the sorted report.
 pub fn analyze_corpus(files: &[(FileCtx, String)]) -> Report {
-    analyze_corpus_with(files, AnalyzeOptions::default())
-}
-
-/// [`analyze_corpus`] with explicit [`AnalyzeOptions`].
-pub fn analyze_corpus_with(files: &[(FileCtx, String)], opts: AnalyzeOptions) -> Report {
     let mut report = Report::default();
-    let mut per_file: Vec<Vec<report::Violation>> = Vec::with_capacity(files.len());
-    let mut lexed = Vec::with_capacity(files.len());
-    let mut outlines = Vec::with_capacity(files.len());
     for (ctx, src) in files {
-        let toks = lexer::lex(src);
-        per_file.push(rules::check_tokens(ctx, &toks, src));
-        outlines.push((ctx.path.clone(), syntax::outline_of(&toks)));
-        lexed.push(toks);
-    }
-
-    let graph = callgraph::CallGraph::build(&outlines);
-    for finding in callgraph::panic_reachability(&graph) {
-        if finding.kind == syntax::PanicKind::Index && !opts.index_panics {
-            continue;
-        }
-        let Some(fi) = files.iter().position(|(c, _)| c.path == finding.file) else {
-            continue;
-        };
-        let snippet = files[fi]
-            .1
-            .lines()
-            .nth(finding.line.saturating_sub(1) as usize)
-            .unwrap_or("")
-            .trim()
-            .to_string();
-        per_file[fi].push(report::Violation {
-            chain: finding.chain.clone(),
-            ..report::Violation::new(
-                "no-panic",
-                &finding.file,
-                finding.line,
-                format!(
-                    "{} reachable from entrypoint `{}` ({} call frame(s)) — return a typed \
-                     error or justify the invariant with an allow",
-                    finding.kind_label,
-                    finding.entry,
-                    finding.chain.len()
-                ),
-                snippet,
-            )
-        });
-    }
-
-    for (fi, (ctx, src)) in files.iter().enumerate() {
-        let (allows, mut bad) = allow::collect_allows(ctx, &lexed[fi], src);
-        let mut violations = std::mem::take(&mut per_file[fi]);
-        violations.append(&mut bad);
-        let (mut kept, suppressed, used) = allow::apply_allows(violations, &allows);
-        kept.extend(allow::stale_allow_violations(ctx, src, &allows, &used));
-        report.violations.append(&mut kept);
-        report.suppressed += suppressed;
-        report.allows += allows.len();
+        report.violations.extend(rules::check_source(ctx, src));
         report.files_scanned += 1;
     }
     report.sort();
     report
-}
-
-/// Analyzes one file's source under the given context: the corpus
-/// pipeline over a corpus of one. Returns the surviving violations and
-/// the count suppressed. Note that panic reachability only fires when the
-/// file itself contains an entrypoint — cross-file chains need
-/// [`analyze_corpus`].
-pub fn analyze_source(ctx: &FileCtx, src: &str) -> (Vec<report::Violation>, usize) {
-    let report = analyze_corpus(&[(ctx.clone(), src.to_string())]);
-    (report.violations, report.suppressed)
 }
 
 /// Errors from the filesystem-walking entry points.
@@ -232,19 +135,9 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), AnalyzerError> {
     Ok(())
 }
 
-/// Scans an explicit file list (workspace-relative contexts derived from
-/// the paths) as one corpus — the call graph spans all of them — and
-/// returns the sorted report.
+/// Scans an explicit file list, scoping each file by its path relative
+/// to `root`, and returns the sorted report.
 pub fn analyze_files(root: &Path, files: &[PathBuf]) -> Result<Report, AnalyzerError> {
-    analyze_files_with(root, files, AnalyzeOptions::default())
-}
-
-/// [`analyze_files`] with explicit [`AnalyzeOptions`].
-pub fn analyze_files_with(
-    root: &Path,
-    files: &[PathBuf],
-    opts: AnalyzeOptions,
-) -> Result<Report, AnalyzerError> {
     let mut corpus = Vec::with_capacity(files.len());
     for path in files {
         let rel = path
@@ -255,7 +148,7 @@ pub fn analyze_files_with(
         let src = std::fs::read_to_string(path).map_err(|e| AnalyzerError::Io(path.clone(), e))?;
         corpus.push((FileCtx::from_path(&rel), src));
     }
-    Ok(analyze_corpus_with(&corpus, opts))
+    Ok(analyze_corpus(&corpus))
 }
 
 /// The `--workspace` entry point: discover the root, scan the product
@@ -271,85 +164,34 @@ mod tests {
     use super::*;
 
     #[test]
-    fn analyze_source_suppresses_with_reason() {
-        let ctx = FileCtx::from_path("crates/stroll/src/dp.rs");
-        let src = "\
-// analyzer:allow(no-panic) -- seeded at construction, cannot be empty
-pub fn optimal_pick(v: &[u32]) -> u32 { *v.last().expect(\"seeded\") }
-pub fn optimal_next(v: &[u32]) -> u32 { *v.last().unwrap() }
-";
-        let (violations, suppressed) = analyze_source(&ctx, src);
-        assert_eq!(suppressed, 1);
-        assert_eq!(violations.len(), 1);
-        assert_eq!(violations[0].line, 3);
-        assert!(
-            !violations[0].chain.is_empty(),
-            "reachability carries chains"
-        );
-    }
-
-    #[test]
-    fn reasonless_allow_surfaces_as_bad_allow() {
-        let ctx = FileCtx::from_path("crates/stroll/src/dp.rs");
-        let src =
-            "// analyzer:allow(no-panic)\npub fn optimal_f(v: &[u32]) -> u32 { *v.last().unwrap() }\n";
-        let (violations, suppressed) = analyze_source(&ctx, src);
-        assert_eq!(suppressed, 0);
-        let rules: Vec<&str> = violations.iter().map(|v| v.rule.as_str()).collect();
-        assert!(rules.contains(&"bad-allow"));
-        assert!(
-            rules.contains(&"no-panic"),
-            "reasonless allow must not suppress"
-        );
-    }
-
-    #[test]
-    fn corpus_reports_cross_file_chains_and_counts_allows() {
+    fn corpus_report_is_sorted_and_counts_every_file() {
         let corpus = vec![
             (
-                FileCtx::from_path("crates/sim/src/fault.rs"),
-                "pub fn run_day() { step_hour(); }".to_string(),
+                FileCtx::from_path("crates/stroll/src/dp.rs"),
+                "fn f(a: u64) -> u64 { a + INFINITY }".to_string(),
             ),
             (
-                FileCtx::from_path("crates/sim/src/engine.rs"),
-                "pub fn step_hour() { persist(); }\n\
-                 // analyzer:allow(raw-cost-arith) -- stats only, bounded by n_hours\n\
-                 pub fn width(n: u64) -> u64 { n + 1 }\n"
-                    .to_string(),
+                FileCtx::from_path("crates/sim/src/clean.rs"),
+                "fn g() {}".to_string(),
             ),
             (
-                FileCtx::from_path("crates/sim/src/checkpoint.rs"),
-                "pub fn persist() { SLOT.lock().unwrap(); }".to_string(),
+                FileCtx::from_path("crates/placement/src/dp.rs"),
+                "fn h(a: &AtomicU64) -> u64 { a.load(Ordering::Relaxed) }".to_string(),
             ),
         ];
         let report = analyze_corpus(&corpus);
-        // `width` does no sentinel arithmetic, so that allow is stale.
-        let rules: Vec<&str> = report.violations.iter().map(|v| v.rule.as_str()).collect();
-        assert!(rules.contains(&"no-panic"));
-        assert!(rules.contains(&"stale-allow"));
-        let np = report
+        assert_eq!(report.files_scanned, 3);
+        let found: Vec<(&str, &str)> = report
             .violations
             .iter()
-            .find(|v| v.rule == "no-panic")
-            .unwrap();
-        assert_eq!(np.file, "crates/sim/src/checkpoint.rs");
-        assert_eq!(np.chain.len(), 3, "run_day -> step_hour -> persist");
-        assert!(np.chain[0].contains("run_day"));
-        assert_eq!(report.allows, 1);
-        assert_eq!(report.files_scanned, 3);
-    }
-
-    #[test]
-    fn stale_allow_fires_when_the_finding_disappears() {
-        let ctx = FileCtx::from_path("crates/stroll/src/dp.rs");
-        let src = "// analyzer:allow(no-panic) -- table seeded at build\n\
-                   pub fn optimal_f(v: &[u64]) -> u64 { v[0] + INFINITY }\n";
-        let (violations, _) = analyze_source(&ctx, src);
-        let rules: Vec<&str> = violations.iter().map(|v| v.rule.as_str()).collect();
-        assert!(rules.contains(&"stale-allow"), "{rules:?}");
-        assert!(
-            rules.contains(&"raw-cost-arith"),
-            "stroll circulates the sentinel"
+            .map(|v| (v.file.as_str(), v.rule.as_str()))
+            .collect();
+        assert_eq!(
+            found,
+            [
+                ("crates/placement/src/dp.rs", "relaxed-atomic"),
+                ("crates/stroll/src/dp.rs", "raw-cost-arith"),
+            ]
         );
     }
 }

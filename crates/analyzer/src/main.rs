@@ -1,85 +1,43 @@
 //! The `ppdc-analyzer` CLI.
 //!
 //! ```text
-//! ppdc-analyzer --workspace                        # scan the whole workspace (ci.sh gate)
-//! ppdc-analyzer --workspace --json                 # machine-readable report on stdout
-//! ppdc-analyzer --workspace --json-out target/analyzer.json
-//! ppdc-analyzer --workspace --baseline analyzer-baseline.json
-//! ppdc-analyzer --workspace --write-baseline analyzer-baseline.json
-//! ppdc-analyzer path/to/file.rs ...                # scan explicit files
-//! ppdc-analyzer --rules                            # list the rules
+//! ppdc-analyzer --workspace            # scan the whole workspace (ci.sh gate)
+//! ppdc-analyzer path/to/file.rs ...    # scan explicit files
+//! ppdc-analyzer --rules                # list the rules
 //! ```
 //!
-//! Exit codes: 0 clean, 1 violations found or baseline regression,
-//! 2 usage or I/O error.
+//! Exit codes: 0 clean, 1 violations found, 2 usage or I/O error.
 
-use ppdc_analyzer::baseline::Baseline;
-use ppdc_analyzer::{
-    analyze_files_with, find_workspace_root, json, rules, workspace_files, AnalyzeOptions,
-};
+use ppdc_analyzer::{analyze_files, find_workspace_root, rules, workspace_files};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Args {
-    json: bool,
     workspace: bool,
-    index_panics: bool,
-    json_out: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    write_baseline: Option<PathBuf>,
     paths: Vec<PathBuf>,
 }
 
 fn parse_args() -> Result<Option<Args>, String> {
     let mut args = Args {
-        json: false,
         workspace: false,
-        index_panics: false,
-        json_out: None,
-        baseline: None,
-        write_baseline: None,
         paths: Vec::new(),
     };
-    let mut argv = std::env::args().skip(1);
-    while let Some(arg) = argv.next() {
-        let path_flag = |slot: &mut Option<PathBuf>, argv: &mut dyn Iterator<Item = String>| {
-            argv.next()
-                .map(|v| *slot = Some(PathBuf::from(v)))
-                .ok_or_else(|| format!("`{arg}` needs a path argument"))
-        };
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
-            "--json" => args.json = true,
             "--workspace" => args.workspace = true,
-            "--index-panics" => args.index_panics = true,
-            "--json-out" => path_flag(&mut args.json_out, &mut argv)?,
-            "--baseline" => path_flag(&mut args.baseline, &mut argv)?,
-            "--write-baseline" => path_flag(&mut args.write_baseline, &mut argv)?,
             "--rules" => {
                 for r in rules::RULES {
                     println!("{:<18} {}", r.id, r.summary);
                 }
-                println!(
-                    "{:<18} meta: analyzer:allow without a reason or naming an unknown rule",
-                    "bad-allow"
-                );
-                println!(
-                    "{:<18} meta: analyzer:allow that no longer suppresses any finding",
-                    "stale-allow"
-                );
                 return Ok(None);
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: ppdc-analyzer [OPTIONS] (--workspace | FILE...)\n\
+                    "usage: ppdc-analyzer (--workspace | FILE... | --rules)\n\
                      \n\
                      Project-specific lint engine for the ppdc workspace.\n\
-                     --workspace             scan src/ and crates/*/src/ under the workspace root\n\
-                     --index-panics          strict mode: also report reachable raw index sites\n\
-                     --json                  machine-readable report on stdout\n\
-                     --json-out <path>       also write the JSON report to a file\n\
-                     --baseline <path>       fail if the allow count exceeds the committed cap\n\
-                     --write-baseline <path> record the current allow count as the new cap\n\
-                     --rules                 list the rules and exit"
+                     --workspace   scan src/ and crates/*/src/ under the workspace root\n\
+                     --rules       list the rules and exit"
                 );
                 return Ok(None);
             }
@@ -110,13 +68,10 @@ fn main() -> ExitCode {
         }
     };
 
-    let opts = AnalyzeOptions {
-        index_panics: args.index_panics,
-    };
     let result = if args.workspace {
         find_workspace_root(&cwd)
             .and_then(|root| workspace_files(&root).map(|files| (root, files)))
-            .and_then(|(root, files)| analyze_files_with(&root, &files, opts))
+            .and_then(|(root, files)| analyze_files(&root, &files))
     } else if args.paths.is_empty() {
         eprintln!("ppdc-analyzer: nothing to scan (pass --workspace or file paths; see --help)");
         return ExitCode::from(2);
@@ -124,79 +79,22 @@ fn main() -> ExitCode {
         // Explicit files are reported relative to the workspace root when
         // one exists, so rule scoping matches the --workspace run.
         let root = find_workspace_root(&cwd).unwrap_or_else(|_| cwd.clone());
-        let abs: Vec<PathBuf> = args
-            .paths
-            .iter()
-            .map(|p| {
-                if p.is_absolute() {
-                    p.clone()
-                } else {
-                    cwd.join(p)
-                }
-            })
-            .collect();
-        analyze_files_with(&root, &abs, opts)
+        let abs: Vec<PathBuf> = args.paths.iter().map(|p| cwd.join(p)).collect();
+        analyze_files(&root, &abs)
     };
 
-    let report = match result {
-        Ok(r) => r,
+    match result {
+        Ok(report) => {
+            print!("{}", report.render_human());
+            if report.is_clean() {
+                ExitCode::SUCCESS
+            } else {
+                ExitCode::FAILURE
+            }
+        }
         Err(e) => {
             eprintln!("ppdc-analyzer: {e}");
-            return ExitCode::from(2);
+            ExitCode::from(2)
         }
-    };
-
-    let doc = json::to_json(&report);
-    if let Some(path) = &args.json_out {
-        if let Some(dir) = path.parent() {
-            let _ = std::fs::create_dir_all(dir); // best-effort; write reports the error
-        }
-        if let Err(e) = std::fs::write(path, &doc) {
-            eprintln!("ppdc-analyzer: writing {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
-    if args.json {
-        println!("{doc}");
-    } else {
-        print!("{}", report.render_human());
-    }
-
-    if let Some(path) = &args.write_baseline {
-        let cap = Baseline::from_report(&report);
-        if let Err(e) = std::fs::write(path, cap.to_json()) {
-            eprintln!("ppdc-analyzer: writing {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "ppdc-analyzer: baseline written to {} ({} allow(s))",
-            path.display(),
-            cap.allows
-        );
-    }
-
-    let mut failed = !report.is_clean();
-    if let Some(path) = &args.baseline {
-        let loaded = std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|s| Baseline::from_json(&s));
-        match loaded {
-            Ok(cap) => {
-                if let Err(msg) = cap.check(&report) {
-                    eprintln!("ppdc-analyzer: {msg}");
-                    failed = true;
-                }
-            }
-            Err(e) => {
-                eprintln!("ppdc-analyzer: baseline {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        }
-    }
-
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
     }
 }

@@ -1,19 +1,10 @@
-//! Violation and report types, with human (diff-style) rendering.
-//!
-//! The machine-readable JSON writer lives in [`crate::json`]; the structs
-//! here carry the workspace `Serialize`/`Deserialize` derives so the
-//! schema is declared where the data is (the vendored serde stand-in is
-//! marker-only, so the bytes are written by hand — see `json.rs` for the
-//! round-trip tests through `ppdc_obs::json`).
-
-use serde::{Deserialize, Serialize};
+//! Violation and report types, with rustc-style human rendering.
 
 /// One rule violation at a source location.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Rule id (`no-panic`, `raw-cost-arith`, the determinism/concurrency
-    /// pack (`reduce-order`, `relaxed-atomic`, `float-sort`), or the
-    /// meta-rules `bad-allow`/`stale-allow`).
+    /// Rule id (`raw-cost-arith`, `reduce-order`, `relaxed-atomic` or
+    /// `float-sort`).
     pub rule: String,
     /// Workspace-relative path of the offending file.
     pub file: String,
@@ -23,37 +14,15 @@ pub struct Violation {
     pub message: String,
     /// The offending source line, trimmed.
     pub snippet: String,
-    /// For reachability rules: the entrypoint→site call chain, one
-    /// `name (file:line)` frame per hop. Empty for per-site rules.
-    pub chain: Vec<String>,
 }
 
-impl Violation {
-    /// A chain-less violation (the common case for per-site rules).
-    pub fn new(rule: &str, file: &str, line: u32, message: String, snippet: String) -> Violation {
-        Violation {
-            rule: rule.to_string(),
-            file: file.to_string(),
-            line,
-            message,
-            snippet,
-            chain: Vec::new(),
-        }
-    }
-}
-
-/// A full analysis run: every violation plus scan statistics.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+/// A full analysis run: every violation plus the scanned-file count.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Report {
     /// All violations, ordered by (file, line, rule).
     pub violations: Vec<Violation>,
     /// Number of files scanned.
     pub files_scanned: usize,
-    /// Number of `analyzer:allow` suppressions that matched a violation.
-    pub suppressed: usize,
-    /// Number of valid (reasoned, known-rule) `analyzer:allow` directives
-    /// in the scanned files — the quantity the committed baseline caps.
-    pub allows: usize,
 }
 
 impl Report {
@@ -77,19 +46,10 @@ impl Report {
             out.push_str("   |\n");
             out.push_str(&format!("{:>3}| {}\n", v.line, v.snippet));
             out.push_str("   |\n");
-            if !v.chain.is_empty() {
-                out.push_str("   = call chain:\n");
-                for (depth, frame) in v.chain.iter().enumerate() {
-                    out.push_str(&format!("   {}  {}\n", "  ".repeat(depth), frame));
-                }
-            }
         }
         out.push_str(&format!(
-            "ppdc-analyzer: {} violation(s), {} suppression(s) honored, {} allow(s), \
-             {} file(s) scanned\n",
+            "ppdc-analyzer: {} violation(s), {} file(s) scanned\n",
             self.violations.len(),
-            self.suppressed,
-            self.allows,
             self.files_scanned
         ));
         out
@@ -100,33 +60,35 @@ impl Report {
 mod tests {
     use super::*;
 
+    fn violation(rule: &str, file: &str, line: u32, message: &str, snippet: &str) -> Violation {
+        Violation {
+            rule: rule.into(),
+            file: file.into(),
+            line,
+            message: message.into(),
+            snippet: snippet.into(),
+        }
+    }
+
     fn sample() -> Report {
         Report {
             violations: vec![
-                Violation {
-                    chain: vec![
-                        "run_day (crates/sim/src/fault.rs:662)".into(),
-                        "f (crates/x/src/lib.rs:6)".into(),
-                    ],
-                    ..Violation::new(
-                        "no-panic",
-                        "crates/x/src/lib.rs",
-                        7,
-                        "`.unwrap()` reachable from entrypoint `run_day`".into(),
-                        "let v = x.unwrap();".into(),
-                    )
-                },
-                Violation::new(
+                violation(
+                    "relaxed-atomic",
+                    "crates/x/src/lib.rs",
+                    7,
+                    "`Ordering::Relaxed` in solver/sim code",
+                    "a.load(Ordering::Relaxed)",
+                ),
+                violation(
                     "raw-cost-arith",
                     "crates/a/src/lib.rs",
                     3,
-                    "raw `+` on the INFINITY sentinel".into(),
-                    "let y = z + INFINITY;".into(),
+                    "raw `+` on the INFINITY sentinel",
+                    "let y = z + INFINITY;",
                 ),
             ],
             files_scanned: 2,
-            suppressed: 1,
-            allows: 4,
         }
     }
 
@@ -142,13 +104,10 @@ mod tests {
     fn human_render_names_rule_file_and_line() {
         let r = sample();
         let s = r.render_human();
-        assert!(s.contains("error[no-panic]"));
+        assert!(s.contains("error[relaxed-atomic]"));
         assert!(s.contains("crates/x/src/lib.rs:7"));
-        assert!(s.contains("2 violation(s)"));
-        assert!(s.contains("1 suppression(s)"));
-        assert!(s.contains("4 allow(s)"));
-        assert!(s.contains("call chain:"));
-        assert!(s.contains("run_day (crates/sim/src/fault.rs:662)"));
+        assert!(s.contains("  7| a.load(Ordering::Relaxed)"));
+        assert!(s.contains("2 violation(s), 2 file(s) scanned"));
     }
 
     #[test]

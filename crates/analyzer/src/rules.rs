@@ -7,8 +7,8 @@
 //!   of raw `+`/`-`/`*`; saturating helpers (`sat_add`/`sat_mul`) keep it
 //!   a fixed point so it cannot overflow (the PR 2 PLAN/MCF class).
 //!
-//! The determinism/concurrency pack (v2, syntax-aware via
-//! [`crate::syntax::match_open`] token trees):
+//! The determinism/concurrency pack (brace-matched via [`match_open`]
+//! token trees):
 //!
 //! * `reduce-order` — `-`/`/` inside the closures of a rayon-chain
 //!   `reduce`/`fold`: parallel reduction order is scheduler-dependent, so
@@ -21,24 +21,21 @@
 //!   inside sort/min/max comparators: NaN makes the order partial, so
 //!   sorts are input-order-dependent; `total_cmp` is the fix.
 //!
-//! `no-panic` lives in [`crate::callgraph`] as a whole-workspace
-//! reachability analysis (it needs cross-file call chains); the meta-rules
-//! `bad-allow` / `stale-allow` live in the suppression layer.
-//!
 //! Checks clippy already makes are clippy lints instead of rules here
-//! (DESIGN.md §6): bare casts (`clippy::as_conversions` in the cost
-//! crates), printing (`print_stdout`/`print_stderr`/`dbg_macro`) and
-//! discarded values (`let_underscore_untyped`/`unused_result_ok`) are
-//! crate-level denies; hash containers (`disallowed_types`) and wall
-//! clocks / unseeded RNG (`disallowed_methods`) are banned through
-//! per-crate `clippy.toml` files.
+//! (DESIGN.md §6b): panics (`panic`/`unreachable`/`todo`/`unimplemented`/
+//! `unwrap_used`/`expect_used` in the solver and engine crates), bare
+//! casts (`clippy::as_conversions` in the cost crates), printing
+//! (`print_stdout`/`print_stderr`/`dbg_macro`) and discarded values
+//! (`let_underscore_untyped`/`unused_result_ok`) are crate-level denies;
+//! hash containers (`disallowed_types`) and wall clocks / unseeded RNG
+//! (`disallowed_methods`) are banned through per-crate `clippy.toml`
+//! files.
 //!
 //! `assert!`/`debug_assert!` are deliberately *not* flagged: they are the
 //! sanctioned contract mechanism (the `strict-invariants` feature).
 
 use crate::lexer::{lex, test_regions, Tok, TokKind};
 use crate::report::Violation;
-use crate::syntax::{is_keyword, match_open};
 
 /// Metadata for one rule, for `--rules` listings and docs.
 #[derive(Debug, Clone, Copy)]
@@ -47,14 +44,8 @@ pub struct RuleInfo {
     pub summary: &'static str,
 }
 
-/// Every real rule (the `bad-allow`/`stale-allow` meta-rules are emitted
-/// by the suppression layer, not listed here).
+/// Every rule.
 pub const RULES: &[RuleInfo] = &[
-    RuleInfo {
-        id: "no-panic",
-        summary: "no panic!/unwrap()/expect()/raw-index site reachable from a solver or sim \
-                  entrypoint (call-graph analysis; diagnostics carry the call chain)",
-    },
     RuleInfo {
         id: "raw-cost-arith",
         summary: "no raw +/-/* on the INFINITY cost sentinel (use sat_add/sat_mul)",
@@ -75,11 +66,6 @@ pub const RULES: &[RuleInfo] = &[
                   total_cmp for a total, deterministic order)",
     },
 ];
-
-/// True if `id` names a known rule (including the meta-rules).
-pub fn is_known_rule(id: &str) -> bool {
-    id == "bad-allow" || id == "stale-allow" || RULES.iter().any(|r| r.id == id)
-}
 
 /// Crates where the `INFINITY` sentinel circulates: the `Cost`/`NodeId`
 /// arithmetic crates plus `sim`, which handles degraded-fabric costs.
@@ -142,16 +128,12 @@ impl FileCtx {
     }
 }
 
-/// Runs every applicable rule over one file, returning raw (unsuppressed)
-/// violations. Suppression handling is layered on in [`crate::allow`].
-pub fn check_tokens(ctx: &FileCtx, toks: &[Tok], src: &str) -> Vec<Violation> {
+/// Runs every applicable rule over one lexed file.
+fn check_tokens(ctx: &FileCtx, toks: &[Tok], src: &str) -> Vec<Violation> {
     let in_test = test_regions(toks);
-    let code: Vec<usize> = (0..toks.len())
-        .filter(|&i| toks[i].kind != TokKind::LineComment)
-        .collect();
-    let matches = match_open(toks, &code);
+    let matches = match_open(toks);
     // Reverse map: close position → its open, for backward chain walks.
-    let mut open_of = vec![usize::MAX; code.len()];
+    let mut open_of = vec![usize::MAX; toks.len()];
     for (k, &m) in matches.iter().enumerate() {
         if m != k {
             open_of[m] = k;
@@ -167,27 +149,26 @@ pub fn check_tokens(ctx: &FileCtx, toks: &[Tok], src: &str) -> Vec<Violation> {
             .to_string()
     };
     let mut push = |rule: &str, line: u32, message: String| {
-        out.push(Violation::new(
-            rule,
-            &ctx.path,
+        out.push(Violation {
+            rule: rule.to_string(),
+            file: ctx.path.clone(),
             line,
             message,
-            snippet(line),
-        ));
+            snippet: snippet(line),
+        });
     };
 
     let sentinel = SENTINEL_CRATES.contains(&ctx.crate_name.as_str())
         && !SENTINEL_EXEMPT_FILES.contains(&ctx.path.as_str());
     let atomic = ATOMIC_CRATES.contains(&ctx.crate_name.as_str());
 
-    for (k, &i) in code.iter().enumerate() {
-        if in_test[i] {
+    for (k, t) in toks.iter().enumerate() {
+        if in_test[k] {
             continue;
         }
-        let t = &toks[i];
-        let prev = k.checked_sub(1).map(|p| &toks[code[p]]);
-        let prev2 = k.checked_sub(2).map(|p| &toks[code[p]]);
-        let next = code.get(k + 1).map(|&n| &toks[n]);
+        let prev = k.checked_sub(1).map(|p| &toks[p]);
+        let prev2 = k.checked_sub(2).map(|p| &toks[p]);
+        let next = toks.get(k + 1);
 
         if t.kind == TokKind::Ident {
             let id = t.text.as_str();
@@ -213,12 +194,12 @@ pub fn check_tokens(ctx: &FileCtx, toks: &[Tok], src: &str) -> Vec<Violation> {
             if (id == "reduce" || id == "fold") && prev_is(".") && next_is("(") {
                 let open = k + 1;
                 let close = matches[open];
-                if close > open && par_chain_before(toks, &code, &open_of, k) {
+                if close > open && par_chain_before(toks, &open_of, k) {
                     for p in open + 1..close {
-                        let op = &toks[code[p]];
+                        let op = &toks[p];
                         if op.kind == TokKind::Punct
                             && matches!(op.text.as_str(), "-" | "/" | "-=" | "/=")
-                            && is_binary_operand_before(toks, &code, p)
+                            && is_binary_operand_before(toks, p)
                         {
                             push(
                                 "reduce-order",
@@ -241,13 +222,13 @@ pub fn check_tokens(ctx: &FileCtx, toks: &[Tok], src: &str) -> Vec<Violation> {
                 let open = k + 1;
                 let close = matches[open];
                 let float_evidence = (open + 1..close).any(|p| {
-                    let e = &toks[code[p]];
+                    let e = &toks[p];
                     (e.kind == TokKind::Ident && (e.text == "f32" || e.text == "f64"))
                         || (e.kind == TokKind::Literal && e.text.contains('.'))
                 });
                 let mut hit_lines: Vec<u32> = Vec::new();
                 for p in open + 1..close {
-                    let e = &toks[code[p]];
+                    let e = &toks[p];
                     if e.kind == TokKind::Ident && e.text == "partial_cmp" {
                         if !hit_lines.contains(&e.line) {
                             hit_lines.push(e.line);
@@ -263,8 +244,8 @@ pub fn check_tokens(ctx: &FileCtx, toks: &[Tok], src: &str) -> Vec<Violation> {
                     } else if e.kind == TokKind::Punct
                         && (e.text == "<" || e.text == ">")
                         && float_evidence
-                        && is_binary_operand_before(toks, &code, p)
-                        && matches!(toks[code[p + 1]].kind, TokKind::Ident | TokKind::Literal)
+                        && is_binary_operand_before(toks, p)
+                        && matches!(toks[p + 1].kind, TokKind::Ident | TokKind::Literal)
                         && !hit_lines.contains(&e.line)
                     {
                         hit_lines.push(e.line);
@@ -307,11 +288,11 @@ pub fn check_tokens(ctx: &FileCtx, toks: &[Tok], src: &str) -> Vec<Violation> {
 /// Walks the method chain backward from the `.reduce`/`.fold` receiver,
 /// looking for a rayon marker (`par_iter`, `into_par_iter`, `par_*`).
 /// Matched groups are jumped over; any statement boundary stops the walk.
-fn par_chain_before(toks: &[Tok], code: &[usize], open_of: &[usize], k: usize) -> bool {
+fn par_chain_before(toks: &[Tok], open_of: &[usize], k: usize) -> bool {
     let mut cur = k;
     while cur >= 2 {
         cur -= 1;
-        let t = &toks[code[cur]];
+        let t = &toks[cur];
         match t.kind {
             TokKind::Punct => match t.text.as_str() {
                 ")" | "]" | "}" => {
@@ -335,11 +316,11 @@ fn par_chain_before(toks: &[Tok], code: &[usize], open_of: &[usize], k: usize) -
 
 /// True when the token before position `p` can end a binary operand —
 /// distinguishes binary `-`/`<` from unary minus / generics.
-fn is_binary_operand_before(toks: &[Tok], code: &[usize], p: usize) -> bool {
+fn is_binary_operand_before(toks: &[Tok], p: usize) -> bool {
     let Some(q) = p.checked_sub(1) else {
         return false;
     };
-    let t = &toks[code[q]];
+    let t = &toks[q];
     match t.kind {
         TokKind::Ident => !is_keyword(&t.text),
         TokKind::Literal => true,
@@ -348,10 +329,55 @@ fn is_binary_operand_before(toks: &[Tok], code: &[usize], p: usize) -> bool {
     }
 }
 
-/// Convenience for tests and the engine: lex + check in one call.
+/// Lexes one file and runs every applicable rule over it.
 pub fn check_source(ctx: &FileCtx, src: &str) -> Vec<Violation> {
     let toks = lex(src);
     check_tokens(ctx, &toks, src)
+}
+
+/// Rust keywords that can precede `(` or `[` without being calls/indexing.
+const KEYWORDS: &[&str] = &[
+    "as", "async", "await", "box", "break", "const", "continue", "crate", "dyn", "else", "enum",
+    "extern", "false", "fn", "for", "if", "impl", "in", "let", "loop", "match", "mod", "move",
+    "mut", "pub", "ref", "return", "static", "struct", "super", "trait", "true", "type", "unsafe",
+    "use", "where", "while", "yield",
+];
+
+/// True if `id` is a Rust keyword (expression-position guards).
+fn is_keyword(id: &str) -> bool {
+    KEYWORDS.contains(&id)
+}
+
+/// For every token index holding an opening `(`/`[`/`{`, the index of its
+/// matching close (self-index when unmatched — scans never loop).
+fn match_open(toks: &[Tok]) -> Vec<usize> {
+    let mut out: Vec<usize> = (0..toks.len()).collect();
+    let mut stack: Vec<(usize, &str)> = Vec::new();
+    for (k, t) in toks.iter().enumerate() {
+        if t.kind != TokKind::Punct {
+            continue;
+        }
+        match t.text.as_str() {
+            "(" | "[" | "{" => stack.push((k, t.text.as_str())),
+            ")" | "]" | "}" => {
+                let want = match t.text.as_str() {
+                    ")" => "(",
+                    "]" => "[",
+                    _ => "{",
+                };
+                // Pop through mismatched opens (broken code): a linter
+                // must stay total.
+                while let Some((ok, okind)) = stack.pop() {
+                    if okind == want {
+                        out[ok] = k;
+                        break;
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -377,8 +403,8 @@ mod tests {
 
     #[test]
     fn lexical_pass_no_longer_owns_no_panic() {
-        // Panic sites are the call-graph analysis's job now ­— the
-        // per-file pass stays silent even in solver crates.
+        // Panic sites are clippy denies in each library crate's lib.rs;
+        // the per-file pass stays silent even in solver crates.
         let src = "fn f() { x.unwrap(); }";
         assert!(rules_hit("crates/stroll/src/dp.rs", src).is_empty());
     }
@@ -460,23 +486,5 @@ mod tests {
         let ints =
             "fn f(v: &mut Vec<u64>) { v.sort_by(|a, b| if a < b { Less } else { Greater }); }";
         assert!(rules_hit("crates/sim/src/stats.rs", ints).is_empty());
-    }
-
-    #[test]
-    fn new_rules_are_known_for_allows() {
-        for id in [
-            "reduce-order",
-            "relaxed-atomic",
-            "float-sort",
-            "stale-allow",
-            "bad-allow",
-            "no-panic",
-        ] {
-            assert!(is_known_rule(id), "{id}");
-        }
-        assert!(!is_known_rule("no-such-rule"));
-        // Retired onto clippy (`disallowed_types` / `disallowed_methods`).
-        assert!(!is_known_rule("hash-iter"));
-        assert!(!is_known_rule("nondeterminism"));
     }
 }

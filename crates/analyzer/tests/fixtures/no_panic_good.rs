@@ -1,6 +1,5 @@
-// Fixture: the same logic surfaced as typed errors — clean under
-// `no-panic` even though the entrypoint makes it reachable. Test
-// modules may panic freely.
+// Fixture: the same logic surfaced as typed errors — clean under the
+// panic-family clippy denies. Test modules may panic freely.
 pub enum LookupError {
     Empty,
     OutOfRange(usize),

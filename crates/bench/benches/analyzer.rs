@@ -1,15 +1,12 @@
 //! Analyzer engine throughput over the live workspace.
 //!
-//! Measures the full `--workspace` pipeline — lex, per-file token rules,
-//! outline recovery, call-graph construction, panic reachability, and
-//! suppression — as one unit (`workspace_scan`), plus the whole-corpus
-//! syntax/call-graph layer alone (`callgraph_build`) so a regression in
-//! either half is attributable. ci.sh additionally enforces a 10 s
-//! wall-clock budget on the release binary; this group tracks the
-//! trajectory between those coarse checks.
+//! Measures the full `--workspace` pipeline — lex and the per-file token
+//! rules over every scanned file — as one unit (`workspace_scan`). ci.sh
+//! additionally enforces a 10 s wall-clock budget on the release binary;
+//! this group tracks the trajectory between those coarse checks.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ppdc_analyzer::{analyze_corpus, callgraph::CallGraph, lexer, rules::FileCtx, syntax};
+use ppdc_analyzer::{analyze_corpus, rules::FileCtx};
 use std::time::Duration;
 
 /// Loads the workspace scan set into memory once, outside the timed loop.
@@ -50,17 +47,6 @@ fn bench_analyzer(c: &mut Criterion) {
             let report = analyze_corpus(&corpus);
             assert!(report.files_scanned > 40);
             report.violations.len()
-        })
-    });
-
-    group.bench_function("callgraph_build", |b| {
-        b.iter(|| {
-            let outlines: Vec<(String, syntax::Outline)> = corpus
-                .iter()
-                .map(|(ctx, src)| (ctx.path.clone(), syntax::outline_of(&lexer::lex(src))))
-                .collect();
-            let graph = CallGraph::build(&outlines);
-            ppdc_analyzer::callgraph::panic_reachability(&graph).len()
         })
     });
 

@@ -77,16 +77,20 @@ pub fn mpareto<D: DistanceOracle + ?Sized>(
     // one switch; the *chosen* resting point must respect the model's
     // one-VNF-per-switch assumption (footnote 3 of the paper). Row 0 is
     // `p` itself, so an injective row always exists.
+    #[expect(
+        clippy::expect_used,
+        reason = "row 0 is the validated injective input placement; an empty frontier is a solver bug worth a loud stop"
+    )]
     let best = frontiers
         .iter()
         .enumerate()
         .filter(|(_, f)| f.placement.is_injective())
         .min_by_key(|(i, f)| (f.total_cost(), *i))
         .map(|(_, f)| f.clone())
-        .expect("row 0 (= p) is always injective"); // analyzer:allow(no-panic) -- row 0 is the validated injective input placement; an empty frontier is a solver bug worth a loud stop
-                                                    // `strict-invariants` contract: the swept front must be strictly
-                                                    // non-dominated, and the pick can never cost more than staying put
-                                                    // (row 0 is `p` itself and is always an eligible candidate).
+        .expect("row 0 (= p) is always injective");
+    // `strict-invariants` contract: the swept front must be strictly
+    // non-dominated, and the pick can never cost more than staying put
+    // (row 0 is `p` itself and is always an eligible candidate).
     #[cfg(feature = "strict-invariants")]
     {
         let front = crate::frontier::pareto_front(&frontiers);

@@ -157,9 +157,13 @@ impl Placement {
     }
 
     /// The egress switch `p(n)`.
+    #[expect(
+        clippy::expect_used,
+        reason = "Placement::new rejects empty chains; unchecked constructors document the same requirement"
+    )]
     #[inline]
     pub fn egress(&self) -> NodeId {
-        *self.switches.last().expect("placements are non-empty") // analyzer:allow(no-panic) -- Placement::new rejects empty chains; unchecked constructors document the same requirement
+        *self.switches.last().expect("placements are non-empty")
     }
 
     /// All switches in chain order.

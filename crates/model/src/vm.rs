@@ -112,7 +112,11 @@ impl Workload {
     pub fn add_flow(&mut self, src: VmId, dst: VmId, rate: u64) -> FlowId {
         match self.try_add_flow(src, dst, rate) {
             Ok(id) => id,
-            Err(e) => panic!("add_flow: {e}"), // analyzer:allow(no-panic) -- documented panicking facade; boundaries with untrusted flows use try_add_flow
+            #[expect(
+                clippy::panic,
+                reason = "documented panicking facade; boundaries with untrusted flows use try_add_flow"
+            )]
+            Err(e) => panic!("add_flow: {e}"),
         }
     }
 

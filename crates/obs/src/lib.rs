@@ -38,6 +38,13 @@
 //! seeded run stays bit-reproducible because this crate only ever
 //! *observes*.
 
+// Solver and engine code never panics: failures surface as typed errors
+// (DESIGN.md §6b). A documented panicking facade carries a reasoned
+// `#[expect]`, and test modules opt back in.
+#![deny(clippy::panic, clippy::unreachable, clippy::unimplemented)]
+#![deny(clippy::todo, clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::panic, clippy::unreachable, clippy::unimplemented))]
+#![cfg_attr(test, allow(clippy::todo, clippy::unwrap_used, clippy::expect_used))]
 // Library code reports through return values and telemetry, never
 // stdout/stderr, and never drops a value without naming it. Binaries,
 // tests, benches and examples print by design and are out of scope.
@@ -67,147 +74,124 @@ pub use sink::{Event, JsonLinesSink, MemorySink, Sink};
 /// every key so a run's summary has a stable schema even when a phase
 /// never fires (e.g. a day without placement repair).
 pub mod names {
-    /// Full APSP build (`DistanceMatrix::build`).
-    pub const APSP_BUILD: &str = "apsp.build";
-    /// In-place dirty-row APSP recompute (`DistanceMatrix::rebuild_dirty`);
-    /// the name predates that method and is kept so metrics files stay
-    /// comparable.
-    pub const APSP_REBUILD: &str = "apsp.rebuild_into";
-    /// Full attach-aggregate build (`AttachAggregates::build`).
-    pub const AGG_BUILD: &str = "agg.build";
-    /// Candidate-restricted aggregate build (degraded fabrics).
-    pub const AGG_BUILD_RESTRICTED: &str = "agg.build_restricted";
-    /// Incremental host-mass fold (`AttachAggregates::try_apply_mass_deltas`);
-    /// the name predates that method and is kept so metrics files stay
-    /// comparable.
-    pub const AGG_APPLY_DELTAS: &str = "agg.apply_rate_deltas";
-    /// Algorithm 3 (DP placement).
-    pub const SOLVER_DP: &str = "solver.dp_placement";
-    /// Algorithm 4 (exact placement branch-and-bound).
-    pub const SOLVER_OPTIMAL_PLACEMENT: &str = "solver.optimal_placement";
-    /// Algorithm 5 (mPareto frontier migration).
-    pub const SOLVER_MPARETO: &str = "solver.mpareto";
-    /// Algorithm 6 (exact migration branch-and-bound).
-    pub const SOLVER_OPTIMAL_MIGRATION: &str = "solver.optimal_migration";
-    /// PLAN VM-migration baseline.
-    pub const SOLVER_PLAN: &str = "solver.plan_vm";
-    /// MCF VM-migration baseline.
-    pub const SOLVER_MCF: &str = "solver.mcf_vm";
-    /// Degraded-view + distance-matrix + aggregate rebuild on event hours.
-    pub const SIM_DEGRADED_REBUILD: &str = "sim.degraded_rebuild";
-    /// Placement repair (recovery re-place after losing a switch).
-    pub const SIM_REPAIR: &str = "sim.placement_repair";
-    /// Simulated hours driven to completion.
-    pub const SIM_HOURS: &str = "sim.hours";
-    /// Hours that applied at least one fail/repair event.
-    pub const SIM_EVENT_HOURS: &str = "sim.event_hours";
-    /// Hours skipped as blackouts.
-    pub const SIM_BLACKOUT_HOURS: &str = "sim.blackout_hours";
-    /// VNFs moved or re-instantiated by placement repair.
-    pub const SIM_RECOVERY_MIGRATIONS: &str = "sim.recovery_migrations";
-    /// Flow-hours masked out because an endpoint was stranded.
-    pub const SIM_STRANDED_FLOW_HOURS: &str = "sim.stranded_flow_hours";
-    /// Per-hour wall time spent in the policy/repair solve.
-    pub const SIM_HOUR_SOLVER_NS: &str = "sim.hour_solver_ns";
-    /// Egress candidates pruned by Algorithm 3's admissible-bound test.
-    pub const SOLVER_DP_EGRESS_PRUNED: &str = "solver.dp.egress_pruned";
-    /// Source rows the dirty-row APSP rebuild actually re-ran.
-    pub const APSP_ROWS_DIRTY: &str = "apsp.rows_dirty";
-    /// Point distance queries answered by a `DistanceOracle` (batched:
-    /// closure fills and aggregate builds add their whole query count).
-    pub const ORACLE_QUERIES: &str = "oracle.queries";
-    /// Candidate rows/egresses skipped because an interchangeability class
-    /// they share a bound with was pruned as a whole.
-    pub const SOLVER_DP_ORBIT_PRUNED: &str = "solver.dp.orbit_pruned";
-    /// Transient solver failures absorbed by the supervisor's retry gate.
-    pub const SUPERVISOR_RETRIES: &str = "supervisor.retries";
-    /// Hours served by a degraded rung of the ladder (deadline-degraded
-    /// incumbent or last-known-good repricing) instead of an exact solve.
-    pub const SUPERVISOR_DEGRADED_HOURS: &str = "supervisor.degraded_hours";
-    /// Checkpoint snapshots written (atomic tmp + fsync + rename).
-    pub const CKPT_WRITES: &str = "ckpt.writes";
-    /// Nanoseconds spent serializing + durably writing checkpoints.
-    pub const CKPT_WRITE_NANOS: &str = "ckpt.write_nanos";
-    /// Days resumed from a persisted checkpoint instead of hour zero.
-    pub const CKPT_RESTORES: &str = "ckpt.restores";
-    /// Loads that fell back to the previous good snapshot because the
-    /// primary slot was torn or unparseable.
-    pub const CKPT_TORN_RECOVERIES: &str = "ckpt.torn_recoveries";
-    /// One streaming delta-batch ingest: net, validate and commit in the
-    /// flow store, then the aggregate fold.
-    pub const STREAM_INGEST: &str = "stream.ingest";
-    /// Accumulated absolute rate drift `Σ|Δλ|` ingested by the streaming
-    /// engine (the drift tracker's raw material).
-    pub const STREAM_DRIFT: &str = "stream.drift";
-    /// Rate-delta records ingested by the streaming engine.
-    pub const STREAM_DELTAS: &str = "stream.deltas";
-    /// Epochs where the drift tracker re-ran the placement solver.
-    pub const STREAM_RESOLVES: &str = "stream.resolves";
-    /// Epochs served by the stale incumbent: drift stayed under the
-    /// threshold, or the admissible-bound staleness certificate cleared
-    /// it. Pairs with [`STREAM_DRIFT`].
-    pub const STREAM_RESOLVES_SKIPPED: &str = "stream.resolves_skipped";
-    /// One warm-started Algorithm 3 solve (`dp_placement_warm`): bound
-    /// cache refresh (unless the epoch's certificate already ran it),
-    /// incumbent seeding, and the seeded sweep.
-    pub const SOLVER_WARM: &str = "solver.warm";
-    /// Warm solves that installed a priced feasible incumbent as the
-    /// sweep's initial upper bound.
-    pub const SOLVER_WARM_SEEDED: &str = "solver.warm.seeded";
-    /// Bound-cache rows recomputed by a refresh because their attach
-    /// aggregates moved (full rebuilds count every row).
-    pub const SOLVER_WARM_ROWS_DIRTY: &str = "solver.warm.rows_dirty";
-    /// Bound-cache rows reused verbatim by a refresh (the certificate's
-    /// or a warm solve's).
-    pub const SOLVER_WARM_ROWS_REUSED: &str = "solver.warm.rows_reused";
-    /// Egresses dropped before the sweep because their cached bound
-    /// already exceeded the seeded incumbent.
-    pub const SOLVER_WARM_EGRESS_SKIPPED: &str = "solver.warm.egress_skipped";
+    /// Declares each metric name once, as a documented `pub const`, inside
+    /// the list of its kind; each list holds its names in declaration order.
+    macro_rules! metric_names {
+        ($($(#[$list_doc:meta])* $list:ident {
+            $($(#[$doc:meta])* $name:ident = $value:literal;)*
+        })*) => {
+            $(
+                $($(#[$doc])* pub const $name: &str = $value;)*
+                $(#[$list_doc])* pub const $list: &[&str] = &[$($name),*];
+            )*
+        };
+    }
 
-    /// Every span name the epoch loop pre-declares.
-    pub const SPANS: &[&str] = &[
-        APSP_BUILD,
-        APSP_REBUILD,
-        AGG_BUILD,
-        AGG_BUILD_RESTRICTED,
-        AGG_APPLY_DELTAS,
-        SOLVER_DP,
-        SOLVER_OPTIMAL_PLACEMENT,
-        SOLVER_MPARETO,
-        SOLVER_OPTIMAL_MIGRATION,
-        SOLVER_PLAN,
-        SOLVER_MCF,
-        SIM_DEGRADED_REBUILD,
-        SIM_REPAIR,
-        STREAM_INGEST,
-        SOLVER_WARM,
-    ];
-    /// Every counter name the epoch loop pre-declares.
-    pub const COUNTERS: &[&str] = &[
-        SIM_HOURS,
-        SIM_EVENT_HOURS,
-        SIM_BLACKOUT_HOURS,
-        SIM_RECOVERY_MIGRATIONS,
-        SIM_STRANDED_FLOW_HOURS,
-        SOLVER_DP_EGRESS_PRUNED,
-        APSP_ROWS_DIRTY,
-        ORACLE_QUERIES,
-        SOLVER_DP_ORBIT_PRUNED,
-        SUPERVISOR_RETRIES,
-        SUPERVISOR_DEGRADED_HOURS,
-        CKPT_WRITES,
-        CKPT_WRITE_NANOS,
-        CKPT_RESTORES,
-        CKPT_TORN_RECOVERIES,
-        STREAM_DRIFT,
-        STREAM_DELTAS,
-        STREAM_RESOLVES,
-        STREAM_RESOLVES_SKIPPED,
-        SOLVER_WARM_SEEDED,
-        SOLVER_WARM_ROWS_DIRTY,
-        SOLVER_WARM_ROWS_REUSED,
-        SOLVER_WARM_EGRESS_SKIPPED,
-    ];
-    /// Every histogram name the epoch loop pre-declares.
-    pub const HISTS: &[&str] = &[SIM_HOUR_SOLVER_NS];
+    metric_names! {
+        /// Every span name the epoch loop pre-declares.
+        SPANS {
+            /// Full APSP build (`DistanceMatrix::build`).
+            APSP_BUILD = "apsp.build";
+            /// In-place dirty-row APSP recompute (`DistanceMatrix::rebuild_dirty`);
+            /// the name predates that method and is kept so metrics files stay
+            /// comparable.
+            APSP_REBUILD = "apsp.rebuild_into";
+            /// Full attach-aggregate build (`AttachAggregates::build`).
+            AGG_BUILD = "agg.build";
+            /// Candidate-restricted aggregate build (degraded fabrics).
+            AGG_BUILD_RESTRICTED = "agg.build_restricted";
+            /// Incremental host-mass fold (`AttachAggregates::try_apply_mass_deltas`);
+            /// the name predates that method and is kept so metrics files stay
+            /// comparable.
+            AGG_APPLY_DELTAS = "agg.apply_rate_deltas";
+            /// Algorithm 3 (DP placement).
+            SOLVER_DP = "solver.dp_placement";
+            /// Algorithm 4 (exact placement branch-and-bound).
+            SOLVER_OPTIMAL_PLACEMENT = "solver.optimal_placement";
+            /// Algorithm 5 (mPareto frontier migration).
+            SOLVER_MPARETO = "solver.mpareto";
+            /// Algorithm 6 (exact migration branch-and-bound).
+            SOLVER_OPTIMAL_MIGRATION = "solver.optimal_migration";
+            /// PLAN VM-migration baseline.
+            SOLVER_PLAN = "solver.plan_vm";
+            /// MCF VM-migration baseline.
+            SOLVER_MCF = "solver.mcf_vm";
+            /// Degraded-view + distance-matrix + aggregate rebuild on event hours.
+            SIM_DEGRADED_REBUILD = "sim.degraded_rebuild";
+            /// Placement repair (recovery re-place after losing a switch).
+            SIM_REPAIR = "sim.placement_repair";
+            /// One streaming delta-batch ingest: net, validate and commit in the
+            /// flow store, then the aggregate fold.
+            STREAM_INGEST = "stream.ingest";
+            /// One warm-started Algorithm 3 solve (`dp_placement_warm`): bound
+            /// cache refresh (unless the epoch's certificate already ran it),
+            /// incumbent seeding, and the seeded sweep.
+            SOLVER_WARM = "solver.warm";
+        }
+        /// Every counter name the epoch loop pre-declares.
+        COUNTERS {
+            /// Simulated hours driven to completion.
+            SIM_HOURS = "sim.hours";
+            /// Hours that applied at least one fail/repair event.
+            SIM_EVENT_HOURS = "sim.event_hours";
+            /// Hours skipped as blackouts.
+            SIM_BLACKOUT_HOURS = "sim.blackout_hours";
+            /// VNFs moved or re-instantiated by placement repair.
+            SIM_RECOVERY_MIGRATIONS = "sim.recovery_migrations";
+            /// Flow-hours masked out because an endpoint was stranded.
+            SIM_STRANDED_FLOW_HOURS = "sim.stranded_flow_hours";
+            /// Egress candidates pruned by Algorithm 3's admissible-bound test.
+            SOLVER_DP_EGRESS_PRUNED = "solver.dp.egress_pruned";
+            /// Source rows the dirty-row APSP rebuild actually re-ran.
+            APSP_ROWS_DIRTY = "apsp.rows_dirty";
+            /// Point distance queries answered by a `DistanceOracle` (batched:
+            /// closure fills and aggregate builds add their whole query count).
+            ORACLE_QUERIES = "oracle.queries";
+            /// Candidate rows/egresses skipped because an interchangeability class
+            /// they share a bound with was pruned as a whole.
+            SOLVER_DP_ORBIT_PRUNED = "solver.dp.orbit_pruned";
+            /// Transient solver failures absorbed by the supervisor's retry gate.
+            SUPERVISOR_RETRIES = "supervisor.retries";
+            /// Hours served by a degraded rung of the ladder (deadline-degraded
+            /// incumbent or last-known-good repricing) instead of an exact solve.
+            SUPERVISOR_DEGRADED_HOURS = "supervisor.degraded_hours";
+            /// Checkpoint snapshots written (atomic tmp + fsync + rename).
+            CKPT_WRITES = "ckpt.writes";
+            /// Nanoseconds spent serializing + durably writing checkpoints.
+            CKPT_WRITE_NANOS = "ckpt.write_nanos";
+            /// Days resumed from a persisted checkpoint instead of hour zero.
+            CKPT_RESTORES = "ckpt.restores";
+            /// Loads that fell back to the previous good snapshot because the
+            /// primary slot was torn or unparseable.
+            CKPT_TORN_RECOVERIES = "ckpt.torn_recoveries";
+            /// Accumulated absolute rate drift `Σ|Δλ|` ingested by the streaming
+            /// engine (the drift tracker's raw material).
+            STREAM_DRIFT = "stream.drift";
+            /// Rate-delta records ingested by the streaming engine.
+            STREAM_DELTAS = "stream.deltas";
+            /// Epochs where the drift tracker re-ran the placement solver.
+            STREAM_RESOLVES = "stream.resolves";
+            /// Epochs served by the stale incumbent: drift stayed under the
+            /// threshold, or the admissible-bound staleness certificate cleared
+            /// it. Pairs with [`STREAM_DRIFT`].
+            STREAM_RESOLVES_SKIPPED = "stream.resolves_skipped";
+            /// Warm solves that installed a priced feasible incumbent as the
+            /// sweep's initial upper bound.
+            SOLVER_WARM_SEEDED = "solver.warm.seeded";
+            /// Bound-cache rows recomputed by a refresh because their attach
+            /// aggregates moved (full rebuilds count every row).
+            SOLVER_WARM_ROWS_DIRTY = "solver.warm.rows_dirty";
+            /// Bound-cache rows reused verbatim by a refresh (the certificate's
+            /// or a warm solve's).
+            SOLVER_WARM_ROWS_REUSED = "solver.warm.rows_reused";
+            /// Egresses dropped before the sweep because their cached bound
+            /// already exceeded the seeded incumbent.
+            SOLVER_WARM_EGRESS_SKIPPED = "solver.warm.egress_skipped";
+        }
+        /// Every histogram name the epoch loop pre-declares.
+        HISTS {
+            /// Per-hour wall time spent in the policy/repair solve.
+            SIM_HOUR_SOLVER_NS = "sim.hour_solver_ns";
+        }
+    }
 }

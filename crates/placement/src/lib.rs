@@ -33,11 +33,13 @@
 //! the attach-cost aggregates of [`AttachAggregates`], so reported costs
 //! are always consistent with [`ppdc_model::comm_cost`]).
 
-// The solver crates carry the workspace no-panic discipline at the
-// compiler level too: ppdc-analyzer rule R1 catches unwrap/expect
-// lexically, clippy enforces it semantically.
-#![deny(clippy::unwrap_used)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
+// Solver and engine code never panics: failures surface as typed errors
+// (DESIGN.md §6b). A documented panicking facade carries a reasoned
+// `#[expect]`, and test modules opt back in.
+#![deny(clippy::panic, clippy::unreachable, clippy::unimplemented)]
+#![deny(clippy::todo, clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::panic, clippy::unreachable, clippy::unimplemented))]
+#![cfg_attr(test, allow(clippy::todo, clippy::unwrap_used, clippy::expect_used))]
 // Library code reports through return values and telemetry, never
 // stdout/stderr, and never drops a value without naming it. Binaries,
 // tests, benches and examples print by design and are out of scope.

@@ -39,8 +39,13 @@
 //! `ppdc-stream-ckpt/v4` snapshot — the rates re-derived from the trace,
 //! not stored — and finishes the day bit-identically.
 
-#![deny(clippy::unwrap_used)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
+// Solver and engine code never panics: failures surface as typed errors
+// (DESIGN.md §6b). A documented panicking facade carries a reasoned
+// `#[expect]`, and test modules opt back in.
+#![deny(clippy::panic, clippy::unreachable, clippy::unimplemented)]
+#![deny(clippy::todo, clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::panic, clippy::unreachable, clippy::unimplemented))]
+#![cfg_attr(test, allow(clippy::todo, clippy::unwrap_used, clippy::expect_used))]
 // Library code reports through return values and telemetry, never
 // stdout/stderr, and never drops a value without naming it. Binaries,
 // tests, benches and examples print by design and are out of scope.

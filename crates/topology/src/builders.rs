@@ -148,12 +148,16 @@ impl FatTree {
     /// # Panics
     ///
     /// Panics if `host` is not one of this fat-tree's hosts.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented precondition: callers pass hosts drawn from this fat-tree's own host list"
+    )]
     pub fn rack_of(&self, host: NodeId) -> usize {
         let pos = self
             .hosts
             .iter()
             .position(|&h| h == host)
-            .expect("host not in fat-tree"); // analyzer:allow(no-panic) -- documented precondition: callers pass hosts drawn from this fat-tree's own host list
+            .expect("host not in fat-tree");
         pos / (self.k / 2)
     }
 }

@@ -179,8 +179,11 @@ impl Graph {
             {
                 continue;
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "subset of a validated graph: endpoints exist and duplicates were rejected at source"
+            )]
             view.add_edge(u, v, w)
-                // analyzer:allow(no-panic) -- subset of a validated graph: endpoints exist and duplicates were rejected at source
                 .expect("edges of a valid graph stay valid in its degraded view");
         }
         view

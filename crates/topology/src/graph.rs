@@ -65,9 +65,13 @@ pub struct NodeId(pub u32);
 /// by at least a few bytes of container storage, so exhausting the 2^32
 /// id space means the process was about to OOM anyway — a capacity
 /// invariant, not a recoverable error.
+#[expect(
+    clippy::expect_used,
+    reason = "id-space capacity invariant: 2^32 ids exhaust memory long before minting fails"
+)]
 #[inline]
 pub fn mint_u32(n: usize, what: &str) -> u32 {
-    u32::try_from(n).expect(what) // analyzer:allow(no-panic) -- id-space capacity invariant: 2^32 ids exhaust memory long before minting fails
+    u32::try_from(n).expect(what)
 }
 
 impl NodeId {
@@ -197,8 +201,12 @@ impl Graph {
     ///
     /// This is a convenience for builders and tests where the structure is
     /// known valid by construction.
+    #[expect(
+        clippy::expect_used,
+        reason = "builder convenience: callers construct distinct in-range endpoints; fallible twin is add_edge"
+    )]
     pub fn link(&mut self, u: NodeId, v: NodeId) -> EdgeId {
-        self.add_edge(u, v, 1).expect("invalid link") // analyzer:allow(no-panic) -- builder convenience: callers construct distinct in-range endpoints; fallible twin is add_edge
+        self.add_edge(u, v, 1).expect("invalid link")
     }
 
     fn check_node(&self, n: NodeId) -> Result<(), TopologyError> {

@@ -26,10 +26,13 @@
 //! ([`Graph::degraded_view`]) with stable node ids, and reports connectivity
 //! components ([`Partition`]).
 
-// Library code must surface failures as typed errors, not unwrap panics;
-// test modules opt back in via the cfg_attr below.
-#![warn(clippy::unwrap_used)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
+// Solver and engine code never panics: failures surface as typed errors
+// (DESIGN.md §6b). A documented panicking facade carries a reasoned
+// `#[expect]`, and test modules opt back in.
+#![deny(clippy::panic, clippy::unreachable, clippy::unimplemented)]
+#![deny(clippy::todo, clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::panic, clippy::unreachable, clippy::unimplemented))]
+#![cfg_attr(test, allow(clippy::todo, clippy::unwrap_used, clippy::expect_used))]
 // Library code reports through return values and telemetry, never
 // stdout/stderr, and never drops a value without naming it. Binaries,
 // tests, benches and examples print by design and are out of scope.

@@ -192,7 +192,11 @@ impl MetricClosure {
     pub fn cost(&self, u: NodeId, v: NodeId) -> Cost {
         match (self.index(u), self.index(v)) {
             (Some(i), Some(j)) => self.cost_ix(i, j),
-            _ => panic!("cost({u:?}, {v:?}): node not in closure"), // analyzer:allow(no-panic) -- documented precondition: members only; index() is the fallible twin
+            #[expect(
+                clippy::panic,
+                reason = "documented precondition: members only; index() is the fallible twin"
+            )]
+            _ => panic!("cost({u:?}, {v:?}): node not in closure"),
         }
     }
 

@@ -171,23 +171,14 @@ impl FatTreeOracle {
         if k < 2 || !k.is_multiple_of(2) {
             return Err(TopologyError::InvalidArity(k));
         }
-        let half = k / 2;
-        let ncore = half * half;
-        let pod_block = 2 * half + half * half;
-        Ok(FatTreeOracle {
-            k,
-            half,
-            ncore,
-            pod_block,
-            n: ncore + k * pod_block,
-        })
+        Ok(FatTreeOracle::layout(k))
     }
 
     /// Builds the oracle for an existing [`FatTree`]. Debug builds verify
     /// the coordinate layout against the tree's own node lists.
     pub fn new(ft: &FatTree) -> Self {
-        let oracle =
-            FatTreeOracle::for_k(ft.k()).expect("FatTree::build already validated the arity");
+        // `FatTree::build` already rejected an odd or too-small arity.
+        let oracle = FatTreeOracle::layout(ft.k());
         debug_assert_eq!(oracle.n, ft.graph().num_nodes());
         debug_assert!(ft
             .core_switches()
@@ -198,6 +189,20 @@ impl FatTreeOracle {
             .all(|r| ft.rack(r).first()
                 == Some(&oracle.host_id(r / oracle.half, r % oracle.half, 0))));
         oracle
+    }
+
+    /// The id layout for a validated arity `k` (even, ≥ 2).
+    fn layout(k: usize) -> Self {
+        let half = k / 2;
+        let ncore = half * half;
+        let pod_block = 2 * half + half * half;
+        FatTreeOracle {
+            k,
+            half,
+            ncore,
+            pod_block,
+            n: ncore + k * pod_block,
+        }
     }
 
     /// The fat-tree arity.
@@ -381,7 +386,11 @@ impl FatTreeOracle {
             }
             // `(lo, hi)` is layer-ordered, so the remaining permutations
             // cannot occur.
-            _ => unreachable!("coordinate pair not canonicalized"), // analyzer:allow(no-panic) -- exhaustiveness witness: canonicalize() orders the pair by layer just above
+            #[expect(
+                clippy::unreachable,
+                reason = "exhaustiveness witness: canonicalize() orders the pair by layer just above"
+            )]
+            _ => unreachable!("coordinate pair not canonicalized"),
         }
     }
 
@@ -391,6 +400,10 @@ impl FatTreeOracle {
     /// depth d and keeps the smallest-id predecessor of each depth-(d+1)
     /// node. Neighbor layers are tried in ascending-id order (cores < aggs
     /// < edges < hosts within any relevant span).
+    #[expect(
+        clippy::expect_used,
+        reason = "BFS-parent existence: every non-source node of a connected fat tree has a depth-(d-1) neighbor"
+    )]
     fn min_parent(&self, src: NodeId, x: NodeId) -> NodeId {
         let want = DistanceOracle::cost(self, src, x) - 1;
         let at = |y: &NodeId| DistanceOracle::cost(self, src, *y) == want;
@@ -418,7 +431,7 @@ impl FatTreeOracle {
                 (0..self.k).map(|p| self.agg_id(p, group)).find(at)
             }
         };
-        parent.expect("switch has no neighbor one hop closer to the source") // analyzer:allow(no-panic) -- BFS-parent existence: every non-source node of a connected fat tree has a depth-(d-1) neighbor
+        parent.expect("switch has no neighbor one hop closer to the source")
     }
 
     /// Automorphism orbits of the fabric's nodes: core switches within a

@@ -189,7 +189,11 @@ impl DistanceMatrix {
     pub fn build(g: &Graph) -> Self {
         match Self::try_build(g) {
             Ok(dm) => dm,
-            Err(e) => panic!("{e}"), // analyzer:allow(no-panic) -- documented panicking facade; budget-aware callers use try_build
+            #[expect(
+                clippy::panic,
+                reason = "documented panicking facade; budget-aware callers use try_build"
+            )]
+            Err(e) => panic!("{e}"),
         }
     }
 

@@ -16,6 +16,13 @@
 //! is re-scaled every simulated hour, which is exactly what the TOM
 //! experiments (Fig. 11) consume.
 
+// Solver and engine code never panics: failures surface as typed errors
+// (DESIGN.md §6b). A documented panicking facade carries a reasoned
+// `#[expect]`, and test modules opt back in.
+#![deny(clippy::panic, clippy::unreachable, clippy::unimplemented)]
+#![deny(clippy::todo, clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::panic, clippy::unreachable, clippy::unimplemented))]
+#![cfg_attr(test, allow(clippy::todo, clippy::unwrap_used, clippy::expect_used))]
 // Library code reports through return values and telemetry, never
 // stdout/stderr, and never drops a value without naming it. Binaries,
 // tests, benches and examples print by design and are out of scope.
@@ -212,7 +219,11 @@ impl DynamicTrace {
     ) -> Self {
         match Self::try_with_cohorts(w, model, mix, churn, east, rng) {
             Ok(t) => t,
-            Err(e) => panic!("with_cohorts: {e}"), // analyzer:allow(no-panic) -- documented panicking facade; shape-checked boundaries use try_with_cohorts
+            #[expect(
+                clippy::panic,
+                reason = "documented panicking facade; shape-checked boundaries use try_with_cohorts"
+            )]
+            Err(e) => panic!("with_cohorts: {e}"),
         }
     }
 

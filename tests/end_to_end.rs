@@ -187,3 +187,61 @@ fn deterministic_end_to_end() {
     assert_eq!(run(42), run(42));
     assert_ne!(run(42), run(43), "different seeds diverge");
 }
+
+/// The two epoch engines agree on a fault-free day. `run_day` under
+/// NoMigration keeps the hour-0 TOP placement all day; `run_stream_day`
+/// with an unreachable drift threshold never prices the certificate nor
+/// re-solves, so it serves the same incumbent. Both must then report the
+/// same hour-0 cost and placement and the same `C_a` every hour, whether
+/// the stream engine reads a dense matrix or the closed-form oracle.
+#[test]
+fn fault_free_day_engines_agree() {
+    use ppdc::sim::{run_stream_day, StreamConfig};
+    use ppdc::topology::{DistanceOracle, FatTreeOracle};
+    let stream_cfg = StreamConfig {
+        drift_threshold: u64::MAX,
+        ..StreamConfig::default()
+    };
+    let cfg = SimConfig {
+        mu: 100,
+        vm_mu: 100,
+        policy: MigrationPolicy::NoMigration,
+    };
+    for k in [4, 6] {
+        let ft = FatTree::build(k).unwrap();
+        let g = ft.graph();
+        let dm = DistanceMatrix::build(g);
+        let oracle = FatTreeOracle::new(&ft);
+        let oracles: [&dyn DistanceOracle; 2] = [&dm, &oracle];
+        for seed in 0..6 {
+            let (w, trace) = standard_workload(&ft, 40, seed, 0);
+            let n_hours = trace.model().n_hours;
+            let schedule = FaultSchedule::new(vec![], n_hours).unwrap();
+            for n in 1..=5 {
+                let sfc = Sfc::of_len(n).unwrap();
+                let ecfg = EngineConfig {
+                    stop_after: Some(n_hours),
+                    ..EngineConfig::default()
+                };
+                let day = run_day(g, &w, &trace, &sfc, &cfg, &schedule, &ecfg).unwrap();
+                let placement = day
+                    .checkpoint
+                    .expect("stop_after keeps a checkpoint")
+                    .placement;
+                let hourly: Vec<u64> = day.result.hours.iter().map(|h| h.comm_cost).collect();
+                assert_eq!(hourly.len(), n_hours as usize);
+                for (o, dist) in oracles.iter().enumerate() {
+                    let run = run_stream_day(g, *dist, &w, &trace, &sfc, &stream_cfg).unwrap();
+                    assert!(run.completed);
+                    let s = run.result;
+                    let ctx = format!("k={k} seed={seed} n={n} oracle={o}");
+                    assert_eq!(s.initial_cost, day.result.initial_cost, "{ctx}");
+                    assert_eq!(s.placement, placement, "{ctx}");
+                    assert_eq!(s.resolves, 0, "{ctx}");
+                    let streamed: Vec<u64> = s.epochs.iter().map(|e| e.comm_cost).collect();
+                    assert_eq!(streamed, hourly, "{ctx}");
+                }
+            }
+        }
+    }
+}
