@@ -26,7 +26,12 @@
 //! * `fingerprint_1m` — [`stream_fingerprint`] of the day's inputs (what
 //!   every checkpointed or resumed stream day pays once),
 //! * `store_build_1m` — [`ShardedFlowStore::build`], a copy of the
-//!   workload's endpoints and rates (day set-up and every resume),
+//!   workload's endpoints and rates (a flat store, as the layer-by-layer
+//!   benchmark replay builds it),
+//! * `setup_1m` — the engine's day set-up and resume at hour 0:
+//!   [`ShardedFlowStore::from_trace`] keys the store straight from the
+//!   trace, and [`AttachAggregates::from_host_masses`] builds the
+//!   aggregates from its host masses,
 //! * `rate_deltas_1m` — [`DynamicTrace::try_rate_deltas`], cycling through
 //!   the day's 12 epochs of a diurnal trace with 25 % hourly churn,
 //! * `trace_feed_1m` — [`ShardedFlowStore::advance`] over the same trace
@@ -34,20 +39,22 @@
 //!   [`TraceCursor`](ppdc_traffic::TraceCursor) through the same epochs: the
 //!   engine's whole trace-driven store step, which replaces
 //!   `rate_deltas_1m` plus the store half of `full_fabric`. When the day
-//!   wraps, the store is reset to hour 0's rates with
-//!   [`ShardedFlowStore::set_rates`] and the cursor to hour 0; that
-//!   1M-rate copy (one sample in 12) is inside the timer.
+//!   wraps, the store is reset to a keyed copy of hour 0 built before the
+//!   timer ([`Clone::clone_from`], three 4-byte columns) and the cursor to
+//!   hour 0; that copy (one sample in 12) is inside the timer. A reset by
+//!   [`ShardedFlowStore::set_rates`] would leave the store flat, so the
+//!   next step would also time a re-key.
 //! * `trace_feed_one_cohort_1m` — the same step over hours 9 → 12 of a
 //!   churn-free diurnal day with random cohorts (the `diurnal-fabric`
 //!   shape), where the east cohort rests at its floor and only the west
-//!   scale moves: every flow is still re-derived, but only about half of
-//!   them change. The store and cursor return to hour 9 every third
-//!   sample, with the same in-timer copy.
+//!   scale moves: every class is re-priced, but only about half of the
+//!   flows change. The store and cursor return to hour 9 every third
+//!   sample, with the same in-timer copy of a keyed store.
 //! * `trace_feed_hot_racks_1m` — the same step on a flat-envelope day in
 //!   which odd hours halve the rates of 8 further racks' flows and even
 //!   hours repeat: one iteration is a hot hour and the repeat hour after
 //!   it. A repeat hour walks an empty change list, so the iteration costs
-//!   the hot hour's commits.
+//!   the hot hour's re-keys. Resets copy a keyed store too.
 //!
 //! The `stream_resolve` group measures the *solver* half of an epoch: the
 //! warm-started re-solve ([`dp_placement_warm`] with a persistent
@@ -204,6 +211,13 @@ fn bench_stream_ingest(c: &mut Criterion) {
     group.bench_function("store_build_1m", |b| {
         b.iter(|| ShardedFlowStore::build(g, &w).unwrap())
     });
+    group.bench_function("setup_1m", |b| {
+        b.iter(|| {
+            let store = ShardedFlowStore::from_trace(g, &w, &trace, 0).unwrap();
+            let (masses, total_rate) = store.host_masses();
+            AttachAggregates::from_host_masses(g, &oracle, &masses, total_rate)
+        })
+    });
     let n_hours = trace.model().n_hours;
     let mut hour = 0;
     group.bench_function("rate_deltas_1m", |b| {
@@ -212,14 +226,13 @@ fn bench_stream_ingest(c: &mut Criterion) {
             trace.try_rate_deltas(hour).unwrap()
         })
     });
-    let day_start = trace.rates_at(0);
-    let mut store = ShardedFlowStore::build(g, &w).unwrap();
-    store.set_rates(&day_start).unwrap();
+    let day_start = ShardedFlowStore::from_trace(g, &w, &trace, 0).unwrap();
+    let mut store = day_start.clone();
     let mut cursor = trace.cursor(0);
     group.bench_function("trace_feed_1m", |b| {
         b.iter(|| {
             if cursor.hour() == n_hours {
-                store.set_rates(&day_start).unwrap();
+                store.clone_from(&day_start);
                 cursor = trace.cursor(0);
             }
             store.advance(&mut cursor).unwrap().applied
@@ -238,27 +251,27 @@ fn bench_stream_ingest(c: &mut Criterion) {
         }),
         "the east scale must rest over the one-cohort hours"
     );
-    let one_cohort_start = quiet_east.rates_at(from);
-    store.set_rates(&one_cohort_start).unwrap();
+    let one_cohort_start = ShardedFlowStore::from_trace(g, &w, &quiet_east, from).unwrap();
+    store.clone_from(&one_cohort_start);
     let mut cursor = quiet_east.cursor(from);
     group.bench_function("trace_feed_one_cohort_1m", |b| {
         b.iter(|| {
             if cursor.hour() == to {
-                store.set_rates(&one_cohort_start).unwrap();
+                store.clone_from(&one_cohort_start);
                 cursor = quiet_east.cursor(from);
             }
             store.advance(&mut cursor).unwrap().applied
         })
     });
     let hot = hot_rack_trace(&ft, &w);
-    let day_start = hot.rates_at(0);
+    let day_start = ShardedFlowStore::from_trace(g, &w, &hot, 0).unwrap();
     let n_hours = hot.model().n_hours;
-    store.set_rates(&day_start).unwrap();
+    store.clone_from(&day_start);
     let mut cursor = hot.cursor(0);
     group.bench_function("trace_feed_hot_racks_1m", |b| {
         b.iter(|| {
             if cursor.hour() == n_hours {
-                store.set_rates(&day_start).unwrap();
+                store.clone_from(&day_start);
                 cursor = hot.cursor(0);
             }
             let hot_hour = store.advance(&mut cursor).unwrap().applied;

@@ -168,8 +168,9 @@ impl AttachAggregates {
     /// the serving component's alive switches this way. `dm` must be the
     /// distance oracle of `g`.
     ///
-    /// Flow rates fold into one mass per anchor (a leaf host's ToR, or the
-    /// node itself; see [`anchors`]) plus one constant
+    /// Flow rates fold into per-host masses, and those into one mass per
+    /// anchor (a leaf host's ToR, or the node itself; see [`anchors`]) plus
+    /// one constant
     /// `K = Σ_h R[h]·w(h, anchor)`, so each candidate costs one oracle row
     /// per touched anchor: `O(|flows| + |anchors|·|V_s|)`, k/2 fewer rows
     /// than per host on a fat-tree.
@@ -190,24 +191,81 @@ impl AttachAggregates {
         candidates: &[NodeId],
     ) -> Self {
         let _span = ppdc_obs::global().span(ppdc_obs::names::AGG_BUILD_RESTRICTED);
-        let n = g.num_nodes();
-        let anchor = anchors(g, dm);
-        // Exact sums: per-anchor masses stay below 2^96 (≤ 2^32 flows of
-        // u64 rates); the constants and products saturate, and a saturated
-        // sum is ≥ INFINITY anyway.
-        let mut out_mass = vec![0u128; n];
-        let mut in_mass = vec![0u128; n];
-        let (mut k_in, mut k_out) = (0u128, 0u128);
+        // Exact per-host sums: masses stay below 2^96 (≤ 2^32 flows of
+        // u64 rates).
+        let mut masses = vec![(0u128, 0u128); g.num_nodes()];
         let mut total_rate = 0u64;
         for (_, src, dst, rate) in w.iter() {
             total_rate = total_rate.saturating_add(rate);
-            let rate = u128::from(rate);
-            let (a, wa) = anchor[src.index()];
-            out_mass[a.index()] += rate;
-            k_in = k_in.saturating_add(rate * u128::from(wa));
-            let (a, wa) = anchor[dst.index()];
-            in_mass[a.index()] += rate;
-            k_out = k_out.saturating_add(rate * u128::from(wa));
+            masses[src.index()].0 += u128::from(rate);
+            masses[dst.index()].1 += u128::from(rate);
+        }
+        let agg = Self::fold_and_sweep(g, dm, &masses, total_rate, candidates);
+        // `strict-invariants` contract: the fold over `w.iter()` must land
+        // on the workload's own cached total.
+        #[cfg(feature = "strict-invariants")]
+        assert_eq!(
+            agg.total_rate,
+            w.total_rate(),
+            "aggregate total rate disagrees with the workload"
+        );
+        agg
+    }
+
+    /// Builds the aggregates over all switches of `g` from per-node rate
+    /// masses instead of a workload: `masses[n] = (R_out[n], R_in[n])`,
+    /// the summed rates of the flows leaving and entering node `n`, and
+    /// `total_rate = Σλ` (saturated at `u64::MAX`). The attach sums group
+    /// by endpoint host, so this equals [`AttachAggregates::build`] of any
+    /// workload with these masses, bit for bit: the stream engine builds
+    /// its start-epoch aggregates this way, from its flow store, without
+    /// a workload at the epoch's rates.
+    pub fn from_host_masses<D: DistanceOracle + ?Sized>(
+        g: &Graph,
+        dm: &D,
+        masses: &[(u128, u128)],
+        total_rate: u64,
+    ) -> Self {
+        let _span = ppdc_obs::global().span(ppdc_obs::names::AGG_BUILD);
+        let switches: Vec<NodeId> = g.switches().collect();
+        Self::fold_and_sweep(g, dm, masses, total_rate, &switches)
+    }
+
+    /// The anchor fold and switch sweep both builds share: per-node
+    /// masses fold onto their anchors plus the constants
+    /// `K = Σ_h R[h]·w(h, anchor)`, then each candidate costs one oracle
+    /// query per nonzero anchor mass. Sums saturate (a saturated sum is
+    /// ≥ [`INFINITY`] anyway), so regrouping per-flow terms by host and
+    /// anchor changes no bit of the result.
+    fn fold_and_sweep<D: DistanceOracle + ?Sized>(
+        g: &Graph,
+        dm: &D,
+        masses: &[(u128, u128)],
+        total_rate: u64,
+        candidates: &[NodeId],
+    ) -> Self {
+        // `strict-invariants` contract: every unit of rate leaves one host
+        // and enters one, so both mass sums equal `Σλ`.
+        #[cfg(feature = "strict-invariants")]
+        {
+            let sum = |side: fn(&(u128, u128)) -> u128| {
+                let s = masses.iter().map(side).fold(0u128, u128::saturating_add);
+                u64::try_from(s).unwrap_or(u64::MAX)
+            };
+            assert_eq!(sum(|m| m.0), total_rate, "out-masses disagree with Σλ");
+            assert_eq!(sum(|m| m.1), total_rate, "in-masses disagree with Σλ");
+        }
+        let n = g.num_nodes();
+        let anchor = anchors(g, dm);
+        let mut out_mass = vec![0u128; n];
+        let mut in_mass = vec![0u128; n];
+        let (mut k_in, mut k_out) = (0u128, 0u128);
+        for (&(mo, mi), &(a, wa)) in masses.iter().zip(&anchor) {
+            let wa = u128::from(wa);
+            out_mass[a.index()] = out_mass[a.index()].saturating_add(mo);
+            k_in = k_in.saturating_add(mo.saturating_mul(wa));
+            in_mass[a.index()] = in_mass[a.index()].saturating_add(mi);
+            k_out = k_out.saturating_add(mi.saturating_mul(wa));
         }
         let touched: Vec<NodeId> = (0..n)
             .filter(|&a| out_mass[a] != 0 || in_mass[a] != 0)
@@ -234,22 +292,13 @@ impl AttachAggregates {
         }
         // One batched count for the whole sweep — no per-query atomics.
         ppdc_obs::global().add(ppdc_obs::names::ORACLE_QUERIES, queries);
-        let agg = AttachAggregates {
+        AttachAggregates {
             a_in,
             a_out,
             total_rate,
             switches: candidates.to_vec(),
             anchor,
-        };
-        // `strict-invariants` contract: the fold over `w.iter()` must land
-        // on the workload's own cached total.
-        #[cfg(feature = "strict-invariants")]
-        assert_eq!(
-            agg.total_rate,
-            w.total_rate(),
-            "aggregate total rate disagrees with the workload"
-        );
-        agg
+        }
     }
 
     /// The original `O(|flows|·|V_s|)` build, one flow at a time. Kept as
@@ -670,6 +719,82 @@ mod tests {
                 "{name}"
             );
         }
+    }
+
+    /// Per-node `(R_out, R_in)` masses and the saturated `Σλ` of `w`, as
+    /// a flow store sums them.
+    fn node_masses(g: &Graph, w: &Workload) -> (Vec<(u128, u128)>, u64) {
+        let mut m = vec![(0u128, 0u128); g.num_nodes()];
+        for (_, s, d, r) in w.iter() {
+            m[s.index()].0 += u128::from(r);
+            m[d.index()].1 += u128::from(r);
+        }
+        (m, w.total_rate())
+    }
+
+    /// The host-mass constructor equals the workload builds, full and
+    /// flow by flow, on every mixed fabric — on the partitioned one with
+    /// island flows that carry rate, so attachments across the cut
+    /// saturate at exactly `INFINITY`, and with masses whose products
+    /// saturate too — and it equals a restricted build over all switches.
+    #[test]
+    fn host_mass_build_equals_the_workload_builds() {
+        for (name, g, mut hosts, island) in mixed_fabrics() {
+            hosts.extend(island);
+            let dm = DistanceMatrix::build(&g);
+            let mut w = Workload::new();
+            for (i, &a) in hosts.iter().enumerate() {
+                for (j, &b) in hosts.iter().enumerate() {
+                    w.add_pair(a, b, (7 * i + 3 * j) as u64 % 11);
+                }
+            }
+            let (m, total) = node_masses(&g, &w);
+            let from_masses = AttachAggregates::from_host_masses(&g, &dm, &m, total);
+            let all: Vec<NodeId> = g.switches().collect();
+            assert!(
+                from_masses.same_as(&AttachAggregates::build(&g, &dm, &w)),
+                "{name}"
+            );
+            assert!(
+                from_masses.same_as(&AttachAggregates::build_restricted(&g, &dm, &w, &all)),
+                "{name}"
+            );
+            assert!(
+                from_masses.same_as(&AttachAggregates::build_flow_by_flow(&g, &dm, &w)),
+                "{name}"
+            );
+            assert_eq!(
+                from_masses.a_in.contains(&INFINITY),
+                name == "partitioned",
+                "{name}"
+            );
+            // Rates whose products and sums pass `u64`: both sides pin at
+            // the sentinel.
+            let mut heavy = w.clone();
+            heavy.add_pair(hosts[0], hosts[1], INFINITY);
+            heavy.add_pair(hosts[2], hosts[0], u64::MAX / 3);
+            let (m, total) = node_masses(&g, &heavy);
+            let from_masses = AttachAggregates::from_host_masses(&g, &dm, &m, total);
+            assert!(
+                from_masses.same_as(&AttachAggregates::build_flow_by_flow(&g, &dm, &heavy)),
+                "{name} heavy"
+            );
+        }
+    }
+
+    /// `strict-invariants` contract of the host-mass constructor: masses
+    /// whose in-side does not sum to `Σλ` are refused.
+    #[cfg(feature = "strict-invariants")]
+    #[test]
+    #[should_panic(expected = "in-masses disagree with Σλ")]
+    fn host_mass_build_refuses_masses_that_miss_the_total() {
+        let g = fat_tree(4).unwrap();
+        let dm = DistanceMatrix::build(&g);
+        let hosts: Vec<NodeId> = g.hosts().collect();
+        let mut m = vec![(0u128, 0u128); g.num_nodes()];
+        m[hosts[0].index()] = (5, 0);
+        m[hosts[1].index()] = (0, 4);
+        let _ = AttachAggregates::from_host_masses(&g, &dm, &m, 5);
     }
 
     #[test]

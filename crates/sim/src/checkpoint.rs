@@ -524,9 +524,12 @@ pub(crate) fn hash_trace(h: &mut Fnv, trace: &DynamicTrace) {
                 .fold(0u64, |word, (i, &e)| word | (u64::from(e) << i)),
         );
     }
+    // Base rates are hashed by value, not by their ids in the trace's
+    // base table.
+    let base = |id: u32| t.bases[id as usize];
     h.u64(t.row0.len() as u64);
-    for &r in t.row0 {
-        h.u64(r);
+    for &id in t.row0 {
+        h.u64(base(id));
     }
     h.u64(t.changes.len() as u64);
     for hour in t.changes {
@@ -534,8 +537,8 @@ pub(crate) fn hash_trace(h: &mut Fnv, trace: &DynamicTrace) {
         for &f in hour.flows() {
             h.u64(u64::from(f));
         }
-        for &b in hour.bases() {
-            h.u64(b);
+        for &id in hour.ids() {
+            h.u64(base(id));
         }
     }
 }

@@ -8,19 +8,27 @@
 //!
 //! Three pieces:
 //!
-//! - [`ShardedFlowStore`] — flow endpoints and rates in flat
-//!   flow-id-order arrays. The engine's epochs arrive as trace hours
-//!   through [`ShardedFlowStore::advance`], which steps a
-//!   [`TraceCursor`] one hour and overwrites each flow the step reports
-//!   as possibly moved with its absolute rate at the new hour — the
-//!   listed flows when no cohort scale moved, else every flow, in one
-//!   branch-free pass over the hour's base row.
-//!   [`ShardedFlowStore::ingest`] is the entry point for
-//!   external delta batches: it nets per flow, validates every netted
-//!   rate and only then commits. Both paths share one commit routine and
-//!   reduce the applied flows to per-host [`HostMassDelta`]s that land on
+//! - [`ShardedFlowStore`] — flow endpoints in flat flow-id-order arrays,
+//!   and each flow's **rate class** `2·id + east` under the day's trace:
+//!   under Eq. 9 a rate is `round(base · scale(cohort, hour))`, so all
+//!   flows of one class share one rate at every hour, and the store keeps
+//!   one rate and one flow count per class instead of a rate per flow.
+//!   The engine's epochs arrive as trace hours through
+//!   [`ShardedFlowStore::advance`], which steps a [`TraceCursor`] one hour
+//!   and never reads or writes a per-flow rate: a scale-moved hour prices
+//!   a per-class `Δ` table, sums the report's totals over the class
+//!   histogram and scatters `Δ[class]` into the host masses in one pass
+//!   (the hour's changed-base flows each get a transition class of their
+//!   own, `O(changes)`), and a list-only hour re-keys and prices just the
+//!   listed flows.
+//!   [`ShardedFlowStore::ingest`] is the entry point for external delta
+//!   batches: it turns the store flat (one rate per flow), nets per flow,
+//!   validates every netted rate and only then commits; the next
+//!   `advance` keys the store again. Both paths reduce the applied flows
+//!   to per-host [`HostMassDelta`]s that land on
 //!   [`AttachAggregates::try_apply_mass_deltas`] with a single switch
-//!   sweep. Every reported sum is order-free — exact `i128` masses and a
+//!   sweep. Every reported sum is order-free — exact masses (`i64` when
+//!   the step proves `flows × max class rate < 2^63`, else `i128`) and a
 //!   saturating sum of non-negative drift terms — so the report is a pure
 //!   function of the rate change and equals what a from-scratch rebuild
 //!   would differ by. (The name predates the flat layout; it stays until
@@ -41,11 +49,12 @@
 //!   loop, mirroring the hourly engine: `ppdc-stream-ckpt/v4` snapshots
 //!   through the same atomic two-slot [`CheckpointStore`], an input
 //!   fingerprint refusing foreign snapshots, and **bit-identical resume**
-//!   (no rates are stored: restore re-derives them as
-//!   `trace.rates_at(epoch)`, which the fingerprint pins and
-//!   [`ShardedFlowStore::advance`] leaves in the live store, then rebuilds
-//!   the flow store and aggregates and starts a cursor at `epoch`; the
-//!   delta/rebuild equivalence makes the reconstruction exact).
+//!   (no rates are stored: restore keys a fresh flow store at `epoch`
+//!   from the trace, which the fingerprint pins and whose
+//!   `trace.rates_at(epoch)` [`ShardedFlowStore::advance`] leaves in the
+//!   live store, builds the aggregates from that store's host masses and
+//!   starts a cursor at `epoch`; the delta/rebuild equivalence makes the
+//!   reconstruction exact). A fresh day starts the same way at hour 0.
 //!
 //! Each epoch reports its merged mass deltas to a persistent
 //! [`BoundCache`]. An epoch that prices the certificate refreshes the
@@ -60,13 +69,15 @@
 //! churn. The cache is derived state and is **never** checkpointed: a
 //! resumed day starts cold and rebuilds it on its first re-solve.
 
+use std::borrow::Cow;
+
 use ppdc_model::{FlowId, ModelError, Placement, Sfc, Workload};
 use ppdc_obs::names as obs_names;
 use ppdc_placement::{
     dp_placement_warm, AggregateError, AttachAggregates, BoundCache, HostMassDelta, PlacementError,
 };
 use ppdc_topology::{Cost, DistanceOracle, Graph, NodeId};
-use ppdc_traffic::{DynamicTrace, HourStep, RateRule, TraceCursor};
+use ppdc_traffic::{rate_class, DynamicTrace, HourStep, TraceCursor};
 
 use crate::checkpoint::{
     arr_field, as_obj, field, hash_instance, hash_trace, node_ids, push_list, row_u64, str_field,
@@ -193,36 +204,260 @@ pub struct IngestReport {
     pub records: u64,
 }
 
-/// The streaming engine's flow store: flow endpoints and rates in flat
-/// flow-id-order arrays, plus the scratch one delta batch nets in.
+/// The streaming engine's flow store: flow endpoints in flat flow-id-order
+/// arrays, and the rates in one of two forms.
 ///
-/// A trace hour ([`ShardedFlowStore::advance`]) is one pass that commits
-/// each absolute rate its step yields. A delta batch ([`ShardedFlowStore::ingest`])
-/// is one pass over its records to net them, one to validate and one to
-/// commit — no routing, no fan-out. Every quantity a commit reports is an
-/// order-free sum (exact `i128` masses, a saturating sum of non-negative
-/// drift terms), so the report depends only on which rates changed and by
-/// how much, never on the order they arrive in or on the machine.
-#[derive(Debug, Clone)]
+/// * **Keyed** (the trace-fed form). Each flow holds its rate class
+///   `2·id + east` ([`rate_class`]) under one trace at one hour, and each
+///   class holds its rate and flow count. A trace hour
+///   ([`ShardedFlowStore::advance`]) prices its moves per class and never
+///   reads or writes a per-flow rate.
+/// * **Flat**: one rate per flow, which a delta batch
+///   ([`ShardedFlowStore::ingest`]) needs, since its rates follow no
+///   trace. `build`, `ingest` and `set_rates` leave the store flat; the
+///   next `advance` keys it again from its cursor's trace and hour.
+///
+/// A delta batch is one pass over its records to net them, one to
+/// validate and one to commit — no routing, no fan-out. Every quantity a
+/// step reports is an order-free sum (exact masses, a saturating sum of
+/// non-negative drift terms), so the report depends only on which rates
+/// changed and by how much, never on the order they arrive in, on the
+/// form the store is in, or on the machine.
+#[derive(Debug)]
 pub struct ShardedFlowStore {
     /// Source host per flow.
     src: Vec<NodeId>,
     /// Destination host per flow.
     dst: Vec<NodeId>,
-    /// Current rate per flow.
+    /// Per-flow rates of a flat store; empty while keyed.
     rates: Vec<u64>,
+    /// The rate classes of a keyed store.
+    classes: Option<Classes>,
     /// Batch scratch: netted pending delta per flow, all zero between
-    /// batches.
+    /// batches (allocated by the first batch).
     pending: Vec<i128>,
     /// Step scratch: the moved flows' per-host masses.
     masses: HostMasses,
+    /// Step scratch: per-node `i64` masses of a dense step whose width
+    /// proof holds, all zero between steps.
+    narrow: Vec<(i64, i64)>,
+}
+
+/// A keyed store's rates: every flow's rate class under one trace at one
+/// hour, and every class's rate and flow count there.
+#[derive(Debug)]
+struct Classes {
+    /// [`DynamicTrace::identity`] of the trace the classes come from.
+    trace: u64,
+    /// The hour whose rates the classes hold.
+    hour: u32,
+    /// `class[f]`: flow `f`'s rate class.
+    class: Vec<u32>,
+    /// `rate[c]`: class `c`'s rate at `hour`.
+    rate: Vec<u64>,
+    /// `count[c]`: flows in class `c`.
+    count: Vec<u32>,
+}
+
+/// `clone_from` reuses every buffer of the target, so resetting a store
+/// to a saved copy costs copying its arrays, not allocating them again.
+impl Clone for ShardedFlowStore {
+    fn clone(&self) -> Self {
+        ShardedFlowStore {
+            src: self.src.clone(),
+            dst: self.dst.clone(),
+            rates: self.rates.clone(),
+            classes: self.classes.clone(),
+            pending: self.pending.clone(),
+            masses: self.masses.clone(),
+            narrow: self.narrow.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.src.clone_from(&source.src);
+        self.dst.clone_from(&source.dst);
+        self.rates.clone_from(&source.rates);
+        self.classes.clone_from(&source.classes);
+        self.pending.clone_from(&source.pending);
+        self.masses.clone_from(&source.masses);
+        self.narrow.clone_from(&source.narrow);
+    }
+}
+
+impl Clone for Classes {
+    fn clone(&self) -> Self {
+        Classes {
+            trace: self.trace,
+            hour: self.hour,
+            class: self.class.clone(),
+            rate: self.rate.clone(),
+            count: self.count.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        (self.trace, self.hour) = (source.trace, source.hour);
+        self.class.clone_from(&source.class);
+        self.rate.clone_from(&source.rate);
+        self.count.clone_from(&source.count);
+    }
+}
+
+impl Classes {
+    /// Keys every flow of `trace` at hour `h`: `O(flows + classes)`.
+    fn key(trace: &DynamicTrace, h: u32) -> Self {
+        let rate = trace.class_rates_at(h);
+        let mut count = vec![0u32; rate.len()];
+        let class = trace
+            .base_ids_at(h)
+            .iter()
+            .zip(trace.cohorts())
+            .map(|(&id, &east)| {
+                let c = rate_class(id, east);
+                count[c as usize] += 1;
+                c
+            })
+            .collect();
+        Classes {
+            trace: trace.identity(),
+            hour: h,
+            class,
+            rate,
+            count,
+        }
+    }
+
+    /// The per-flow rates these classes stand for.
+    fn rates(&self) -> impl Iterator<Item = u64> + '_ {
+        self.class.iter().map(|&c| self.rate[c as usize])
+    }
+
+    /// Moves flow `f` from its class to base id `id`'s class in the same
+    /// cohort and returns both classes, old first.
+    #[inline]
+    fn rekey(&mut self, f: usize, id: u32) -> (usize, usize) {
+        let old = self.class[f];
+        let new = rate_class(id, old & 1 == 1);
+        self.class[f] = new;
+        self.count[old as usize] -= 1;
+        self.count[new as usize] += 1;
+        (old as usize, new as usize)
+    }
+}
+
+/// One host-mass word: `i64` when a step's width proof holds, else
+/// `i128`. Adds wrap, because the proof (or the `i128` width) rules out
+/// overflow, so no add needs a check.
+trait Mass: Copy + Default + PartialEq {
+    /// `net`, which the caller's width proof says fits.
+    fn of(net: i128) -> Self;
+    /// The wrapping sum.
+    fn plus(self, other: Self) -> Self;
+    /// The value as an `i128`.
+    fn wide(self) -> i128;
+}
+
+impl Mass for i64 {
+    #[inline]
+    fn of(net: i128) -> Self {
+        net as i64
+    }
+    #[inline]
+    fn plus(self, other: Self) -> Self {
+        self.wrapping_add(other)
+    }
+    #[inline]
+    fn wide(self) -> i128 {
+        i128::from(self)
+    }
+}
+
+impl Mass for i128 {
+    #[inline]
+    fn of(net: i128) -> Self {
+        net
+    }
+    #[inline]
+    fn plus(self, other: Self) -> Self {
+        self.wrapping_add(other)
+    }
+    #[inline]
+    fn wide(self) -> i128 {
+        self
+    }
+}
+
+/// True when per-host `i64` masses cannot overflow: every partial sum of
+/// a host's flow terms is at most `flows · max_rate` in magnitude, so
+/// `flows · max_rate < 2^63` suffices.
+fn narrow_fits(flows: usize, max_rate: u64) -> bool {
+    (flows as u128) * u128::from(max_rate) < 1u128 << 63
+}
+
+/// The one scatter kernel: adds `delta[class[f]]` to flow `f`'s source
+/// out-mass and destination in-mass, and flags both endpoints touched
+/// when the term is nonzero. No branch depends on the data.
+fn scatter<M: Mass>(
+    class: &[u32],
+    src: &[NodeId],
+    dst: &[NodeId],
+    delta: &[M],
+    mass: &mut [(M, M)],
+    touched: &mut [bool],
+) {
+    for ((&c, s), t) in class.iter().zip(src).zip(dst) {
+        let d = delta[c as usize];
+        let moved = d != M::default();
+        let (s, t) = (s.index(), t.index());
+        mass[s].0 = mass[s].0.plus(d);
+        mass[t].1 = mass[t].1.plus(d);
+        touched[s] |= moved;
+        touched[t] |= moved;
+    }
+}
+
+/// Drains every touched node in one node-order sweep (host order without
+/// a sort), leaving the scratch clear.
+fn drain_touched<M: Mass>(mass: &mut [(M, M)], touched: &mut [bool]) -> Vec<HostMassDelta> {
+    touched
+        .iter_mut()
+        .zip(mass.iter_mut())
+        .enumerate()
+        .filter(|(_, (seen, _))| **seen)
+        .map(|(i, (seen, m))| {
+            *seen = false;
+            let (d_out, d_in) = std::mem::take(m);
+            HostMassDelta {
+                host: NodeId::from_index(i),
+                d_out: d_out.wide(),
+                d_in: d_in.wide(),
+            }
+        })
+        .collect()
+}
+
+/// Books one flow's rate change `net` into `report` and `masses`, as
+/// every sparse commit does: `Σλ`, the saturating drift, the applied
+/// count and the endpoints' masses. A zero net books nothing.
+#[inline]
+fn book(report: &mut IngestReport, masses: &mut HostMasses, src: NodeId, dst: NodeId, net: i128) {
+    if net == 0 {
+        return;
+    }
+    report.total_delta += net;
+    report.drift = report
+        .drift
+        .saturating_add(u64::try_from(net.unsigned_abs()).unwrap_or(u64::MAX));
+    report.applied += 1;
+    masses.add(src, dst, net);
 }
 
 /// The per-host rate-mass accumulator of an epoch: the `(ΔR_out, ΔR_in)`
 /// the epoch's moved flows add at their endpoint hosts, drained as the
 /// host-sorted [`HostMassDelta`] list
 /// [`AttachAggregates::try_apply_mass_deltas`] folds. All zero between
-/// epochs. It is the one place moved flows become host masses: the flow
+/// epochs. It is the one place sparse moves become host masses: the flow
 /// store books through it, and so do the hourly engine's quiet hours.
 #[derive(Debug, Clone)]
 pub(crate) struct HostMasses {
@@ -270,42 +505,50 @@ impl HostMasses {
             })
             .collect()
     }
-
-    /// The raw per-node masses and `seen` flags, for a pass that books
-    /// every flow without a call or a branch per flow. Such a pass lists
-    /// no host, so it drains with [`HostMasses::drain_seen`].
-    pub(crate) fn slices(&mut self) -> (&mut [(i128, i128)], &mut [bool]) {
-        (&mut self.mass, &mut self.seen)
-    }
-
-    /// Drains every node flagged `seen` in one node-order sweep (host
-    /// order without a sort), leaving the scratch clear.
-    pub(crate) fn drain_seen(&mut self) -> Vec<HostMassDelta> {
-        self.seen
-            .iter_mut()
-            .zip(self.mass.iter_mut())
-            .enumerate()
-            .filter(|(_, (seen, _))| **seen)
-            .map(|(i, (seen, m))| {
-                *seen = false;
-                let (d_out, d_in) = std::mem::take(m);
-                HostMassDelta {
-                    host: NodeId::from_index(i),
-                    d_out,
-                    d_in,
-                }
-            })
-            .collect()
-    }
 }
 
 impl ShardedFlowStore {
-    /// Builds the store from a workload's current flows and rates on `g`.
+    /// Builds a flat store from a workload's current flows and rates on
+    /// `g`.
     ///
     /// # Errors
     ///
     /// [`StreamError::Model`] when a flow endpoint is not a node of `g`.
     pub fn build(g: &Graph, w: &Workload) -> Result<Self, StreamError> {
+        let mut store = Self::endpoints(g, w)?;
+        store.rates = w.rates().to_vec();
+        Ok(store)
+    }
+
+    /// Builds a keyed store over `w`'s flow endpoints holding
+    /// `trace.rates_at(hour)`, without deriving a per-flow rate: each
+    /// flow gets its rate class at `hour` (`O(flows + classes)`). This is
+    /// the engine's set-up and resume.
+    ///
+    /// # Errors
+    ///
+    /// [`StreamError::ShapeMismatch`] when the trace's flow count differs
+    /// from the workload's, [`StreamError::Model`] when a flow endpoint
+    /// is not a node of `g`.
+    pub fn from_trace(
+        g: &Graph,
+        w: &Workload,
+        trace: &DynamicTrace,
+        hour: u32,
+    ) -> Result<Self, StreamError> {
+        if trace.num_flows() != w.num_flows() {
+            return Err(StreamError::ShapeMismatch {
+                flows: w.num_flows(),
+                trace_flows: trace.num_flows(),
+            });
+        }
+        let mut store = Self::endpoints(g, w)?;
+        store.classes = Some(Classes::key(trace, hour));
+        Ok(store)
+    }
+
+    /// A store of `w`'s flow endpoints on `g` holding no rates yet.
+    fn endpoints(g: &Graph, w: &Workload) -> Result<Self, StreamError> {
         let n = w.num_flows();
         let (mut src, mut dst) = (Vec::with_capacity(n), Vec::with_capacity(n));
         for (_, s, d, _) in w.iter() {
@@ -318,56 +561,107 @@ impl ShardedFlowStore {
         Ok(ShardedFlowStore {
             src,
             dst,
-            rates: w.rates().to_vec(),
-            pending: vec![0; n],
+            rates: Vec::new(),
+            classes: None,
+            pending: Vec::new(),
             masses: HostMasses::new(g.num_nodes()),
+            narrow: Vec::new(),
         })
     }
 
     /// Number of flows stored.
     pub fn num_flows(&self) -> usize {
-        self.rates.len()
+        self.src.len()
     }
 
     /// The current rate of one flow.
     pub fn rate(&self, f: FlowId) -> Option<u64> {
-        self.rates.get(f.index()).copied()
+        match &self.classes {
+            Some(k) => k.class.get(f.index()).map(|&c| k.rate[c as usize]),
+            None => self.rates.get(f.index()).copied(),
+        }
     }
 
-    /// The current per-flow rates, flow id order.
-    pub fn rates(&self) -> &[u64] {
-        &self.rates
+    /// The current per-flow rates, flow id order: borrowed from a flat
+    /// store, derived from a keyed one's classes.
+    pub fn rates(&self) -> Cow<'_, [u64]> {
+        match &self.classes {
+            Some(k) => Cow::Owned(k.rates().collect()),
+            None => Cow::Borrowed(&self.rates),
+        }
     }
 
-    /// Copies the current per-flow rates (flow id order) into `out`. The
-    /// engine reads [`ShardedFlowStore::rates`] directly; only the
-    /// layer-by-layer benchmark replay and tests call this.
+    /// Copies the current per-flow rates (flow id order) into `out`. Only
+    /// the layer-by-layer benchmark replay and tests call this.
     pub fn export_rates(&self, out: &mut Vec<u64>) {
         out.clear();
-        out.extend_from_slice(&self.rates);
+        match &self.classes {
+            Some(k) => out.extend(k.rates()),
+            None => out.extend_from_slice(&self.rates),
+        }
     }
 
-    /// Overwrites every stored rate from a flow-id-ordered vector (the
-    /// start epoch's rates, at set-up or resume).
+    /// Overwrites every stored rate from a flow-id-ordered vector, leaving
+    /// the store flat.
     ///
     /// # Errors
     ///
     /// [`StreamError::ShapeMismatch`] when the vector length differs from
     /// the flow count.
     pub fn set_rates(&mut self, rates: &[u64]) -> Result<(), StreamError> {
-        if rates.len() != self.rates.len() {
+        if rates.len() != self.num_flows() {
             return Err(StreamError::ShapeMismatch {
-                flows: self.rates.len(),
+                flows: self.num_flows(),
                 trace_flows: rates.len(),
             });
         }
-        self.rates.copy_from_slice(rates);
+        self.classes = None;
+        self.rates.clear();
+        self.rates.extend_from_slice(rates);
         Ok(())
+    }
+
+    /// The per-node rate masses of the stored flows: `(R_out[n], R_in[n])`,
+    /// the summed rates of the flows leaving and entering node `n`, and
+    /// `Σλ` (saturated at `u64::MAX`): what
+    /// [`AttachAggregates::from_host_masses`] builds the aggregates from.
+    /// A keyed store sums through the scatter kernel, with its class
+    /// rates as the terms.
+    pub fn host_masses(&self) -> (Vec<(u128, u128)>, u64) {
+        let n = self.masses.mass.len();
+        let mut mass = vec![(0u128, 0u128); n];
+        match &self.classes {
+            Some(k) if narrow_fits(self.num_flows(), k.rate.iter().copied().max().unwrap_or(0)) => {
+                let terms: Vec<i64> = k.rate.iter().map(|&r| i64::of(i128::from(r))).collect();
+                let (mut narrow, mut touched) = (vec![(0i64, 0i64); n], vec![false; n]);
+                scatter(
+                    &k.class,
+                    &self.src,
+                    &self.dst,
+                    &terms,
+                    &mut narrow,
+                    &mut touched,
+                );
+                for (m, (o, i)) in mass.iter_mut().zip(narrow) {
+                    *m = (o.unsigned_abs().into(), i.unsigned_abs().into());
+                }
+            }
+            _ => {
+                let rates = self.rates();
+                for ((&r, s), t) in rates.iter().zip(&self.src).zip(&self.dst) {
+                    mass[s.index()].0 += u128::from(r);
+                    mass[t.index()].1 += u128::from(r);
+                }
+            }
+        }
+        let total = mass.iter().map(|m| m.0).sum::<u128>();
+        (mass, u64::try_from(total).unwrap_or(u64::MAX))
     }
 
     /// Ingests one delta batch: net each flow's records, validate every
     /// netted rate, then commit them and reduce the applied flows to
-    /// per-host masses. On error nothing is applied.
+    /// per-host masses. On error nothing is applied. A keyed store turns
+    /// flat first.
     ///
     /// Zero deltas are dropped at the door and a flow's deltas net within
     /// the batch, so only real rate movement is applied; the report's mass
@@ -380,6 +674,12 @@ impl ShardedFlowStore {
     /// outside the store, else [`StreamError::RateOutOfRange`] for the
     /// lowest flow id whose netted rate leaves `u64`.
     pub fn ingest(&mut self, deltas: &[RateDelta]) -> Result<IngestReport, StreamError> {
+        if let Some(k) = self.classes.take() {
+            self.rates = k.rates().collect();
+        }
+        if self.pending.len() != self.num_flows() {
+            self.pending = vec![0; self.num_flows()];
+        }
         let mut report = IngestReport {
             records: deltas.len() as u64,
             ..IngestReport::default()
@@ -410,31 +710,40 @@ impl ShardedFlowStore {
             return Err(StreamError::RateOutOfRange { flow });
         }
         // Commit. Repeated records find their flow's scratch already taken.
+        // Validated above, so each new rate fits. A zero net (unchanged, or
+        // the batch's deltas for this flow cancelled exactly) commits
+        // nothing and counts as no drift.
         for d in moving() {
             let f = d.flow.index();
             let net = std::mem::take(&mut self.pending[f]);
-            // Validated above, so the sum fits. A zero net (unchanged, or
-            // the batch's deltas for this flow cancelled exactly) commits
-            // nothing and counts as no drift.
-            let new = u64::try_from(i128::from(self.rates[f]) + net).unwrap_or_default();
-            self.commit(f, new, &mut report);
+            self.rates[f] = u64::try_from(i128::from(self.rates[f]) + net).unwrap_or_default();
+            book(&mut report, &mut self.masses, self.src[f], self.dst[f], net);
         }
         report.masses = self.masses.drain();
         Ok(report)
     }
 
     /// Advances the store one trace hour: `cursor` steps from hour
-    /// `h − 1` to `h` ([`TraceCursor::step`]). A list-only step compares
-    /// each listed flow's new rate with its stored one and commits it
-    /// when it moved, exactly as [`ShardedFlowStore::ingest`] commits a
-    /// netted batch; a dense step re-derives every flow in one
-    /// straight-line pass (`commit_row`) that books the same sums.
+    /// `h − 1` to `h` ([`TraceCursor::step`]).
+    ///
+    /// A store not keyed to `cursor.trace()` at `cursor.hour()` (flat, or
+    /// keyed to another trace or hour) is keyed there first. Then no step
+    /// touches a per-flow rate:
+    ///
+    /// * a listed step moves each listed flow to its new class and books
+    ///   `rate[new] − rate[old]` from the class table (the scales did not
+    ///   move, so the table holds for hour `h` too);
+    /// * a dense step prices `Δ[c] = rate_h[c] − rate_{h−1}[c]` once per
+    ///   class, sums `Σλ`, drift and the applied count over the class
+    ///   histogram, and scatters `Δ[class[f]]` into the host masses in one
+    ///   pass. Each of the hour's changed-base flows gets a transition
+    ///   class of its own for that pass, priced at its own net, and is
+    ///   summed on its own: `O(changes)`.
     ///
     /// Precondition: the store holds `trace.rates_at(cursor.hour())`. It
     /// then holds the next hour's rates, and the report equals the one
     /// `ingest` returns for that hour's `try_rate_deltas` in every field
-    /// but `records` (DESIGN.md §9). No delta vector is built and no
-    /// netting scratch is touched; a repeat hour walks nothing.
+    /// but `records` (DESIGN.md §9). A repeat hour walks nothing.
     ///
     /// # Errors
     ///
@@ -443,76 +752,120 @@ impl ShardedFlowStore {
     /// written; an absolute `u64` rate cannot leave range, so on error
     /// nothing is applied.
     pub fn advance(&mut self, cursor: &mut TraceCursor<'_>) -> Result<IngestReport, StreamError> {
-        let trace_flows = cursor.trace().num_flows();
-        if trace_flows != self.rates.len() {
+        let trace = cursor.trace();
+        if trace.num_flows() != self.num_flows() {
             return Err(StreamError::ShapeMismatch {
-                flows: self.rates.len(),
-                trace_flows,
+                flows: self.num_flows(),
+                trace_flows: trace.num_flows(),
             });
         }
-        let mut report = IngestReport::default();
-        match cursor.step() {
-            HourStep::Dense { row, rule } => self.commit_row(row, rule, &mut report),
-            step @ HourStep::Listed { .. } => {
-                for (flow, rate) in step {
-                    report.records += 1;
-                    self.commit(flow.index(), rate, &mut report);
+        let at = cursor.hour();
+        let classes = match &mut self.classes {
+            Some(k) if k.trace == trace.identity() && k.hour == at => k,
+            slot => {
+                self.rates = Vec::new();
+                slot.insert(Classes::key(trace, at))
+            }
+        };
+        let report = match cursor.step() {
+            HourStep::Dense {
+                flows, ids, rule, ..
+            } => {
+                let new = rule.class_rates();
+                let max = classes.rate.iter().chain(new).copied().max().unwrap_or(0);
+                let nodes = self.masses.mass.len();
+                let changes = (flows, ids);
+                let ends = (&self.src[..], &self.dst[..]);
+                if narrow_fits(self.src.len(), max) {
+                    if self.narrow.len() != nodes {
+                        self.narrow = vec![(0, 0); nodes];
+                    }
+                    let scratch = (&mut self.narrow[..], &mut self.masses.seen[..]);
+                    dense_step(classes, ends, changes, new, scratch)
+                } else {
+                    let m = &mut self.masses;
+                    let scratch = (&mut m.mass[..], &mut m.seen[..]);
+                    dense_step(classes, ends, changes, new, scratch)
+                }
+            }
+            HourStep::Listed { flows, ids, .. } => {
+                let mut report = IngestReport {
+                    records: flows.len() as u64,
+                    ..IngestReport::default()
+                };
+                for (&f, &id) in flows.iter().zip(ids) {
+                    let f = f as usize;
+                    let (old, new) = classes.rekey(f, id);
+                    let net = i128::from(classes.rate[new]) - i128::from(classes.rate[old]);
+                    book(&mut report, &mut self.masses, self.src[f], self.dst[f], net);
                 }
                 report.masses = self.masses.drain();
+                report
             }
-        }
+        };
+        classes.hour = cursor.hour();
         Ok(report)
     }
+}
 
-    /// Re-derives every flow's rate from `row` (the base rates of a dense
-    /// step's new hour) and books what moved, as [`ShardedFlowStore::commit`]
-    /// would flow by flow, in one straight-line pass: a zero net is written
-    /// and summed like any other (it adds nothing), and an endpoint's
-    /// touched flag is or-ed with `net != 0`, so no branch depends on the
-    /// data. `Σλ` and the drift accumulate exactly (`i128`, `u128`), and
-    /// the drift is clamped to `u64` once at the end, which equals the
-    /// saturating sum because every term is non-negative. The touched
-    /// hosts drain in one node sweep, already in host order.
-    fn commit_row(&mut self, row: &[u64], rule: RateRule<'_>, report: &mut IngestReport) {
-        let (mut total, mut drift, mut applied) = (0i128, 0u128, 0u64);
-        let (mass, touched) = self.masses.slices();
-        let bases = row.iter().zip(rule.east());
-        let ends = self.src.iter().zip(&self.dst);
-        for ((r, (&b, &e)), (s, t)) in self.rates.iter_mut().zip(bases).zip(ends) {
-            let new = rule.rate(b, e);
-            let net = i128::from(new) - i128::from(*r);
-            *r = new;
-            total += net;
-            drift += net.unsigned_abs();
-            let moved = net != 0;
-            applied += u64::from(moved);
-            mass[s.index()].0 += net;
-            mass[t.index()].1 += net;
-            touched[s.index()] |= moved;
-            touched[t.index()] |= moved;
-        }
-        report.records = row.len() as u64;
-        report.total_delta = total;
-        report.drift = u64::try_from(drift).unwrap_or(u64::MAX);
-        report.applied = applied;
-        report.masses = self.masses.drain_seen();
+/// One dense step over a keyed store's classes: `new[c]` is class `c`'s
+/// rate at the new hour, `changes` the hour's `(flows, ids)` change list,
+/// and `scratch` the per-node masses (of width `M`, which the caller has
+/// proven wide enough) and touched flags, all zero on entry and on exit.
+///
+/// Each changed flow gets a class of its own for the pass, a *transition
+/// class* past the table whose term is its true net
+/// `rate_h[new class] − rate_{h−1}[old class]`, so the one scatter pass
+/// books every flow exactly once with its own net; the changed flows
+/// then take their new classes. The transition classes follow the
+/// change list's flow order, so the pass reads their terms in order.
+fn dense_step<M: Mass>(
+    k: &mut Classes,
+    (src, dst): (&[NodeId], &[NodeId]),
+    (flows, ids): (&[u32], &[u32]),
+    new: &[u64],
+    (mass, touched): (&mut [(M, M)], &mut [bool]),
+) -> IngestReport {
+    let first = k.rate.len();
+    let (mut total, mut drift, mut applied) = (0i128, 0u128, 0u64);
+    let mut terms = vec![M::default(); first + flows.len()];
+    let (table, transitions) = terms.split_at_mut(first);
+    // The changed flows leave their classes' counts and are summed one by
+    // one; `to` keeps their new classes for after the pass.
+    let mut to = Vec::with_capacity(flows.len());
+    for ((t, (&f, &id)), term) in (first..).zip(flows.iter().zip(ids)).zip(transitions) {
+        let old = std::mem::replace(&mut k.class[f as usize], t as u32);
+        k.count[old as usize] -= 1;
+        let c = rate_class(id, old & 1 == 1);
+        let net = i128::from(new[c as usize]) - i128::from(k.rate[old as usize]);
+        total += net;
+        drift += net.unsigned_abs();
+        applied += u64::from(net != 0);
+        *term = M::of(net);
+        to.push(c);
     }
-
-    /// Sets flow `f`'s rate to `new` and books the move: `Σλ`, the
-    /// saturating drift, the applied count and the endpoints' staged
-    /// masses. An unchanged rate books nothing.
-    fn commit(&mut self, f: usize, new: u64, report: &mut IngestReport) {
-        let net = i128::from(new) - i128::from(self.rates[f]);
-        if net == 0 {
-            return;
-        }
-        self.rates[f] = new;
-        report.total_delta += net;
-        report.drift = report
-            .drift
-            .saturating_add(u64::try_from(net.unsigned_abs()).unwrap_or(u64::MAX));
-        report.applied += 1;
-        self.masses.add(self.src[f], self.dst[f], net);
+    // Price every class once and sum the unchanged flows over the
+    // histogram, exactly: count·|Δ| < 2^96, and so is the sum over at
+    // most 2^32 flows.
+    for (((&old, &new), &n), term) in k.rate.iter().zip(new).zip(&k.count).zip(table) {
+        let d = i128::from(new) - i128::from(old);
+        total += i128::from(n) * d;
+        drift += u128::from(n) * d.unsigned_abs();
+        applied += u64::from(n) * u64::from(d != 0);
+        *term = M::of(d);
+    }
+    scatter(&k.class, src, dst, &terms, mass, touched);
+    for (&f, c) in flows.iter().zip(to) {
+        k.class[f as usize] = c;
+        k.count[c as usize] += 1;
+    }
+    k.rate.copy_from_slice(new);
+    IngestReport {
+        masses: drain_touched(mass, touched),
+        total_delta: total,
+        drift: u64::try_from(drift).unwrap_or(u64::MAX),
+        applied,
+        records: k.class.len() as u64,
     }
 }
 
@@ -662,10 +1015,10 @@ pub struct StreamRun {
 /// A frozen mid-day streaming-engine state (`ppdc-stream-ckpt/v4`).
 ///
 /// Only what the inputs cannot regenerate is stored: the epoch, incumbent
-/// placement, drift accumulator and accumulated telemetry. Restore
-/// re-derives the rates as `trace.rates_at(epoch)` and rebuilds the flow
-/// store and aggregates from them — bit-identically, by the delta/rebuild
-/// equivalence.
+/// placement, drift accumulator and accumulated telemetry. Restore keys
+/// the flow store at `trace.rates_at(epoch)` straight from the trace and
+/// builds the aggregates from its host masses — bit-identically, by the
+/// delta/rebuild equivalence.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamCheckpoint {
     /// FNV-1a hash of every input (see [`stream_fingerprint`]).
@@ -889,12 +1242,12 @@ pub fn run_stream_day<D: DistanceOracle + ?Sized>(
 }
 
 /// Resumes a streaming day from a [`StreamCheckpoint`] and finishes it
-/// **bit-identically** to the uninterrupted run: the flow store and
-/// aggregates are rebuilt from `trace.rates_at(ck.epoch)`, which the
-/// fingerprint pins and which the uninterrupted run's store holds after
-/// [`ShardedFlowStore::advance`], and the trace cursor starts at
-/// `ck.epoch`; the delta/rebuild equivalence makes the reconstruction
-/// exact.
+/// **bit-identically** to the uninterrupted run: the flow store is keyed
+/// at `trace.rates_at(ck.epoch)` ([`ShardedFlowStore::from_trace`]),
+/// which the fingerprint pins and which the uninterrupted run's store
+/// holds after [`ShardedFlowStore::advance`], the aggregates are built
+/// from its host masses, and the trace cursor starts at `ck.epoch`; the
+/// delta/rebuild equivalence makes the reconstruction exact.
 ///
 /// # Errors
 ///
@@ -939,19 +1292,13 @@ fn run_stream_day_impl<D: DistanceOracle + ?Sized>(
     } else {
         0
     };
-    // The store and aggregates start at the start epoch's rates. Only the
-    // aggregate build needs them on a workload, so it reads a copy of `w`
-    // that is dropped before the store is built from `w` itself: the
-    // store then reuses the copy's memory, and no copy lives into the day.
+    // The store and aggregates start at the start epoch's rates: the
+    // store is keyed straight from the trace, and the aggregates are built
+    // from its host masses, so no per-flow rate vector is ever derived.
     let start_state = |epoch: u32| -> Result<(ShardedFlowStore, AttachAggregates), StreamError> {
-        let rates = trace.rates_at(epoch);
-        let agg = {
-            let mut w_start = w.clone();
-            w_start.set_rates(&rates)?;
-            AttachAggregates::build(g, dm, &w_start)
-        };
-        let mut store = ShardedFlowStore::build(g, w)?;
-        store.set_rates(&rates)?;
+        let store = ShardedFlowStore::from_trace(g, w, trace, epoch)?;
+        let (masses, total_rate) = store.host_masses();
+        let agg = AttachAggregates::from_host_masses(g, dm, &masses, total_rate);
         Ok((store, agg))
     };
     let mut tracker = DriftTracker::new(cfg.drift_threshold);
@@ -1386,9 +1733,9 @@ mod tests {
 
     /// Hour 9 → 10 of the default envelope moves the west scale only (the
     /// east cohort rests at its floor from hour 9 on). The dense step
-    /// re-derives every flow, yet reports what `ingest` reports for the
-    /// hour's deltas, a host whose flows' nets cancel included, and
-    /// counts every flow as a record.
+    /// prices every class and corrects flow 1's base change, yet reports
+    /// what `ingest` reports for the hour's deltas, a host whose flows'
+    /// nets cancel included, and counts every flow as a record.
     #[test]
     fn a_one_cohort_dense_hour_reports_what_ingest_reports() {
         let ft = FatTree::build(4).unwrap();
@@ -1403,9 +1750,8 @@ mod tests {
         w.add_pair(hosts[0], hosts[2], 0);
         let mut row0 = vec![3000, 1000];
         let mut east = vec![false, true];
-        // 62 small flows away from host 0: their bases sit inside the
-        // rate memo (which covers bases up to the flow count), the two
-        // flows above lie outside it.
+        // 62 small flows away from host 0, in classes of their own or
+        // shared with the two flows above.
         for i in 0..62 {
             w.add_pair(
                 hosts[1 + i * 5 % (n - 1)],
@@ -1450,6 +1796,58 @@ mod tests {
             "host 0's nets cancel, and it is still reported"
         );
         assert_eq!(fed.rates(), &trace.rates_at(10)[..]);
+    }
+
+    /// The day's set-up without a rate vector: at every hour, a store
+    /// keyed from the trace holds `rates_at(h)`, and the aggregates built
+    /// from its host masses equal a workload build at those rates — for
+    /// `i64`-summed masses and, at rates near `u64::MAX`, `i128` ones.
+    #[test]
+    fn keyed_set_up_equals_the_workload_build() {
+        let (g, dm, w, trace) = fixture(40, 19);
+        let row: Vec<i64> = (0..w.num_flows() as i64)
+            .map(|i| i64::MAX - 97 * i)
+            .collect();
+        let huge = DynamicTrace::from_rows(
+            &w,
+            DiurnalModel {
+                n_hours: 4,
+                tau_min: 1.9,
+            },
+            (0..w.num_flows()).map(|i| i % 2 == 0).collect(),
+            &vec![row; 5],
+        )
+        .unwrap();
+        for t in [&trace, &huge] {
+            for h in 0..=t.model().n_hours + 1 {
+                let store = ShardedFlowStore::from_trace(&g, &w, t, h).unwrap();
+                let want = t.rates_at(h);
+                assert_eq!(store.rates(), &want[..], "hour {h}");
+                let (masses, total) = store.host_masses();
+                let mut w_h = w.clone();
+                w_h.set_rates(&want).unwrap();
+                let mut exact = vec![(0u128, 0u128); g.num_nodes()];
+                for (_, s, d, r) in w_h.iter() {
+                    exact[s.index()].0 += u128::from(r);
+                    exact[d.index()].1 += u128::from(r);
+                }
+                assert_eq!(masses, exact, "hour {h}");
+                let agg = AttachAggregates::from_host_masses(&g, &dm, &masses, total);
+                assert!(
+                    agg.same_as(&AttachAggregates::build(&g, &dm, &w_h)),
+                    "hour {h}"
+                );
+                assert_eq!(agg.total_rate(), w_h.total_rate(), "hour {h}");
+            }
+        }
+        let (_, _, _, short) = fixture(10, 19);
+        assert_eq!(
+            ShardedFlowStore::from_trace(&g, &w, &short, 0).err(),
+            Some(StreamError::ShapeMismatch {
+                flows: w.num_flows(),
+                trace_flows: short.num_flows(),
+            })
+        );
     }
 
     #[test]

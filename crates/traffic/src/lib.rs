@@ -15,6 +15,16 @@
 //! [`DynamicTrace`] ties them together: a base workload whose rate vector
 //! is re-scaled every simulated hour, which is exactly what the TOM
 //! experiments (Fig. 11) consume.
+//!
+//! Under Eq. 9 every rate is `round(base · scale(cohort, hour))` with two
+//! scales an hour, so a flow's rate depends only on its **rate class**:
+//! its base and its cohort. A trace interns its distinct bases once, at
+//! construction, into an increasing table; its rows and change lists hold
+//! `u32` ids into it, and [`rate_class`] `2·id + east` names a class. A
+//! [`TraceCursor`] step prices every class once ([`RateRule`]) instead
+//! of rounding per flow, and a consumer that keys its flows by class (the
+//! stream engine's flow store) can move its masses by a per-class `Δ`
+//! table without any per-flow rate.
 
 // Solver and engine code never panics: failures surface as typed errors
 // (DESIGN.md §6b). A documented panicking facade carries a reasoned
@@ -109,11 +119,12 @@ impl std::error::Error for TraceError {}
 
 /// The base-rate changes of one hour: the flows whose base rate differs
 /// from the previous hour's, in increasing flow-id order, and their new
-/// base rates, as two parallel arrays.
+/// bases, as two parallel arrays. A base is stored as its id in the
+/// trace's base table ([`DynamicTrace::bases`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HourChanges {
     flows: Vec<u32>,
-    bases: Vec<u64>,
+    ids: Vec<u32>,
 }
 
 impl HourChanges {
@@ -122,9 +133,9 @@ impl HourChanges {
         &self.flows
     }
 
-    /// `bases()[k]`: the new base rate of `flows()[k]`.
-    pub fn bases(&self) -> &[u64] {
-        &self.bases
+    /// `ids()[k]`: the base id of `flows()[k]`'s new base rate.
+    pub fn ids(&self) -> &[u32] {
+        &self.ids
     }
 
     /// True when no base rate changed this hour.
@@ -132,18 +143,36 @@ impl HourChanges {
         self.flows.is_empty()
     }
 
+    /// Writes this hour's new base ids over the previous hour's id row.
+    fn apply(&self, row: &mut [u32]) {
+        for (&f, &b) in self.flows.iter().zip(&self.ids) {
+            row[f as usize] = b;
+        }
+    }
+}
+
+/// One hour's base changes as rate values, before interning: what the
+/// trace builders collect.
+#[derive(Debug, Default)]
+struct RawChanges {
+    flows: Vec<u32>,
+    bases: Vec<u64>,
+}
+
+impl RawChanges {
     /// Records flow `i`'s new base rate; flows arrive in increasing order.
     fn push(&mut self, i: usize, base: u64) {
         self.flows.push(i as u32);
         self.bases.push(base);
     }
+}
 
-    /// Writes this hour's new base rates over the previous hour's row.
-    fn apply(&self, row: &mut [u64]) {
-        for (&f, &b) in self.flows.iter().zip(&self.bases) {
-            row[f as usize] = b;
-        }
-    }
+/// The rate class of a flow whose base has id `id`: `2·id + east`. A
+/// trace's classes are dense in `0..2·bases().len()`, and every flow of
+/// one class has the same rate at every hour (Eq. 9).
+#[inline]
+pub fn rate_class(id: u32, east: bool) -> u32 {
+    id << 1 | u32::from(east)
 }
 
 /// A workload whose rates follow the diurnal model hour by hour, with
@@ -159,13 +188,21 @@ impl HourChanges {
 ///   flows redraws its base rate from the production mix, redistributing
 ///   traffic across the fabric. Churn 0 reduces to pure scaling.
 ///
-/// Only what changes is stored: hour 0's base-rate row and, for every
-/// later hour, the flows whose base rate moved ([`HourChanges`]). A day
-/// of repeated rows costs one row, not one per hour.
+/// Only what changes is stored: hour 0's base row and, for every later
+/// hour, the flows whose base rate moved ([`HourChanges`]). A day of
+/// repeated rows costs one row, not one per hour. Every base is interned
+/// once at construction: the trace keeps its distinct base rates in one
+/// increasing table ([`DynamicTrace::bases`]) and its rows and change
+/// lists hold `u32` ids into it. A flow's id and cohort make its rate
+/// class ([`rate_class`]); a trace step prices whole classes at once
+/// ([`RateRule::class_rates`]).
 #[derive(Debug, Clone)]
 pub struct DynamicTrace {
-    /// `row0[i]`: flow `i`'s base rate at hour 0.
-    row0: Vec<u64>,
+    /// The distinct base rates of every flow at every hour, increasing;
+    /// a base's id is its index.
+    bases: Vec<u64>,
+    /// `row0[i]`: the id of flow `i`'s base rate at hour 0.
+    row0: Vec<u32>,
     /// `changes[h - 1]`: the base-rate changes from hour `h − 1` to `h`
     /// (`n_hours` lists; later hours keep the last row).
     changes: Vec<HourChanges>,
@@ -173,9 +210,16 @@ pub struct DynamicTrace {
     model: DiurnalModel,
     /// Hours the east cohort runs ahead (default [`EAST_COAST_OFFSET`]).
     offset: i64,
-    /// The largest base rate of any flow at any hour; it sizes the rate
-    /// memo ([`RateRule`]).
-    max_base: u64,
+    /// See [`DynamicTrace::identity`].
+    identity: u64,
+}
+
+/// The next [`DynamicTrace::identity`].
+static NEXT_IDENTITY: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+
+/// A fresh trace identity.
+fn fresh_identity() -> u64 {
+    NEXT_IDENTITY.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
 }
 
 impl DynamicTrace {
@@ -256,7 +300,7 @@ impl DynamicTrace {
         let mut row = if churns { row0.clone() } else { Vec::new() };
         let mut changes = Vec::with_capacity(model.n_hours as usize);
         for _ in 1..=model.n_hours {
-            let mut hour = HourChanges::default();
+            let mut hour = RawChanges::default();
             if churns {
                 for (i, r) in row.iter_mut().enumerate() {
                     if rng.gen_bool(churn.clamp(0.0, 1.0)) {
@@ -326,7 +370,7 @@ impl DynamicTrace {
                     .collect::<Result<_, _>>()?;
                 continue;
             }
-            let mut changed = HourChanges::default();
+            let mut changed = RawChanges::default();
             for (flow, (rate, prev)) in row.iter().zip(&rows[hour - 1]).enumerate() {
                 let r = checked((flow, rate))?;
                 if rate != prev {
@@ -338,28 +382,47 @@ impl DynamicTrace {
         Ok(DynamicTrace::from_parts(row0, changes, east, model))
     }
 
-    /// Assembles a trace at the default cohort offset and finds its
-    /// largest base rate.
+    /// Assembles a trace at the default cohort offset, interning every
+    /// base rate: the distinct bases of hour 0's row and of every change
+    /// list, sorted, become the base table, and each row entry and change
+    /// becomes its index there. A trace has fewer than `2^31` distinct
+    /// bases (more would take 16 GiB of rows), so every class
+    /// `2·id + east` fits a `u32`.
     fn from_parts(
         row0: Vec<u64>,
-        changes: Vec<HourChanges>,
+        changes: Vec<RawChanges>,
         east: Vec<bool>,
         model: DiurnalModel,
     ) -> Self {
-        let max_base = changes
+        let mut bases: Vec<u64> = changes
             .iter()
             .flat_map(|c| &c.bases)
             .chain(&row0)
             .copied()
-            .max()
-            .unwrap_or(0);
+            .collect();
+        bases.sort_unstable();
+        bases.dedup();
+        let intern = |vals: &[u64]| -> Vec<u32> {
+            vals.iter()
+                .map(|b| bases.partition_point(|x| x < b) as u32)
+                .collect()
+        };
+        let row0 = intern(&row0);
+        let changes = changes
+            .into_iter()
+            .map(|c| HourChanges {
+                ids: intern(&c.bases),
+                flows: c.flows,
+            })
+            .collect();
         DynamicTrace {
+            bases,
             row0,
             changes,
             east,
             model,
             offset: EAST_COAST_OFFSET,
-            max_base,
+            identity: fresh_identity(),
         }
     }
 
@@ -367,9 +430,11 @@ impl DynamicTrace {
     ///
     /// The paper's US-coast model uses 3 h; `n_hours / 2` puts the two
     /// cohorts in antiphase — the strongest daily traffic swing, used by
-    /// the hotspot-swing ablation.
+    /// the hotspot-swing ablation. The result is a new trace: it gets a
+    /// fresh [`DynamicTrace::identity`].
     pub fn with_offset(mut self, offset: i64) -> Self {
         self.offset = offset;
+        self.identity = fresh_identity();
         self
     }
 
@@ -398,38 +463,79 @@ impl DynamicTrace {
         self.east[i]
     }
 
+    /// The cohort flags, one per flow (`true` = east).
+    pub fn cohorts(&self) -> &[bool] {
+        &self.east
+    }
+
+    /// The trace's distinct base rates, increasing: a base id indexes
+    /// this table.
+    pub fn bases(&self) -> &[u64] {
+        &self.bases
+    }
+
+    /// This trace's identity: distinct for every trace built (or
+    /// re-offset) in the process, shared by its clones, which hold the
+    /// same rates at every hour. A consumer that derives state from one
+    /// trace (the stream engine's rate classes) checks it before
+    /// trusting that state under another trace's cursor.
+    pub fn identity(&self) -> u64 {
+        self.identity
+    }
+
     /// The base (pre-envelope) rate of flow `i` at hour `h`, replayed
     /// from hour 0 through the change lists.
     pub fn base_rate_at(&self, h: u32, i: usize) -> u64 {
         let key = i as u32;
-        self.changes_through(h).iter().fold(self.row0[i], |b, c| {
+        let id = self.changes_through(h).iter().fold(self.row0[i], |b, c| {
             match c.flows.binary_search(&key) {
-                Ok(k) => c.bases[k],
+                Ok(k) => c.ids[k],
                 Err(_) => b,
             }
-        })
+        });
+        self.bases[id as usize]
+    }
+
+    /// Every flow's base id at hour `h`: hour 0's row with the change
+    /// lists of hours `1..=h` written over it (borrowed when none
+    /// changes anything).
+    pub fn base_ids_at(&self, h: u32) -> Cow<'_, [u32]> {
+        let mut row = Cow::Borrowed(&self.row0[..]);
+        for c in self.changes_through(h).iter().filter(|c| !c.is_empty()) {
+            c.apply(row.to_mut());
+        }
+        row
     }
 
     /// The rate vector at hour `h` (0 = 6 AM in the paper's framing):
     /// east-cohort flows are evaluated 3 hours later on the curve (their
     /// day started earlier), west-cohort flows at `h` directly.
     pub fn rates_at(&self, h: u32) -> Vec<u64> {
-        let mut row = Cow::Borrowed(&self.row0[..]);
-        for c in self.changes_through(h).iter().filter(|c| !c.is_empty()) {
-            c.apply(row.to_mut());
-        }
-        let mut memo = Vec::new();
-        let rule = self.rule(self.cohort_scales(h), &mut memo);
-        row.iter()
+        let memo = self.class_rates_at(h);
+        let rule = RateRule::new(&self.east, &memo);
+        self.base_ids_at(h)
+            .iter()
             .zip(&self.east)
             .map(|(&b, &east)| rule.rate(b, east))
             .collect()
     }
 
-    /// The memoized [`RateRule`] for cohort scales `scales`, its memo
-    /// filled into `memo`.
-    fn rule<'a>(&'a self, scales: [f64; 2], memo: &'a mut Vec<u64>) -> RateRule<'a> {
-        RateRule::memoized(&self.east, scales, self.max_base, memo)
+    /// Every rate class's rate at hour `h`, indexed by [`rate_class`]:
+    /// `2 · bases().len()` roundings.
+    pub fn class_rates_at(&self, h: u32) -> Vec<u64> {
+        let mut memo = Vec::new();
+        self.fill_class_rates(self.cohort_scales(h), &mut memo);
+        memo
+    }
+
+    /// Fills `memo` with every class's rate under cohort scales `scales`.
+    fn fill_class_rates(&self, scales: [f64; 2], memo: &mut Vec<u64>) {
+        memo.clear();
+        memo.extend(
+            self.bases
+                .iter()
+                .flat_map(|&b| scales.map(|s| scaled(b, s))),
+        );
     }
 
     /// The inputs that define this trace. Together they pin
@@ -437,6 +543,7 @@ impl DynamicTrace {
     /// fingerprints the whole trace without deriving a single rate.
     pub fn inputs(&self) -> TraceInputs<'_> {
         TraceInputs {
+            bases: &self.bases,
             row0: &self.row0,
             changes: &self.changes,
             east: &self.east,
@@ -446,13 +553,14 @@ impl DynamicTrace {
     }
 
     /// A cursor whose consumer holds `rates_at(hour)`; see [`TraceCursor`].
+    /// It prices every rate class at `hour` up front.
     pub fn cursor(&self, hour: u32) -> TraceCursor<'_> {
         TraceCursor {
             trace: self,
             hour,
             row: None,
             row_hour: 0,
-            memo: Vec::new(),
+            memo: self.class_rates_at(hour),
         }
     }
 
@@ -462,14 +570,14 @@ impl DynamicTrace {
         &self.changes[..(h as usize).min(self.changes.len())]
     }
 
-    /// Hour `h`'s change list as `(flows, bases)`; empty for hour 0 and
-    /// for hours past the last list.
-    fn changes_at(&self, h: u32) -> (&[u32], &[u64]) {
+    /// Hour `h`'s change list as `(flows, ids)`; empty for hour 0 and for
+    /// hours past the last list.
+    fn changes_at(&self, h: u32) -> (&[u32], &[u32]) {
         match (h as usize)
             .checked_sub(1)
             .and_then(|k| self.changes.get(k))
         {
-            Some(c) => (&c.flows, &c.bases),
+            Some(c) => (&c.flows, &c.ids),
             None => (&[], &[]),
         }
     }
@@ -525,26 +633,27 @@ impl DynamicTrace {
 ///   change list alone. A flow absent from it kept its base entry and its
 ///   scale, so its rate `round(base · scale)` cannot have moved; a repeat
 ///   hour lists nothing.
-/// * a scale moved: the dense base row of hour `h`, from which every flow
-///   is re-derived; the change list is not read.
+/// * a scale moved: every flow may have moved. The step carries the
+///   dense base-id row of hour `h` and, for consumers that keep their
+///   own per-flow classes, hour `h`'s change list too.
 ///
 /// The dense row starts as the trace's own hour-0 row, borrowed. Only a
 /// scale-moved step brings it up to date: the cursor copies it on the
 /// first base change such a step meets and replays the change lists
 /// since the last such step into the copy. A trace that only rescales,
 /// or only changes bases under a flat envelope, is never copied. The
-/// cursor also owns the rate memo a dense step's [`RateRule`] reads,
-/// refilled at each dense step.
+/// cursor also owns the class-rate table its steps' [`RateRule`]s read:
+/// priced at the start hour, and re-priced at each scale-moved step.
 #[derive(Debug, Clone)]
 pub struct TraceCursor<'a> {
     trace: &'a DynamicTrace,
     /// The hour whose rates the consumer holds.
     hour: u32,
-    /// The base row at `row_hour`; `None` while it is still hour 0's row
-    /// (no change list up to `row_hour` is non-empty).
-    row: Option<Vec<u64>>,
+    /// The base-id row at `row_hour`; `None` while it is still hour 0's
+    /// row (no change list up to `row_hour` is non-empty).
+    row: Option<Vec<u32>>,
     row_hour: u32,
-    /// The memo of the last dense step's rate rule.
+    /// Every class's rate at `hour` ([`rate_class`] order).
     memo: Vec<u64>,
 }
 
@@ -561,10 +670,10 @@ impl<'a> TraceCursor<'a> {
 
     /// Steps from `hour()` to the next hour and returns what may have
     /// moved: the hour's change list when no cohort scale moved, else the
-    /// new hour's whole base row. Either way the step carries the new
-    /// hour's [`RateRule`], whose two cohort scales are evaluated once per
-    /// step, not per flow; a dense step's rule reads a memo the cursor
-    /// fills here.
+    /// new hour's whole base-id row and its change list. Either way the
+    /// step carries the new hour's [`RateRule`], whose class rates are
+    /// priced once per scale-moved step (`2 · bases().len()` roundings),
+    /// never per flow.
     ///
     /// A consumer that holds `rates_at(h - 1)` and overwrites every flow
     /// of [`HourStep::iter`] holds `rates_at(h)` exactly. Every flow whose
@@ -576,24 +685,27 @@ impl<'a> TraceCursor<'a> {
         let Some(h) = self.hour.checked_add(1) else {
             return HourStep::Listed {
                 flows: &[],
-                bases: &[],
-                rule: RateRule::plain(&t.east, [1.0; 2]),
+                ids: &[],
+                rule: RateRule::new(&t.east, &self.memo),
             };
         };
         self.hour = h;
         let (prev, next) = (t.cohort_scales(h - 1), t.cohort_scales(h));
+        let (flows, ids) = t.changes_at(h);
         if prev.map(f64::to_bits) == next.map(f64::to_bits) {
-            let (flows, bases) = t.changes_at(h);
             return HourStep::Listed {
                 flows,
-                bases,
-                rule: RateRule::plain(&t.east, next),
+                ids,
+                rule: RateRule::new(&t.east, &self.memo),
             };
         }
         self.catch_up(h);
+        t.fill_class_rates(next, &mut self.memo);
         HourStep::Dense {
             row: self.row.as_deref().unwrap_or(&t.row0),
-            rule: t.rule(next, &mut self.memo),
+            flows,
+            ids,
+            rule: RateRule::new(&t.east, &self.memo),
         }
     }
 
@@ -609,20 +721,28 @@ impl<'a> TraceCursor<'a> {
     }
 }
 
-/// One [`TraceCursor::step`] from hour `h − 1` to `h`.
+/// One [`TraceCursor::step`] from hour `h − 1` to `h`. Bases are ids
+/// into the trace's base table ([`DynamicTrace::bases`]).
 #[derive(Debug, Clone, Copy)]
 pub enum HourStep<'a> {
     /// No cohort scale moved, so only the listed flows can have moved:
-    /// hour `h`'s changed flows, strictly increasing, and `bases[k]`, the
-    /// new base rate of `flows[k]`.
+    /// hour `h`'s changed flows, strictly increasing, and `ids[k]`, the
+    /// new base id of `flows[k]`.
     Listed {
         flows: &'a [u32],
-        bases: &'a [u64],
+        ids: &'a [u32],
         rule: RateRule<'a>,
     },
     /// A cohort scale moved: every flow `i` is re-derived from `row[i]`,
-    /// its base rate at hour `h`.
-    Dense { row: &'a [u64], rule: RateRule<'a> },
+    /// its base id at hour `h`. `flows` / `ids` are hour `h`'s change
+    /// list, as in [`HourStep::Listed`]: every flow whose base id differs
+    /// from hour `h − 1`'s.
+    Dense {
+        row: &'a [u32],
+        flows: &'a [u32],
+        ids: &'a [u32],
+        rule: RateRule<'a>,
+    },
 }
 
 impl<'a> HourStep<'a> {
@@ -659,12 +779,12 @@ impl Iterator for HourIter<'_> {
     #[inline]
     fn next(&mut self) -> Option<(FlowId, u64)> {
         let k = self.next;
-        let (flow, base, rule) = match self.step {
-            HourStep::Listed { flows, bases, rule } => (*flows.get(k)?, *bases.get(k)?, rule),
-            HourStep::Dense { row, rule } => (k as u32, *row.get(k)?, rule),
+        let (flow, id, rule) = match self.step {
+            HourStep::Listed { flows, ids, rule } => (*flows.get(k)?, *ids.get(k)?, rule),
+            HourStep::Dense { row, rule, .. } => (k as u32, *row.get(k)?, rule),
         };
         self.next += 1;
-        Some((FlowId(flow), rule.rate(base, rule.east[flow as usize])))
+        Some((FlowId(flow), rule.rate(id, rule.east[flow as usize])))
     }
 }
 
@@ -672,46 +792,22 @@ impl Iterator for HourIter<'_> {
 /// scaled by its cohort's envelope factor, rounded half away from zero,
 /// `round(base · scale)` (Eq. 9).
 ///
-/// A memoized rule holds that rounding for both cohorts and every base
-/// from 0 to the trace's largest base, capped at
-/// [`RateRule::MEMO_BASES`]` − 1` and at the flow count (so filling it
-/// never costs more than rounding every flow twice); [`RateRule::rate`]
-/// reads a covered base from the table and rounds any other. The table
-/// is filled by the same rounding, so the two answers are the same bits.
-/// A dense cursor step and [`DynamicTrace::rates_at`] memoize; a listed
-/// step, which rounds only its listed flows, does not.
+/// Under that rule a flow's rate depends only on its rate class
+/// ([`rate_class`]: base id and cohort), so the rule is a table of every
+/// class's rate at the hour, filled once by the rounding; looking a flow
+/// up is one load, never a rounding.
 #[derive(Debug, Clone, Copy)]
 pub struct RateRule<'a> {
     /// `east[i]`: flow `i` is in the east cohort.
     east: &'a [bool],
-    /// The envelope scales, `[west, east]`.
-    scales: [f64; 2],
-    /// `memo[2b + e]`: the rate of base `b` in cohort `e` (1 = east), for
-    /// every `b < memo.len() / 2`; empty when not memoized.
-    memo: &'a [u64],
+    /// `classes[2·id + e]`: the rate of base `id` in cohort `e` (1 = east).
+    classes: &'a [u64],
 }
 
 impl<'a> RateRule<'a> {
-    /// Bases a memo covers at most: `2 · 2^14` rates, 256 KiB.
-    pub const MEMO_BASES: usize = 1 << 14;
-
-    /// A rule that rounds every rate.
-    fn plain(east: &'a [bool], scales: [f64; 2]) -> Self {
-        RateRule {
-            east,
-            scales,
-            memo: &[],
-        }
-    }
-
-    /// A rule whose memo, filled into `memo`, covers every base up to
-    /// `max_base`, capped at `MEMO_BASES − 1` and at the flow count.
-    fn memoized(east: &'a [bool], scales: [f64; 2], max_base: u64, memo: &'a mut Vec<u64>) -> Self {
-        let cap = (Self::MEMO_BASES - 1).min(east.len()) as u64;
-        let bases = max_base.min(cap) + 1;
-        memo.clear();
-        memo.extend((0..bases).flat_map(|b| scales.map(|s| scaled(b, s))));
-        RateRule { east, scales, memo }
+    /// A rule over cohort flags `east` and the class-rate table `classes`.
+    fn new(east: &'a [bool], classes: &'a [u64]) -> Self {
+        RateRule { east, classes }
     }
 
     /// The cohort flags, one per flow.
@@ -719,23 +815,15 @@ impl<'a> RateRule<'a> {
         self.east
     }
 
-    /// The rate of base `base` in the east (`true`) or west cohort.
-    #[inline]
-    pub fn rate(&self, base: u64, east: bool) -> u64 {
-        // The slot saturates past the memo for any base it does not cover.
-        let slot = base.saturating_mul(2) | u64::from(east);
-        match self.memo.get(usize::try_from(slot).unwrap_or(usize::MAX)) {
-            Some(&r) => r,
-            None => scaled(base, self.scale(east)),
-        }
+    /// Every class's rate at the hour, indexed by [`rate_class`].
+    pub fn class_rates(&self) -> &'a [u64] {
+        self.classes
     }
 
-    /// The cohort's scale, selected by a bit mask on the flag rather than
-    /// by indexing `scales` with it.
+    /// The rate of base id `id` in the east (`true`) or west cohort.
     #[inline]
-    fn scale(&self, east: bool) -> f64 {
-        let [w, e] = self.scales.map(f64::to_bits);
-        f64::from_bits(w ^ ((w ^ e) & u64::from(east).wrapping_neg()))
+    pub fn rate(&self, id: u32, east: bool) -> u64 {
+        self.classes[rate_class(id, east) as usize]
     }
 }
 
@@ -760,14 +848,16 @@ fn round_to_u64(x: f64) -> u64 {
     t.saturating_add(u64::from(x - t as f64 >= 0.5))
 }
 
-/// Read-only view of the inputs that define a [`DynamicTrace`]: hour 0's
-/// base-rate row, each later hour's base-rate changes, the cohort flags,
-/// the diurnal model, and the east cohort's offset. Every hour's rate
-/// vector is a pure function of these.
+/// Read-only view of the inputs that define a [`DynamicTrace`]: the base
+/// table, hour 0's base-id row, each later hour's base changes, the
+/// cohort flags, the diurnal model, and the east cohort's offset. Every
+/// hour's rate vector is a pure function of these.
 #[derive(Debug, Clone, Copy)]
 pub struct TraceInputs<'a> {
-    /// `row0[i]`: flow `i`'s base rate at hour 0.
-    pub row0: &'a [u64],
+    /// The distinct base rates, increasing; ids index it.
+    pub bases: &'a [u64],
+    /// `row0[i]`: the id of flow `i`'s base rate at hour 0.
+    pub row0: &'a [u32],
     /// `changes[h - 1]`: the base-rate changes from hour `h − 1` to `h`
     /// (`n_hours` lists).
     pub changes: &'a [HourChanges],
@@ -1098,51 +1188,56 @@ mod tests {
         }
     }
 
-    /// The memo answers exactly what rounding answers, on both cohorts,
-    /// at the edges of the memo and of exact `f64` integers, whatever the
-    /// trace's largest base.
+    /// The class-rate table answers exactly what rounding answers, on
+    /// both cohorts and at every hour, for more than 2^14 distinct bases
+    /// and for bases at the edges of exact `f64` integers and of `i64`.
     #[test]
     fn the_memoized_rule_equals_the_rounding() {
-        let tau_min = DiurnalModel::default().tau_min;
-        let mid = 0.2 + 0.8 * 5.0 / 12.0;
-        let cap = RateRule::MEMO_BASES as u64;
-        // Flags for 2^15 flows; the memo never covers more bases than
-        // there are flows, so a trace of 700 covers at most 701.
-        let long: Vec<bool> = (0..2 * cap).map(|i| i % 2 == 1).collect();
-        for (flows, max_base) in [
-            (2 * cap, 0),
-            (2 * cap, 1249),
-            (2 * cap, cap - 2),
-            (2 * cap, cap - 1),
-            (2 * cap, cap),
-            (2 * cap, 1 << 53),
-            (2 * cap, u64::MAX),
-            (700, 1249),
-            (700, 699),
-        ] {
-            let east = &long[..flows as usize];
-            for scales in [[tau_min, 1.0], [1.0, mid], [mid, tau_min]] {
-                let mut memo = Vec::new();
-                let rule = RateRule::memoized(east, scales, max_base, &mut memo);
-                let len = rule.memo.len() as u64 / 2;
-                assert_eq!(len, max_base.min(cap - 1).min(flows) + 1);
-                let plain = RateRule::plain(east, scales);
-                for base in [
-                    0,
-                    len - 1,
-                    len,
-                    cap - 1,
-                    cap,
-                    (1 << 53) - 1,
-                    (1 << 53) + 1,
-                    u64::MAX,
-                ] {
-                    for (c, e) in [false, true].into_iter().enumerate() {
-                        let want = scaled(base, scales[c]);
-                        assert_eq!(rule.rate(base, e), want, "base {base} cohort {c}");
-                        assert_eq!(plain.rate(base, e), want, "base {base} cohort {c}");
-                    }
+        let edges: [u64; 10] = [
+            0,
+            1,
+            (1 << 14) - 1,
+            1 << 14,
+            (1 << 14) + 1,
+            (1 << 53) - 1,
+            1 << 53,
+            (1 << 53) + 1,
+            (1 << 62) + 3,
+            i64::MAX as u64,
+        ];
+        let flows = (1 << 14) + 64;
+        let mut w = Workload::new();
+        let row: Vec<i64> = (0..flows)
+            .map(|i| {
+                w.add_pair(NodeId(0), NodeId(1), 0);
+                edges.get(i).copied().unwrap_or(3 * i as u64 + 2) as i64
+            })
+            .collect();
+        let model = DiurnalModel::default();
+        let east: Vec<bool> = (0..flows).map(|i| i % 3 == 1).collect();
+        let rows = vec![row; model.n_hours as usize + 1];
+        let t = DynamicTrace::from_rows(&w, model, east.clone(), &rows).unwrap();
+        assert!(t.bases().len() > 1 << 14);
+        assert!(t.bases().windows(2).all(|p| p[0] < p[1]));
+        let mut cursor = t.cursor(0);
+        for h in 0..=model.n_hours + 1 {
+            if h > 0 {
+                cursor.step();
+            }
+            let table = t.class_rates_at(h);
+            assert_eq!(cursor.memo, table, "hour {h}");
+            for (id, &b) in t.bases().iter().enumerate() {
+                for (c, e) in [false, true].into_iter().enumerate() {
+                    let s = model.scale_at(i64::from(h) + [0, t.offset()][c]);
+                    let want = (b as f64 * s).round() as u64;
+                    let got = RateRule::new(&east, &table).rate(id as u32, e);
+                    assert_eq!(got, want, "hour {h} base {b} cohort {c}");
                 }
+            }
+            let rates = t.rates_at(h);
+            for (i, &r) in rates.iter().enumerate().take(edges.len()) {
+                let s = model.scale_at(i64::from(h) + if east[i] { t.offset() } else { 0 });
+                assert_eq!(r, (edges[i] as f64 * s).round() as u64, "hour {h} flow {i}");
             }
         }
     }

@@ -1240,8 +1240,8 @@ proptest! {
     /// after each hour, hours past the trace's last row included. Traces
     /// cover the default diurnal envelope, the flat `tau_min = 1` one,
     /// external rows that repeat or change, shifted east cohorts,
-    /// zero-rate flows, and external rows whose bases straddle the rate
-    /// memo's bounds and the edge of exact `f64` integers; each runs on a
+    /// zero-rate flows, and external rows whose bases straddle the flow
+    /// count, 2^14 and the edge of exact `f64` integers; each runs on a
     /// fat-tree and on a random fabric mixing leaf hosts with two- and
     /// three-homed ones.
     #[test]
@@ -1256,7 +1256,7 @@ proptest! {
         use ppdc::sim::{RateDelta, ShardedFlowStore};
         use ppdc::topology::FatTree;
         use ppdc::traffic::{
-            rng_for_run, DiurnalModel, DynamicTrace, RateRule, DEFAULT_MIX, STANDARD_CHURN,
+            rng_for_run, DiurnalModel, DynamicTrace, DEFAULT_MIX, STANDARD_CHURN,
         };
         let mut x = seed | 1;
         let mut next = || { x ^= x << 13; x ^= x >> 7; x ^= x << 17; x };
@@ -1329,12 +1329,13 @@ proptest! {
                 DynamicTrace::with_cohorts(w, model, &DEFAULT_MIX, STANDARD_CHURN, east, &mut rng)
                     .with_offset(offset)
             }
-            // External rows whose bases straddle the rate memo's bounds
-            // (the flow count and `MEMO_BASES − 1`) and 2^53, up to
-            // 2^53 + 1 so that every delta fits an `i64`; about a third
-            // of the entries change each hour.
+            // External rows whose bases straddle the flow count, 2^14
+            // (the bound of the rate memo this trace shape was first
+            // drawn for) and 2^53, up to 2^53 + 1 so that every delta
+            // fits an `i64`; about a third of the entries change each
+            // hour.
             _ => {
-                let cap = RateRule::MEMO_BASES as u64;
+                let cap = 1u64 << 14;
                 let n = num_flows as u64;
                 let picks = [
                     0, 1, n.saturating_sub(1), n, n + 1, cap - 1, cap, cap + 1,
@@ -1384,6 +1385,185 @@ proptest! {
                 prop_assert_eq!(fed.rates(), &want[..], "shape {} hour {}", shape, h);
                 prop_assert_eq!(batched.rates(), &want[..], "shape {} hour {}", shape, h);
             }
+        }
+    }
+
+    /// The class-keyed store against the rate model, hour by hour: a store
+    /// started at a random hour (keyed straight from the trace, or flat
+    /// at `rates_at(start)`) advances through every later hour, past the
+    /// last row, and each report equals what a flat twin's `ingest` of
+    /// `try_rate_deltas(h)` reports — host masses (hosts whose nets
+    /// cancel included), `Σλ` change, drift and applied count — while
+    /// `export_rates` and random `rate` reads equal `rates_at(h)`. Between
+    /// hours the run may ingest batches that net to nothing (the store
+    /// turns flat and the next `advance` re-keys it) or switch to the
+    /// cursor of an equal trace built separately (a foreign identity,
+    /// which also re-keys). Traces: the default envelope with churn
+    /// (dense steps carrying change lists), a flat churned envelope
+    /// (listed steps), shifted cohorts, a flat trace that never changes,
+    /// more than 2^14 distinct bases with some past 2^53, and rates near
+    /// `u64::MAX` under an envelope above 1, whose masses need `i128`.
+    #[test]
+    fn keyed_store_equals_the_rate_model(
+        shape in 0usize..6,
+        num_flows in 1usize..40,
+        n_hours in 1u32..9,
+        start_pick in any::<u32>(),
+        seed in any::<u64>(),
+    ) {
+        use ppdc::model::FlowId;
+        use ppdc::sim::{RateDelta, ShardedFlowStore};
+        use ppdc::topology::FatTree;
+        use ppdc::traffic::{
+            rng_for_run, DiurnalModel, DynamicTrace, DEFAULT_MIX, STANDARD_CHURN,
+        };
+        let mut x = seed | 1;
+        let mut next = || { x ^= x << 13; x ^= x >> 7; x ^= x << 17; x };
+        let ft = FatTree::build(4).unwrap();
+        let g = ft.graph();
+        let hosts: Vec<NodeId> = g.hosts().collect();
+        // The many-bases shape redraws every base every hour of an 8-hour
+        // day: enough flows × hours for > 2^14 distinct bases.
+        let (num_flows, n_hours) = if shape == 4 { (2_100 + num_flows, 8) } else { (num_flows, n_hours) };
+        // The near-`u64::MAX` shape crowds its flows onto two hosts, so
+        // their masses pass `i64` range.
+        let ends = if shape == 5 { 2 } else { hosts.len() };
+        let mut w = Workload::new();
+        for _ in 0..num_flows {
+            let a = hosts[next() as usize % ends];
+            let b = hosts[next() as usize % ends];
+            w.add_pair(a, b, next() % 10_000);
+        }
+        let east: Vec<bool> = (0..num_flows).map(|_| next() % 2 == 0).collect();
+        let tau_min = [0.2, 0.35, 0.5][(next() % 3) as usize];
+        let model = DiurnalModel { n_hours, tau_min };
+        // External rows: hour 0 draws every base with `redraw(-1, _)`, and
+        // each later hour redraws each entry with probability `1 / every`
+        // through `redraw(old, _)`.
+        let rows_of = |every: u64, redraw: &dyn Fn(i64, u64) -> i64, next: &mut dyn FnMut() -> u64| {
+            let mut rows: Vec<Vec<i64>> = vec![(0..num_flows).map(|_| redraw(-1, next())).collect()];
+            for _ in 0..n_hours {
+                let mut row = rows[rows.len() - 1].clone();
+                for r in row.iter_mut() {
+                    if next().is_multiple_of(every) {
+                        *r = redraw(*r, next());
+                    }
+                }
+                rows.push(row);
+            }
+            rows
+        };
+        let build = |next: &mut dyn FnMut() -> u64| -> DynamicTrace {
+            let mut rng = rng_for_run(seed, shape as u64);
+            match shape {
+                0 => DynamicTrace::with_churn(&w, DiurnalModel::default(), &DEFAULT_MIX, STANDARD_CHURN, &mut rng),
+                1 => {
+                    let flat = DiurnalModel { n_hours, tau_min: 1.0 };
+                    DynamicTrace::with_churn(&w, flat, &DEFAULT_MIX, STANDARD_CHURN, &mut rng)
+                }
+                2 => DynamicTrace::with_cohorts(&w, model, &DEFAULT_MIX, 0.5, east.clone(), &mut rng)
+                    .with_offset(-3),
+                3 => DynamicTrace::new(&w, DiurnalModel { n_hours, tau_min: 1.0 }, &mut rng),
+                // Distinct random bases, a few of them past 2^53.
+                4 => {
+                    let draw = |_: i64, p: u64| {
+                        if p.is_multiple_of(16) { ((1u64 << 53) + p % 4_096) as i64 } else { (p % (1 << 40)) as i64 }
+                    };
+                    DynamicTrace::from_rows(&w, model, east.clone(), &rows_of(1, &draw, next)).unwrap()
+                }
+                // Three bands — small, around 2^53 and just under 2^63 —
+                // under an envelope that scales up to 1.99, so rates reach
+                // 0.995 · u64::MAX; a base only moves within its band, so
+                // every hourly delta fits an `i64`.
+                _ => {
+                    let draw = |old: i64, p: u64| {
+                        let band = match old {
+                            ..0 => p % 3,
+                            0..0x100_0000_0000 => 0,
+                            0x100_0000_0000..0x1000_0000_0000_0000 => 1,
+                            _ => 2,
+                        };
+                        let k = (p / 3 % 1_000) as i64;
+                        [k, (1i64 << 53) - 500 + k, i64::MAX - k][band as usize]
+                    };
+                    let high = DiurnalModel { n_hours, tau_min: [1.5, 1.99][(next() % 2) as usize] };
+                    DynamicTrace::from_rows(&w, high, east.clone(), &rows_of(3, &draw, next)).unwrap()
+                }
+            }
+        };
+        let trace = build(&mut next);
+        // A separately built equal trace: same rates, foreign identity.
+        let twin = build(&mut || 0);
+        if shape != 4 && shape != 5 {
+            prop_assert_eq!(trace.rates_at(1), twin.rates_at(1));
+        }
+        if shape == 4 {
+            prop_assert!(trace.bases().len() > 1 << 14, "{} bases", trace.bases().len());
+        }
+        let last = trace.model().n_hours + 2;
+        let start = start_pick % (last - 1);
+        let mut batched = ShardedFlowStore::build(g, &w).unwrap();
+        batched.set_rates(&trace.rates_at(start)).unwrap();
+        let mut store = if next() % 2 == 0 {
+            ShardedFlowStore::from_trace(g, &w, &trace, start).unwrap()
+        } else {
+            batched.clone()
+        };
+        let mut cursor = trace.cursor(start);
+        // Shapes 4 and 5 draw their rows from `next`, so their twin is not
+        // equal; only the others switch cursors.
+        let switchable = shape < 4;
+        let mut twin_cursor = None;
+        for h in start + 1..=last {
+            let want_prev = trace.rates_at(h - 1);
+            match next() % 6 {
+                // A batch that nets to nothing: the store turns flat.
+                0 => {
+                    let f = FlowId((next() % num_flows as u64) as u32);
+                    let r = store
+                        .ingest(&[RateDelta { flow: f, delta: 3 }, RateDelta { flow: f, delta: -3 }])
+                        .unwrap();
+                    prop_assert_eq!(r.applied, 0);
+                }
+                // A move and its undo.
+                1 => {
+                    let f = FlowId((next() % num_flows as u64) as u32);
+                    let d = if want_prev[f.index()] > 0 { -1 } else { 1 };
+                    store.ingest(&[RateDelta { flow: f, delta: d }]).unwrap();
+                    store.ingest(&[RateDelta { flow: f, delta: -d }]).unwrap();
+                }
+                2 if switchable => twin_cursor = Some(twin.cursor(h - 1)),
+                _ => {}
+            }
+            for _ in 0..3 {
+                let f = (next() % num_flows as u64) as usize;
+                prop_assert_eq!(store.rate(FlowId(f as u32)), Some(want_prev[f]), "hour {} flow {}", h - 1, f);
+            }
+            let a = match twin_cursor.as_mut() {
+                Some(c) => store.advance(c).unwrap(),
+                None => store.advance(&mut cursor).unwrap(),
+            };
+            if twin_cursor.is_some() {
+                cursor.step();
+            }
+            let deltas: Vec<RateDelta> = trace
+                .try_rate_deltas(h)
+                .unwrap()
+                .into_iter()
+                .map(|(flow, delta)| RateDelta { flow, delta })
+                .collect();
+            let b = batched.ingest(&deltas).unwrap();
+            prop_assert_eq!(&a.masses, &b.masses, "shape {} start {} hour {}", shape, start, h);
+            prop_assert_eq!(
+                (a.total_delta, a.drift, a.applied),
+                (b.total_delta, b.drift, b.applied),
+                "shape {} start {} hour {}", shape, start, h
+            );
+            let want = trace.rates_at(h);
+            let mut exported = Vec::new();
+            store.export_rates(&mut exported);
+            prop_assert_eq!(&exported, &want, "shape {} hour {}", shape, h);
+            prop_assert_eq!(&batched.rates()[..], &want[..]);
         }
     }
 
