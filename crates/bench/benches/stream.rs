@@ -6,8 +6,9 @@
 //! one pass each), then fold the per-host masses into
 //! [`AttachAggregates::try_apply_mass_deltas`]. The fold first reduces
 //! host deltas onto their anchors — each fat-tree host's ToR — so its cost
-//! is `O(|touched ToRs| · |switches|)`: 16× fewer oracle rows than per
-//! host at k = 32, and independent of the store's flow count. The cases
+//! is `O(|touched ToRs| · |switches|)` over stored anchor rows: 16× fewer
+//! rows than per host at k = 32, and independent of the store's flow
+//! count. The cases
 //! sweep churn *locality* against a fixed 1M-flow store:
 //!
 //! * `hot_racks_8` — both endpoints inside 8 hot racks (≤ 128 hosts), the

@@ -41,10 +41,20 @@
 //! [`AttachAggregates::try_apply_mass_deltas`] folds those into per-anchor
 //! masses and adds `Δmass·c(t, x)` to each switch —
 //! `O(|touched anchors|·|V_s|)` per epoch instead of a full rebuild.
+//!
+//! The costs `c(t, x)` a fold multiplies by never change while the
+//! aggregates live, so each anchor keeps them as one row over the
+//! candidate switches ([`AnchorRows`]). A build stores the rows its own
+//! sweep queries; an anchor without mass at build time gets its row on
+//! the first fold that moves it. From then on a fold is
+//! `acc[x] += Δmass·row[x]` over contiguous rows, anchor by anchor, with
+//! no oracle query. One row serves both sides: every [`DistanceOracle`]
+//! answers for an undirected fabric, so `c(x, t) = c(t, x)` (the
+//! `strict-invariants` build checks each stored row both ways, and
+//! [`ppdc_topology::DistanceMatrix`] checks its own symmetry there).
 
 use ppdc_model::{Placement, Workload};
 use ppdc_topology::{Cost, DistanceOracle, Graph, NodeId, NodeKind, INFINITY};
-use rayon::prelude::*;
 
 /// One `λ·c(h, x)` attachment term of the flow-by-flow oracle. The
 /// product saturates, and [`attach_acc`] clamps the running sum at
@@ -141,6 +151,154 @@ pub struct HostMassDelta {
     pub d_in: i128,
 }
 
+/// One cost row per anchor over the candidate switches, filled once from
+/// the oracle and read by every later fold (see the module docs).
+#[derive(Debug, Clone)]
+struct AnchorRows {
+    /// Per node: the index of its row, or `None` before its first use.
+    slot: Vec<Option<usize>>,
+    /// Row `r` is `costs[r·m..(r+1)·m]`, one cost per candidate in
+    /// candidate order (`m` candidates).
+    costs: Vec<Cost>,
+    /// Row `r`'s largest entry, for the fold's overflow headroom test.
+    max: Vec<Cost>,
+}
+
+impl AnchorRows {
+    /// No rows yet over `nodes` nodes, with room for `rows` rows of `m`
+    /// costs (a build knows how many anchors carry mass).
+    fn with_capacity(nodes: usize, rows: usize, m: usize) -> Self {
+        AnchorRows {
+            slot: vec![None; nodes],
+            costs: Vec::with_capacity(rows * m),
+            max: Vec::with_capacity(rows),
+        }
+    }
+
+    /// Anchor `a`'s row index, filling the row with `cost(x)` for every
+    /// candidate `x` on first use. Returns the number of oracle queries
+    /// made (`0` when the row was already stored).
+    fn ensure(
+        &mut self,
+        a: NodeId,
+        candidates: &[NodeId],
+        cost: impl Fn(NodeId) -> Cost,
+    ) -> (usize, u64) {
+        if let Some(r) = self.slot[a.index()] {
+            return (r, 0);
+        }
+        let r = self.max.len();
+        let start = self.costs.len();
+        self.costs.extend(candidates.iter().map(|&x| cost(x)));
+        self.max
+            .push(self.costs[start..].iter().copied().max().unwrap_or(0));
+        self.slot[a.index()] = Some(r);
+        (r, u64::try_from(candidates.len()).unwrap_or(u64::MAX))
+    }
+
+    /// Row `r` over `m` candidates and its largest entry.
+    fn row(&self, r: usize, m: usize) -> (&[Cost], Cost) {
+        (&self.costs[r * m..(r + 1) * m], self.max[r])
+    }
+
+    /// `strict-invariants` contract: every stored row equals the oracle's
+    /// costs both ways, `c(a, x) = c(x, a)`, for each anchor `a` with a
+    /// row — the symmetry that lets one row serve `A_in` and `A_out`.
+    #[cfg(feature = "strict-invariants")]
+    fn assert_match<D: DistanceOracle + ?Sized>(&self, candidates: &[NodeId], dm: &D) {
+        for (a, r) in self.slot.iter().enumerate() {
+            if let Some(r) = *r {
+                let a = NodeId::from_index(a);
+                let (row, _) = self.row(r, candidates.len());
+                for (&x, &c) in candidates.iter().zip(row) {
+                    assert_eq!(
+                        c,
+                        dm.cost(a, x),
+                        "stored anchor row disagrees with the oracle"
+                    );
+                    assert_eq!(c, dm.cost(x, a), "the oracle is not symmetric");
+                }
+            }
+        }
+    }
+}
+
+/// One side's staged sums `base[x] + k + Σ_r d_r·row_r[x]` over the
+/// candidates `x`, swept row by row over the `(row, d_r)` list: `None`
+/// when a product or partial sum overflows `i128`.
+///
+/// When `|base[x] + k| + Σ_r |d_r|·max(row_r)` fits `i64`, so does every
+/// product and every partial sum in any order, and the sweep runs in
+/// wrapping `i64`, four rows per pass, exact there. Otherwise it runs in
+/// checked `i128`, adding each candidate's terms in the order of the
+/// switch-by-switch sum it replaced, so it overflows exactly where that
+/// did. The sums agree either way.
+fn sweep_side(
+    base: &[Cost],
+    candidates: &[NodeId],
+    k: i128,
+    rows: &AnchorRows,
+    deltas: &[(usize, i128)],
+) -> Option<Vec<i128>> {
+    let m = candidates.len();
+    let mut acc: Vec<i128> = candidates
+        .iter()
+        .map(|x| i128::from(base[x.index()]).checked_add(k))
+        .collect::<Option<_>>()?;
+    let reach = deltas.iter().fold(
+        acc.iter().map(|s| s.unsigned_abs()).max().unwrap_or(0),
+        |lim, &(r, d)| {
+            lim.saturating_add(
+                d.unsigned_abs()
+                    .saturating_mul(u128::from(rows.row(r, m).1)),
+            )
+        },
+    );
+    if reach <= u128::from(i64::MAX.unsigned_abs()) {
+        let mut narrow: Vec<i64> = acc.iter().map(|&s| i64::try_from(s).unwrap_or(0)).collect();
+        // Each `d ≠ 0`, so `|d|`, every row entry and every product are at
+        // most `reach`, and so is every partial sum in any order.
+        let row = |&(r, d): &(usize, i128)| (rows.row(r, m).0, i64::try_from(d).unwrap_or(0));
+        let mut quads = deltas.chunks_exact(4);
+        for q in &mut quads {
+            fold_rows_narrow(
+                &mut narrow,
+                [row(&q[0]), row(&q[1]), row(&q[2]), row(&q[3])],
+            );
+        }
+        for e in quads.remainder() {
+            fold_rows_narrow(&mut narrow, [row(e)]);
+        }
+        return Some(narrow.into_iter().map(i128::from).collect());
+    }
+    for &(r, d) in deltas {
+        for (s, &c) in acc.iter_mut().zip(rows.row(r, m).0) {
+            *s = d
+                .checked_mul(i128::from(c))
+                .and_then(|t| s.checked_add(t))?;
+        }
+    }
+    Some(acc)
+}
+
+/// `acc[x] += Σ_k d_k·row_k[x]` in wrapping `i64`, `K` rows per pass over
+/// `acc`; exact when the caller has bounded every entry, product and
+/// partial sum below `2^63`.
+#[expect(
+    clippy::as_conversions,
+    reason = "row entries are at most the caller's bound, below 2^63, so the cast is lossless"
+)]
+fn fold_rows_narrow<const K: usize>(acc: &mut [i64], rows: [(&[Cost], i64); K]) {
+    let rows = rows.map(|(row, d)| (&row[..acc.len()], d));
+    for (x, s) in acc.iter_mut().enumerate() {
+        let mut t = *s;
+        for &(row, d) in &rows {
+            t = t.wrapping_add(d.wrapping_mul(row[x] as i64));
+        }
+        *s = t;
+    }
+}
+
 /// Precomputed `A_in` / `A_out` arrays plus the total rate.
 #[derive(Debug, Clone)]
 pub struct AttachAggregates {
@@ -150,6 +308,8 @@ pub struct AttachAggregates {
     switches: Vec<NodeId>,
     /// Per node: `(anchor, cost to it)`, see [`anchors`].
     anchor: Vec<(NodeId, Cost)>,
+    /// `c(t, x) = c(x, t)` per anchor `t`: what both sides fold by.
+    rows: AnchorRows,
 }
 
 impl AttachAggregates {
@@ -171,9 +331,9 @@ impl AttachAggregates {
     /// Flow rates fold into per-host masses, and those into one mass per
     /// anchor (a leaf host's ToR, or the node itself; see [`anchors`]) plus
     /// one constant
-    /// `K = Σ_h R[h]·w(h, anchor)`, so each candidate costs one oracle row
-    /// per touched anchor: `O(|flows| + |anchors|·|V_s|)`, k/2 fewer rows
-    /// than per host on a fat-tree.
+    /// `K = Σ_h R[h]·w(h, anchor)`, so the build costs one oracle row over
+    /// the candidates per touched anchor: `O(|flows| + |anchors|·|V_s|)`,
+    /// k/2 fewer rows than per host on a fat-tree.
     ///
     /// Unreachable attachments saturate: a candidate `x` that cannot reach
     /// some host with nonzero mass gets `A_in[x]` (or `A_out[x]`) pinned at
@@ -233,10 +393,12 @@ impl AttachAggregates {
 
     /// The anchor fold and switch sweep both builds share: per-node
     /// masses fold onto their anchors plus the constants
-    /// `K = Σ_h R[h]·w(h, anchor)`, then each candidate costs one oracle
-    /// query per nonzero anchor mass. Sums saturate (a saturated sum is
-    /// ≥ [`INFINITY`] anyway), so regrouping per-flow terms by host and
-    /// anchor changes no bit of the result.
+    /// `K = Σ_h R[h]·w(h, anchor)`, then each anchor with mass on either
+    /// side costs one oracle row over the candidates, which is stored for
+    /// the folds. Sums saturate and every term is nonnegative (a saturated
+    /// sum is ≥ [`INFINITY`] anyway), so neither regrouping per-flow terms
+    /// by host and anchor nor sweeping anchor by anchor changes a bit of
+    /// the result.
     fn fold_and_sweep<D: DistanceOracle + ?Sized>(
         g: &Graph,
         dm: &D,
@@ -267,28 +429,39 @@ impl AttachAggregates {
             in_mass[a.index()] = in_mass[a.index()].saturating_add(mi);
             k_out = k_out.saturating_add(mi.saturating_mul(wa));
         }
-        let touched: Vec<NodeId> = (0..n)
+        let m = candidates.len();
+        let with_mass = (0..n)
             .filter(|&a| out_mass[a] != 0 || in_mass[a] != 0)
-            .map(NodeId::from_index)
-            .collect();
-        let mut a_in = vec![0; n];
-        let mut a_out = vec![0; n];
+            .count();
+        let mut rows = AnchorRows::with_capacity(n, with_mass, m);
+        let mut ain = vec![k_in; m];
+        let mut aout = vec![k_out; m];
         let mut queries = 0u64;
-        for &x in candidates {
-            let (mut ain, mut aout) = (k_in, k_out);
-            for &a in &touched {
-                let (mo, mi) = (out_mass[a.index()], in_mass[a.index()]);
-                if mo != 0 {
-                    ain = ain.saturating_add(mo.saturating_mul(u128::from(dm.cost(a, x))));
-                    queries += 1;
-                }
-                if mi != 0 {
-                    aout = aout.saturating_add(mi.saturating_mul(u128::from(dm.cost(x, a))));
-                    queries += 1;
+        for a in (0..n).map(NodeId::from_index) {
+            let (mo, mi) = (out_mass[a.index()], in_mass[a.index()]);
+            if mo == 0 && mi == 0 {
+                continue;
+            }
+            let (r, q) = rows.ensure(a, candidates, |x| dm.cost(a, x));
+            queries += q;
+            let row = rows.row(r, m).0;
+            // A zero mass adds exact zeros: skip its side.
+            if mo != 0 {
+                for (s, &c) in ain.iter_mut().zip(row) {
+                    *s = s.saturating_add(mo.saturating_mul(u128::from(c)));
                 }
             }
-            a_in[x.index()] = clamp_attach(ain);
-            a_out[x.index()] = clamp_attach(aout);
+            if mi != 0 {
+                for (s, &c) in aout.iter_mut().zip(row) {
+                    *s = s.saturating_add(mi.saturating_mul(u128::from(c)));
+                }
+            }
+        }
+        let mut a_in = vec![0; n];
+        let mut a_out = vec![0; n];
+        for ((&x, &si), &so) in candidates.iter().zip(&ain).zip(&aout) {
+            a_in[x.index()] = clamp_attach(si);
+            a_out[x.index()] = clamp_attach(so);
         }
         // One batched count for the whole sweep — no per-query atomics.
         ppdc_obs::global().add(ppdc_obs::names::ORACLE_QUERIES, queries);
@@ -298,6 +471,7 @@ impl AttachAggregates {
             total_rate,
             switches: candidates.to_vec(),
             anchor,
+            rows,
         }
     }
 
@@ -336,6 +510,7 @@ impl AttachAggregates {
             total_rate: w.total_rate(),
             switches: candidates.to_vec(),
             anchor: anchors(g, dm),
+            rows: AnchorRows::with_capacity(n, 0, 0),
         }
     }
 
@@ -345,7 +520,9 @@ impl AttachAggregates {
     /// switch sweep lands the list here. `total_delta` is the net change
     /// of `Σλ`. Host deltas first reduce to their anchors (a leaf host's
     /// ToR; see [`AttachAggregates::build_restricted`]), so the sweep costs
-    /// `|touched anchors| · |V_s|` oracle queries. All arithmetic is exact
+    /// `|touched anchors| · |V_s|` multiply-adds over the stored anchor
+    /// rows, and oracle queries only for the row of an anchor that carried
+    /// no mass at build time, on its first fold. All arithmetic is exact
     /// integer math, so the result is bit-identical to a from-scratch
     /// rebuild under the new rates. Masses are `i128`, so a delta stream
     /// that briefly overshoots before a compensating delta lands nets
@@ -374,8 +551,10 @@ impl AttachAggregates {
 
     /// The shared switch sweep: reduce host deltas to anchor deltas plus
     /// the constants `K = Σ Δmass·w(h, anchor)`, stage `A_in`/`A_out`
-    /// updates for every candidate, validate all of them, then commit — a
-    /// failed fold never leaves the aggregates half-updated.
+    /// updates for every candidate anchor by anchor over the stored rows
+    /// ([`sweep_side`]), validate all of them, then commit — a failed fold
+    /// never leaves the aggregates half-updated. (A row it filled stays:
+    /// rows hold the oracle's costs, not state.)
     fn fold_mass_deltas<D: DistanceOracle + ?Sized>(
         &mut self,
         dm: &D,
@@ -385,7 +564,7 @@ impl AttachAggregates {
         const IN: AggregateError = AggregateError::Overflow { what: "A_in" };
         const OUT: AggregateError = AggregateError::Overflow { what: "A_out" };
         let (mut k_in, mut k_out) = (0i128, 0i128);
-        let mut rows: Vec<(NodeId, i128, i128)> = Vec::with_capacity(deltas.len());
+        let mut by_anchor: Vec<(NodeId, i128, i128)> = Vec::with_capacity(deltas.len());
         for d in deltas {
             let (a, wa) = self.anchor[d.host.index()];
             let wa = i128::from(wa);
@@ -399,13 +578,13 @@ impl AttachAggregates {
                 .checked_mul(wa)
                 .and_then(|t| k_out.checked_add(t))
                 .ok_or(OUT)?;
-            rows.push((a, d.d_out, d.d_in));
+            by_anchor.push((a, d.d_out, d.d_in));
         }
-        // Merge rows per anchor. Host-sorted input is already anchor-sorted
-        // on a fat-tree (a ToR's hosts have consecutive ids).
-        rows.sort_unstable_by_key(|r| r.0);
-        let mut merged: Vec<(NodeId, i128, i128)> = Vec::with_capacity(rows.len());
-        for (a, d_out, d_in) in rows {
+        // Merge per anchor. Host-sorted input is already anchor-sorted on
+        // a fat-tree (a ToR's hosts have consecutive ids).
+        by_anchor.sort_unstable_by_key(|r| r.0);
+        let mut merged: Vec<(NodeId, i128, i128)> = Vec::with_capacity(by_anchor.len());
+        for (a, d_out, d_in) in by_anchor {
             match merged.last_mut() {
                 Some(m) if m.0 == a => {
                     m.1 = m.1.checked_add(d_out).ok_or(IN)?;
@@ -414,54 +593,45 @@ impl AttachAggregates {
                 _ => merged.push((a, d_out, d_in)),
             }
         }
-        // Every switch's (A_in, A_out) pair is staged independently from
-        // immutable state, so the sweep parallelizes without any cross-
-        // switch reduction — per-switch arithmetic is the same serial
-        // loop either way, keeping the result bit-identical. Small folds
-        // stay on the calling thread.
-        let a_in = &self.a_in;
-        let a_out = &self.a_out;
-        let switches = &self.switches;
-        let stage_one = |x: NodeId| -> Result<(usize, Cost, Cost), AggregateError> {
-            let mut ain = i128::from(a_in[x.index()]).checked_add(k_in).ok_or(IN)?;
-            let mut aout = i128::from(a_out[x.index()]).checked_add(k_out).ok_or(OUT)?;
-            for &(a, d_out, d_in) in &merged {
-                // A zero-sided mass contributes an exact zero: skipping
-                // the term (and its oracle query) is bit-identical.
-                if d_out != 0 {
-                    ain = d_out
-                        .checked_mul(i128::from(dm.cost(a, x)))
-                        .and_then(|t| ain.checked_add(t))
-                        .ok_or(IN)?;
-                }
-                if d_in != 0 {
-                    aout = d_in
-                        .checked_mul(i128::from(dm.cost(x, a)))
-                        .and_then(|t| aout.checked_add(t))
-                        .ok_or(OUT)?;
-                }
+        // Rows first: an anchor's first fold fills its row from the oracle,
+        // and the sweeps' headroom test reads each row's maximum. A zero
+        // mass contributes exact zeros: skipping it (and an all-zero
+        // anchor's row) is bit-identical.
+        let mut queries = 0u64;
+        let mut by_in: Vec<(usize, i128)> = Vec::with_capacity(merged.len());
+        let mut by_out: Vec<(usize, i128)> = Vec::with_capacity(merged.len());
+        for &(a, d_out, d_in) in &merged {
+            if d_out == 0 && d_in == 0 {
+                continue;
             }
-            let ain =
-                Cost::try_from(ain).map_err(|_| AggregateError::OutOfRange { what: "A_in" })?;
-            let aout =
-                Cost::try_from(aout).map_err(|_| AggregateError::OutOfRange { what: "A_out" })?;
-            Ok((x.index(), ain, aout))
-        };
-        const PARALLEL_FOLD_WORK: usize = 1 << 15;
-        let staged: Vec<(usize, Cost, Cost)> =
-            if switches.len().saturating_mul(merged.len()) < PARALLEL_FOLD_WORK {
-                switches
-                    .iter()
-                    .map(|&x| stage_one(x))
-                    .collect::<Result<_, _>>()?
-            } else {
-                (0..switches.len())
-                    .into_par_iter()
-                    .map(|i| stage_one(switches[i]))
-                    .collect::<Vec<Result<(usize, Cost, Cost), AggregateError>>>()
-                    .into_iter()
-                    .collect::<Result<_, _>>()?
-            };
+            let (r, q) = self.rows.ensure(a, &self.switches, |x| dm.cost(a, x));
+            queries += q;
+            if d_out != 0 {
+                by_in.push((r, d_out));
+            }
+            if d_in != 0 {
+                by_out.push((r, d_in));
+            }
+        }
+        if queries > 0 {
+            ppdc_obs::global().add(ppdc_obs::names::ORACLE_QUERIES, queries);
+        }
+        #[cfg(feature = "strict-invariants")]
+        self.rows.assert_match(&self.switches, dm);
+        let ain = sweep_side(&self.a_in, &self.switches, k_in, &self.rows, &by_in).ok_or(IN)?;
+        let aout =
+            sweep_side(&self.a_out, &self.switches, k_out, &self.rows, &by_out).ok_or(OUT)?;
+        let staged: Vec<(Cost, Cost)> = ain
+            .into_iter()
+            .zip(aout)
+            .map(|(i, o)| {
+                let i =
+                    Cost::try_from(i).map_err(|_| AggregateError::OutOfRange { what: "A_in" })?;
+                let o =
+                    Cost::try_from(o).map_err(|_| AggregateError::OutOfRange { what: "A_out" })?;
+                Ok((i, o))
+            })
+            .collect::<Result<_, _>>()?;
         let total = i128::from(self.total_rate).checked_add(total_delta).ok_or(
             AggregateError::Overflow {
                 what: "the total rate",
@@ -470,9 +640,9 @@ impl AttachAggregates {
         let total = u64::try_from(total).map_err(|_| AggregateError::OutOfRange {
             what: "the total rate",
         })?;
-        for (i, ain, aout) in staged {
-            self.a_in[i] = ain;
-            self.a_out[i] = aout;
+        for (&x, (ain, aout)) in self.switches.iter().zip(staged) {
+            self.a_in[x.index()] = ain;
+            self.a_out[x.index()] = aout;
         }
         self.total_rate = total;
         Ok(())
@@ -1138,6 +1308,116 @@ mod tests {
                 assert!(by_mass.same_as(&by_flow), "{name} step {step}");
                 assert!(by_mass.same_as(&rebuilt), "{name} step {step}");
             }
+        }
+    }
+
+    /// Every stored row equals the oracle's costs over the candidates,
+    /// both ways, and its recorded maximum.
+    fn rows_match(agg: &AttachAggregates, dm: &DistanceMatrix) -> bool {
+        let m = agg.switches.len();
+        agg.rows.slot.iter().enumerate().all(|(a, r)| {
+            r.is_none_or(|r| {
+                let a = NodeId::from_index(a);
+                let (row, max) = agg.rows.row(r, m);
+                row.iter()
+                    .zip(&agg.switches)
+                    .all(|(&c, &x)| c == dm.cost(a, x) && c == dm.cost(x, a))
+                    && max == row.iter().copied().max().unwrap_or(0)
+            })
+        })
+    }
+
+    /// An anchor that carries no mass at build time has no row; the first
+    /// fold that moves it fills it from the oracle, and later folds read
+    /// it. Every step equals a rebuild, on the fat-tree (the
+    /// anchor a ToR) and on the mixed fabrics (on the partitioned one,
+    /// over the serving switches, every host anchors to itself).
+    #[test]
+    fn anchor_first_gaining_mass_after_build_gets_its_row() {
+        let g = fat_tree(4).unwrap();
+        let mut fabrics = vec![("fat-tree", g.clone(), g.hosts().collect::<Vec<_>>())];
+        fabrics.extend(
+            mixed_fabrics()
+                .into_iter()
+                .map(|(name, g, h, _)| (name, g, h)),
+        );
+        for (name, g, hosts) in fabrics {
+            let dm = DistanceMatrix::build(&g);
+            let anchor = anchors(&g, &dm);
+            let (first, last) = (hosts[0], hosts[hosts.len() - 1]);
+            let (a_first, a_last) = (anchor[first.index()].0, anchor[last.index()].0);
+            assert_ne!(a_first, a_last, "{name}");
+            let mut w = Workload::new();
+            let busy = w.add_pair(first, first, 9);
+            let idle = w.add_pair(last, last, 0);
+            // Folds need finite aggregates: serve the switches the hosts
+            // reach, as the fault engine does.
+            let candidates: Vec<NodeId> = g
+                .switches()
+                .filter(|&x| dm.cost(first, x) < INFINITY)
+                .collect();
+            let rebuild =
+                |w: &Workload| AttachAggregates::build_restricted(&g, &dm, w, &candidates);
+            let mut agg = rebuild(&w);
+            assert!(agg.rows.slot[a_first.index()].is_some(), "{name}");
+            assert!(agg.rows.slot[a_last.index()].is_none(), "{name}");
+            for (step, deltas) in [[(idle, 5i64), (busy, -2)], [(idle, 3), (busy, 4)]]
+                .into_iter()
+                .enumerate()
+            {
+                for &(f, d) in &deltas {
+                    w.set_rate(f, w.rate(f).checked_add_signed(d).unwrap());
+                }
+                fold_flow_deltas(&mut agg, &dm, &w, &deltas).unwrap();
+                assert!(agg.same_as(&rebuild(&w)), "{name} {step}");
+                assert!(agg.rows.slot[a_last.index()].is_some(), "{name} {step}");
+                assert!(rows_match(&agg, &dm), "{name} {step}");
+            }
+            // Two anchors, one row each: nothing else was filled.
+            assert_eq!(agg.rows.max.len(), 2, "{name}");
+        }
+    }
+
+    /// A fold whose headroom passes `i64` takes the checked `i128` sweep,
+    /// one that stays below takes the narrow sweep (rows four at a time,
+    /// then the rest one by one); over every ToR of a k = 4 fat-tree both
+    /// equal a rebuild. The wide case moves `X` of rate off one pod's host
+    /// onto another's: its headroom `max A_in + Σ|Δ|·max row ≥ 4X + 8X`
+    /// passes `i64::MAX`, while every aggregate stays below the sentinel.
+    #[test]
+    fn wide_and_narrow_sweeps_agree_with_rebuild() {
+        const X: u64 = 850_000_000_000_000_000;
+        let g = fat_tree(4).unwrap();
+        let dm = DistanceMatrix::build(&g);
+        let hosts: Vec<NodeId> = g.hosts().collect();
+        for big in [17, X] {
+            let mut w = Workload::new();
+            for (i, &h) in hosts.iter().enumerate() {
+                w.add_pair(h, hosts[(i * 7 + 3) % hosts.len()], 10 + i as u64);
+            }
+            let down = w.add_pair(hosts[0], hosts[9], big);
+            let up = w.add_pair(hosts[12], hosts[3], 0);
+            let mut agg = AttachAggregates::build(&g, &dm, &w);
+            assert!(agg.a_in.iter().chain(&agg.a_out).all(|&a| a < INFINITY));
+            let wide = u128::from(*agg.a_in.iter().max().unwrap()) + 8 * u128::from(big);
+            assert_eq!(wide > u128::from(i64::MAX.unsigned_abs()), big == X);
+            let step = i64::try_from(big).unwrap();
+            let deltas: Vec<(FlowId, i64)> = w
+                .flow_ids()
+                .map(|f| match f {
+                    _ if f == down => (f, -step),
+                    _ if f == up => (f, step),
+                    _ => (f, f.index() as i64 % 5 - 2),
+                })
+                .collect();
+            for &(f, d) in &deltas {
+                w.set_rate(f, w.rate(f).checked_add_signed(d).unwrap());
+            }
+            fold_flow_deltas(&mut agg, &dm, &w, &deltas).unwrap();
+            assert!(agg.same_as(&AttachAggregates::build(&g, &dm, &w)), "{big}");
+            assert!(agg.a_in.iter().chain(&agg.a_out).all(|&a| a < INFINITY));
+            assert!(rows_match(&agg, &dm), "{big}");
+            assert_eq!(agg.rows.max.len(), 8, "{big}: every ToR is an anchor");
         }
     }
 

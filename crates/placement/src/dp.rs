@@ -554,10 +554,65 @@ fn pair_bound_raw(
 /// near-optimal almost immediately, and the tail of the order prunes
 /// wholesale. The per-egress bound is constant over an egress class and
 /// constant over each ingress class, so it is evaluated once per class
-/// *pair* — O(classes²) instead of O(m²) — and shared by every member;
-/// the resulting vector is value-identical to the per-pair scan, so the
-/// sort order (and with it the whole sweep) is unchanged.
+/// *pair* and shared by every member.
+///
+/// Each egress scans the ingress classes in ascending `A_in` and stops as
+/// soon as the floor `A_in[s] + Σλ·seg_lb + A_out[t]` (saturating) of the
+/// next class reaches the best bound so far: every `lb(s, t)` is at least
+/// its floor (`max(c, seg_lb) ≥ seg_lb`, and `sat_mul` / `sat_add` are
+/// monotone), and the floors only rise along the scan, so no later class
+/// can undercut it (DESIGN.md §10). The resulting vector is
+/// value-identical to the full class-pair scan (`egress_order_reference`
+/// in the tests), so the sort order, and with it the whole sweep, is
+/// unchanged.
 pub(crate) fn egress_order(
+    closure: &MetricClosure,
+    a_in: &[Cost],
+    a_out: &[Cost],
+    classes: &[Vec<usize>],
+    rate: u64,
+    seg_lb: Cost,
+) -> Vec<(Cost, usize)> {
+    let chain_floor = sat_mul(rate, seg_lb);
+    let mut by_a_in: Vec<(Cost, usize)> = classes
+        .iter()
+        .enumerate()
+        .map(|(si, s_class)| (a_in[s_class[0]], si))
+        .collect();
+    by_a_in.sort_unstable();
+    let mut order: Vec<(Cost, usize)> = Vec::with_capacity(closure.len());
+    for (ti, t_class) in classes.iter().enumerate() {
+        let t_rep = t_class[0];
+        let mut bound = u64::MAX;
+        for &(s_in, si) in &by_a_in {
+            if sat_add(sat_add(s_in, chain_floor), a_out[t_rep]) >= bound {
+                break;
+            }
+            let s_class = &classes[si];
+            let s_rep = if si != ti {
+                s_class[0]
+            } else if s_class.len() > 1 {
+                // In-class pair: the constant class diameter as c(s, t).
+                s_class[1]
+            } else {
+                continue; // the lone member is the egress itself
+            };
+            bound = bound.min(pair_bound_raw(
+                closure, a_in, a_out, rate, seg_lb, s_rep, t_rep,
+            ));
+        }
+        for &t_ix in t_class {
+            order.push((bound, t_ix));
+        }
+    }
+    order.sort_unstable();
+    order
+}
+
+/// The full `O(classes²)` scan [`egress_order`] cuts short: the reference
+/// its early exit is tested against.
+#[cfg(test)]
+fn egress_order_reference(
     closure: &MetricClosure,
     a_in: &[Cost],
     a_out: &[Cost],
@@ -573,10 +628,9 @@ pub(crate) fn egress_order(
             let s_rep = if si != ti {
                 s_class[0]
             } else if s_class.len() > 1 {
-                // In-class pair: the constant class diameter as c(s, t).
                 s_class[1]
             } else {
-                continue; // the lone member is the egress itself
+                continue;
             };
             bound = bound.min(pair_bound_raw(
                 closure, a_in, a_out, rate, seg_lb, s_rep, t_rep,
@@ -1138,6 +1192,104 @@ mod tests {
             orbits,
             sweep_classes_with_hashes(&big_closure, &zeros, &zeros, &hashes)
         );
+    }
+
+    /// The k = 16 switch closure and its zero-surface orbits, built once
+    /// for the egress-order proptest.
+    fn k16_closure() -> &'static (MetricClosure, Vec<Vec<usize>>) {
+        static K16: std::sync::OnceLock<(MetricClosure, Vec<Vec<usize>>)> =
+            std::sync::OnceLock::new();
+        K16.get_or_init(|| {
+            let ft = ppdc_topology::FatTree::build(16).unwrap();
+            let oracle = ppdc_topology::FatTreeOracle::new(&ft);
+            let switches: Vec<NodeId> = ft.graph().switches().collect();
+            let closure = MetricClosure::over(&oracle, &switches);
+            let zero = vec![0; switches.len()];
+            let orbits = interchange_classes(&closure, &zero, &zero);
+            (closure, orbits)
+        })
+    }
+
+    /// One aggregate value of shape `mode`: 0 wide, 1 from four values
+    /// (ties), 2 with the sentinel, values past it and near-`u64::MAX`
+    /// entries mixed in.
+    fn arb_cost(mode: u8, draw: u64) -> Cost {
+        match mode {
+            0 => draw % 1_000_000,
+            1 => (draw % 4) * 1_000,
+            _ => [
+                0,
+                7,
+                INFINITY - 1,
+                INFINITY,
+                INFINITY + 3,
+                u64::MAX,
+                draw % 50,
+            ][(draw % 7) as usize],
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::env_or(48))]
+
+        /// The early-exit egress order equals the full class-pair scan on
+        /// singleton classes (k = 4), multi-member classes past the orbit
+        /// cutoff (k = 16, aggregates constant per orbit) and per-switch
+        /// surfaces that split them; with `A_in` ties, `Σλ = 0` or a
+        /// saturating `Σλ`, and sentinel or saturated aggregates.
+        #[test]
+        fn egress_order_equals_the_reference_scan(
+            fabric in 0u8..3,
+            mode in 0u8..3,
+            per_orbit in proptest::prelude::any::<bool>(),
+            rate_kind in 0u8..3,
+            n in 3usize..6,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let small;
+            let (closure, orbits) = if fabric == 0 {
+                let g = fat_tree(4).unwrap();
+                let dm = DistanceMatrix::build(&g);
+                let switches: Vec<NodeId> = g.switches().collect();
+                let closure = MetricClosure::over(&dm, &switches);
+                let zero = vec![0; switches.len()];
+                let orbits = interchange_classes(&closure, &zero, &zero);
+                small = (closure, orbits);
+                (&small.0, &small.1)
+            } else {
+                let big = k16_closure();
+                (&big.0, &big.1)
+            };
+            let m = closure.len();
+            let (mut a_in, mut a_out) = (vec![0; m], vec![0; m]);
+            for (o, orbit) in orbits.iter().enumerate() {
+                for &i in orbit {
+                    let key = if per_orbit { o } else { i } as u64;
+                    a_in[i] = arb_cost(mode, mix(seed ^ (2 * key)));
+                    a_out[i] = arb_cost(mode, mix(seed ^ (2 * key + 1)));
+                }
+            }
+            let rate = match rate_kind {
+                0 => 0,
+                1 => 1 + mix(seed) % 1_000,
+                _ => u64::MAX / 3,
+            };
+            let seg_lb = sat_mul(n as u64 - 1, closure.min_pair_cost());
+            let partitions = [
+                sweep_classes(closure, &a_in, &a_out),
+                interchange_classes(closure, &a_in, &a_out),
+                singleton_classes(m),
+            ];
+            if fabric != 0 && per_orbit {
+                proptest::prop_assert!(partitions[0].len() < m, "k=16 classes must merge");
+            }
+            for classes in &partitions {
+                proptest::prop_assert_eq!(
+                    egress_order(closure, &a_in, &a_out, classes, rate, seg_lb),
+                    egress_order_reference(closure, &a_in, &a_out, classes, rate, seg_lb)
+                );
+            }
+        }
     }
 
     #[test]

@@ -1287,11 +1287,10 @@ fn run_stream_day_impl<D: DistanceOracle + ?Sized>(
     }
     let n_hours = trace.model().n_hours;
     let wants_snapshots = cfg.store.is_some() || cfg.stop_after.is_some();
-    let fp = if wants_snapshots || resume.is_some() {
-        stream_fingerprint(g, w, trace, sfc, cfg)
-    } else {
-        0
-    };
+    // The input hash is paid where a checkpoint reads it: on resume, to
+    // validate the snapshot, or at the first snapshot written. A day that
+    // writes none never hashes, and a full day hashes once.
+    let mut fp: Option<u64> = None;
     // The store and aggregates start at the start epoch's rates: the
     // store is keyed straight from the trace, and the aggregates are built
     // from its host masses, so no per-flow rate vector is ever derived.
@@ -1326,7 +1325,8 @@ fn run_stream_day_impl<D: DistanceOracle + ?Sized>(
             (1, store, agg, p, st)
         }
         Some(ck) => {
-            ck.validate_against(g, sfc, n_hours, fp)?;
+            let expected = *fp.insert(stream_fingerprint(g, w, trace, sfc, cfg));
+            ck.validate_against(g, sfc, n_hours, expected)?;
             obs.add(obs_names::CKPT_RESTORES, 1);
             let (store, agg) = start_state(ck.epoch)?;
             let placement = Placement::new_unchecked(ck.placement.clone());
@@ -1397,7 +1397,7 @@ fn run_stream_day_impl<D: DistanceOracle + ?Sized>(
         let last = epoch == n_hours;
         if wants_snapshots && (stop_here || last || epoch % every == 0) {
             let ck = StreamCheckpoint {
-                fingerprint: fp,
+                fingerprint: *fp.get_or_insert_with(|| stream_fingerprint(g, w, trace, sfc, cfg)),
                 epoch,
                 initial_cost: st.initial_cost,
                 placement: st.placement.clone(),

@@ -637,13 +637,15 @@ impl DynamicTrace {
 ///   dense base-id row of hour `h` and, for consumers that keep their
 ///   own per-flow classes, hour `h`'s change list too.
 ///
-/// The dense row starts as the trace's own hour-0 row, borrowed. Only a
-/// scale-moved step brings it up to date: the cursor copies it on the
-/// first base change such a step meets and replays the change lists
-/// since the last such step into the copy. A trace that only rescales,
-/// or only changes bases under a flat envelope, is never copied. The
-/// cursor also owns the class-rate table its steps' [`RateRule`]s read:
-/// priced at the start hour, and re-priced at each scale-moved step.
+/// The dense row starts as the trace's own hour-0 row, borrowed. Only
+/// reading a scale-moved step's row ([`DenseRow::get`]) brings it up to
+/// date: the cursor copies it on the first base change such a read meets
+/// and replays the change lists since the last read into the copy. A
+/// consumer that never reads the row (the class-keyed stream store), a
+/// trace that only rescales, or one that only changes bases under a flat
+/// envelope, never copies it. The cursor also owns the class-rate table
+/// its steps' [`RateRule`]s read: priced at the start hour, and re-priced
+/// at each scale-moved step.
 #[derive(Debug, Clone)]
 pub struct TraceCursor<'a> {
     trace: &'a DynamicTrace,
@@ -676,7 +678,7 @@ impl<'a> TraceCursor<'a> {
     /// never per flow.
     ///
     /// A consumer that holds `rates_at(h - 1)` and overwrites every flow
-    /// of [`HourStep::iter`] holds `rates_at(h)` exactly. Every flow whose
+    /// of the step's iterator holds `rates_at(h)` exactly. Every flow whose
     /// rate changed is yielded; so is a listed flow whose rounded rate did
     /// not move, and on a dense step every flow. At hour `u32::MAX` the
     /// cursor stays put and lists nothing.
@@ -699,31 +701,55 @@ impl<'a> TraceCursor<'a> {
                 rule: RateRule::new(&t.east, &self.memo),
             };
         }
-        self.catch_up(h);
         t.fill_class_rates(next, &mut self.memo);
         HourStep::Dense {
-            row: self.row.as_deref().unwrap_or(&t.row0),
+            row: DenseRow {
+                trace: t,
+                row: &mut self.row,
+                row_hour: &mut self.row_hour,
+                hour: h,
+            },
             flows,
             ids,
             rule: RateRule::new(&t.east, &self.memo),
         }
     }
+}
 
-    /// Brings the dense row to hour `h` by replaying the change lists
-    /// after `row_hour`, copying hour 0's row on the first non-empty one.
-    fn catch_up(&mut self, h: u32) {
-        let lists = self.trace.changes_through(h);
-        let done = (self.row_hour as usize).min(lists.len());
+/// The base-id row of a scale-moved step, brought up to the step's hour
+/// only when read ([`DenseRow::get`]). A consumer that keys its own
+/// per-flow classes reads the step's change list instead, and never pays
+/// for the row.
+#[derive(Debug)]
+pub struct DenseRow<'a> {
+    trace: &'a DynamicTrace,
+    /// The cursor's row copy and the hour it stands at.
+    row: &'a mut Option<Vec<u32>>,
+    row_hour: &'a mut u32,
+    /// The step's hour.
+    hour: u32,
+}
+
+impl<'a> DenseRow<'a> {
+    /// Every flow's base id at the step's hour. Replays the change lists
+    /// since the row was last read into the cursor's copy, copying hour
+    /// 0's row on the first non-empty list; until then the row is hour
+    /// 0's own, borrowed.
+    pub fn get(self) -> &'a [u32] {
+        let trace = self.trace;
+        let lists = trace.changes_through(self.hour);
+        let done = (*self.row_hour as usize).min(lists.len());
         for c in lists[done..].iter().filter(|c| !c.is_empty()) {
-            c.apply(self.row.get_or_insert_with(|| self.trace.row0.clone()));
+            c.apply(self.row.get_or_insert_with(|| trace.row0.clone()));
         }
-        self.row_hour = self.row_hour.max(h);
+        *self.row_hour = (*self.row_hour).max(self.hour);
+        self.row.as_deref().unwrap_or(&trace.row0)
     }
 }
 
 /// One [`TraceCursor::step`] from hour `h − 1` to `h`. Bases are ids
 /// into the trace's base table ([`DynamicTrace::bases`]).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 pub enum HourStep<'a> {
     /// No cohort scale moved, so only the listed flows can have moved:
     /// hour `h`'s changed flows, strictly increasing, and `ids[k]`, the
@@ -734,41 +760,46 @@ pub enum HourStep<'a> {
         rule: RateRule<'a>,
     },
     /// A cohort scale moved: every flow `i` is re-derived from `row[i]`,
-    /// its base id at hour `h`. `flows` / `ids` are hour `h`'s change
-    /// list, as in [`HourStep::Listed`]: every flow whose base id differs
-    /// from hour `h − 1`'s.
+    /// its base id at hour `h` ([`DenseRow::get`]). `flows` / `ids` are
+    /// hour `h`'s change list, as in [`HourStep::Listed`]: every flow
+    /// whose base id differs from hour `h − 1`'s.
     Dense {
-        row: &'a [u32],
+        row: DenseRow<'a>,
         flows: &'a [u32],
         ids: &'a [u32],
         rule: RateRule<'a>,
     },
 }
 
-impl<'a> HourStep<'a> {
-    /// `(flow, λ at hour h)` for every flow the step covers, in flow-id
-    /// order: the listed flows, or every flow of a dense step.
-    pub fn iter(&self) -> HourIter<'a> {
-        HourIter {
-            step: *self,
-            next: 0,
-        }
-    }
-}
-
 impl<'a> IntoIterator for HourStep<'a> {
     type Item = (FlowId, u64);
     type IntoIter = HourIter<'a>;
 
+    /// `(flow, λ at hour h)` for every flow the step covers, in flow-id
+    /// order: the listed flows, or every flow of a dense step (whose row
+    /// this reads).
     fn into_iter(self) -> HourIter<'a> {
-        self.iter()
+        let (flows, ids, rule) = match self {
+            HourStep::Listed { flows, ids, rule } => (Some(flows), ids, rule),
+            HourStep::Dense { row, rule, .. } => (None, row.get(), rule),
+        };
+        HourIter {
+            flows,
+            ids,
+            rule,
+            next: 0,
+        }
     }
 }
 
 /// The `(flow, λ at hour h)` pairs of one [`HourStep`], in flow-id order.
 #[derive(Debug, Clone)]
 pub struct HourIter<'a> {
-    step: HourStep<'a>,
+    /// The listed flows, or `None` on a dense step, where `ids` is the
+    /// whole row and entry `k` is flow `k`.
+    flows: Option<&'a [u32]>,
+    ids: &'a [u32],
+    rule: RateRule<'a>,
     /// The next list entry or row slot.
     next: usize,
 }
@@ -779,11 +810,13 @@ impl Iterator for HourIter<'_> {
     #[inline]
     fn next(&mut self) -> Option<(FlowId, u64)> {
         let k = self.next;
-        let (flow, id, rule) = match self.step {
-            HourStep::Listed { flows, ids, rule } => (*flows.get(k)?, *ids.get(k)?, rule),
-            HourStep::Dense { row, rule, .. } => (k as u32, *row.get(k)?, rule),
+        let id = *self.ids.get(k)?;
+        let flow = match self.flows {
+            Some(flows) => *flows.get(k)?,
+            None => k as u32,
         };
         self.next += 1;
+        let rule = self.rule;
         Some((FlowId(flow), rule.rate(id, rule.east[flow as usize])))
     }
 }
@@ -1151,7 +1184,8 @@ mod tests {
         };
         let t = DynamicTrace::from_rows(&w, flat, vec![false; 6], &rows).unwrap();
         let mut c = t.cursor(0);
-        let walked: Vec<Vec<(FlowId, u64)>> = (0..6).map(|_| c.step().iter().collect()).collect();
+        let walked: Vec<Vec<(FlowId, u64)>> =
+            (0..6).map(|_| c.step().into_iter().collect()).collect();
         assert_eq!(
             walked,
             vec![
@@ -1186,6 +1220,48 @@ mod tests {
             assert_eq!(held, t.rates_at(h), "hour {h}");
             assert_eq!(c.row.is_some(), h >= 2, "hour {h}");
         }
+    }
+
+    /// A consumer that reads only the change lists of dense steps (as the
+    /// class-keyed stream store does) never makes the cursor copy or
+    /// replay its row; the first read catches the row up over every
+    /// skipped hour at once.
+    #[test]
+    fn a_dense_row_is_caught_up_only_when_read() {
+        let mut w = Workload::new();
+        let row: Vec<i64> = (0..6)
+            .map(|i| {
+                w.add_pair(NodeId(0), NodeId(1), 0);
+                10 * (i + 1)
+            })
+            .collect();
+        let mut changed = row.clone();
+        changed[1] = 3;
+        let mut later = changed.clone();
+        later[4] = 77;
+        let rows = vec![row.clone(), changed.clone(), later, changed, row];
+        let model = DiurnalModel {
+            n_hours: 4,
+            tau_min: 0.2,
+        };
+        let t = DynamicTrace::from_rows(&w, model, vec![false; 6], &rows).unwrap();
+        let mut c = t.cursor(0);
+        for h in 1..=3 {
+            match c.step() {
+                HourStep::Dense { flows, ids, .. } => {
+                    let (want_flows, want_ids) = t.changes_at(h);
+                    assert_eq!((flows, ids), (want_flows, want_ids), "hour {h}");
+                }
+                HourStep::Listed { .. } => panic!("hour {h}: the envelope moves every hour"),
+            }
+            assert!(c.row.is_none(), "hour {h}: an unread row is never copied");
+        }
+        let HourStep::Dense { row, .. } = c.step() else {
+            panic!("hour 4: the envelope moves every hour");
+        };
+        assert_eq!(row.get(), &t.base_ids_at(4)[..]);
+        assert!(c.row.is_some());
+        assert_eq!(c.row_hour, 4);
     }
 
     /// The class-rate table answers exactly what rounding answers, on
