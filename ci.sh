@@ -24,8 +24,8 @@
 #                         the schema check and k=32 diffed against their
 #                         pinned output in tests/golden/)
 #   9. benchmark build  — perfbench/ (its own workspace, which names
-#                         engine functions) built offline, then a
-#                         1-second end-to-end run of each workload
+#                         engine functions) built offline and its tests
+#                         run, then a 1-second end-to-end run of each workload
 #                         (rack-churn, diurnal-fabric) that must report
 #                         "correct": true
 #  10. bench smoke      — one pass of the bench groups (including the
@@ -124,6 +124,9 @@ cargo run -q --release -p ppdc-experiments -- stream --churned --flows 1000000 -
 
 echo "==> perfbench build (offline; breaks when an engine name it uses changes)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
+echo "==> perfbench tests (the layer-by-layer replay against the engine)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 # rack-churn only ever takes list-only trace steps; diurnal-fabric moves
 # a cohort scale every epoch, so it runs the dense trace feed.

@@ -8,15 +8,18 @@
 //! shape.
 //!
 //! `stream_write_1m` is the streaming engine's per-epoch persist on a
-//! 1M-flow day: [`StreamCheckpoint::to_json`] +
-//! [`CheckpointStore::write_raw`] of a snapshot shaped like the engine's —
-//! 16 epoch records and no rates, which restore re-derives from the trace.
-//! `stream_restore_1m` is the whole restore trade: load that snapshot back
-//! through [`CheckpointStore::load_with`] + [`StreamCheckpoint::from_json`],
-//! then regenerate the 1M rates with [`DynamicTrace::rates_at`] at the
-//! snapshot's epoch.
+//! 1M-flow day: one `ppdc-stream-ckpt/v5` journal append
+//! ([`StreamCheckpoint::journal_line`] + [`CheckpointStore::append`], which
+//! syncs the line) after 15 epochs, of a snapshot shaped like the
+//! engine's — 16 epoch records and no rates, which restore re-derives from
+//! the trace. Every 256 appends the untimed setup rewrites the 16-line
+//! journal, so the file stays small. `stream_restore_1m` is the whole
+//! restore trade: load the 16-line journal (a header and one line per
+//! epoch) back through [`CheckpointStore::load_with`] +
+//! [`StreamCheckpoint::from_json`], then regenerate the 1M rates with
+//! [`DynamicTrace::rates_at`] at the snapshot's epoch.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ppdc_model::{Sfc, Workload};
 use ppdc_sim::{
     run_day, Checkpoint, CheckpointStore, EngineConfig, EpochAction, EpochRecord, FaultConfig,
@@ -89,9 +92,21 @@ fn bench_checkpoint(c: &mut Criterion) {
     let dir = std::env::temp_dir().join(format!("ppdc-bench-ckpt-{}-stream", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let store = CheckpointStore::new(dir.join("stream.ckpt"));
+    let journal = journal_of(&ck);
+    let mut appends = 0u32;
     group.bench_function("stream_write_1m", |b| {
-        b.iter(|| store.write_raw(&ck.to_json()).unwrap())
+        b.iter_batched(
+            || {
+                if appends.is_multiple_of(256) {
+                    store.replace(&journal).unwrap();
+                }
+                appends += 1;
+            },
+            |()| store.append(&ck.journal_line(15)).unwrap(),
+            BatchSize::PerIteration,
+        )
     });
+    store.replace(&journal).unwrap();
     group.bench_function("stream_restore_1m", |b| {
         b.iter(|| {
             let (loaded, _slot) = store.load_with(StreamCheckpoint::from_json).unwrap();
@@ -125,6 +140,25 @@ fn million_flow_trace(n_hours: u32) -> DynamicTrace {
         STANDARD_CHURN,
         &mut rng_for_run(0x5EED, 0),
     )
+}
+
+/// `ck`'s journal as the engine writes it with a snapshot every epoch: a
+/// header and one line per epoch record.
+fn journal_of(ck: &StreamCheckpoint) -> String {
+    let mut first = ck.clone();
+    first.epochs.truncate(1);
+    let mut text = first.to_json();
+    for since in 1..ck.epochs.len() {
+        let mut snap = ck.clone();
+        snap.epochs.truncate(since + 1);
+        text.push_str(&snap.journal_line(since));
+    }
+    let (loaded, lines) = (
+        StreamCheckpoint::from_json(&text).unwrap(),
+        text.lines().count(),
+    );
+    assert_eq!((loaded, lines), (ck.clone(), ck.epochs.len() + 1));
+    text
 }
 
 /// A stream snapshot of a 1M-flow day after 16 epochs, with every epoch

@@ -42,7 +42,7 @@
 //!   `rate_deltas_1m` plus the store half of `full_fabric`. When the day
 //!   wraps, the store is reset to a keyed copy of hour 0 built before the
 //!   timer ([`Clone::clone_from`], three 4-byte columns) and the cursor to
-//!   hour 0; that copy (one sample in 12) is inside the timer. A reset by
+//!   hour 0, in `iter_batched`'s untimed setup. A reset by
 //!   [`ShardedFlowStore::set_rates`] would leave the store flat, so the
 //!   next step would also time a re-key.
 //! * `trace_feed_one_cohort_1m` — the same step over hours 9 → 12 of a
@@ -50,12 +50,12 @@
 //!   shape), where the east cohort rests at its floor and only the west
 //!   scale moves: every class is re-priced, but only about half of the
 //!   flows change. The store and cursor return to hour 9 every third
-//!   sample, with the same in-timer copy of a keyed store.
+//!   sample, by the same untimed copy of a keyed store.
 //! * `trace_feed_hot_racks_1m` — the same step on a flat-envelope day in
 //!   which odd hours halve the rates of 8 further racks' flows and even
 //!   hours repeat: one iteration is a hot hour and the repeat hour after
 //!   it. A repeat hour walks an empty change list, so the iteration costs
-//!   the hot hour's re-keys. Resets copy a keyed store too.
+//!   the hot hour's re-keys. Resets copy a keyed store too, untimed.
 //!
 //! The `stream_resolve` group measures the *solver* half of an epoch: the
 //! warm-started re-solve ([`dp_placement_warm`] with a persistent
@@ -72,7 +72,7 @@
 //! `PPDC_BENCH_ONLY=stream_ingest` (comma-separated group names) restricts
 //! the run — the vendored criterion stand-in has no CLI filter.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use ppdc_model::{Sfc, Workload};
 use ppdc_placement::{
     dp_placement, dp_placement_warm, placement_cost_lower_bound, AttachAggregates, BoundCache,
@@ -80,10 +80,38 @@ use ppdc_placement::{
 };
 use ppdc_sim::{stream_fingerprint, RateDelta, ShardedFlowStore, StreamConfig};
 use ppdc_topology::{FatTree, FatTreeOracle, NodeId};
-use ppdc_traffic::{rng_for_run, DiurnalModel, DynamicTrace, DEFAULT_MIX, STANDARD_CHURN};
+use ppdc_traffic::{
+    rng_for_run, DiurnalModel, DynamicTrace, TraceCursor, DEFAULT_MIX, STANDARD_CHURN,
+};
+use std::cell::RefCell;
 use std::time::Duration;
 
 const FLOWS: usize = 1_000_000;
+
+/// A store and the cursor feeding it, shared by a feed bench's untimed
+/// setup and its timed step.
+type Live<'t> = RefCell<(ShardedFlowStore, TraceCursor<'t>)>;
+
+/// `iter_batched` setup: once the cursor has reached hour `end`, copies
+/// `start` back into the store and rewinds the cursor.
+fn rewind_at<'t>(
+    live: &Live<'t>,
+    end: u32,
+    start: &ShardedFlowStore,
+    rewind: impl Fn() -> TraceCursor<'t>,
+) {
+    let (store, cursor) = &mut *live.borrow_mut();
+    if cursor.hour() == end {
+        store.clone_from(start);
+        *cursor = rewind();
+    }
+}
+
+/// One feed step of the live store.
+fn step(live: &Live<'_>) -> u64 {
+    let (store, cursor) = &mut *live.borrow_mut();
+    store.advance(cursor).unwrap().applied
+}
 
 fn enabled(group: &str) -> bool {
     match std::env::var("PPDC_BENCH_ONLY") {
@@ -228,16 +256,13 @@ fn bench_stream_ingest(c: &mut Criterion) {
         })
     });
     let day_start = ShardedFlowStore::from_trace(g, &w, &trace, 0).unwrap();
-    let mut store = day_start.clone();
-    let mut cursor = trace.cursor(0);
+    let live: Live<'_> = RefCell::new((day_start.clone(), trace.cursor(0)));
     group.bench_function("trace_feed_1m", |b| {
-        b.iter(|| {
-            if cursor.hour() == n_hours {
-                store.clone_from(&day_start);
-                cursor = trace.cursor(0);
-            }
-            store.advance(&mut cursor).unwrap().applied
-        })
+        b.iter_batched(
+            || rewind_at(&live, n_hours, &day_start, || trace.cursor(0)),
+            |()| step(&live),
+            BatchSize::PerIteration,
+        )
     });
     let quiet_east = DynamicTrace::new(&w, DiurnalModel::default(), &mut rng_for_run(0x5EED, 1));
     let (from, to) = (9, 12);
@@ -253,31 +278,24 @@ fn bench_stream_ingest(c: &mut Criterion) {
         "the east scale must rest over the one-cohort hours"
     );
     let one_cohort_start = ShardedFlowStore::from_trace(g, &w, &quiet_east, from).unwrap();
-    store.clone_from(&one_cohort_start);
-    let mut cursor = quiet_east.cursor(from);
+    let live: Live<'_> = RefCell::new((one_cohort_start.clone(), quiet_east.cursor(from)));
     group.bench_function("trace_feed_one_cohort_1m", |b| {
-        b.iter(|| {
-            if cursor.hour() == to {
-                store.clone_from(&one_cohort_start);
-                cursor = quiet_east.cursor(from);
-            }
-            store.advance(&mut cursor).unwrap().applied
-        })
+        b.iter_batched(
+            || rewind_at(&live, to, &one_cohort_start, || quiet_east.cursor(from)),
+            |()| step(&live),
+            BatchSize::PerIteration,
+        )
     });
     let hot = hot_rack_trace(&ft, &w);
     let day_start = ShardedFlowStore::from_trace(g, &w, &hot, 0).unwrap();
     let n_hours = hot.model().n_hours;
-    store.clone_from(&day_start);
-    let mut cursor = hot.cursor(0);
+    let live: Live<'_> = RefCell::new((day_start.clone(), hot.cursor(0)));
     group.bench_function("trace_feed_hot_racks_1m", |b| {
-        b.iter(|| {
-            if cursor.hour() == n_hours {
-                store.clone_from(&day_start);
-                cursor = hot.cursor(0);
-            }
-            let hot_hour = store.advance(&mut cursor).unwrap().applied;
-            hot_hour + store.advance(&mut cursor).unwrap().applied
-        })
+        b.iter_batched(
+            || rewind_at(&live, n_hours, &day_start, || hot.cursor(0)),
+            |()| step(&live) + step(&live),
+            BatchSize::PerIteration,
+        )
     });
     group.finish();
 }

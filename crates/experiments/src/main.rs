@@ -363,8 +363,9 @@ fn smoke_k32(budget_ms: u64) -> Result<(), CliError> {
 /// optimal), and asserts the engine's counter pair before checking the
 /// wall-clock budget. A second, unbudgeted leg then kills the same day at
 /// mid-day through a [`ppdc_sim::CheckpointStore`] under `target/`, loads
-/// the snapshot back from disk, resumes, and requires the result to equal
-/// the uninterrupted day's.
+/// the journal back from disk, requires a torn half-line appended to it to
+/// load the same snapshot, resumes, and requires the result to equal the
+/// uninterrupted day's.
 fn stream_smoke(n_flows: usize, budget_ms: u64) -> Result<(), CliError> {
     use ppdc_model::{Sfc, Workload};
     use ppdc_sim::{
@@ -500,9 +501,17 @@ fn stream_smoke(n_flows: usize, budget_ms: u64) -> Result<(), CliError> {
     let (ck, _slot) = store
         .load_with(StreamCheckpoint::from_json)
         .map_err(|e| smoke_err("checkpoint load", &e))?;
-    let bytes = std::fs::metadata(store.path())
-        .map_err(|e| smoke_err("checkpoint stat", &e))?
-        .len();
+    let journal =
+        std::fs::read_to_string(store.path()).map_err(|e| smoke_err("checkpoint read", &e))?;
+    let bytes = journal.len();
+    // A crash mid-append leaves an unterminated tail, which load discards.
+    let last_line = journal.lines().last().unwrap_or_default();
+    let torn = format!("{journal}{}", &last_line[..last_line.len() / 2]);
+    if StreamCheckpoint::from_json(&torn).as_ref() != Ok(&ck) {
+        return Err(CliError::Smoke(
+            "stream journal check failed: a torn tail changed the loaded snapshot".to_string(),
+        ));
+    }
     let resumed = resume_stream_day(g, &oracle, &w, &trace, &sfc, &StreamConfig::default(), &ck)
         .map_err(|e| smoke_err("resumed stream day", &e))?;
     eprintln!("# stream: killed at epoch {mid}, resumed from a {bytes}-byte checkpoint on disk");

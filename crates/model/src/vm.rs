@@ -189,6 +189,16 @@ impl Workload {
         Ok(())
     }
 
+    /// Every VM's host, indexed by VM id.
+    pub fn vm_hosts(&self) -> &[NodeId] {
+        &self.host_of
+    }
+
+    /// Every flow, indexed by flow id.
+    pub fn flows(&self) -> &[Flow] {
+        &self.flows
+    }
+
     /// The rate vector `λ`.
     pub fn rates(&self) -> &[u64] {
         &self.rates

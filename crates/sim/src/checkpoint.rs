@@ -1,4 +1,4 @@
-//! Crash-safe epoch checkpoints (`ppdc-ckpt/v4`).
+//! Crash-safe epoch checkpoints (`ppdc-ckpt/v5`).
 //!
 //! A [`Checkpoint`] freezes everything [`crate::run_day`] needs to restart
 //! a fault-aware day from the last completed hour and finish it
@@ -22,7 +22,9 @@
 //! [`CheckpointStore`] writes snapshots atomically (tmp + fsync + rename)
 //! and keeps the previous snapshot as a `.prev` fallback, so a crash *mid
 //! write* — a torn or truncated primary file — still recovers from the
-//! last good hour.
+//! last good hour. The streaming engine's append-only journal
+//! (`ppdc-stream-ckpt/v5`, see [`crate::stream`]) uses the same store
+//! through [`CheckpointStore::replace`] and [`CheckpointStore::append`].
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -39,7 +41,10 @@ use crate::fault::{DegradedHourRecord, FaultSchedule, FaultSimResult, HourProven
 use crate::simulator::{HourRecord, MigrationPolicy, SimConfig};
 
 /// Version tag every snapshot carries; restore rejects anything else.
-pub const CKPT_SCHEMA: &str = "ppdc-ckpt/v4";
+/// `/v5` keeps `/v4`'s layout; its fingerprint hashes the inputs in four
+/// lanes, two `u32`s to a word, and the trace's rates as base ids plus the
+/// base table.
+pub const CKPT_SCHEMA: &str = "ppdc-ckpt/v5";
 
 /// Errors from writing, reading, or validating a checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -142,7 +147,7 @@ fn prov_from_code(c: u64) -> Result<HourProvenance, CkptError> {
 }
 
 impl Checkpoint {
-    /// Serializes to the deterministic `ppdc-ckpt/v4` JSON document. Two
+    /// Serializes to the deterministic `ppdc-ckpt/v5` JSON document. Two
     /// equal checkpoints always produce byte-identical output.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
@@ -221,7 +226,7 @@ impl Checkpoint {
         out
     }
 
-    /// Parses a `ppdc-ckpt/v4` document.
+    /// Parses a `ppdc-ckpt/v5` document.
     ///
     /// # Errors
     ///
@@ -482,86 +487,134 @@ pub fn fingerprint(
 }
 
 /// Hashes the inputs both engines share: the graph, the workload's VM
-/// hosts and flow endpoints, and the SFC length.
+/// hosts and flow endpoints, and the SFC length. Hosts go two to a word,
+/// and each flow is one word (`src | dst << 32`).
 pub(crate) fn hash_instance(h: &mut Fnv, g: &Graph, w: &Workload, sfc: &Sfc) {
     h.u64(g.num_nodes() as u64);
     h.u64(g.num_edges() as u64);
     for (u, v, c) in g.edges() {
-        h.u64(u64::from(u.0));
-        h.u64(u64::from(v.0));
+        h.u64(pair(u.0, v.0));
         h.u64(c);
     }
     h.u64(w.num_vms() as u64);
     h.u64(w.num_flows() as u64);
-    for v in w.vm_ids() {
-        h.u64(u64::from(w.host_of(v).0));
-    }
-    for f in w.flow_ids() {
-        let fl = w.flow(f);
-        h.u64(u64::from(fl.src.0));
-        h.u64(u64::from(fl.dst.0));
-    }
+    h.chunked::<2, _>(w.vm_hosts(), |c| pair_of(c, |n| n.0));
+    h.chunked::<1, _>(w.flows(), |c| {
+        c.first().map_or(0, |fl| pair(fl.src.0, fl.dst.0))
+    });
     h.u64(sfc.len() as u64);
 }
 
 /// Hashes a trace by its defining inputs ([`DynamicTrace::inputs`]): the
 /// model (`n_hours`, `tau_min` bits), the cohort offset, the cohort flags
-/// (64 to a word), hour 0's base-rate row, and then each later hour's
-/// change count, changed flows and new base rates. Every hour's rate
-/// vector is a pure function of these, so no rate is derived here, and a
-/// repeated hour costs one word.
+/// (64 to a word), the base table, hour 0's base ids, and then each later
+/// hour's change count, changed flows and new base ids, two ids to a
+/// word. Every hour's rate vector is a pure function of these, so no rate
+/// is derived here, and a repeated hour costs one word. The base table is
+/// strictly increasing, so ids plus the table pin the same rates as every
+/// rate hashed by value would, at half the bytes.
 pub(crate) fn hash_trace(h: &mut Fnv, trace: &DynamicTrace) {
     let t = trace.inputs();
     h.u64(u64::from(t.model.n_hours));
     h.u64(t.model.tau_min.to_bits());
     h.u64(u64::from_le_bytes(t.offset.to_le_bytes()));
     h.u64(t.east.len() as u64);
-    for flags in t.east.chunks(64) {
-        h.u64(
-            flags
-                .iter()
-                .enumerate()
-                .fold(0u64, |word, (i, &e)| word | (u64::from(e) << i)),
-        );
-    }
-    // Base rates are hashed by value, not by their ids in the trace's
-    // base table.
-    let base = |id: u32| t.bases[id as usize];
+    h.chunked::<64, _>(t.east, |flags| {
+        flags
+            .iter()
+            .enumerate()
+            .fold(0u64, |word, (i, &e)| word | (u64::from(e) << i))
+    });
+    h.u64(t.bases.len() as u64);
+    h.chunked::<1, _>(t.bases, |c| c.first().copied().unwrap_or(0));
     h.u64(t.row0.len() as u64);
-    for &id in t.row0 {
-        h.u64(base(id));
-    }
+    h.chunked::<2, _>(t.row0, |c| pair_of(c, |id| id));
     h.u64(t.changes.len() as u64);
     for hour in t.changes {
         h.u64(hour.flows().len() as u64);
-        for &f in hour.flows() {
-            h.u64(u64::from(f));
-        }
-        for &id in hour.ids() {
-            h.u64(base(id));
-        }
+        h.chunked::<2, _>(hour.flows(), |c| pair_of(c, |f| f));
+        h.chunked::<2, _>(hour.ids(), |c| pair_of(c, |id| id));
     }
 }
 
-/// FNV-1a over 64-bit words: one xor-multiply per word.
-pub(crate) struct Fnv(u64);
+/// Two `u32`s as one word, `lo` in the low half.
+fn pair(lo: u32, hi: u32) -> u64 {
+    u64::from(lo) | (u64::from(hi) << 32)
+}
+
+/// The first two entries of `c` as one word; a missing second one is 0.
+fn pair_of<T: Copy>(c: &[T], id: impl Fn(T) -> u32) -> u64 {
+    let at = |i: usize| c.get(i).map_or(0, |&x| id(x));
+    pair(at(0), at(1))
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+fn mix(lane: u64, word: u64) -> u64 {
+    (lane ^ word).wrapping_mul(FNV_PRIME)
+}
+
+/// FNV-1a over 64-bit words in four independent lanes: word `i` folds
+/// into lane `i mod 4`, so four multiplies are in flight where one
+/// dependent chain ran before. [`Fnv::finish`] folds the word count and
+/// the four lanes, in order, with one more FNV-1a pass.
+pub(crate) struct Fnv {
+    lanes: [u64; 4],
+    words: u64,
+}
 
 impl Fnv {
     pub(crate) fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
+        Fnv {
+            lanes: [FNV_OFFSET; 4],
+            words: 0,
+        }
     }
 
     pub(crate) fn u64(&mut self, x: u64) {
-        self.0 = (self.0 ^ x).wrapping_mul(0x0000_0100_0000_01b3);
+        let lane = &mut self.lanes[(self.words % 4) as usize];
+        *lane = mix(*lane, x);
+        self.words += 1;
+    }
+
+    /// Hashes one word per `W` entries of `xs`, packed by `word` (a short
+    /// last chunk is packed as it is; callers hash the length first, so
+    /// that is unambiguous). Equal to [`Fnv::u64`] of each word in turn,
+    /// with the lanes held in registers over whole blocks of four words.
+    pub(crate) fn chunked<const W: usize, T>(&mut self, xs: &[T], word: impl Fn(&[T]) -> u64) {
+        let lead = ((4 - self.words % 4) % 4) as usize;
+        let (head, body) = xs.split_at((lead * W).min(xs.len()));
+        for c in head.chunks(W) {
+            self.u64(word(c));
+        }
+        let mut blocks = body.chunks_exact(4 * W);
+        let [mut a, mut b, mut c, mut d] = self.lanes;
+        for block in &mut blocks {
+            let (x0, rest) = block.split_at(W);
+            let (x1, rest) = rest.split_at(W);
+            let (x2, x3) = rest.split_at(W);
+            a = mix(a, word(x0));
+            b = mix(b, word(x1));
+            c = mix(c, word(x2));
+            d = mix(d, word(x3));
+        }
+        self.lanes = [a, b, c, d];
+        self.words += (body.len() / (4 * W) * 4) as u64;
+        for c in blocks.remainder().chunks(W) {
+            self.u64(word(c));
+        }
     }
 
     pub(crate) fn finish(&self) -> u64 {
-        self.0
+        self.lanes
+            .iter()
+            .fold(mix(FNV_OFFSET, self.words), |h, &lane| mix(h, lane))
     }
 }
 
 /// Appends `x` in decimal without allocating.
-fn push_u64(out: &mut String, mut x: u64) {
+pub(crate) fn push_u64(out: &mut String, mut x: u64) {
     let mut digits = [0u8; 20];
     let mut i = digits.len();
     loop {
@@ -577,18 +630,25 @@ fn push_u64(out: &mut String, mut x: u64) {
     }
 }
 
-/// Appends `"  \"key\": [a,b,...],\n"` for a list of integers.
-pub(crate) fn push_list(out: &mut String, key: &str, xs: impl IntoIterator<Item = u64>) {
-    out.push_str("  \"");
-    out.push_str(key);
-    out.push_str("\": [");
+/// Appends `[a,b,...]` for a list of integers.
+pub(crate) fn push_row(out: &mut String, xs: impl IntoIterator<Item = u64>) {
+    out.push('[');
     for (i, x) in xs.into_iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         push_u64(out, x);
     }
-    out.push_str("],\n");
+    out.push(']');
+}
+
+/// Appends `"  \"key\": [a,b,...],\n"` for a list of integers.
+fn push_list(out: &mut String, key: &str, xs: impl IntoIterator<Item = u64>) {
+    out.push_str("  \"");
+    out.push_str(key);
+    out.push_str("\": ");
+    push_row(out, xs);
+    out.push_str(",\n");
 }
 
 /// Which on-disk slot a checkpoint was recovered from.
@@ -642,31 +702,66 @@ impl CheckpointStore {
     }
 
     /// The slot machinery behind [`CheckpointStore::write`], usable with
-    /// any serialized snapshot document (the streaming engine persists its
-    /// own `ppdc-stream-ckpt/v4` schema through the same store).
+    /// any serialized snapshot document.
     ///
     /// # Errors
     ///
     /// [`CkptError::Io`] with the failing operation and path.
     pub fn write_raw(&self, doc: &str) -> Result<(), CkptError> {
+        self.persist(doc, true)
+    }
+
+    /// Replaces the primary file with `doc` atomically (tmp + fsync +
+    /// rename) and rotates nothing into `.prev`: how a streaming day
+    /// starts its journal, whose later snapshots are
+    /// [`CheckpointStore::append`]s. Feeds the same counters as
+    /// [`CheckpointStore::write`].
+    ///
+    /// # Errors
+    ///
+    /// [`CkptError::Io`] with the failing operation and path.
+    pub fn replace(&self, doc: &str) -> Result<(), CkptError> {
+        self.persist(doc, false)
+    }
+
+    /// Appends `line` to the primary file and `sync_data`s it before
+    /// returning, so the line is durable when the call returns. A crash
+    /// mid-append leaves an unterminated tail, which journal readers
+    /// discard. Feeds the same counters as [`CheckpointStore::write`].
+    ///
+    /// # Errors
+    ///
+    /// [`CkptError::Io`] with the failing operation and path.
+    pub fn append(&self, line: &str) -> Result<(), CkptError> {
+        let obs = ppdc_obs::global();
+        let sw = Stopwatch::start_if(obs.is_enabled());
+        let path = &self.path;
+        let mut f = fs::OpenOptions::new()
+            .append(true)
+            .open(path)
+            .map_err(|e| io_err("open", path, e))?;
+        f.write_all(line.as_bytes())
+            .map_err(|e| io_err("append", path, e))?;
+        f.sync_data().map_err(|e| io_err("fdatasync", path, e))?;
+        obs.add(obs_names::CKPT_WRITES, 1);
+        obs.add(obs_names::CKPT_WRITE_NANOS, sw.elapsed_ns());
+        Ok(())
+    }
+
+    fn persist(&self, doc: &str, rotate: bool) -> Result<(), CkptError> {
         let obs = ppdc_obs::global();
         let sw = Stopwatch::start_if(obs.is_enabled());
         let tmp = suffixed(&self.path, ".tmp");
-        let io = |op: &'static str, p: &Path, e: std::io::Error| CkptError::Io {
-            op,
-            path: p.display().to_string(),
-            msg: e.to_string(),
-        };
-        let mut f = fs::File::create(&tmp).map_err(|e| io("create", &tmp, e))?;
+        let mut f = fs::File::create(&tmp).map_err(|e| io_err("create", &tmp, e))?;
         f.write_all(doc.as_bytes())
-            .map_err(|e| io("write", &tmp, e))?;
-        f.sync_all().map_err(|e| io("fsync", &tmp, e))?;
+            .map_err(|e| io_err("write", &tmp, e))?;
+        f.sync_all().map_err(|e| io_err("fsync", &tmp, e))?;
         drop(f);
-        if self.path.exists() {
+        if rotate && self.path.exists() {
             let prev = self.prev_path();
-            fs::rename(&self.path, &prev).map_err(|e| io("rotate", &prev, e))?;
+            fs::rename(&self.path, &prev).map_err(|e| io_err("rotate", &prev, e))?;
         }
-        fs::rename(&tmp, &self.path).map_err(|e| io("rename", &self.path, e))?;
+        fs::rename(&tmp, &self.path).map_err(|e| io_err("rename", &self.path, e))?;
         obs.add(obs_names::CKPT_WRITES, 1);
         obs.add(obs_names::CKPT_WRITE_NANOS, sw.elapsed_ns());
         Ok(())
@@ -712,12 +807,16 @@ impl CheckpointStore {
         path: &Path,
         parse: impl Fn(&str) -> Result<T, CkptError>,
     ) -> Result<T, CkptError> {
-        let src = fs::read_to_string(path).map_err(|e| CkptError::Io {
-            op: "read",
-            path: path.display().to_string(),
-            msg: e.to_string(),
-        })?;
+        let src = fs::read_to_string(path).map_err(|e| io_err("read", path, e))?;
         parse(&src)
+    }
+}
+
+fn io_err(op: &'static str, path: &Path, e: std::io::Error) -> CkptError {
+    CkptError::Io {
+        op,
+        path: path.display().to_string(),
+        msg: e.to_string(),
     }
 }
 
@@ -809,7 +908,7 @@ mod tests {
         );
     }
 
-    /// A `/v3` document has the `/v4` layout, but its fingerprint hashed
+    /// A `/v3` document has the `/v5` layout, but its fingerprint hashed
     /// the trace as one dense row per hour; it is refused by its schema
     /// tag rather than failing later as a foreign input.
     #[test]
@@ -819,6 +918,42 @@ mod tests {
             Checkpoint::from_json(&doc),
             Err(CkptError::Schema("ppdc-ckpt/v3".to_string()))
         );
+    }
+
+    /// A `/v4` document has the `/v5` layout, but its fingerprint hashed
+    /// one word per input id in a single FNV-1a chain and the trace's
+    /// rates by value; it is refused by its schema tag rather than
+    /// failing later as a foreign input.
+    #[test]
+    fn v4_documents_are_refused_by_schema() {
+        let doc = sample(1).to_json().replace(CKPT_SCHEMA, "ppdc-ckpt/v4");
+        assert_eq!(
+            Checkpoint::from_json(&doc),
+            Err(CkptError::Schema("ppdc-ckpt/v4".to_string()))
+        );
+    }
+
+    /// The four-lane block loop hashes exactly the words a word-at-a-time
+    /// loop would, whatever lane the run starts in and however short its
+    /// last chunk.
+    #[test]
+    fn chunked_hashing_equals_word_at_a_time() {
+        let ids: Vec<u32> = (0..23u32).map(|i| i.wrapping_mul(2_654_435_761)).collect();
+        for lead in 0..4u64 {
+            for len in 0..ids.len() {
+                let xs = &ids[..len];
+                let (mut fast, mut slow) = (Fnv::new(), Fnv::new());
+                for x in 0..lead {
+                    fast.u64(x);
+                    slow.u64(x);
+                }
+                fast.chunked::<2, _>(xs, |c| pair_of(c, |id| id));
+                for c in xs.chunks(2) {
+                    slow.u64(pair_of(c, |id| id));
+                }
+                assert_eq!(fast.finish(), slow.finish(), "lead {lead}, {len} ids");
+            }
+        }
     }
 
     #[test]

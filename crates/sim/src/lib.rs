@@ -20,7 +20,7 @@
 //!
 //! [`checkpoint`], [`supervisor`], and [`chaos`] harden it against
 //! *operator-side* failures: [`run_day`] persists crash-safe
-//! `ppdc-ckpt/v4` snapshots every hour and [`resume_day`] finishes an
+//! `ppdc-ckpt/v5` snapshots every hour and [`resume_day`] finishes an
 //! interrupted day bit-identically; a supervised degradation ladder
 //! (exact → deadline-degraded → last-known-good) keeps every hour served
 //! through solver starvation; and the seeded chaos harness
@@ -35,9 +35,10 @@
 //! re-runs the solver only when accumulated drift crosses a threshold —
 //! using the admissible placement bound to certify when the stale
 //! incumbent is
-//! provably close enough to serve. [`resume_stream_day`] restores a
-//! `ppdc-stream-ckpt/v4` snapshot — the rates re-derived from the trace,
-//! not stored — and finishes the day bit-identically.
+//! provably close enough to serve. Its snapshots append to a
+//! `ppdc-stream-ckpt/v5` journal, and [`resume_stream_day`] restores one
+//! — the rates re-derived from the trace, not stored — and finishes the
+//! day bit-identically.
 
 // Solver and engine code never panics: failures surface as typed errors
 // (DESIGN.md §6b). A documented panicking facade carries a reasoned

@@ -46,9 +46,12 @@
 //!   `stream.drift` / `stream.resolves_skipped` counter pair exports how
 //!   much churn the engine absorbed without solving.
 //! - [`run_stream_day`] / [`resume_stream_day`] — the crash-safe epoch
-//!   loop, mirroring the hourly engine: `ppdc-stream-ckpt/v4` snapshots
-//!   through the same atomic two-slot [`CheckpointStore`], an input
-//!   fingerprint refusing foreign snapshots, and **bit-identical resume**
+//!   loop, mirroring the hourly engine: snapshots go to an append-only
+//!   `ppdc-stream-ckpt/v5` journal through the same [`CheckpointStore`]
+//!   (a run's first snapshot rewrites the journal atomically, each later
+//!   one appends a synced line, and load discards a torn last line; see
+//!   [`StreamCheckpoint`]), an input fingerprint refuses foreign
+//!   snapshots, and resume is **bit-identical**
 //!   (no rates are stored: restore keys a fresh flow store at `epoch`
 //!   from the trace, which the fingerprint pins and whose
 //!   `trace.rates_at(epoch)` [`ShardedFlowStore::advance`] leaves in the
@@ -80,15 +83,16 @@ use ppdc_topology::{Cost, DistanceOracle, Graph, NodeId};
 use ppdc_traffic::{rate_class, DynamicTrace, HourStep, TraceCursor};
 
 use crate::checkpoint::{
-    arr_field, as_obj, field, hash_instance, hash_trace, node_ids, push_list, row_u64, str_field,
+    arr_field, as_obj, hash_instance, hash_trace, node_ids, push_row, push_u64, row_u64, str_field,
     to_u32, u64_field, CheckpointStore, CkptError, Fnv,
 };
 
-/// Version tag of streaming-engine snapshots; restore rejects anything
-/// else (including `ppdc-ckpt/v4` day snapshots, `/v3` stream snapshots,
-/// whose fingerprint hashed one dense trace row per hour, and `/v2` ones,
-/// which carried the rates).
-pub const STREAM_CKPT_SCHEMA: &str = "ppdc-stream-ckpt/v4";
+/// Version tag of the streaming engine's journal; restore rejects
+/// anything else (including `ppdc-ckpt/v5` day snapshots, `/v4` stream
+/// snapshots, one whole document per write with a one-lane fingerprint,
+/// `/v3` ones, whose fingerprint hashed one dense trace row per hour, and
+/// `/v2` ones, which carried the rates).
+pub const STREAM_CKPT_SCHEMA: &str = "ppdc-stream-ckpt/v5";
 
 /// One streamed rate change: `new λ − old λ` for one flow. Zero deltas
 /// are dropped at ingestion; a batch may carry several deltas for the
@@ -1012,13 +1016,22 @@ pub struct StreamRun {
     pub checkpoint: Option<StreamCheckpoint>,
 }
 
-/// A frozen mid-day streaming-engine state (`ppdc-stream-ckpt/v4`).
+/// A frozen mid-day streaming-engine state (`ppdc-stream-ckpt/v5`).
 ///
-/// Only what the inputs cannot regenerate is stored: the epoch, incumbent
-/// placement, drift accumulator and accumulated telemetry. Restore keys
-/// the flow store at `trace.rates_at(epoch)` straight from the trace and
-/// builds the aggregates from its host masses — bit-identically, by the
+/// Only what the inputs cannot regenerate is stored: the epoch records,
+/// incumbent placement and drift accumulator; the totals and `epoch` are
+/// functions of the records. Restore keys the flow store at
+/// `trace.rates_at(epoch)` straight from the trace and builds the
+/// aggregates from its host masses — bit-identically, by the
 /// delta/rebuild equivalence.
+///
+/// On disk a snapshot is a journal of newline-terminated JSON lines: a
+/// header `{"schema","fingerprint","initial_cost"}`, then one line per
+/// snapshot written, `{"epochs":[[epoch, deltas, drift, action, gap,
+/// comm_cost], …],"drift_accum","placement"}`, holding the epoch records
+/// since the line before it. [`StreamCheckpoint::to_json`] writes the
+/// header and one line holding every record; the engine appends a line
+/// per later snapshot. [`StreamCheckpoint::from_json`] reads either.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamCheckpoint {
     /// FNV-1a hash of every input (see [`stream_fingerprint`]).
@@ -1069,90 +1082,110 @@ fn action_from_row(code: u64, gap: u64) -> Result<EpochAction, CkptError> {
 }
 
 impl StreamCheckpoint {
-    /// Serializes to the deterministic `ppdc-stream-ckpt/v4` JSON
-    /// document. Equal checkpoints produce byte-identical output; `rates`
-    /// is not written.
+    /// Serializes to a deterministic `ppdc-stream-ckpt/v5` journal: the
+    /// header and one line holding every epoch record. Equal checkpoints
+    /// produce byte-identical output; `rates` and the totals are not
+    /// written.
     pub fn to_json(&self) -> String {
         let mut out =
-            String::with_capacity(512 + self.placement.len() * 11 + self.epochs.len() * 6 * 21);
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema\": \"{STREAM_CKPT_SCHEMA}\",\n"));
-        out.push_str(&format!("  \"fingerprint\": {},\n", self.fingerprint));
-        out.push_str(&format!("  \"epoch\": {},\n", self.epoch));
-        out.push_str(&format!("  \"initial_cost\": {},\n", self.initial_cost));
-        out.push_str(&format!("  \"drift_accum\": {},\n", self.drift_accum));
-        push_list(
-            &mut out,
-            "placement",
-            self.placement.iter().map(|n| u64::from(n.0)),
-        );
-        out.push_str(&format!(
-            "  \"totals\": {{\"total_cost\": {}, \"resolves\": {}, \
-             \"resolves_skipped\": {}, \"drift_total\": {}, \"deltas_total\": {}}},\n",
-            self.total_cost,
-            self.resolves,
-            self.resolves_skipped,
-            self.drift_total,
-            self.deltas_total
-        ));
-        // Epoch records as compact rows:
-        // [epoch, deltas, drift, action_code, gap, comm_cost].
-        out.push_str("  \"epochs\": [");
-        for (i, e) in self.epochs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let (code, gap) = action_row(e.action);
-            out.push_str(&format!(
-                "[{},{},{},{},{},{}]",
-                e.epoch, e.deltas, e.drift, code, gap, e.comm_cost
-            ));
-        }
-        out.push_str("]\n}\n");
+            String::with_capacity(128 + self.placement.len() * 11 + self.epochs.len() * 64);
+        push_journal_header(&mut out, self.fingerprint, self.initial_cost);
+        push_journal_line(&mut out, &self.epochs, self.drift_accum, &self.placement);
         out
     }
 
-    /// Parses a `ppdc-stream-ckpt/v4` document; `rates` comes back empty.
+    /// The line that brings a journal holding this day's first `since`
+    /// epoch records up to this snapshot, as the engine appends it: the
+    /// records after `since`, the drift accumulator and the placement.
+    pub fn journal_line(&self, since: usize) -> String {
+        let mut out = String::with_capacity(64 + self.placement.len() * 11);
+        let new = self.epochs.get(since..).unwrap_or_default();
+        push_journal_line(&mut out, new, self.drift_accum, &self.placement);
+        out
+    }
+
+    /// Parses a `ppdc-stream-ckpt/v5` journal: the header and every
+    /// newline-terminated line after it, whose epoch records concatenate;
+    /// the last line's drift accumulator and placement are the snapshot's.
+    /// An unterminated final fragment is a write the writer never finished
+    /// (a torn tail) and is discarded. `rates` comes back empty, and the
+    /// totals are re-derived from the records as the engine accumulates
+    /// them.
     ///
     /// # Errors
     ///
-    /// [`CkptError::Parse`] on torn/invalid JSON, [`CkptError::Schema`]
-    /// on a foreign document, [`CkptError::Corrupt`] on malformed fields.
+    /// [`CkptError::Parse`] when no complete header and snapshot line
+    /// survive, [`CkptError::Schema`] on a foreign header or a whole
+    /// document of another schema, [`CkptError::Corrupt`] on a terminated
+    /// line that does not parse, malformed fields, or epoch records that do
+    /// not continue `1, 2, …`.
     pub fn from_json(src: &str) -> Result<Self, CkptError> {
-        let v = ppdc_obs::json::parse(src).map_err(|e| CkptError::Parse(e.to_string()))?;
-        let top = as_obj(&v, "document")?;
-        match str_field(top, "schema") {
+        let complete = src.rfind('\n').map_or("", |end| &src[..end]);
+        let mut lines = complete.split('\n');
+        let head = lines.next().unwrap_or_default();
+        let header = ppdc_obs::json::parse(head)
+            .map_err(|e| foreign_schema(src).unwrap_or(CkptError::Parse(e.to_string())))?;
+        let header = as_obj(&header, "journal header")?;
+        match str_field(header, "schema") {
             Ok(s) if s == STREAM_CKPT_SCHEMA => {}
             Ok(s) => return Err(CkptError::Schema(s.to_string())),
             Err(_) => return Err(CkptError::Schema("<missing>".to_string())),
         }
-        let totals = as_obj(field(top, "totals")?, "totals")?;
-        let epochs = arr_field(top, "epochs")?
-            .iter()
-            .map(|row| {
+        let mut epochs: Vec<EpochRecord> = Vec::new();
+        let mut last: Option<(u64, Vec<NodeId>)> = None;
+        for (i, line) in lines.enumerate() {
+            let v = ppdc_obs::json::parse(line).map_err(|e| {
+                CkptError::Corrupt(format!("journal line {} does not parse: {e}", i + 2))
+            })?;
+            let snap = as_obj(&v, "journal line")?;
+            for row in arr_field(snap, "epochs")? {
                 let r = row_u64(row, 6, "epochs")?;
-                Ok(EpochRecord {
-                    epoch: to_u32(r[0], "epoch")?,
+                let epoch = to_u32(r[0], "epoch")?;
+                if epoch as usize != epochs.len() + 1 {
+                    return Err(CkptError::Corrupt(format!(
+                        "epoch record {epoch} follows {} records",
+                        epochs.len()
+                    )));
+                }
+                epochs.push(EpochRecord {
+                    epoch,
                     deltas: r[1],
                     drift: r[2],
                     action: action_from_row(r[3], r[4])?,
                     comm_cost: r[5],
-                })
-            })
-            .collect::<Result<Vec<_>, CkptError>>()?;
+                });
+            }
+            last = Some((
+                u64_field(snap, "drift_accum")?,
+                node_ids(snap, "placement")?,
+            ));
+        }
+        let Some((drift_accum, placement)) = last else {
+            return Err(CkptError::Parse(
+                "the journal holds no complete snapshot line".to_string(),
+            ));
+        };
+        let initial_cost = u64_field(header, "initial_cost")?;
+        let sum = |f: fn(&EpochRecord) -> u64| epochs.iter().map(f).fold(0, u64::saturating_add);
+        let resolves = epochs
+            .iter()
+            .filter(|e| matches!(e.action, EpochAction::Resolved { .. }))
+            .count() as u64;
         Ok(StreamCheckpoint {
-            fingerprint: u64_field(top, "fingerprint")?,
-            epoch: to_u32(u64_field(top, "epoch")?, "epoch")?,
-            initial_cost: u64_field(top, "initial_cost")?,
-            drift_accum: u64_field(top, "drift_accum")?,
-            placement: node_ids(top, "placement")?,
+            fingerprint: u64_field(header, "fingerprint")?,
+            epoch: to_u32(epochs.len() as u64, "epoch")?,
+            initial_cost,
+            placement,
             rates: Vec::new(),
+            drift_accum,
+            total_cost: epochs
+                .iter()
+                .fold(initial_cost, |t, e| t.saturating_add(e.comm_cost)),
+            resolves,
+            resolves_skipped: epochs.len() as u64 - resolves,
+            drift_total: sum(|e| e.drift),
+            deltas_total: sum(|e| e.deltas),
             epochs,
-            total_cost: u64_field(totals, "total_cost")?,
-            resolves: u64_field(totals, "resolves")?,
-            resolves_skipped: u64_field(totals, "resolves_skipped")?,
-            drift_total: u64_field(totals, "drift_total")?,
-            deltas_total: u64_field(totals, "deltas_total")?,
         })
     }
 
@@ -1199,6 +1232,59 @@ impl StreamCheckpoint {
         }
         Ok(())
     }
+}
+
+/// The journal header line: schema, fingerprint and hour-0 cost.
+fn push_journal_header(out: &mut String, fingerprint: u64, initial_cost: Cost) {
+    out.push_str("{\"schema\":\"");
+    out.push_str(STREAM_CKPT_SCHEMA);
+    out.push_str("\",\"fingerprint\":");
+    push_u64(out, fingerprint);
+    out.push_str(",\"initial_cost\":");
+    push_u64(out, initial_cost);
+    out.push_str("}\n");
+}
+
+/// One journal snapshot line: the epoch records since the previous line,
+/// then the drift accumulator and the incumbent placement.
+fn push_journal_line(
+    out: &mut String,
+    epochs: &[EpochRecord],
+    drift_accum: u64,
+    placement: &[NodeId],
+) {
+    out.push_str("{\"epochs\":[");
+    for (i, e) in epochs.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let (code, gap) = action_row(e.action);
+        push_row(
+            out,
+            [
+                u64::from(e.epoch),
+                e.deltas,
+                e.drift,
+                code,
+                gap,
+                e.comm_cost,
+            ],
+        );
+    }
+    out.push_str("],\"drift_accum\":");
+    push_u64(out, drift_accum);
+    out.push_str(",\"placement\":");
+    push_row(out, placement.iter().map(|n| u64::from(n.0)));
+    out.push_str("}\n");
+}
+
+/// The schema a whole JSON document of another layout declares (a `/v4`
+/// or older snapshot is one pretty-printed object), so a leftover file is
+/// refused by its tag rather than as a torn journal.
+fn foreign_schema(src: &str) -> Option<CkptError> {
+    let v = ppdc_obs::json::parse(src).ok()?;
+    let s = v.as_obj()?.get("schema")?.as_str()?;
+    (s != STREAM_CKPT_SCHEMA).then(|| CkptError::Schema(s.to_string()))
 }
 
 /// FNV-1a over every input that shapes a streaming day: graph, workload
@@ -1286,10 +1372,9 @@ fn run_stream_day_impl<D: DistanceOracle + ?Sized>(
         });
     }
     let n_hours = trace.model().n_hours;
-    let wants_snapshots = cfg.store.is_some() || cfg.stop_after.is_some();
     // The input hash is paid where a checkpoint reads it: on resume, to
-    // validate the snapshot, or at the first snapshot written. A day that
-    // writes none never hashes, and a full day hashes once.
+    // validate the snapshot, or at the first snapshot taken. A day that
+    // takes none never hashes, and a full day hashes once.
     let mut fp: Option<u64> = None;
     // The store and aggregates start at the start epoch's rates: the
     // store is keyed straight from the trace, and the aggregates are built
@@ -1303,7 +1388,7 @@ fn run_stream_day_impl<D: DistanceOracle + ?Sized>(
     let mut tracker = DriftTracker::new(cfg.drift_threshold);
     // The warm-solver bound cache lives for the day and is *never*
     // persisted: a resumed day starts from an empty cache and rebuilds it
-    // on its first certificate, so `ppdc-stream-ckpt/v4` stays primary-
+    // on its first certificate, so `ppdc-stream-ckpt/v5` stays primary-
     // state-only and kill/resume stays bit-identical (the bound equals the
     // O(m²) scan and warm ≡ cold, so the rebuilt cache is
     // indistinguishable from the lost one).
@@ -1344,7 +1429,13 @@ fn run_stream_day_impl<D: DistanceOracle + ?Sized>(
             (ck.epoch + 1, store, agg, placement, st)
         }
     };
+    let mut fingerprint = || *fp.get_or_insert_with(|| stream_fingerprint(g, w, trace, sfc, cfg));
     let every = cfg.checkpoint_every.max(1);
+    // Epoch records in the store's journal, once this run has started it:
+    // its first snapshot rewrites the whole journal (dropping whatever an
+    // interrupted run left after its last complete line), and every later
+    // one appends the records since.
+    let mut journaled: Option<usize> = None;
     let mut cursor = trace.cursor(start_epoch - 1);
     for epoch in start_epoch..=n_hours {
         let report = {
@@ -1395,9 +1486,27 @@ fn run_stream_day_impl<D: DistanceOracle + ?Sized>(
         st.placement = placement.switches().to_vec();
         let stop_here = cfg.stop_after == Some(epoch);
         let last = epoch == n_hours;
-        if wants_snapshots && (stop_here || last || epoch % every == 0) {
-            let ck = StreamCheckpoint {
-                fingerprint: *fp.get_or_insert_with(|| stream_fingerprint(g, w, trace, sfc, cfg)),
+        if let Some(cs) = &cfg.store {
+            if stop_here || last || epoch % every == 0 {
+                let mut text = String::with_capacity(256);
+                match journaled {
+                    None => {
+                        push_journal_header(&mut text, fingerprint(), st.initial_cost);
+                        push_journal_line(&mut text, &st.epochs, tracker.accum(), &st.placement);
+                        cs.replace(&text)?;
+                    }
+                    Some(n) => {
+                        let new = st.epochs.get(n..).unwrap_or_default();
+                        push_journal_line(&mut text, new, tracker.accum(), &st.placement);
+                        cs.append(&text)?;
+                    }
+                }
+                journaled = Some(st.epochs.len());
+            }
+        }
+        if stop_here && !last {
+            let checkpoint = StreamCheckpoint {
+                fingerprint: fingerprint(),
                 epoch,
                 initial_cost: st.initial_cost,
                 placement: st.placement.clone(),
@@ -1410,16 +1519,11 @@ fn run_stream_day_impl<D: DistanceOracle + ?Sized>(
                 drift_total: st.drift_total,
                 deltas_total: st.deltas_total,
             };
-            if let Some(cs) = &cfg.store {
-                cs.write_raw(&ck.to_json())?;
-            }
-            if stop_here && !last {
-                return Ok(StreamRun {
-                    result: st,
-                    completed: false,
-                    checkpoint: Some(ck),
-                });
-            }
+            return Ok(StreamRun {
+                result: st,
+                completed: false,
+                checkpoint: Some(checkpoint),
+            });
         }
     }
     Ok(StreamRun {
@@ -2058,6 +2162,46 @@ mod tests {
         );
     }
 
+    /// A `/v4` snapshot, one pretty-printed document per write whose
+    /// fingerprint ran one FNV-1a chain over one word per id, is refused
+    /// by its schema tag, whether it has the old whole-document layout or
+    /// the journal's.
+    #[test]
+    fn v4_documents_are_refused_by_schema() {
+        let v4 = r#"{
+  "schema": "ppdc-stream-ckpt/v4",
+  "fingerprint": 8334592082975981288,
+  "epoch": 2,
+  "initial_cost": 6038,
+  "drift_accum": 0,
+  "placement": [0,12,15],
+  "totals": {"total_cost": 49992, "resolves": 2, "resolves_skipped": 0, "drift_total": 4587, "deltas_total": 4},
+  "epochs": [[1,2,1626,3,0,17438],[2,2,2961,2,0,26516]]
+}
+"#;
+        assert_eq!(
+            StreamCheckpoint::from_json(v4),
+            Err(CkptError::Schema("ppdc-stream-ckpt/v4".to_string()))
+        );
+        let (g, dm, w, trace) = fixture(20, 29);
+        let sfc = Sfc::of_len(3).unwrap();
+        let cfg = StreamConfig {
+            stop_after: Some(2),
+            ..StreamConfig::default()
+        };
+        let ck = run_stream_day(&g, &dm, &w, &trace, &sfc, &cfg)
+            .unwrap()
+            .checkpoint
+            .unwrap();
+        let doc = ck
+            .to_json()
+            .replace(STREAM_CKPT_SCHEMA, "ppdc-stream-ckpt/v4");
+        assert_eq!(
+            StreamCheckpoint::from_json(&doc),
+            Err(CkptError::Schema("ppdc-stream-ckpt/v4".to_string()))
+        );
+    }
+
     /// A `/v2` document, as the engine wrote it when snapshots carried
     /// the rate vector, is refused by its schema tag rather than resumed.
     #[test]
@@ -2225,5 +2369,241 @@ mod tests {
         let resumed = resume_stream_day(&g, &dm, &w, &trace, &sfc, &cfg_resume, &loaded).unwrap();
         assert_eq!(resumed.result, full.result);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A scratch journal path, unique per call within the test process.
+    fn journal_store(tag: &str) -> (std::path::PathBuf, CheckpointStore) {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "ppdc-journal-{tag}-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::SeqCst)
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let store = CheckpointStore::new(dir.join("stream.ckpt"));
+        (dir, store)
+    }
+
+    /// The snapshot each complete line of `text` ends, keyed by epoch.
+    fn snapshots_by_line(text: &str) -> std::collections::BTreeMap<u32, StreamCheckpoint> {
+        text.match_indices('\n')
+            .skip(1)
+            .map(|(end, _)| {
+                let ck = StreamCheckpoint::from_json(&text[..=end]).unwrap();
+                (ck.epoch, ck)
+            })
+            .collect()
+    }
+
+    /// The in-memory checkpoint of a run halted after `epoch`.
+    fn halted_at(
+        (g, dm, w, trace): &(Graph, DistanceMatrix, Workload, DynamicTrace),
+        sfc: &Sfc,
+        cfg: &StreamConfig,
+        epoch: u32,
+    ) -> StreamCheckpoint {
+        let cfg = StreamConfig {
+            store: None,
+            stop_after: Some(epoch),
+            ..cfg.clone()
+        };
+        run_stream_day(g, dm, w, trace, sfc, &cfg)
+            .unwrap()
+            .checkpoint
+            .unwrap()
+    }
+
+    /// The engine's journal holds one line per snapshot, and each line's
+    /// prefix loads as the in-memory checkpoint of a run halted there.
+    /// Cut anywhere inside its last line (newline excluded), it loads the
+    /// snapshot before.
+    #[test]
+    fn a_torn_last_line_loads_the_previous_snapshot() {
+        let inputs = fixture(30, 23);
+        let (g, dm, w, trace) = &inputs;
+        let sfc = Sfc::of_len(3).unwrap();
+        let (dir, store) = journal_store("torn");
+        let cfg = StreamConfig {
+            drift_threshold: 500,
+            max_certified_gap: 10,
+            store: Some(store.clone()),
+            stop_after: Some(5),
+            ..StreamConfig::default()
+        };
+        run_stream_day(g, dm, w, trace, &sfc, &cfg).unwrap();
+        let text = std::fs::read_to_string(store.path()).unwrap();
+        assert_eq!(text.lines().count(), 6, "a header and five snapshot lines");
+        let by_line = snapshots_by_line(&text);
+        for epoch in 1..=5 {
+            assert_eq!(by_line[&epoch], halted_at(&inputs, &sfc, &cfg, epoch));
+        }
+        let start = text[..text.len() - 1].rfind('\n').unwrap() + 1;
+        for cut in start..text.len() {
+            assert_eq!(
+                StreamCheckpoint::from_json(&text[..cut]).as_ref(),
+                Ok(&by_line[&4]),
+                "cut at byte {cut}"
+            );
+        }
+        // The same through the store: a torn file loads the snapshot
+        // before it.
+        std::fs::write(store.path(), &text[..text.len() - 3]).unwrap();
+        let (loaded, _) = store.load_with(StreamCheckpoint::from_json).unwrap();
+        assert_eq!(loaded, by_line[&4]);
+        // A header alone, or a torn header, holds no snapshot.
+        let header_end = text.find('\n').unwrap() + 1;
+        for cut in [0, 1, header_end - 1, header_end, header_end + 5] {
+            assert!(
+                matches!(
+                    StreamCheckpoint::from_json(&text[..cut]),
+                    Err(CkptError::Parse(_))
+                ),
+                "cut at byte {cut}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A complete line that does not parse, or that breaks the run of
+    /// epoch records, is corruption, not a torn tail.
+    #[test]
+    fn a_corrupt_middle_line_is_refused() {
+        let (g, dm, w, trace) = fixture(30, 23);
+        let sfc = Sfc::of_len(3).unwrap();
+        let (dir, store) = journal_store("corrupt");
+        let cfg = StreamConfig {
+            store: Some(store.clone()),
+            stop_after: Some(4),
+            ..StreamConfig::default()
+        };
+        run_stream_day(&g, &dm, &w, &trace, &sfc, &cfg).unwrap();
+        let text = std::fs::read_to_string(store.path()).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        let rebuild = |lines: &[&str]| lines.iter().map(|l| format!("{l}\n")).collect::<String>();
+        let mut garbled = lines.clone();
+        let half = &lines[2][..lines[2].len() / 2];
+        garbled[2] = half;
+        assert!(matches!(
+            StreamCheckpoint::from_json(&rebuild(&garbled)),
+            Err(CkptError::Corrupt(_))
+        ));
+        let mut skipped = lines.clone();
+        skipped.remove(2);
+        assert!(matches!(
+            StreamCheckpoint::from_json(&rebuild(&skipped)),
+            Err(CkptError::Corrupt(_))
+        ));
+        std::fs::write(store.path(), rebuild(&garbled)).unwrap();
+        assert!(matches!(
+            store.load_with(StreamCheckpoint::from_json),
+            Err(CkptError::Corrupt(_))
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A day killed and resumed from its journal on disk rewrites the
+    /// journal at its first snapshot and appends from there; every line
+    /// of that journal loads equal to the uninterrupted day's journal at
+    /// the same epoch.
+    #[test]
+    fn a_resumed_journal_loads_equal_to_the_uninterrupted_one() {
+        let inputs = fixture(30, 17);
+        let (g, dm, w, trace) = &inputs;
+        let sfc = Sfc::of_len(4).unwrap();
+        let n_hours = trace.model().n_hours;
+        let (dir, whole) = journal_store("whole");
+        let cfg = StreamConfig {
+            drift_threshold: 20_000,
+            max_certified_gap: 10_000,
+            store: Some(whole.clone()),
+            ..StreamConfig::default()
+        };
+        let full = run_stream_day(g, dm, w, trace, &sfc, &cfg).unwrap();
+        let uninterrupted = snapshots_by_line(&std::fs::read_to_string(whole.path()).unwrap());
+        assert_eq!(uninterrupted.len(), n_hours as usize);
+        for kill in [1, 4, n_hours - 1] {
+            let (_, store) = journal_store("resumed");
+            let cfg = StreamConfig {
+                store: Some(store.clone()),
+                ..cfg.clone()
+            };
+            let halted = StreamConfig {
+                stop_after: Some(kill),
+                ..cfg.clone()
+            };
+            run_stream_day(g, dm, w, trace, &sfc, &halted).unwrap();
+            let (ck, _) = store.load_with(StreamCheckpoint::from_json).unwrap();
+            let resumed = resume_stream_day(g, dm, w, trace, &sfc, &cfg, &ck).unwrap();
+            assert_eq!(resumed.result, full.result, "kill at {kill}");
+            let text = std::fs::read_to_string(store.path()).unwrap();
+            let by_line = snapshots_by_line(&text);
+            let epochs: Vec<u32> = by_line.keys().copied().collect();
+            assert_eq!(epochs, (kill + 1..=n_hours).collect::<Vec<_>>());
+            for (epoch, ck) in &by_line {
+                assert_eq!(ck, &uninterrupted[epoch], "kill at {kill}, epoch {epoch}");
+            }
+            let _ = std::fs::remove_dir_all(store.path().parent().unwrap());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::env_or(24))]
+
+        /// Kill at any epoch under `checkpoint_every` ∈ {1, 2, 3}, load
+        /// the journal back from disk — as written, or with a torn tail
+        /// appended (half a real line, or bytes that are not JSON) — and
+        /// resume from what loaded: the day finishes bit-identically to
+        /// the uninterrupted one, and its journal ends at the same
+        /// snapshot.
+        #[test]
+        fn resume_from_the_on_disk_journal_is_bit_identical(
+            seed in 0u64..64,
+            kill_pick in 0u32..64,
+            every in 1u32..4,
+            tear in 0u8..3,
+        ) {
+            let (g, dm, w, trace) = fixture(16, seed);
+            let sfc = Sfc::of_len(3).unwrap();
+            let n_hours = trace.model().n_hours;
+            let kill = 1 + kill_pick % (n_hours - 1);
+            let (dir, whole) = journal_store("prop-whole");
+            let cfg = StreamConfig {
+                drift_threshold: 5_000,
+                max_certified_gap: 10_000,
+                checkpoint_every: every,
+                store: Some(whole.clone()),
+                ..StreamConfig::default()
+            };
+            let full = run_stream_day(&g, &dm, &w, &trace, &sfc, &cfg).unwrap();
+            let (end, _) = whole.load_with(StreamCheckpoint::from_json).unwrap();
+            let store = CheckpointStore::new(dir.join("killed.ckpt"));
+            let cfg = StreamConfig { store: Some(store.clone()), ..cfg };
+            let halted = run_stream_day(
+                &g, &dm, &w, &trace, &sfc,
+                &StreamConfig { stop_after: Some(kill), ..cfg.clone() },
+            ).unwrap();
+            let text = std::fs::read_to_string(store.path()).unwrap();
+            let tail = match tear {
+                0 => String::new(),
+                1 => {
+                    let last = text.lines().last().unwrap();
+                    last[..last.len() / 2].to_string()
+                }
+                _ => "\u{0}{\"epochs\":[[".to_string(),
+            };
+            std::fs::write(store.path(), format!("{text}{tail}")).unwrap();
+            let (ck, _) = store.load_with(StreamCheckpoint::from_json).unwrap();
+            proptest::prop_assert_eq!(Some(&ck), halted.checkpoint.as_ref());
+            let resumed = resume_stream_day(&g, &dm, &w, &trace, &sfc, &cfg, &ck).unwrap();
+            proptest::prop_assert_eq!(
+                &resumed.result, &full.result,
+                "kill {} every {} tear {}", kill, every, tear
+            );
+            let (resumed_end, _) = store.load_with(StreamCheckpoint::from_json).unwrap();
+            proptest::prop_assert_eq!(resumed_end, end);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }
