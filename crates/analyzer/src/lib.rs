@@ -2,8 +2,7 @@
 //!
 //! Fully offline and dependency-free. It keeps only the lexical rules
 //! clippy has no lint for: one [`lexer`] feeds the per-file token rules in
-//! [`rules`] (raw sentinel math, rayon reduce order, relaxed atomics,
-//! float sort keys), and [`report`] renders rustc-style human output.
+//! [`rules`] (raw sentinel math, relaxed atomics, float sort keys), and [`report`] renders rustc-style human output.
 //! A finding is fixed, not waived: there is no suppression syntax.
 //!
 //! Checks clippy already makes — panics, bare casts, printing, discarded

@@ -3,8 +3,7 @@
 /// One rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Rule id (`raw-cost-arith`, `reduce-order`, `relaxed-atomic` or
-    /// `float-sort`).
+    /// Rule id (`raw-cost-arith`, `relaxed-atomic` or `float-sort`).
     pub rule: String,
     /// Workspace-relative path of the offending file.
     pub file: String,

@@ -10,9 +10,6 @@
 //! The determinism/concurrency pack (brace-matched via [`match_open`]
 //! token trees):
 //!
-//! * `reduce-order` — `-`/`/` inside the closures of a rayon-chain
-//!   `reduce`/`fold`: parallel reduction order is scheduler-dependent, so
-//!   non-commutative/non-associative ops give run-dependent results.
 //! * `relaxed-atomic` — `Ordering::Relaxed` in solver/sim crates, where
 //!   atomics gate cross-thread decisions (the PR 5 incumbent-bound
 //!   pattern); `ppdc-obs`'s monotonic enabled-flag is out of scope by
@@ -49,11 +46,6 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "raw-cost-arith",
         summary: "no raw +/-/* on the INFINITY cost sentinel (use sat_add/sat_mul)",
-    },
-    RuleInfo {
-        id: "reduce-order",
-        summary: "no -/÷ inside rayon reduce/fold closures (parallel reduction order is \
-                  scheduler-dependent; non-commutative ops diverge)",
     },
     RuleInfo {
         id: "relaxed-atomic",
@@ -132,13 +124,6 @@ impl FileCtx {
 fn check_tokens(ctx: &FileCtx, toks: &[Tok], src: &str) -> Vec<Violation> {
     let in_test = test_regions(toks);
     let matches = match_open(toks);
-    // Reverse map: close position → its open, for backward chain walks.
-    let mut open_of = vec![usize::MAX; toks.len()];
-    for (k, &m) in matches.iter().enumerate() {
-        if m != k {
-            open_of[m] = k;
-        }
-    }
     let mut out = Vec::new();
 
     let snippet = |line: u32| -> String {
@@ -189,33 +174,6 @@ fn check_tokens(ctx: &FileCtx, toks: &[Tok], src: &str) -> Vec<Violation> {
                      decisions (incumbent bounds, engine state); use Acquire/Release or stronger"
                         .to_string(),
                 );
-            }
-
-            if (id == "reduce" || id == "fold") && prev_is(".") && next_is("(") {
-                let open = k + 1;
-                let close = matches[open];
-                if close > open && par_chain_before(toks, &open_of, k) {
-                    for p in open + 1..close {
-                        let op = &toks[p];
-                        if op.kind == TokKind::Punct
-                            && matches!(op.text.as_str(), "-" | "/" | "-=" | "/=")
-                            && is_binary_operand_before(toks, p)
-                        {
-                            push(
-                                "reduce-order",
-                                op.line,
-                                format!(
-                                    "`{}` inside a rayon `{id}` closure — parallel reduction \
-                                     order is scheduler-dependent, so non-commutative ops give \
-                                     run-dependent results; reduce with +/max/min or collect \
-                                     then fold sequentially",
-                                    op.text
-                                ),
-                            );
-                            break;
-                        }
-                    }
-                }
             }
 
             if COMPARATOR_FNS.contains(&id) && prev_is(".") && next_is("(") {
@@ -283,35 +241,6 @@ fn check_tokens(ctx: &FileCtx, toks: &[Tok], src: &str) -> Vec<Violation> {
         }
     }
     out
-}
-
-/// Walks the method chain backward from the `.reduce`/`.fold` receiver,
-/// looking for a rayon marker (`par_iter`, `into_par_iter`, `par_*`).
-/// Matched groups are jumped over; any statement boundary stops the walk.
-fn par_chain_before(toks: &[Tok], open_of: &[usize], k: usize) -> bool {
-    let mut cur = k;
-    while cur >= 2 {
-        cur -= 1;
-        let t = &toks[cur];
-        match t.kind {
-            TokKind::Punct => match t.text.as_str() {
-                ")" | "]" | "}" => {
-                    let open = open_of[cur];
-                    if open == usize::MAX || open == 0 {
-                        return false;
-                    }
-                    cur = open;
-                }
-                ";" | "{" | "=" | "," | "(" => return false,
-                _ => {}
-            },
-            TokKind::Ident if t.text.starts_with("par_") || t.text == "into_par_iter" => {
-                return true;
-            }
-            _ => {}
-        }
-    }
-    false
 }
 
 /// True when the token before position `p` can end a binary operand —
@@ -427,28 +356,6 @@ mod tests {
         let src = "#[cfg(test)]\nmod tests {\n fn f(a: u64) -> u64 { let t = a + INFINITY; \
                    t.load(Ordering::Relaxed) }\n}";
         assert!(rules_hit("crates/stroll/src/dp.rs", src).is_empty());
-    }
-
-    #[test]
-    fn reduce_order_fires_on_subtraction_in_par_reduce() {
-        let bad = "fn f(v: &[f64]) -> f64 { v.par_iter().copied().reduce(|| 0.0, |a, b| a - b) }";
-        assert_eq!(
-            rules_hit("crates/sim/src/stats.rs", bad),
-            vec!["reduce-order"]
-        );
-        let fold = "fn f(v: &[f64]) -> f64 { v.par_chunks(64).fold(|| 0.0, |a, c| a / c.len() as f64).sum() }";
-        assert_eq!(
-            rules_hit("crates/sim/src/stats.rs", fold),
-            vec!["reduce-order"]
-        );
-        // Commutative parallel reduce and serial fold are fine.
-        let sum = "fn f(v: &[f64]) -> f64 { v.par_iter().copied().reduce(|| 0.0, f64::max) }";
-        assert!(rules_hit("crates/sim/src/stats.rs", sum).is_empty());
-        let serial = "fn f(v: &[f64]) -> f64 { v.iter().fold(0.0, |a, b| a - b) }";
-        assert!(rules_hit("crates/sim/src/stats.rs", serial).is_empty());
-        // Unary minus in the identity closure is not a binary op.
-        let unary = "fn f(v: &[f64]) -> f64 { v.par_iter().copied().reduce(|| -1.0, f64::max) }";
-        assert!(rules_hit("crates/sim/src/stats.rs", unary).is_empty());
     }
 
     #[test]

@@ -266,20 +266,6 @@ fn nondeterminism_good_fixture_passes() {
 }
 
 #[test]
-fn reduce_order_fixtures() {
-    let rules = scan(
-        "crates/sim/src/fixture.rs",
-        include_str!("fixtures/reduce_order_bad.rs"),
-    );
-    assert_eq!(rules, vec!["reduce-order"; 2], "par reduce + par fold");
-    let rules = scan(
-        "crates/sim/src/fixture.rs",
-        include_str!("fixtures/reduce_order_good.rs"),
-    );
-    assert!(rules.is_empty(), "{rules:?}");
-}
-
-#[test]
 fn relaxed_atomic_fixtures() {
     let rules = scan(
         "crates/placement/src/fixture.rs",

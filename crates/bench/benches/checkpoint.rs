@@ -1,29 +1,33 @@
 //! Checkpoint write/restore latency at k = 8 and k = 16.
 //!
-//! Measures the crash-safety tax of the epoch engine: `write` is one
-//! atomic two-slot snapshot persist (serialize + tmp + fsync + rotate +
-//! rename), `restore` is one load back (read + parse + slot fallback).
-//! The checkpoints are real ones — a fault-injected day halted mid-run —
-//! so the serialized hosts/stranded/hours/degraded payload has production
-//! shape.
+//! Measures the crash-safety tax of the epoch engines, which share one
+//! append-only journal codec. `write_k*` is one hourly `ppdc-ckpt/v6`
+//! journal append after 11 hours (the engine's hour-12 line through
+//! [`CheckpointStore::append`], which syncs it); `restore_k*` is one
+//! load of the 12-hour journal back ([`CheckpointStore::load_with`] +
+//! [`Checkpoint::from_json`]: read, parse, re-derive the totals). The
+//! journals are real ones — a fault-injected day persisting every hour,
+//! halted at hour 12 — so the appended hosts/stranded/hours/degraded
+//! payload has production shape. Every 256 appends the untimed setup
+//! rewrites the 12-line journal, so the file stays small.
 //!
 //! `stream_write_1m` is the streaming engine's per-epoch persist on a
 //! 1M-flow day: one `ppdc-stream-ckpt/v5` journal append
-//! ([`StreamCheckpoint::journal_line`] + [`CheckpointStore::append`], which
-//! syncs the line) after 15 epochs, of a snapshot shaped like the
-//! engine's — 16 epoch records and no rates, which restore re-derives from
-//! the trace. Every 256 appends the untimed setup rewrites the 16-line
-//! journal, so the file stays small. `stream_restore_1m` is the whole
-//! restore trade: load the 16-line journal (a header and one line per
-//! epoch) back through [`CheckpointStore::load_with`] +
-//! [`StreamCheckpoint::from_json`], then regenerate the 1M rates with
-//! [`DynamicTrace::rates_at`] at the snapshot's epoch.
+//! ([`StreamCheckpoint::journal_line`] + [`CheckpointStore::append`]) after
+//! 15 epochs, of a snapshot shaped like the engine's — 16 epoch records and
+//! no rates, which restore re-derives from the trace — with the same
+//! 256-append rewrite. `stream_restore_1m` is what `resume_stream_day`
+//! runs before its first epoch: load the 16-line journal (a header and one
+//! line per epoch) back through [`CheckpointStore::load_with`] +
+//! [`StreamCheckpoint::from_json`], then key the 1M-flow store at the
+//! snapshot's epoch straight from the trace
+//! ([`ShardedFlowStore::from_trace`]).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ppdc_model::{Sfc, Workload};
 use ppdc_sim::{
     run_day, Checkpoint, CheckpointStore, EngineConfig, EpochAction, EpochRecord, FaultConfig,
-    FaultSchedule, MigrationPolicy, SimConfig, StreamCheckpoint,
+    FaultSchedule, MigrationPolicy, ShardedFlowStore, SimConfig, StreamCheckpoint,
 };
 use ppdc_topology::{FatTree, NodeId};
 use ppdc_traffic::{
@@ -31,9 +35,15 @@ use ppdc_traffic::{
 };
 use std::time::Duration;
 
-/// A realistic mid-day checkpoint: run a faulty day on a k-ary fat-tree
-/// and stop after `stop` completed hours.
-fn mid_day_checkpoint(k: usize, num_pairs: usize, stop: u32) -> Checkpoint {
+/// A realistic mid-day journal: run a faulty day on a k-ary fat-tree that
+/// persists every hour to `store` and stop after `stop` completed hours.
+/// Returns the in-memory checkpoint and the journal's text.
+fn mid_day_journal(
+    k: usize,
+    num_pairs: usize,
+    stop: u32,
+    store: &CheckpointStore,
+) -> (Checkpoint, String) {
     let ft = FatTree::build(k).unwrap();
     let (w, trace) = standard_workload(&ft, num_pairs, 0xC4A0, 0);
     let sfc = Sfc::of_len(3).unwrap();
@@ -56,12 +66,41 @@ fn mid_day_checkpoint(k: usize, num_pairs: usize, stop: u32) -> Checkpoint {
         &cfg,
         &schedule,
         &EngineConfig {
+            store: Some(store.clone()),
             stop_after: Some(stop),
             ..EngineConfig::default()
         },
     )
     .unwrap();
-    halted.checkpoint.expect("stopped runs carry a checkpoint")
+    let ck = halted.checkpoint.expect("stopped runs carry a checkpoint");
+    let journal = std::fs::read_to_string(store.path()).unwrap();
+    assert_eq!(journal.lines().count(), stop as usize + 1);
+    (ck, journal)
+}
+
+/// Times one `line` append to `store`, rewriting it to `journal` every
+/// 256 appends in the untimed setup.
+fn bench_append(
+    group: &mut criterion::BenchmarkGroup<'_>,
+    id: &str,
+    store: &CheckpointStore,
+    journal: &str,
+    line: &str,
+) {
+    let mut appends = 0u32;
+    group.bench_function(id, |b| {
+        b.iter_batched(
+            || {
+                if appends.is_multiple_of(256) {
+                    store.write_raw(journal).unwrap();
+                }
+                appends += 1;
+            },
+            |()| store.append(line).unwrap(),
+            BatchSize::PerIteration,
+        )
+    });
+    store.write_raw(journal).unwrap();
 }
 
 fn bench_checkpoint(c: &mut Criterion) {
@@ -70,17 +109,16 @@ fn bench_checkpoint(c: &mut Criterion) {
     group.warm_up_time(Duration::from_secs(1));
     group.measurement_time(Duration::from_secs(3));
     for (k, num_pairs) in [(8usize, 50usize), (16, 100)] {
-        let ck = mid_day_checkpoint(k, num_pairs, 12);
         let dir = std::env::temp_dir().join(format!("ppdc-bench-ckpt-{}-k{k}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let store = CheckpointStore::new(dir.join("day.ckpt"));
-        group.bench_function(format!("write_k{k}"), |b| {
-            b.iter(|| store.write(&ck).unwrap())
-        });
-        store.write(&ck).unwrap();
+        let (ck, journal) = mid_day_journal(k, num_pairs, 12, &store);
+        // The engine's own hour-12 line, appended again.
+        let line = format!("{}\n", journal.lines().last().unwrap());
+        bench_append(&mut group, &format!("write_k{k}"), &store, &journal, &line);
         group.bench_function(format!("restore_k{k}"), |b| {
             b.iter(|| {
-                let (loaded, _slot) = store.load().unwrap();
+                let loaded = store.load_with(Checkpoint::from_json).unwrap();
                 assert_eq!(loaded.hour, ck.hour);
                 loaded
             })
@@ -88,30 +126,23 @@ fn bench_checkpoint(c: &mut Criterion) {
         std::fs::remove_dir_all(&dir).unwrap();
     }
     let ck = stream_checkpoint_1m();
-    let trace = million_flow_trace(ck.epoch);
+    let (ft, w, trace) = million_flow_day(ck.epoch);
     let dir = std::env::temp_dir().join(format!("ppdc-bench-ckpt-{}-stream", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let store = CheckpointStore::new(dir.join("stream.ckpt"));
     let journal = journal_of(&ck);
-    let mut appends = 0u32;
-    group.bench_function("stream_write_1m", |b| {
-        b.iter_batched(
-            || {
-                if appends.is_multiple_of(256) {
-                    store.replace(&journal).unwrap();
-                }
-                appends += 1;
-            },
-            |()| store.append(&ck.journal_line(15)).unwrap(),
-            BatchSize::PerIteration,
-        )
-    });
-    store.replace(&journal).unwrap();
+    bench_append(
+        &mut group,
+        "stream_write_1m",
+        &store,
+        &journal,
+        &ck.journal_line(15),
+    );
     group.bench_function("stream_restore_1m", |b| {
         b.iter(|| {
-            let (loaded, _slot) = store.load_with(StreamCheckpoint::from_json).unwrap();
+            let loaded = store.load_with(StreamCheckpoint::from_json).unwrap();
             assert_eq!(loaded.epoch, ck.epoch);
-            trace.rates_at(loaded.epoch)
+            ShardedFlowStore::from_trace(ft.graph(), &w, &trace, loaded.epoch).unwrap()
         })
     });
     std::fs::remove_dir_all(&dir).unwrap();
@@ -120,7 +151,7 @@ fn bench_checkpoint(c: &mut Criterion) {
 
 /// The `stream_ingest` bench's 1M-flow workload (pairs strided over every
 /// k = 32 host) under a churned diurnal trace of `n_hours` epochs.
-fn million_flow_trace(n_hours: u32) -> DynamicTrace {
+fn million_flow_day(n_hours: u32) -> (FatTree, Workload, DynamicTrace) {
     let ft = FatTree::build(32).unwrap();
     let hosts: Vec<NodeId> = ft.graph().hosts().collect();
     let mut w = Workload::new();
@@ -133,13 +164,14 @@ fn million_flow_trace(n_hours: u32) -> DynamicTrace {
         n_hours,
         ..DiurnalModel::default()
     };
-    DynamicTrace::with_churn(
+    let trace = DynamicTrace::with_churn(
         &w,
         model,
         &DEFAULT_MIX,
         STANDARD_CHURN,
         &mut rng_for_run(0x5EED, 0),
-    )
+    );
+    (ft, w, trace)
 }
 
 /// `ck`'s journal as the engine writes it with a snapshot every epoch: a

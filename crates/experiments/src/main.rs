@@ -498,7 +498,7 @@ fn stream_smoke(n_flows: usize, budget_ms: u64) -> Result<(), CliError> {
         },
     )
     .map_err(|e| smoke_err("halted stream day", &e))?;
-    let (ck, _slot) = store
+    let ck = store
         .load_with(StreamCheckpoint::from_json)
         .map_err(|e| smoke_err("checkpoint load", &e))?;
     let journal =

@@ -155,14 +155,15 @@ pub mod names {
             /// Hours served by a degraded rung of the ladder (deadline-degraded
             /// incumbent or last-known-good repricing) instead of an exact solve.
             SUPERVISOR_DEGRADED_HOURS = "supervisor.degraded_hours";
-            /// Checkpoint snapshots written (atomic tmp + fsync + rename).
+            /// Checkpoint journal writes: a whole journal (atomic tmp + fsync +
+            /// rename) or one synced appended line.
             CKPT_WRITES = "ckpt.writes";
             /// Nanoseconds spent serializing + durably writing checkpoints.
             CKPT_WRITE_NANOS = "ckpt.write_nanos";
             /// Days resumed from a persisted checkpoint instead of hour zero.
             CKPT_RESTORES = "ckpt.restores";
-            /// Loads that fell back to the previous good snapshot because the
-            /// primary slot was torn or unparseable.
+            /// Checkpoint loads whose journal ended in a torn (unterminated) tail,
+            /// which the reader dropped to recover the snapshot before it.
             CKPT_TORN_RECOVERIES = "ckpt.torn_recoveries";
             /// Accumulated absolute rate drift `Σ|Δλ|` ingested by the streaming
             /// engine (the drift tracker's raw material).

@@ -14,9 +14,9 @@
 //!
 //! * a **kill** at a seeded hour followed by a [`resume_day`] that must
 //!   reproduce the uninterrupted day bit-identically,
-//! * a **torn checkpoint** — the primary snapshot is truncated mid-file
-//!   before resume, forcing [`CheckpointStore::load`] onto the previous
-//!   good slot,
+//! * a **torn checkpoint** — the journal's last line is truncated mid-line
+//!   before resume, so [`CheckpointStore::load_with`] drops the torn tail
+//!   and resumes from the hour before the kill,
 //! * **solver starvation** — injected transient failures walking the
 //!   supervisor's retry/fallback ladder.
 //!
@@ -35,7 +35,7 @@ use ppdc_topology::{Cost, EdgeId, FatTree, INFINITY};
 use ppdc_traffic::{rng_for_run, DiurnalModel, DynamicTrace, DEFAULT_MIX, STANDARD_CHURN};
 use rand::Rng;
 
-use crate::checkpoint::{CheckpointStore, CkptSlot};
+use crate::checkpoint::{Checkpoint, CheckpointStore};
 use crate::fault::{
     resume_day, run_day, Element, EngineConfig, FaultKind, FaultSchedule, FaultSimResult,
     HourProvenance, OutageLog, SimError,
@@ -133,8 +133,9 @@ pub struct ChaosTrialConfig {
     /// Kill the run after this hour and resume it from the persisted
     /// snapshot; `None` skips the crash leg.
     pub kill_hour: Option<u32>,
-    /// Truncate the primary snapshot before resume, forcing recovery from
-    /// the previous good slot (needs `kill_hour >= 2`).
+    /// Truncate the journal inside its last line before resume, so the
+    /// load recovers the snapshot an hour before the kill (needs
+    /// `kill_hour >= 2`).
     pub tear_checkpoint: bool,
     /// Where checkpoint scratch files go; `None` uses the OS temp dir.
     /// Each trial works in its own subdirectory and removes it afterwards.
@@ -162,7 +163,7 @@ impl ChaosTrialConfig {
             _ => MigrationPolicy::NoMigration,
         };
         let mut rng = rng_for_run(seed, CHAOS_STREAM ^ 0xFF);
-        // Always ≥ 2 so the torn-checkpoint leg has a previous good slot.
+        // Always ≥ 2 so the torn-checkpoint leg has an earlier snapshot line.
         let kill_hour = 2 + rng.gen_range(0..chaos.n_hours.saturating_sub(2).max(1));
         ChaosTrialConfig {
             seed,
@@ -195,8 +196,8 @@ pub struct ChaosTrialReport {
     pub supervisor_retry_hours: usize,
     /// The crash leg ran and the resumed day matched bit-identically.
     pub resumed: bool,
-    /// The resume recovered from the previous good slot after the primary
-    /// snapshot was torn.
+    /// The resume recovered the snapshot before the kill hour after the
+    /// journal's last line was torn.
     pub torn_recovery: bool,
     /// Served cost of the (uninterrupted) day.
     pub total_cost: Cost,
@@ -278,11 +279,13 @@ fn chaos_inputs(
     (w, trace)
 }
 
-/// Truncates the file to half its length — a torn write frozen mid-flush.
+/// Truncates the journal halfway into its last line — an append frozen
+/// mid-flush, newline never written.
 fn tear(path: &Path) -> Result<(), ChaosError> {
-    let bytes = std::fs::read(path).map_err(|e| inv(format!("tearing {}: {e}", path.display())))?;
-    std::fs::write(path, &bytes[..bytes.len() / 2])
-        .map_err(|e| inv(format!("tearing {}: {e}", path.display())))?;
+    let err = |e: std::io::Error| inv(format!("tearing {}: {e}", path.display()));
+    let text = std::fs::read_to_string(path).map_err(err)?;
+    let start = text.trim_end().rfind('\n').map_or(0, |i| i + 1);
+    std::fs::write(path, &text[..start + (text.len() - start) / 2]).map_err(err)?;
     Ok(())
 }
 
@@ -442,16 +445,13 @@ pub fn run_chaos_trial(trial: &ChaosTrialConfig) -> Result<ChaosTrialReport, Cha
             if torn {
                 tear(store.path())?;
             }
-            let (loaded, slot) = store
-                .load()
+            let loaded = store
+                .load_with(Checkpoint::from_json)
                 .map_err(|e| ChaosError::Sim(SimError::Checkpoint(e)))?;
             if torn {
-                if slot != CkptSlot::Previous {
-                    return Err(inv("torn primary did not fall back to the previous slot"));
-                }
                 if loaded.hour != kh - 1 {
                     return Err(inv(format!(
-                        "previous slot holds hour {}, expected {}",
+                        "torn journal loaded hour {}, expected {}",
                         loaded.hour,
                         kh - 1
                     )));

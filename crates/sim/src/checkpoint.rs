@@ -1,4 +1,4 @@
-//! Crash-safe epoch checkpoints (`ppdc-ckpt/v5`).
+//! Crash-safe epoch checkpoints: one append-only journal for both engines.
 //!
 //! A [`Checkpoint`] freezes everything [`crate::run_day`] needs to restart
 //! a fault-aware day from the last completed hour and finish it
@@ -19,12 +19,15 @@
 //! restore refuses a snapshot whose fingerprint does not match — resuming
 //! against different inputs cannot silently produce a franken-day.
 //!
-//! [`CheckpointStore`] writes snapshots atomically (tmp + fsync + rename)
-//! and keeps the previous snapshot as a `.prev` fallback, so a crash *mid
-//! write* — a torn or truncated primary file — still recovers from the
-//! last good hour. The streaming engine's append-only journal
-//! (`ppdc-stream-ckpt/v5`, see [`crate::stream`]) uses the same store
-//! through [`CheckpointStore::replace`] and [`CheckpointStore::append`].
+//! Both engines write one journal format (`ppdc-ckpt/v6` here,
+//! `ppdc-stream-ckpt/v5` in [`crate::stream`]): a header line
+//! `{"schema","fingerprint","initial_cost"}`, then one line per snapshot
+//! with the records since the line before and the engine's state. A run's
+//! first snapshot writes it atomically ([`CheckpointStore::write_raw`]),
+//! later ones append a synced line ([`CheckpointStore::append`]). The
+//! reader requires records `1, 2, …`, takes the state from the last line,
+//! re-derives the totals, discards an unterminated (torn) tail, and
+//! refuses a whole document of another schema by its tag.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -34,17 +37,16 @@ use std::path::{Path, PathBuf};
 use ppdc_model::{Sfc, Workload};
 use ppdc_obs::json::{self, Value};
 use ppdc_obs::{names as obs_names, Stopwatch};
-use ppdc_topology::{EdgeId, Graph, NodeId};
+use ppdc_topology::{Cost, EdgeId, Graph, NodeId};
 use ppdc_traffic::DynamicTrace;
 
 use crate::fault::{DegradedHourRecord, FaultSchedule, FaultSimResult, HourProvenance};
 use crate::simulator::{HourRecord, MigrationPolicy, SimConfig};
 
-/// Version tag every snapshot carries; restore rejects anything else.
-/// `/v5` keeps `/v4`'s layout; its fingerprint hashes the inputs in four
-/// lanes, two `u32`s to a word, and the trace's rates as base ids plus the
-/// base table.
-pub const CKPT_SCHEMA: &str = "ppdc-ckpt/v5";
+/// Version tag of the hourly engine's journal; restore rejects anything
+/// else. `/v6` appends a line per hour where `/v5` rewrote the whole day;
+/// both hash the inputs in four lanes (see [`fingerprint`]).
+pub const CKPT_SCHEMA: &str = "ppdc-ckpt/v6";
 
 /// Errors from writing, reading, or validating a checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,10 +60,15 @@ pub enum CkptError {
         /// The OS error message.
         msg: String,
     },
-    /// The file held no parseable JSON document — the classic torn write.
+    /// No complete header and snapshot line survive.
     Parse(String),
-    /// The document parsed but is not a snapshot of the parser's schema.
-    Schema(String),
+    /// The file declares another schema than the reader's.
+    Schema {
+        /// The tag the file declares (`<missing>` when it has none).
+        found: String,
+        /// The tag the reader accepts.
+        expected: &'static str,
+    },
     /// A field is missing, has the wrong type, or holds an impossible
     /// value (id out of range, mismatched array length, …).
     Corrupt(String),
@@ -82,8 +89,8 @@ impl std::fmt::Display for CkptError {
                 write!(f, "checkpoint {op} failed for {path}: {msg}")
             }
             CkptError::Parse(msg) => write!(f, "torn or invalid checkpoint: {msg}"),
-            CkptError::Schema(found) => {
-                write!(f, "checkpoint schema {found:?}, expected {CKPT_SCHEMA:?}")
+            CkptError::Schema { found, expected } => {
+                write!(f, "checkpoint schema {found:?}, expected {expected:?}")
             }
             CkptError::Corrupt(msg) => write!(f, "corrupt checkpoint: {msg}"),
             CkptError::InputMismatch { stored, expected } => write!(
@@ -99,6 +106,9 @@ impl std::error::Error for CkptError {}
 
 /// A frozen mid-day simulator state: everything mutable the epoch loop
 /// carries across hours, plus the day so far.
+///
+/// A `ppdc-ckpt/v6` line holds the rows since the line before, the fields
+/// below but `fingerprint` and `hour`, and `aggregate_rebuilds`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {
     /// FNV-1a hash of every input (see [`fingerprint`]).
@@ -147,159 +157,131 @@ fn prov_from_code(c: u64) -> Result<HourProvenance, CkptError> {
 }
 
 impl Checkpoint {
-    /// Serializes to the deterministic `ppdc-ckpt/v5` JSON document. Two
-    /// equal checkpoints always produce byte-identical output.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema\": \"{CKPT_SCHEMA}\",\n"));
-        out.push_str(&format!("  \"fingerprint\": {},\n", self.fingerprint));
-        let day = &self.result;
-        out.push_str(&format!("  \"hour\": {},\n", self.hour));
-        out.push_str(&format!("  \"initial_cost\": {},\n", day.initial_cost));
-        let ids = |v: &[NodeId]| v.iter().map(|n| u64::from(n.0)).collect::<Vec<u64>>();
-        push_list(&mut out, "placement", ids(&self.placement));
-        push_list(&mut out, "hosts", ids(&self.hosts));
-        push_list(&mut out, "failed_nodes", ids(&self.failed_nodes));
-        push_list(
-            &mut out,
-            "failed_edges",
-            self.failed_edges.iter().map(|e| u64::from(e.0)),
+    /// Writes one `ppdc-ckpt/v6` line: `hours` and `degraded` (the rows
+    /// since the line before), then this snapshot's state. The engine
+    /// passes a checkpoint whose own rows are left empty.
+    pub(crate) fn push_line(
+        &self,
+        out: &mut String,
+        hours: &[HourRecord],
+        degraded: &[DegradedHourRecord],
+    ) {
+        push_key(out, '{', "hours");
+        push_rows(
+            out,
+            hours.iter().map(|r| {
+                [
+                    u64::from(r.hour),
+                    r.migration_cost,
+                    r.comm_cost,
+                    r.total_cost,
+                    r.num_migrations as u64,
+                ]
+            }),
         );
-        push_list(&mut out, "candidates", ids(&self.candidates));
-        out.push_str("  \"stranded\": [");
-        for (i, s) in self.stranded.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push(if *s { '1' } else { '0' });
+        push_key(out, ',', "degraded");
+        push_rows(
+            out,
+            degraded.iter().map(|d| {
+                [
+                    u64::from(d.hour),
+                    d.failed_switches as u64,
+                    d.failed_links as u64,
+                    d.stranded_flows as u64,
+                    d.stranded_rate,
+                    d.reroute_cost,
+                    d.recovery_migrations as u64,
+                    u64::from(d.blackout),
+                    u64::from(d.degraded_solver),
+                    prov_code(d.provenance),
+                    u64::from(d.solver_retries),
+                ]
+            }),
+        );
+        for (key, ids) in [
+            ("placement", &self.placement),
+            ("hosts", &self.hosts),
+            ("failed_nodes", &self.failed_nodes),
+            ("candidates", &self.candidates),
+        ] {
+            push_key(out, ',', key);
+            push_row(out, ids.iter().map(|n| u64::from(n.0)));
         }
-        out.push_str("],\n");
-        out.push_str(&format!(
-            "  \"totals\": {{\"total_cost\": {}, \"total_migrations\": {}, \
-             \"aggregate_rebuilds\": {}, \"blackout_hours\": {}, \
-             \"recovery_migrations\": {}}},\n",
-            day.total_cost,
-            day.total_migrations,
-            day.aggregate_rebuilds,
-            day.blackout_hours,
-            day.recovery_migrations
-        ));
-        // Hour records as compact rows:
-        // [hour, migration_cost, comm_cost, total_cost, num_migrations].
-        out.push_str("  \"hours\": [");
-        for (i, r) in day.hours.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "[{},{},{},{},{}]",
-                r.hour, r.migration_cost, r.comm_cost, r.total_cost, r.num_migrations
-            ));
-        }
-        out.push_str("],\n");
-        // Degraded records as compact rows: [hour, failed_switches,
-        // failed_links, stranded_flows, stranded_rate, reroute_cost,
-        // recovery_migrations, blackout, degraded_solver, provenance,
-        // solver_retries].
-        out.push_str("  \"degraded\": [");
-        for (i, d) in day.degraded.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "[{},{},{},{},{},{},{},{},{},{},{}]",
-                d.hour,
-                d.failed_switches,
-                d.failed_links,
-                d.stranded_flows,
-                d.stranded_rate,
-                d.reroute_cost,
-                d.recovery_migrations,
-                u8::from(d.blackout),
-                u8::from(d.degraded_solver),
-                prov_code(d.provenance),
-                d.solver_retries
-            ));
-        }
-        out.push_str("]\n}\n");
+        push_key(out, ',', "failed_edges");
+        push_row(out, self.failed_edges.iter().map(|e| u64::from(e.0)));
+        push_key(out, ',', "stranded");
+        push_row(out, self.stranded.iter().map(|&x| u64::from(x)));
+        push_key(out, ',', "aggregate_rebuilds");
+        push_u64(out, self.result.aggregate_rebuilds as u64);
+        out.push_str("}\n");
+    }
+
+    /// Serializes to a deterministic `ppdc-ckpt/v6` journal: the header
+    /// and one line holding every hour record.
+    pub fn to_json(&self) -> String {
+        let (mut out, day) = (String::new(), &self.result);
+        push_header(&mut out, CKPT_SCHEMA, self.fingerprint, day.initial_cost);
+        self.push_line(&mut out, &day.hours, &day.degraded);
         out
     }
 
-    /// Parses a `ppdc-ckpt/v5` document.
+    /// Parses a `ppdc-ckpt/v6` journal (see the module docs); the totals
+    /// are re-derived from the rows as the engine accumulates them.
     ///
     /// # Errors
     ///
-    /// [`CkptError::Parse`] on torn/invalid JSON, [`CkptError::Schema`] on
-    /// a foreign document, [`CkptError::Corrupt`] on missing or malformed
-    /// fields. Semantic validation against the run inputs happens
-    /// separately in [`Checkpoint::validate_against`].
+    /// [`CkptError::Parse`] when no complete header and snapshot line
+    /// survive, [`CkptError::Schema`] on another schema, else
+    /// [`CkptError::Corrupt`] on malformed lines, fields or record runs.
+    /// [`Checkpoint::validate_against`] checks it against the run inputs.
     pub fn from_json(src: &str) -> Result<Self, CkptError> {
-        let v = json::parse(src).map_err(|e| CkptError::Parse(e.to_string()))?;
-        let top = as_obj(&v, "document")?;
-        match str_field(top, "schema") {
-            Ok(s) if s == CKPT_SCHEMA => {}
-            Ok(s) => return Err(CkptError::Schema(s.to_string())),
-            Err(_) => return Err(CkptError::Schema("<missing>".to_string())),
-        }
-        let totals = as_obj(field(top, "totals")?, "totals")?;
-        let hours = arr_field(top, "hours")?
-            .iter()
-            .map(|row| {
-                let r = row_u64(row, 5, "hours")?;
-                Ok(HourRecord {
-                    hour: to_u32(r[0], "hour")?,
-                    migration_cost: r[1],
-                    comm_cost: r[2],
-                    total_cost: r[3],
-                    num_migrations: to_usize(r[4])?,
-                })
+        let journal = read_journal(src, CKPT_SCHEMA)?;
+        let hours = journal.records("hours", 5, |r| {
+            Ok(HourRecord {
+                hour: to_u32(r[0], "hour")?,
+                migration_cost: r[1],
+                comm_cost: r[2],
+                total_cost: r[3],
+                num_migrations: to_usize(r[4])?,
             })
-            .collect::<Result<Vec<_>, CkptError>>()?;
-        let degraded = arr_field(top, "degraded")?
-            .iter()
-            .map(|row| {
-                let r = row_u64(row, 11, "degraded")?;
-                Ok(DegradedHourRecord {
-                    hour: to_u32(r[0], "hour")?,
-                    failed_switches: to_usize(r[1])?,
-                    failed_links: to_usize(r[2])?,
-                    stranded_flows: to_usize(r[3])?,
-                    stranded_rate: r[4],
-                    reroute_cost: r[5],
-                    recovery_migrations: to_usize(r[6])?,
-                    blackout: r[7] != 0,
-                    degraded_solver: r[8] != 0,
-                    provenance: prov_from_code(r[9])?,
-                    solver_retries: to_u32(r[10], "solver_retries")?,
-                    phase: None,
-                })
+        })?;
+        let degraded = journal.records("degraded", 11, |r| {
+            Ok(DegradedHourRecord {
+                hour: to_u32(r[0], "hour")?,
+                failed_switches: to_usize(r[1])?,
+                failed_links: to_usize(r[2])?,
+                stranded_flows: to_usize(r[3])?,
+                stranded_rate: r[4],
+                reroute_cost: r[5],
+                recovery_migrations: to_usize(r[6])?,
+                blackout: r[7] != 0,
+                degraded_solver: r[8] != 0,
+                provenance: prov_from_code(r[9])?,
+                solver_retries: to_u32(r[10], "solver_retries")?,
+                phase: None,
             })
-            .collect::<Result<Vec<_>, CkptError>>()?;
+        })?;
+        let last = &journal.last;
         Ok(Checkpoint {
-            fingerprint: u64_field(top, "fingerprint")?,
-            hour: to_u32(u64_field(top, "hour")?, "hour")?,
-            placement: node_ids(top, "placement")?,
-            hosts: node_ids(top, "hosts")?,
-            failed_nodes: node_ids(top, "failed_nodes")?,
-            failed_edges: u64_arr(arr_field(top, "failed_edges")?, "failed_edges")?
-                .into_iter()
-                .map(|x| Ok(EdgeId(to_u32(x, "failed_edges")?)))
-                .collect::<Result<Vec<_>, CkptError>>()?,
-            candidates: node_ids(top, "candidates")?,
-            stranded: u64_arr(arr_field(top, "stranded")?, "stranded")?
-                .into_iter()
-                .map(|x| x != 0)
-                .collect(),
+            fingerprint: journal.fingerprint,
+            hour: to_u32(hours.len() as u64, "hour")?,
+            placement: ids(last, "placement", NodeId)?,
+            hosts: ids(last, "hosts", NodeId)?,
+            failed_nodes: ids(last, "failed_nodes", NodeId)?,
+            failed_edges: ids(last, "failed_edges", EdgeId)?,
+            candidates: ids(last, "candidates", NodeId)?,
+            stranded: ids(last, "stranded", |x| x != 0)?,
             result: FaultSimResult {
-                initial_cost: u64_field(top, "initial_cost")?,
+                initial_cost: journal.initial_cost,
+                total_cost: hours
+                    .iter()
+                    .fold(0, |t: Cost, r| t.saturating_add(r.total_cost)),
+                total_migrations: hours.iter().map(|r| r.num_migrations).sum(),
+                aggregate_rebuilds: to_usize(u64_field(last, "aggregate_rebuilds")?)?,
+                blackout_hours: degraded.iter().filter(|d| d.blackout).count(),
+                recovery_migrations: degraded.iter().map(|d| d.recovery_migrations).sum(),
                 hours,
                 degraded,
-                total_cost: u64_field(totals, "total_cost")?,
-                total_migrations: to_usize(u64_field(totals, "total_migrations")?)?,
-                aggregate_rebuilds: to_usize(u64_field(totals, "aggregate_rebuilds")?)?,
-                blackout_hours: to_usize(u64_field(totals, "blackout_hours")?)?,
-                recovery_migrations: to_usize(u64_field(totals, "recovery_migrations")?)?,
             },
         })
     }
@@ -373,41 +355,163 @@ impl Checkpoint {
     }
 }
 
-pub(crate) fn as_obj<'a>(
-    v: &'a Value,
-    what: &str,
-) -> Result<&'a BTreeMap<String, Value>, CkptError> {
-    v.as_obj()
-        .ok_or_else(|| CkptError::Corrupt(format!("{what} is not an object")))
+/// The journal header line: schema tag, input fingerprint and hour-0 cost.
+pub(crate) fn push_header(out: &mut String, schema: &str, fingerprint: u64, initial_cost: Cost) {
+    out.push_str("{\"schema\":\"");
+    out.push_str(schema);
+    out.push_str("\",\"fingerprint\":");
+    push_u64(out, fingerprint);
+    out.push_str(",\"initial_cost\":");
+    push_u64(out, initial_cost);
+    out.push_str("}\n");
 }
 
-pub(crate) fn field<'a>(o: &'a BTreeMap<String, Value>, k: &str) -> Result<&'a Value, CkptError> {
+/// Appends `sep` (`{` before a line's first field, else `,`) and
+/// `"key":`.
+pub(crate) fn push_key(out: &mut String, sep: char, key: &str) {
+    out.push(sep);
+    out.push('"');
+    out.push_str(key);
+    out.push_str("\":");
+}
+
+/// Appends `[[a,b,…],…]`, one row per record.
+pub(crate) fn push_rows<R: IntoIterator<Item = u64>>(
+    out: &mut String,
+    rows: impl IntoIterator<Item = R>,
+) {
+    out.push('[');
+    for (i, row) in rows.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_row(out, row);
+    }
+    out.push(']');
+}
+
+/// A parsed JSON object: a journal line or header.
+type Obj = BTreeMap<String, Value>;
+
+/// A journal read back: its header's fields and every complete snapshot
+/// line, the last of which holds the snapshot's state.
+pub(crate) struct Journal {
+    pub(crate) fingerprint: u64,
+    pub(crate) initial_cost: Cost,
+    earlier: Vec<Obj>,
+    pub(crate) last: Obj,
+}
+
+/// What a journal reader keeps of `src` (everything before its last
+/// newline), and whether it drops an unterminated tail after that.
+fn complete_lines(src: &str) -> (&str, bool) {
+    let cut = src.rfind('\n').map_or(0, |end| end + 1);
+    (&src[..cut.saturating_sub(1)], cut < src.len())
+}
+
+/// Reads a journal of `schema`: the header and every newline-terminated
+/// line after it. An unterminated final fragment is a torn tail and is
+/// discarded.
+///
+/// # Errors
+///
+/// [`CkptError::Parse`] when no complete header and snapshot line
+/// survive, [`CkptError::Schema`] on a header or a whole document of
+/// another schema, [`CkptError::Corrupt`] on a terminated line that is
+/// not a JSON object, or a header missing its fields.
+pub(crate) fn read_journal(src: &str, schema: &'static str) -> Result<Journal, CkptError> {
+    let mut lines = complete_lines(src).0.split('\n');
+    let header = match json::parse(lines.next().unwrap_or_default()) {
+        Ok(Value::Obj(header)) => header,
+        // No schema field: refused below.
+        Ok(_) => BTreeMap::new(),
+        Err(e) => {
+            return Err(foreign_schema(src, schema).unwrap_or(CkptError::Parse(e.to_string())))
+        }
+    };
+    let found = header.get("schema").and_then(Value::as_str);
+    if found != Some(schema) {
+        return Err(CkptError::Schema {
+            found: found.unwrap_or("<missing>").to_string(),
+            expected: schema,
+        });
+    }
+    let mut earlier = lines
+        .enumerate()
+        .map(|(i, line)| match json::parse(line) {
+            Ok(Value::Obj(snap)) => Ok(snap),
+            _ => Err(CkptError::Corrupt(format!(
+                "journal line {} is not a JSON object",
+                i + 2
+            ))),
+        })
+        .collect::<Result<Vec<_>, CkptError>>()?;
+    let Some(last) = earlier.pop() else {
+        return Err(CkptError::Parse(
+            "the journal holds no complete snapshot line".to_string(),
+        ));
+    };
+    Ok(Journal {
+        fingerprint: u64_field(&header, "fingerprint")?,
+        initial_cost: u64_field(&header, "initial_cost")?,
+        earlier,
+        last,
+    })
+}
+
+impl Journal {
+    /// The records every line holds under `key`, concatenated: rows of
+    /// `width` integers whose first is the record's number, which must
+    /// continue `1, 2, …`.
+    pub(crate) fn records<T>(
+        &self,
+        key: &str,
+        width: usize,
+        make: impl Fn(&[u64]) -> Result<T, CkptError>,
+    ) -> Result<Vec<T>, CkptError> {
+        let mut out = Vec::new();
+        for line in self.earlier.iter().chain([&self.last]) {
+            for row in arr_field(line, key)? {
+                let r = row_u64(row, width, key)?;
+                if r[0] != out.len() as u64 + 1 {
+                    return Err(CkptError::Corrupt(format!(
+                        "{key} record {} follows {} records",
+                        r[0],
+                        out.len()
+                    )));
+                }
+                out.push(make(&r)?);
+            }
+        }
+        Ok(out)
+    }
+}
+
+/// The schema a whole JSON document of another layout declares (an
+/// older snapshot is one pretty-printed object), so a leftover file is
+/// refused by its tag rather than as a torn journal.
+fn foreign_schema(src: &str, schema: &'static str) -> Option<CkptError> {
+    let v = json::parse(src).ok()?;
+    let found = v.as_obj()?.get("schema")?.as_str()?;
+    (found != schema).then(|| CkptError::Schema {
+        found: found.to_string(),
+        expected: schema,
+    })
+}
+
+pub(crate) fn u64_field(o: &Obj, k: &str) -> Result<u64, CkptError> {
     o.get(k)
-        .ok_or_else(|| CkptError::Corrupt(format!("missing field {k:?}")))
+        .and_then(Value::as_u64)
+        .ok_or_else(|| CkptError::Corrupt(format!("field {k:?} is missing or not a u64")))
 }
 
-pub(crate) fn str_field<'a>(o: &'a BTreeMap<String, Value>, k: &str) -> Result<&'a str, CkptError> {
-    field(o, k)?
-        .as_str()
-        .ok_or_else(|| CkptError::Corrupt(format!("field {k:?} is not a string")))
+fn arr_field<'a>(o: &'a Obj, k: &str) -> Result<&'a [Value], CkptError> {
+    o.get(k)
+        .and_then(Value::as_arr)
+        .ok_or_else(|| CkptError::Corrupt(format!("field {k:?} is missing or not an array")))
 }
 
-pub(crate) fn u64_field(o: &BTreeMap<String, Value>, k: &str) -> Result<u64, CkptError> {
-    field(o, k)?
-        .as_u64()
-        .ok_or_else(|| CkptError::Corrupt(format!("field {k:?} is not a u64")))
-}
-
-pub(crate) fn arr_field<'a>(
-    o: &'a BTreeMap<String, Value>,
-    k: &str,
-) -> Result<&'a [Value], CkptError> {
-    field(o, k)?
-        .as_arr()
-        .ok_or_else(|| CkptError::Corrupt(format!("field {k:?} is not an array")))
-}
-
-pub(crate) fn u64_arr(vals: &[Value], what: &str) -> Result<Vec<u64>, CkptError> {
+fn u64_arr(vals: &[Value], what: &str) -> Result<Vec<u64>, CkptError> {
     vals.iter()
         .map(|v| {
             v.as_u64()
@@ -416,14 +520,15 @@ pub(crate) fn u64_arr(vals: &[Value], what: &str) -> Result<Vec<u64>, CkptError>
         .collect()
 }
 
-pub(crate) fn node_ids(o: &BTreeMap<String, Value>, k: &str) -> Result<Vec<NodeId>, CkptError> {
+/// The `u32` ids under `k`, each wrapped by `id`.
+pub(crate) fn ids<T>(o: &Obj, k: &str, id: fn(u32) -> T) -> Result<Vec<T>, CkptError> {
     u64_arr(arr_field(o, k)?, k)?
         .into_iter()
-        .map(|x| Ok(NodeId(to_u32(x, k)?)))
+        .map(|x| Ok(id(to_u32(x, k)?)))
         .collect()
 }
 
-pub(crate) fn row_u64(row: &Value, len: usize, what: &str) -> Result<Vec<u64>, CkptError> {
+fn row_u64(row: &Value, len: usize, what: &str) -> Result<Vec<u64>, CkptError> {
     let arr = row
         .as_arr()
         .ok_or_else(|| CkptError::Corrupt(format!("{what} row is not an array")))?;
@@ -440,7 +545,7 @@ pub(crate) fn to_u32(x: u64, what: &str) -> Result<u32, CkptError> {
     u32::try_from(x).map_err(|_| CkptError::Corrupt(format!("{what} value {x} exceeds u32")))
 }
 
-pub(crate) fn to_usize(x: u64) -> Result<usize, CkptError> {
+fn to_usize(x: u64) -> Result<usize, CkptError> {
     usize::try_from(x).map_err(|_| CkptError::Corrupt(format!("value {x} exceeds usize")))
 }
 
@@ -642,92 +747,53 @@ pub(crate) fn push_row(out: &mut String, xs: impl IntoIterator<Item = u64>) {
     out.push(']');
 }
 
-/// Appends `"  \"key\": [a,b,...],\n"` for a list of integers.
-fn push_list(out: &mut String, key: &str, xs: impl IntoIterator<Item = u64>) {
-    out.push_str("  \"");
-    out.push_str(key);
-    out.push_str("\": ");
-    push_row(out, xs);
-    out.push_str(",\n");
-}
-
-/// Which on-disk slot a checkpoint was recovered from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CkptSlot {
-    /// The primary file was intact.
-    Primary,
-    /// The primary file was torn/corrupt; the rotated `.prev` snapshot
-    /// (one checkpoint interval older) was used instead.
-    Previous,
-}
-
-/// Atomic two-slot checkpoint storage.
-///
-/// Writes go to `<path>.tmp`, are fsynced, and land via rename; the
-/// previously-current snapshot is rotated to `<path>.prev` first. A crash
-/// at any point leaves at least one loadable snapshot on disk (after the
-/// first successful write), and [`CheckpointStore::load`] transparently
-/// falls back to the `.prev` slot when the primary is torn.
+/// Checkpoint journal storage at one path. After the first successful
+/// write a crash at any point leaves the last durable snapshot loadable:
+/// the first write is atomic, and a torn append is an unterminated tail,
+/// which the journal readers discard.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointStore {
     path: PathBuf,
 }
 
 impl CheckpointStore {
-    /// A store rooted at `path` (the primary snapshot file).
+    /// A store rooted at `path` (the journal file).
     pub fn new(path: impl Into<PathBuf>) -> Self {
         CheckpointStore { path: path.into() }
     }
 
-    /// The primary snapshot path.
+    /// The journal path.
     pub fn path(&self) -> &Path {
         &self.path
     }
 
-    /// The rotated previous-snapshot path (`<path>.prev`).
-    pub fn prev_path(&self) -> PathBuf {
-        suffixed(&self.path, ".prev")
-    }
-
-    /// Atomically persists `ckpt`: serialize to `<path>.tmp`, fsync,
-    /// rotate the current primary (if any) to `.prev`, rename the tmp file
-    /// into place. Feeds the `ckpt.writes` / `ckpt.write_nanos` counters
-    /// of the global obs registry when it is enabled.
-    ///
-    /// # Errors
-    ///
-    /// [`CkptError::Io`] with the failing operation and path.
-    pub fn write(&self, ckpt: &Checkpoint) -> Result<(), CkptError> {
-        self.write_raw(&ckpt.to_json())
-    }
-
-    /// The slot machinery behind [`CheckpointStore::write`], usable with
-    /// any serialized snapshot document.
+    /// Replaces the file with `doc` atomically (`<path>.tmp`, fsync,
+    /// rename). Feeds the `ckpt.writes` / `ckpt.write_nanos` counters when
+    /// the global obs registry is enabled.
     ///
     /// # Errors
     ///
     /// [`CkptError::Io`] with the failing operation and path.
     pub fn write_raw(&self, doc: &str) -> Result<(), CkptError> {
-        self.persist(doc, true)
+        let obs = ppdc_obs::global();
+        let sw = Stopwatch::start_if(obs.is_enabled());
+        let mut tmp = self.path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        let tmp = PathBuf::from(tmp);
+        let mut f = fs::File::create(&tmp).map_err(|e| io_err("create", &tmp, e))?;
+        f.write_all(doc.as_bytes())
+            .map_err(|e| io_err("write", &tmp, e))?;
+        f.sync_all().map_err(|e| io_err("fsync", &tmp, e))?;
+        drop(f);
+        fs::rename(&tmp, &self.path).map_err(|e| io_err("rename", &self.path, e))?;
+        obs.add(obs_names::CKPT_WRITES, 1);
+        obs.add(obs_names::CKPT_WRITE_NANOS, sw.elapsed_ns());
+        Ok(())
     }
 
-    /// Replaces the primary file with `doc` atomically (tmp + fsync +
-    /// rename) and rotates nothing into `.prev`: how a streaming day
-    /// starts its journal, whose later snapshots are
-    /// [`CheckpointStore::append`]s. Feeds the same counters as
-    /// [`CheckpointStore::write`].
-    ///
-    /// # Errors
-    ///
-    /// [`CkptError::Io`] with the failing operation and path.
-    pub fn replace(&self, doc: &str) -> Result<(), CkptError> {
-        self.persist(doc, false)
-    }
-
-    /// Appends `line` to the primary file and `sync_data`s it before
-    /// returning, so the line is durable when the call returns. A crash
-    /// mid-append leaves an unterminated tail, which journal readers
-    /// discard. Feeds the same counters as [`CheckpointStore::write`].
+    /// Appends `line` and `sync_data`s it, so it is durable on return (a
+    /// crash mid-append leaves a torn tail). Feeds the same counters as
+    /// [`CheckpointStore::write_raw`].
     ///
     /// # Errors
     ///
@@ -748,67 +814,48 @@ impl CheckpointStore {
         Ok(())
     }
 
-    fn persist(&self, doc: &str, rotate: bool) -> Result<(), CkptError> {
-        let obs = ppdc_obs::global();
-        let sw = Stopwatch::start_if(obs.is_enabled());
-        let tmp = suffixed(&self.path, ".tmp");
-        let mut f = fs::File::create(&tmp).map_err(|e| io_err("create", &tmp, e))?;
-        f.write_all(doc.as_bytes())
-            .map_err(|e| io_err("write", &tmp, e))?;
-        f.sync_all().map_err(|e| io_err("fsync", &tmp, e))?;
-        drop(f);
-        if rotate && self.path.exists() {
-            let prev = self.prev_path();
-            fs::rename(&self.path, &prev).map_err(|e| io_err("rotate", &prev, e))?;
+    /// Persists a run's snapshot for either engine. Its first (`journaled`
+    /// is `None`) replaces the journal with `header` and every record,
+    /// dropping what an interrupted run left; later ones append the line
+    /// of the records after `journaled`, which `line(out, since)` writes.
+    ///
+    /// # Errors
+    ///
+    /// [`CkptError::Io`] with the failing operation and path.
+    pub(crate) fn persist(
+        &self,
+        journaled: Option<usize>,
+        header: impl FnOnce(&mut String),
+        line: impl FnOnce(&mut String, usize),
+    ) -> Result<(), CkptError> {
+        let mut text = String::new();
+        if let Some(since) = journaled {
+            line(&mut text, since);
+            self.append(&text)
+        } else {
+            header(&mut text);
+            line(&mut text, 0);
+            self.write_raw(&text)
         }
-        fs::rename(&tmp, &self.path).map_err(|e| io_err("rename", &self.path, e))?;
-        obs.add(obs_names::CKPT_WRITES, 1);
-        obs.add(obs_names::CKPT_WRITE_NANOS, sw.elapsed_ns());
-        Ok(())
     }
 
-    /// Loads the most recent intact snapshot: the primary if it parses,
-    /// else the rotated `.prev` fallback. The returned [`CkptSlot`] says
-    /// which one survived.
+    /// Reads the journal and parses it with `parse` (either engine's
+    /// `from_json`). A load that succeeds past a torn tail, which the
+    /// reader dropped, bumps the `ckpt.torn_recoveries` counter.
     ///
     /// # Errors
     ///
-    /// The *primary's* error when neither slot holds a loadable snapshot.
-    pub fn load(&self) -> Result<(Checkpoint, CkptSlot), CkptError> {
-        self.load_with(Checkpoint::from_json)
-    }
-
-    /// [`CheckpointStore::load`] generalized over the snapshot parser:
-    /// torn-primary detection is the parser failing, so any schema gets
-    /// the same two-slot recovery (including the `ckpt.torn_recoveries`
-    /// counter on fallback).
-    ///
-    /// # Errors
-    ///
-    /// The *primary's* error when neither slot parses.
+    /// [`CkptError::Io`] when the file cannot be read, else `parse`'s.
     pub fn load_with<T>(
         &self,
         parse: impl Fn(&str) -> Result<T, CkptError>,
-    ) -> Result<(T, CkptSlot), CkptError> {
-        match self.load_slot(&self.path, &parse) {
-            Ok(c) => Ok((c, CkptSlot::Primary)),
-            Err(primary_err) => match self.load_slot(&self.prev_path(), &parse) {
-                Ok(c) => {
-                    ppdc_obs::global().add(obs_names::CKPT_TORN_RECOVERIES, 1);
-                    Ok((c, CkptSlot::Previous))
-                }
-                Err(_) => Err(primary_err),
-            },
-        }
-    }
-
-    fn load_slot<T>(
-        &self,
-        path: &Path,
-        parse: impl Fn(&str) -> Result<T, CkptError>,
     ) -> Result<T, CkptError> {
-        let src = fs::read_to_string(path).map_err(|e| io_err("read", path, e))?;
-        parse(&src)
+        let src = fs::read_to_string(&self.path).map_err(|e| io_err("read", &self.path, e))?;
+        let snapshot = parse(&src)?;
+        if complete_lines(&src).1 {
+            ppdc_obs::global().add(obs_names::CKPT_TORN_RECOVERIES, 1);
+        }
+        Ok(snapshot)
     }
 }
 
@@ -820,17 +867,36 @@ fn io_err(op: &'static str, path: &Path, e: std::io::Error) -> CkptError {
     }
 }
 
-fn suffixed(path: &Path, suffix: &str) -> PathBuf {
-    let mut os = path.as_os_str().to_owned();
-    os.push(suffix);
-    PathBuf::from(os)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn sample(hour: u32) -> Checkpoint {
+        let hours = (1..=hour)
+            .map(|h| HourRecord {
+                hour: h,
+                migration_cost: 3,
+                comm_cost: 40,
+                total_cost: 43,
+                num_migrations: 1,
+            })
+            .collect::<Vec<_>>();
+        let degraded = (1..=hour)
+            .map(|h| DegradedHourRecord {
+                hour: h,
+                failed_switches: 1,
+                failed_links: 1,
+                stranded_flows: 1,
+                stranded_rate: 5,
+                reroute_cost: 2,
+                recovery_migrations: 1,
+                blackout: h == 2,
+                degraded_solver: true,
+                provenance: HourProvenance::DegradedDeadline,
+                solver_retries: 2,
+                phase: None,
+            })
+            .collect::<Vec<_>>();
         Checkpoint {
             fingerprint: 0xDEAD_BEEF,
             hour,
@@ -842,43 +908,40 @@ mod tests {
             stranded: vec![false, true],
             result: FaultSimResult {
                 initial_cost: 1234,
-                hours: vec![HourRecord {
-                    hour: 1,
-                    migration_cost: 3,
-                    comm_cost: 40,
-                    total_cost: 43,
-                    num_migrations: 1,
-                }],
-                degraded: vec![DegradedHourRecord {
-                    hour: 1,
-                    failed_switches: 1,
-                    failed_links: 1,
-                    stranded_flows: 1,
-                    stranded_rate: 5,
-                    reroute_cost: 2,
-                    recovery_migrations: 1,
-                    blackout: false,
-                    degraded_solver: true,
-                    provenance: HourProvenance::DegradedDeadline,
-                    solver_retries: 2,
-                    phase: None,
-                }],
-                total_cost: 43,
-                total_migrations: 1,
+                total_cost: 43 * u64::from(hour),
+                total_migrations: hour as usize,
                 aggregate_rebuilds: 2,
-                blackout_hours: 0,
-                recovery_migrations: 1,
+                blackout_hours: usize::from(hour >= 2),
+                recovery_migrations: hour as usize,
+                hours,
+                degraded,
             },
         }
+    }
+
+    /// The line that brings a journal holding `c`'s first `since` hours
+    /// up to `c`, as the engine appends it.
+    fn line_since(c: &Checkpoint, since: usize) -> String {
+        let mut out = String::new();
+        c.push_line(
+            &mut out,
+            &c.result.hours[since..],
+            &c.result.degraded[since..],
+        );
+        out
+    }
+
+    fn schema_err(found: &str) -> Result<Checkpoint, CkptError> {
+        Err(CkptError::Schema {
+            found: found.to_string(),
+            expected: CKPT_SCHEMA,
+        })
     }
 
     #[test]
     fn pre_v2_documents_are_refused_by_schema() {
         let doc = sample(1).to_json().replace(CKPT_SCHEMA, "ppdc-ckpt/v1");
-        assert_eq!(
-            Checkpoint::from_json(&doc),
-            Err(CkptError::Schema("ppdc-ckpt/v1".to_string()))
-        );
+        assert_eq!(Checkpoint::from_json(&doc), schema_err("ppdc-ckpt/v1"));
     }
 
     /// A `/v2` document, as the engine wrote it when snapshots carried
@@ -902,34 +965,52 @@ mod tests {
   "degraded": [[1,1,1,1,5,2,1,0,1,1,2]]
 }
 "#;
-        assert_eq!(
-            Checkpoint::from_json(v2),
-            Err(CkptError::Schema("ppdc-ckpt/v2".to_string()))
-        );
+        assert_eq!(Checkpoint::from_json(v2), schema_err("ppdc-ckpt/v2"));
     }
 
-    /// A `/v3` document has the `/v5` layout, but its fingerprint hashed
-    /// the trace as one dense row per hour; it is refused by its schema
-    /// tag rather than failing later as a foreign input.
+    /// A `/v3` document's fingerprint hashed the trace as one dense row
+    /// per hour; it is refused by its schema tag rather than failing
+    /// later as a foreign input.
     #[test]
     fn v3_documents_are_refused_by_schema() {
         let doc = sample(1).to_json().replace(CKPT_SCHEMA, "ppdc-ckpt/v3");
-        assert_eq!(
-            Checkpoint::from_json(&doc),
-            Err(CkptError::Schema("ppdc-ckpt/v3".to_string()))
-        );
+        assert_eq!(Checkpoint::from_json(&doc), schema_err("ppdc-ckpt/v3"));
     }
 
-    /// A `/v4` document has the `/v5` layout, but its fingerprint hashed
-    /// one word per input id in a single FNV-1a chain and the trace's
-    /// rates by value; it is refused by its schema tag rather than
-    /// failing later as a foreign input.
+    /// A `/v4` document's fingerprint hashed one word per input id in a
+    /// single FNV-1a chain and the trace's rates by value; it is refused
+    /// by its schema tag rather than failing later as a foreign input.
     #[test]
     fn v4_documents_are_refused_by_schema() {
         let doc = sample(1).to_json().replace(CKPT_SCHEMA, "ppdc-ckpt/v4");
+        assert_eq!(Checkpoint::from_json(&doc), schema_err("ppdc-ckpt/v4"));
+    }
+
+    /// A `/v5` snapshot, one pretty-printed document holding the whole
+    /// day, is refused by its tag rather than read as a torn journal.
+    #[test]
+    fn v5_documents_are_refused_by_schema() {
+        let v5 = r#"{
+  "schema": "ppdc-ckpt/v5",
+  "fingerprint": 3735928559,
+  "hour": 1,
+  "initial_cost": 1234,
+  "placement": [4,5,6],
+  "hosts": [20,21],
+  "failed_nodes": [4],
+  "failed_edges": [7],
+  "candidates": [5,6],
+  "stranded": [0,1],
+  "totals": {"total_cost": 43, "total_migrations": 1, "aggregate_rebuilds": 2, "blackout_hours": 0, "recovery_migrations": 1},
+  "hours": [[1,3,40,43,1]],
+  "degraded": [[1,1,1,1,5,2,1,0,1,1,2]]
+}
+"#;
+        assert_eq!(Checkpoint::from_json(v5), schema_err("ppdc-ckpt/v5"));
+        let msg = Checkpoint::from_json(v5).unwrap_err().to_string();
         assert_eq!(
-            Checkpoint::from_json(&doc),
-            Err(CkptError::Schema("ppdc-ckpt/v4".to_string()))
+            msg,
+            "checkpoint schema \"ppdc-ckpt/v5\", expected \"ppdc-ckpt/v6\""
         );
     }
 
@@ -958,57 +1039,50 @@ mod tests {
 
     #[test]
     fn json_round_trip_is_lossless_and_deterministic() {
-        let c = sample(1);
-        let j = c.to_json();
-        assert_eq!(j, c.to_json(), "serialization is deterministic");
-        let back = Checkpoint::from_json(&j).unwrap();
-        assert_eq!(c, back);
+        for hour in 1..=3 {
+            let c = sample(hour);
+            let j = c.to_json();
+            assert_eq!(j, c.to_json(), "serialization is deterministic");
+            assert_eq!(j.lines().count(), 2, "a header and one snapshot line");
+            let back = Checkpoint::from_json(&j).unwrap();
+            assert_eq!(c, back);
+        }
+    }
+
+    /// A journal written line by line loads the same snapshot as the
+    /// one-line journal of the same checkpoint.
+    #[test]
+    fn appended_lines_load_like_one_line() {
+        let whole = sample(3);
+        let mut text = sample(1).to_json();
+        text.push_str(&line_since(&sample(2), 1));
+        text.push_str(&line_since(&whole, 2));
+        assert_eq!(text.lines().count(), 4);
+        assert_eq!(Checkpoint::from_json(&text), Ok(whole));
     }
 
     #[test]
     fn torn_documents_yield_typed_parse_errors() {
         let j = sample(1).to_json();
-        for cut in [0, 1, j.len() / 2, j.len() - 2] {
-            let torn = &j[..cut];
+        let header_end = j.find('\n').unwrap() + 1;
+        for cut in [0, 1, header_end - 1, header_end, j.len() / 2, j.len() - 2] {
             assert!(
-                matches!(
-                    Checkpoint::from_json(torn),
-                    Err(CkptError::Parse(_) | CkptError::Schema(_) | CkptError::Corrupt(_))
-                ),
+                matches!(Checkpoint::from_json(&j[..cut]), Err(CkptError::Parse(_))),
                 "cut at {cut} must be rejected"
             );
         }
         assert!(matches!(
-            Checkpoint::from_json("{\"schema\": \"other/v1\"}"),
-            Err(CkptError::Schema(_))
+            Checkpoint::from_json("{\"schema\": \"other/v1\"}\n"),
+            Err(CkptError::Schema { .. })
         ));
     }
 
     #[test]
-    fn store_rotates_and_recovers_from_torn_primary() {
-        let dir = std::env::temp_dir().join(format!("ppdc-ckpt-test-{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        let store = CheckpointStore::new(dir.join("day.ckpt"));
-        let c1 = sample(1);
-        let c2 = sample(2);
-        store.write(&c1).unwrap();
-        let (got, slot) = store.load().unwrap();
-        assert_eq!(slot, CkptSlot::Primary);
-        assert_eq!(got, c1);
-        store.write(&c2).unwrap();
-        // The previous snapshot rotated into the .prev slot.
-        assert!(store.prev_path().exists());
-        // Tear the primary mid-file: load falls back to hour 1.
-        let bytes = fs::read(store.path()).unwrap();
-        fs::write(store.path(), &bytes[..bytes.len() / 2]).unwrap();
-        let (got, slot) = store.load().unwrap();
-        assert_eq!(slot, CkptSlot::Previous);
-        assert_eq!(got, c1);
-        // Both slots gone: the primary's error surfaces.
-        fs::remove_file(store.path()).unwrap();
-        fs::remove_file(store.prev_path()).unwrap();
-        assert!(matches!(store.load(), Err(CkptError::Io { .. })));
-        let _ = fs::remove_dir_all(&dir);
+    fn only_an_unterminated_tail_is_torn() {
+        assert_eq!(complete_lines(""), ("", false));
+        assert_eq!(complete_lines("a\nb\n"), ("a\nb", false));
+        assert_eq!(complete_lines("a\nb\nc"), ("a\nb", true));
+        assert_eq!(complete_lines("{\"sch"), ("", true));
     }
 
     #[test]

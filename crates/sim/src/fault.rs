@@ -68,7 +68,9 @@ use ppdc_topology::{
 use ppdc_traffic::{rng_for_run, DynamicTrace, TraceCursor};
 use rand::Rng;
 
-use crate::checkpoint::{fingerprint, Checkpoint, CheckpointStore, CkptError};
+use crate::checkpoint::{
+    fingerprint, push_header, Checkpoint, CheckpointStore, CkptError, CKPT_SCHEMA,
+};
 use crate::simulator::{HourRecord, MigrationPolicy, SimConfig};
 use crate::stream::HostMasses;
 use crate::supervisor::{transient_gate, GateOutcome, SolverStarvation};
@@ -895,6 +897,8 @@ fn run_day_impl(
     );
     let mut masses = HostMasses::new(g.num_nodes());
     let mut cursor = trace.cursor(start);
+    // Hours this run has journaled (see `CheckpointStore::persist`).
+    let mut journaled = None;
     for h in start + 1..=n_hours {
         let events: Vec<FaultEvent> = schedule.events_at(h).copied().collect();
         let mut apsp_ns = 0u64;
@@ -1197,12 +1201,14 @@ fn run_day_impl(
         day.degraded.push(drec);
 
         // Persist every hour when a store is set, and freeze the stop hour
-        // for the caller. Phase timings are stripped: they are wall-clock
-        // noise, and restored records must stay bit-comparable to
-        // unobserved runs.
+        // for the caller. Phase timings are not persisted: they are
+        // wall-clock noise, and restored records must stay bit-comparable
+        // to unobserved runs.
         let stop = ecfg.stop_after.is_some_and(|cut| h >= cut);
         if ecfg.store.is_some() || stop {
-            let ck = Checkpoint {
+            // The snapshot's state; its rows stay empty until a stop needs
+            // them, so persisting an hour never copies the day so far.
+            let mut ck = Checkpoint {
                 fingerprint: fp,
                 hour: h,
                 placement: p.switches().to_vec(),
@@ -1212,19 +1218,26 @@ fn run_day_impl(
                 candidates: sv.candidates.clone(),
                 stranded: sv.stranded.clone(),
                 result: FaultSimResult {
-                    hours: day.hours.clone(),
-                    degraded: day
-                        .degraded
-                        .iter()
-                        .map(|d| DegradedHourRecord { phase: None, ..*d })
-                        .collect(),
+                    hours: Vec::new(),
+                    degraded: Vec::new(),
                     ..day
                 },
             };
             if let Some(store) = &ecfg.store {
-                store.write(&ck)?;
+                store.persist(
+                    journaled,
+                    |out| push_header(out, CKPT_SCHEMA, fp, day.initial_cost),
+                    |out, n| ck.push_line(out, &day.hours[n..], &day.degraded[n..]),
+                )?;
+                journaled = Some(day.hours.len());
             }
             if stop {
+                ck.result.hours = day.hours.clone();
+                ck.result.degraded = day
+                    .degraded
+                    .iter()
+                    .map(|d| DegradedHourRecord { phase: None, ..*d })
+                    .collect();
                 return Ok(DayRun {
                     result: day,
                     completed: h >= n_hours,
@@ -2357,9 +2370,7 @@ mod tests {
         let schedule = FaultSchedule::generate(ft.graph(), 24, &fc, 13);
         let sfc = Sfc::of_len(3).unwrap();
         let c = cfg(MigrationPolicy::MPareto);
-        let dir = std::env::temp_dir().join(format!("ppdc-fault-store-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let store = CheckpointStore::new(dir.join("day.ckpt"));
+        let (dir, store) = journal_store("persist");
         let halted = run_day(
             ft.graph(),
             &w,
@@ -2376,13 +2387,8 @@ mod tests {
         .unwrap();
         assert!(!halted.completed);
         let in_memory = halted.checkpoint.unwrap();
-        let (on_disk, slot) = store.load().unwrap();
-        assert_eq!(slot, crate::checkpoint::CkptSlot::Primary);
+        let on_disk = store.load_with(Checkpoint::from_json).unwrap();
         assert_eq!(on_disk, in_memory, "disk and in-memory snapshots agree");
-        assert!(
-            store.prev_path().exists(),
-            "hourly writes rotate the previous snapshot"
-        );
         // Resume from the disk copy and finish the day.
         let resumed = resume_day(
             ft.graph(),
@@ -2408,5 +2414,187 @@ mod tests {
         assert!(resumed.completed);
         assert_eq!(resumed.result, full.result);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A scratch journal path, unique per call within the test process.
+    fn journal_store(tag: &str) -> (std::path::PathBuf, CheckpointStore) {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "ppdc-day-journal-{tag}-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::SeqCst)
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let store = CheckpointStore::new(dir.join("day.ckpt"));
+        (dir, store)
+    }
+
+    /// A faulty 24-hour day, its schedule, and the run config of `policy`.
+    fn faulty_day(
+        pairs: usize,
+        seed: u64,
+        policy: MigrationPolicy,
+    ) -> (FatTree, Workload, DynamicTrace, FaultSchedule, SimConfig) {
+        let (ft, w, trace) = day24(pairs, seed);
+        let fc = FaultConfig {
+            link_fail_per_hour: 0.05,
+            switch_fail_per_hour: 0.02,
+            repair_after: 2,
+        };
+        let schedule = FaultSchedule::generate(ft.graph(), 24, &fc, seed ^ 0xFA17);
+        (ft, w, trace, schedule, cfg(policy))
+    }
+
+    /// The engine's journal holds a header and one line per hour, and
+    /// each line's prefix loads as the in-memory checkpoint of a run
+    /// halted there. Cut anywhere inside its last line (newline
+    /// excluded), it loads the hour before.
+    #[test]
+    fn a_torn_last_line_loads_the_previous_hour() {
+        let (ft, w, trace, schedule, c) = faulty_day(20, 5, MigrationPolicy::MPareto);
+        let sfc = Sfc::of_len(3).unwrap();
+        let (dir, store) = journal_store("torn");
+        let run = |ecfg: &EngineConfig| {
+            run_day(ft.graph(), &w, &trace, &sfc, &c, &schedule, ecfg).unwrap()
+        };
+        let halted_at = |hour: u32| {
+            run(&EngineConfig {
+                stop_after: Some(hour),
+                ..EngineConfig::default()
+            })
+            .checkpoint
+            .unwrap()
+        };
+        run(&EngineConfig {
+            store: Some(store.clone()),
+            stop_after: Some(6),
+            ..EngineConfig::default()
+        });
+        let text = std::fs::read_to_string(store.path()).unwrap();
+        assert_eq!(text.lines().count(), 7, "a header and six snapshot lines");
+        for (hour, (end, _)) in (1..=6).zip(text.match_indices('\n').skip(1)) {
+            let ck = Checkpoint::from_json(&text[..=end]).unwrap();
+            assert_eq!(ck, halted_at(hour), "line of hour {hour}");
+        }
+        let five = halted_at(5);
+        let start = text[..text.len() - 1].rfind('\n').unwrap() + 1;
+        for cut in start..text.len() {
+            assert_eq!(
+                Checkpoint::from_json(&text[..cut]).as_ref(),
+                Ok(&five),
+                "cut at byte {cut}"
+            );
+        }
+        std::fs::write(store.path(), &text[..text.len() - 3]).unwrap();
+        assert_eq!(store.load_with(Checkpoint::from_json), Ok(five));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// After the first snapshot each hour appends only that hour's
+    /// records and the day's state, so a late line is as long as an early
+    /// one: on a fault-free day the line of hour 20 is within 64 bytes of
+    /// the line of hour 2 (costs may widen by a few digits).
+    #[test]
+    fn an_appended_line_does_not_grow_with_the_hour() {
+        let (ft, w, trace) = day24(30, 13);
+        let schedule = FaultSchedule::new(Vec::new(), 24).unwrap();
+        let sfc = Sfc::of_len(3).unwrap();
+        let (dir, store) = journal_store("lines");
+        let day = run_day(
+            ft.graph(),
+            &w,
+            &trace,
+            &sfc,
+            &cfg(MigrationPolicy::MPareto),
+            &schedule,
+            &EngineConfig {
+                store: Some(store.clone()),
+                ..EngineConfig::default()
+            },
+        )
+        .unwrap();
+        assert!(day.completed);
+        let text = std::fs::read_to_string(store.path()).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 25, "a header and one line per hour");
+        let (early, late) = (lines[2].len(), lines[20].len());
+        assert!(
+            late.abs_diff(early) <= 64,
+            "hour 2 appended {early} bytes, hour 20 {late}"
+        );
+        assert_eq!(
+            store.load_with(Checkpoint::from_json).unwrap().result,
+            day.result
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::env_or(16))]
+
+        /// Kill a faulty day at any hour under any of the five policies,
+        /// load the journal back from disk — as written, or with a torn
+        /// tail appended (half a real line, or bytes that are not JSON) —
+        /// and resume from what loaded: the day finishes bit-identically
+        /// to the uninterrupted one, and its journal ends at the same
+        /// snapshot.
+        #[test]
+        fn resume_from_the_on_disk_journal_is_bit_identical(
+            seed in 0u64..64,
+            kill_pick in 0u32..64,
+            policy_pick in 0usize..5,
+            tear in 0u8..3,
+        ) {
+            let policy = match policy_pick {
+                0 => MigrationPolicy::MPareto,
+                1 => MigrationPolicy::OptimalVnf { budget: 100_000 },
+                2 => MigrationPolicy::Plan { slots: 4, passes: 3 },
+                3 => MigrationPolicy::Mcf { slots: 4, candidates: 8 },
+                _ => MigrationPolicy::NoMigration,
+            };
+            let (ft, w, trace, schedule, c) = faulty_day(12, seed, policy);
+            let sfc = Sfc::of_len(3).unwrap();
+            let kill = 1 + kill_pick % 23;
+            let (dir, whole) = journal_store("prop-whole");
+            let run = |ecfg: &EngineConfig| {
+                run_day(ft.graph(), &w, &trace, &sfc, &c, &schedule, ecfg).unwrap()
+            };
+            let full = run(&EngineConfig {
+                store: Some(whole.clone()),
+                ..EngineConfig::default()
+            });
+            let end = whole.load_with(Checkpoint::from_json).unwrap();
+            let store = CheckpointStore::new(dir.join("killed.ckpt"));
+            let ecfg = EngineConfig {
+                store: Some(store.clone()),
+                ..EngineConfig::default()
+            };
+            let halted = run(&EngineConfig {
+                stop_after: Some(kill),
+                ..ecfg.clone()
+            });
+            let text = std::fs::read_to_string(store.path()).unwrap();
+            let tail = match tear {
+                0 => String::new(),
+                1 => {
+                    let last = text.lines().last().unwrap();
+                    last[..last.len() / 2].to_string()
+                }
+                _ => "\u{0}{\"hours\":[[".to_string(),
+            };
+            std::fs::write(store.path(), format!("{text}{tail}")).unwrap();
+            let ck = store.load_with(Checkpoint::from_json).unwrap();
+            proptest::prop_assert_eq!(Some(&ck), halted.checkpoint.as_ref());
+            let resumed =
+                resume_day(ft.graph(), &w, &trace, &sfc, &c, &schedule, &ecfg, &ck).unwrap();
+            proptest::prop_assert_eq!(
+                &resumed.result, &full.result,
+                "{:?} kill {} tear {}", policy, kill, tear
+            );
+            let resumed_end = store.load_with(Checkpoint::from_json).unwrap();
+            proptest::prop_assert_eq!(resumed_end, end);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

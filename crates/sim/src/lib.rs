@@ -19,9 +19,9 @@
 //! of aborting the day.
 //!
 //! [`checkpoint`], [`supervisor`], and [`chaos`] harden it against
-//! *operator-side* failures: [`run_day`] persists crash-safe
-//! `ppdc-ckpt/v5` snapshots every hour and [`resume_day`] finishes an
-//! interrupted day bit-identically; a supervised degradation ladder
+//! *operator-side* failures: [`run_day`] appends a crash-safe snapshot
+//! line to a `ppdc-ckpt/v6` journal every hour and [`resume_day`]
+//! finishes an interrupted day bit-identically; a supervised degradation ladder
 //! (exact → deadline-degraded → last-known-good) keeps every hour served
 //! through solver starvation; and the seeded chaos harness
 //! ([`run_chaos_trial`]) turns correlated pod outages, link flaps, kills,
@@ -36,7 +36,7 @@
 //! using the admissible placement bound to certify when the stale
 //! incumbent is
 //! provably close enough to serve. Its snapshots append to a
-//! `ppdc-stream-ckpt/v5` journal, and [`resume_stream_day`] restores one
+//! `ppdc-stream-ckpt/v5` journal through the same codec, and [`resume_stream_day`] restores one
 //! — the rates re-derived from the trace, not stored — and finishes the
 //! day bit-identically.
 
@@ -68,7 +68,7 @@ pub mod stream;
 pub mod supervisor;
 
 pub use chaos::{run_chaos_trial, ChaosConfig, ChaosError, ChaosTrialConfig, ChaosTrialReport};
-pub use checkpoint::{Checkpoint, CheckpointStore, CkptError, CkptSlot, CKPT_SCHEMA};
+pub use checkpoint::{Checkpoint, CheckpointStore, CkptError, CKPT_SCHEMA};
 pub use fault::{
     resume_day, run_day, DayRun, DegradedHourRecord, EngineConfig, FaultConfig, FaultEvent,
     FaultKind, FaultSchedule, FaultSimResult, HourProvenance, PhaseNanos, ScheduleError, SimError,

@@ -48,9 +48,10 @@
 //! - [`run_stream_day`] / [`resume_stream_day`] — the crash-safe epoch
 //!   loop, mirroring the hourly engine: snapshots go to an append-only
 //!   `ppdc-stream-ckpt/v5` journal through the same [`CheckpointStore`]
-//!   (a run's first snapshot rewrites the journal atomically, each later
-//!   one appends a synced line, and load discards a torn last line; see
-//!   [`StreamCheckpoint`]), an input fingerprint refuses foreign
+//!   and journal codec (a run's first snapshot rewrites the journal
+//!   atomically, each later one appends a synced line, and load discards
+//!   a torn last line; see [`StreamCheckpoint`] and
+//!   [`crate::checkpoint`]), an input fingerprint refuses foreign
 //!   snapshots, and resume is **bit-identical**
 //!   (no rates are stored: restore keys a fresh flow store at `epoch`
 //!   from the trace, which the fingerprint pins and whose
@@ -83,12 +84,12 @@ use ppdc_topology::{Cost, DistanceOracle, Graph, NodeId};
 use ppdc_traffic::{rate_class, DynamicTrace, HourStep, TraceCursor};
 
 use crate::checkpoint::{
-    arr_field, as_obj, hash_instance, hash_trace, node_ids, push_row, push_u64, row_u64, str_field,
-    to_u32, u64_field, CheckpointStore, CkptError, Fnv,
+    hash_instance, hash_trace, ids, push_header, push_key, push_row, push_rows, push_u64,
+    read_journal, to_u32, u64_field, CheckpointStore, CkptError, Fnv,
 };
 
 /// Version tag of the streaming engine's journal; restore rejects
-/// anything else (including `ppdc-ckpt/v5` day snapshots, `/v4` stream
+/// anything else (including `ppdc-ckpt/v6` hourly journals, `/v4` stream
 /// snapshots, one whole document per write with a one-lane fingerprint,
 /// `/v3` ones, whose fingerprint hashed one dense trace row per hour, and
 /// `/v2` ones, which carried the rates).
@@ -1025,13 +1026,10 @@ pub struct StreamRun {
 /// aggregates from its host masses — bit-identically, by the
 /// delta/rebuild equivalence.
 ///
-/// On disk a snapshot is a journal of newline-terminated JSON lines: a
-/// header `{"schema","fingerprint","initial_cost"}`, then one line per
-/// snapshot written, `{"epochs":[[epoch, deltas, drift, action, gap,
-/// comm_cost], …],"drift_accum","placement"}`, holding the epoch records
-/// since the line before it. [`StreamCheckpoint::to_json`] writes the
-/// header and one line holding every record; the engine appends a line
-/// per later snapshot. [`StreamCheckpoint::from_json`] reads either.
+/// On disk it is a journal (see [`crate::checkpoint`]) whose lines are
+/// `{"epochs":[[epoch, deltas, drift, action, gap, comm_cost], …],
+/// "drift_accum","placement"}`, holding the epoch records since the line
+/// before.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamCheckpoint {
     /// FNV-1a hash of every input (see [`stream_fingerprint`]).
@@ -1089,7 +1087,12 @@ impl StreamCheckpoint {
     pub fn to_json(&self) -> String {
         let mut out =
             String::with_capacity(128 + self.placement.len() * 11 + self.epochs.len() * 64);
-        push_journal_header(&mut out, self.fingerprint, self.initial_cost);
+        push_header(
+            &mut out,
+            STREAM_CKPT_SCHEMA,
+            self.fingerprint,
+            self.initial_cost,
+        );
         push_journal_line(&mut out, &self.epochs, self.drift_accum, &self.placement);
         out
     }
@@ -1104,13 +1107,11 @@ impl StreamCheckpoint {
         out
     }
 
-    /// Parses a `ppdc-stream-ckpt/v5` journal: the header and every
-    /// newline-terminated line after it, whose epoch records concatenate;
-    /// the last line's drift accumulator and placement are the snapshot's.
-    /// An unterminated final fragment is a write the writer never finished
-    /// (a torn tail) and is discarded. `rates` comes back empty, and the
-    /// totals are re-derived from the records as the engine accumulates
-    /// them.
+    /// Parses a `ppdc-stream-ckpt/v5` journal (see
+    /// [`crate::checkpoint`]): the epoch records of every line
+    /// concatenate, and the last line's drift accumulator and placement
+    /// are the snapshot's. `rates` comes back empty, and the totals are
+    /// re-derived from the records as the engine accumulates them.
     ///
     /// # Errors
     ///
@@ -1120,64 +1121,30 @@ impl StreamCheckpoint {
     /// line that does not parse, malformed fields, or epoch records that do
     /// not continue `1, 2, …`.
     pub fn from_json(src: &str) -> Result<Self, CkptError> {
-        let complete = src.rfind('\n').map_or("", |end| &src[..end]);
-        let mut lines = complete.split('\n');
-        let head = lines.next().unwrap_or_default();
-        let header = ppdc_obs::json::parse(head)
-            .map_err(|e| foreign_schema(src).unwrap_or(CkptError::Parse(e.to_string())))?;
-        let header = as_obj(&header, "journal header")?;
-        match str_field(header, "schema") {
-            Ok(s) if s == STREAM_CKPT_SCHEMA => {}
-            Ok(s) => return Err(CkptError::Schema(s.to_string())),
-            Err(_) => return Err(CkptError::Schema("<missing>".to_string())),
-        }
-        let mut epochs: Vec<EpochRecord> = Vec::new();
-        let mut last: Option<(u64, Vec<NodeId>)> = None;
-        for (i, line) in lines.enumerate() {
-            let v = ppdc_obs::json::parse(line).map_err(|e| {
-                CkptError::Corrupt(format!("journal line {} does not parse: {e}", i + 2))
-            })?;
-            let snap = as_obj(&v, "journal line")?;
-            for row in arr_field(snap, "epochs")? {
-                let r = row_u64(row, 6, "epochs")?;
-                let epoch = to_u32(r[0], "epoch")?;
-                if epoch as usize != epochs.len() + 1 {
-                    return Err(CkptError::Corrupt(format!(
-                        "epoch record {epoch} follows {} records",
-                        epochs.len()
-                    )));
-                }
-                epochs.push(EpochRecord {
-                    epoch,
-                    deltas: r[1],
-                    drift: r[2],
-                    action: action_from_row(r[3], r[4])?,
-                    comm_cost: r[5],
-                });
-            }
-            last = Some((
-                u64_field(snap, "drift_accum")?,
-                node_ids(snap, "placement")?,
-            ));
-        }
-        let Some((drift_accum, placement)) = last else {
-            return Err(CkptError::Parse(
-                "the journal holds no complete snapshot line".to_string(),
-            ));
-        };
-        let initial_cost = u64_field(header, "initial_cost")?;
+        let journal = read_journal(src, STREAM_CKPT_SCHEMA)?;
+        let epochs = journal.records("epochs", 6, |r| {
+            Ok(EpochRecord {
+                epoch: to_u32(r[0], "epoch")?,
+                deltas: r[1],
+                drift: r[2],
+                action: action_from_row(r[3], r[4])?,
+                comm_cost: r[5],
+            })
+        })?;
+        let last = &journal.last;
+        let initial_cost = journal.initial_cost;
         let sum = |f: fn(&EpochRecord) -> u64| epochs.iter().map(f).fold(0, u64::saturating_add);
         let resolves = epochs
             .iter()
             .filter(|e| matches!(e.action, EpochAction::Resolved { .. }))
             .count() as u64;
         Ok(StreamCheckpoint {
-            fingerprint: u64_field(header, "fingerprint")?,
+            fingerprint: journal.fingerprint,
             epoch: to_u32(epochs.len() as u64, "epoch")?,
             initial_cost,
-            placement,
+            placement: ids(last, "placement", NodeId)?,
             rates: Vec::new(),
-            drift_accum,
+            drift_accum: u64_field(last, "drift_accum")?,
             total_cost: epochs
                 .iter()
                 .fold(initial_cost, |t, e| t.saturating_add(e.comm_cost)),
@@ -1234,17 +1201,6 @@ impl StreamCheckpoint {
     }
 }
 
-/// The journal header line: schema, fingerprint and hour-0 cost.
-fn push_journal_header(out: &mut String, fingerprint: u64, initial_cost: Cost) {
-    out.push_str("{\"schema\":\"");
-    out.push_str(STREAM_CKPT_SCHEMA);
-    out.push_str("\",\"fingerprint\":");
-    push_u64(out, fingerprint);
-    out.push_str(",\"initial_cost\":");
-    push_u64(out, initial_cost);
-    out.push_str("}\n");
-}
-
 /// One journal snapshot line: the epoch records since the previous line,
 /// then the drift accumulator and the incumbent placement.
 fn push_journal_line(
@@ -1253,14 +1209,11 @@ fn push_journal_line(
     drift_accum: u64,
     placement: &[NodeId],
 ) {
-    out.push_str("{\"epochs\":[");
-    for (i, e) in epochs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let (code, gap) = action_row(e.action);
-        push_row(
-            out,
+    push_key(out, '{', "epochs");
+    push_rows(
+        out,
+        epochs.iter().map(|e| {
+            let (code, gap) = action_row(e.action);
             [
                 u64::from(e.epoch),
                 e.deltas,
@@ -1268,23 +1221,14 @@ fn push_journal_line(
                 code,
                 gap,
                 e.comm_cost,
-            ],
-        );
-    }
-    out.push_str("],\"drift_accum\":");
+            ]
+        }),
+    );
+    push_key(out, ',', "drift_accum");
     push_u64(out, drift_accum);
-    out.push_str(",\"placement\":");
+    push_key(out, ',', "placement");
     push_row(out, placement.iter().map(|n| u64::from(n.0)));
     out.push_str("}\n");
-}
-
-/// The schema a whole JSON document of another layout declares (a `/v4`
-/// or older snapshot is one pretty-printed object), so a leftover file is
-/// refused by its tag rather than as a torn journal.
-fn foreign_schema(src: &str) -> Option<CkptError> {
-    let v = ppdc_obs::json::parse(src).ok()?;
-    let s = v.as_obj()?.get("schema")?.as_str()?;
-    (s != STREAM_CKPT_SCHEMA).then(|| CkptError::Schema(s.to_string()))
 }
 
 /// FNV-1a over every input that shapes a streaming day: graph, workload
@@ -1431,11 +1375,8 @@ fn run_stream_day_impl<D: DistanceOracle + ?Sized>(
     };
     let mut fingerprint = || *fp.get_or_insert_with(|| stream_fingerprint(g, w, trace, sfc, cfg));
     let every = cfg.checkpoint_every.max(1);
-    // Epoch records in the store's journal, once this run has started it:
-    // its first snapshot rewrites the whole journal (dropping whatever an
-    // interrupted run left after its last complete line), and every later
-    // one appends the records since.
-    let mut journaled: Option<usize> = None;
+    // Epochs this run has journaled (see `CheckpointStore::persist`).
+    let mut journaled = None;
     let mut cursor = trace.cursor(start_epoch - 1);
     for epoch in start_epoch..=n_hours {
         let report = {
@@ -1488,19 +1429,13 @@ fn run_stream_day_impl<D: DistanceOracle + ?Sized>(
         let last = epoch == n_hours;
         if let Some(cs) = &cfg.store {
             if stop_here || last || epoch % every == 0 {
-                let mut text = String::with_capacity(256);
-                match journaled {
-                    None => {
-                        push_journal_header(&mut text, fingerprint(), st.initial_cost);
-                        push_journal_line(&mut text, &st.epochs, tracker.accum(), &st.placement);
-                        cs.replace(&text)?;
-                    }
-                    Some(n) => {
-                        let new = st.epochs.get(n..).unwrap_or_default();
-                        push_journal_line(&mut text, new, tracker.accum(), &st.placement);
-                        cs.append(&text)?;
-                    }
-                }
+                cs.persist(
+                    journaled,
+                    |out| push_header(out, STREAM_CKPT_SCHEMA, fingerprint(), st.initial_cost),
+                    |out, n| {
+                        push_journal_line(out, &st.epochs[n..], tracker.accum(), &st.placement)
+                    },
+                )?;
                 journaled = Some(st.epochs.len());
             }
         }
@@ -2117,6 +2052,42 @@ mod tests {
         ));
     }
 
+    fn schema_err(found: &str) -> Result<StreamCheckpoint, CkptError> {
+        Err(CkptError::Schema {
+            found: found.to_string(),
+            expected: STREAM_CKPT_SCHEMA,
+        })
+    }
+
+    /// An hourly journal handed to the stream reader is refused, and the
+    /// error names the stream schema as the one expected.
+    #[test]
+    fn an_hourly_journal_is_refused_naming_the_stream_schema() {
+        use crate::{run_day, EngineConfig, FaultSchedule, MigrationPolicy, SimConfig};
+        let (g, _, w, trace) = fixture(20, 29);
+        let sfc = Sfc::of_len(3).unwrap();
+        let schedule = FaultSchedule::new(Vec::new(), trace.model().n_hours).unwrap();
+        let cfg = SimConfig {
+            mu: 100,
+            vm_mu: 100,
+            policy: MigrationPolicy::MPareto,
+        };
+        let ecfg = EngineConfig {
+            stop_after: Some(2),
+            ..EngineConfig::default()
+        };
+        let ck = run_day(&g, &w, &trace, &sfc, &cfg, &schedule, &ecfg)
+            .unwrap()
+            .checkpoint
+            .unwrap();
+        let err = StreamCheckpoint::from_json(&ck.to_json()).unwrap_err();
+        assert_eq!(err, schema_err(crate::CKPT_SCHEMA).unwrap_err());
+        assert_eq!(
+            err.to_string(),
+            "checkpoint schema \"ppdc-ckpt/v6\", expected \"ppdc-stream-ckpt/v5\""
+        );
+    }
+
     #[test]
     fn pre_v2_documents_are_refused_by_schema() {
         let (g, dm, w, trace) = fixture(20, 29);
@@ -2134,7 +2105,7 @@ mod tests {
             .replace(STREAM_CKPT_SCHEMA, "ppdc-stream-ckpt/v1");
         assert_eq!(
             StreamCheckpoint::from_json(&doc),
-            Err(CkptError::Schema("ppdc-stream-ckpt/v1".to_string()))
+            schema_err("ppdc-stream-ckpt/v1")
         );
     }
 
@@ -2158,7 +2129,7 @@ mod tests {
             .replace(STREAM_CKPT_SCHEMA, "ppdc-stream-ckpt/v3");
         assert_eq!(
             StreamCheckpoint::from_json(&doc),
-            Err(CkptError::Schema("ppdc-stream-ckpt/v3".to_string()))
+            schema_err("ppdc-stream-ckpt/v3")
         );
     }
 
@@ -2181,7 +2152,7 @@ mod tests {
 "#;
         assert_eq!(
             StreamCheckpoint::from_json(v4),
-            Err(CkptError::Schema("ppdc-stream-ckpt/v4".to_string()))
+            schema_err("ppdc-stream-ckpt/v4")
         );
         let (g, dm, w, trace) = fixture(20, 29);
         let sfc = Sfc::of_len(3).unwrap();
@@ -2198,7 +2169,7 @@ mod tests {
             .replace(STREAM_CKPT_SCHEMA, "ppdc-stream-ckpt/v4");
         assert_eq!(
             StreamCheckpoint::from_json(&doc),
-            Err(CkptError::Schema("ppdc-stream-ckpt/v4".to_string()))
+            schema_err("ppdc-stream-ckpt/v4")
         );
     }
 
@@ -2220,7 +2191,7 @@ mod tests {
 "#;
         assert_eq!(
             StreamCheckpoint::from_json(v2),
-            Err(CkptError::Schema("ppdc-stream-ckpt/v2".to_string()))
+            schema_err("ppdc-stream-ckpt/v2")
         );
     }
 
@@ -2360,7 +2331,7 @@ mod tests {
         };
         let full = run_stream_day(&g, &dm, &w, &trace, &sfc, &StreamConfig::default()).unwrap();
         let _stopped = run_stream_day(&g, &dm, &w, &trace, &sfc, &cfg).unwrap();
-        let (loaded, _slot) = cs.load_with(StreamCheckpoint::from_json).unwrap();
+        let loaded = cs.load_with(StreamCheckpoint::from_json).unwrap();
         assert_eq!(loaded.epoch, 3);
         let cfg_resume = StreamConfig {
             store: Some(cs),
@@ -2449,7 +2420,7 @@ mod tests {
         // The same through the store: a torn file loads the snapshot
         // before it.
         std::fs::write(store.path(), &text[..text.len() - 3]).unwrap();
-        let (loaded, _) = store.load_with(StreamCheckpoint::from_json).unwrap();
+        let loaded = store.load_with(StreamCheckpoint::from_json).unwrap();
         assert_eq!(loaded, by_line[&4]);
         // A header alone, or a torn header, holds no snapshot.
         let header_end = text.find('\n').unwrap() + 1;
@@ -2533,7 +2504,7 @@ mod tests {
                 ..cfg.clone()
             };
             run_stream_day(g, dm, w, trace, &sfc, &halted).unwrap();
-            let (ck, _) = store.load_with(StreamCheckpoint::from_json).unwrap();
+            let ck = store.load_with(StreamCheckpoint::from_json).unwrap();
             let resumed = resume_stream_day(g, dm, w, trace, &sfc, &cfg, &ck).unwrap();
             assert_eq!(resumed.result, full.result, "kill at {kill}");
             let text = std::fs::read_to_string(store.path()).unwrap();
@@ -2577,7 +2548,7 @@ mod tests {
                 ..StreamConfig::default()
             };
             let full = run_stream_day(&g, &dm, &w, &trace, &sfc, &cfg).unwrap();
-            let (end, _) = whole.load_with(StreamCheckpoint::from_json).unwrap();
+            let end = whole.load_with(StreamCheckpoint::from_json).unwrap();
             let store = CheckpointStore::new(dir.join("killed.ckpt"));
             let cfg = StreamConfig { store: Some(store.clone()), ..cfg };
             let halted = run_stream_day(
@@ -2594,14 +2565,14 @@ mod tests {
                 _ => "\u{0}{\"epochs\":[[".to_string(),
             };
             std::fs::write(store.path(), format!("{text}{tail}")).unwrap();
-            let (ck, _) = store.load_with(StreamCheckpoint::from_json).unwrap();
+            let ck = store.load_with(StreamCheckpoint::from_json).unwrap();
             proptest::prop_assert_eq!(Some(&ck), halted.checkpoint.as_ref());
             let resumed = resume_stream_day(&g, &dm, &w, &trace, &sfc, &cfg, &ck).unwrap();
             proptest::prop_assert_eq!(
                 &resumed.result, &full.result,
                 "kill {} every {} tear {}", kill, every, tear
             );
-            let (resumed_end, _) = store.load_with(StreamCheckpoint::from_json).unwrap();
+            let resumed_end = store.load_with(StreamCheckpoint::from_json).unwrap();
             proptest::prop_assert_eq!(resumed_end, end);
             let _ = std::fs::remove_dir_all(&dir);
         }
