@@ -129,7 +129,9 @@ echo "==> perfbench tests (the layer-by-layer replay against the engine)"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 # rack-churn only ever takes list-only trace steps; diurnal-fabric moves
-# a cohort scale every epoch, so it runs the dense trace feed.
+# a cohort scale every epoch, so it runs the dense trace feed, which on
+# its shape (128 ToR slots x 2,498 rate classes <= 1M flows) books per
+# slot from a class histogram built at the day's first epoch.
 for workload in rack-churn diurnal-fabric; do
     echo "==> perfbench smoke ($workload, 1 s, end to end; must print \"correct\": true)"
     perfbench_out=$(CARGO_TARGET_DIR="$PWD/perfbench/target" \

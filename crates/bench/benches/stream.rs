@@ -57,6 +57,26 @@
 //!   it. A repeat hour walks an empty change list, so the iteration costs
 //!   the hot hour's re-keys. Resets copy a keyed store too, untimed.
 //!
+//! Three more ids time the feed at the end-to-end benchmark's
+//! `diurnal-fabric` shape: k = 16, 1M flows strided over the hosts, rates
+//! in `1..=1249` (2,498 rate classes), random cohorts, no churn. There
+//! the store, grouped by the aggregates' anchor map
+//! ([`ShardedFlowStore::group_by_anchor`]: 128 ToR slots), books a
+//! scale-moved hour from its slot class histogram, since
+//! `128 × 2,498 ≤ 1M`. (`trace_feed_1m` stays on the per-flow scatter:
+//! its store is not grouped, and k = 32's 512 ToRs × 20,002 classes
+//! would break that size rule anyway.)
+//!
+//! * `slot_histogram_build_k16_1m` — the one-off build at a day's first
+//!   scale-moved step: resolving the slots and counting every flow's
+//!   class per slot and side. Each iteration builds into a copy of the
+//!   grouped store made in the untimed setup.
+//! * `trace_feed_slots_k16_1m` — hour 0 → 1 on a grouped store whose
+//!   histogram is already built, reset before each step by an untimed
+//!   [`Clone::clone_from`], which copies the histogram and the slot map.
+//! * `trace_feed_scatter_k16_1m` — the same hour on the same store
+//!   ungrouped: the per-flow scatter it replaces.
+//!
 //! The `stream_resolve` group measures the *solver* half of an epoch: the
 //! warm-started re-solve ([`dp_placement_warm`] with a persistent
 //! [`BoundCache`] and the previous optimum as incumbent) against the cold
@@ -83,6 +103,7 @@ use ppdc_topology::{FatTree, FatTreeOracle, NodeId};
 use ppdc_traffic::{
     rng_for_run, DiurnalModel, DynamicTrace, TraceCursor, DEFAULT_MIX, STANDARD_CHURN,
 };
+use rand::Rng;
 use std::cell::RefCell;
 use std::time::Duration;
 
@@ -286,6 +307,7 @@ fn bench_stream_ingest(c: &mut Criterion) {
             BatchSize::PerIteration,
         )
     });
+    bench_k16_feed(&mut group);
     let hot = hot_rack_trace(&ft, &w);
     let day_start = ShardedFlowStore::from_trace(g, &w, &hot, 0).unwrap();
     let n_hours = hot.model().n_hours;
@@ -298,6 +320,51 @@ fn bench_stream_ingest(c: &mut Criterion) {
         )
     });
     group.finish();
+}
+
+/// The `diurnal-fabric`-shaped feed ids (see the module docs).
+fn bench_k16_feed(group: &mut criterion::BenchmarkGroup<'_>) {
+    let ft = FatTree::build(16).unwrap();
+    let g = ft.graph();
+    let oracle = FatTreeOracle::new(&ft);
+    let hosts: Vec<NodeId> = g.hosts().collect();
+    let mut rng = rng_for_run(0x5EED, 2);
+    let mut w = Workload::new();
+    for i in 0..FLOWS {
+        let a = hosts[(i * 131) % hosts.len()];
+        let b = hosts[(i * 2_477 + 4_096) % hosts.len()];
+        w.add_pair(a, b, rng.gen_range(1..=1_249));
+    }
+    let trace = DynamicTrace::new(&w, DiurnalModel::default(), &mut rng);
+    let scatter = ShardedFlowStore::from_trace(g, &w, &trace, 0).unwrap();
+    let (masses, total_rate) = scatter.host_masses();
+    let agg = AttachAggregates::from_host_masses(g, &oracle, &masses, total_rate);
+    let mut grouped = scatter.clone();
+    grouped.group_by_anchor(agg.anchors());
+    group.bench_function("slot_histogram_build_k16_1m", |b| {
+        b.iter_batched(
+            || grouped.clone(),
+            |mut store| {
+                assert!(store.build_slot_histogram());
+                store
+            },
+            BatchSize::PerIteration,
+        )
+    });
+    assert!(grouped.build_slot_histogram());
+    for (id, start) in [
+        ("trace_feed_slots_k16_1m", &grouped),
+        ("trace_feed_scatter_k16_1m", &scatter),
+    ] {
+        let live: Live<'_> = RefCell::new((start.clone(), trace.cursor(0)));
+        group.bench_function(id, |b| {
+            b.iter_batched(
+                || rewind_at(&live, 1, start, || trace.cursor(0)),
+                |()| step(&live),
+                BatchSize::PerIteration,
+            )
+        });
+    }
 }
 
 /// A flat-envelope day over `w` in which each odd hour halves the rates

@@ -176,6 +176,10 @@ pub mod names {
             /// threshold, or the admissible-bound staleness certificate cleared
             /// it. Pairs with [`STREAM_DRIFT`].
             STREAM_RESOLVES_SKIPPED = "stream.resolves_skipped";
+            /// Slot class histograms a grouped stream flow store built, one at
+            /// its first scale-moved step: each marks a day whose dense steps
+            /// sum per-slot class counts instead of scattering every flow.
+            STREAM_SLOT_HISTOGRAM_BUILDS = "sim.stream.slot_histogram_builds";
             /// Warm solves that installed a priced feasible incumbent as the
             /// sweep's initial upper bound.
             SOLVER_WARM_SEEDED = "solver.warm.seeded";

@@ -671,6 +671,15 @@ impl AttachAggregates {
         &self.switches
     }
 
+    /// Per node: its anchor and the cost of reaching it, `(t, w(h, t))`
+    /// for a leaf host and `(h, 0)` for every other node — the map
+    /// [`AttachAggregates::try_apply_mass_deltas`] folds host deltas by.
+    /// Hosts with equal entries are interchangeable to the fold: a mass
+    /// delta booked at any one of them moves the aggregates the same way.
+    pub fn anchors(&self) -> &[(NodeId, Cost)] {
+        &self.anchor
+    }
+
     /// Exact `C_a(p)` using the aggregates (equals
     /// [`ppdc_model::comm_cost`]).
     pub fn comm_cost<D: DistanceOracle + ?Sized>(&self, dm: &D, p: &Placement) -> Cost {

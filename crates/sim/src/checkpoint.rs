@@ -768,8 +768,11 @@ impl CheckpointStore {
     }
 
     /// Replaces the file with `doc` atomically (`<path>.tmp`, fsync,
-    /// rename). Feeds the `ckpt.writes` / `ckpt.write_nanos` counters when
-    /// the global obs registry is enabled.
+    /// rename), then fsyncs the parent directory (`.` for a bare file
+    /// name), so the rename itself is durable on return: without it, a
+    /// power loss could undo the rename that starts a run's journal.
+    /// Feeds the `ckpt.writes` / `ckpt.write_nanos` counters when the
+    /// global obs registry is enabled.
     ///
     /// # Errors
     ///
@@ -786,6 +789,7 @@ impl CheckpointStore {
         f.sync_all().map_err(|e| io_err("fsync", &tmp, e))?;
         drop(f);
         fs::rename(&tmp, &self.path).map_err(|e| io_err("rename", &self.path, e))?;
+        sync_parent(&self.path)?;
         obs.add(obs_names::CKPT_WRITES, 1);
         obs.add(obs_names::CKPT_WRITE_NANOS, sw.elapsed_ns());
         Ok(())
@@ -857,6 +861,22 @@ impl CheckpointStore {
         }
         Ok(snapshot)
     }
+}
+
+/// Fsyncs the directory holding `path`, which makes a rename into it
+/// durable. Directories can be opened and synced this way on Unix only;
+/// elsewhere this is a no-op.
+fn sync_parent(path: &Path) -> Result<(), CkptError> {
+    let dir = match path.parent() {
+        Some(p) if !p.as_os_str().is_empty() => p,
+        _ => Path::new("."),
+    };
+    if cfg!(unix) {
+        fs::File::open(dir)
+            .and_then(|d| d.sync_all())
+            .map_err(|e| io_err("fsync", dir, e))?;
+    }
+    Ok(())
 }
 
 fn io_err(op: &'static str, path: &Path, e: std::io::Error) -> CkptError {
@@ -936,6 +956,31 @@ mod tests {
             found: found.to_string(),
             expected: CKPT_SCHEMA,
         })
+    }
+
+    /// A journal's first write syncs the directory it renames into. That
+    /// directory is found for a path in a freshly created nested
+    /// directory and for a bare relative file name, whose parent is the
+    /// working directory; either journal then takes an appended line and
+    /// loads back.
+    #[test]
+    fn journals_start_in_a_new_nested_directory_and_under_a_bare_name() {
+        let tag = format!("ppdc-ckpt-dirsync-{}", std::process::id());
+        let root = std::env::temp_dir().join(&tag);
+        let nested = root.join("a").join("b");
+        fs::create_dir_all(&nested).unwrap();
+        let bare = PathBuf::from(format!("{tag}.ckpt"));
+        assert_eq!(bare.parent(), Some(Path::new("")));
+        for path in [nested.join("day.ckpt"), bare] {
+            let store = CheckpointStore::new(&path);
+            let (first, last) = (sample(1), sample(3));
+            store.write_raw(&first.to_json()).unwrap();
+            assert_eq!(store.load_with(Checkpoint::from_json).unwrap(), first);
+            store.append(&line_since(&last, 1)).unwrap();
+            assert_eq!(store.load_with(Checkpoint::from_json).unwrap(), last);
+            fs::remove_file(&path).unwrap();
+        }
+        fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

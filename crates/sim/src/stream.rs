@@ -20,7 +20,12 @@
 //!   histogram and scatters `Δ[class]` into the host masses in one pass
 //!   (the hour's changed-base flows each get a transition class of their
 //!   own, `O(changes)`), and a list-only hour re-keys and prices just the
-//!   listed flows.
+//!   listed flows. A store grouped by the aggregates' anchor map
+//!   ([`ShardedFlowStore::group_by_anchor`], as the engine groups its
+//!   store) books a scale-moved hour per *slot* of hosts sharing an
+//!   anchor and link weight instead: each slot's masses are the dot of
+//!   its per-class flow counts with `Δ`, `O(slots × classes + changes)`,
+//!   when that is at most the flow count.
 //!   [`ShardedFlowStore::ingest`] is the entry point for external delta
 //!   batches: it turns the store flat (one rate per flow), nets per flow,
 //!   validates every netted rate and only then commits; the next
@@ -192,7 +197,11 @@ impl From<CkptError> for StreamError {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IngestReport {
     /// Net per-host mass changes, in host order: one entry per endpoint
-    /// host of an applied flow (its net may still be zero).
+    /// host of an applied flow (its net may still be zero). A grouped
+    /// store's dense step ([`ShardedFlowStore::group_by_anchor`]) reports
+    /// one entry per *slot* instead, at the slot's lowest host, holding
+    /// the summed nets of all its hosts: a slot's hosts share one anchor
+    /// and link weight, so the fold moves the aggregates the same way.
     pub masses: Vec<HostMassDelta>,
     /// Net change of `Σλ`.
     pub total_delta: i128,
@@ -228,6 +237,13 @@ pub struct IngestReport {
 /// non-negative drift terms), so the report depends only on which rates
 /// changed and by how much, never on the order they arrive in, on the
 /// form the store is in, or on the machine.
+///
+/// A store handed the aggregates' anchor map
+/// ([`ShardedFlowStore::group_by_anchor`]) is *grouped*: its flows'
+/// endpoint hosts fall into slots of equal anchor and link weight, and a
+/// keyed grouped store books a scale-moved hour per slot from a per-slot
+/// class histogram, reporting one [`HostMassDelta`] per touched slot
+/// rather than per host. Every other step reports per host.
 #[derive(Debug)]
 pub struct ShardedFlowStore {
     /// Source host per flow.
@@ -246,6 +262,12 @@ pub struct ShardedFlowStore {
     /// Step scratch: per-node `i64` masses of a dense step whose width
     /// proof holds, all zero between steps.
     narrow: Vec<(i64, i64)>,
+    /// The aggregates' anchor map, one entry per node
+    /// ([`AttachAggregates::anchors`]); empty while ungrouped.
+    anchors: Vec<(NodeId, Cost)>,
+    /// The slots `anchors` groups the flows' endpoints into, resolved at
+    /// the first histogram build.
+    slots: Option<Slots>,
 }
 
 /// A keyed store's rates: every flow's rate class under one trace at one
@@ -262,6 +284,12 @@ struct Classes {
     rate: Vec<u64>,
     /// `count[c]`: flows in class `c`.
     count: Vec<u32>,
+    /// A grouped store's slot histogram, built at its first scale-moved
+    /// step: two tables, the flows per class and source slot, then per
+    /// class and destination slot, each one column of `slots` counts per
+    /// class ([`Slots::cell`]). Derived from `class`, so it goes wherever
+    /// the classes go.
+    hist: Option<Vec<u32>>,
 }
 
 /// `clone_from` reuses every buffer of the target, so resetting a store
@@ -276,6 +304,8 @@ impl Clone for ShardedFlowStore {
             pending: self.pending.clone(),
             masses: self.masses.clone(),
             narrow: self.narrow.clone(),
+            anchors: self.anchors.clone(),
+            slots: self.slots.clone(),
         }
     }
 
@@ -287,6 +317,8 @@ impl Clone for ShardedFlowStore {
         self.pending.clone_from(&source.pending);
         self.masses.clone_from(&source.masses);
         self.narrow.clone_from(&source.narrow);
+        self.anchors.clone_from(&source.anchors);
+        self.slots.clone_from(&source.slots);
     }
 }
 
@@ -298,6 +330,7 @@ impl Clone for Classes {
             class: self.class.clone(),
             rate: self.rate.clone(),
             count: self.count.clone(),
+            hist: self.hist.clone(),
         }
     }
 
@@ -306,6 +339,7 @@ impl Clone for Classes {
         self.class.clone_from(&source.class);
         self.rate.clone_from(&source.rate);
         self.count.clone_from(&source.count);
+        self.hist.clone_from(&source.hist);
     }
 }
 
@@ -330,6 +364,7 @@ impl Classes {
             class,
             rate,
             count,
+            hist: None,
         }
     }
 
@@ -349,16 +384,133 @@ impl Classes {
         self.count[new as usize] += 1;
         (old as usize, new as usize)
     }
+
+    /// Moves one flow between slots `ends` (source, destination) from
+    /// class `old` to class `new` in the histogram, if there is one.
+    #[inline]
+    fn rehist(&mut self, slots: &Slots, ends: (usize, usize), old: usize, new: usize) {
+        let classes = self.rate.len();
+        if let Some(hist) = &mut self.hist {
+            for cell in slots.cells(classes, ends, old) {
+                hist[cell] -= 1;
+            }
+            for cell in slots.cells(classes, ends, new) {
+                hist[cell] += 1;
+            }
+        }
+    }
+}
+
+/// A grouped store's *slots*: the flows' endpoint nodes grouped by their
+/// entry `(t, w(h, t))` in the aggregates' anchor map
+/// ([`AttachAggregates::anchors`]). The fold books a host's mass delta at
+/// its anchor, plus `delta · w(h, t)` into a constant, so a delta summed
+/// over a slot's hosts and booked at any one of them moves the aggregates
+/// exactly as the per-host deltas do.
+#[derive(Debug, Clone)]
+struct Slots {
+    /// `of[n]`: node `n`'s slot (`u32::MAX`, never read, for a node no
+    /// flow touches).
+    of: Vec<u32>,
+    /// `host[s]`: slot `s`'s lowest node, where its report entry lands;
+    /// increasing, so a slot-order report is in host order.
+    host: Vec<NodeId>,
+}
+
+impl Slots {
+    /// Groups the endpoints of the flows `(src, dst)` by `anchors`, one
+    /// entry per node (the caller checked the length): `O(flows + nodes)`.
+    fn resolve(anchors: &[(NodeId, Cost)], src: &[NodeId], dst: &[NodeId]) -> Self {
+        let mut used = vec![false; anchors.len()];
+        for (s, t) in src.iter().zip(dst) {
+            used[s.index()] = true;
+            used[t.index()] = true;
+        }
+        let mut ids = std::collections::BTreeMap::new();
+        let mut host = Vec::new();
+        let of = anchors
+            .iter()
+            .zip(used)
+            .enumerate()
+            .map(|(n, (key, used))| {
+                if !used {
+                    return u32::MAX;
+                }
+                *ids.entry(*key).or_insert_with(|| {
+                    host.push(NodeId::from_index(n));
+                    (host.len() - 1) as u32
+                })
+            })
+            .collect();
+        Slots { of, host }
+    }
+
+    /// The slots of a flow's endpoints `(s, t)`.
+    #[inline]
+    fn of(&self, s: NodeId, t: NodeId) -> (usize, usize) {
+        (self.of[s.index()] as usize, self.of[t.index()] as usize)
+    }
+
+    /// The histogram cell of `(side, class c, slot s)` over `classes`
+    /// classes: side 0 (sources) is one table and side 1 (destinations)
+    /// the next, each a column of one count per slot for every class.
+    #[inline]
+    fn cell(&self, classes: usize, side: usize, c: usize, s: usize) -> usize {
+        (side * classes + c) * self.host.len() + s
+    }
+
+    /// The two cells a flow between slots `(s, t)` of class `c` counts in.
+    #[inline]
+    fn cells(&self, classes: usize, (s, t): (usize, usize), c: usize) -> [usize; 2] {
+        [self.cell(classes, 0, c, s), self.cell(classes, 1, c, t)]
+    }
+}
+
+/// Builds `k`'s slot histogram when the store is grouped and
+/// `slots × classes ≤ flows`, so that the histogram's `2 · slots ·
+/// classes` counts take no more memory than the store's two endpoint
+/// columns. Resolves the slots on first use. Returns them when `k` has a
+/// histogram afterwards.
+fn slot_histogram<'s>(
+    k: &mut Classes,
+    slots: &'s mut Option<Slots>,
+    anchors: &[(NodeId, Cost)],
+    (src, dst): (&[NodeId], &[NodeId]),
+) -> Option<&'s Slots> {
+    if anchors.is_empty() || src.is_empty() {
+        return None;
+    }
+    let slots = &*slots.get_or_insert_with(|| Slots::resolve(anchors, src, dst));
+    if k.hist.is_some() {
+        return Some(slots);
+    }
+    let classes = k.rate.len();
+    if slots.host.len() as u128 * classes as u128 > src.len() as u128 {
+        return None;
+    }
+    // One pass per side: each side's table alone fits a core's L2 cache
+    // at the benchmark's shape, both together do not.
+    let mut hist = vec![0u32; 2 * slots.host.len() * classes];
+    for (side, ends) in [src, dst].into_iter().enumerate() {
+        for (&c, &n) in k.class.iter().zip(ends) {
+            hist[slots.cell(classes, side, c as usize, slots.of[n.index()] as usize)] += 1;
+        }
+    }
+    k.hist = Some(hist);
+    ppdc_obs::global().add(obs_names::STREAM_SLOT_HISTOGRAM_BUILDS, 1);
+    Some(slots)
 }
 
 /// One host-mass word: `i64` when a step's width proof holds, else
 /// `i128`. Adds wrap, because the proof (or the `i128` width) rules out
 /// overflow, so no add needs a check.
-trait Mass: Copy + Default + PartialEq {
+trait Mass: Copy + Default + PartialEq + std::ops::BitOr<Output = Self> {
     /// `net`, which the caller's width proof says fits.
     fn of(net: i128) -> Self;
     /// The wrapping sum.
     fn plus(self, other: Self) -> Self;
+    /// The wrapping product with a flow count.
+    fn times(self, n: u32) -> Self;
     /// The value as an `i128`.
     fn wide(self) -> i128;
 }
@@ -371,6 +523,10 @@ impl Mass for i64 {
     #[inline]
     fn plus(self, other: Self) -> Self {
         self.wrapping_add(other)
+    }
+    #[inline]
+    fn times(self, n: u32) -> Self {
+        self.wrapping_mul(i64::from(n))
     }
     #[inline]
     fn wide(self) -> i128 {
@@ -386,6 +542,10 @@ impl Mass for i128 {
     #[inline]
     fn plus(self, other: Self) -> Self {
         self.wrapping_add(other)
+    }
+    #[inline]
+    fn times(self, n: u32) -> Self {
+        self.wrapping_mul(i128::from(n))
     }
     #[inline]
     fn wide(self) -> i128 {
@@ -571,7 +731,50 @@ impl ShardedFlowStore {
             pending: Vec::new(),
             masses: HostMasses::new(g.num_nodes()),
             narrow: Vec::new(),
+            anchors: Vec::new(),
+            slots: None,
         })
+    }
+
+    /// Groups the store's flows by slot: `anchors` is
+    /// [`AttachAggregates::anchors`] of aggregates over the store's graph,
+    /// and a slot is the set of endpoint hosts with one entry `(t, w(h, t))`
+    /// there. From then on a keyed store books each scale-moved step per
+    /// slot, from a histogram of every slot's flows per rate class
+    /// (sources and destinations apart), and reports one
+    /// [`HostMassDelta`] per touched slot, at its lowest host, which
+    /// [`AttachAggregates::try_apply_mass_deltas`] folds to the same
+    /// aggregates as the per-host entries.
+    ///
+    /// The histogram is derived state: the first scale-moved step builds
+    /// it (`O(flows)`), listed steps keep it current, and it is dropped
+    /// with the classes (by `ingest`, `set_rates`, or a re-key to another
+    /// trace or hour). It is used only when `slots × classes ≤ flows`;
+    /// otherwise, and for a map whose length is not the graph's node
+    /// count, dense steps scatter per host as in an ungrouped store.
+    pub fn group_by_anchor(&mut self, anchors: &[(NodeId, Cost)]) {
+        self.anchors.clear();
+        if anchors.len() == self.masses.mass.len() {
+            self.anchors.extend_from_slice(anchors);
+        }
+        self.slots = None;
+        if let Some(k) = &mut self.classes {
+            k.hist = None;
+        }
+    }
+
+    /// Builds the slot histogram now rather than at the next scale-moved
+    /// step (see [`ShardedFlowStore::group_by_anchor`]). True when the
+    /// store has one afterwards: it is keyed, grouped and within the size
+    /// rule.
+    pub fn build_slot_histogram(&mut self) -> bool {
+        match &mut self.classes {
+            Some(k) => {
+                let ends = (&self.src[..], &self.dst[..]);
+                slot_histogram(k, &mut self.slots, &self.anchors, ends).is_some()
+            }
+            None => false,
+        }
     }
 
     /// Number of flows stored.
@@ -743,12 +946,18 @@ impl ShardedFlowStore {
     ///   histogram, and scatters `Δ[class[f]]` into the host masses in one
     ///   pass. Each of the hour's changed-base flows gets a transition
     ///   class of its own for that pass, priced at its own net, and is
-    ///   summed on its own: `O(changes)`.
+    ///   summed on its own: `O(changes)`. A grouped store within the size
+    ///   rule ([`ShardedFlowStore::group_by_anchor`]) skips the pass: it
+    ///   books the changed flows one by one at their slots and dots each
+    ///   slot's class counts with `Δ`, building those counts at its first
+    ///   dense step.
     ///
     /// Precondition: the store holds `trace.rates_at(cursor.hour())`. It
     /// then holds the next hour's rates, and the report equals the one
     /// `ingest` returns for that hour's `try_rate_deltas` in every field
-    /// but `records` (DESIGN.md §9). A repeat hour walks nothing.
+    /// but `records` (DESIGN.md §9) — for a grouped store's dense step,
+    /// once that report's masses are summed per slot. A repeat hour walks
+    /// nothing.
     ///
     /// # Errors
     ///
@@ -772,25 +981,39 @@ impl ShardedFlowStore {
                 slot.insert(Classes::key(trace, at))
             }
         };
+        let ends = (&self.src[..], &self.dst[..]);
         let report = match cursor.step() {
             HourStep::Dense {
                 flows, ids, rule, ..
             } => {
                 let new = rule.class_rates();
                 let max = classes.rate.iter().chain(new).copied().max().unwrap_or(0);
+                let narrow = narrow_fits(self.src.len(), max);
                 let nodes = self.masses.mass.len();
                 let changes = (flows, ids);
-                let ends = (&self.src[..], &self.dst[..]);
-                if narrow_fits(self.src.len(), max) {
-                    if self.narrow.len() != nodes {
-                        self.narrow = vec![(0, 0); nodes];
+                let grouped = slot_histogram(classes, &mut self.slots, &self.anchors, ends);
+                match (grouped, classes.hist.take()) {
+                    (Some(slots), Some(mut hist)) => {
+                        let report = if narrow {
+                            dense_step_slots::<i64>(classes, &mut hist, slots, ends, changes, new)
+                        } else {
+                            dense_step_slots::<i128>(classes, &mut hist, slots, ends, changes, new)
+                        };
+                        classes.hist = Some(hist);
+                        report
                     }
-                    let scratch = (&mut self.narrow[..], &mut self.masses.seen[..]);
-                    dense_step(classes, ends, changes, new, scratch)
-                } else {
-                    let m = &mut self.masses;
-                    let scratch = (&mut m.mass[..], &mut m.seen[..]);
-                    dense_step(classes, ends, changes, new, scratch)
+                    _ if narrow => {
+                        if self.narrow.len() != nodes {
+                            self.narrow = vec![(0, 0); nodes];
+                        }
+                        let scratch = (&mut self.narrow[..], &mut self.masses.seen[..]);
+                        dense_step(classes, ends, changes, new, scratch)
+                    }
+                    _ => {
+                        let m = &mut self.masses;
+                        let scratch = (&mut m.mass[..], &mut m.seen[..]);
+                        dense_step(classes, ends, changes, new, scratch)
+                    }
                 }
             }
             HourStep::Listed { flows, ids, .. } => {
@@ -798,9 +1021,13 @@ impl ShardedFlowStore {
                     records: flows.len() as u64,
                     ..IngestReport::default()
                 };
+                let slots = self.slots.as_ref().filter(|_| classes.hist.is_some());
                 for (&f, &id) in flows.iter().zip(ids) {
                     let f = f as usize;
                     let (old, new) = classes.rekey(f, id);
+                    if let Some(slots) = slots {
+                        classes.rehist(slots, slots.of(self.src[f], self.dst[f]), old, new);
+                    }
                     let net = i128::from(classes.rate[new]) - i128::from(classes.rate[old]);
                     book(&mut report, &mut self.masses, self.src[f], self.dst[f], net);
                 }
@@ -810,6 +1037,50 @@ impl ShardedFlowStore {
         };
         classes.hour = cursor.hour();
         Ok(report)
+    }
+}
+
+/// The order-free sums of a dense step's report over its flows' nets:
+/// `Σλ`'s change, the drift `Σ|net|` (exact; clamped to `u64` once, at
+/// the end) and the applied count.
+#[derive(Default)]
+struct Totals {
+    total: i128,
+    drift: u128,
+    applied: u64,
+}
+
+impl Totals {
+    /// Books one changed flow's own net.
+    #[inline]
+    fn flow(&mut self, net: i128) {
+        self.total += net;
+        self.drift += net.unsigned_abs();
+        self.applied += u64::from(net != 0);
+    }
+
+    /// Prices every class once, `terms[c] = Δ[c] = new[c] − rate[c]`, and
+    /// sums the classes' unchanged flows over the histogram, exactly:
+    /// count·|Δ| < 2^96, and so is the sum over at most 2^32 flows.
+    fn classes<M: Mass>(&mut self, k: &Classes, new: &[u64], terms: &mut [M]) {
+        for (((&old, &new), &n), term) in k.rate.iter().zip(new).zip(&k.count).zip(terms) {
+            let d = i128::from(new) - i128::from(old);
+            self.total += i128::from(n) * d;
+            self.drift += u128::from(n) * d.unsigned_abs();
+            self.applied += u64::from(n) * u64::from(d != 0);
+            *term = M::of(d);
+        }
+    }
+
+    /// The step's report, over `records` flows.
+    fn report(self, masses: Vec<HostMassDelta>, records: usize) -> IngestReport {
+        IngestReport {
+            masses,
+            total_delta: self.total,
+            drift: u64::try_from(self.drift).unwrap_or(u64::MAX),
+            applied: self.applied,
+            records: records as u64,
+        }
     }
 }
 
@@ -832,7 +1103,7 @@ fn dense_step<M: Mass>(
     (mass, touched): (&mut [(M, M)], &mut [bool]),
 ) -> IngestReport {
     let first = k.rate.len();
-    let (mut total, mut drift, mut applied) = (0i128, 0u128, 0u64);
+    let mut totals = Totals::default();
     let mut terms = vec![M::default(); first + flows.len()];
     let (table, transitions) = terms.split_at_mut(first);
     // The changed flows leave their classes' counts and are summed one by
@@ -843,35 +1114,117 @@ fn dense_step<M: Mass>(
         k.count[old as usize] -= 1;
         let c = rate_class(id, old & 1 == 1);
         let net = i128::from(new[c as usize]) - i128::from(k.rate[old as usize]);
-        total += net;
-        drift += net.unsigned_abs();
-        applied += u64::from(net != 0);
+        totals.flow(net);
         *term = M::of(net);
         to.push(c);
     }
-    // Price every class once and sum the unchanged flows over the
-    // histogram, exactly: count·|Δ| < 2^96, and so is the sum over at
-    // most 2^32 flows.
-    for (((&old, &new), &n), term) in k.rate.iter().zip(new).zip(&k.count).zip(table) {
-        let d = i128::from(new) - i128::from(old);
-        total += i128::from(n) * d;
-        drift += u128::from(n) * d.unsigned_abs();
-        applied += u64::from(n) * u64::from(d != 0);
-        *term = M::of(d);
-    }
+    totals.classes(k, new, table);
     scatter(&k.class, src, dst, &terms, mass, touched);
     for (&f, c) in flows.iter().zip(to) {
         k.class[f as usize] = c;
         k.count[c as usize] += 1;
     }
     k.rate.copy_from_slice(new);
-    IngestReport {
-        masses: drain_touched(mass, touched),
-        total_delta: total,
-        drift: u64::try_from(drift).unwrap_or(u64::MAX),
-        applied,
-        records: k.class.len() as u64,
+    totals.report(drain_touched(mass, touched), k.class.len())
+}
+
+/// Adds one histogram column times its class's term to per-slot sums,
+/// `acc[s] += col[s]·d`, and or-s each product into `any[s]`, which is
+/// then nonzero exactly when the slot counts a flow with a nonzero term
+/// (the caller's width proof bounds every `count·|Δ|`, so a product is
+/// zero only when a factor is).
+#[inline]
+fn add_column<M: Mass>(acc: &mut [M], any: &mut [M], col: &[u32], d: M) {
+    for ((a, y), &n) in acc.iter_mut().zip(any.iter_mut()).zip(col) {
+        let t = d.times(n);
+        *a = a.plus(t);
+        *y = *y | t;
     }
+}
+
+/// [`dense_step`] for a grouped store whose slot histogram `hist` exists
+/// (taken out of `k` for the step): the same report, with one mass entry
+/// per touched slot instead of per host.
+///
+/// The changed flows are booked one by one at their endpoints' slots
+/// with their own nets, and leave their old classes' counts (`count` and
+/// `hist`); then each slot's `ΔR_out` gains `Σ_c out[c][s]·Δ[c]` and its
+/// `ΔR_in` `Σ_c in[c][s]·Δ[c]`, column by column — the sums of
+/// `Δ[class[f]]` over the slot's unchanged flows, which [`scatter`]
+/// would add flow by flow — and the changed flows join their new
+/// classes. A column whose `Δ` is zero adds nothing and is skipped. A
+/// slot is touched when one of its flows has a nonzero term, as a host
+/// is in [`drain_touched`]. The width proof the caller checked for `M`
+/// covers every partial sum, as it does for the scatter.
+fn dense_step_slots<M: Mass>(
+    k: &mut Classes,
+    hist: &mut [u32],
+    slots: &Slots,
+    (src, dst): (&[NodeId], &[NodeId]),
+    (flows, ids): (&[u32], &[u32]),
+    new: &[u64],
+) -> IngestReport {
+    let (n, classes) = (slots.host.len(), k.rate.len());
+    let mut totals = Totals::default();
+    // Per side and slot, as the histogram's tables: sources, then
+    // destinations.
+    let mut acc = vec![M::default(); 2 * n];
+    let mut any = vec![M::default(); 2 * n];
+    for (&f, &id) in flows.iter().zip(ids) {
+        let f = f as usize;
+        let old = k.class[f] as usize;
+        let c = rate_class(id, old & 1 == 1);
+        let net = i128::from(new[c as usize]) - i128::from(k.rate[old]);
+        totals.flow(net);
+        let net = M::of(net);
+        let (s, t) = slots.of(src[f], dst[f]);
+        for r in [s, n + t] {
+            acc[r] = acc[r].plus(net);
+            any[r] = any[r] | net;
+        }
+        for cell in slots.cells(classes, (s, t), old) {
+            hist[cell] -= 1;
+        }
+        k.class[f] = c;
+        k.count[old] -= 1;
+    }
+    let mut terms = vec![M::default(); classes];
+    totals.classes(k, new, &mut terms);
+    for ((table, acc), any) in hist
+        .chunks_exact(n * classes)
+        .zip(acc.chunks_exact_mut(n))
+        .zip(any.chunks_exact_mut(n))
+    {
+        for (col, &d) in table.chunks_exact(n).zip(&terms) {
+            if d != M::default() {
+                add_column(acc, any, col, d);
+            }
+        }
+    }
+    for &f in flows {
+        let f = f as usize;
+        let c = k.class[f] as usize;
+        k.count[c] += 1;
+        for cell in slots.cells(classes, slots.of(src[f], dst[f]), c) {
+            hist[cell] += 1;
+        }
+    }
+    k.rate.copy_from_slice(new);
+    let (out, inn) = acc.split_at(n);
+    let (any_out, any_in) = any.split_at(n);
+    let masses = slots
+        .host
+        .iter()
+        .zip(out.iter().zip(inn))
+        .zip(any_out.iter().zip(any_in))
+        .filter(|(_, (&a, &b))| a | b != M::default())
+        .map(|((&host, (d_out, d_in)), _)| HostMassDelta {
+            host,
+            d_out: d_out.wide(),
+            d_in: d_in.wide(),
+        })
+        .collect();
+    totals.report(masses, k.class.len())
 }
 
 /// Accumulates ingested drift and decides when the incumbent placement
@@ -1323,10 +1676,13 @@ fn run_stream_day_impl<D: DistanceOracle + ?Sized>(
     // The store and aggregates start at the start epoch's rates: the
     // store is keyed straight from the trace, and the aggregates are built
     // from its host masses, so no per-flow rate vector is ever derived.
+    // The store then takes the aggregates' anchor map, so its dense steps
+    // can book per slot.
     let start_state = |epoch: u32| -> Result<(ShardedFlowStore, AttachAggregates), StreamError> {
-        let store = ShardedFlowStore::from_trace(g, w, trace, epoch)?;
+        let mut store = ShardedFlowStore::from_trace(g, w, trace, epoch)?;
         let (masses, total_rate) = store.host_masses();
         let agg = AttachAggregates::from_host_masses(g, dm, &masses, total_rate);
+        store.group_by_anchor(agg.anchors());
         Ok((store, agg))
     };
     let mut tracker = DriftTracker::new(cfg.drift_threshold);
@@ -2575,6 +2931,275 @@ mod tests {
             let resumed_end = store.load_with(StreamCheckpoint::from_json).unwrap();
             proptest::prop_assert_eq!(resumed_end, end);
             let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// `store`'s slot histogram rebuilt from scratch, as the first
+    /// scale-moved step would build it now: what the kept one must equal.
+    fn fresh_hist(store: &ShardedFlowStore) -> Option<Vec<u32>> {
+        let mut k = store.classes.clone()?;
+        k.hist = None;
+        slot_histogram(&mut k, &mut None, &store.anchors, (&store.src, &store.dst))?;
+        k.hist
+    }
+
+    /// Per-host mass entries summed per slot — the endpoint hosts of one
+    /// `anchors` entry — each at its slot's lowest endpoint host. A slot
+    /// appears when any of its hosts does, so a zero net stays.
+    fn per_slot(
+        masses: &[HostMassDelta],
+        anchors: &[(NodeId, Cost)],
+        ends: &[(NodeId, NodeId)],
+    ) -> Vec<HostMassDelta> {
+        use std::collections::BTreeMap;
+        let mut lowest: BTreeMap<(NodeId, Cost), NodeId> = BTreeMap::new();
+        for h in ends.iter().flat_map(|&(s, d)| [s, d]) {
+            let low = lowest.entry(anchors[h.index()]).or_insert(h);
+            *low = (*low).min(h);
+        }
+        let mut slots: BTreeMap<NodeId, (i128, i128)> = BTreeMap::new();
+        for m in masses {
+            let e = slots.entry(lowest[&anchors[m.host.index()]]).or_default();
+            e.0 += m.d_out;
+            e.1 += m.d_in;
+        }
+        slots
+            .into_iter()
+            .map(|(host, (d_out, d_in))| HostMassDelta { host, d_out, d_in })
+            .collect()
+    }
+
+    /// A fabric of four switches in a chain (links of weight 2) and eight
+    /// hosts, each wired to one or two random switches over links of
+    /// weight 1 or 2: leaf hosts sharing a switch and weight share a slot,
+    /// a leaf on another weight or a two-homed host is a slot of its own.
+    fn mixed_fabric(next: &mut dyn FnMut() -> u64) -> Graph {
+        let mut g = Graph::new();
+        let s: Vec<NodeId> = (0..4).map(|i| g.add_switch(format!("s{i}"))).collect();
+        for j in 1..4 {
+            g.add_edge(s[j - 1], s[j], 2).unwrap();
+        }
+        for i in 0..8 {
+            let h = g.add_host(format!("h{i}"));
+            for _ in 0..1 + next() % 2 {
+                let _ = g.add_edge(h, s[next() as usize % 4], 1 + next() % 2);
+            }
+        }
+        g
+    }
+
+    /// The hour-0 set-up, a list-only day and an ungrouped store never
+    /// build a slot histogram; the first scale-moved step of a grouped
+    /// keyed store does, and `ingest` drops it with the classes.
+    #[test]
+    fn only_a_scale_moved_step_builds_the_slot_histogram() {
+        let ft = FatTree::build(4).unwrap();
+        let g = ft.graph();
+        let dm = DistanceMatrix::build(g);
+        let hosts: Vec<NodeId> = g.hosts().collect();
+        let mut w = Workload::new();
+        for i in 0..96 {
+            w.add_pair(hosts[i % 16], hosts[(i * 7 + 3) % 16], 0);
+        }
+        let row: Vec<i64> = (0..96).map(|i| [10, 250, 1_000][i % 3]).collect();
+        let east: Vec<bool> = (0..96).map(|i| i % 5 < 2).collect();
+        let churned = |model: DiurnalModel| {
+            let mut rows = vec![row.clone()];
+            for h in 1..=model.n_hours as usize {
+                let mut next = rows[h - 1].clone();
+                next[h] = [10, 250, 1_000][h % 3];
+                rows.push(next);
+            }
+            DynamicTrace::from_rows(&w, model, east.clone(), &rows).unwrap()
+        };
+        let diurnal = churned(DiurnalModel::default());
+        let flat = churned(DiurnalModel {
+            n_hours: 6,
+            tau_min: 1.0,
+        });
+        let grouped = |trace: &DynamicTrace| {
+            let mut store = ShardedFlowStore::from_trace(g, &w, trace, 0).unwrap();
+            let (masses, total) = store.host_masses();
+            let agg = AttachAggregates::from_host_masses(g, &dm, &masses, total);
+            store.group_by_anchor(agg.anchors());
+            store
+        };
+        let built =
+            |store: &ShardedFlowStore| store.classes.as_ref().is_some_and(|k| k.hist.is_some());
+        // Set-up alone, then a day of list-only steps.
+        let mut store = grouped(&flat);
+        assert!(!built(&store));
+        let mut cursor = flat.cursor(0);
+        for _ in 0..8 {
+            store.advance(&mut cursor).unwrap();
+            assert!(!built(&store));
+        }
+        // The first scale-moved step builds it, within the size rule:
+        // 8 ToR slots × 6 classes ≤ 96 flows.
+        let mut store = grouped(&diurnal);
+        let mut plain = store.clone();
+        plain.group_by_anchor(&[]);
+        let (mut cursor, mut twin) = (diurnal.cursor(0), diurnal.cursor(0));
+        store.advance(&mut cursor).unwrap();
+        plain.advance(&mut twin).unwrap();
+        assert!(built(&store));
+        assert!(!built(&plain));
+        assert_eq!(store.slots.as_ref().map(|s| s.host.len()), Some(8));
+        // `ingest` turns the store flat, dropping it; the next scale-moved
+        // step keys the store again and rebuilds it.
+        let f = FlowId(0);
+        let undo = [
+            RateDelta { flow: f, delta: 1 },
+            RateDelta { flow: f, delta: -1 },
+        ];
+        store.ingest(&undo).unwrap();
+        assert!(store.classes.is_none());
+        store.advance(&mut cursor).unwrap();
+        assert!(built(&store));
+        // A map of the wrong length leaves the store ungrouped.
+        store.group_by_anchor(&[(NodeId(0), 0)]);
+        assert!(!store.build_slot_histogram());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::env_or(64))]
+
+        /// The slot kernel against the per-host scatter, hour by hour: a
+        /// grouped store and an ungrouped clone advance through a day and
+        /// two hours past it on cursors of their own, and their reports
+        /// agree — per-slot masses (touched slots whose nets cancel
+        /// included; the grouped store reports per slot exactly on its
+        /// dense steps), `total_delta`, drift, applied count and records —
+        /// while each report, folded into aggregates of its own, keeps
+        /// them `same_as` a build at `rates_at(h)`. After every step a kept
+        /// histogram equals one rebuilt from scratch. Few-base workloads,
+        /// so that slots × classes ≤ flows and the histogram is used, on a
+        /// fat-tree (ToR slots) and on a mixed fabric (leaf hosts on two
+        /// link weights, two-homed hosts as slots of their own). Shapes:
+        /// 0, a churn-free diurnal day; 1, the default envelope with
+        /// `STANDARD_CHURN`, so changed flows occur on dense steps; 2, a
+        /// flat churned envelope, whose listed hours keep a histogram
+        /// built ahead; 3, churned diurnal days with mid-day `ingest`s
+        /// (the histogram goes with the classes) and switches between the
+        /// trace and an equal one built separately (a re-key), after which
+        /// the next dense step rebuilds it; 4, one flow of base 2^57 + 2^55
+        /// under an envelope above 1, so the `i64` width proof fails and
+        /// the `i128` kernels run, with aggregates still finite; 5, rates
+        /// near `u64::MAX` (reports only: their attach sums leave `u64`).
+        #[test]
+        fn slot_histogram_steps_equal_the_scatter(
+            shape in 0usize..6,
+            mixed in proptest::arbitrary::any::<bool>(),
+            num_flows in 80usize..160,
+            n_hours in 2u32..9,
+            seed in proptest::arbitrary::any::<u64>(),
+        ) {
+            use ppdc_traffic::STANDARD_CHURN;
+            let mut x = seed | 1;
+            let mut next = move || { x ^= x << 13; x ^= x >> 7; x ^= x << 17; x };
+            let g = if mixed { mixed_fabric(&mut next) } else { FatTree::build(4).unwrap().graph().clone() };
+            let dm = DistanceMatrix::build(&g);
+            let hosts: Vec<NodeId> = g.hosts().collect();
+            let mut w = Workload::new();
+            for _ in 0..num_flows {
+                w.add_pair(hosts[next() as usize % hosts.len()], hosts[next() as usize % hosts.len()], 0);
+            }
+            let east: Vec<bool> = (0..num_flows).map(|_| next() % 2 == 0).collect();
+            let palette: [i64; 4] = match shape {
+                5 => [2, i64::MAX - 7, i64::MAX - 1_000, i64::MAX],
+                _ => [0, 3, 40, 1_249],
+            };
+            let churn = shape != 0;
+            let mut rows = vec![(0..num_flows).map(|_| palette[next() as usize % 4]).collect::<Vec<i64>>()];
+            if shape == 4 {
+                rows[0][0] = (1 << 57) + (1 << 55);
+            }
+            let tau_min = match shape {
+                2 => 1.0,
+                4 | 5 => [1.5, 1.99][(next() % 2) as usize],
+                _ => [0.2, 0.35][(next() % 2) as usize],
+            };
+            let model = if shape == 1 { DiurnalModel::default() } else { DiurnalModel { n_hours, tau_min } };
+            for _ in 0..model.n_hours {
+                let mut row = rows[rows.len() - 1].clone();
+                for r in row.iter_mut().skip(usize::from(shape == 4)) {
+                    if churn && (next() % 1_000) as f64 / 1_000.0 < STANDARD_CHURN {
+                        *r = palette[next() as usize % 4];
+                    }
+                }
+                rows.push(row);
+            }
+            let trace = DynamicTrace::from_rows(&w, model, east.clone(), &rows).unwrap();
+            let twin = DynamicTrace::from_rows(&w, model, east, &rows).unwrap();
+            let mut grouped = ShardedFlowStore::from_trace(&g, &w, &trace, 0).unwrap();
+            let (masses, total) = grouped.host_masses();
+            let agg = AttachAggregates::from_host_masses(&g, &dm, &masses, total);
+            let anchors = agg.anchors().to_vec();
+            let mut plain = grouped.clone();
+            grouped.group_by_anchor(&anchors);
+            if shape == 2 {
+                proptest::prop_assert!(grouped.build_slot_histogram());
+            }
+            let (mut agg_grouped, mut agg_plain) = (agg.clone(), agg);
+            let ends: Vec<(NodeId, NodeId)> = w.iter().map(|(_, s, d, _)| (s, d)).collect();
+            let (mut on, mut onto, mut probe) = (trace.cursor(0), trace.cursor(0), trace.cursor(0));
+            let mut on_twin = false;
+            let mut grouped_steps = 0;
+            for h in 1..=model.n_hours + 2 {
+                if shape == 3 {
+                    match next() % 4 {
+                        0 => {
+                            let f = FlowId((next() % num_flows as u64) as u32);
+                            let undo = [RateDelta { flow: f, delta: 9 }, RateDelta { flow: f, delta: -9 }];
+                            for store in [&mut grouped, &mut plain] {
+                                proptest::prop_assert!(store.ingest(&undo).unwrap().masses.is_empty());
+                            }
+                            proptest::prop_assert!(grouped.classes.is_none());
+                        }
+                        1 => {
+                            on_twin = !on_twin;
+                            let t = if on_twin { &twin } else { &trace };
+                            (on, onto, probe) = (t.cursor(h - 1), t.cursor(h - 1), t.cursor(h - 1));
+                        }
+                        _ => {}
+                    }
+                }
+                let dense = matches!(probe.step(), HourStep::Dense { .. });
+                let a = grouped.advance(&mut on).unwrap();
+                let b = plain.advance(&mut onto).unwrap();
+                let kept = grouped.classes.as_ref().and_then(|k| k.hist.clone());
+                // Every dense step builds or keeps one: here at most 8
+                // slots × 10 classes ≤ 80 flows.
+                proptest::prop_assert!(kept.is_some() || !dense, "hour {}", h);
+                if kept.is_some() {
+                    proptest::prop_assert_eq!(&kept, &fresh_hist(&grouped), "hour {}", h);
+                }
+                let want = per_slot(&b.masses, &anchors, &ends);
+                proptest::prop_assert_eq!(&per_slot(&a.masses, &anchors, &ends), &want, "hour {}", h);
+                if dense {
+                    grouped_steps += 1;
+                    proptest::prop_assert_eq!(&a.masses, &want, "hour {}", h);
+                } else {
+                    proptest::prop_assert_eq!(&a.masses, &b.masses, "hour {}", h);
+                }
+                proptest::prop_assert_eq!(
+                    (a.total_delta, a.drift, a.applied, a.records),
+                    (b.total_delta, b.drift, b.applied, b.records),
+                    "hour {}", h
+                );
+                let rates = trace.rates_at(h);
+                proptest::prop_assert_eq!(grouped.rates(), &rates[..]);
+                if shape != 5 {
+                    agg_grouped.try_apply_mass_deltas(&dm, &a.masses, a.total_delta).unwrap();
+                    agg_plain.try_apply_mass_deltas(&dm, &b.masses, b.total_delta).unwrap();
+                    let mut w_h = w.clone();
+                    w_h.set_rates(&rates).unwrap();
+                    let rebuilt = AttachAggregates::build(&g, &dm, &w_h);
+                    proptest::prop_assert!(agg_grouped.same_as(&rebuilt), "hour {}", h);
+                    proptest::prop_assert!(agg_plain.same_as(&rebuilt), "hour {}", h);
+                }
+            }
+            proptest::prop_assert!(shape == 2 || grouped_steps > 0);
         }
     }
 }
